@@ -463,12 +463,12 @@ let micro_tests () =
   (tests, !trace_count)
 
 (* ------------------------------------------------------------------ *)
-(* Scaling: pipeline-parallel SCC jobs sweep                           *)
+(* Scaling: full-pipeline jobs sweep                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* One combined WHOMP+LEAP instrumented run per jobs value, sweeping
+(* One full-pipeline instrumented run per jobs value, sweeping
    1 -> max(4, recommended_domain_count): jobs=1 is the serial pipeline,
-   jobs>1 fans the compressor work out to dedicated domains behind the
+   jobs>1 moves grammar maintenance onto a pool of jobs-1 workers behind
    SPSC rings. The log records the machine's core count next to the
    curve, because the curve only means what the hardware lets it mean —
    on a single-core box every row degenerates to serial-plus-ring-
@@ -478,68 +478,30 @@ let micro_tests () =
 let run_scaling log ~bench () =
   timed log "scaling" (fun () ->
       print_endline
-        (Ormp_util.Ascii.section "Scaling: pipeline-parallel SCC (--jobs sweep)");
+        (Ormp_util.Ascii.section "Scaling: full pipeline (--jobs sweep)");
       let entry = Ormp_workloads.Registry.find "164.gzip-like" in
       let program = Ormp_workloads.Registry.program ~bench entry in
       let cores = Domain.recommended_domain_count () in
       let sweep =
         List.sort_uniq compare (1 :: 2 :: 4 :: (if cores > 4 then [ cores ] else []))
       in
-      let site_name = Printf.sprintf "s%d" in
       let native_s =
         let t0 = Ormp_util.Clock.now_s () in
         ignore (Ormp_vm.Runner.run_bare program);
         Ormp_util.Clock.now_s () -. t0
       in
       let events = ref 0 in
+      (* The full stack exactly as sessions and the daemon run it: one
+         Pipeline (CDC, four OMSG grammars, RASG, LEAP) fed per event,
+         through to the finished profiles; jobs > 1 adds a private pool
+         of jobs - 1 grammar workers. *)
       let measure jobs =
         let t0 = Ormp_util.Clock.now_s () in
-        let wp =
-          if jobs <= 1 then begin
-            (* The serial pipeline as the server/session layer wires it
-               since the lane refactor: one CDC translating once, SoA
-               chunk lanes fanned to both collectors — not two
-               independent sinks each dragging their own CDC. *)
-            let wc = Ormp_whomp.Whomp.collector () in
-            let lc = Ormp_leap.Leap.collector () in
-            let on_tuples (tp : Ormp_core.Cdc.tuples) =
-              Ormp_whomp.Whomp.collect_tuples wc tp;
-              Ormp_leap.Leap.collect_tuples lc tp
-            in
-            let cdc = Ormp_core.Cdc.create ~site_name ~on_tuple:(fun _ -> assert false) () in
-            let b = Ormp_core.Cdc.batch_tuples cdc ~on_tuples () in
-            let r = Ormp_vm.Runner.run_batched program b in
-            let collected = Ormp_core.Cdc.collected cdc
-            and wild = Ormp_core.Cdc.wild cdc in
-            ignore
-              (Ormp_leap.Leap.finish lc ~collected ~wild ~elapsed:r.Ormp_vm.Runner.elapsed);
-            {
-              Ormp_whomp.Whomp.dims = Ormp_whomp.Whomp.collector_dims wc;
-              collected;
-              wild;
-              groups = Ormp_core.Omc.groups (Ormp_core.Cdc.omc cdc);
-              lifetimes = Ormp_core.Omc.lifetimes (Ormp_core.Cdc.omc cdc);
-              elapsed = r.Ormp_vm.Runner.elapsed;
-            }
-          end
-          else begin
-            let wt = Ormp_whomp.Par_scc.create ~jobs ~site_name () in
-            let lt = Ormp_leap.Par_leap.create ~jobs ~site_name () in
-            Fun.protect
-              ~finally:(fun () ->
-                (try Ormp_whomp.Par_scc.shutdown wt with _ -> ());
-                try Ormp_leap.Par_leap.shutdown lt with _ -> ())
-              (fun () ->
-                let fan =
-                  Ormp_trace.Batch.fanout
-                    [ Ormp_whomp.Par_scc.batch wt; Ormp_leap.Par_leap.batch lt ]
-                in
-                let r = Ormp_vm.Runner.run_batched program fan in
-                ignore (Ormp_leap.Par_leap.finalize lt ~elapsed:r.Ormp_vm.Runner.elapsed);
-                Ormp_whomp.Par_scc.finalize wt ~elapsed:r.Ormp_vm.Runner.elapsed)
-          end
-        in
-        events := wp.Ormp_whomp.Whomp.collected + wp.Ormp_whomp.Whomp.wild;
+        let pipe, r = Ormp_session.Pipeline.run ~jobs program in
+        let elapsed = r.Ormp_vm.Runner.elapsed in
+        ignore (Ormp_session.Pipeline.whomp_profile pipe ~elapsed);
+        ignore (Ormp_session.Pipeline.leap_profile pipe ~elapsed);
+        events := Ormp_session.Pipeline.collected pipe + Ormp_session.Pipeline.wild pipe;
         Ormp_util.Clock.now_s () -. t0
       in
       ignore (measure 1);

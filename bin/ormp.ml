@@ -28,6 +28,7 @@
 open Cmdliner
 module Registry = Ormp_workloads.Registry
 module Telemetry = Ormp_telemetry.Telemetry
+module Pipeline = Ormp_session.Pipeline
 
 (* --- telemetry and logging flags (shared by the profiling commands) --- *)
 
@@ -127,8 +128,9 @@ let jobs_arg =
     value & opt int 0
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Domains for the pipeline-parallel SCC, counting the producer: with N > 1 each \
-           compressor stream runs on its own domain behind a lock-free SPSC ring. 0 (the \
+          "Domains for the profiling pipeline: with N > 1 the five grammars are \
+           maintained on a worker pool, each worker behind a lock-free SPSC ring (N-1 \
+           workers beside the producer; $(b,serve) shares N among its sessions). 0 (the \
            default) uses the machine's recommended domain count; 1 forces the serial \
            path. Profiles are byte-identical for every N.")
 
@@ -163,11 +165,8 @@ let list_cmd =
 (* --- trace ---------------------------------------------------------- *)
 
 let trace_cmd =
-  let run workload seed policy limit object_relative sanitize jobs telemetry quiet =
+  let run workload seed policy limit object_relative sanitize telemetry quiet =
     apply_quiet quiet;
-    (* Tracing has no compressor stage to parallelize; the flag is accepted
-       (and validated) for CLI symmetry with whomp/leap/session. *)
-    ignore (resolve_jobs jobs);
     let program = find_program workload in
     let config = config_of ~seed ~policy in
     let printed = ref 0 in
@@ -226,7 +225,7 @@ let trace_cmd =
     (Cmd.info "trace" ~doc:"Dump a workload's probe events")
     Term.(
       const run $ workload_arg $ seed_arg $ policy_arg $ limit $ object_relative
-      $ sanitize_arg $ jobs_arg $ telemetry_arg $ quiet_arg)
+      $ sanitize_arg $ telemetry_arg $ quiet_arg)
 
 (* --- whomp ---------------------------------------------------------- *)
 
@@ -236,68 +235,51 @@ let whomp_cmd =
     let jobs = resolve_jobs jobs in
     let program = find_program workload in
     let config = config_of ~seed ~policy in
-    (* With --sanitize, one instrumented run feeds both the profiler and
-       the sanitizer through a batch fanout — the sanitizer sees exactly
-       the probe stream the profile was built from. *)
+    (* One instrumented run through the pipeline yields both the OMSG
+       profile and the RASG baseline. With --sanitize the sanitizer taps
+       the same run, so it sees exactly the probe stream the profile was
+       built from; that profile labels its groups by site number. *)
     let san = Ormp_check.Sanitizer.create () in
     let san_table =
       with_telemetry telemetry ~name:("whomp:" ^ workload) @@ fun () ->
-      let p, san_table =
-        if not sanitize then
-          ( (if jobs > 1 then Ormp_whomp.Par_scc.profile ~config ~jobs program
-             else Ormp_whomp.Whomp.profile ~config program),
-            None )
-        else if jobs > 1 then begin
-          let t = Ormp_whomp.Par_scc.create ~jobs ~site_name:(Printf.sprintf "site%d") () in
-          Fun.protect
-            ~finally:(fun () -> try Ormp_whomp.Par_scc.shutdown t with _ -> ())
-            (fun () ->
-              let fan =
-                Ormp_trace.Batch.fanout
-                  [ Ormp_whomp.Par_scc.batch t; Ormp_check.Sanitizer.batch san ]
-              in
-              let result = Ormp_vm.Runner.run_batched ~config program fan in
-              ( Ormp_whomp.Par_scc.finalize t ~elapsed:result.Ormp_vm.Runner.elapsed,
-                Some result.Ormp_vm.Runner.table ))
-        end
-      else begin
-        let wb, fin =
-          Ormp_whomp.Whomp.sink_batched ~site_name:(Printf.sprintf "site%d") ()
-        in
-        let fan = Ormp_trace.Batch.fanout [ wb; Ormp_check.Sanitizer.batch san ] in
-        let result = Ormp_vm.Runner.run_batched ~config program fan in
-        (fin ~elapsed:result.Ormp_vm.Runner.elapsed, Some result.Ormp_vm.Runner.table)
-      end
-    in
-    (match save with
-    | Some path ->
-      Ormp_persist.Whomp_io.save path p;
-      Printf.printf "profile written to %s\n" path
-    | None -> ());
-    let r = Ormp_whomp.Rasg.profile ~config program in
-    Printf.printf "collected accesses : %d (+%d wild)\n" p.Ormp_whomp.Whomp.collected
-      p.Ormp_whomp.Whomp.wild;
-    Printf.printf "groups             : %d\n" (List.length p.Ormp_whomp.Whomp.groups);
-    Printf.printf "objects            : %d\n" (List.length p.Ormp_whomp.Whomp.lifetimes);
-    List.iter
-      (fun (dim, g) ->
-        Printf.printf "OMSG %-7s grammar: %6d symbols, %6d rules, %7d bytes\n" dim
-          (Ormp_sequitur.Sequitur.grammar_size g)
-          (Ormp_sequitur.Sequitur.rule_count g)
-          (Ormp_sequitur.Sequitur.byte_size g))
-      p.Ormp_whomp.Whomp.dims;
-    let ob = Ormp_whomp.Whomp.omsg_bytes p and rb = Ormp_whomp.Rasg.bytes r in
-    Printf.printf "OMSG total         : %d bytes\n" ob;
-    Printf.printf "RASG baseline      : %d bytes\n" rb;
-    Printf.printf "compression        : %.1f%% (RASG as base)\n"
-      (100.0 *. float_of_int (rb - ob) /. float_of_int rb);
-    (match show_grammar with
-    | None -> ()
-    | Some dim -> (
-      match List.assoc_opt dim p.Ormp_whomp.Whomp.dims with
-      | Some g -> Format.printf "@.%s grammar:@.%a" dim Ormp_sequitur.Sequitur.pp g
-      | None -> Printf.eprintf "no dimension %S (instr/group/object/offset)\n" dim));
-      san_table
+      let pipe, result =
+        if sanitize then
+          Pipeline.run ~config ~jobs ~site_name:(Printf.sprintf "site%d")
+            ~wrap:(fun apply -> Ormp_trace.Sink.fanout [ apply; Ormp_check.Sanitizer.sink san ])
+            program
+        else Pipeline.run ~config ~jobs program
+      in
+      let elapsed = result.Ormp_vm.Runner.elapsed in
+      let p = Pipeline.whomp_profile pipe ~elapsed in
+      let r = Pipeline.rasg_profile pipe ~elapsed in
+      (match save with
+      | Some path ->
+        Ormp_persist.Whomp_io.save path p;
+        Printf.printf "profile written to %s\n" path
+      | None -> ());
+      Printf.printf "collected accesses : %d (+%d wild)\n" p.Ormp_whomp.Whomp.collected
+        p.Ormp_whomp.Whomp.wild;
+      Printf.printf "groups             : %d\n" (List.length p.Ormp_whomp.Whomp.groups);
+      Printf.printf "objects            : %d\n" (List.length p.Ormp_whomp.Whomp.lifetimes);
+      List.iter
+        (fun (dim, g) ->
+          Printf.printf "OMSG %-7s grammar: %6d symbols, %6d rules, %7d bytes\n" dim
+            (Ormp_sequitur.Sequitur.grammar_size g)
+            (Ormp_sequitur.Sequitur.rule_count g)
+            (Ormp_sequitur.Sequitur.byte_size g))
+        p.Ormp_whomp.Whomp.dims;
+      let ob = Ormp_whomp.Whomp.omsg_bytes p and rb = Ormp_whomp.Rasg.bytes r in
+      Printf.printf "OMSG total         : %d bytes\n" ob;
+      Printf.printf "RASG baseline      : %d bytes\n" rb;
+      Printf.printf "compression        : %.1f%% (RASG as base)\n"
+        (100.0 *. float_of_int (rb - ob) /. float_of_int rb);
+      (match show_grammar with
+      | None -> ()
+      | Some dim -> (
+        match List.assoc_opt dim p.Ormp_whomp.Whomp.dims with
+        | Some g -> Format.printf "@.%s grammar:@.%a" dim Ormp_sequitur.Sequitur.pp g
+        | None -> Printf.eprintf "no dimension %S (instr/group/object/offset)\n" dim));
+      if sanitize then Some result.Ormp_vm.Runner.table else None
     in
     match san_table with
     | None -> ()
@@ -325,35 +307,15 @@ let whomp_cmd =
 (* --- leap ----------------------------------------------------------- *)
 
 let leap_cmd =
-  let run workload seed policy budget show_deps show_strides save sanitize jobs telemetry
-      quiet =
+  let run workload seed policy budget show_deps show_strides save sanitize telemetry quiet =
     apply_quiet quiet;
-    let jobs = resolve_jobs jobs in
     let program = find_program workload in
     let config = config_of ~seed ~policy in
     let san = Ormp_check.Sanitizer.create () in
     let san_table =
       with_telemetry telemetry ~name:("leap:" ^ workload) @@ fun () ->
       let p, san_table =
-        if not sanitize then
-          ( (if jobs > 1 then Ormp_leap.Par_leap.profile ~config ~budget ~jobs program
-             else Ormp_leap.Leap.profile ~config ~budget program),
-            None )
-        else if jobs > 1 then begin
-          let t =
-            Ormp_leap.Par_leap.create ~budget ~jobs ~site_name:(Printf.sprintf "site%d") ()
-          in
-          Fun.protect
-            ~finally:(fun () -> try Ormp_leap.Par_leap.shutdown t with _ -> ())
-            (fun () ->
-              let fan =
-                Ormp_trace.Batch.fanout
-                  [ Ormp_leap.Par_leap.batch t; Ormp_check.Sanitizer.batch san ]
-              in
-              let result = Ormp_vm.Runner.run_batched ~config program fan in
-              ( Ormp_leap.Par_leap.finalize t ~elapsed:result.Ormp_vm.Runner.elapsed,
-                Some result.Ormp_vm.Runner.table ))
-        end
+        if not sanitize then (Ormp_leap.Leap.profile ~config ~budget program, None)
       else begin
         let lb, fin =
           Ormp_leap.Leap.sink_batched ~budget ~site_name:(Printf.sprintf "site%d") ()
@@ -416,7 +378,7 @@ let leap_cmd =
     (Cmd.info "leap" ~doc:"Lossy object-relative LMAD profile and its post-processors")
     Term.(
       const run $ workload_arg $ seed_arg $ policy_arg $ budget $ show_deps $ show_strides
-      $ save $ sanitize_arg $ jobs_arg $ telemetry_arg $ quiet_arg)
+      $ save $ sanitize_arg $ telemetry_arg $ quiet_arg)
 
 (* --- compare -------------------------------------------------------- *)
 

@@ -102,6 +102,17 @@ let rules =
          (or waive with a justification)";
     };
     {
+      r_name = "worker-spawn";
+      r_severity = Finding.Error;
+      r_doc = "Worker.spawn only in the one worker pool (trace/pool.ml)";
+      r_applies = (fun p -> not (String.ends_with ~suffix:"trace/pool.ml" p));
+      r_needs_tag = false;
+      r_patterns = [ "Worker.spawn" ];
+      r_message =
+        "worker spawned outside Ormp_trace.Pool — drive compression through \
+         Ormp_session.Pipeline on a Pool instead of wiring another pool";
+    };
+    {
       r_name = "bare-eprintf";
       r_severity = Finding.Error;
       r_doc = "no direct stderr writes bypassing the telemetry logger";

@@ -1,6 +1,6 @@
 (** Source-level lint for the repo's concurrency and output conventions.
 
-    Five rules, enforced over [.ml] files (comments and strings are
+    Six rules, enforced over [.ml] files (comments and strings are
     stripped before matching):
 
     - [atomic] (error) — no raw [Atomic.] use outside the functorized
@@ -17,6 +17,10 @@
       ending in [server/net_io.ml] is exempt): a call that can wait
       forever turns one slow peer into a wedged daemon. Waive at sites
       that provably touch only regular files or are startup-only.
+    - [worker-spawn] (error) — [Worker.spawn] only in the one worker
+      pool ({!Ormp_trace.Pool}, any path ending in [trace/pool.ml]): every
+      profiler stack runs through {!Ormp_session.Pipeline} on that pool,
+      so a second hand-wired pool is a regression, not a waiver.
     - [bare-eprintf] (error) — no direct stderr writes ([eprintf],
       [prerr_*], [output_string stderr]) bypassing
       {!Ormp_telemetry.Log}.

@@ -72,9 +72,8 @@ type live = {
 
    - [c_idx] maps (instr, group) -> stream slot. Admitted streams live in
      parallel slot lanes in admission order
-     ([c_key_instr]/[c_key_group]/[c_strs]/[c_first]); slot order IS the
-     first-appearance order the profile reports, and [c_first] keeps each
-     key's first-admitted time stamp for the sharded merge.
+     ([c_key_instr]/[c_key_group]/[c_strs]); slot order IS the
+     first-appearance order the profile reports.
    - [c_st] maps instr -> is_store (0/1); instruction ids are arbitrary
      ints (future trace-import frontends may feed raw IPs), so this stays
      a hash table rather than a direct-indexed lane.
@@ -87,7 +86,6 @@ type collector = {
   mutable c_key_instr : int array;  (* slot lanes, admission order *)
   mutable c_key_group : int array;
   mutable c_strs : stream array;
-  mutable c_first : int array;  (* slot -> first-admitted time stamp *)
   mutable c_n : int;
   c_dummy : stream;  (* filler for unused [c_strs] capacity *)
   c_st : Key_table.pairs;  (* instr -> is_store (0/1) *)
@@ -106,25 +104,21 @@ let grow_slots c =
   let ki = Array.make cap' 0 in
   let kg = Array.make cap' 0 in
   let ss = Array.make cap' c.c_dummy in
-  let fs = Array.make cap' 0 in
   Array.blit c.c_key_instr 0 ki 0 c.c_n;
   Array.blit c.c_key_group 0 kg 0 c.c_n;
   Array.blit c.c_strs 0 ss 0 c.c_n;
-  Array.blit c.c_first 0 fs 0 c.c_n;
   c.c_key_instr <- ki;
   c.c_key_group <- kg;
-  c.c_strs <- ss;
-  c.c_first <- fs
+  c.c_strs <- ss
 
 (* Append a stream in the next admission slot, bypassing the cap (used by
    both live admission and checkpoint restore). *)
-let push_stream c instr group stream ~first =
+let push_stream c instr group stream =
   if c.c_n = Array.length c.c_strs then grow_slots c;
   let s = c.c_n in
   c.c_key_instr.(s) <- instr;
   c.c_key_group.(s) <- group;
   c.c_strs.(s) <- stream;
-  c.c_first.(s) <- first;
   c.c_n <- s + 1;
   Key_table.add c.c_idx instr group s;
   s
@@ -164,7 +158,6 @@ let collector ?budget ?(max_streams = 0) ?restore () =
       c_key_instr = Array.make 32 0;
       c_key_group = Array.make 32 0;
       c_strs = Array.make 32 dummy;
-      c_first = Array.make 32 0;
       c_n = 0;
       c_dummy = dummy;
       c_st = Key_table.pairs_create ();
@@ -178,13 +171,11 @@ let collector ?budget ?(max_streams = 0) ?restore () =
   (match restore with
   | None -> ()
   | Some lv ->
-    (* Synthetic first-seen stamps (local indices) keep the saved order;
-       [shard_make] overwrites them with the snapshot's global indices. *)
     List.iter
       (fun ((k : key), s) ->
         if find_slot c k.instr k.group >= 0 then
           invalid_arg "Leap.collector: duplicate stream key";
-        ignore (push_stream c k.instr k.group s ~first:c.c_n))
+        ignore (push_stream c k.instr k.group s))
       lv.lv_streams;
     List.iter (fun (i, st) -> set_store c i st) lv.lv_stores;
     List.iter
@@ -212,7 +203,7 @@ let[@inline] collect_one c ~instr ~group ~obj ~offset ~is_store ~time =
     if Tm.on () then Tm.Metrics.incr m_dropped_accesses
   end
   else begin
-    let s = push_stream c instr group (fresh_stream c) ~first:time in
+    let s = push_stream c instr group (fresh_stream c) in
     if Tm.on () then Tm.Metrics.incr m_streams_opened;
     record2 (Array.unsafe_get c.c_strs s) ~time ~obj ~offset
   end
@@ -268,130 +259,6 @@ let finish c ~collected ~wild ~elapsed =
     wild;
     dropped_streams = Key_table.length c.c_d;
     dropped_accesses = c.c_dropped_accesses;
-    elapsed;
-  }
-
-(* --- sharded collection (pipeline-parallel SCC) ----------------------- *)
-
-(* The vertical decomposition keys streams by (instruction, group), so
-   sharding the tuple stream by instruction keeps every (instr, group)
-   sub-stream wholly on one shard, in time order — each shard is just a
-   smaller serial collector. What sharding loses is the *global*
-   first-appearance order across shards (the [streams] order of the
-   profile and the admission order a [max_streams] cap depends on), so
-   each shard's [c_first] lane records the time stamp of every key's
-   first admitted tuple and the merge re-sorts on it; stamps are globally
-   unique and increasing, which makes the merged order exactly the serial
-   order. For restored shards the stamps are the key's index in the
-   snapshot's stream order (indices are smaller than any live time stamp,
-   so mixed comparisons stay correct). A [max_streams] cap is the one
-   thing that cannot be sharded (admission compares against a global
-   count), so capped collectors must run on a single shard — enforced in
-   [shard_make]. *)
-
-type shard = collector
-
-let shard_make ?budget ?(max_streams = 0) ~nshards ~restore () =
-  if nshards < 1 then invalid_arg "Leap.shards: need at least one shard";
-  if max_streams > 0 && nshards > 1 then
-    invalid_arg "Leap.shards: a max-streams cap requires a single shard";
-  match restore with
-  | None -> Array.init nshards (fun _ -> collector ?budget ~max_streams ())
-  | Some lv ->
-    (* Split the saved state by the shard key, preserving per-shard order;
-       synthetic first-seen stamps (global indices) preserve the global
-       order for later merges. Dropped-key state only exists under a cap,
-       i.e. with one shard, where the whole of it lands. *)
-    let parts = Array.init nshards (fun _ -> ref []) in
-    List.iteri
-      (fun i ((k : key), s) -> let r = parts.(k.instr mod nshards) in r := (i, k, s) :: !r)
-      lv.lv_streams;
-    Array.init nshards (fun w ->
-        let mine = List.rev !(parts.(w)) in
-        let sub =
-          {
-            lv_streams = List.map (fun (_, k, s) -> (k, s)) mine;
-            lv_stores = List.filter (fun (i, _) -> i mod nshards = w) lv.lv_stores;
-            lv_dropped = (if w = 0 then lv.lv_dropped else []);
-            lv_dropped_accesses = (if w = 0 then lv.lv_dropped_accesses else 0);
-          }
-        in
-        let c = collector ?budget ~max_streams ~restore:sub () in
-        List.iter
-          (fun (i, (k : key), _) -> c.c_first.(find_slot c k.instr k.group) <- i)
-          mine;
-        c)
-
-let shards ?budget ?max_streams ?restore ~nshards () =
-  shard_make ?budget ?max_streams ~nshards ~restore ()
-
-let shard_index ~nshards instr = instr mod nshards
-
-let shard_collect (sh : shard) tu = collect sh tu
-
-let shard_collect_lanes (sh : shard) ~instr ~group ~obj ~offset ~store ~time ~len =
-  for i = 0 to len - 1 do
-    collect_one sh
-      ~instr:(Array.unsafe_get instr i)
-      ~group:(Array.unsafe_get group i)
-      ~obj:(Array.unsafe_get obj i)
-      ~offset:(Array.unsafe_get offset i)
-      ~is_store:(Array.unsafe_get store i <> 0)
-      ~time:(Array.unsafe_get time i)
-  done
-
-let shards_stream_count shs = Array.fold_left (fun acc sh -> acc + sh.c_n) 0 shs
-
-(* Every shard's streams tagged with their first-seen stamp, merged into
-   global first-appearance order. *)
-let merge_streams shs =
-  Array.to_list shs
-  |> List.concat_map (fun sh ->
-         List.init sh.c_n (fun s ->
-             ( sh.c_first.(s),
-               { instr = sh.c_key_instr.(s); group = sh.c_key_group.(s) },
-               sh.c_strs.(s) )))
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-  |> List.map (fun (_, k, s) -> (k, s))
-
-(* Instruction key spaces are disjoint across shards, so a plain union. *)
-let merge_stores shs =
-  let h = Hashtbl.create 64 in
-  Array.iter (fun sh -> List.iter (fun (i, st) -> Hashtbl.replace h i st) (stores_list sh)) shs;
-  h
-
-let shards_live shs =
-  {
-    lv_streams = merge_streams shs;
-    lv_stores =
-      List.sort compare (Hashtbl.fold (fun i st acc -> (i, st) :: acc) (merge_stores shs) []);
-    lv_dropped =
-      Array.to_list shs
-      |> List.concat_map (fun sh ->
-             List.rev (Vec.fold_left (fun acc k -> k :: acc) [] sh.c_dropped_order));
-    lv_dropped_accesses = Array.fold_left (fun acc sh -> acc + sh.c_dropped_accesses) 0 shs;
-  }
-
-let shards_finish shs ~collected ~wild ~elapsed =
-  let dropped_streams =
-    Array.fold_left (fun acc sh -> acc + Key_table.length sh.c_d) 0 shs
-  in
-  let dropped_accesses =
-    Array.fold_left (fun acc sh -> acc + sh.c_dropped_accesses) 0 shs
-  in
-  if Tm.on () then begin
-    let set name v = Tm.Metrics.set (Tm.Metrics.gauge name) (float_of_int v) in
-    set "leap.streams" (shards_stream_count shs);
-    set "leap.dropped_streams" dropped_streams;
-    set "leap.dropped_accesses.total" dropped_accesses
-  end;
-  {
-    streams = merge_streams shs;
-    store_instrs = merge_stores shs;
-    collected;
-    wild;
-    dropped_streams;
-    dropped_accesses;
     elapsed;
   }
 

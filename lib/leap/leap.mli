@@ -134,58 +134,6 @@ val finish : collector -> collected:int -> wild:int -> elapsed:float -> profile
 (** Assemble the profile; [collected]/[wild] come from the CDC driving the
     collector. *)
 
-(** {1 Sharded collection (pipeline-parallel SCC)}
-
-    The vertical decomposition keys streams by (instruction, group), so a
-    tuple stream sharded by instruction id keeps every (instr, group)
-    sub-stream wholly on one shard in time order — each shard is a
-    smaller, independent serial collector, suitable for one consumer
-    domain each. Every shard records the time stamp of each key's first
-    admitted tuple; merging re-sorts streams on those globally-unique
-    stamps, reproducing the serial first-appearance order exactly, so the
-    merged profile is byte-identical to a single collector's. *)
-
-type shard
-
-val shards :
-  ?budget:int -> ?max_streams:int -> ?restore:live -> nshards:int -> unit -> shard array
-(** [nshards] independent shards; feed each tuple to shard
-    [shard_index ~nshards tu.instr]. A positive [max_streams] cap requires
-    [nshards = 1] (admission order is inherently global) and raises
-    [Invalid_argument] otherwise. [restore] splits a saved {!live} state
-    back onto the shards, with synthetic first-seen stamps that preserve
-    the saved order through later merges. *)
-
-val shard_index : nshards:int -> int -> int
-(** Which shard owns an instruction id. *)
-
-val shard_collect : shard -> Ormp_core.Tuple.t -> unit
-(** Feed one tuple; the shard's single consumer only. *)
-
-val shard_collect_lanes :
-  shard ->
-  instr:int array ->
-  group:int array ->
-  obj:int array ->
-  offset:int array ->
-  store:int array ->
-  time:int array ->
-  len:int ->
-  unit
-(** Lane form of {!shard_collect}: [len] tuples from parallel SoA arrays,
-    with an explicit [time] lane (a shard's stamps are not consecutive —
-    it only sees its slice of the stream). *)
-
-val shards_stream_count : shard array -> int
-
-val shards_live : shard array -> live
-(** Merged exact state across shards — same value {!live} would give on a
-    serial collector fed the same stream. Quiesce the consumers first. *)
-
-val shards_finish : shard array -> collected:int -> wild:int -> elapsed:float -> profile
-(** Merged profile across shards — byte-identical to {!finish} on a
-    serial collector fed the same stream. *)
-
 val instrs : profile -> int list
 (** All instruction ids seen, ascending. *)
 

@@ -1,13 +1,13 @@
 (* The litmus suite: tiny configurations of the production transport
    code, explored exhaustively. Every module under test here is the real
-   source — [Spsc.Make]/[Worker.Make]/[Par_scc.Pool] applied to the
+   source — [Spsc.Make]/[Worker.Make]/[Pool.Make] applied to the
    traced scheduler — except [worker_stop_no_drain_racy], which injects
    the pre-PR-5 consumer loop through [Worker.Private.spawn_with] to
    prove the checker finds the shutdown race that loop had. *)
 
 module W = Ormp_trace.Worker.Make (Mc.Sched)
 module R = Ormp_trace.Spsc.Make (Mc.Sched.Atomic)
-module PL = Ormp_whomp.Par_scc.Pool (W)
+module PL = Ormp_trace.Pool.Make (W)
 
 type case = {
   name : string;
@@ -177,16 +177,17 @@ let worker_failure_containment ~capacity () =
 
 (* --- slot-pinned pool -------------------------------------------------- *)
 
+(* The pipeline's pinning discipline, at the smallest sizes: each slot's
+   thunks go to worker [slot mod workers] through rings of capacity 1,
+   and the drain must leave every slot's stream complete and in dispatch
+   order. *)
 let pool_slot_pinning ~workers ~nslots ~per_slot () =
   let out = Array.make nslots [] in
-  let p =
-    PL.create ~ring_capacity:1 ~stage_capacity:1 ~name:"mc.pool" ~workers ~nslots
-      ~handle:(fun slot data -> Array.iter (fun v -> out.(slot) <- v :: out.(slot)) data)
-      ()
-  in
+  let p = PL.spawn ~capacity:1 ~name:"mc.pool" ~jobs:workers () in
   for s = 0 to nslots - 1 do
     for v = 1 to per_slot do
-      PL.stage p ~slot:s ((10 * s) + v)
+      let x = (10 * s) + v in
+      PL.dispatch p (s mod workers) (fun () -> out.(s) <- x :: out.(s))
     done
   done;
   PL.drain p;
@@ -194,9 +195,9 @@ let pool_slot_pinning ~workers ~nslots ~per_slot () =
   for s = 0 to nslots - 1 do
     Mc.check_that
       (List.rev out.(s) = List.init per_slot (fun i -> (10 * s) + i + 1))
-      "each slot's stream is complete and in stage order after drain"
+      "each slot's stream is complete and in dispatch order after drain"
   done;
-  PL.shutdown p
+  PL.stop p
 
 (* --- the suite --------------------------------------------------------- *)
 

@@ -32,7 +32,7 @@ let to_sexp (p : Leap.profile) =
        S.field "collected" [ S.int p.Leap.collected ];
        S.field "wild" [ S.int p.Leap.wild ];
        (* Sorted: Hashtbl.fold order depends on insertion history, which
-          differs between a serial collector and merged shards — the file
+          differs between a live collector and a restored one — the file
           must be byte-identical either way (the loader never cared). *)
        S.field "stores"
          (List.map S.int

@@ -4,6 +4,7 @@
    timeout, never a hang. *)
 
 module Batch = Ormp_trace.Batch
+module Pipeline = Ormp_session.Pipeline
 module Event = Ormp_trace.Event
 module Net_fault = Ormp_workloads.Faults.Net
 module Prng = Ormp_util.Prng
@@ -326,11 +327,18 @@ let run_session ~socket ~token ~workload ~events ?(ack_every = 4)
       st_wall_s = Net_io.now () -. t0;
     }
   in
+  (* Why the last attempt failed, so an exhausted budget says why. *)
+  let last_drop = ref "none" in
   let rec go k =
     if k > retry.attempts then
-      Error (Printf.sprintf "session %s: retry budget exhausted after %d attempts" token retry.attempts)
+      Error
+        (Printf.sprintf
+           "session %s: retry budget exhausted after %d attempts (last drop: %s; %d shed, %d \
+            reconnects)"
+           token retry.attempts !last_drop !sheds !reconnects)
     else
       let retry_after reason extra =
+        last_drop := reason;
         Log.debugf ~src:"client" "session %s attempt %d: %s" token k reason;
         Net_io.sleep (extra +. backoff k);
         go (k + 1)

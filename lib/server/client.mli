@@ -1,6 +1,6 @@
 (** The `ormp client` side: generate a workload's event stream once,
     then stream it to a daemon with retry, resume and fault injection —
-    and optionally run the identical {!Pipeline} locally to produce the
+    and optionally run the identical {!Ormp_session.Pipeline} locally to produce the
     serial reference profiles the daemon's output must match byte for
     byte.
 
@@ -59,7 +59,7 @@ val fetch_stats :
     theirs. Errors are connection/timeout/protocol failures as text. *)
 
 val reference : dir:string -> events:Ormp_trace.Event.t array -> unit
-(** Run the serial {!Pipeline} locally over [events] and write the three
+(** Run the serial {!Ormp_session.Pipeline} locally over [events] and write the three
     profile files into [dir] — the byte-comparison baseline for any
     daemon-produced session directory. *)
 

@@ -4,6 +4,8 @@
    behind the Worker drain barrier. *)
 
 module Journal = Ormp_session.Journal
+module Pipeline = Ormp_session.Pipeline
+module Pool = Ormp_trace.Pool
 module Event = Ormp_trace.Event
 module Log = Ormp_telemetry.Log
 module Tm = Ormp_telemetry.Telemetry
@@ -92,7 +94,7 @@ type conn = {
 type t = {
   opts : options;
   listen_fd : Unix.file_descr;
-  pool : Pipeline.Pool.t option;
+  pool : Pool.t option;
   sessions : (string, session) Hashtbl.t;  (* attached (conn-bound) only *)
   mutable conns : conn list;
   stop_r : Unix.file_descr;
@@ -139,7 +141,8 @@ let create opts =
   {
     opts;
     listen_fd;
-    pool = (if opts.jobs > 1 then Some (Pipeline.Pool.spawn ~jobs:opts.jobs) else None);
+    pool =
+      (if opts.jobs > 1 then Some (Pool.spawn ~name:"serve.pool" ~jobs:opts.jobs ()) else None);
     sessions = Hashtbl.create 64;
     conns = [];
     stop_r;
@@ -340,11 +343,11 @@ let admission_refusal t =
     Some (Printf.sprintf "session limit (%d) reached" o.max_sessions)
   else
     match t.pool with
-    | Some p when Pipeline.Pool.occupancy p > o.max_occupancy ->
+    | Some p when Pool.occupancy p > o.max_occupancy ->
       Some "compressor pool saturated"
     | _ ->
       if o.grammar_budget > 0 then begin
-        (match t.pool with Some p -> Pipeline.Pool.drain p | None -> ());
+        (match t.pool with Some p -> Pool.drain p | None -> ());
         let total =
           Hashtbl.fold (fun _ s acc -> acc + Pipeline.grammar_symbols s.pipe) t.sessions 0
         in
@@ -595,7 +598,7 @@ let build_snapshot t =
     Stats.s_wall_s = now -. t.start_s;
     s_events_per_sec = daemon_rate t ~now;
     s_pool_occupancy =
-      (match t.pool with Some p -> Pipeline.Pool.occupancy p | None -> 0.0);
+      (match t.pool with Some p -> Pool.occupancy p | None -> 0.0);
     s_sessions_live = Hashtbl.length t.sessions;
     s_sessions_started = t.sessions_started;
     s_sessions_resumed = t.sessions_resumed;
@@ -683,7 +686,7 @@ let read_conn t ~scratch c =
 
 let heartbeat t =
   let now = Net_io.now () in
-  (match t.pool with Some p -> Pipeline.Pool.drain p | None -> ());
+  (match t.pool with Some p -> Pool.drain p | None -> ());
   (* The pool is drained right now — the one moment grammar sizes may be
      read — so refresh the per-session caches the stats snapshot serves
      between heartbeats. *)
@@ -787,7 +790,7 @@ let shutdown t =
   Log.infof ~src:"serve" "draining %d session(s) for shutdown" (Hashtbl.length t.sessions);
   List.iter (fun c -> kill_conn t c) t.conns;
   reap t;
-  (match t.pool with Some p -> Pipeline.Pool.stop p | None -> ());
+  (match t.pool with Some p -> Pool.stop p | None -> ());
   Net_io.close_noerr t.listen_fd;
   Net_io.close_noerr t.stop_r;
   Net_io.close_noerr t.stop_w;

@@ -1,7 +1,9 @@
 (** The `ormp serve` daemon: a single-threaded select loop accepting many
     concurrent profiling sessions over {!Wire} frames on a Unix-domain
-    socket, multiplexing their compression onto one shared
-    {!Pipeline.Pool}, and journaling every session under
+    socket, each session one {!Ormp_session.Pipeline}, all of them
+    multiplexing their grammar maintenance onto one shared
+    {!Ormp_trace.Pool} (one worker pool, pinned per grammar), and
+    journaling every session under
     [root/sessions/<token>/] so a killed daemon resumes any in-flight
     session byte-identically when its client reconnects.
 

@@ -1,228 +1,3 @@
-(* See the mli. The session stack mirrors Ormp_session.Session.execute /
-   write_outputs; the pool mode mirrors the PR-5 Parallel stage, reduced
-   to the pieces a multi-tenant daemon needs: per-grammar worker pinning
-   for order (and thus byte) identity, staging buffers to amortize ring
-   traffic, and per-session failure capture so one session's compressor
-   exception can never poison the shared workers. *)
-
-module Cdc = Ormp_core.Cdc
-module Omc = Ormp_core.Omc
-module W = Ormp_whomp.Whomp
-module Rasg = Ormp_whomp.Rasg
-module Leap = Ormp_leap.Leap
-module Seq_c = Ormp_sequitur.Sequitur
-module Batch = Ormp_trace.Batch
-module Event = Ormp_trace.Event
-module Worker = Ormp_trace.Worker
-
-let whomp_file = "whomp.profile"
-let rasg_file = "rasg.profile"
-let leap_file = "leap.profile"
-
-module Pool = struct
-  type t = { workers : (unit -> unit) Worker.t array }
-
-  let spawn ~jobs =
-    if jobs < 1 then invalid_arg "Pipeline.Pool.spawn: jobs must be >= 1";
-    {
-      workers =
-        Array.init jobs (fun i ->
-            Worker.spawn ~name:(Printf.sprintf "serve.pool%d" i) ~f:(fun th -> th ()) ());
-    }
-
-  let size t = Array.length t.workers
-  let dispatch t i th = Worker.push t.workers.(i) th
-  let drain t = Array.iter Worker.drain t.workers
-  let stop t = Array.iter Worker.stop t.workers
-
-  let occupancy t =
-    Array.fold_left (fun acc w -> Float.max acc (Worker.occupancy w)) 0.0 t.workers
-end
-
-type par = {
-  pool : Pool.t;
-  slots : int array;  (* worker index per grammar unit: 4 WHOMP dims + RASG *)
-  stage_addr : int array;  (* RASG staging; the dim lanes stage inside the CDC *)
-  mutable stage_len : int;
-}
-
-type t = {
-  cdc : Cdc.t;
-  batch : Batch.t;
-  whomp : W.collector;
-  rasg : Seq_c.t;
-  leap : Leap.collector;
-  par : par option;
-  failed : exn option ref;
-  mutable rasg_accesses : int;
-  mutable position : int;
-}
-
-(* Park the first failure for the producer; the worker itself stays
-   healthy for every other session multiplexed onto it. The ref is
-   plain: the worker's write is ordered before its processed-counter
-   publish, which [Pool.drain] acquires, so the producer reads it after
-   any drain. *)
-let guard failed f () =
-  try f () with e -> if !failed = None then failed := Some e
-
-let site_name site = Printf.sprintf "site%d" site
-
-let create ?pool ?leap_budget ?max_streams () =
-  let whomp = W.collector () in
-  let rasg = Seq_c.create () in
-  let leap = Leap.collector ?budget:leap_budget ?max_streams () in
-  let failed = ref None in
-  match pool with
-  | None ->
-    (* Serial twin of the pool path below: push each CDC lane into its
-       grammar as a batch (no copies — the push consumes the chunk
-       synchronously) and hand the whole chunk to LEAP's lane sink. *)
-    let on_tuples (tp : Cdc.tuples) =
-      W.collect_tuples whomp tp;
-      Leap.collect_tuples leap tp
-    in
-    let cdc = Cdc.create ~site_name ~on_tuple:(fun _ -> assert false) () in
-    let batch = Cdc.batch_tuples cdc ~on_tuples () in
-    {
-      cdc;
-      batch;
-      whomp;
-      rasg;
-      leap;
-      par = None;
-      failed;
-      rasg_accesses = 0;
-      position = 0;
-    }
-  | Some (p, slot) ->
-    let n = Pool.size p in
-    let par =
-      {
-        pool = p;
-        slots = Array.init 5 (fun d -> (slot + d) mod n);
-        stage_addr = Array.make Batch.default_capacity 0;
-        stage_len = 0;
-      }
-    in
-    let dims =
-      match W.collector_dims whomp with
-      | [ (_, gi); (_, gg); (_, go); (_, gf) ] -> [| gi; gg; go; gf |]
-      | _ -> assert false
-    in
-    let on_tuples (tp : Cdc.tuples) =
-      let len = tp.Cdc.tp_len in
-      if len > 0 then begin
-        let lanes = [| tp.tp_instr; tp.tp_group; tp.tp_obj; tp.tp_offset |] in
-        for d = 0 to 3 do
-          (* Copy the lane out of the reused chunk before handing it to
-             the worker; the pinned slot keeps this grammar's pushes in
-             producer order. *)
-          let copy = Array.sub lanes.(d) 0 len in
-          let g = dims.(d) in
-          Pool.dispatch p par.slots.(d)
-            (guard failed (fun () -> Seq_c.push_batch g copy ~off:0 ~len))
-        done;
-        (* LEAP admission order is global per session, so it stays on the
-           producer thread — it is cheap next to grammar maintenance. *)
-        Leap.collect_tuples leap tp
-      end
-    in
-    (* The tuple-chunk path never calls [on_tuple]; all events go through
-       [batch] below. *)
-    let cdc = Cdc.create ~site_name ~on_tuple:(fun _ -> assert false) () in
-    let batch = Cdc.batch_tuples cdc ~on_tuples () in
-    {
-      cdc;
-      batch;
-      whomp;
-      rasg;
-      leap;
-      par = Some par;
-      failed;
-      rasg_accesses = 0;
-      position = 0;
-    }
-
-let flush_stage t p =
-  if p.stage_len > 0 then begin
-    let len = p.stage_len in
-    let copy = Array.sub p.stage_addr 0 len in
-    let g = t.rasg in
-    Pool.dispatch p.pool p.slots.(4)
-      (guard t.failed (fun () -> Seq_c.push_batch g copy ~off:0 ~len));
-    p.stage_len <- 0
-  end
-
-let apply t (ev : Event.t) =
-  (match ev with
-  | Access { addr; _ } -> (
-    t.rasg_accesses <- t.rasg_accesses + 1;
-    match t.par with
-    | None -> Seq_c.push t.rasg addr
-    | Some p ->
-      if p.stage_len = Array.length p.stage_addr then flush_stage t p;
-      p.stage_addr.(p.stage_len) <- addr;
-      p.stage_len <- p.stage_len + 1)
-  | Alloc _ | Free _ -> ());
-  Batch.event t.batch ev;
-  t.position <- t.position + 1
-
-let position t = t.position
-
-let quiesce t =
-  Batch.flush t.batch;
-  match t.par with
-  | None -> ()
-  | Some p ->
-    flush_stage t p;
-    Pool.drain p.pool
-
-let failure t = !(t.failed)
-
-let collected t = Cdc.collected t.cdc
-let wild t = Cdc.wild t.cdc
-
-let grammar_symbols t =
-  List.fold_left
-    (fun acc (_, g) -> acc + Seq_c.grammar_size g)
-    (Seq_c.grammar_size t.rasg)
-    (W.collector_dims t.whomp)
-
-let live_objects t = Omc.live_objects (Cdc.omc t.cdc)
-let leap_streams t = Leap.stream_count t.leap
-
-(* Worst ring occupancy across this session's pinned slots — the
-   backpressure this one session sees, as opposed to [Pool.occupancy]'s
-   daemon-wide view. Racy by design, like every occupancy read. *)
-let occupancy t =
-  match t.par with
-  | None -> 0.0
-  | Some p ->
-    Array.fold_left
-      (fun acc slot -> Float.max acc (Worker.occupancy p.pool.Pool.workers.(slot)))
-      0.0 p.slots
-
-let ( // ) = Filename.concat
-
-let finalize t ~dir ~elapsed =
-  quiesce t;
-  (match failure t with Some e -> raise e | None -> ());
-  let omc = Cdc.omc t.cdc in
-  let whomp_profile =
-    {
-      W.dims = W.collector_dims t.whomp;
-      collected = Cdc.collected t.cdc;
-      wild = Cdc.wild t.cdc;
-      groups = Omc.groups omc;
-      lifetimes = Omc.lifetimes omc;
-      elapsed;
-    }
-  in
-  Ormp_persist.Whomp_io.save (dir // whomp_file) whomp_profile;
-  Ormp_persist.Rasg_io.save (dir // rasg_file)
-    { Rasg.grammar = t.rasg; accesses = t.rasg_accesses; elapsed };
-  let leap_profile =
-    Leap.finish t.leap ~collected:(Cdc.collected t.cdc) ~wild:(Cdc.wild t.cdc) ~elapsed
-  in
-  Ormp_persist.Leap_io.save (dir // leap_file) leap_profile
+(* Kept only because the benchmark harness (e2e/wiring.ml) names
+   Ormp_server.Pipeline; the stack itself is Ormp_session.Pipeline. *)
+include Ormp_session.Pipeline

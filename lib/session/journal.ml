@@ -19,9 +19,14 @@ type writer = {
 let create ?io ?resume path =
   match resume with
   | None ->
-    let oc = open_out_bin path in
-    output_string oc Tf.header;
-    output_char oc '\n';
+    (* The header lands atomically: a journal file either does not exist
+       or starts with a complete header. A kill between creating the file
+       and flushing a buffered header used to leave an empty journal that
+       [recover] rejects, so the session could never be resumed. *)
+    Storage.write_atomic ~path (Tf.header ^ "\n");
+    let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
+    (* Count the header in [bytes], as a freshly written journal always did. *)
+    seek_out oc (out_channel_length oc);
     { oc; io; count = 0; crc = 0 }
   | Some (count, crc) ->
     let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in

@@ -1,15 +1,9 @@
 module S = Ormp_util.Sexp
 module Seq_c = Ormp_sequitur.Sequitur
 module A = Ormp_memsim.Allocator
-module Cdc = Ormp_core.Cdc
-module Omc = Ormp_core.Omc
-module W = Ormp_whomp.Whomp
-module Rasg = Ormp_whomp.Rasg
-module Leap = Ormp_leap.Leap
 module Io = Ormp_workloads.Faults.Io
 module Tf = Ormp_trace.Trace_file
 module Event = Ormp_trace.Event
-module Batch = Ormp_trace.Batch
 module Tm = Ormp_telemetry.Telemetry
 
 let m_snapshot_saves = Tm.Metrics.counter "snapshot.saves"
@@ -72,9 +66,6 @@ let manifest_file = "manifest"
 let journal_file = "journal.trace"
 let report_file = "report"
 let heartbeat_file = "heartbeat"
-let whomp_file = "whomp.profile"
-let rasg_file = "rasg.profile"
-let leap_file = "leap.profile"
 let snapshot_file k = Printf.sprintf "snapshot-%d" k
 
 let rec mkdirs path =
@@ -210,11 +201,7 @@ type ctx = {
   io : Io.t option;
   options : options;
   hb : hb option;
-  mutable whomp : W.collector;
-  mutable rasg : Seq_c.t;
-  mutable leap : Leap.collector;
-  mutable rasg_accesses : int;
-  mutable position : int;  (* events applied to the profilers *)
+  pipe : Pipeline.t;
   mutable epoch_start : int;
   mutable rotations : int;
   mutable epochs : Snapshot.epoch list;  (* oldest first *)
@@ -224,25 +211,18 @@ type ctx = {
   mutable last_checkpoint_pos : int;
   mutable journal : Journal.writer option;
   mutable jcrc : int;
-      (* CRC of the journal through [position] — tracked here (not just in
-         the writer) because replay re-derives it with no writer open *)
+      (* CRC of the journal through the pipeline's position — tracked here
+         (not just in the writer) because replay re-derives it with no
+         writer open *)
   mutable checkpointing : bool;
-  mutable par : Parallel.t option;
-      (* the pipeline-parallel compressor stage, when running with jobs > 1;
-         its grammar slots alias [whomp]/[rasg], so those are read (and
-         swapped) only while the pipeline is quiesced *)
 }
+
+let position ctx = Pipeline.position ctx.pipe
 
 let degrade ctx kind detail =
   ctx.degradations <-
     ctx.degradations
-    @ [ { Snapshot.dg_position = ctx.position; dg_kind = kind; dg_detail = detail } ]
-
-let total_symbols ctx =
-  List.fold_left
-    (fun acc (_, g) -> acc + Seq_c.grammar_size g)
-    (Seq_c.grammar_size ctx.rasg)
-    (W.collector_dims ctx.whomp)
+    @ [ { Snapshot.dg_position = position ctx; dg_kind = kind; dg_detail = detail } ]
 
 (* Seal every live grammar into epoch files and start fresh ones. Grammar
    continuity across the seal is intentional only in the files: analysis
@@ -260,40 +240,33 @@ let rotate ctx =
       ep_dim = dim;
       ep_file = file;
       ep_from = ctx.epoch_start;
-      ep_to = ctx.position;
+      ep_to = position ctx;
       ep_symbols = Seq_c.grammar_size g;
     }
   in
-  let eps = List.map seal (W.collector_dims ctx.whomp @ [ ("rasg", ctx.rasg) ]) in
+  let eps = List.map seal (Pipeline.rotate ctx.pipe) in
   ctx.epochs <- ctx.epochs @ eps;
-  ctx.whomp <- W.collector ();
-  ctx.rasg <- Seq_c.create ();
-  (match ctx.par with
-  | Some p -> Parallel.rotate p ~whomp:ctx.whomp ~rasg:ctx.rasg
-  | None -> ());
-  ctx.epoch_start <- ctx.position;
+  ctx.epoch_start <- position ctx;
   degrade ctx "rotate"
     (Printf.sprintf "grammar budget exceeded; sealed epoch %d" ctx.rotations)
 
-let dims_tuple ctx =
-  match W.collector_dims ctx.whomp with
-  | [ (_, gi); (_, gg); (_, go); (_, gf) ] -> (gi, gg, go, gf)
+let take_snapshot ctx ~ordinal ~journal_crc =
+  let cdc = Pipeline.cdc_state ctx.pipe in
+  match Pipeline.grammars ctx.pipe with
+  | [ (_, gi); (_, gg); (_, go); (_, gf); (_, rasg) ] ->
+    {
+      Snapshot.position = position ctx;
+      checkpoint = ordinal;
+      journal_crc;
+      rotations = ctx.rotations;
+      epochs = ctx.epochs;
+      degradations = ctx.degradations;
+      cdc;
+      whomp = (gi, gg, go, gf);
+      rasg;
+      leap = Pipeline.leap_live ctx.pipe;
+    }
   | _ -> assert false
-
-let take_snapshot ctx cdc ~ordinal ~journal_crc =
-  {
-    Snapshot.position = ctx.position;
-    checkpoint = ordinal;
-    journal_crc;
-    rotations = ctx.rotations;
-    epochs = ctx.epochs;
-    degradations = ctx.degradations;
-    cdc = Cdc.state cdc;
-    whomp = dims_tuple ctx;
-    rasg = ctx.rasg;
-    leap =
-      (match ctx.par with None -> Leap.live ctx.leap | Some p -> Parallel.leap_live p);
-  }
 
 let prune_snapshots ctx ~ordinal =
   if ctx.options.keep > 0 then begin
@@ -303,18 +276,17 @@ let prune_snapshots ctx ~ordinal =
       if Sys.file_exists path then try Sys.remove path with Sys_error _ -> ()
   end
 
-let checkpoint ctx cdc =
+let checkpoint ctx =
   Tm.span ~name:"session.checkpoint" @@ fun () ->
-  let ordinal = ctx.position / ctx.options.checkpoint_every in
+  let ordinal = position ctx / ctx.options.checkpoint_every in
   (* The journal must be durable through [position] before the snapshot
      that claims to cover it exists — the write-ahead discipline. *)
   (match ctx.journal with Some j -> Journal.flush j | None -> ());
   let path = ctx.dir // snapshot_file ordinal in
-  match Snapshot.save ?io:ctx.io path (take_snapshot ctx cdc ~ordinal ~journal_crc:ctx.jcrc)
-  with
+  match Snapshot.save ?io:ctx.io path (take_snapshot ctx ~ordinal ~journal_crc:ctx.jcrc) with
   | () ->
     ctx.checkpoints_written <- ctx.checkpoints_written + 1;
-    ctx.last_checkpoint_pos <- ctx.position;
+    ctx.last_checkpoint_pos <- position ctx;
     (match (Unix.stat path).Unix.st_size with
     | size ->
       ctx.last_snapshot_bytes <- size;
@@ -331,38 +303,21 @@ let checkpoint ctx cdc =
        recovery point is older than intended. *)
     degrade ctx "checkpoint-failed" msg
 
-(* Apply one raw event to every profiler. The CDC side stages into the
-   batched translation path; [triggers] flushes it before anything
-   position-exact (watchdog, checkpoint, heartbeat) observes state. *)
-let apply ctx batch ev =
-  (match ev with
-  | Event.Access { addr; _ } ->
-    ctx.rasg_accesses <- ctx.rasg_accesses + 1;
-    (match ctx.par with
-    | None -> Seq_c.push ctx.rasg addr
-    | Some p -> Parallel.stage_rasg p addr)
-  | Event.Alloc _ | Event.Free _ -> ());
-  Batch.event batch ev;
-  ctx.position <- ctx.position + 1
-
 (* Write one heartbeat sample: rates since the previous sample plus the
    live state sizes. Failures to append are swallowed — the heartbeat is
    observation only and must never degrade the session itself. *)
-let heartbeat ctx cdc h =
+let heartbeat ctx h =
   let now = Ormp_util.Clock.now_ns () in
   let dt_s = Int64.to_float (Int64.sub now h.hb_last_ns) /. 1e9 in
-  let events = ctx.position - h.hb_last_pos in
+  let events = position ctx - h.hb_last_pos in
   let sample =
     {
       Ormp_telemetry.Heartbeat.wall_s = Int64.to_float (Int64.sub now h.hb_start_ns) /. 1e9;
-      position = ctx.position;
+      position = position ctx;
       events_per_sec = (if dt_s > 0.0 then float_of_int events /. dt_s else 0.0);
-      live_objects = Omc.live_objects (Cdc.omc cdc);
-      grammar_symbols = total_symbols ctx;
-      leap_streams =
-        (match ctx.par with
-        | None -> Leap.stream_count ctx.leap
-        | Some p -> Parallel.leap_stream_count p);
+      live_objects = Pipeline.live_objects ctx.pipe;
+      grammar_symbols = Pipeline.grammar_symbols ctx.pipe;
+      leap_streams = Pipeline.leap_streams ctx.pipe;
       journal_bytes = (match ctx.journal with Some j -> Journal.bytes j | None -> 0);
       snapshot_bytes = ctx.last_snapshot_bytes;
       last_checkpoint = ctx.last_checkpoint_pos;
@@ -372,36 +327,32 @@ let heartbeat ctx cdc h =
     }
   in
   h.hb_last_ns <- now;
-  h.hb_last_pos <- ctx.position;
+  h.hb_last_pos <- position ctx;
   try Ormp_telemetry.Heartbeat.append h.hb_path sample with Sys_error _ -> ()
 
 (* Post-application triggers, at exact raw-event positions so that replay
    and re-execution hit them identically. (The heartbeat is the exception:
    it observes wall-clock rates, so replay re-emits samples with replay
    timing — the file is append-only and watchers read the latest line.) *)
-let triggers ctx cdc batch =
+let triggers ctx =
   let o = ctx.options in
-  let fire_watch = o.watch_every > 0 && ctx.position mod o.watch_every = 0 in
-  let fire_ckpt =
-    ctx.checkpointing && o.checkpoint_every > 0 && ctx.position mod o.checkpoint_every = 0
-  in
-  let fire_hb =
-    match ctx.hb with Some h -> ctx.position mod h.hb_every = 0 | None -> false
-  in
+  let pos = position ctx in
+  let fire_watch = o.watch_every > 0 && pos mod o.watch_every = 0 in
+  let fire_ckpt = ctx.checkpointing && o.checkpoint_every > 0 && pos mod o.checkpoint_every = 0 in
+  let fire_hb = match ctx.hb with Some h -> pos mod h.hb_every = 0 | None -> false in
   if fire_watch || fire_ckpt || fire_hb then begin
     (* Quiesce the whole pipeline before any trigger runs: the watchdog
        measures the live grammars, the checkpoint serializes them, and the
        heartbeat sizes them — all of which require the staged batch to be
-       translated and the compressor domains to have consumed everything
-       published so far, so the observed state is exactly the serial state
-       at this position. *)
-    Batch.flush batch;
-    (match ctx.par with Some p -> Parallel.drain p | None -> ());
-    if fire_watch && o.grammar_budget > 0 && total_symbols ctx > o.grammar_budget then
-      rotate ctx;
-    if fire_ckpt then checkpoint ctx cdc;
+       translated and the pool to have consumed everything dispatched so
+       far, so the observed state is exactly the serial state here. *)
+    Pipeline.quiesce ctx.pipe;
+    Option.iter raise (Pipeline.failure ctx.pipe);
+    if fire_watch && o.grammar_budget > 0 && Pipeline.grammar_symbols ctx.pipe > o.grammar_budget
+    then rotate ctx;
+    if fire_ckpt then checkpoint ctx;
     match ctx.hb with
-    | Some h when fire_hb -> heartbeat ctx cdc h
+    | Some h when fire_hb -> heartbeat ctx h
     | _ -> ()
   end
 
@@ -420,38 +371,7 @@ let journal_append ctx ev =
       ctx.checkpointing <- false;
       degrade ctx "journal-off" msg)
 
-(* --- finalization ------------------------------------------------------ *)
-
-let write_outputs ctx cdc ~elapsed =
-  Tm.span ~name:"session.finalize" @@ fun () ->
-  (* Group labels resolve through the OMC's own [site_name] closure, which
-     reads the now-filled table reference — no plumbing needed here. *)
-  let omc = Cdc.omc cdc in
-  (* One finalize covers all five grammar dimensions (4 WHOMP + RASG),
-     the OMC and the LEAP table, so a --telemetry session snapshot spans
-     every profiler stage. *)
-  Omc.publish_gauges omc;
-  W.publish_dim_gauges (W.collector_dims ctx.whomp @ [ ("rasg", ctx.rasg) ]);
-  let whomp_profile =
-    {
-      W.dims = W.collector_dims ctx.whomp;
-      collected = Cdc.collected cdc;
-      wild = Cdc.wild cdc;
-      groups = Omc.groups omc;
-      lifetimes = Omc.lifetimes omc;
-      elapsed;
-    }
-  in
-  Ormp_persist.Whomp_io.save (ctx.dir // whomp_file) whomp_profile;
-  Ormp_persist.Rasg_io.save (ctx.dir // rasg_file)
-    { Rasg.grammar = ctx.rasg; accesses = ctx.rasg_accesses; elapsed };
-  let leap_profile =
-    match ctx.par with
-    | None -> Leap.finish ctx.leap ~collected:(Cdc.collected cdc) ~wild:(Cdc.wild cdc) ~elapsed
-    | Some p ->
-      Parallel.leap_finish p ~collected:(Cdc.collected cdc) ~wild:(Cdc.wild cdc) ~elapsed
-  in
-  Ormp_persist.Leap_io.save (ctx.dir // leap_file) leap_profile
+(* --- report ------------------------------------------------------------ *)
 
 let outcome_to_sexp (o : outcome) =
   S.field "ormp-session-report"
@@ -481,14 +401,11 @@ type restore = {
 let execute ?io ?(heartbeat_every = 0) ?(jobs = 1) ~dir ~workload
     ~(config : Ormp_vm.Config.t) ~(options : options) ~restore () =
   let* program = find_workload workload in
-  (* Sites are named through the table the run produces (cf. Whomp.profile);
-     the reference is filled once the workload finishes. *)
+  (* Sites are named through the table the run produces; the reference is
+     filled once the workload finishes. *)
   let table = ref None in
-  let site_name site =
-    match !table with
-    | None -> Printf.sprintf "site%d" site
-    | Some t -> (Ormp_trace.Instr.info t site).Ormp_trace.Instr.name
-  in
+  Pipeline.with_pool ~jobs @@ fun pool ->
+  let snap = Option.map (fun r -> r.rs_snapshot) restore in
   let ctx =
     {
       dir;
@@ -507,95 +424,44 @@ let execute ?io ?(heartbeat_every = 0) ?(jobs = 1) ~dir ~workload
              }
          end
          else None);
-      whomp = W.collector ();
-      rasg = Seq_c.create ();
-      leap = Leap.collector ?budget:options.leap_budget ~max_streams:options.max_streams ();
-      rasg_accesses = 0;
-      position = 0;
-      epoch_start = 0;
-      rotations = 0;
-      epochs = [];
-      degradations = [];
+      pipe =
+        Pipeline.create ?pool ~site_name:(Pipeline.table_site_name table) ?restore:snap
+          ?leap_budget:options.leap_budget ~max_streams:options.max_streams ();
+      epoch_start =
+        (match snap with
+        | Some s -> (
+          match List.rev s.Snapshot.epochs with e :: _ -> e.Snapshot.ep_to | [] -> 0)
+        | None -> 0);
+      rotations = (match snap with Some s -> s.Snapshot.rotations | None -> 0);
+      epochs = (match snap with Some s -> s.Snapshot.epochs | None -> []);
+      degradations = (match snap with Some s -> s.Snapshot.degradations | None -> []);
       checkpoints_written = 0;
       last_snapshot_bytes = 0;
       last_checkpoint_pos = 0;
       journal = None;
-      jcrc = 0;
+      jcrc = (match snap with Some s -> s.Snapshot.journal_crc | None -> 0);
       checkpointing = options.checkpoint_every > 0;
-      par = None;
     }
   in
-  (* Tuples arrive as SoA chunks from the batched CDC. [ctx.whomp] and
-     [ctx.leap] are re-read per chunk, so epoch rotation and restore swaps
-     stay visible. The per-tuple [on_tuple] entry is never called — every
-     event goes through the batch below. *)
-  let on_tuples (tp : Cdc.tuples) =
-    match ctx.par with
-    | None ->
-      W.collect_tuples ctx.whomp tp;
-      Leap.collect_tuples ctx.leap tp
-    | Some p -> Parallel.stage_tuples p tp
-  in
-  let on_tuple _ = assert false in
-  let cdc, resumed_from, replay_tail, journal_resume =
-    match restore with
-    | None -> (Cdc.create ~site_name ~on_tuple (), None, [||], None)
-    | Some r ->
-      let snap = r.rs_snapshot in
-      let gi, gg, go, gf = snap.Snapshot.whomp in
-      ctx.whomp <- W.collector ~restore:(gi, gg, go, gf) ();
-      ctx.rasg <- snap.Snapshot.rasg;
-      (* With jobs > 1 the LEAP state is restored into the shard pool
-         below instead; [ctx.leap] stays an unused empty collector (the
-         stream records are mutable — they must not be shared). *)
-      if jobs <= 1 then
-        ctx.leap <-
-          Leap.collector ?budget:options.leap_budget ~max_streams:options.max_streams
-            ~restore:snap.Snapshot.leap ();
-      ctx.position <- snap.Snapshot.position;
-      ctx.rotations <- snap.Snapshot.rotations;
-      ctx.epochs <- snap.Snapshot.epochs;
-      ctx.degradations <- snap.Snapshot.degradations;
-      ctx.epoch_start <-
-        (match List.rev snap.Snapshot.epochs with e :: _ -> e.Snapshot.ep_to | [] -> 0);
-      ctx.rasg_accesses <- snap.Snapshot.cdc.Cdc.s_clock + snap.Snapshot.cdc.Cdc.s_wild;
-      ctx.jcrc <- snap.Snapshot.journal_crc;
-      ( Cdc.of_state ~site_name ~on_tuple snap.Snapshot.cdc,
-        Some snap.Snapshot.position,
-        r.rs_tail,
-        Some (r.rs_count, r.rs_crc) )
-  in
-  (* Spawn the compressor domains over the (possibly restored) live state —
-     before Phase A, so replayed events flow down the same pipeline. *)
-  if jobs > 1 then
-    ctx.par <-
-      Some
-        (Parallel.spawn ~jobs ~whomp:ctx.whomp ~rasg:ctx.rasg
-           ~leap_budget:options.leap_budget ~max_streams:options.max_streams
-           ~leap_restore:
-             (match restore with
-             | Some r -> Some r.rs_snapshot.Snapshot.leap
-             | None -> None)
-           ());
-  let batch = Cdc.batch_tuples cdc ~on_tuples () in
   (* Phase A: replay the journal tail the dead run wrote after its last
      snapshot. Triggers re-fire (rotations must be re-applied; snapshot
      rewrites are idempotent), but nothing is re-journaled — the CRC is
      re-derived instead so rewritten snapshots carry the right value. *)
+  let replay_tail = match restore with Some r -> r.rs_tail | None -> [||] in
   let replayed = Array.length replay_tail in
   if replayed > 0 then
     (Tm.span ~name:"session.replay" @@ fun () ->
      Array.iter
        (fun ev ->
          ctx.jcrc <- Ormp_util.Crc32.update ctx.jcrc (Tf.event_line ev);
-         apply ctx batch ev;
-         triggers ctx cdc batch)
+         Pipeline.apply ctx.pipe ev;
+         triggers ctx)
        replay_tail);
   ctx.journal <-
     Some
-      (match journal_resume with
+      (match restore with
       | None -> Journal.create ?io (dir // journal_file)
-      | Some (count, crc) -> Journal.create ?io ~resume:(count, crc) (dir // journal_file));
+      | Some r -> Journal.create ?io ~resume:(r.rs_count, r.rs_crc) (dir // journal_file));
   (* Phase B: (re-)execute the workload. The first [skip] events were already
      incorporated via snapshot + replay; they are regenerated (the VM is
      deterministic), CRC-checked against the journal, and dropped. *)
@@ -615,8 +481,8 @@ let execute ?io ?(heartbeat_every = 0) ?(jobs = 1) ~dir ~workload
     else begin
       incr gen;
       journal_append ctx ev;
-      apply ctx batch ev;
-      triggers ctx cdc batch
+      Pipeline.apply ctx.pipe ev;
+      triggers ctx
     end
   in
   let close_journal () =
@@ -627,37 +493,26 @@ let execute ?io ?(heartbeat_every = 0) ?(jobs = 1) ~dir ~workload
       Journal.close j;
       ctx.journal <- None
   in
-  (* No domain may outlive the run, whichever way it ends. On the failure
-     paths the original error wins over any secondary worker failure. *)
-  let abandon_pipeline () =
-    match ctx.par with
-    | Some p -> ( try Parallel.shutdown p with _ -> ())
-    | None -> ()
-  in
   match Ormp_vm.Runner.run ~config program sink with
   | exception Resume_diverged msg ->
-    abandon_pipeline ();
     close_journal ();
     Error msg
   | result ->
+    (* The journal is durable before finalization, so a compressor failure
+       surfacing from the final quiesce leaves the session resumable. *)
     close_journal ();
-    (* Translate the staged tail, then quiesce and join the compressor
-       domains: a worker failure surfaces here (with the journal already
-       durable for a resume), and afterwards every grammar and shard is
-       frozen for [write_outputs] to serialize. *)
-    Batch.flush batch;
-    (match ctx.par with Some p -> Parallel.shutdown p | None -> ());
     table := Some result.Ormp_vm.Runner.table;
-    write_outputs ctx cdc ~elapsed:result.Ormp_vm.Runner.elapsed;
+    (Tm.span ~name:"session.finalize" @@ fun () ->
+     Pipeline.finalize ctx.pipe ~dir ~elapsed:result.Ormp_vm.Runner.elapsed);
     let outcome =
       {
         oc_dir = dir;
         oc_workload = workload;
-        oc_position = ctx.position;
-        oc_collected = Cdc.collected cdc;
-        oc_wild = Cdc.wild cdc;
+        oc_position = position ctx;
+        oc_collected = Pipeline.collected ctx.pipe;
+        oc_wild = Pipeline.wild ctx.pipe;
         oc_checkpoints = ctx.checkpoints_written;
-        oc_resumed_from = resumed_from;
+        oc_resumed_from = Option.map (fun s -> s.Snapshot.position) snap;
         oc_replayed = replayed;
         oc_rotations = ctx.rotations;
         oc_epochs = ctx.epochs;
@@ -669,9 +524,9 @@ let execute ?io ?(heartbeat_every = 0) ?(jobs = 1) ~dir ~workload
     Ok outcome
   | exception exn ->
     (* Leave the journal durable for a later [resume], then let the failure
-       travel with its original backtrace ([Io.Killed] reaches the CLI). *)
+       travel with its original backtrace ([Io.Killed] reaches the CLI);
+       [with_pool] joins the workers on the way out. *)
     let bt = Printexc.get_raw_backtrace () in
-    abandon_pipeline ();
     close_journal ();
     Printexc.raise_with_backtrace exn bt
 

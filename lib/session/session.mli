@@ -80,13 +80,14 @@ val run :
     stored in the manifest: it observes a process, it does not identify
     the session, and resume is free to pick a different one.
 
-    [jobs] (default 1 = serial) sizes the pipeline-parallel compressor
-    stage: with [jobs > 1] the grammar and LEAP consumers run on their
-    own domains behind SPSC rings, quiesced at every checkpoint,
-    rotation and heartbeat. Like [heartbeat_every] it is a per-process
-    execution knob, not part of the session's identity — every profile,
-    snapshot and epoch file is byte-identical for any [jobs], and a
-    session may be resumed with a different value than it started with.
+    [jobs] (default 1 = serial) sizes the session's {!Pipeline}: with
+    [jobs > 1] the five grammars are maintained on a private pool of
+    [jobs - 1] workers, quiesced at every checkpoint, rotation and
+    heartbeat (LEAP stays on the producer). Like [heartbeat_every] it is
+    a per-process execution knob, not part of the session's identity —
+    every profile, snapshot and epoch file is byte-identical for any
+    [jobs], and a session may be resumed with a different value than it
+    started with.
 
     Raises whatever kills the run — notably
     {!Ormp_workloads.Faults.Io.Killed} from an injected crash — after

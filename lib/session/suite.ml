@@ -36,33 +36,12 @@ let guarded_sink should_stop inner =
     if !n land 1023 = 0 && should_stop () then raise Supervise.Cancelled;
     inner ev
 
-let profile_task ?config ?(jobs = 1) program ~should_stop =
-  let table = ref None in
-  let site_name site =
-    match !table with
-    | None -> Printf.sprintf "site%d" site
-    | Some t -> (Ormp_trace.Instr.info t site).Ormp_trace.Instr.name
-  in
-  if jobs <= 1 then begin
-    let sink, finalize = W.sink ~site_name () in
-    let result = Ormp_vm.Runner.run ?config program (guarded_sink should_stop sink) in
-    table := Some result.Ormp_vm.Runner.table;
-    finalize ~elapsed:result.Ormp_vm.Runner.elapsed
-  end
-  else begin
-    let t = Ormp_whomp.Par_scc.create ~jobs ~site_name () in
-    (* A cancellation (or any fault) raised by the guarded sink must still
-       join the compressor domains before it propagates to Supervise. *)
-    Fun.protect
-      ~finally:(fun () -> try Ormp_whomp.Par_scc.shutdown t with _ -> ())
-      (fun () ->
-        let result =
-          Ormp_vm.Runner.run ?config program
-            (guarded_sink should_stop (Ormp_whomp.Par_scc.sink t))
-        in
-        table := Some result.Ormp_vm.Runner.table;
-        Ormp_whomp.Par_scc.finalize t ~elapsed:result.Ormp_vm.Runner.elapsed)
-  end
+let profile_task ?config ?jobs program ~should_stop =
+  (* A cancellation (or any fault) raised by the guarded sink unwinds
+     through [Pipeline.run], which joins the pool before it propagates to
+     Supervise. *)
+  let pipe, result = Pipeline.run ?config ?jobs ~wrap:(guarded_sink should_stop) program in
+  Pipeline.whomp_profile pipe ~elapsed:result.Ormp_vm.Runner.elapsed
 
 let run ?(bench = false) ?timeout_s ?(retries = 1) ?backoff_s ?(faults = []) ?config ?jobs
     ?out_dir () =

@@ -56,11 +56,11 @@ val run :
 (** Run the whole suite sequentially under supervision (default
     [retries = 1]). With [out_dir], each completed workload's WHOMP
     profile is saved as [<name>.whomp] there. Never raises on workload
-    failure — that is the point. [jobs > 1] (default 1) compresses each
-    workload's dimension streams on dedicated domains
-    ({!Ormp_whomp.Par_scc}); the saved profiles are byte-identical
-    either way, and a cancelled or crashed task still joins its
-    compressor domains before the supervisor moves on. *)
+    failure — that is the point. Each workload runs through one
+    {!Pipeline}; [jobs > 1] (default 1) gives it a private pool of
+    [jobs - 1] compressor workers ({!Pipeline.with_pool}). The saved
+    profiles are byte-identical either way, and a cancelled or crashed
+    task still joins its pool before the supervisor moves on. *)
 
 val report_to_sexp : report -> Ormp_util.Sexp.t
 val save_report : string -> report -> unit

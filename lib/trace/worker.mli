@@ -56,12 +56,9 @@ module type S = sig
   (** Messages pushed but not yet fully processed (racy, for telemetry). *)
 
   val occupancy : 'a t -> float
-  (** Instantaneous ring occupancy in [0, 1] (racy, producer-side). The
-      staging layers ([Par_scc], [Par_leap]) read this after each flush to
-      adapt their chunk size: a ring that stays near full means the
-      consumer is the bottleneck and larger chunks amortize per-message
-      overhead; a near-empty ring means staging can shrink back toward the
-      latency-friendly default. *)
+  (** Instantaneous ring occupancy in [0, 1] (racy, producer-side): the
+      backpressure signal {!Pool.occupancy} aggregates, which the daemon
+      sheds load on. *)
 
   (** Model-checking seam: the shared transport state and an injection
       point for alternative consumer loops. This exists so the litmus

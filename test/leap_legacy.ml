@@ -1,7 +1,7 @@
 (* Verbatim pre-PR-10 copy of the lib/leap/leap.ml collection core: the
-   Hashtbl-based collector (plus its sharded form) kept as the equivalence
-   oracle for the flat-arena rewrite, the same pattern as
-   sequitur_legacy.ml / compressor_legacy.ml. Type equations re-export the
+   Hashtbl-based collector, kept as the equivalence oracle for the
+   flat-arena rewrite, the same pattern as sequitur_legacy.ml /
+   compressor_legacy.ml. Type equations re-export the
    public profile types from [Ormp_leap.Leap] so oracle profiles flow
    through the real Leap_io/Equiv pipeline. Telemetry calls are dropped
    (counters do not affect profiles); nothing else is modernized. *)
@@ -143,102 +143,5 @@ let finish c ~collected ~wild ~elapsed =
     wild;
     dropped_streams = Hashtbl.length c.c_dropped;
     dropped_accesses = c.c_dropped_accesses;
-    elapsed;
-  }
-
-(* --- sharded collection ------------------------------------------------ *)
-
-type shard = {
-  sh_coll : collector;
-  sh_first : (key, int) Hashtbl.t;
-}
-
-let shard_make ?budget ?(max_streams = 0) ~nshards ~restore () =
-  if nshards < 1 then invalid_arg "Leap.shards: need at least one shard";
-  if max_streams > 0 && nshards > 1 then
-    invalid_arg "Leap.shards: a max-streams cap requires a single shard";
-  match restore with
-  | None ->
-    Array.init nshards (fun _ ->
-        { sh_coll = collector ?budget ~max_streams (); sh_first = Hashtbl.create 64 })
-  | Some lv ->
-    let parts = Array.init nshards (fun _ -> ref []) in
-    List.iteri
-      (fun i ((k : key), s) -> let r = parts.(k.instr mod nshards) in r := (i, k, s) :: !r)
-      lv.lv_streams;
-    Array.init nshards (fun w ->
-        let mine = List.rev !(parts.(w)) in
-        let sub =
-          {
-            lv_streams = List.map (fun (_, k, s) -> (k, s)) mine;
-            lv_stores = List.filter (fun (i, _) -> i mod nshards = w) lv.lv_stores;
-            lv_dropped = (if w = 0 then lv.lv_dropped else []);
-            lv_dropped_accesses = (if w = 0 then lv.lv_dropped_accesses else 0);
-          }
-        in
-        let sh_first = Hashtbl.create 64 in
-        List.iter (fun (i, k, _) -> Hashtbl.replace sh_first k i) mine;
-        { sh_coll = collector ?budget ~max_streams ~restore:sub (); sh_first })
-
-let shards ?budget ?max_streams ?restore ~nshards () =
-  shard_make ?budget ?max_streams ~nshards ~restore ()
-
-let shard_index ~nshards instr = instr mod nshards
-
-let shard_collect sh (tu : Ormp_core.Tuple.t) =
-  let key = { instr = tu.instr; group = tu.group } in
-  let known = Hashtbl.mem sh.sh_coll.c_streams key in
-  collect sh.sh_coll tu;
-  if (not known) && Hashtbl.mem sh.sh_coll.c_streams key then
-    Hashtbl.replace sh.sh_first key tu.time
-
-let shards_stream_count shs =
-  Array.fold_left (fun acc sh -> acc + stream_count sh.sh_coll) 0 shs
-
-let merge_streams shs =
-  Array.to_list shs
-  |> List.concat_map (fun sh ->
-         List.rev
-           (Vec.fold_left
-              (fun acc k ->
-                (Hashtbl.find sh.sh_first k, k, Hashtbl.find sh.sh_coll.c_streams k) :: acc)
-              [] sh.sh_coll.c_order))
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-  |> List.map (fun (_, k, s) -> (k, s))
-
-let merge_stores shs =
-  let h = Hashtbl.create 64 in
-  Array.iter
-    (fun sh -> Hashtbl.iter (fun i st -> Hashtbl.replace h i st) sh.sh_coll.c_store_instrs)
-    shs;
-  h
-
-let shards_live shs =
-  {
-    lv_streams = merge_streams shs;
-    lv_stores =
-      List.sort compare (Hashtbl.fold (fun i st acc -> (i, st) :: acc) (merge_stores shs) []);
-    lv_dropped =
-      Array.to_list shs
-      |> List.concat_map (fun sh ->
-             List.rev (Vec.fold_left (fun acc k -> k :: acc) [] sh.sh_coll.c_dropped_order));
-    lv_dropped_accesses =
-      Array.fold_left (fun acc sh -> acc + sh.sh_coll.c_dropped_accesses) 0 shs;
-  }
-
-let shards_finish shs ~collected ~wild ~elapsed =
-  let dropped_streams =
-    Array.fold_left (fun acc sh -> acc + Hashtbl.length sh.sh_coll.c_dropped) 0 shs
-  in
-  let dropped_accesses =
-    Array.fold_left (fun acc sh -> acc + sh.sh_coll.c_dropped_accesses) 0 shs
-  in
-  {
-    streams = merge_streams shs;
-    store_instrs = merge_stores shs;
-    collected;
-    wild;
-    dropped_streams;
-    dropped_accesses;
     elapsed;
   }

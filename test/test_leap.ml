@@ -313,7 +313,7 @@ let test_alias_different_groups_never () =
    all covered — and identical post-processor output. The legacy copy
    shares the (independently proven) flat compressor, so these
    properties isolate the collection layer: key tables, admission order,
-   sharded merge, caps, and checkpoint restore. *)
+   caps, and checkpoint restore. *)
 
 let profile_bytes p = Ormp_util.Sexp.to_string (Ormp_persist.Leap_io.to_sexp p)
 
@@ -431,50 +431,6 @@ let prop_flat_eq_legacy =
   && eq_or_fail ~ctx:"lanes" pl oracle
   && post_eq ~ctx:"post" pa oracle
 
-(* Sharded collection across jobs counts: the merged profile (admission
-   order re-sorted on first-seen stamps) equals the serial legacy one. *)
-let prop_sharded_eq_legacy =
-  QCheck.Test.make ~name:"sharded flat = serial legacy (jobs 1-4)" ~count:60
-    QCheck.(triple arb_stream arb_budget (int_range 1 4))
-  @@ fun (segs, budget, nshards) ->
-  let tuples = render_segs segs in
-  let oracle = legacy_profile ?budget tuples in
-  (* per-tuple shard feed *)
-  let shs = Leap.shards ?budget ~nshards () in
-  Array.iter
-    (fun tu ->
-      Leap.shard_collect shs.(Leap.shard_index ~nshards tu.Ormp_core.Tuple.instr) tu)
-    tuples;
-  let pa = Leap.shards_finish shs ~collected:(Array.length tuples) ~wild:0 ~elapsed:0.0 in
-  (* lane shard feed, chunked like Par_leap stages *)
-  let shs2 = Leap.shards ?budget ~nshards () in
-  let n = Array.length tuples in
-  let pos = ref 0 in
-  while !pos < n do
-    let len = min (1 + (!pos mod 9)) (n - !pos) in
-    for w = 0 to nshards - 1 do
-      let mine = ref [] in
-      for i = len - 1 downto 0 do
-        let tu = tuples.(!pos + i) in
-        if Leap.shard_index ~nshards tu.Ormp_core.Tuple.instr = w then mine := tu :: !mine
-      done;
-      let mine = Array.of_list !mine in
-      let k = Array.length mine in
-      if k > 0 then
-        Leap.shard_collect_lanes shs2.(w)
-          ~instr:(Array.map (fun tu -> tu.Ormp_core.Tuple.instr) mine)
-          ~group:(Array.map (fun tu -> tu.Ormp_core.Tuple.group) mine)
-          ~obj:(Array.map (fun tu -> tu.Ormp_core.Tuple.obj) mine)
-          ~offset:(Array.map (fun tu -> tu.Ormp_core.Tuple.offset) mine)
-          ~store:(Array.map (fun tu -> if tu.Ormp_core.Tuple.is_store then 1 else 0) mine)
-          ~time:(Array.map (fun tu -> tu.Ormp_core.Tuple.time) mine)
-          ~len:k
-    done;
-    pos := !pos + len
-  done;
-  let pb = Leap.shards_finish shs2 ~collected:(Array.length tuples) ~wild:0 ~elapsed:0.0 in
-  eq_or_fail ~ctx:"shards" pa oracle && eq_or_fail ~ctx:"shard lanes" pb oracle
-
 (* A stream cap: admission refusals, dropped counts and established
    streams must match the legacy collector exactly. *)
 let prop_capped_eq_legacy =
@@ -496,34 +452,21 @@ let prop_capped_eq_legacy =
     QCheck.Test.fail_report "dropped access count differs";
   eq_or_fail ~ctx:"capped" (finish_flat c tuples) oracle
 
-(* Checkpoint/restore mid-stream — into a serial collector and into a
-   sharded set — continues byte-for-byte like an uninterrupted run. *)
+(* Checkpoint/restore mid-stream continues byte-for-byte like an
+   uninterrupted run. *)
 let prop_restore_eq_legacy =
   QCheck.Test.make ~name:"restore resumes like legacy" ~count:60
-    QCheck.(quad arb_stream arb_budget (int_range 0 1000) (int_range 1 3))
-  @@ fun (segs, budget, cut_raw, nshards) ->
+    QCheck.(triple arb_stream arb_budget (int_range 0 1000))
+  @@ fun (segs, budget, cut_raw) ->
   let tuples = render_segs segs in
   let n = Array.length tuples in
   let cut = if n = 0 then 0 else cut_raw mod (n + 1) in
   let oracle = legacy_profile ?budget tuples in
   let c1 = Leap.collector ?budget () in
   Array.iteri (fun i tu -> if i < cut then Leap.collect c1 tu) tuples;
-  let lv = Leap.live c1 in
-  (* serial restore *)
-  let c2 = Leap.collector ?budget ~restore:lv () in
+  let c2 = Leap.collector ?budget ~restore:(Leap.live c1) () in
   Array.iteri (fun i tu -> if i >= cut then Leap.collect c2 tu) tuples;
-  let ok1 = eq_or_fail ~ctx:"restore serial" (finish_flat c2 tuples) oracle in
-  (* sharded restore: replay the prefix, snapshot, spread over shards *)
-  let c3 = Leap.collector ?budget () in
-  Array.iteri (fun i tu -> if i < cut then Leap.collect c3 tu) tuples;
-  let shs = Leap.shards ?budget ~nshards ~restore:(Leap.live c3) () in
-  Array.iteri
-    (fun i tu ->
-      if i >= cut then
-        Leap.shard_collect shs.(Leap.shard_index ~nshards tu.Ormp_core.Tuple.instr) tu)
-    tuples;
-  let pb = Leap.shards_finish shs ~collected:n ~wild:0 ~elapsed:0.0 in
-  ok1 && eq_or_fail ~ctx:"restore shards" pb oracle
+  eq_or_fail ~ctx:"restore" (finish_flat c2 tuples) oracle
 
 (* Steady-state allocation witness: once streams exist and descriptors
    are extending, the collector allocates nothing per event. The 2-word
@@ -556,7 +499,6 @@ let () =
       ( "flat vs legacy",
         [
           qt prop_flat_eq_legacy;
-          qt prop_sharded_eq_legacy;
           qt prop_capped_eq_legacy;
           qt prop_restore_eq_legacy;
           tc "steady-state collection is allocation-free" test_collect_lanes_alloc_free;

@@ -142,10 +142,16 @@ let test_lint_blocking_seam_exempt () =
   let fs = Lint.scan_file (fixture "server/net_io.ml") in
   check_int "seam findings" 0 (List.length fs)
 
+let test_lint_worker_spawn_fixture () =
+  let fs = Lint.scan_file (fixture "bad_spawn.ml") in
+  check_int "worker-spawn errors" 1 (count_rule "worker-spawn" fs);
+  check_int "total findings" 1 (List.length fs);
+  Alcotest.(check (list int)) "worker-spawn finding lines" [ 5 ] (lines_of "worker-spawn" fs)
+
 let test_lint_scan_fixtures () =
   let r = Lint.scan [ fixtures ] in
-  check_int "files" 4 r.Lint.files_scanned;
-  check_int "errors" 9 (Lint.errors r);
+  check_int "files" 5 r.Lint.files_scanned;
+  check_int "errors" 10 (Lint.errors r);
   check_int "warnings" 2 (Lint.warnings r);
   check_int "notes" 0 (Lint.notes r);
   check_bool "not clean" false (Lint.clean r);
@@ -195,6 +201,7 @@ let () =
           tc "hashtbl rule scoped to persist" test_lint_hashtbl_rule_scoped_to_persist;
           tc "blocking fixture counts" test_lint_blocking_fixture;
           tc "blocking rule exempts the net_io seam" test_lint_blocking_seam_exempt;
+          tc "worker-spawn fixture counts" test_lint_worker_spawn_fixture;
           tc "scan totals and ranking" test_lint_scan_fixtures;
           tc "sexp shape" test_lint_sexp_shape;
         ] );

@@ -1,17 +1,17 @@
-(* Pipeline-parallel SCC: the compressor domains behind the SPSC rings
-   must produce profiles byte-identical to the serial path — for every
-   workload, ring capacity (including the degenerate 1), and job count —
-   and a parallel session killed mid-run must resume to the same bytes. *)
+(* One pipeline, many drivers: the serial Pipeline, Pipelines sharing a
+   worker pool, and sessions at any --jobs must all write the serial
+   reference's bytes — and a pooled session killed mid-run, or rotating
+   its grammars under the quiesce barrier, must too. *)
 
 module Whomp = Ormp_whomp.Whomp
-module Leap = Ormp_leap.Leap
-module Par_scc = Ormp_whomp.Par_scc
-module Par_leap = Ormp_leap.Par_leap
-module Equiv = Ormp_check.Equiv
+module Pipeline = Ormp_session.Pipeline
 module Session = Ormp_session.Session
+module Equiv = Ormp_check.Equiv
+module Client = Ormp_server.Client
+module Pool = Ormp_trace.Pool
 module Micro = Ormp_workloads.Micro
 module Faults = Ormp_workloads.Faults
-module Seq_c = Ormp_sequitur.Sequitur
+module Alloc = Ormp_memsim.Allocator
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -35,104 +35,104 @@ let profile_bytes dir =
     read_file (Filename.concat dir "rasg.profile"),
     read_file (Filename.concat dir "leap.profile") )
 
-(* --- WHOMP: parallel = serial over every micro workload ---------------- *)
+(* --- WHOMP on a pool = the separate serial wiring, every micro ---------- *)
 
 let test_whomp_parallel_equiv () =
   List.iter
     (fun (name, prog) ->
       let serial = Whomp.profile prog in
       List.iter
-        (fun (ring_capacity, jobs) ->
-          let par = Par_scc.profile ~ring_capacity ~jobs prog in
-          match Equiv.whomp serial par with
+        (fun jobs ->
+          (* jobs 2: all five grammars share one worker; jobs 6: one each *)
+          let pipe, r = Pipeline.run ~jobs prog in
+          match Equiv.whomp serial (Pipeline.whomp_profile pipe ~elapsed:r.Ormp_vm.Runner.elapsed) with
           | Ok () -> ()
-          | Error e ->
-            Alcotest.failf "%s (jobs %d, ring %d): %s" name jobs ring_capacity e)
-        [ (1, 2); (1, 5); (8, 5) ])
+          | Error e -> Alcotest.failf "%s (jobs %d): %s" name jobs e)
+        [ 2; 6 ])
     Micro.all
 
-(* --- LEAP: parallel = serial, including a capacity-1 ring --------------- *)
+(* --- one property: every way of producing a profile = the reference --- *)
 
-let test_leap_parallel_equiv () =
+let files = [ Pipeline.whomp_file; Pipeline.rasg_file; Pipeline.leap_file ]
+
+let same_files ~ctx want dir =
   List.iter
-    (fun (name, prog) ->
-      let serial = Leap.profile prog in
+    (fun f ->
+      if read_file (Filename.concat dir f) <> read_file (Filename.concat want f) then
+        QCheck.Test.fail_reportf "%s: %s differs from Client.reference" ctx f)
+    files
+
+(* Sessions name allocation sites through the run's instruction table,
+   where the daemon (and so Client.reference) sees only site ids. Group
+   labels are the one place the two namings meet the bytes, so the
+   session oracle is the reference with its labels renamed — grammars,
+   objects and every other byte untouched. *)
+let named_reference ~table ref_dir dir =
+  let ( // ) = Filename.concat in
+  (match Ormp_persist.Whomp_io.load (ref_dir // Pipeline.whomp_file) with
+  | Error e -> Alcotest.fail e
+  | Ok p ->
+    let label (g : Ormp_core.Omc.group_info) =
+      { g with Ormp_core.Omc.label = (Ormp_trace.Instr.info table g.site).Ormp_trace.Instr.name }
+    in
+    Ormp_persist.Whomp_io.save (dir // Pipeline.whomp_file)
+      { p with Whomp.groups = List.map label p.Whomp.groups });
+  List.iter
+    (fun f -> Out_channel.with_open_bin (dir // f) (fun oc ->
+         Out_channel.output_string oc (read_file (ref_dir // f))))
+    [ Pipeline.rasg_file; Pipeline.leap_file ]
+
+(* A random churn workload (allocator policy and input seed drawn per
+   case) through the serial Pipeline, three Pipelines interleaved event
+   by event on one shared 2-worker pool, and Session.run at --jobs 1 and
+   4: each must write Client.reference's bytes. *)
+let prop_entry_points_match_reference =
+  QCheck.Test.make ~name:"every entry point = Client.reference" ~count:12
+    QCheck.(pair (int_range 1 10_000) (int_range 0 4))
+    (fun (seed, policy) ->
+      let policy =
+        [| Alloc.Bump; Alloc.First_fit; Alloc.Best_fit; Alloc.Segregated; Alloc.Randomized seed |]
+          .(policy)
+      in
+      let config = { Ormp_vm.Config.default with seed; policy } in
+      let buf = Ormp_util.Vec.create () in
+      let result = Ormp_vm.Runner.run ~config (Micro.churn ()) (Ormp_util.Vec.push buf) in
+      let events = Ormp_util.Vec.to_array buf in
+      let ref_dir = tmpdir () in
+      Client.reference ~dir:ref_dir ~events;
+      (* serial *)
+      let dir = tmpdir () in
+      let pipe = Pipeline.create () in
+      Array.iter (Pipeline.apply pipe) events;
+      Pipeline.finalize pipe ~dir ~elapsed:0.0;
+      same_files ~ctx:"serial pipeline" ref_dir dir;
+      rm_rf dir;
+      (* three pipelines sharing one pool *)
+      let pool = Pool.spawn ~jobs:2 () in
+      let pipes = Array.init 3 (fun slot -> Pipeline.create ~pool:(pool, slot) ()) in
+      Array.iter (fun ev -> Array.iter (fun p -> Pipeline.apply p ev) pipes) events;
+      Array.iteri
+        (fun i p ->
+          let dir = tmpdir () in
+          Pipeline.finalize p ~dir ~elapsed:0.0;
+          same_files ~ctx:(Printf.sprintf "pooled pipeline %d" i) ref_dir dir;
+          rm_rf dir)
+        pipes;
+      Pool.stop pool;
+      (* sessions *)
+      let want = tmpdir () in
+      named_reference ~table:result.Ormp_vm.Runner.table ref_dir want;
       List.iter
-        (fun (ring_capacity, jobs) ->
-          let par = Par_leap.profile ~ring_capacity ~jobs prog in
-          match Equiv.leap serial par with
-          | Ok () -> ()
-          | Error e ->
-            Alcotest.failf "%s (jobs %d, ring %d): %s" name jobs ring_capacity e)
-        [ (1, 3); (1, 6); (4, 6) ])
-    Micro.all
-
-(* --- adaptive chunking: tiny stages against capacity-1 rings ------------ *)
-
-let test_adaptive_chunking_equiv () =
-  (* stage_capacity 3 over a capacity-1 ring keeps the consumer rings
-     persistently full, so the occupancy-driven chunk growth engages and
-     ring waits fall into the exponential-backoff path. Whatever targets
-     the stages settle on, each slot's grammar must equal a serial push
-     of the same stream. Half the input goes in symbol-by-symbol, half
-     through the lane (push_batch) path, in odd-sized spans that never
-     line up with a stage boundary. *)
-  let streams =
-    Array.init 3 (fun s -> Array.init 4097 (fun i -> i * (s + 7) mod 19))
-  in
-  let slots = Array.init 3 (fun _ -> Seq_c.create ()) in
-  let p =
-    Par_scc.pool ~ring_capacity:1 ~stage_capacity:3 ~name:"test.adaptive"
-      ~workers:3 slots
-  in
-  let half = Array.length streams.(0) / 2 in
-  for i = 0 to half - 1 do
-    for s = 0 to 2 do
-      Par_scc.pool_stage p ~slot:s streams.(s).(i)
-    done
-  done;
-  for s = 0 to 2 do
-    let off = ref half in
-    let len = Array.length streams.(s) in
-    while !off < len do
-      let span = min 37 (len - !off) in
-      let lane = Array.sub streams.(s) !off span in
-      Par_scc.pool_stage_lane p ~slot:s lane span;
-      off := !off + span
-    done
-  done;
-  Par_scc.pool_drain p;
-  Par_scc.pool_shutdown p;
-  Array.iteri
-    (fun s stream ->
-      let g = Seq_c.create () in
-      Array.iter (Seq_c.push g) stream;
-      check_bool (Printf.sprintf "slot %d grammar" s) true
-        (Seq_c.rules (Par_scc.pool_get p s) = Seq_c.rules g))
-    streams
-
-let test_leap_budget_parallel_equiv () =
-  (* The LMAD budget kicks in per stream; sharding must not change where. *)
-  let prog = Micro.hash_probe ~buckets:512 ~ops:2048 () in
-  let serial = Leap.profile ~budget:2 prog in
-  let par = Par_leap.profile ~budget:2 ~jobs:4 prog in
-  match Equiv.leap serial par with Ok () -> () | Error e -> Alcotest.fail e
-
-(* --- property: random workloads x ring capacities x job counts ---------- *)
-
-let prop_parallel_equals_serial =
-  QCheck.Test.make ~name:"parallel whomp+leap = serial (random workloads)"
-    ~count:20
-    QCheck.(
-      quad (int_range 4 48) (int_range 100 2000) (int_range 1 8) (int_range 2 6))
-    (fun (live, ops, ring_capacity, jobs) ->
-      let prog = Micro.churn ~live ~ops () in
-      (match Equiv.whomp (Whomp.profile prog) (Par_scc.profile ~ring_capacity ~jobs prog) with
-      | Ok () -> ()
-      | Error e -> QCheck.Test.fail_report e);
-      (match Equiv.leap (Leap.profile prog) (Par_leap.profile ~ring_capacity ~jobs prog) with
-      | Ok () -> ()
-      | Error e -> QCheck.Test.fail_report e);
+        (fun jobs ->
+          let dir = tmpdir () in
+          (match Session.run ~jobs ~config ~dir ~workload:"churn" () with
+          | Ok _ -> ()
+          | Error e -> QCheck.Test.fail_reportf "session (jobs %d): %s" jobs e);
+          same_files ~ctx:(Printf.sprintf "session --jobs %d" jobs) want dir;
+          rm_rf dir)
+        [ 1; 4 ];
+      rm_rf want;
+      rm_rf ref_dir;
       true)
 
 (* --- sessions: parallel run = serial run, files and all ------------------ *)
@@ -231,10 +231,7 @@ let () =
       ( "profilers",
         [
           tc "whomp parallel = serial (all micros)" test_whomp_parallel_equiv;
-          tc "leap parallel = serial (all micros)" test_leap_parallel_equiv;
-          tc "adaptive chunking over capacity-1 rings" test_adaptive_chunking_equiv;
-          tc "leap budget under sharding" test_leap_budget_parallel_equiv;
-          QCheck_alcotest.to_alcotest prop_parallel_equals_serial;
+          QCheck_alcotest.to_alcotest prop_entry_points_match_reference;
         ] );
       ( "sessions",
         [

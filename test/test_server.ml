@@ -742,6 +742,25 @@ let test_percentile () =
   check_string "p99" "5." (Printf.sprintf "%g." (Client.percentile xs 0.99));
   check_string "empty" "0." (Printf.sprintf "%g." (Client.percentile [] 0.99))
 
+(* An exhausted retry budget must say why the attempts failed — here,
+   that the socket does not exist — plus how many were sheds and how
+   many reconnects. *)
+let test_exhausted_budget_reports_reason () =
+  let dir = tmpdir () in
+  let socket = Filename.concat dir "absent.sock" in
+  let retry = { Client.default_retry with Client.attempts = 2; backoff_s = 0.001 } in
+  (match Client.run_session ~socket ~token:"gone" ~workload:"linked_list" ~events ~retry () with
+  | Ok _ -> Alcotest.fail "session against a missing socket succeeded"
+  | Error m ->
+    let has sub =
+      let n = String.length sub in
+      let rec at i = i + n <= String.length m && (String.sub m i n = sub || at (i + 1)) in
+      at 0
+    in
+    check_bool ("reason in: " ^ m) true (has (Unix.error_message Unix.ENOENT));
+    check_bool ("counts in: " ^ m) true (has "0 shed, 2 reconnects"));
+  rm_rf dir
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -783,6 +802,8 @@ let () =
             test_position_gap_is_protocol_error;
           Alcotest.test_case "attached token cannot be stolen" `Quick
             test_duplicate_token_refused_while_attached;
+          Alcotest.test_case "exhausted budget reports its reason" `Quick
+            test_exhausted_budget_reports_reason;
         ] );
       ( "overload",
         [ Alcotest.test_case "shed past max-sessions" `Quick test_shed_past_max_sessions ] );

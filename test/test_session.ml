@@ -119,6 +119,23 @@ let test_journal_roundtrip () =
     check_int "crc at snapshot point" crc r.Journal.crc_at);
   rm_rf dir
 
+(* A process killed right after creating a journal, before any flush,
+   must leave a recoverable (empty) journal: the header is on disk the
+   moment [create] returns. A daemon killed in that window used to leave
+   an empty file its restart rejected forever ("bad header"). *)
+let test_journal_header_durable_at_create () =
+  let dir = tmpdir () in
+  let path = Filename.concat dir "j" in
+  let w = Journal.create path in
+  Journal.append w events_fixture.(0);
+  (match Journal.recover path with
+  | Error e -> Alcotest.failf "unflushed fresh journal unrecoverable: %s" e
+  | Ok r -> check_int "no durable events yet" 0 (Array.length r.Journal.events));
+  Journal.flush w;
+  check_int "bytes count the header" (String.length (read_file path)) (Journal.bytes w);
+  Journal.close w;
+  rm_rf dir
+
 let test_journal_torn_tail () =
   let dir = tmpdir () in
   let path = Filename.concat dir "j" in
@@ -587,6 +604,7 @@ let () =
         [
           tc "roundtrip + resume append" test_journal_roundtrip;
           tc "torn tail truncation" test_journal_torn_tail;
+          tc "header durable at create" test_journal_header_durable_at_create;
         ] );
       ( "trace",
         [ tc "truncated trailing record tolerated" test_trace_truncated_tail ] );
