@@ -1,430 +1,50 @@
-(* Machine-readable run log for the benchmark harness: collects section
-   wall times and headline metrics as sections execute, then writes them
-   as BENCH_ormp.json. JSON is emitted by hand (the repo carries no JSON
-   dependency); the format is documented in README.md. *)
+(* Machine-readable run log for the benchmark harness: the section wall
+   times plus one named JSON block per reporting section, written as
+   BENCH_ormp.json with one top-level member per line (schema in
+   README.md). Each section builds its own block; the log only orders and
+   renders them. *)
 
-type hotpath = {
-  events : int;  (** accesses per measured iteration *)
-  legacy_ns_per_event : float;
-  batched_ns_per_event : float;
-  speedup : float;  (** legacy / batched, per-event *)
-  events_per_sec : float;  (** through the batched translate path *)
-  cache_hit_rate : float;  (** OMC MRU cache, steady state *)
-}
-
-type suite_row = { suite_name : string; suite_events : int; suite_elapsed_s : float }
-
-(* One Bechamel micro-benchmark row. [mr_events] is the number of
-   symbols/events one run consumes (0 when the row has no natural event
-   count); the JSON derives ns/event and minor-GC words/event from it,
-   which is what the @perf-guard alias compares across commits. *)
-type micro_row = {
-  mr_name : string;
-  mr_ns_per_run : float;
-  mr_minor_words_per_run : float;  (** NaN when the allocation pass failed *)
-  mr_events : int;
-}
-
-(* Non-timing durability figures from the recovery section: how big the
-   on-disk safety net is and how fast a killed session comes back. *)
-type recovery = {
-  rc_workload : string;
-  rc_events : int;  (** raw events in the full session *)
-  rc_checkpoints : int;  (** snapshots the uninterrupted run writes *)
-  rc_snapshot_bytes : int;  (** newest snapshot, sealed size on disk *)
-  rc_journal_bytes : int;  (** write-ahead journal at the kill point *)
-  rc_resume_s : float;  (** wall time of resume after the injected kill *)
-  rc_replayed : int;  (** journal-tail events replayed on resume *)
-  rc_identical : bool;  (** resumed profiles byte-identical to reference *)
-}
-
-(* Overhead of the self-profiling telemetry layer on the batched WHOMP
-   pipeline: the same recorded event stream pushed with telemetry off and
-   on, plus the per-stage histogram breakdown the instrumented runs
-   collected. The ratio is a guard figure, not a paper number. *)
-type telemetry_stage = {
-  tl_stage : string;
-  tl_count : int;  (** observations across the instrumented repetitions *)
-  tl_total_ns : float;
-  tl_p50_ns : float;
-}
-
-type telemetry = {
-  tl_events : int;  (** accesses per repetition *)
-  tl_off_ns_per_event : float;
-  tl_on_ns_per_event : float;
-  tl_ratio : float;  (** on / off; the guard fails above 1.10 *)
-  tl_stages : telemetry_stage list;
-}
-
-(* One point of the pipeline-parallel --jobs sweep: a combined
-   WHOMP+LEAP instrumented run at a given domain count. Speedup is
-   against the jobs=1 row of the same sweep; [cores] records what the
-   machine could actually parallelise, so a flat curve on a 1-core box
-   reads as the physics it is, not a regression. *)
-type scaling_row = {
-  sl_jobs : int;
-  sl_wall_s : float;
-  sl_speedup : float;  (** serial wall / this wall *)
-  sl_events_per_sec : float;
-}
-
-type scaling = {
-  sl_workload : string;
-  sl_cores : int;  (** Domain.recommended_domain_count at run time *)
-  sl_events : int;  (** accesses per run (collected + wild) *)
-  sl_rows : scaling_row list;
-}
-
-(* One litmus case of the transport model checker: how much state space
-   the exploration covered and whether the expectation held. Non-timing
-   by design — interleaving counts are deterministic, so this section is
-   comparable across machines (unlike every ns figure in this file). *)
-type modelcheck_row = {
-  mk_name : string;
-  mk_interleavings : int;  (** complete executions explored *)
-  mk_steps : int;  (** scheduling points across all runs *)
-  mk_max_depth : int;  (** longest execution *)
-  mk_exhaustive : bool;  (** the case claims full coverage *)
-  mk_budget_exhausted : bool;
-  mk_violation : bool;  (** a violation was found (expected for the seeded race) *)
-  mk_ok : bool;
-}
-
-(* Non-timing throughput shape of the `ormp serve` daemon: how many
-   sessions an in-process daemon absorbed, what the clients saw for ack
-   latency, and how often the admission ladder shed. The session and
-   shed counts are deterministic; the latency figures are machine-local
-   colour, not guard numbers. *)
-type serve = {
-  sv_sessions : int;  (** sessions driven to completion *)
-  sv_events : int;  (** raw events per session *)
-  sv_jobs : int;  (** daemon worker-pool size *)
-  sv_sessions_per_sec : float;
-  sv_p50_ack_ms : float;
-  sv_p99_ack_ms : float;
-  sv_reconnects : int;  (** retries across all sessions (0 unless faulted) *)
-  sv_sheds : int;  (** Shed replies absorbed by client backoff *)
-  sv_identical : bool;  (** every session byte-identical to the reference *)
-}
-
-(* Non-timing overhead shape of the ORMP-Watch introspection layer: the
-   same client load pushed through a daemon with the stats machinery off
-   and then on (registry enabled, an aggressive `ormp top`-style poller
-   attached, stats-file export running), and the resulting guard ratio.
-   The ratio is the figure the section exists to pin down: observation
-   must cost at most 10% of data-path throughput. *)
-type observe = {
-  ob_sessions : int;  (** concurrent sessions per repetition *)
-  ob_events : int;  (** raw events per session *)
-  ob_off_events_per_sec : float;  (** best-of-N, stats disabled *)
-  ob_on_events_per_sec : float;  (** best-of-N, stats + poller + export *)
-  ob_ratio : float;  (** off/on throughput ratio; guarded <= 1.10 *)
-  ob_stats_frames : int;  (** Stats snapshots served during the on runs *)
-  ob_flight_dumps : int;  (** flight bundles dumped (0 for a clean load) *)
-}
+module J = Ormp_util.Json
 
 type t = {
   mode : string;  (** "fast" or "paper" *)
   mutable sections : (string * float) list;  (** reverse execution order *)
-  mutable hotpath : hotpath option;
-  mutable micro : micro_row list;
-  mutable recovery : recovery option;
-  mutable telemetry : telemetry option;
-  mutable scaling : scaling option;
-  mutable modelcheck : modelcheck_row list;
-  mutable serve : serve option;
-  mutable observe : observe option;
-  mutable suites_parallel : bool;
-  mutable suites_wall_s : float;
-  mutable suites : suite_row list;
-  mutable dilation : (string * float) list;  (** reverse Table 1 order *)
+  mutable blocks : (string * J.t) list;
 }
 
-let create ~mode =
-  {
-    mode;
-    sections = [];
-    hotpath = None;
-    micro = [];
-    recovery = None;
-    telemetry = None;
-    scaling = None;
-    modelcheck = [];
-    serve = None;
-    observe = None;
-    suites_parallel = false;
-    suites_wall_s = Float.nan;
-    suites = [];
-    dilation = [];
-  }
+let create ~mode = { mode; sections = []; blocks = [] }
 
 let add_section t name wall_s = t.sections <- (name, wall_s) :: t.sections
 
-let set_hotpath t h = t.hotpath <- Some h
+(* Adds the top-level member [key]. List members accumulate: Table 1 and
+   the scaling sweep both contribute [dilation] rows. *)
+let add t key v =
+  match (List.assoc_opt key t.blocks, v) with
+  | Some (J.List old), J.List rows ->
+    t.blocks <-
+      List.map (fun (k, b) -> if k = key then (k, J.List (old @ rows)) else (k, b)) t.blocks
+  | _ -> t.blocks <- t.blocks @ [ (key, v) ]
 
-let set_micro t rows = t.micro <- rows
+(* The file's member order, whatever order the sections ran in; a block
+   missing here goes last. *)
+let layout =
+  [
+    "hotpath"; "micro"; "recovery"; "telemetry"; "scaling"; "modelcheck"; "serve"; "observe";
+    "suites"; "dilation";
+  ]
 
-let set_recovery t r = t.recovery <- Some r
-
-let set_telemetry t tl = t.telemetry <- Some tl
-
-let set_scaling t s = t.scaling <- Some s
-
-let set_modelcheck t rows = t.modelcheck <- rows
-
-let set_serve t s = t.serve <- Some s
-
-let set_observe t o = t.observe <- Some o
-
-let set_suites t ~parallel ~wall_s rows =
-  t.suites_parallel <- parallel;
-  t.suites_wall_s <- wall_s;
-  t.suites <- rows
-
-let add_dilation t ~workload ~dilation = t.dilation <- (workload, dilation) :: t.dilation
-
-(* --- JSON rendering -------------------------------------------------- *)
-
-let buf_str b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-(* NaN/inf have no JSON encoding; a dilation on a too-fast workload can be
-   NaN, so those render as null. *)
-let buf_float b f =
-  if Float.is_nan f || Float.abs f = Float.infinity then Buffer.add_string b "null"
-  else Buffer.add_string b (Printf.sprintf "%.6g" f)
-
-let buf_list b xs emit =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_string b ", ";
-      emit x)
-    xs;
-  Buffer.add_char b ']'
-
-let render t =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"mode\": ";
-  buf_str b t.mode;
-  Buffer.add_string b ",\n  \"sections\": ";
-  buf_list b (List.rev t.sections) (fun (name, s) ->
-      Buffer.add_string b "{\"name\": ";
-      buf_str b name;
-      Buffer.add_string b ", \"wall_s\": ";
-      buf_float b s;
-      Buffer.add_char b '}');
-  (match t.hotpath with
-  | None -> ()
-  | Some h ->
-    Buffer.add_string b ",\n  \"hotpath\": {";
-    Buffer.add_string b "\"events\": ";
-    Buffer.add_string b (string_of_int h.events);
-    Buffer.add_string b ", \"legacy_ns_per_event\": ";
-    buf_float b h.legacy_ns_per_event;
-    Buffer.add_string b ", \"batched_ns_per_event\": ";
-    buf_float b h.batched_ns_per_event;
-    Buffer.add_string b ", \"speedup\": ";
-    buf_float b h.speedup;
-    Buffer.add_string b ", \"events_per_sec\": ";
-    buf_float b h.events_per_sec;
-    Buffer.add_string b ", \"cache_hit_rate\": ";
-    buf_float b h.cache_hit_rate;
-    Buffer.add_char b '}');
-  if t.micro <> [] then begin
-    Buffer.add_string b ",\n  \"micro\": ";
-    buf_list b t.micro (fun m ->
-        Buffer.add_string b "{\"name\": ";
-        buf_str b m.mr_name;
-        Buffer.add_string b ", \"ns_per_run\": ";
-        buf_float b m.mr_ns_per_run;
-        Buffer.add_string b ", \"minor_words_per_run\": ";
-        buf_float b m.mr_minor_words_per_run;
-        Buffer.add_string b ", \"events\": ";
-        Buffer.add_string b (string_of_int m.mr_events);
-        if m.mr_events > 0 then begin
-          Buffer.add_string b ", \"ns_per_event\": ";
-          buf_float b (m.mr_ns_per_run /. float_of_int m.mr_events);
-          Buffer.add_string b ", \"minor_words_per_event\": ";
-          buf_float b (m.mr_minor_words_per_run /. float_of_int m.mr_events)
-        end;
-        Buffer.add_char b '}')
-  end;
-  (match t.recovery with
-  | None -> ()
-  | Some r ->
-    Buffer.add_string b ",\n  \"recovery\": {";
-    Buffer.add_string b "\"workload\": ";
-    buf_str b r.rc_workload;
-    Buffer.add_string b ", \"events\": ";
-    Buffer.add_string b (string_of_int r.rc_events);
-    Buffer.add_string b ", \"checkpoints\": ";
-    Buffer.add_string b (string_of_int r.rc_checkpoints);
-    Buffer.add_string b ", \"snapshot_bytes\": ";
-    Buffer.add_string b (string_of_int r.rc_snapshot_bytes);
-    Buffer.add_string b ", \"journal_bytes\": ";
-    Buffer.add_string b (string_of_int r.rc_journal_bytes);
-    Buffer.add_string b ", \"resume_s\": ";
-    buf_float b r.rc_resume_s;
-    Buffer.add_string b ", \"replayed\": ";
-    Buffer.add_string b (string_of_int r.rc_replayed);
-    Buffer.add_string b ", \"identical\": ";
-    Buffer.add_string b (string_of_bool r.rc_identical);
-    Buffer.add_char b '}');
-  (match t.telemetry with
-  | None -> ()
-  | Some tl ->
-    Buffer.add_string b ",\n  \"telemetry\": {";
-    Buffer.add_string b "\"events\": ";
-    Buffer.add_string b (string_of_int tl.tl_events);
-    Buffer.add_string b ", \"off_ns_per_event\": ";
-    buf_float b tl.tl_off_ns_per_event;
-    Buffer.add_string b ", \"on_ns_per_event\": ";
-    buf_float b tl.tl_on_ns_per_event;
-    Buffer.add_string b ", \"ratio\": ";
-    buf_float b tl.tl_ratio;
-    Buffer.add_string b ", \"stages\": ";
-    buf_list b tl.tl_stages (fun s ->
-        Buffer.add_string b "{\"stage\": ";
-        buf_str b s.tl_stage;
-        Buffer.add_string b ", \"count\": ";
-        Buffer.add_string b (string_of_int s.tl_count);
-        Buffer.add_string b ", \"total_ns\": ";
-        buf_float b s.tl_total_ns;
-        Buffer.add_string b ", \"p50_ns\": ";
-        buf_float b s.tl_p50_ns;
-        Buffer.add_char b '}');
-    Buffer.add_char b '}');
-  (match t.scaling with
-  | None -> ()
-  | Some s ->
-    Buffer.add_string b ",\n  \"scaling\": {";
-    Buffer.add_string b "\"workload\": ";
-    buf_str b s.sl_workload;
-    Buffer.add_string b ", \"cores\": ";
-    Buffer.add_string b (string_of_int s.sl_cores);
-    Buffer.add_string b ", \"events\": ";
-    Buffer.add_string b (string_of_int s.sl_events);
-    Buffer.add_string b ", \"rows\": ";
-    buf_list b s.sl_rows (fun r ->
-        Buffer.add_string b "{\"jobs\": ";
-        Buffer.add_string b (string_of_int r.sl_jobs);
-        Buffer.add_string b ", \"wall_s\": ";
-        buf_float b r.sl_wall_s;
-        Buffer.add_string b ", \"speedup\": ";
-        buf_float b r.sl_speedup;
-        Buffer.add_string b ", \"events_per_sec\": ";
-        buf_float b r.sl_events_per_sec;
-        Buffer.add_char b '}');
-    Buffer.add_char b '}');
-  if t.modelcheck <> [] then begin
-    Buffer.add_string b ",\n  \"modelcheck\": ";
-    buf_list b t.modelcheck (fun r ->
-        Buffer.add_string b "{\"name\": ";
-        buf_str b r.mk_name;
-        Buffer.add_string b ", \"interleavings\": ";
-        Buffer.add_string b (string_of_int r.mk_interleavings);
-        Buffer.add_string b ", \"steps\": ";
-        Buffer.add_string b (string_of_int r.mk_steps);
-        Buffer.add_string b ", \"max_depth\": ";
-        Buffer.add_string b (string_of_int r.mk_max_depth);
-        Buffer.add_string b ", \"exhaustive\": ";
-        Buffer.add_string b (string_of_bool r.mk_exhaustive);
-        Buffer.add_string b ", \"budget_exhausted\": ";
-        Buffer.add_string b (string_of_bool r.mk_budget_exhausted);
-        Buffer.add_string b ", \"violation_found\": ";
-        Buffer.add_string b (string_of_bool r.mk_violation);
-        Buffer.add_string b ", \"ok\": ";
-        Buffer.add_string b (string_of_bool r.mk_ok);
-        Buffer.add_char b '}')
-  end;
-  (match t.serve with
-  | None -> ()
-  | Some s ->
-    Buffer.add_string b ",\n  \"serve\": {";
-    Buffer.add_string b "\"sessions\": ";
-    Buffer.add_string b (string_of_int s.sv_sessions);
-    Buffer.add_string b ", \"events_per_session\": ";
-    Buffer.add_string b (string_of_int s.sv_events);
-    Buffer.add_string b ", \"jobs\": ";
-    Buffer.add_string b (string_of_int s.sv_jobs);
-    Buffer.add_string b ", \"sessions_per_sec\": ";
-    buf_float b s.sv_sessions_per_sec;
-    Buffer.add_string b ", \"p50_ack_ms\": ";
-    buf_float b s.sv_p50_ack_ms;
-    Buffer.add_string b ", \"p99_ack_ms\": ";
-    buf_float b s.sv_p99_ack_ms;
-    Buffer.add_string b ", \"reconnects\": ";
-    Buffer.add_string b (string_of_int s.sv_reconnects);
-    Buffer.add_string b ", \"sheds\": ";
-    Buffer.add_string b (string_of_int s.sv_sheds);
-    Buffer.add_string b ", \"identical\": ";
-    Buffer.add_string b (string_of_bool s.sv_identical);
-    Buffer.add_char b '}');
-  (match t.observe with
-  | None -> ()
-  | Some o ->
-    Buffer.add_string b ",\n  \"observe\": {";
-    Buffer.add_string b "\"sessions\": ";
-    Buffer.add_string b (string_of_int o.ob_sessions);
-    Buffer.add_string b ", \"events_per_session\": ";
-    Buffer.add_string b (string_of_int o.ob_events);
-    Buffer.add_string b ", \"off_events_per_sec\": ";
-    buf_float b o.ob_off_events_per_sec;
-    Buffer.add_string b ", \"on_events_per_sec\": ";
-    buf_float b o.ob_on_events_per_sec;
-    Buffer.add_string b ", \"ratio\": ";
-    buf_float b o.ob_ratio;
-    Buffer.add_string b ", \"stats_frames\": ";
-    Buffer.add_string b (string_of_int o.ob_stats_frames);
-    Buffer.add_string b ", \"flight_dumps\": ";
-    Buffer.add_string b (string_of_int o.ob_flight_dumps);
-    Buffer.add_char b '}');
-  if t.suites <> [] then begin
-    Buffer.add_string b ",\n  \"suites\": {\"parallel\": ";
-    Buffer.add_string b (string_of_bool t.suites_parallel);
-    Buffer.add_string b ", \"wall_s\": ";
-    buf_float b t.suites_wall_s;
-    Buffer.add_string b ", \"runs\": ";
-    buf_list b t.suites (fun r ->
-        Buffer.add_string b "{\"name\": ";
-        buf_str b r.suite_name;
-        Buffer.add_string b ", \"events\": ";
-        Buffer.add_string b (string_of_int r.suite_events);
-        Buffer.add_string b ", \"wall_s\": ";
-        buf_float b r.suite_elapsed_s;
-        Buffer.add_string b ", \"events_per_sec\": ";
-        buf_float b
-          (if r.suite_elapsed_s > 0.0 then float_of_int r.suite_events /. r.suite_elapsed_s
-           else Float.nan);
-        Buffer.add_char b '}');
-    Buffer.add_char b '}'
-  end;
-  if t.dilation <> [] then begin
-    Buffer.add_string b ",\n  \"dilation\": ";
-    buf_list b (List.rev t.dilation) (fun (w, d) ->
-        Buffer.add_string b "{\"workload\": ";
-        buf_str b w;
-        Buffer.add_string b ", \"dilation\": ";
-        buf_float b d;
-        Buffer.add_char b '}')
-  end;
-  Buffer.add_string b "\n}\n";
-  Buffer.contents b
+let members t =
+  let rank (k, _) = Option.value ~default:max_int (List.find_index (( = ) k) layout) in
+  ("mode", J.String t.mode)
+  :: ( "sections",
+       J.List
+         (List.rev_map
+            (fun (name, s) -> J.Obj [ ("name", J.String name); ("wall_s", J.Float s) ])
+            t.sections) )
+  :: List.stable_sort (fun a b -> compare (rank a) (rank b)) t.blocks
 
 let write t path =
-  let oc = open_out path in
-  output_string oc (render t);
-  close_out oc;
+  let line (k, v) = Printf.sprintf "  %s: %s" (J.to_string (J.String k)) (J.to_string v) in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "{\n%s\n}\n" (String.concat ",\n" (List.map line (members t))));
   Printf.printf "[wrote %s]\n%!" path

@@ -8,12 +8,12 @@
      main.exe --fast          -- everything, at the small test scale
      main.exe fig5 table1 ... -- only the named sections
      main.exe --baseline BENCH_ormp.json ...
-                              -- after the run, compare the hotpath and
-                                 sequitur micro rows against the named
-                                 baseline log and exit 1 if any ns figure
-                                 regressed more than 1.5x (the @perf-guard
-                                 alias runs this against the committed
-                                 baseline)
+                              -- after the run, read the log it wrote back
+                                 and judge its hotpath, micro and scaling
+                                 figures against the named baseline log
+                                 (Perf_guard's rules); exit 1 on a
+                                 regression (the @perf-guard alias runs
+                                 this against the committed baseline)
    Section names: fig5 fig6 fig7 fig8 fig9 table1 ablations extensions
    hotpath micro scaling recovery telemetry modelcheck serve observe
    verify
@@ -28,6 +28,7 @@
    times and the headline machine-readable metrics. *)
 
 open Ormp_report
+module J = Ormp_util.Json
 
 let section_names =
   [
@@ -66,6 +67,29 @@ let timed log name f =
   Bench_log.add_section log name dt;
   r
 
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Runs [f] on a fresh scratch directory, removed afterwards. *)
+let with_temp_dir name f =
+  let base =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ormp-bench-%s-%d" name (Unix.getpid ()))
+  in
+  rm_rf base;
+  Unix.mkdir base 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf base) (fun () -> f base)
+
+let dilation_row workload dilation =
+  J.Obj [ ("workload", J.String workload); ("dilation", J.Float dilation) ]
+
 (* ------------------------------------------------------------------ *)
 (* Paper sections                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -82,17 +106,26 @@ let run_dependence_figs log ~bench ~enabled () =
           let t0 = Ormp_util.Clock.now_s () in
           let suites = Experiments.run_suites ~bench ~parallel:true () in
           let wall = Ormp_util.Clock.now_s () -. t0 in
-          Bench_log.set_suites log ~parallel:true ~wall_s:wall
-            (List.map
-               (fun s ->
-                 let leap = s.Experiments.leap in
-                 {
-                   Bench_log.suite_name = s.Experiments.entry.Ormp_workloads.Registry.name;
-                   suite_events =
-                     leap.Ormp_leap.Leap.collected + leap.Ormp_leap.Leap.wild;
-                   suite_elapsed_s = leap.Ormp_leap.Leap.elapsed;
-                 })
-               suites);
+          let run s =
+            let leap = s.Experiments.leap in
+            let events = leap.Ormp_leap.Leap.collected + leap.Ormp_leap.Leap.wild in
+            let wall_s = leap.Ormp_leap.Leap.elapsed in
+            J.Obj
+              [
+                ("name", J.String s.Experiments.entry.Ormp_workloads.Registry.name);
+                ("events", J.Int events);
+                ("wall_s", J.Float wall_s);
+                ( "events_per_sec",
+                  J.Float (if wall_s > 0.0 then float_of_int events /. wall_s else Float.nan) );
+              ]
+          in
+          Bench_log.add log "suites"
+            (J.Obj
+               [
+                 ("parallel", J.Bool true);
+                 ("wall_s", J.Float wall);
+                 ("runs", J.List (List.map run suites));
+               ]);
           suites)
     in
     if enabled "fig6" then
@@ -110,11 +143,11 @@ let run_dependence_figs log ~bench ~enabled () =
     if enabled "table1" then
       timed log "table1 (dilation reruns)" (fun () ->
           let rows = Experiments.table1 ~bench suites in
-          List.iter
-            (fun r ->
-              Bench_log.add_dilation log ~workload:r.Experiments.workload
-                ~dilation:r.Experiments.dilation)
-            rows;
+          Bench_log.add log "dilation"
+            (J.List
+               (List.map
+                  (fun r -> dilation_row r.Experiments.workload r.Experiments.dilation)
+                  rows));
           print_string (Experiments.render_table1 rows))
   end
 
@@ -145,9 +178,9 @@ let run_extensions log ~bench () =
 
 (* Measures the access -> translate path in isolation, on a recorded
    trace: the legacy path boxes one Event.Access per access, pattern-matches
-   it in a sink, and walks the AVL range index for every address; the
-   batched path writes four ints into the chunk buffer and translates each
-   chunk through the OMC's per-instruction MRU cache with
+   it in a sink, and searches the range index's sorted lanes for every
+   address; the batched path writes four ints into the chunk buffer and
+   translates each chunk through the OMC's per-instruction MRU cache with
    [Omc.translate_batch]. Everything downstream of translation (tuple
    construction, the SCC compressors) is identical for both paths and is
    excluded here; the micro section benches the full profiler pipelines
@@ -164,10 +197,10 @@ let run_hotpath log ~bench () =
          with a few thousand long-lived decoy objects (the same trick
          Micro.linked_list plays): the test-scale stand-ins keep only a
          handful of objects live, while a real heap holds thousands, so
-         without the decoys the legacy AVL descent would be measured at
-         toy depth. Cache-hostile access shapes (linked-list node walks,
-         vpr/twolf-style wandering) are covered by the micro section and
-         the table1 dilation column rather than here. *)
+         without the decoys the legacy range-index search would be
+         measured at toy depth. Cache-hostile access shapes (linked-list
+         node walks, vpr/twolf-style wandering) are covered by the micro
+         section and the table1 dilation column rather than here. *)
       let decoys = if bench then 4096 else 2048 in
       let entry = Ormp_workloads.Registry.find "164.gzip-like" in
       let rc = Ormp_trace.Sink.recorder () in
@@ -287,19 +320,20 @@ let run_hotpath log ~bench () =
         let hit_rate = Ormp_core.Omc.cache_hit_rate omc_batched in
         Printf.printf
           "%d accesses per iteration\n\
-           legacy  (boxed event + AVL lookup): %7.2f ns/event\n\
-           batched (SoA chunk + MRU cache)   : %7.2f ns/event\n\
+           legacy  (boxed event + range lookup): %7.2f ns/event\n\
+           batched (SoA chunk + MRU cache)     : %7.2f ns/event\n\
            speedup: %.2fx   throughput: %.1f M events/s   MRU hit rate: %.1f%%\n\n"
           n legacy_pe batched_pe speedup (eps /. 1e6) (100.0 *. hit_rate);
-        Bench_log.set_hotpath log
-          {
-            Bench_log.events = n;
-            legacy_ns_per_event = legacy_pe;
-            batched_ns_per_event = batched_pe;
-            speedup;
-            events_per_sec = eps;
-            cache_hit_rate = hit_rate;
-          }
+        Bench_log.add log "hotpath"
+          (J.Obj
+             [
+               ("events", J.Int n);
+               ("legacy_ns_per_event", J.Float legacy_pe);
+               ("batched_ns_per_event", J.Float batched_pe);
+               ("speedup", J.Float speedup);
+               ("events_per_sec", J.Float eps);
+               ("cache_hit_rate", J.Float hit_rate);
+             ])
       | _ -> print_endline "hotpath: estimation failed (no OLS estimates)")
 
 (* ------------------------------------------------------------------ *)
@@ -336,7 +370,7 @@ let micro_tests () =
              ignore (Ormp_interval.Range_index.find t ((i * 64) + 17))
            done))
   in
-  (* One address pattern shared by the three OMC rows so cached vs
+  (* One address pattern shared by the two OMC rows so cached vs
      uncached is a like-for-like comparison: 1000 live objects, 8 hot
      instructions, each instruction ping-ponging between two objects —
      the per-instruction locality real probe streams exhibit, and exactly
@@ -358,17 +392,6 @@ let micro_tests () =
       (Staged.stage (fun () ->
            for i = 0 to 999 do
              ignore (Ormp_core.Omc.translate omc (Array.unsafe_get omc_addrs i))
-           done))
-  in
-  let omc_translate_fast =
-    let omc = omc_make () in
-    Test.make ~name:"omc: 1k translations (MRU cache)"
-      (Staged.stage (fun () ->
-           for i = 0 to 999 do
-             ignore
-               (Ormp_core.Omc.translate_fast omc
-                  ~instr:(Array.unsafe_get omc_instrs i)
-                  (Array.unsafe_get omc_addrs i))
            done))
   in
   let omc_translate_batch =
@@ -441,7 +464,6 @@ let micro_tests () =
         "sequitur: 32k scattered symbols (push_batch, size hint)" scattered_big;
         range_index;
         omc_translate;
-        omc_translate_fast;
         omc_translate_batch;
         lmad_add "lmad: 4k-point regular stream" (Array.init 4096 (fun i -> i * 8));
         lmad_add "lmad: 4k-point scattered stream" scattered;
@@ -474,7 +496,8 @@ let micro_tests () =
    on a single-core box every row degenerates to serial-plus-ring-
    overhead, and that flat line is the honest result, not a failure.
    Each row also lands in the dilation block (instrumented wall over
-   native wall) so the jobs sweep is comparable with Table 1. *)
+   native wall), the native run timed with Table 1's batch-doubling
+   timer so the jobs sweep is comparable with Table 1. *)
 let run_scaling log ~bench () =
   timed log "scaling" (fun () ->
       print_endline
@@ -486,9 +509,7 @@ let run_scaling log ~bench () =
         List.sort_uniq compare (1 :: 2 :: 4 :: (if cores > 4 then [ cores ] else []))
       in
       let native_s =
-        let t0 = Ormp_util.Clock.now_s () in
-        ignore (Ormp_vm.Runner.run_bare program);
-        Ormp_util.Clock.now_s () -. t0
+        Experiments.time_batch ~repeats:3 (fun () -> ignore (Ormp_vm.Runner.run_bare program))
       in
       let events = ref 0 in
       (* The full stack exactly as sessions and the daemon run it: one
@@ -519,20 +540,8 @@ let run_scaling log ~bench () =
       in
       let walls = List.map (fun jobs -> (jobs, best jobs)) sweep in
       let serial_s = List.assoc 1 walls in
-      let rows =
-        List.map
-          (fun (jobs, wall_s) ->
-            Bench_log.add_dilation log
-              ~workload:(Printf.sprintf "combined(jobs=%d)" jobs)
-              ~dilation:(wall_s /. native_s);
-            {
-              Bench_log.sl_jobs = jobs;
-              sl_wall_s = wall_s;
-              sl_speedup = serial_s /. wall_s;
-              sl_events_per_sec =
-                (if wall_s > 0.0 then float_of_int !events /. wall_s else Float.nan);
-            })
-          walls
+      let events_per_sec wall_s =
+        if wall_s > 0.0 then float_of_int !events /. wall_s else Float.nan
       in
       Printf.printf "%s: %d accesses, %d core(s) available\n" "164.gzip-like" !events cores;
       print_endline
@@ -540,26 +549,44 @@ let run_scaling log ~bench () =
            ~header:[ "jobs"; "wall"; "speedup"; "throughput"; "dilation" ]
            ~rows:
              (List.map
-                (fun (r : Bench_log.scaling_row) ->
+                (fun (jobs, wall_s) ->
                   [
-                    string_of_int r.Bench_log.sl_jobs;
-                    Printf.sprintf "%.3f s" r.Bench_log.sl_wall_s;
-                    Printf.sprintf "%.2fx" r.Bench_log.sl_speedup;
-                    Printf.sprintf "%.2f M ev/s" (r.Bench_log.sl_events_per_sec /. 1e6);
-                    Printf.sprintf "%.1fx" (r.Bench_log.sl_wall_s /. native_s);
+                    string_of_int jobs;
+                    Printf.sprintf "%.3f s" wall_s;
+                    Printf.sprintf "%.2fx" (serial_s /. wall_s);
+                    Printf.sprintf "%.2f M ev/s" (events_per_sec wall_s /. 1e6);
+                    Printf.sprintf "%.1fx" (wall_s /. native_s);
                   ])
-                rows));
+                walls));
       if cores = 1 then
         print_endline
           "note: 1 core available — the compressor domains time-slice one CPU,\n\
            so this curve measures ring overhead, not parallel speedup.\n";
-      Bench_log.set_scaling log
-        {
-          Bench_log.sl_workload = "164.gzip-like";
-          sl_cores = cores;
-          sl_events = !events;
-          sl_rows = rows;
-        })
+      Bench_log.add log "dilation"
+        (J.List
+           (List.map
+              (fun (jobs, wall_s) ->
+                dilation_row (Printf.sprintf "combined(jobs=%d)" jobs) (wall_s /. native_s))
+              walls));
+      Bench_log.add log "scaling"
+        (J.Obj
+           [
+             ("workload", J.String "164.gzip-like");
+             ("cores", J.Int cores);
+             ("events", J.Int !events);
+             ( "rows",
+               J.List
+                 (List.map
+                    (fun (jobs, wall_s) ->
+                      J.Obj
+                        [
+                          ("jobs", J.Int jobs);
+                          ("wall_s", J.Float wall_s);
+                          ("speedup", J.Float (serial_s /. wall_s));
+                          ("events_per_sec", J.Float (events_per_sec wall_s));
+                        ])
+                    walls) );
+           ]))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery: session durability figures (non-timing)                   *)
@@ -580,26 +607,10 @@ let run_recovery log ~bench () =
       let module Fio = Ormp_workloads.Faults.Io in
       let workload = if bench then "matrix" else "linked_list" in
       let options = { Session.default_options with Session.checkpoint_every = 1000 } in
-      let rec rm_rf path =
-        if Sys.file_exists path then
-          if Sys.is_directory path then begin
-            Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-            Sys.rmdir path
-          end
-          else Sys.remove path
-      in
-      let read_file path =
-        In_channel.with_open_bin path In_channel.input_all
-      in
       let file_size path = (Unix.stat path).Unix.st_size in
-      let base =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "ormp-bench-recovery-%d" (Unix.getpid ()))
-      in
+      with_temp_dir "recovery" @@ fun base ->
       let ref_dir = Filename.concat base "reference"
       and kill_dir = Filename.concat base "killed" in
-      rm_rf base;
-      Fun.protect ~finally:(fun () -> rm_rf base) @@ fun () ->
       let reference =
         match Session.run ~options ~dir:ref_dir ~workload () with
         | Ok o -> o
@@ -640,17 +651,18 @@ let run_recovery log ~bench () =
         workload reference.Session.oc_position reference.Session.oc_checkpoints
         snapshot_bytes journal_bytes resume_s resumed.Session.oc_replayed identical;
       if not identical then failwith "recovery: resumed profiles differ from reference";
-      Bench_log.set_recovery log
-        {
-          Bench_log.rc_workload = workload;
-          rc_events = reference.Session.oc_position;
-          rc_checkpoints = reference.Session.oc_checkpoints;
-          rc_snapshot_bytes = snapshot_bytes;
-          rc_journal_bytes = journal_bytes;
-          rc_resume_s = resume_s;
-          rc_replayed = resumed.Session.oc_replayed;
-          rc_identical = identical;
-        })
+      Bench_log.add log "recovery"
+        (J.Obj
+           [
+             ("workload", J.String workload);
+             ("events", J.Int reference.Session.oc_position);
+             ("checkpoints", J.Int reference.Session.oc_checkpoints);
+             ("snapshot_bytes", J.Int snapshot_bytes);
+             ("journal_bytes", J.Int journal_bytes);
+             ("resume_s", J.Float resume_s);
+             ("replayed", J.Int resumed.Session.oc_replayed);
+             ("identical", J.Bool identical);
+           ]))
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: instrumentation overhead guard                           *)
@@ -713,17 +725,7 @@ let run_telemetry log ~bench () =
       let off_pe = off_ns /. float_of_int n in
       let on_pe = on_ns /. float_of_int n in
       let ratio = on_pe /. off_pe in
-      let stages =
-        List.map
-          (fun (name, h) ->
-            {
-              Bench_log.tl_stage = name;
-              tl_count = h.Ormp_telemetry.Metrics.count;
-              tl_total_ns = h.Ormp_telemetry.Metrics.sum;
-              tl_p50_ns = h.Ormp_telemetry.Metrics.p50;
-            })
-          snap.Ormp_telemetry.Metrics.snap_hists
-      in
+      let stages = snap.Ormp_telemetry.Metrics.snap_hists in
       Printf.printf
         "%d accesses per repetition (min of %d)\n\
          telemetry off: %7.2f ns/event\n\
@@ -735,22 +737,34 @@ let run_telemetry log ~bench () =
              ~header:[ "stage"; "count"; "total"; "p50" ]
              ~rows:
                (List.map
-                  (fun (s : Bench_log.telemetry_stage) ->
+                  (fun (name, h) ->
                     [
-                      s.Bench_log.tl_stage;
-                      string_of_int s.Bench_log.tl_count;
-                      Printf.sprintf "%.2f ms" (s.Bench_log.tl_total_ns /. 1e6);
-                      Printf.sprintf "%.0f ns" s.Bench_log.tl_p50_ns;
+                      name;
+                      string_of_int h.Ormp_telemetry.Metrics.count;
+                      Printf.sprintf "%.2f ms" (h.Ormp_telemetry.Metrics.sum /. 1e6);
+                      Printf.sprintf "%.0f ns" h.Ormp_telemetry.Metrics.p50;
                     ])
                   stages));
-      Bench_log.set_telemetry log
-        {
-          Bench_log.tl_events = n;
-          tl_off_ns_per_event = off_pe;
-          tl_on_ns_per_event = on_pe;
-          tl_ratio = ratio;
-          tl_stages = stages;
-        };
+      Bench_log.add log "telemetry"
+        (J.Obj
+           [
+             ("events", J.Int n);
+             ("off_ns_per_event", J.Float off_pe);
+             ("on_ns_per_event", J.Float on_pe);
+             ("ratio", J.Float ratio);
+             ( "stages",
+               J.List
+                 (List.map
+                    (fun (name, h) ->
+                      J.Obj
+                        [
+                          ("stage", J.String name);
+                          ("count", J.Int h.Ormp_telemetry.Metrics.count);
+                          ("total_ns", J.Float h.Ormp_telemetry.Metrics.sum);
+                          ("p50_ns", J.Float h.Ormp_telemetry.Metrics.p50);
+                        ])
+                    stages) );
+           ]);
       if ratio > 1.10 then begin
         Printf.printf "telemetry guard: FAILED — enabling telemetry costs %.1f%% (> 10%%)\n"
           ((ratio -. 1.0) *. 100.0);
@@ -775,45 +789,97 @@ let run_modelcheck log () =
       let module L = Ormp_modelcheck.Litmus in
       let module Mc = Ormp_modelcheck.Mc in
       let results = L.run_all () in
-      let rows =
-        List.map
-          (fun (r : L.result) ->
-            let s = r.L.stats in
-            {
-              Bench_log.mk_name = r.L.case.L.name;
-              mk_interleavings = s.Mc.interleavings;
-              mk_steps = s.Mc.steps_executed;
-              mk_max_depth = s.Mc.max_depth;
-              mk_exhaustive = r.L.case.L.exhaustive;
-              mk_budget_exhausted = s.Mc.budget_exhausted;
-              mk_violation = s.Mc.violation <> None;
-              mk_ok = r.L.ok;
-            })
-          results
-      in
       print_endline
         (Ormp_util.Ascii.table
            ~header:[ "litmus"; "interleavings"; "steps"; "depth"; "coverage"; "ok" ]
            ~rows:
              (List.map
-                (fun (r : Bench_log.modelcheck_row) ->
+                (fun (r : L.result) ->
+                  let s = r.L.stats in
                   [
-                    r.Bench_log.mk_name;
-                    string_of_int r.Bench_log.mk_interleavings;
-                    string_of_int r.Bench_log.mk_steps;
-                    string_of_int r.Bench_log.mk_max_depth;
-                    (if r.Bench_log.mk_violation then "violation"
-                     else if r.Bench_log.mk_budget_exhausted then "bounded"
+                    r.L.case.L.name;
+                    string_of_int s.Mc.interleavings;
+                    string_of_int s.Mc.steps_executed;
+                    string_of_int s.Mc.max_depth;
+                    (if s.Mc.violation <> None then "violation"
+                     else if s.Mc.budget_exhausted then "bounded"
                      else "exhaustive");
-                    (if r.Bench_log.mk_ok then "yes" else "NO");
+                    (if r.L.ok then "yes" else "NO");
                   ])
-                rows));
-      Bench_log.set_modelcheck log rows;
-      if List.exists (fun (r : Bench_log.modelcheck_row) -> not r.Bench_log.mk_ok) rows
-      then begin
+                results));
+      Bench_log.add log "modelcheck"
+        (J.List
+           (List.map
+              (fun (r : L.result) ->
+                let s = r.L.stats in
+                J.Obj
+                  [
+                    ("name", J.String r.L.case.L.name);
+                    ("interleavings", J.Int s.Mc.interleavings);
+                    ("steps", J.Int s.Mc.steps_executed);
+                    ("max_depth", J.Int s.Mc.max_depth);
+                    ("exhaustive", J.Bool r.L.case.L.exhaustive);
+                    ("budget_exhausted", J.Bool s.Mc.budget_exhausted);
+                    ("violation_found", J.Bool (s.Mc.violation <> None));
+                    ("ok", J.Bool r.L.ok);
+                  ])
+              results));
+      if List.exists (fun (r : L.result) -> not r.L.ok) results then begin
         print_endline "modelcheck: FAILED — a litmus expectation did not hold";
         exit 1
       end)
+
+(* ------------------------------------------------------------------ *)
+(* In-process daemon under client load (serve, observe)                *)
+(* ------------------------------------------------------------------ *)
+
+let linked_list_events () =
+  match Ormp_server.Client.generate ~workload:"linked_list" ~seed:1 with
+  | Ok (evs, _) -> evs
+  | Error msg -> failwith msg
+
+(* Runs a daemon with [options] on its own domain and [n] client sessions
+   replaying [events], one domain each, with tokens [tag-0 .. tag-(n-1)]
+   and retry jitter seeded from [seed]. [beside] starts once the daemon
+   runs and returns the function that stops it after the last client
+   joins (observe's stats poller). Returns each session's client stats
+   and the wall time from the first client spawn to the last join. *)
+let run_daemon_clients options ~tag ~seed ~n ~events ?(beside = fun () () -> ()) () =
+  let module Daemon = Ormp_server.Daemon in
+  let module Client = Ormp_server.Client in
+  let socket = options.Daemon.socket in
+  let daemon = Daemon.create options in
+  let daemon_domain = Domain.spawn (fun () -> Daemon.run daemon) in
+  let stop_beside = beside () in
+  let t0 = Ormp_util.Clock.now_s () in
+  let clients =
+    Array.init n (fun i ->
+        Domain.spawn (fun () ->
+            Client.run_session ~socket ~token:(Printf.sprintf "%s-%d" tag i)
+              ~workload:"linked_list" ~events ~ack_every:4
+              ~retry:
+                {
+                  Client.default_retry with
+                  Client.attempts = 60;
+                  backoff_s = 0.005;
+                  backoff_max_s = 0.05;
+                  seed = seed + i;
+                }
+              ()))
+  in
+  let stats =
+    Array.mapi
+      (fun i d ->
+        match Domain.join d with
+        | Ok (st : Client.stats) -> st
+        | Error msg -> failwith (Printf.sprintf "session %s-%d failed: %s" tag i msg))
+      clients
+  in
+  let wall_s = Ormp_util.Clock.now_s () -. t0 in
+  stop_beside ();
+  Daemon.stop daemon;
+  Domain.join daemon_domain;
+  (stats, wall_s)
 
 (* ------------------------------------------------------------------ *)
 (* Serve: multi-tenant daemon throughput shape (non-timing)            *)
@@ -834,28 +900,9 @@ let run_serve log ~bench () =
       let module Client = Ormp_server.Client in
       let n_sessions = if bench then 16 else 8 in
       let jobs = 2 in
-      let rec rm_rf path =
-        if Sys.file_exists path then
-          if Sys.is_directory path then begin
-            Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-            Sys.rmdir path
-          end
-          else Sys.remove path
-      in
-      let read_file path = In_channel.with_open_bin path In_channel.input_all in
-      let base =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "ormp-bench-serve-%d" (Unix.getpid ()))
-      in
-      rm_rf base;
-      Unix.mkdir base 0o755;
-      Fun.protect ~finally:(fun () -> rm_rf base) @@ fun () ->
+      with_temp_dir "serve" @@ fun base ->
       let socket = Filename.concat base "ormp.sock" in
-      let events =
-        match Client.generate ~workload:"linked_list" ~seed:1 with
-        | Ok (evs, _) -> evs
-        | Error msg -> failwith ("serve: " ^ msg)
-      in
+      let events = linked_list_events () in
       let options =
         {
           (Daemon.default_options ~socket ~root:base) with
@@ -865,37 +912,15 @@ let run_serve log ~bench () =
           retry_after_s = 0.01;
         }
       in
-      let daemon = Daemon.create options in
-      let daemon_domain = Domain.spawn (fun () -> Daemon.run daemon) in
-      let t0 = Ormp_util.Clock.now_s () in
-      let clients =
-        Array.init n_sessions (fun i ->
-            Domain.spawn (fun () ->
-                Client.run_session ~socket ~token:(Printf.sprintf "bench-%d" i)
-                  ~workload:"linked_list" ~events ~ack_every:4
-                  ~retry:
-                    {
-                      Client.default_retry with
-                      Client.attempts = 60;
-                      backoff_s = 0.005;
-                      backoff_max_s = 0.05;
-                      seed = 0xbe7c + i;
-                    }
-                  ()))
+      let stats, wall_s =
+        run_daemon_clients options ~tag:"bench" ~seed:0xbe7c ~n:n_sessions ~events ()
       in
-      let reconnects = ref 0 and sheds = ref 0 and latencies = ref [] in
-      Array.iteri
-        (fun i d ->
-          match Domain.join d with
-          | Ok (st : Client.stats) ->
-            reconnects := !reconnects + st.Client.st_reconnects;
-            sheds := !sheds + st.Client.st_sheds;
-            latencies := st.Client.st_ack_latencies @ !latencies
-          | Error msg -> failwith (Printf.sprintf "serve: session bench-%d failed: %s" i msg))
-        clients;
-      let wall_s = Ormp_util.Clock.now_s () -. t0 in
-      Daemon.stop daemon;
-      Domain.join daemon_domain;
+      let sum f = Array.fold_left (fun acc st -> acc + f st) 0 stats in
+      let reconnects = sum (fun st -> st.Client.st_reconnects)
+      and sheds = sum (fun st -> st.Client.st_sheds)
+      and latencies =
+        Array.fold_left (fun acc st -> st.Client.st_ack_latencies @ acc) [] stats
+      in
       let ref_dir = Filename.concat base "reference" in
       Client.reference ~dir:ref_dir ~events;
       let profiles dir =
@@ -911,26 +936,27 @@ let run_serve log ~bench () =
         in
         if profiles dir <> want then identical := false
       done;
-      let p q = 1000.0 *. Client.percentile !latencies q in
+      let p q = 1000.0 *. Client.percentile latencies q in
       Printf.printf
         "%d sessions x %d events, jobs=%d cap=%d: %.1f sessions/sec\n\
          ack latency p50 %.2fms p99 %.2fms   sheds %d   reconnects %d   byte-identical: %b\n\n"
         n_sessions (Array.length events) jobs options.Daemon.max_sessions
         (float_of_int n_sessions /. wall_s)
-        (p 0.5) (p 0.99) !sheds !reconnects !identical;
+        (p 0.5) (p 0.99) sheds reconnects !identical;
       if not !identical then failwith "serve: a session's profiles differ from reference";
-      Bench_log.set_serve log
-        {
-          Bench_log.sv_sessions = n_sessions;
-          sv_events = Array.length events;
-          sv_jobs = jobs;
-          sv_sessions_per_sec = float_of_int n_sessions /. wall_s;
-          sv_p50_ack_ms = p 0.5;
-          sv_p99_ack_ms = p 0.99;
-          sv_reconnects = !reconnects;
-          sv_sheds = !sheds;
-          sv_identical = !identical;
-        })
+      Bench_log.add log "serve"
+        (J.Obj
+           [
+             ("sessions", J.Int n_sessions);
+             ("events_per_session", J.Int (Array.length events));
+             ("jobs", J.Int jobs);
+             ("sessions_per_sec", J.Float (float_of_int n_sessions /. wall_s));
+             ("p50_ack_ms", J.Float (p 0.5));
+             ("p99_ack_ms", J.Float (p 0.99));
+             ("reconnects", J.Int reconnects);
+             ("sheds", J.Int sheds);
+             ("identical", J.Bool !identical);
+           ]))
 
 (* ------------------------------------------------------------------ *)
 (* Observe: ORMP-Watch introspection overhead guard                    *)
@@ -955,30 +981,12 @@ let run_observe log ~bench () =
       let module Tm = Ormp_telemetry.Telemetry in
       let n_sessions = if bench then 8 else 4 in
       let reps = if bench then 5 else 3 in
-      let rec rm_rf path =
-        if Sys.file_exists path then
-          if Sys.is_directory path then begin
-            Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-            Sys.rmdir path
-          end
-          else Sys.remove path
-      in
-      let events =
-        match Client.generate ~workload:"linked_list" ~seed:1 with
-        | Ok (evs, _) -> evs
-        | Error msg -> failwith ("observe: " ^ msg)
-      in
+      let events = linked_list_events () in
       let stats_frames = ref 0 and flight_dumps = ref 0 in
       let run_id = ref 0 in
       let run_once ~stats () =
         incr run_id;
-        let base =
-          Filename.concat (Filename.get_temp_dir_name ())
-            (Printf.sprintf "ormp-bench-observe-%d-%d" (Unix.getpid ()) !run_id)
-        in
-        rm_rf base;
-        Unix.mkdir base 0o755;
-        Fun.protect ~finally:(fun () -> rm_rf base) @@ fun () ->
+        with_temp_dir (Printf.sprintf "observe-%d" !run_id) @@ fun base ->
         let socket = Filename.concat base "ormp.sock" in
         let options =
           {
@@ -993,55 +1001,27 @@ let run_observe log ~bench () =
         (* Daemon.create enables the registry when [stats]; the off side
            must measure with it genuinely off *)
         if not stats then Tm.disable ();
-        let daemon = Daemon.create options in
-        let daemon_domain = Domain.spawn (fun () -> Daemon.run daemon) in
-        let stop_poll = Atomic.make false in
-        let poller =
-          if not stats then None
-          else
-            Some
-              (Domain.spawn (fun () ->
-                   let n = ref 0 in
-                   while not (Atomic.get stop_poll) do
-                     (match Client.fetch_stats ~socket ~io_timeout_s:5.0 () with
-                     | Ok s ->
-                       incr n;
-                       flight_dumps := s.Stats.s_flight_dumps
-                     | Error _ -> ());
-                     Ormp_server.Net_io.sleep 0.005
-                   done;
-                   !n))
+        let poller () =
+          let stop_poll = Atomic.make false in
+          let d =
+            Domain.spawn (fun () ->
+                let n = ref 0 in
+                while not (Atomic.get stop_poll) do
+                  (match Client.fetch_stats ~socket ~io_timeout_s:5.0 () with
+                  | Ok s ->
+                    incr n;
+                    flight_dumps := s.Stats.s_flight_dumps
+                  | Error _ -> ());
+                  Ormp_server.Net_io.sleep 0.005
+                done;
+                !n)
+          in
+          fun () ->
+            Atomic.set stop_poll true;
+            stats_frames := !stats_frames + Domain.join d
         in
-        let t0 = Ormp_util.Clock.now_s () in
-        let clients =
-          Array.init n_sessions (fun i ->
-              Domain.spawn (fun () ->
-                  Client.run_session ~socket ~token:(Printf.sprintf "ob-%d" i)
-                    ~workload:"linked_list" ~events ~ack_every:4
-                    ~retry:
-                      {
-                        Client.default_retry with
-                        Client.attempts = 60;
-                        backoff_s = 0.005;
-                        backoff_max_s = 0.05;
-                        seed = 0x0b5e + i;
-                      }
-                    ()))
-        in
-        Array.iteri
-          (fun i d ->
-            match Domain.join d with
-            | Ok (_ : Client.stats) -> ()
-            | Error msg -> failwith (Printf.sprintf "observe: session ob-%d failed: %s" i msg))
-          clients;
-        let wall_s = Ormp_util.Clock.now_s () -. t0 in
-        Atomic.set stop_poll true;
-        (match poller with
-        | Some p -> stats_frames := !stats_frames + Domain.join p
-        | None -> ());
-        Daemon.stop daemon;
-        Domain.join daemon_domain;
-        wall_s
+        let beside = if stats then poller else fun () () -> () in
+        snd (run_daemon_clients options ~tag:"ob" ~seed:0x0b5e ~n:n_sessions ~events ~beside ())
       in
       (* Warm both modes, then take the best of [reps] *interleaved*
          off/on pairs. Measuring the modes in separate blocks let slow
@@ -1071,16 +1051,17 @@ let run_observe log ~bench () =
          dumps)\n\n"
         n_sessions (Array.length events) reps off_eps on_eps ratio !stats_frames
         !flight_dumps;
-      Bench_log.set_observe log
-        {
-          Bench_log.ob_sessions = n_sessions;
-          ob_events = Array.length events;
-          ob_off_events_per_sec = off_eps;
-          ob_on_events_per_sec = on_eps;
-          ob_ratio = ratio;
-          ob_stats_frames = !stats_frames;
-          ob_flight_dumps = !flight_dumps;
-        };
+      Bench_log.add log "observe"
+        (J.Obj
+           [
+             ("sessions", J.Int n_sessions);
+             ("events_per_session", J.Int (Array.length events));
+             ("off_events_per_sec", J.Float off_eps);
+             ("on_events_per_sec", J.Float on_eps);
+             ("ratio", J.Float ratio);
+             ("stats_frames", J.Int !stats_frames);
+             ("flight_dumps", J.Int !flight_dumps);
+           ]);
       if ratio > 1.10 then begin
         Printf.printf
           "observe guard: FAILED — watching the daemon costs %.1f%% (> 10%%)\n"
@@ -1139,7 +1120,6 @@ let micro_event_counts =
     ("sequitur: 32k scattered symbols (push_batch, size hint)", 32768);
     ("range_index: 1k insert+find", 2000);
     ("omc: 1k translations", 1000);
-    ("omc: 1k translations (MRU cache)", 1000);
     ("omc: 1k batched translations", 1000);
     ("lmad: 4k-point regular stream", 4096);
     ("lmad: 4k-point scattered stream", 4096);
@@ -1167,6 +1147,8 @@ let run_micro log () =
         | Some r -> (
           match Analyze.OLS.estimates r with Some [ v ] -> Some v | _ -> None)
       in
+      (* (name, ns/run, minor words/run — NaN when the allocation pass
+         failed — and events/run, 0 for rows with no natural count) *)
       let rows = ref [] in
       Hashtbl.iter
         (fun name ols_result ->
@@ -1178,20 +1160,34 @@ let run_micro log () =
               | None -> name
             in
             rows :=
-              {
-                Bench_log.mr_name = short;
-                mr_ns_per_run = ns;
-                mr_minor_words_per_run =
-                  Option.value ~default:Float.nan (estimate words_results name);
-                mr_events = Option.value ~default:0 (List.assoc_opt short event_counts);
-              }
+              ( short,
+                ns,
+                Option.value ~default:Float.nan (estimate words_results name),
+                Option.value ~default:0 (List.assoc_opt short event_counts) )
               :: !rows
           | _ -> ())
         ns_results;
-      let rows =
-        List.sort (fun a b -> compare a.Bench_log.mr_name b.Bench_log.mr_name) !rows
-      in
-      Bench_log.set_micro log rows;
+      let rows = List.sort compare !rows in
+      let per_event events f = f /. float_of_int events in
+      Bench_log.add log "micro"
+        (J.List
+           (List.map
+              (fun (name, ns, words, events) ->
+                J.Obj
+                  ([
+                     ("name", J.String name);
+                     ("ns_per_run", J.Float ns);
+                     ("minor_words_per_run", J.Float words);
+                     ("events", J.Int events);
+                   ]
+                  @
+                  if events > 0 then
+                    [
+                      ("ns_per_event", J.Float (per_event events ns));
+                      ("minor_words_per_event", J.Float (per_event events words));
+                    ]
+                  else []))
+              rows));
       let pretty_ns ns =
         if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
         else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
@@ -1202,19 +1198,18 @@ let run_micro log () =
            ~header:[ "benchmark"; "time per run"; "minor alloc"; "ns/event"; "words/event" ]
            ~rows:
              (List.map
-                (fun (r : Bench_log.micro_row) ->
-                  let per_event f =
-                    if r.Bench_log.mr_events > 0 && not (Float.is_nan f) then
-                      Printf.sprintf "%.2f" (f /. float_of_int r.Bench_log.mr_events)
+                (fun (name, ns, words, events) ->
+                  let cell f =
+                    if events > 0 && not (Float.is_nan f) then
+                      Printf.sprintf "%.2f" (per_event events f)
                     else "-"
                   in
                   [
-                    r.Bench_log.mr_name;
-                    pretty_ns r.Bench_log.mr_ns_per_run;
-                    (if Float.is_nan r.Bench_log.mr_minor_words_per_run then "-"
-                     else Printf.sprintf "%.0f w" r.Bench_log.mr_minor_words_per_run);
-                    per_event r.Bench_log.mr_ns_per_run;
-                    per_event r.Bench_log.mr_minor_words_per_run;
+                    name;
+                    pretty_ns ns;
+                    (if Float.is_nan words then "-" else Printf.sprintf "%.0f w" words);
+                    cell ns;
+                    cell words;
                   ])
                 rows)))
 
@@ -1222,164 +1217,50 @@ let run_micro log () =
 (* perf-guard: regression check against a committed baseline log       *)
 (* ------------------------------------------------------------------ *)
 
-(* Compares this run's hotpath figure, the sequitur/leap/whomp/omc/
-   range_index micro rows (time AND minor-word allocation, per event
-   where the row has a count), and the combined jobs=1 scaling
-   throughput against a baseline BENCH_ormp.json — exit 1 if anything
-   regressed more than [guard_threshold]x. Only rows present in both
-   runs participate; sub-threshold drift prints but passes. Wired to
-   `dune build @perf-guard` (opt-in — timing under test concurrency is
-   too noisy for @runtest). *)
-let guard_threshold = 1.5
-
-let run_guard log ~baseline =
-  let module J = Ormp_util.Json in
-  print_endline
-    (Ormp_util.Ascii.section
-       (Printf.sprintf "perf-guard: vs %s (fail above %.1fx)" baseline guard_threshold));
-  let root =
-    match
-      J.of_string (In_channel.with_open_bin baseline In_channel.input_all)
-    with
-    | Ok t -> t
+(* Reads the log this run just wrote back the same way as the baseline,
+   prints Perf_guard's verdict for every gated figure and exits 1 if one
+   regressed, 2 if nothing was comparable. Wired to `dune build
+   @perf-guard` (opt-in — timing under test concurrency is too noisy for
+   @runtest) and to @bench-smoke, which judges a run against itself. *)
+let run_guard ~baseline ~current =
+  let read path =
+    match J.of_string (read_file path) with
+    | Ok doc -> doc
     | Error e ->
-      Printf.eprintf "perf-guard: cannot parse %s: %s\n" baseline e;
+      Printf.eprintf "perf-guard: cannot parse %s: %s\n" path e;
       exit 2
     | exception Sys_error e ->
-      Printf.eprintf "perf-guard: cannot read baseline: %s\n" e;
+      Printf.eprintf "perf-guard: cannot read %s\n" e;
       exit 2
   in
-  (match Option.bind (J.member "mode" root) J.to_str with
-  | Some mode when mode <> log.Bench_log.mode ->
+  let base = read baseline and cur = read current in
+  print_endline
+    (Ormp_util.Ascii.section
+       (Printf.sprintf "perf-guard: vs %s (fail above %.1fx)" baseline Perf_guard.threshold));
+  let mode doc = Option.bind (J.member "mode" doc) J.to_str in
+  (match (mode base, mode cur) with
+  | Some b, Some c when b <> c ->
     Printf.printf
       "note: baseline mode %S differs from this run's %S — ratios compare\n\
-       different scales and only gate gross regressions.\n" mode log.Bench_log.mode
+       different scales and only gate gross regressions.\n" b c
   | _ -> ());
-  let failures = ref 0 and compared = ref 0 in
-  let check name base cur =
-    match (base, cur) with
-    | Some bv, Some cv when bv > 0.0 ->
-      incr compared;
-      let ratio = cv /. bv in
-      let verdict =
-        if ratio > guard_threshold then begin
-          incr failures;
-          "FAIL"
-        end
-        else "ok"
-      in
-      Printf.printf "  %-56s %10.2f -> %10.2f ns  %5.2fx  %s\n" name bv cv ratio verdict
-    | _ -> Printf.printf "  %-56s not in both runs - skipped\n" name
-  in
-  (* Allocation figures get the same relative threshold plus one word of
-     absolute slack: the flat rows sit at (or near) zero words/event,
-     where a pure ratio would flag measurement noise. *)
-  let check_words name base cur =
-    match (base, cur) with
-    | Some bv, Some cv when not (Float.is_nan bv || Float.is_nan cv) ->
-      incr compared;
-      let limit = (bv *. guard_threshold) +. 1.0 in
-      let verdict =
-        if cv > limit then begin
-          incr failures;
-          "FAIL"
-        end
-        else "ok"
-      in
-      Printf.printf "  %-56s %10.2f -> %10.2f w   limit %.2f  %s\n" name bv cv limit
-        verdict
-    | _ -> Printf.printf "  %-56s not in both runs - skipped\n" name
-  in
-  let jfloat o k = Option.bind (Option.bind o (J.member k)) J.to_float in
-  check "hotpath.batched_ns_per_event"
-    (jfloat (J.member "hotpath" root) "batched_ns_per_event")
-    (Option.map (fun h -> h.Bench_log.batched_ns_per_event) log.Bench_log.hotpath);
-  (* Micro rows guarded per family: every structure this repo has
-     flattened stays under both its time and its allocation baseline.
-     Rows with an event count compare per-event figures (stable across
-     a renamed or re-sized run); the rest fall back to per-run ns. *)
-  let guarded_prefixes = [ "sequitur"; "leap"; "whomp"; "omc"; "range_index" ] in
-  let has_prefix name p =
-    String.length name >= String.length p && String.sub name 0 (String.length p) = p
-  in
-  let base_micro =
-    match Option.bind (J.member "micro" root) J.to_list with
-    | None -> []
-    | Some rows ->
-      List.filter_map
-        (fun r ->
-          match Option.bind (J.member "name" r) J.to_str with
-          | Some n -> Some (n, r)
-          | None -> None)
-        rows
-  in
-  List.iter
-    (fun (r : Bench_log.micro_row) ->
-      if List.exists (has_prefix r.Bench_log.mr_name) guarded_prefixes then begin
-        let base = List.assoc_opt r.Bench_log.mr_name base_micro in
-        let ev = r.Bench_log.mr_events in
-        if ev > 0 then begin
-          check
-            (r.Bench_log.mr_name ^ " [/event]")
-            (jfloat base "ns_per_event")
-            (Some (r.Bench_log.mr_ns_per_run /. float_of_int ev));
-          check_words
-            (r.Bench_log.mr_name ^ " [words/event]")
-            (jfloat base "minor_words_per_event")
-            (Some (r.Bench_log.mr_minor_words_per_run /. float_of_int ev))
-        end
-        else
-          check r.Bench_log.mr_name (jfloat base "ns_per_run")
-            (Some r.Bench_log.mr_ns_per_run)
-      end)
-    log.Bench_log.micro;
-  (* Combined-suite throughput (higher is better): fail when this run is
-     more than [guard_threshold]x slower than the baseline's jobs=1 row. *)
-  let check_throughput name base cur =
-    match (base, cur) with
-    | Some bv, Some cv when bv > 0.0 && cv > 0.0 ->
-      incr compared;
-      let ratio = bv /. cv in
-      let verdict =
-        if ratio > guard_threshold then begin
-          incr failures;
-          "FAIL"
-        end
-        else "ok"
-      in
-      Printf.printf "  %-56s %10.0f -> %10.0f ev/s %4.2fx  %s\n" name bv cv ratio verdict
-    | _ -> Printf.printf "  %-56s not in both runs - skipped\n" name
-  in
-  let scaling_jobs1 rows_json =
-    Option.bind rows_json (fun rows ->
-        List.find_map
-          (fun r ->
-            match Option.bind (J.member "jobs" r) J.to_float with
-            | Some 1.0 -> jfloat (Some r) "events_per_sec"
-            | _ -> None)
-          rows)
-  in
-  check_throughput "scaling.combined(jobs=1).events_per_sec"
-    (scaling_jobs1
-       (Option.bind (Option.bind (J.member "scaling" root) (J.member "rows")) J.to_list))
-    (Option.bind log.Bench_log.scaling (fun s ->
-         List.find_map
-           (fun (r : Bench_log.scaling_row) ->
-             if r.Bench_log.sl_jobs = 1 then Some r.Bench_log.sl_events_per_sec else None)
-           s.Bench_log.sl_rows));
+  let verdicts = Perf_guard.compare ~baseline:base ~current:cur in
+  List.iter (fun v -> print_endline (Perf_guard.line v)) verdicts;
   print_newline ();
-  if !compared = 0 then begin
+  let count status = List.length (List.filter (fun v -> v.Perf_guard.status = status) verdicts) in
+  match Perf_guard.exit_code verdicts with
+  | 0 ->
+    Printf.printf "perf-guard: ok (%d figure(s) within %.1fx)\n" (count Perf_guard.Pass)
+      Perf_guard.threshold
+  | 2 ->
     Printf.eprintf
       "perf-guard: nothing to compare — run the hotpath and micro sections\n\
        against a baseline that contains them.\n";
     exit 2
-  end;
-  if !failures > 0 then begin
-    Printf.printf "perf-guard: FAILED — %d figure(s) regressed beyond %.1fx\n" !failures
-      guard_threshold;
-    exit 1
-  end
-  else Printf.printf "perf-guard: ok (%d figure(s) within %.1fx)\n" !compared guard_threshold
+  | code ->
+    Printf.printf "perf-guard: FAILED — %d figure(s) regressed beyond %.1fx\n"
+      (count Perf_guard.Fail) Perf_guard.threshold;
+    exit code
 
 let () =
   let fast, baseline, wanted, enabled = parse_args () in
@@ -1402,4 +1283,4 @@ let () =
   (* Skipped in default timing runs; see the usage comment. *)
   if List.mem "verify" wanted || (wanted = [] && fast) then run_verify log ~bench ();
   Bench_log.write log "BENCH_ormp.json";
-  match baseline with None -> () | Some path -> run_guard log ~baseline:path
+  Option.iter (fun path -> run_guard ~baseline:path ~current:"BENCH_ormp.json") baseline

@@ -123,8 +123,6 @@ let rules =
     };
   ]
 
-let rule_names = List.map (fun r -> r.r_name) rules
-
 (* --- comment/string stripping ------------------------------------------ *)
 
 (* State carried across lines: comment nesting depth, inside-a-string,

@@ -40,8 +40,6 @@ type finding = {
 
 type report = { roots : string list; files_scanned : int; findings : finding list }
 
-val rule_names : string list
-
 val scan_file : string -> finding list
 (** Findings for one file, in line order. *)
 

@@ -33,68 +33,6 @@ let sink t =
       Omc.on_alloc t.omc ~time:t.clock ~site ~addr ~size ~type_name
     | Free { addr; site } -> Omc.on_free ?site t.omc ~time:t.clock ~addr
 
-let batch ?capacity t =
-  let capacity =
-    match capacity with Some c -> c | None -> Ormp_trace.Batch.default_capacity
-  in
-  (* Scratch translation results, reused across chunks. *)
-  let groups = Array.make capacity 0 in
-  let serials = Array.make capacity 0 in
-  let offsets = Array.make capacity 0 in
-  let on_chunk (c : Ormp_trace.Batch.chunk) =
-    let len = c.len in
-    if len > capacity then invalid_arg "Cdc.batch: chunk larger than capacity";
-    let t0 = if Tm.on () then Tm.now_ns () else 0L in
-    let clock0 = t.clock and wild0 = t.wild in
-    Omc.translate_batch t.omc ~instrs:c.instr ~addrs:c.addr ~len ~groups ~serials ~offsets;
-    (* [translate_batch] validated instr/addr and the scratch arrays
-       against [len], and the guard above covers the size/store arrays
-       (all four chunk arrays share the batch capacity), so the per-access
-       loop reads unchecked. *)
-    for i = 0 to len - 1 do
-      let group = Array.unsafe_get groups i in
-      if group >= 0 then begin
-        let tuple =
-          {
-            Tuple.instr = Array.unsafe_get c.instr i;
-            group;
-            obj = Array.unsafe_get serials i;
-            offset = Array.unsafe_get offsets i;
-            time = t.clock;
-            is_store = Array.unsafe_get c.store i <> 0;
-          }
-        in
-        t.clock <- t.clock + 1;
-        t.on_tuple tuple
-      end
-      else begin
-        t.wild <- t.wild + 1;
-        t.on_wild
-          (Ormp_trace.Event.Access
-             {
-               instr = c.instr.(i);
-               addr = c.addr.(i);
-               size = c.size.(i);
-               is_store = c.store.(i) <> 0;
-             })
-      end
-    done;
-    if Tm.on () then begin
-      Tm.Metrics.observe m_chunk_ns (Int64.to_float (Int64.sub (Tm.now_ns ()) t0));
-      Tm.Metrics.incr m_chunks;
-      Tm.Metrics.add m_tuples (t.clock - clock0);
-      Tm.Metrics.add m_wild (t.wild - wild0)
-    end
-  in
-  let on_event (ev : Ormp_trace.Event.t) =
-    match ev with
-    | Alloc { site; addr; size; type_name } ->
-      Omc.on_alloc t.omc ~time:t.clock ~site ~addr ~size ~type_name
-    | Free { addr; site } -> Omc.on_free ?site t.omc ~time:t.clock ~addr
-    | Access _ -> assert false (* batches route accesses through on_chunk *)
-  in
-  Ormp_trace.Batch.create ~capacity ~on_chunk ~on_event ()
-
 (* --- SoA tuple chunks (pipeline fan-out source) ----------------------- *)
 
 type tuples = {

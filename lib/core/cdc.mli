@@ -23,24 +23,18 @@ val create :
 val sink : t -> Ormp_trace.Sink.t
 (** The per-event probe entry point: boxes nothing itself but pays one
     full range-index lookup (and the caller one event allocation) per
-    access. *)
-
-val batch : ?capacity:int -> t -> Ormp_trace.Batch.t
-(** The batched probe entry point for {!Ormp_vm.Runner.run_batched} (or
-    for replaying a recorded trace with {!Ormp_trace.Batch.event}):
-    accesses arrive as struct-of-arrays chunks, are translated through the
-    OMC's MRU cache with {!Omc.translate_batch}, and come out as exactly
-    the same tuple sequence {!sink} would produce — object events flush
-    pending accesses first, so the interleaving and the time stamps are
-    identical. *)
+    access. Production runs use {!batch_tuples}; this path stays as the
+    reference the batched-equivalence tests compare against. *)
 
 (** {1 SoA tuple chunks}
 
-    The fan-out source for the pipeline-parallel SCC: instead of one
-    [on_tuple] callback per access, translated accesses are compacted
-    (wild ones removed) into a reused struct-of-arrays chunk and handed
-    over once per chunk, cheap enough to slice into per-dimension lane
-    copies for the compressor domains. *)
+    The batched probe entry point, for {!Ormp_vm.Runner.run_batched} (or
+    for replaying a recorded trace with {!Ormp_trace.Batch.event}), and
+    the fan-out source for the pipeline's compressors: accesses arrive as
+    struct-of-arrays chunks, are translated through the OMC's MRU cache
+    with {!Omc.translate_batch}, and instead of one [on_tuple] callback
+    per access the translated ones are compacted (wild ones removed) into
+    a reused struct-of-arrays chunk handed over once per chunk. *)
 
 type tuples = {
   tp_instr : int array;
@@ -57,11 +51,11 @@ type tuples = {
 
 val batch_tuples :
   ?capacity:int -> t -> on_tuples:(tuples -> unit) -> unit -> Ormp_trace.Batch.t
-(** Like {!batch}, but emits SoA tuple chunks instead of per-access
-    callbacks. The chunk is reused: consumers must copy what they keep
-    before returning. The tuple sequence (concatenated over chunks) is
-    exactly what {!batch} would deliver; wild accesses still go to
-    [on_wild] one at a time. *)
+(** The chunk is reused: consumers must copy what they keep before
+    returning. The tuple sequence (concatenated over chunks) is exactly
+    what {!sink} would deliver — object events flush pending accesses
+    first, so the interleaving and the time stamps are identical; wild
+    accesses still go to [on_wild] one at a time. *)
 
 val omc : t -> Omc.t
 

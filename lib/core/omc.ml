@@ -150,9 +150,9 @@ let ensure_cache t instr =
     t.cache <- grown
   end
 
-(* Slow half of the cache lookup, shared by [translate_fast] and
-   [translate_batch]: try the second way, then the range index; either
-   way the winner moves to way 0 and the previous way-0 entry is demoted.
+(* Slow half of [translate_batch]'s cache lookup: try the second way,
+   then the range index; either way the winner moves to way 0 and the
+   previous way-0 entry is demoted.
    [b] is the instruction's lane base; on [true] the way-0 lanes hold the
    answer. The range-index probe goes through [Ri.find_idx] and the flat
    lanes, so even the fill path allocates nothing. *)
@@ -191,29 +191,6 @@ let cache_fill t gen addr b =
       false
     end
   end
-
-let translate_fast t ~instr addr =
-  ensure_cache t instr;
-  let cache = t.cache in
-  let gen = Ri.generation t.index in
-  let b = cache_stride * instr in
-  let base0 = Array.unsafe_get cache (b + 1) in
-  if
-    Array.unsafe_get cache b = gen
-    && addr - base0 >= 0
-    && addr - base0 < Array.unsafe_get cache (b + 2)
-  then begin
-    t.translations <- t.translations + 1;
-    t.cache_hits <- t.cache_hits + 1;
-    Some (Array.unsafe_get cache (b + 3), Array.unsafe_get cache (b + 4), addr - base0)
-  end
-  else if cache_fill t gen addr b then
-    let cache = t.cache in
-    Some
-      ( Array.unsafe_get cache (b + 3),
-        Array.unsafe_get cache (b + 4),
-        addr - Array.unsafe_get cache (b + 1) )
-  else None
 
 let translate_batch t ~instrs ~addrs ~len ~groups ~serials ~offsets =
   if

@@ -54,17 +54,9 @@ val translate : t -> int -> (int * int * int) option
 (** [translate t addr] is [Some (group, object-serial, offset)] for the
     live object containing [addr], [None] for unprofiled memory. Always
     pays the full range-index lookup; the batched pipeline uses
-    {!translate_fast}/{!translate_batch} instead. *)
-
-val translate_fast : t -> instr:int -> int -> (int * int * int) option
-(** Same answer as {!translate}, but consults a two-way per-instruction
-    MRU cache first (DJXPerf-style "last touched object" plus the entry it
-    displaced): most instructions hit the same object repeatedly, so the
-    common case is three compares instead
-    of an AVL descent. A cached object answers only while it is live and
-    its range contains the address — freeing an object invalidates every
-    cache entry pointing at it, so an allocation reusing the same base can
-    never be answered with the dead object's identity. *)
+    {!translate_batch} instead. Kept as the reference the per-event
+    {!Cdc.sink} path, the equivalence tests and the bench's legacy
+    hot-path row translate through. *)
 
 val translate_batch :
   t ->
@@ -75,11 +67,18 @@ val translate_batch :
   serials:int array ->
   offsets:int array ->
   unit
-(** Translate the first [len] (instr, addr) pairs through the MRU cache,
-    writing results into [groups]/[serials]/[offsets] (all [-1] for an
-    untranslatable address). This is the allocation-free hot path the
-    batched CDC drives. @raise Invalid_argument if any array is shorter
-    than [len]. *)
+(** Translate the first [len] (instr, addr) pairs, writing results into
+    [groups]/[serials]/[offsets] (all [-1] for an untranslatable address):
+    the same answers as {!translate}, but through a two-way
+    per-instruction MRU cache (DJXPerf-style "last touched object" plus
+    the entry it displaced). Most instructions hit the same object
+    repeatedly, so the common case is three compares instead of a
+    range-index search. A cached object answers only while it is live
+    and its range contains the address — freeing an object invalidates
+    every cache entry pointing at it, so an allocation reusing the same
+    base can never be answered with the dead object's identity. This is
+    the allocation-free hot path the batched CDC drives.
+    @raise Invalid_argument if any array is shorter than [len]. *)
 
 val group : t -> int -> group_info
 (** @raise Invalid_argument for an unknown group id. *)

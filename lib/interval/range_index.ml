@@ -32,9 +32,6 @@ let create () =
 let cardinal t = t.count
 let max_live t = t.high_water
 let generation t = t.generation
-let bases_lane t = t.bases
-let sizes_lane t = t.sizes
-let values_lane t = t.values
 
 (* Index of the greatest base <= addr, or -1. The loop halves a
    [len]-wide window in place; the only data-dependent branch is the

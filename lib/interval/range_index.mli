@@ -77,14 +77,3 @@ val idx_size : 'a t -> int -> int
 
 val idx_value : 'a t -> int -> 'a
 (** Value of the range at a lane index (same contract as {!idx_base}). *)
-
-val bases_lane : 'a t -> int array
-(** Borrowed read-only view of the sorted base lane; entries beyond
-    {!cardinal} are garbage. Invalidated (possibly replaced wholesale)
-    by any mutation — callers must re-fetch when {!generation} moves. *)
-
-val sizes_lane : 'a t -> int array
-(** Borrowed read-only size lane (same contract as {!bases_lane}). *)
-
-val values_lane : 'a t -> 'a array
-(** Borrowed read-only value lane (same contract as {!bases_lane}). *)

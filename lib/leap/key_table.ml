@@ -84,23 +84,6 @@ let pairs_create ?(capacity = 64) () =
   done;
   { pdata = Array.make (2 * !cap) (-1); pmask = !cap - 1; pn = 0 }
 
-let pairs_length t = t.pn
-
-(* Value bound to [k], or -1 (values must be non-negative). *)
-let[@inline] pairs_get t k =
-  let mask = t.pmask in
-  let data = t.pdata in
-  let i = ref (mix k land mask) in
-  let r = ref (-2) in
-  while !r = -2 do
-    let base = 2 * !i in
-    let v = Array.unsafe_get data (base + 1) in
-    if v < 0 then r := -1
-    else if Array.unsafe_get data base = k then r := v
-    else i := (!i + 1) land mask
-  done;
-  !r
-
 let pairs_write t k v =
   let mask = t.pmask in
   let data = t.pdata in

@@ -29,11 +29,6 @@ type pairs
 (** [k -> v] map stored as interleaved [k; v] pairs. *)
 
 val pairs_create : ?capacity:int -> unit -> pairs
-val pairs_length : pairs -> int
-
-val pairs_get : pairs -> int -> int
-(** Value bound to [k], or -1. *)
-
 val pairs_set : pairs -> int -> int -> unit
 (** Bind [k -> v], replacing any previous binding. *)
 

@@ -301,8 +301,6 @@ let stores p = List.filter (is_store p) (instrs p)
 
 let streams_of p instr = List.filter (fun (k, _) -> k.instr = instr) p.streams
 
-let groups_of p instr = List.map (fun (k, _) -> k.group) (streams_of p instr)
-
 (* Sorted-lane lookup for the post-processors: freeze the stream list once
    and answer (instr, group) probes by binary search, with no per-probe key
    allocation (the old [List.assoc_opt { instr; group }] pattern allocated

@@ -66,7 +66,9 @@ val sink :
   site_name:(int -> string) ->
   unit ->
   Ormp_trace.Sink.t * (elapsed:float -> profile)
-(** Streaming form, for sharing a run with other profilers. *)
+(** Streaming form. This per-event path is kept as a reference: the
+    batched-equivalence tests compare {!sink_batched} against it, and the
+    end-to-end benchmark builds its LEAP reference profiles with it. *)
 
 val sink_batched :
   ?grouping:Ormp_core.Omc.grouping ->
@@ -149,9 +151,6 @@ val stream_index : profile -> instr:int -> group:int -> stream option
     and returns a lookup answering (instr, group) probes by binary search
     with no per-probe key allocation — for post-processors that probe many
     pairs ({!Mdf}, {!Alias}). *)
-
-val groups_of : profile -> int -> int list
-(** Groups an instruction touches. *)
 
 val instr_total : profile -> int -> int
 (** Collected accesses of an instruction (captured + discarded). *)

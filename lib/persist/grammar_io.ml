@@ -3,13 +3,6 @@ module Seq_c = Ormp_sequitur.Sequitur
 
 let ( let* ) = Result.bind
 
-let rec collect_results = function
-  | [] -> Ok []
-  | Ok x :: rest ->
-    let* xs = collect_results rest in
-    Ok (x :: xs)
-  | Error e :: _ -> Error e
-
 (* One grammar as [(grammar (dim <name>) (rule <id> <sym>...)...)]:
    terminals are bare ints, non-terminals [R<id>] atoms. Rules are
    enumerated with {!Ormp_sequitur.Sequitur.iter_rules} — same ascending-id
@@ -53,7 +46,7 @@ let of_sexp args =
           | None -> Error ("bad rule id " ^ id_s)
           | Some id ->
             let* syms =
-              collect_results
+              S.collect_results
                 (List.map
                    (fun s ->
                      let* a = S.as_atom s in

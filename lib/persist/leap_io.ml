@@ -7,6 +7,16 @@ let version = 1
 
 let comp_to_sexp = Lmad_io.comp_to_sexp
 
+let spans_to_sexp (s : Leap.stream) =
+  S.field "spans"
+    (List.concat_map
+       (fun (sp : Leap.span) -> [ S.int sp.Leap.t_first; S.int sp.Leap.t_last ])
+       (List.rev (Ormp_util.Vec.fold_left (fun acc sp -> sp :: acc) [] s.Leap.spans)))
+  ::
+  (match s.Leap.dspan with
+  | None -> []
+  | Some sp -> [ S.field "dspan" [ S.int sp.Leap.t_first; S.int sp.Leap.t_last ] ])
+
 let stream_to_sexp (k : Leap.key) (s : Leap.stream) =
   S.field "stream"
     ([
@@ -14,16 +24,8 @@ let stream_to_sexp (k : Leap.key) (s : Leap.stream) =
        S.field "group" [ S.int k.Leap.group ];
        comp_to_sexp "comp" s.Leap.comp;
        comp_to_sexp "off" s.Leap.off;
-       S.field "spans"
-         (List.concat_map
-            (fun (sp : Leap.span) -> [ S.int sp.Leap.t_first; S.int sp.Leap.t_last ])
-            (List.rev
-               (Ormp_util.Vec.fold_left (fun acc sp -> sp :: acc) [] s.Leap.spans)));
      ]
-    @
-    match s.Leap.dspan with
-    | None -> []
-    | Some sp -> [ S.field "dspan" [ S.int sp.Leap.t_first; S.int sp.Leap.t_last ] ])
+    @ spans_to_sexp s)
 
 let to_sexp (p : Leap.profile) =
   S.field "ormp-leap-profile"
@@ -63,29 +65,12 @@ let save path p = S.save path (to_sexp p)
 
 let ( let* ) = Result.bind
 
-let rec collect_results = function
-  | [] -> Ok []
-  | Ok x :: rest ->
-    let* xs = collect_results rest in
-    Ok (x :: xs)
-  | Error e :: _ -> Error e
-
-let int_list args = collect_results (List.map S.as_int args)
-
-let int_field name t =
-  let* args = S.assoc name t in
-  match args with [ x ] -> S.as_int x | _ -> Error ("bad field " ^ name)
-
 let opt_int_field ~default name t =
-  match S.assoc name t with Error _ -> Ok default | Ok _ -> int_field name t
+  match S.assoc name t with Error _ -> Ok default | Ok _ -> S.int_field name t
 
-let stream_of_sexp t =
-  let* instr = int_field "instr" t in
-  let* group = int_field "group" t in
-  let* comp = Lmad_io.comp_of_sexp "comp" t in
-  let* off = Lmad_io.comp_of_sexp "off" t in
+let spans_of_sexp t =
   let* span_args = S.assoc "spans" t in
-  let* span_ints = int_list span_args in
+  let* span_ints = S.int_list span_args in
   let spans = Ormp_util.Vec.create () in
   let rec pair_up = function
     | [] -> Ok ()
@@ -104,6 +89,14 @@ let stream_of_sexp t =
     | Ok _ -> Error "bad dspan"
     | Error _ -> Ok None
   in
+  Ok (spans, dspan)
+
+let stream_of_sexp t =
+  let* instr = S.int_field "instr" t in
+  let* group = S.int_field "group" t in
+  let* comp = Lmad_io.comp_of_sexp "comp" t in
+  let* off = Lmad_io.comp_of_sexp "off" t in
+  let* spans, dspan = spans_of_sexp t in
   Ok ({ Leap.instr; group }, { Leap.comp; spans; off; dspan })
 
 let of_sexp t =
@@ -111,24 +104,24 @@ let of_sexp t =
   match args with
   | S.Atom "ormp-leap-profile" :: rest ->
     let body = S.List (S.Atom "_" :: rest) in
-    let* v = int_field "version" body in
+    let* v = S.int_field "version" body in
     if v <> version then Error (Printf.sprintf "unsupported version %d" v)
     else
-      let* collected = int_field "collected" body in
-      let* wild = int_field "wild" body in
+      let* collected = S.int_field "collected" body in
+      let* wild = S.int_field "wild" body in
       let* dropped_streams = opt_int_field ~default:0 "dropped-streams" body in
       let* dropped_accesses = opt_int_field ~default:0 "dropped-accesses" body in
       let* store_args = S.assoc "stores" body in
-      let* stores = int_list store_args in
+      let* stores = S.int_list store_args in
       let* instr_args = S.assoc "instrs" body in
-      let* all_instrs = int_list instr_args in
+      let* all_instrs = S.int_list instr_args in
       let store_instrs = Hashtbl.create 64 in
       List.iter (fun i -> Hashtbl.replace store_instrs i false) all_instrs;
       List.iter (fun i -> Hashtbl.replace store_instrs i true) stores;
       let stream_sexps =
         List.filter (function S.List (S.Atom "stream" :: _) -> true | _ -> false) rest
       in
-      let* streams = collect_results (List.map stream_of_sexp stream_sexps) in
+      let* streams = S.collect_results (List.map stream_of_sexp stream_sexps) in
       Ok
         {
           Leap.streams;

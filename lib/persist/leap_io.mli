@@ -14,3 +14,13 @@ val load : string -> (Ormp_leap.Leap.profile, string) result
 
 val to_sexp : Ormp_leap.Leap.profile -> Ormp_util.Sexp.t
 val of_sexp : Ormp_util.Sexp.t -> (Ormp_leap.Leap.profile, string) result
+
+(** {1 Stream parts shared with session snapshots} *)
+
+val spans_to_sexp : Ormp_leap.Leap.stream -> Ormp_util.Sexp.t list
+(** The stream's [(spans a b ...)] field, plus [(dspan a b)] when set. *)
+
+val spans_of_sexp :
+  Ormp_util.Sexp.t ->
+  (Ormp_leap.Leap.span Ormp_util.Vec.t * Ormp_leap.Leap.span option, string) result
+(** Reads them back from a stream's field list. *)

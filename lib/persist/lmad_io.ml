@@ -4,19 +4,6 @@ module L = Ormp_lmad.Lmad
 
 let ( let* ) = Result.bind
 
-let rec collect_results = function
-  | [] -> Ok []
-  | Ok x :: rest ->
-    let* xs = collect_results rest in
-    Ok (x :: xs)
-  | Error e :: _ -> Error e
-
-let int_list args = collect_results (List.map S.as_int args)
-
-let int_field name t =
-  let* args = S.assoc name t in
-  match args with [ x ] -> S.as_int x | _ -> Error ("bad field " ^ name)
-
 let ints xs = List.map S.int xs
 
 (* --- LMAD descriptors ------------------------------------------------ *)
@@ -32,14 +19,14 @@ let lmad_to_sexp (d : L.t) =
   S.field "lmad" (S.field "start" (ints (Array.to_list d.L.start)) :: List.map level_to_sexp d.L.levels)
 
 let levels_of_sexps items =
-  collect_results
+  S.collect_results
     (List.filter_map
        (function
          | S.List (S.Atom "level" :: _) as l ->
            Some
              (let* stride_args = S.assoc "stride" l in
-              let* stride = int_list stride_args in
-              let* count = int_field "count" l in
+              let* stride = S.int_list stride_args in
+              let* count = S.int_field "count" l in
               Ok { L.stride = Array.of_list stride; count })
          | _ -> None)
        items)
@@ -49,7 +36,7 @@ let lmad_of_sexp t =
   match args with
   | S.Atom "lmad" :: rest ->
     let* start_args = S.assoc "start" (S.List (S.Atom "_" :: rest)) in
-    let* start = int_list start_args in
+    let* start = S.int_list start_args in
     let* levels = levels_of_sexps rest in
     (match L.of_levels ~start:(Array.of_list start) ~levels with
     | d -> Ok d
@@ -69,12 +56,12 @@ let summary_to_sexp (s : C.summary) =
 
 let summary_of_sexp t =
   let* min_args = S.assoc "min" t in
-  let* min_v = int_list min_args in
+  let* min_v = S.int_list min_args in
   let* max_args = S.assoc "max" t in
-  let* max_v = int_list max_args in
+  let* max_v = S.int_list max_args in
   let* gran_args = S.assoc "granularity" t in
-  let* granularity = int_list gran_args in
-  let* discarded = int_field "discarded" t in
+  let* granularity = S.int_list gran_args in
+  let* discarded = S.int_field "discarded" t in
   Ok
     {
       C.min_v = Array.of_list min_v;
@@ -101,15 +88,15 @@ let comp_to_sexp name (c : C.t) =
 let comp_of_sexp name t =
   let* args = S.assoc name t in
   let body = S.List (S.Atom name :: args) in
-  let* dims = int_field "dims" body in
-  let* budget = int_field "budget" body in
-  let* max_depth = int_field "max-depth" body in
-  let* total = int_field "total" body in
-  let* discarded = int_field "discarded" body in
+  let* dims = S.int_field "dims" body in
+  let* budget = S.int_field "budget" body in
+  let* max_depth = S.int_field "max-depth" body in
+  let* total = S.int_field "total" body in
+  let* discarded = S.int_field "discarded" body in
   let lmad_sexps =
     List.filter (function S.List (S.Atom "lmad" :: _) -> true | _ -> false) args
   in
-  let* lmads = collect_results (List.map lmad_of_sexp lmad_sexps) in
+  let* lmads = S.collect_results (List.map lmad_of_sexp lmad_sexps) in
   let* summary =
     match S.assoc "summary" body with
     | Ok sargs ->
@@ -166,31 +153,31 @@ let state_to_sexp name (c : C.t) =
 let state_of_sexp name t =
   let* args = S.assoc name t in
   let body = S.List (S.Atom name :: args) in
-  let* dims = int_field "dims" body in
-  let* budget = int_field "budget" body in
-  let* max_depth = int_field "max-depth" body in
-  let* total = int_field "total" body in
+  let* dims = S.int_field "dims" body in
+  let* budget = S.int_field "budget" body in
+  let* max_depth = S.int_field "max-depth" body in
+  let* total = S.int_field "total" body in
   let lmad_sexps =
     List.filter (function S.List (S.Atom "lmad" :: _) -> true | _ -> false) args
   in
-  let* closed = collect_results (List.map lmad_of_sexp lmad_sexps) in
+  let* closed = S.collect_results (List.map lmad_of_sexp lmad_sexps) in
   let* current =
     match S.assoc "open" body with
     | Error _ -> Ok None
     | Ok oargs ->
       let obody = S.List (S.Atom "open" :: oargs) in
       let* start_args = S.assoc "start" obody in
-      let* start = int_list start_args in
+      let* start = S.int_list start_args in
       let* levels = levels_of_sexps oargs in
       let* top_stride =
         match S.assoc "top-stride" obody with
         | Error _ -> Ok None
         | Ok ts_args ->
-          let* ts = int_list ts_args in
+          let* ts = S.int_list ts_args in
           Ok (Some (Array.of_list ts))
       in
-      let* top_done = int_field "top-done" obody in
-      let* partial = int_field "partial" obody in
+      let* top_done = S.int_field "top-done" obody in
+      let* partial = S.int_field "partial" obody in
       Ok
         (Some
            {
@@ -212,7 +199,7 @@ let state_of_sexp name t =
     match S.assoc "last-discarded" body with
     | Error _ -> Ok None
     | Ok largs ->
-      let* p = int_list largs in
+      let* p = S.int_list largs in
       Ok (Some (Array.of_list p))
   in
   match

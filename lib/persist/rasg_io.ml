@@ -4,10 +4,6 @@ let version = 1
 
 let ( let* ) = Result.bind
 
-let int_field name t =
-  let* args = S.assoc name t in
-  match args with [ x ] -> S.as_int x | _ -> Error ("bad field " ^ name)
-
 let to_sexp (p : Ormp_whomp.Rasg.profile) =
   S.field "ormp-rasg-profile"
     [
@@ -23,10 +19,10 @@ let of_sexp t =
   match args with
   | S.Atom "ormp-rasg-profile" :: rest ->
     let body = S.List (S.Atom "_" :: rest) in
-    let* v = int_field "version" body in
+    let* v = S.int_field "version" body in
     if v <> version then Error (Printf.sprintf "unsupported version %d" v)
     else
-      let* accesses = int_field "accesses" body in
+      let* accesses = S.int_field "accesses" body in
       let* gargs = S.assoc "grammar" body in
       let* _, grammar = Grammar_io.of_sexp gargs in
       Ok { Ormp_whomp.Rasg.grammar; accesses; elapsed = 0.0 }

@@ -8,19 +8,6 @@ let version = 2
 
 let ( let* ) = Result.bind
 
-let rec collect_results = function
-  | [] -> Ok []
-  | Ok x :: rest ->
-    let* xs = collect_results rest in
-    Ok (x :: xs)
-  | Error e :: _ -> Error e
-
-let int_list args = collect_results (List.map S.as_int args)
-
-let int_field name t =
-  let* args = S.assoc name t in
-  match args with [ x ] -> S.as_int x | _ -> Error ("bad field " ^ name)
-
 (* --- writing --------------------------------------------------------- *)
 
 let grammar_to_sexp = Grammar_io.to_sexp
@@ -72,7 +59,7 @@ let group_of_sexp args =
   | _ -> Error "bad group"
 
 let lifetime_of_sexp args =
-  let* xs = int_list args in
+  let* xs = S.int_list args in
   match xs with
   | [ group; serial; base; size; alloc_time; free; free_site ] ->
     Ok
@@ -92,22 +79,14 @@ let of_sexp t =
   match args with
   | S.Atom "ormp-whomp-profile" :: rest ->
     let body = S.List (S.Atom "_" :: rest) in
-    let* v = int_field "version" body in
+    let* v = S.int_field "version" body in
     if v <> version then Error (Printf.sprintf "unsupported version %d" v)
     else
-      let* collected = int_field "collected" body in
-      let* wild = int_field "wild" body in
-      let pick name f =
-        collect_results
-          (List.filter_map
-             (function
-               | S.List (S.Atom n :: args) when n = name -> Some (f args)
-               | _ -> None)
-             rest)
-      in
-      let* dims = pick "grammar" grammar_of_sexp in
-      let* groups = pick "group" group_of_sexp in
-      let* lifetimes = pick "object" lifetime_of_sexp in
+      let* collected = S.int_field "collected" body in
+      let* wild = S.int_field "wild" body in
+      let* dims = S.pick rest "grammar" grammar_of_sexp in
+      let* groups = S.pick rest "group" group_of_sexp in
+      let* lifetimes = S.pick rest "object" lifetime_of_sexp in
       Ok { W.dims; collected; wild; groups; lifetimes; elapsed = 0.0 }
   | _ -> Error "not an ormp-whomp-profile"
 

@@ -237,32 +237,31 @@ type table1_row = {
   instructions_captured : float;
 }
 
+(* Bare runs are very fast, so time whole batches, doubling the batch
+   size until one batch is comfortably above timer noise. (The wall clock
+   has ns resolution, so the floor can be low — and wall time stays
+   truthful when the harness runs other sections on sibling domains.) *)
+let time_batch ~repeats run_once =
+  let run_batch n =
+    let t0 = Clock.now_s () in
+    for _ = 1 to n do
+      run_once ()
+    done;
+    Clock.now_s () -. t0
+  in
+  let rec go n =
+    let t = run_batch n in
+    if t >= 0.05 || n >= 512 then t /. float_of_int n else go (n * 2)
+  in
+  go repeats
+
 let measure_dilation ?(bench = false) ~repeats entry =
   let program = Registry.program ~bench entry in
-  (* Bare runs are very fast, so time whole batches, doubling the batch
-     size until one batch is comfortably above timer noise. (The wall
-     clock has ns resolution, unlike the old Sys.time CPU clock, so the
-     floor can be low — and wall time stays truthful when the harness runs
-     other sections on sibling domains.) *)
-  let time_batch run_once =
-    let run_batch n =
-      let t0 = Clock.now_s () in
-      for _ = 1 to n do
-        run_once ()
-      done;
-      Clock.now_s () -. t0
-    in
-    let rec go n =
-      let t = run_batch n in
-      if t >= 0.05 || n >= 512 then t /. float_of_int n else go (n * 2)
-    in
-    go repeats
-  in
-  let bare = time_batch (fun () -> ignore (Ormp_vm.Runner.run_bare program)) in
+  let bare = time_batch ~repeats (fun () -> ignore (Ormp_vm.Runner.run_bare program)) in
   let instrumented =
     (* The batched fast path — the pipeline [Leap.profile] actually uses —
        so the dilation column reports production probe cost. *)
-    time_batch (fun () ->
+    time_batch ~repeats (fun () ->
         let b, fin = Ormp_leap.Leap.sink_batched ~site_name () in
         ignore (Ormp_vm.Runner.run_batched program b);
         ignore (fin ~elapsed:0.0))

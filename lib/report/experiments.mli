@@ -91,9 +91,16 @@ type table1_row = {
   instructions_captured : float;
 }
 
+val time_batch : repeats:int -> (unit -> unit) -> float
+(** Table 1's native-run timer: wall seconds per call of the thunk, timed
+    over whole batches that start at [repeats] calls and double until a
+    batch takes at least 50 ms (or reaches 512 calls). Every dilation the
+    bench reports divides by this. *)
+
 val table1 : ?bench:bool -> ?repeats:int -> suite list -> table1_row list
-(** Dilation re-runs each workload bare and LEAP-instrumented [repeats]
-    times (default 3) and compares CPU time. *)
+(** Dilation times each workload bare and LEAP-instrumented with
+    {!time_batch} (starting at [repeats] runs, default 3) and compares
+    wall time. *)
 
 val render_table1 : table1_row list -> string
 

@@ -125,40 +125,32 @@ let manifest_to_sexp ~workload ~(config : Ormp_vm.Config.t) ~(options : options)
         ];
     ]
 
-let int_field name t =
-  let* args = S.assoc name t in
-  match args with [ x ] -> S.as_int x | _ -> Error ("bad field " ^ name)
-
-let atom_field name t =
-  let* args = S.assoc name t in
-  match args with [ x ] -> S.as_atom x | _ -> Error ("bad field " ^ name)
-
 let manifest_of_sexp t =
   let* args = S.as_list t in
   match args with
   | S.Atom "ormp-session" :: rest ->
     let body = S.List (S.Atom "_" :: rest) in
-    let* v = int_field "version" body in
+    let* v = S.int_field "version" body in
     if v <> 1 then Error (Printf.sprintf "unsupported manifest version %d" v)
     else
-      let* workload = atom_field "workload" body in
+      let* workload = S.atom_field "workload" body in
       let* cargs = S.assoc "config" body in
       let cbody = S.List (S.Atom "_" :: cargs) in
-      let* policy_s = atom_field "policy" cbody in
+      let* policy_s = S.atom_field "policy" cbody in
       let* policy = policy_of_string policy_s in
-      let* heap_base = int_field "heap-base" cbody in
-      let* static_base = int_field "static-base" cbody in
-      let* static_gap = int_field "static-gap" cbody in
-      let* align = int_field "align" cbody in
-      let* seed = int_field "seed" cbody in
+      let* heap_base = S.int_field "heap-base" cbody in
+      let* static_base = S.int_field "static-base" cbody in
+      let* static_gap = S.int_field "static-gap" cbody in
+      let* align = S.int_field "align" cbody in
+      let* seed = S.int_field "seed" cbody in
       let* oargs = S.assoc "options" body in
       let obody = S.List (S.Atom "_" :: oargs) in
-      let* checkpoint_every = int_field "checkpoint-every" obody in
-      let* watch_every = int_field "watch-every" obody in
-      let* grammar_budget = int_field "grammar-budget" obody in
-      let* max_streams = int_field "max-streams" obody in
-      let* leap_budget = int_field "leap-budget" obody in
-      let* keep = int_field "keep" obody in
+      let* checkpoint_every = S.int_field "checkpoint-every" obody in
+      let* watch_every = S.int_field "watch-every" obody in
+      let* grammar_budget = S.int_field "grammar-budget" obody in
+      let* max_streams = S.int_field "max-streams" obody in
+      let* leap_budget = S.int_field "leap-budget" obody in
+      let* keep = S.int_field "keep" obody in
       Ok
         ( workload,
           { Ormp_vm.Config.policy; heap_base; static_base; static_gap; align; seed },

@@ -4,6 +4,8 @@ module Omc = Ormp_core.Omc
 module Cdc = Ormp_core.Cdc
 module Leap = Ormp_leap.Leap
 module Lmad_io = Ormp_persist.Lmad_io
+module Leap_io = Ormp_persist.Leap_io
+module Whomp_io = Ormp_persist.Whomp_io
 module Grammar_io = Ormp_persist.Grammar_io
 
 let version = 1
@@ -39,18 +41,6 @@ let opt_atom = function None -> S.atom "-" | Some s -> S.list [ S.atom s ]
 let group_to_sexp (g : Omc.group_state) =
   S.field "group" [ S.int g.Omc.gs_site; opt_atom g.Omc.gs_type; S.int g.Omc.gs_population ]
 
-let lifetime_to_sexp (l : Omc.lifetime) =
-  S.field "object"
-    [
-      S.int l.Omc.group;
-      S.int l.Omc.serial;
-      S.int l.Omc.base;
-      S.int l.Omc.size;
-      S.int l.Omc.alloc_time;
-      S.int (match l.Omc.free_time with None -> -1 | Some t -> t);
-      S.int (match l.Omc.free_site with None -> -1 | Some s -> s);
-    ]
-
 let cdc_to_sexp (s : Cdc.state) =
   S.field "cdc"
     ([
@@ -61,7 +51,7 @@ let cdc_to_sexp (s : Cdc.state) =
        S.field "unknown-frees" [ S.int s.Cdc.s_omc.Omc.s_unknown_frees ];
      ]
     @ List.map group_to_sexp s.Cdc.s_omc.Omc.s_groups
-    @ List.map lifetime_to_sexp s.Cdc.s_omc.Omc.s_lifetimes)
+    @ List.map Whomp_io.lifetime_to_sexp s.Cdc.s_omc.Omc.s_lifetimes)
 
 let stream_to_sexp (k : Leap.key) (s : Leap.stream) =
   S.field "stream"
@@ -70,15 +60,8 @@ let stream_to_sexp (k : Leap.key) (s : Leap.stream) =
        S.field "group" [ S.int k.Leap.group ];
        Lmad_io.state_to_sexp "comp" s.Leap.comp;
        Lmad_io.state_to_sexp "off" s.Leap.off;
-       S.field "spans"
-         (List.concat_map
-            (fun (sp : Leap.span) -> [ S.int sp.Leap.t_first; S.int sp.Leap.t_last ])
-            (List.rev (Ormp_util.Vec.fold_left (fun acc sp -> sp :: acc) [] s.Leap.spans)));
      ]
-    @
-    match s.Leap.dspan with
-    | None -> []
-    | Some sp -> [ S.field "dspan" [ S.int sp.Leap.t_first; S.int sp.Leap.t_last ] ])
+    @ Leap_io.spans_to_sexp s)
 
 let leap_to_sexp (lv : Leap.live) =
   S.field "leap"
@@ -137,25 +120,6 @@ let to_sexp (t : t) =
 
 let ( let* ) = Result.bind
 
-let rec collect_results = function
-  | [] -> Ok []
-  | Ok x :: rest ->
-    let* xs = collect_results rest in
-    Ok (x :: xs)
-  | Error e :: _ -> Error e
-
-let int_list args = collect_results (List.map S.as_int args)
-
-let int_field name t =
-  let* args = S.assoc name t in
-  match args with [ x ] -> S.as_int x | _ -> Error ("bad field " ^ name)
-
-let pick rest name f =
-  collect_results
-    (List.filter_map
-       (function S.List (S.Atom n :: args) when n = name -> Some (f args) | _ -> None)
-       rest)
-
 let group_of_sexp args =
   match args with
   | [ site; ty; population ] ->
@@ -170,22 +134,6 @@ let group_of_sexp args =
     Ok { Omc.gs_site; gs_type; gs_population }
   | _ -> Error "bad group"
 
-let lifetime_of_sexp args =
-  let* xs = int_list args in
-  match xs with
-  | [ group; serial; base; size; alloc_time; free; free_site ] ->
-    Ok
-      {
-        Omc.group;
-        serial;
-        base;
-        size;
-        alloc_time;
-        free_time = (if free < 0 then None else Some free);
-        free_site = (if free_site < 0 then None else Some free_site);
-      }
-  | _ -> Error "bad object record"
-
 let cdc_of_sexp args =
   let body = S.List (S.Atom "_" :: args) in
   let* grouping =
@@ -195,11 +143,11 @@ let cdc_of_sexp args =
     | [ S.Atom "type" ] -> Ok `Type
     | _ -> Error "bad grouping"
   in
-  let* s_clock = int_field "clock" body in
-  let* s_wild = int_field "wild" body in
-  let* s_unknown_frees = int_field "unknown-frees" body in
-  let* s_groups = pick args "group" group_of_sexp in
-  let* s_lifetimes = pick args "object" lifetime_of_sexp in
+  let* s_clock = S.int_field "clock" body in
+  let* s_wild = S.int_field "wild" body in
+  let* s_unknown_frees = S.int_field "unknown-frees" body in
+  let* s_groups = S.pick args "group" group_of_sexp in
+  let* s_lifetimes = S.pick args "object" Whomp_io.lifetime_of_sexp in
   Ok
     {
       Cdc.s_omc = { Omc.s_grouping = grouping; s_groups; s_lifetimes; s_unknown_frees };
@@ -208,40 +156,21 @@ let cdc_of_sexp args =
     }
 
 let stream_of_sexp t =
-  let* instr = int_field "instr" t in
-  let* group = int_field "group" t in
+  let* instr = S.int_field "instr" t in
+  let* group = S.int_field "group" t in
   let* comp = Lmad_io.state_of_sexp "comp" t in
   let* off = Lmad_io.state_of_sexp "off" t in
-  let* span_args = S.assoc "spans" t in
-  let* span_ints = int_list span_args in
-  let spans = Ormp_util.Vec.create () in
-  let rec pair_up = function
-    | [] -> Ok ()
-    | a :: b :: rest ->
-      Ormp_util.Vec.push spans { Leap.t_first = a; t_last = b };
-      pair_up rest
-    | [ _ ] -> Error "odd span list"
-  in
-  let* () = pair_up span_ints in
-  let* dspan =
-    match S.assoc "dspan" t with
-    | Ok [ a; b ] ->
-      let* a = S.as_int a in
-      let* b = S.as_int b in
-      Ok (Some { Leap.t_first = a; t_last = b })
-    | Ok _ -> Error "bad dspan"
-    | Error _ -> Ok None
-  in
+  let* spans, dspan = Leap_io.spans_of_sexp t in
   Ok ({ Leap.instr; group }, { Leap.comp; spans; off; dspan })
 
 let leap_of_sexp args =
   let body = S.List (S.Atom "_" :: args) in
   let* store_args = S.assoc "stores" body in
-  let* stores = int_list store_args in
+  let* stores = S.int_list store_args in
   let* instr_args = S.assoc "instrs" body in
-  let* instrs = int_list instr_args in
+  let* instrs = S.int_list instr_args in
   let* dropped_args = S.assoc "dropped" body in
-  let* dropped_ints = int_list dropped_args in
+  let* dropped_ints = S.int_list dropped_args in
   let rec pair_up = function
     | [] -> Ok []
     | i :: g :: rest ->
@@ -250,9 +179,9 @@ let leap_of_sexp args =
     | [ _ ] -> Error "odd dropped list"
   in
   let* lv_dropped = pair_up dropped_ints in
-  let* lv_dropped_accesses = int_field "dropped-accesses" body in
+  let* lv_dropped_accesses = S.int_field "dropped-accesses" body in
   let* lv_streams =
-    pick args "stream" (fun a -> stream_of_sexp (S.List (S.Atom "_" :: a)))
+    S.pick args "stream" (fun a -> stream_of_sexp (S.List (S.Atom "_" :: a)))
   in
   let lv_stores =
     List.map (fun i -> (i, List.mem i stores)) (List.sort_uniq compare instrs)
@@ -281,7 +210,7 @@ let degradation_of_sexp args =
   | _ -> Error "bad degradation"
 
 let grammar_in name args =
-  let* named = collect_results (List.map (fun g -> S.as_list g) args) in
+  let* named = S.collect_results (List.map (fun g -> S.as_list g) args) in
   let* found =
     match
       List.find_opt
@@ -304,15 +233,15 @@ let of_sexp t =
   match args with
   | S.Atom "ormp-session-snapshot" :: rest ->
     let body = S.List (S.Atom "_" :: rest) in
-    let* v = int_field "version" body in
+    let* v = S.int_field "version" body in
     if v <> version then Error (Printf.sprintf "unsupported snapshot version %d" v)
     else
-      let* position = int_field "position" body in
-      let* checkpoint = int_field "checkpoint" body in
-      let* journal_crc = int_field "journal-crc" body in
-      let* rotations = int_field "rotations" body in
-      let* epochs = pick rest "epoch" epoch_of_sexp in
-      let* degradations = pick rest "degradation" degradation_of_sexp in
+      let* position = S.int_field "position" body in
+      let* checkpoint = S.int_field "checkpoint" body in
+      let* journal_crc = S.int_field "journal-crc" body in
+      let* rotations = S.int_field "rotations" body in
+      let* epochs = S.pick rest "epoch" epoch_of_sexp in
+      let* degradations = S.pick rest "degradation" degradation_of_sexp in
       let* cdc_args = S.assoc "cdc" body in
       let* cdc = cdc_of_sexp cdc_args in
       let* whomp_args = S.assoc "whomp" body in

@@ -13,8 +13,8 @@
 
     {!of_sink} adapts any legacy per-event sink to the batched interface,
     so existing profilers keep working unchanged while batch-aware ones
-    ({!Ormp_core.Cdc.batch} and the profilers built on it) skip event
-    boxing entirely. *)
+    ({!Ormp_core.Cdc.batch_tuples} and the profilers built on it) skip
+    event boxing entirely. *)
 
 type chunk = {
   instr : int array;

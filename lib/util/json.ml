@@ -1,9 +1,10 @@
 (* Minimal JSON: just enough to emit the telemetry exports (metrics
-   snapshots, Chrome trace-event files) and to parse them back for
-   validation — the repo deliberately carries no JSON dependency.
+   snapshots, Chrome trace-event files) and the bench harness's
+   BENCH_ormp.json, and to parse them back for validation and the perf
+   guard — the repo deliberately carries no JSON dependency.
 
    Emission notes: non-finite floats have no JSON encoding and render as
-   null (matching bench_log); object member order is preserved. *)
+   null; object member order is preserved. *)
 
 type t =
   | Null

@@ -1,8 +1,9 @@
-(** Minimal JSON emitter/parser for telemetry exports.
+(** Minimal JSON emitter/parser for telemetry exports and the bench log.
 
-    Just enough to write metrics snapshots and Chrome trace-event files and
-    to parse them back for validation; the repo carries no JSON dependency.
-    Non-finite floats render as [null]. *)
+    Just enough to write metrics snapshots, Chrome trace-event files and
+    BENCH_ormp.json and to parse them back (validation, the perf guard);
+    the repo carries no JSON dependency. Non-finite floats render as
+    [null]. *)
 
 type t =
   | Null

@@ -188,3 +188,29 @@ let assoc name t =
     match found with
     | Some (List (_ :: args)) -> Ok args
     | _ -> Error ("missing field " ^ name))
+
+(* --- decoding kit ------------------------------------------------------ *)
+
+let ( let* ) = Result.bind
+
+let rec collect_results = function
+  | [] -> Ok []
+  | Ok x :: rest ->
+    let* xs = collect_results rest in
+    Ok (x :: xs)
+  | Error e :: _ -> Error e
+
+let int_list args = collect_results (List.map as_int args)
+
+let single conv name t =
+  let* args = assoc name t in
+  match args with [ x ] -> conv x | _ -> Error ("bad field " ^ name)
+
+let int_field name t = single as_int name t
+let atom_field name t = single as_atom name t
+
+let pick items name f =
+  collect_results
+    (List.filter_map
+       (function List (Atom n :: args) when n = name -> Some (f args) | _ -> None)
+       items)

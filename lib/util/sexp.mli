@@ -39,3 +39,24 @@ val as_list : t -> (t list, string) result
 val assoc : string -> t -> (t list, string) result
 (** [assoc "name" (List fields)] finds the [(name ...)] field and returns
     its arguments. *)
+
+(** {2 Decoding kit}
+
+    Result-returning field readers shared by every persisted format
+    (profiles, session snapshots, manifests). *)
+
+val collect_results : ('a, string) result list -> ('a list, string) result
+(** Every [Ok] value in order, or the first [Error]. *)
+
+val int_list : t list -> (int list, string) result
+
+val int_field : string -> t -> (int, string) result
+(** [int_field "name" fields] is the one int argument of the [(name n)]
+    field; [Error] when the field is missing or has another arity. *)
+
+val atom_field : string -> t -> (string, string) result
+(** Like {!int_field}, for an atom argument. *)
+
+val pick : t list -> string -> (t list -> ('a, string) result) -> ('a list, string) result
+(** [pick items name f] decodes every [(name args...)] element of [items]
+    with [f args], in order. *)

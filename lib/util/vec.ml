@@ -39,6 +39,4 @@ let fold_left f init t =
 
 let to_array t = Array.sub t.data 0 t.len
 
-let of_array a = { data = Array.copy a; len = Array.length a }
-
 let clear t = t.len <- 0

@@ -16,5 +16,4 @@ val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_array : 'a t -> 'a array
-val of_array : 'a array -> 'a t
 val clear : 'a t -> unit

@@ -14,7 +14,8 @@ type profile = {
 val profile : ?config:Ormp_vm.Config.t -> Ormp_vm.Program.t -> profile
 
 val sink : unit -> Ormp_trace.Sink.t * (elapsed:float -> profile)
-(** Streaming form, mirroring {!Whomp.sink}. *)
+(** Streaming form, mirroring {!Whomp.sink}: the per-event reference the
+    batched-equivalence tests compare {!sink_batched} against. *)
 
 val sink_batched : unit -> Ormp_trace.Batch.t * (elapsed:float -> profile)
 (** Batched form for {!Ormp_vm.Runner.run_batched}; produces the same

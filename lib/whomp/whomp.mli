@@ -69,7 +69,9 @@ val sink :
   unit ->
   Ormp_trace.Sink.t * (elapsed:float -> profile)
 (** Streaming form: a probe sink plus a finalizer, for callers that drive
-    the VM themselves (used to share one run between several profilers). *)
+    the VM themselves. This per-event path (through {!Ormp_core.Cdc.sink})
+    is kept as the reference the batched-equivalence tests compare
+    {!sink_batched} and the pipeline against. *)
 
 val sink_batched :
   ?grouping:Ormp_core.Omc.grouping ->
@@ -77,8 +79,8 @@ val sink_batched :
   unit ->
   Ormp_trace.Batch.t * (elapsed:float -> profile)
 (** Batched form of {!sink} for {!Ormp_vm.Runner.run_batched}: translation
-    goes through the OMC's MRU cache ({!Ormp_core.Cdc.batch}) and produces
-    byte-identical grammars — {!profile} uses this path. *)
+    goes through the OMC's MRU cache ({!Ormp_core.Cdc.batch_tuples}) and
+    produces byte-identical grammars — {!profile} uses this path. *)
 
 val omsg_size : profile -> int
 (** Total grammar size (symbols on all right-hand sides, all four

@@ -1,8 +1,8 @@
 (* Equivalence of the legacy per-event path and the batched fast path.
 
-   The batched pipeline (Batch -> Cdc.batch -> Omc.translate_batch with the
-   MRU translation cache) is a pure performance rework: it must produce
-   byte-identical profiles to the per-event sinks. The workload is
+   The batched pipeline (Batch -> Cdc.batch_tuples -> Omc.translate_batch
+   with the MRU translation cache) is a pure performance rework: it must
+   produce byte-identical profiles to the per-event sinks. The workload is
    Micro.churn, which frees and re-allocates constantly — the hostile case
    for the MRU cache, where any missed invalidation would surface as a
    wrong (group, serial) in the profile. *)
@@ -64,6 +64,14 @@ let test_leap_equivalence () =
 (* MRU cache invalidation: the stale-entry regression                  *)
 (* ------------------------------------------------------------------ *)
 
+(* One access through the batched translator: [Some (group, serial,
+   offset)], or [None] for an untranslatable address. *)
+let translate1 omc ~instr addr =
+  let groups = Array.make 1 0 and serials = Array.make 1 0 and offsets = Array.make 1 0 in
+  Ormp_core.Omc.translate_batch omc ~instrs:[| instr |] ~addrs:[| addr |] ~len:1 ~groups
+    ~serials ~offsets;
+  if groups.(0) < 0 then None else Some (groups.(0), serials.(0), offsets.(0))
+
 (* Free an object an instruction has cached, then re-allocate a
    different-sized object at the same base (what every free-list
    allocator does). The cached lifetime is dead but its record still
@@ -72,44 +80,45 @@ let test_leap_equivalence () =
 let test_stale_mru_invalidated () =
   let omc = Ormp_core.Omc.create ~site_name () in
   Ormp_core.Omc.on_alloc omc ~time:0 ~site:1 ~addr:1000 ~size:64 ~type_name:None;
-  (match Ormp_core.Omc.translate_fast omc ~instr:0 1008 with
+  (match translate1 omc ~instr:0 1008 with
   | Some (g, s, off) ->
     check_int "first object group" 0 g;
     check_int "first object serial" 0 s;
     check_int "first object offset" 8 off
   | None -> Alcotest.fail "first translation missed");
   (* Hit once more so the MRU entry is warm (a way-0 hit). *)
-  (match Ormp_core.Omc.translate_fast omc ~instr:0 1016 with
+  (match translate1 omc ~instr:0 1016 with
   | Some (_, _, off) -> check_int "warm hit offset" 16 off
   | None -> Alcotest.fail "warm hit missed");
   Ormp_core.Omc.on_free omc ~time:1 ~addr:1000;
   Ormp_core.Omc.on_alloc omc ~time:2 ~site:2 ~addr:1000 ~size:128 ~type_name:None;
-  (match Ormp_core.Omc.translate_fast omc ~instr:0 1008 with
+  (match translate1 omc ~instr:0 1008 with
   | Some (g, s, off) ->
     check_int "new object's group, not the dead one's" 1 g;
     check_int "new object's serial" 0 s;
     check_int "offset within new object" 8 off
   | None -> Alcotest.fail "translation after realloc missed");
-  (* The batched entry point shares the cache arrays; verify it too. *)
-  let groups = Array.make 1 (-7) and serials = Array.make 1 (-7) and offsets = Array.make 1 (-7) in
-  Ormp_core.Omc.translate_batch omc ~instrs:[| 0 |] ~addrs:[| 1100 |] ~len:1 ~groups
-    ~serials ~offsets;
-  check_int "batch: new object's group" 1 groups.(0);
-  check_int "batch: new object's serial" 0 serials.(0);
-  check_int "batch: offset within new object" 100 offsets.(0)
+  (* The warm entry now points at the new object; a second address in
+     its (larger) range hits it. *)
+  match translate1 omc ~instr:0 1100 with
+  | Some (g, s, off) ->
+    check_int "batch: new object's group" 1 g;
+    check_int "batch: new object's serial" 0 s;
+    check_int "batch: offset within new object" 100 off
+  | None -> Alcotest.fail "in-range address of the new object missed"
 
 (* An address past the end of the re-allocated (smaller) object must be
    wild, even though the dead cached object once covered it. *)
 let test_stale_mru_shrunk_object () =
   let omc = Ormp_core.Omc.create ~site_name () in
   Ormp_core.Omc.on_alloc omc ~time:0 ~site:1 ~addr:2000 ~size:256 ~type_name:None;
-  ignore (Ormp_core.Omc.translate_fast omc ~instr:3 2128);
+  ignore (translate1 omc ~instr:3 2128);
   Ormp_core.Omc.on_free omc ~time:1 ~addr:2000;
   Ormp_core.Omc.on_alloc omc ~time:2 ~site:1 ~addr:2000 ~size:64 ~type_name:None;
-  (match Ormp_core.Omc.translate_fast omc ~instr:3 2128 with
+  (match translate1 omc ~instr:3 2128 with
   | None -> ()
   | Some _ -> Alcotest.fail "address past the new object's end must not translate");
-  match Ormp_core.Omc.translate_fast omc ~instr:3 2032 with
+  match translate1 omc ~instr:3 2032 with
   | Some (_, s, off) ->
     check_int "new serial under same group" 1 s;
     check_int "offset in the shrunk object" 32 off
