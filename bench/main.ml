@@ -936,13 +936,13 @@ let run_serve log ~bench () =
         in
         if profiles dir <> want then identical := false
       done;
-      let p q = 1000.0 *. Client.percentile latencies q in
+      let p q = 1000.0 *. Ormp_util.Stats.percentile latencies q in
       Printf.printf
         "%d sessions x %d events, jobs=%d cap=%d: %.1f sessions/sec\n\
          ack latency p50 %.2fms p99 %.2fms   sheds %d   reconnects %d   byte-identical: %b\n\n"
         n_sessions (Array.length events) jobs options.Daemon.max_sessions
         (float_of_int n_sessions /. wall_s)
-        (p 0.5) (p 0.99) sheds reconnects !identical;
+        (p 50.0) (p 99.0) sheds reconnects !identical;
       if not !identical then failwith "serve: a session's profiles differ from reference";
       Bench_log.add log "serve"
         (J.Obj
@@ -951,8 +951,8 @@ let run_serve log ~bench () =
              ("events_per_session", J.Int (Array.length events));
              ("jobs", J.Int jobs);
              ("sessions_per_sec", J.Float (float_of_int n_sessions /. wall_s));
-             ("p50_ack_ms", J.Float (p 0.5));
-             ("p99_ack_ms", J.Float (p 0.99));
+             ("p50_ack_ms", J.Float (p 50.0));
+             ("p99_ack_ms", J.Float (p 99.0));
              ("reconnects", J.Int reconnects);
              ("sheds", J.Int sheds);
              ("identical", J.Bool !identical);

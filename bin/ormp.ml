@@ -75,17 +75,15 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let find_program name =
-  match List.assoc_opt name Ormp_workloads.Micro.all with
-  | Some p -> p
-  | None -> (
-    try Registry.program (Registry.find name)
-    with Not_found ->
-      Printf.eprintf "unknown workload %S; available workloads:\n" name;
-      List.iter
-        (fun e -> Printf.eprintf "  %s\n" e.Registry.name)
-        Registry.spec;
-      List.iter (fun (n, _) -> Printf.eprintf "  %s\n" n) Ormp_workloads.Micro.all;
-      Exit_codes.exit_usage ())
+  match Ormp_session.Session.find_workload name with
+  | Ok p -> p
+  | Error _ ->
+    Printf.eprintf "unknown workload %S; available workloads:\n" name;
+    List.iter
+      (fun e -> Printf.eprintf "  %s\n" e.Registry.name)
+      Registry.spec;
+    List.iter (fun (n, _) -> Printf.eprintf "  %s\n" n) Ormp_workloads.Micro.all;
+    Exit_codes.exit_usage ()
 
 let workload_arg =
   Arg.(
@@ -238,17 +236,16 @@ let whomp_cmd =
     (* One instrumented run through the pipeline yields both the OMSG
        profile and the RASG baseline. With --sanitize the sanitizer taps
        the same run, so it sees exactly the probe stream the profile was
-       built from; that profile labels its groups by site number. *)
+       built from — and the profile is the same bytes as without it. *)
     let san = Ormp_check.Sanitizer.create () in
     let san_table =
       with_telemetry telemetry ~name:("whomp:" ^ workload) @@ fun () ->
-      let pipe, result =
+      let wrap =
         if sanitize then
-          Pipeline.run ~config ~jobs ~site_name:(Printf.sprintf "site%d")
-            ~wrap:(fun apply -> Ormp_trace.Sink.fanout [ apply; Ormp_check.Sanitizer.sink san ])
-            program
-        else Pipeline.run ~config ~jobs program
+          Some (fun apply -> Ormp_trace.Sink.fanout [ apply; Ormp_check.Sanitizer.sink san ])
+        else None
       in
+      let pipe, result = Pipeline.run ~config ~jobs ?wrap program in
       let elapsed = result.Ormp_vm.Runner.elapsed in
       let p = Pipeline.whomp_profile pipe ~elapsed in
       let r = Pipeline.rasg_profile pipe ~elapsed in
@@ -1442,8 +1439,8 @@ let client_cmd =
         (if wall > 0.0 then float_of_int sessions /. wall else 0.0);
       Printf.printf "  frames %d, reconnects %d, sheds %d, ack p50 %.2fms p99 %.2fms\n"
         !frames !reconnects !sheds
-        (1000.0 *. Client.percentile !latencies 0.50)
-        (1000.0 *. Client.percentile !latencies 0.99);
+        (1000.0 *. Ormp_util.Stats.percentile !latencies 50.0)
+        (1000.0 *. Ormp_util.Stats.percentile !latencies 99.0);
       if !failed > 0 then Exit_codes.exit_findings ()
   in
   let token =

@@ -113,6 +113,19 @@ let rules =
          Ormp_session.Pipeline on a Pool instead of wiring another pool";
     };
     {
+      r_name = "journal-owner";
+      r_severity = Finding.Error;
+      r_doc = "journal create/recover/append only in the session (session/session.ml)";
+      r_applies = (fun p -> not (String.ends_with ~suffix:"session/session.ml" p));
+      r_needs_tag = false;
+      (* Built from parts, so a search of lib/ for the calls finds only their owner. *)
+      r_patterns = List.map (( ^ ) "Journal.") [ "create"; "recover"; "append" ];
+      r_message =
+        "journal written or recovered outside Ormp_session.Session — drive the \
+         session through Session.start/restore/append instead of a second \
+         recovery path";
+    };
+    {
       r_name = "bare-eprintf";
       r_severity = Finding.Error;
       r_doc = "no direct stderr writes bypassing the telemetry logger";

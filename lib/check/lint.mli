@@ -1,6 +1,6 @@
 (** Source-level lint for the repo's concurrency and output conventions.
 
-    Six rules, enforced over [.ml] files (comments and strings are
+    Seven rules, enforced over [.ml] files (comments and strings are
     stripped before matching):
 
     - [atomic] (error) — no raw [Atomic.] use outside the functorized
@@ -21,6 +21,9 @@
       pool ({!Ormp_trace.Pool}, any path ending in [trace/pool.ml]): every
       profiler stack runs through {!Ormp_session.Pipeline} on that pool,
       so a second hand-wired pool is a regression, not a waiver.
+    - [journal-owner] (error) — {!Ormp_session.Journal}'s [create],
+      [recover] and [append] only in {!Ormp_session.Session} (a path ending
+      in [session/session.ml]): one owner of durability, one recovery path.
     - [bare-eprintf] (error) — no direct stderr writes ([eprintf],
       [prerr_*], [output_string stderr]) bypassing
       {!Ormp_telemetry.Log}.

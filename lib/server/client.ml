@@ -31,16 +31,8 @@ type stats = {
   st_wall_s : float;
 }
 
-let find_workload name =
-  match Ormp_workloads.Registry.find name with
-  | entry -> Ok (Ormp_workloads.Registry.program entry)
-  | exception Not_found -> (
-    match List.assoc_opt name Ormp_workloads.Micro.all with
-    | Some p -> Ok p
-    | None -> Error (Printf.sprintf "unknown workload %S" name))
-
 let generate ~workload ~seed =
-  match find_workload workload with
+  match Ormp_session.Session.find_workload workload with
   | Error _ as e -> e
   | Ok program ->
     let buf = Ormp_util.Vec.create () in
@@ -49,28 +41,11 @@ let generate ~workload ~seed =
     let events = Ormp_util.Vec.to_array buf in
     Ok (events, Array.length events)
 
-let rec mkdirs path =
-  if path = "" || path = "." || Sys.file_exists path then ()
-  else begin
-    mkdirs (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let reference ~dir ~events =
-  mkdirs dir;
+  Ormp_session.Storage.mkdirs dir;
   let pipe = Pipeline.create () in
   Array.iter (Pipeline.apply pipe) events;
   Pipeline.finalize pipe ~dir ~elapsed:0.0
-
-let percentile xs p =
-  match xs with
-  | [] -> 0.0
-  | _ ->
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    let n = Array.length a in
-    let rank = int_of_float (ceil (p *. float_of_int n)) in
-    a.(max 0 (min (n - 1) (rank - 1)))
 
 (* --- one session -------------------------------------------------------- *)
 

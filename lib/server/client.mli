@@ -62,6 +62,3 @@ val reference : dir:string -> events:Ormp_trace.Event.t array -> unit
 (** Run the serial {!Ormp_session.Pipeline} locally over [events] and write the three
     profile files into [dir] — the byte-comparison baseline for any
     daemon-produced session directory. *)
-
-val percentile : float list -> float -> float
-(** [percentile xs 0.99] — nearest-rank percentile; 0 on an empty list. *)

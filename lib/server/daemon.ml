@@ -1,9 +1,10 @@
 (* The select-loop daemon — see the mli. Single producer thread: every
-   journal append and pipeline apply happens here, so per-session state
-   needs no locking; only the compressor pool runs on other domains,
-   behind the Worker drain barrier. *)
+   session append happens here, so per-session state needs no locking;
+   only the compressor pool runs on other domains, behind the Worker
+   drain barrier. *)
 
-module Journal = Ormp_session.Journal
+module Session = Ormp_session.Session
+module Storage = Ormp_session.Storage
 module Pipeline = Ormp_session.Pipeline
 module Pool = Ormp_trace.Pool
 module Event = Ormp_trace.Event
@@ -61,20 +62,20 @@ let default_options ~socket ~root =
 
 type session = {
   token : string;
-  dir : string;
   workload : string;
-  pipe : Pipeline.t;
-  journal : Journal.writer;
+  live : Session.t;
   ack_every : int;
   mutable frames_since_ack : int;
   (* Introspection state, all owned by the select loop. *)
   ack_ns : Tm.Metrics.Local.t;  (* ack-flush latency, ns *)
-  mutable durable : int;  (* Journal.count at the last flush *)
+  mutable durable : int;  (* position at the last flush *)
   mutable rate : float;  (* events/s over the last rate window *)
   mutable rate_last_pos : int;
   mutable rate_last_s : float;
   mutable cached_symbols : int;  (* grammar size; refreshed at heartbeat *)
 }
+
+let pipe s = Session.pipeline s.live
 
 type conn = {
   fd : Unix.file_descr;
@@ -123,15 +124,8 @@ type t = {
   mutable stats_last_s : float;  (* last --stats-file export *)
 }
 
-let rec mkdirs path =
-  if path = "" || path = "." || Sys.file_exists path then ()
-  else begin
-    mkdirs (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create opts =
-  mkdirs (opts.root // "sessions");
+  Storage.mkdirs (opts.root // "sessions");
   (* The stats channel reads the telemetry registry; a daemon that
      serves Stats frames must have it recording. *)
   if opts.stats then Tm.enable ();
@@ -265,22 +259,10 @@ let token_ok token =
        token
   && token.[0] <> '.'
 
-let write_report s =
-  let body =
-    S.field "ormp-serve-report"
-      [
-        S.field "workload" [ S.atom s.workload ];
-        S.field "position" [ S.int (Pipeline.position s.pipe) ];
-        S.field "collected" [ S.int (Pipeline.collected s.pipe) ];
-        S.field "wild" [ S.int (Pipeline.wild s.pipe) ];
-      ]
-  in
-  Ormp_session.Storage.write_atomic ~path:(s.dir // "report") (S.to_string body ^ "\n")
-
-(* Detach a session from its (dying) connection: flush what the journal
-   holds and forget the in-memory state. The next Hello with this token
-   rebuilds it from the journal — the same recovery a daemon restart
-   performs, so both paths stay exercised. *)
+(* Detach a session from its (dying) connection: close it, which leaves
+   the journal durable, and forget the in-memory state. The next Hello
+   with this token restores it — the same recovery a daemon restart and
+   [ormp session resume] perform, so that one path stays exercised. *)
 let detach t c =
   match c.sess with
   | None -> ()
@@ -288,12 +270,8 @@ let detach t c =
     c.sess <- None;
     Hashtbl.remove t.sessions s.token;
     flight_record t ~kind:"detach" ~session:s.token
-      ~detail:(Printf.sprintf "position %d" (Pipeline.position s.pipe));
-    (try Pipeline.quiesce s.pipe with _ -> ());
-    (try
-       Journal.flush s.journal;
-       Journal.close s.journal
-     with _ -> ())
+      ~detail:(Printf.sprintf "position %d" (Session.position s.live));
+    Session.close s.live
 
 let kill_conn t c =
   c.dead <- true;
@@ -321,19 +299,6 @@ let shed t c ~token reason =
   c.closing <- true;
   c.close_by <- Net_io.now () +. 1.0
 
-let new_pipeline t =
-  let pool =
-    match t.pool with
-    | None -> None
-    | Some p ->
-      let slot = t.next_slot in
-      t.next_slot <- t.next_slot + 1;
-      Some (p, slot)
-  in
-  Pipeline.create ?pool
-    ?leap_budget:t.opts.leap_budget
-    ~max_streams:t.opts.max_streams ()
-
 (* Admission control, cheapest check first. The grammar-budget check
    reads live grammars, which requires the pool drained; admission is
    rare relative to frames, so the barrier is affordable. *)
@@ -349,7 +314,7 @@ let admission_refusal t =
       if o.grammar_budget > 0 then begin
         (match t.pool with Some p -> Pool.drain p | None -> ());
         let total =
-          Hashtbl.fold (fun _ s acc -> acc + Pipeline.grammar_symbols s.pipe) t.sessions 0
+          Hashtbl.fold (fun _ s acc -> acc + Pipeline.grammar_symbols (pipe s)) t.sessions 0
         in
         if total > o.grammar_budget then
           Some (Printf.sprintf "grammar budget exceeded (%d > %d symbols)" total o.grammar_budget)
@@ -362,7 +327,7 @@ let handle_hello t c ~token ~workload ~ack_every =
   else if not (token_ok token) then protocol_error t c "invalid session token"
   else begin
     let dir = session_dir t token in
-    if Sys.file_exists (dir // "report") then
+    if Sys.file_exists (dir // Session.report_file) then
       (* Finalized earlier; the Finish_ok may have been lost in a crash —
          at-most-once means we must not re-ingest. *)
       send t c (Wire.Hello_ok { fresh = false; complete = true; position = 0 })
@@ -379,74 +344,67 @@ let handle_hello t c ~token ~workload ~ack_every =
       match admission_refusal t with
       | Some reason -> shed t c ~token reason
       | None -> (
-        let journal_path = dir // "journal.trace" in
-        let resume = Sys.file_exists journal_path in
-        let now = Net_io.now () in
-        let make_session pipe journal =
+        (* No checkpoints and no watchdog: a daemon session is the journal
+           and the pipeline, recovered by full replay. Each session pins
+           its grammars from its own pool slot, spreading the load. *)
+        let options =
           {
-            token;
-            dir;
-            workload;
-            pipe;
-            journal;
-            ack_every;
-            frames_since_ack = 0;
-            ack_ns = Tm.Metrics.Local.create ();
-            durable = 0;
-            rate = 0.0;
-            rate_last_pos = Pipeline.position pipe;
-            rate_last_s = now;
-            cached_symbols = 0;
+            Session.default_options with
+            leap_budget = t.opts.leap_budget;
+            max_streams = t.opts.max_streams;
           }
         in
-        let attach s position fresh =
+        let pool = Option.map (fun p -> (p, t.next_slot)) t.pool in
+        t.next_slot <- t.next_slot + 1;
+        let attach live ~fresh =
+          (* The position we report must be durable before the client can
+             trust it as a resume point. *)
+          Session.flush live;
+          let position = Session.position live in
+          let s =
+            {
+              token;
+              workload;
+              live;
+              ack_every;
+              frames_since_ack = 0;
+              ack_ns = Tm.Metrics.Local.create ();
+              durable = position;
+              rate = 0.0;
+              rate_last_pos = position;
+              rate_last_s = Net_io.now ();
+              cached_symbols = 0;
+            }
+          in
           Hashtbl.replace t.sessions token s;
           c.sess <- Some s;
           if Tm.on () then Tm.Metrics.incr m_sessions;
-          (* The position we report must be durable before the client can
-             trust it as a resume point. *)
-          Journal.flush s.journal;
-          s.durable <- Journal.count s.journal;
           send t c (Wire.Hello_ok { fresh; complete = false; position })
         in
-        if not resume then begin
-          mkdirs dir;
-          Ormp_session.Storage.write_atomic ~path:(dir // "manifest")
+        if not (Sys.file_exists (dir // Session.journal_file)) then begin
+          Storage.mkdirs dir;
+          Storage.write_atomic ~path:(dir // "manifest")
             (S.to_string (S.field "ormp-serve-session" [ S.field "workload" [ S.atom workload ] ])
             ^ "\n");
-          let s = make_session (new_pipeline t) (Journal.create journal_path) in
+          let live = Session.start ?pool ~options ~dir ~workload () in
           t.sessions_started <- t.sessions_started + 1;
           flight_record t ~kind:"hello" ~session:token ~detail:workload;
-          attach s 0 true
+          attach live ~fresh:true
         end
         else
-          match Journal.recover journal_path with
+          match Session.restore ?pool ~options ~dir ~workload () with
           | Error e -> protocol_error t c (Printf.sprintf "session %s unrecoverable: %s" token e)
-          | Ok r -> (
-            let pipe = new_pipeline t in
-            Array.iter (fun ev -> Pipeline.apply pipe ev) r.Journal.events;
-            Pipeline.quiesce pipe;
-            match Pipeline.failure pipe with
-            | Some e ->
-              protocol_error t c
-                (Printf.sprintf "session %s replay failed: %s" token (Printexc.to_string e))
-            | None ->
-              let count = Array.length r.Journal.events in
-              t.total_events <- t.total_events + count;
-              let s =
-                make_session pipe (Journal.create ~resume:(count, r.Journal.r_crc) journal_path)
-              in
-              Log.infof ~src:"serve" "resumed session %s at position %d%s" token count
-                (if r.Journal.truncated then " (torn tail truncated)" else "");
-              t.sessions_resumed <- t.sessions_resumed + 1;
-              (* A resume means the previous attachment ended abnormally
-                 (crash, kill, torn connection) — exactly when the recent
-                 event trail is worth keeping. *)
-              flight_dump t ~kind:"resume" ~session:token
-                ~reason:
-                  (Printf.sprintf "resumed at position %d%s" count
-                     (if r.Journal.truncated then " (torn tail truncated)" else ""));
-              attach s count false))
+          | Ok live ->
+            let position = Session.position live in
+            t.total_events <- t.total_events + position;
+            Log.infof ~src:"serve" "resumed session %s at position %d" token position;
+            t.sessions_resumed <- t.sessions_resumed + 1;
+            (* A resume means the previous attachment ended abnormally
+               (crash, kill, torn connection) — exactly when the recent
+               event trail is worth keeping. *)
+            flight_dump t ~kind:"resume" ~session:token
+              ~reason:(Printf.sprintf "resumed at position %d" position);
+            attach live ~fresh:false)
   end
 
 (* Apply the new suffix of a frame that claims to start at [start]. A
@@ -454,7 +412,7 @@ let handle_hello t c ~token ~workload ~ack_every =
    we disagree about durable history); a start before it is the overlap
    a duplicated retry produces, and the overlap is dropped exactly. *)
 let ingest t c s ~start ~count ~event_at =
-  let pos = Pipeline.position s.pipe in
+  let pos = Session.position s.live in
   if start > pos then begin
     protocol_error t c
       (Printf.sprintf "position gap: frame starts at %d, session is at %d" start pos);
@@ -464,15 +422,13 @@ let ingest t c s ~start ~count ~event_at =
     let skip = pos - start in
     (try
        for i = skip to count - 1 do
-         let ev = event_at i in
-         Journal.append s.journal ev;
-         Pipeline.apply s.pipe ev;
+         Session.append s.live (event_at i);
          t.total_events <- t.total_events + 1
        done;
        true
      with e ->
        protocol_error t c
-         (Printf.sprintf "ingest failed at position %d: %s" (Pipeline.position s.pipe)
+         (Printf.sprintf "ingest failed at position %d: %s" (Session.position s.live)
             (Printexc.to_string e));
        false)
   end
@@ -485,37 +441,26 @@ let after_frame t c s =
        wait, so its latency is what a client perceives as ack latency —
        observed per session (for the stats rows) and daemon-wide. *)
     let t0 = Tm.now_ns () in
-    Journal.flush s.journal;
+    Session.flush s.live;
     let dt = Int64.to_float (Int64.sub (Tm.now_ns ()) t0) in
     Tm.Metrics.Local.observe s.ack_ns dt;
     if Tm.on () then Tm.Metrics.observe m_ack_flush dt;
-    s.durable <- Journal.count s.journal;
-    send t c (Wire.Ack { position = Pipeline.position s.pipe })
+    s.durable <- Session.position s.live;
+    send t c (Wire.Ack { position = s.durable })
   end
 
 let handle_finish t c s ~position =
-  if position <> Pipeline.position s.pipe then
+  if position <> Session.position s.live then
     protocol_error t c
-      (Printf.sprintf "finish at %d but session is at %d" position (Pipeline.position s.pipe))
+      (Printf.sprintf "finish at %d but session is at %d" position (Session.position s.live))
   else begin
-    match
-      Journal.flush s.journal;
-      Pipeline.finalize s.pipe ~dir:s.dir ~elapsed:0.0
-    with
-    | () ->
-      write_report s;
-      Journal.close s.journal;
+    match Session.finish s.live ~elapsed:0.0 with
+    | { Session.oc_position = position; oc_collected = collected; oc_wild = wild; _ } ->
       Hashtbl.remove t.sessions s.token;
       c.sess <- None;
       flight_record t ~kind:"finish" ~session:s.token
-        ~detail:(Printf.sprintf "position %d" (Pipeline.position s.pipe));
-      send t c
-        (Wire.Finish_ok
-           {
-             position = Pipeline.position s.pipe;
-             collected = Pipeline.collected s.pipe;
-             wild = Pipeline.wild s.pipe;
-           })
+        ~detail:(Printf.sprintf "position %d" position);
+      send t c (Wire.Finish_ok { position; collected; wild })
     | exception e ->
       protocol_error t c (Printf.sprintf "finalize failed: %s" (Printexc.to_string e))
   end
@@ -530,7 +475,7 @@ let rate_window_s = 0.2
 let session_rate (s : session) ~now =
   let dt = now -. s.rate_last_s in
   if dt >= rate_window_s then begin
-    let pos = Pipeline.position s.pipe in
+    let pos = Session.position s.live in
     s.rate <- float_of_int (pos - s.rate_last_pos) /. dt;
     s.rate_last_pos <- pos;
     s.rate_last_s <- now
@@ -559,7 +504,7 @@ let build_snapshot t =
       (fun _ s (acc, n) ->
         if n >= Wire.max_stats_rows then (acc, n + 1)
         else
-          let position = Pipeline.position s.pipe in
+          let position = Session.position s.live in
           let p50, p99 =
             match Tm.Metrics.Local.summary s.ack_ns with
             | None -> (0.0, 0.0)
@@ -574,12 +519,12 @@ let build_snapshot t =
                 (if String.length s.workload > 64 then String.sub s.workload 0 64
                  else s.workload);
               r_position = position;
-              r_journal_bytes = Journal.bytes s.journal;
+              r_journal_bytes = Session.journal_bytes s.live;
               r_journal_lag = max 0 (position - s.durable);
               r_events_per_sec = session_rate s ~now;
               r_ack_p50_ms = p50;
               r_ack_p99_ms = p99;
-              r_ring_occupancy = Pipeline.occupancy s.pipe;
+              r_ring_occupancy = Pipeline.occupancy (pipe s);
             }
           in
           (row :: acc, n + 1))
@@ -606,12 +551,12 @@ let build_snapshot t =
     s_protocol_errors = t.proto_errors;
     s_deadline_kills = t.deadline_kills;
     s_events_total = t.total_events;
-    s_wal_bytes = sum (fun s -> Journal.bytes s.journal);
+    s_wal_bytes = sum (fun s -> Session.journal_bytes s.live);
     s_out_backlog = total_out_bytes t;
     s_out_backlog_hw = t.out_hw;
     s_grammar_symbols =
       (match t.pool with
-      | None -> sum (fun s -> Pipeline.grammar_symbols s.pipe)
+      | None -> sum (fun s -> Pipeline.grammar_symbols (pipe s))
       | Some _ -> sum (fun s -> s.cached_symbols));
     s_grammar_budget = t.opts.grammar_budget;
     s_flight_events = Flight.recorded t.flight;
@@ -691,7 +636,7 @@ let heartbeat t =
      read — so refresh the per-session caches the stats snapshot serves
      between heartbeats. *)
   Hashtbl.iter
-    (fun _ s -> s.cached_symbols <- Pipeline.grammar_symbols s.pipe)
+    (fun _ s -> s.cached_symbols <- Pipeline.grammar_symbols (pipe s))
     t.sessions;
   let sum f = Hashtbl.fold (fun _ s acc -> acc + f s) t.sessions 0 in
   let dt = now -. t.hb_last_s in
@@ -701,10 +646,10 @@ let heartbeat t =
       position = t.total_events;
       events_per_sec =
         (if dt > 0.0 then float_of_int (t.total_events - t.hb_last_events) /. dt else 0.0);
-      live_objects = sum (fun s -> Pipeline.live_objects s.pipe);
+      live_objects = sum (fun s -> Pipeline.live_objects (pipe s));
       grammar_symbols = sum (fun s -> s.cached_symbols);
-      leap_streams = sum (fun s -> Pipeline.leap_streams s.pipe);
-      journal_bytes = sum (fun s -> Journal.bytes s.journal);
+      leap_streams = sum (fun s -> Pipeline.leap_streams (pipe s));
+      journal_bytes = sum (fun s -> Session.journal_bytes s.live);
       snapshot_bytes = 0;
       last_checkpoint = 0;
       degraded =
@@ -736,7 +681,7 @@ let export_stats_file t ~now =
     if now -. t.stats_last_s >= every then begin
       t.stats_last_s <- now;
       let json = Ormp_util.Json.to_string (Stats.to_json (build_snapshot t)) in
-      try Ormp_session.Storage.write_atomic ~path (json ^ "\n")
+      try Storage.write_atomic ~path (json ^ "\n")
       with Sys_error e -> Log.warnf ~src:"serve" "stats export failed: %s" e
     end
 

@@ -1,17 +1,21 @@
 (** The `ormp serve` daemon: a single-threaded select loop accepting many
     concurrent profiling sessions over {!Wire} frames on a Unix-domain
-    socket, each session one {!Ormp_session.Pipeline}, all of them
-    multiplexing their grammar maintenance onto one shared
-    {!Ormp_trace.Pool} (one worker pool, pinned per grammar), and
-    journaling every session under
-    [root/sessions/<token>/] so a killed daemon resumes any in-flight
-    session byte-identically when its client reconnects.
+    socket. Each session is one {!Ormp_session.Session} under
+    [root/sessions/<token>/] whose events arrive off the wire — the same
+    journal, pipeline, report and {!Ormp_session.Session.restore} that
+    [ormp session] uses, with no checkpoints — so a killed daemon resumes
+    any in-flight session byte-identically when its client reconnects.
+    All sessions multiplex their grammar maintenance onto one shared
+    {!Ormp_trace.Pool} (one worker pool, pinned per grammar).
 
     Robustness properties (see DESIGN.md §14 for the full ladder):
     - a malformed, torn or out-of-order frame is a {e protocol error}: the
       offending connection gets an [Err] frame and is closed, its session
       is detached (journal flushed — still resumable), and no other
       session or the daemon itself is disturbed;
+    - an event the pipeline rejects is journaled before it fails, so that
+      session's every later [Hello] gets [Err] from the failed restore —
+      it fails closed, alone;
     - per-connection deadlines: an idle connection is pinged and then
       dropped, a partially-received frame older than the frame timeout is
       treated as a slow-loris and dropped, and a connection that will not

@@ -12,7 +12,6 @@ let m_bytes = Tm.Metrics.counter "journal.bytes"
 type writer = {
   oc : out_channel;
   io : Io.t option;
-  mutable count : int;
   mutable crc : int;
 }
 
@@ -27,10 +26,10 @@ let create ?io ?resume path =
     let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
     (* Count the header in [bytes], as a freshly written journal always did. *)
     seek_out oc (out_channel_length oc);
-    { oc; io; count = 0; crc = 0 }
-  | Some (count, crc) ->
+    { oc; io; crc = 0 }
+  | Some crc ->
     let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
-    { oc; io; count; crc }
+    { oc; io; crc }
 
 let append w ev =
   let line = Tf.event_line ev in
@@ -38,7 +37,6 @@ let append w ev =
   (* The CRC covers event lines only (header excluded), and includes each
      line's newline — the same accumulation recovery performs. *)
   w.crc <- Ormp_util.Crc32.update w.crc line;
-  w.count <- w.count + 1;
   if Tm.on () then begin
     Tm.Metrics.incr m_appends;
     Tm.Metrics.add m_bytes (String.length line)
@@ -48,7 +46,6 @@ let flush w = flush w.oc
 
 let bytes w = pos_out w.oc
 let close w = close_out_noerr w.oc
-let count w = w.count
 let crc w = w.crc
 
 (* --- recovery --------------------------------------------------------- *)

@@ -9,20 +9,16 @@
 
 type writer
 
-val create :
-  ?io:Ormp_workloads.Faults.Io.t -> ?resume:int * int -> string -> writer
-(** Open a fresh journal (header written), or — with [resume:(count, crc)]
-    — reopen an existing one for append, continuing the event count and
-    running CRC from the recovered values. *)
+val create : ?io:Ormp_workloads.Faults.Io.t -> ?resume:int -> string -> writer
+(** Open a fresh journal (header written), or — with [resume:crc] —
+    reopen an existing one for append, continuing the running CRC from
+    the recovered value. *)
 
 val append : writer -> Ormp_trace.Event.t -> unit
 (** May raise the planned {!Ormp_workloads.Faults.Io} fault. *)
 
 val flush : writer -> unit
 val close : writer -> unit
-
-val count : writer -> int
-(** Events appended over the journal's whole life. *)
 
 val crc : writer -> int
 (** Running CRC-32 over all appended event lines. *)

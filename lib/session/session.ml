@@ -68,13 +68,6 @@ let report_file = "report"
 let heartbeat_file = "heartbeat"
 let snapshot_file k = Printf.sprintf "snapshot-%d" k
 
-let rec mkdirs path =
-  if path = "" || path = "." || Sys.file_exists path then ()
-  else begin
-    mkdirs (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* --- manifest ---------------------------------------------------------- *)
 
 let policy_to_string = function
@@ -188,12 +181,15 @@ type hb = {
   mutable hb_last_pos : int;
 }
 
-type ctx = {
+type t = {
   dir : string;
+  workload : string;
   io : Io.t option;
   options : options;
   hb : hb option;
   pipe : Pipeline.t;
+  resumed_from : int option;  (* snapshot position, if restored from one *)
+  mutable replayed : int;
   mutable epoch_start : int;
   mutable rotations : int;
   mutable epochs : Snapshot.epoch list;  (* oldest first *)
@@ -210,6 +206,9 @@ type ctx = {
 }
 
 let position ctx = Pipeline.position ctx.pipe
+let pipeline ctx = ctx.pipe
+let journal_bytes ctx = match ctx.journal with Some j -> Journal.bytes j | None -> 0
+let flush ctx = match ctx.journal with Some j -> Journal.flush j | None -> ()
 
 let degrade ctx kind detail =
   ctx.degradations <-
@@ -273,7 +272,7 @@ let checkpoint ctx =
   let ordinal = position ctx / ctx.options.checkpoint_every in
   (* The journal must be durable through [position] before the snapshot
      that claims to cover it exists — the write-ahead discipline. *)
-  (match ctx.journal with Some j -> Journal.flush j | None -> ());
+  flush ctx;
   let path = ctx.dir // snapshot_file ordinal in
   match Snapshot.save ?io:ctx.io path (take_snapshot ctx ~ordinal ~journal_crc:ctx.jcrc) with
   | () ->
@@ -310,7 +309,7 @@ let heartbeat ctx h =
       live_objects = Pipeline.live_objects ctx.pipe;
       grammar_symbols = Pipeline.grammar_symbols ctx.pipe;
       leap_streams = Pipeline.leap_streams ctx.pipe;
-      journal_bytes = (match ctx.journal with Some j -> Journal.bytes j | None -> 0);
+      journal_bytes = journal_bytes ctx;
       snapshot_bytes = ctx.last_snapshot_bytes;
       last_checkpoint = ctx.last_checkpoint_pos;
       degraded =
@@ -363,6 +362,19 @@ let journal_append ctx ev =
       ctx.checkpointing <- false;
       degrade ctx "journal-off" msg)
 
+let append ctx ev =
+  journal_append ctx ev;
+  Pipeline.apply ctx.pipe ev;
+  triggers ctx
+
+let close ctx =
+  match ctx.journal with
+  | None -> ()
+  | Some j ->
+    (try Journal.flush j with Sys_error _ -> ());
+    Journal.close j;
+    ctx.journal <- None
+
 (* --- report ------------------------------------------------------------ *)
 
 let outcome_to_sexp (o : outcome) =
@@ -381,145 +393,180 @@ let outcome_to_sexp (o : outcome) =
     @ List.map Snapshot.epoch_to_sexp o.oc_epochs
     @ List.map Snapshot.degradation_to_sexp o.oc_degradations)
 
-(* --- run / resume core ------------------------------------------------- *)
+let finish ctx ~elapsed =
+  (* The journal is durable before finalization, so a compressor failure
+     surfacing from the final quiesce leaves the session resumable. *)
+  close ctx;
+  (Tm.span ~name:"session.finalize" @@ fun () ->
+   Pipeline.finalize ctx.pipe ~dir:ctx.dir ~elapsed);
+  let outcome =
+    {
+      oc_dir = ctx.dir;
+      oc_workload = ctx.workload;
+      oc_position = position ctx;
+      oc_collected = Pipeline.collected ctx.pipe;
+      oc_wild = Pipeline.wild ctx.pipe;
+      oc_checkpoints = ctx.checkpoints_written;
+      oc_resumed_from = ctx.resumed_from;
+      oc_replayed = ctx.replayed;
+      oc_rotations = ctx.rotations;
+      oc_epochs = ctx.epochs;
+      oc_degradations = ctx.degradations;
+      oc_elapsed = elapsed;
+    }
+  in
+  Storage.write_atomic ~path:(ctx.dir // report_file)
+    (S.to_string (outcome_to_sexp outcome) ^ "\n");
+  outcome
 
-type restore = {
-  rs_snapshot : Snapshot.t;
-  rs_tail : Event.t array;  (* journal events [snapshot position, end) *)
-  rs_count : int;  (* total surviving journal events *)
-  rs_crc : int;  (* CRC over all of them *)
-}
+(* --- start / restore --------------------------------------------------- *)
 
-let execute ?io ?(heartbeat_every = 0) ?(jobs = 1) ~dir ~workload
-    ~(config : Ormp_vm.Config.t) ~(options : options) ~restore () =
+let create ?io ?(heartbeat_every = 0) ?pool ?site_name ?snap ~options ~dir ~workload () =
+  let epochs, degradations, rotations, jcrc =
+    match snap with
+    | Some s -> Snapshot.(s.epochs, s.degradations, s.rotations, s.journal_crc)
+    | None -> ([], [], 0, 0)
+  in
+  let now = Ormp_util.Clock.now_ns () in
+  {
+    dir;
+    workload;
+    io;
+    options;
+    hb =
+      (if heartbeat_every <= 0 then None
+       else
+         Some
+           {
+             hb_every = heartbeat_every;
+             hb_path = dir // heartbeat_file;
+             hb_start_ns = now;
+             hb_last_ns = now;
+             hb_last_pos = 0;
+           });
+    pipe =
+      Pipeline.create ?pool ?site_name ?restore:snap ?leap_budget:options.leap_budget
+        ~max_streams:options.max_streams ();
+    resumed_from = Option.map (fun s -> s.Snapshot.position) snap;
+    replayed = 0;
+    epoch_start = (match List.rev epochs with e :: _ -> e.Snapshot.ep_to | [] -> 0);
+    rotations;
+    epochs;
+    degradations;
+    checkpoints_written = 0;
+    last_snapshot_bytes = 0;
+    last_checkpoint_pos = 0;
+    journal = None;
+    jcrc;
+    checkpointing = options.checkpoint_every > 0;
+  }
+
+let start ?io ?heartbeat_every ?pool ?site_name ~options ~dir ~workload () =
+  let ctx = create ?io ?heartbeat_every ?pool ?site_name ~options ~dir ~workload () in
+  ctx.journal <- Some (Journal.create ?io (dir // journal_file));
+  ctx
+
+(* The surviving journal, and the newest snapshot whose seal holds and
+   whose journal CRC matches the journal's prefix ([None]: start from the
+   empty state at position 0). *)
+let recover ~dir =
+  let path = dir // journal_file in
+  let rec newest = function
+    | [] -> Result.map (fun r -> (None, r)) (Journal.recover path)
+    | k :: older -> (
+      match Snapshot.load (dir // snapshot_file k) with
+      | Error _ -> newest older
+      | Ok snap -> (
+        match Journal.recover ~at:snap.Snapshot.position path with
+        | Ok r when r.Journal.crc_at = snap.Snapshot.journal_crc -> Ok (Some snap, r)
+        | Ok _ | Error _ -> newest older))
+  in
+  (try Sys.readdir dir with Sys_error _ -> [||])
+  |> Array.to_list
+  |> List.filter_map (fun f ->
+         if String.starts_with ~prefix:"snapshot-" f then
+           int_of_string_opt (String.sub f 9 (String.length f - 9))
+         else None)
+  |> List.sort (fun a b -> compare b a)
+  |> newest
+
+(* Triggers re-fire during the replay (rotations must be re-applied;
+   snapshot rewrites are idempotent), but nothing is re-journaled: the
+   CRC is re-derived instead, so rewritten snapshots carry the right
+   value. *)
+let restore ?io ?heartbeat_every ?pool ?site_name ~options ~dir ~workload () =
+  let* snap, r = recover ~dir in
+  let ctx = create ?io ?heartbeat_every ?pool ?site_name ?snap ~options ~dir ~workload () in
+  let events = r.Journal.events in
+  let from = position ctx and count = Array.length events in
+  let replay () =
+    for i = from to count - 1 do
+      ctx.jcrc <- Ormp_util.Crc32.update ctx.jcrc (Tf.event_line events.(i));
+      Pipeline.apply ctx.pipe events.(i);
+      triggers ctx
+    done;
+    Pipeline.quiesce ctx.pipe;
+    Option.iter raise (Pipeline.failure ctx.pipe)
+  in
+  match Tm.span ~name:"session.replay" replay with
+  | () ->
+    ctx.replayed <- count - from;
+    ctx.journal <- Some (Journal.create ?io ~resume:r.Journal.r_crc (dir // journal_file));
+    Ok ctx
+  | exception (Io.Killed _ as killed) -> raise killed
+  | exception e ->
+    Error
+      (Printf.sprintf "journal replay failed at position %d: %s" (position ctx)
+         (Printexc.to_string e))
+
+(* --- the VM driver ----------------------------------------------------- *)
+
+(* Run [workload] under the VM into a fresh session, or with [resume] the
+   restored one (or a fresh one when nothing is recoverable). The events
+   the session already holds are regenerated (the VM is deterministic),
+   CRC-checked against the journal, and dropped. *)
+let drive ?io ?heartbeat_every ?(jobs = 1) ~dir ~workload ~config ~options ~resume () =
   let* program = find_workload workload in
   (* Sites are named through the table the run produces; the reference is
      filled once the workload finishes. *)
   let table = ref None in
   Pipeline.with_pool ~jobs @@ fun pool ->
-  let snap = Option.map (fun r -> r.rs_snapshot) restore in
+  let site_name = Pipeline.table_site_name table in
+  let fresh () = start ?io ?heartbeat_every ?pool ~site_name ~options ~dir ~workload () in
   let ctx =
-    {
-      dir;
-      io;
-      options;
-      hb =
-        (if heartbeat_every > 0 then begin
-           let now = Ormp_util.Clock.now_ns () in
-           Some
-             {
-               hb_every = heartbeat_every;
-               hb_path = dir // heartbeat_file;
-               hb_start_ns = now;
-               hb_last_ns = now;
-               hb_last_pos = 0;
-             }
-         end
-         else None);
-      pipe =
-        Pipeline.create ?pool ~site_name:(Pipeline.table_site_name table) ?restore:snap
-          ?leap_budget:options.leap_budget ~max_streams:options.max_streams ();
-      epoch_start =
-        (match snap with
-        | Some s -> (
-          match List.rev s.Snapshot.epochs with e :: _ -> e.Snapshot.ep_to | [] -> 0)
-        | None -> 0);
-      rotations = (match snap with Some s -> s.Snapshot.rotations | None -> 0);
-      epochs = (match snap with Some s -> s.Snapshot.epochs | None -> []);
-      degradations = (match snap with Some s -> s.Snapshot.degradations | None -> []);
-      checkpoints_written = 0;
-      last_snapshot_bytes = 0;
-      last_checkpoint_pos = 0;
-      journal = None;
-      jcrc = (match snap with Some s -> s.Snapshot.journal_crc | None -> 0);
-      checkpointing = options.checkpoint_every > 0;
-    }
+    if not resume then fresh ()
+    else
+      match restore ?io ?heartbeat_every ?pool ~site_name ~options ~dir ~workload () with
+      | Ok ctx -> ctx
+      | Error _ -> fresh ()
   in
-  (* Phase A: replay the journal tail the dead run wrote after its last
-     snapshot. Triggers re-fire (rotations must be re-applied; snapshot
-     rewrites are idempotent), but nothing is re-journaled — the CRC is
-     re-derived instead so rewritten snapshots carry the right value. *)
-  let replay_tail = match restore with Some r -> r.rs_tail | None -> [||] in
-  let replayed = Array.length replay_tail in
-  if replayed > 0 then
-    (Tm.span ~name:"session.replay" @@ fun () ->
-     Array.iter
-       (fun ev ->
-         ctx.jcrc <- Ormp_util.Crc32.update ctx.jcrc (Tf.event_line ev);
-         Pipeline.apply ctx.pipe ev;
-         triggers ctx)
-       replay_tail);
-  ctx.journal <-
-    Some
-      (match restore with
-      | None -> Journal.create ?io (dir // journal_file)
-      | Some r -> Journal.create ?io ~resume:(r.rs_count, r.rs_crc) (dir // journal_file));
-  (* Phase B: (re-)execute the workload. The first [skip] events were already
-     incorporated via snapshot + replay; they are regenerated (the VM is
-     deterministic), CRC-checked against the journal, and dropped. *)
-  let skip = match restore with None -> 0 | Some r -> r.rs_count in
-  let expect_crc = match restore with None -> 0 | Some r -> r.rs_crc in
+  let skip = position ctx and expect_crc = ctx.jcrc in
   let gen = ref 0 and regen_crc = ref 0 in
   let sink ev =
-    if !gen < skip then begin
+    incr gen;
+    if !gen > skip then append ctx ev
+    else begin
       regen_crc := Ormp_util.Crc32.update !regen_crc (Tf.event_line ev);
-      incr gen;
       if !gen = skip && !regen_crc <> expect_crc then
         raise
           (Resume_diverged
              (Printf.sprintf "re-executed events [0,%d) differ from the journal (crc %d, journal %d)"
                 skip !regen_crc expect_crc))
     end
-    else begin
-      incr gen;
-      journal_append ctx ev;
-      Pipeline.apply ctx.pipe ev;
-      triggers ctx
-    end
-  in
-  let close_journal () =
-    match ctx.journal with
-    | None -> ()
-    | Some j ->
-      (try Journal.flush j with Sys_error _ -> ());
-      Journal.close j;
-      ctx.journal <- None
   in
   match Ormp_vm.Runner.run ~config program sink with
   | exception Resume_diverged msg ->
-    close_journal ();
+    close ctx;
     Error msg
   | result ->
-    (* The journal is durable before finalization, so a compressor failure
-       surfacing from the final quiesce leaves the session resumable. *)
-    close_journal ();
     table := Some result.Ormp_vm.Runner.table;
-    (Tm.span ~name:"session.finalize" @@ fun () ->
-     Pipeline.finalize ctx.pipe ~dir ~elapsed:result.Ormp_vm.Runner.elapsed);
-    let outcome =
-      {
-        oc_dir = dir;
-        oc_workload = workload;
-        oc_position = position ctx;
-        oc_collected = Pipeline.collected ctx.pipe;
-        oc_wild = Pipeline.wild ctx.pipe;
-        oc_checkpoints = ctx.checkpoints_written;
-        oc_resumed_from = Option.map (fun s -> s.Snapshot.position) snap;
-        oc_replayed = replayed;
-        oc_rotations = ctx.rotations;
-        oc_epochs = ctx.epochs;
-        oc_degradations = ctx.degradations;
-        oc_elapsed = result.Ormp_vm.Runner.elapsed;
-      }
-    in
-    Storage.write_atomic ~path:(dir // report_file) (S.to_string (outcome_to_sexp outcome) ^ "\n");
-    Ok outcome
+    Ok (finish ctx ~elapsed:result.Ormp_vm.Runner.elapsed)
   | exception exn ->
     (* Leave the journal durable for a later [resume], then let the failure
        travel with its original backtrace ([Io.Killed] reaches the CLI);
        [with_pool] joins the workers on the way out. *)
     let bt = Printexc.get_raw_backtrace () in
-    close_journal ();
+    close ctx;
     Printexc.raise_with_backtrace exn bt
 
 (* --- public entry points ----------------------------------------------- *)
@@ -527,84 +574,35 @@ let execute ?io ?(heartbeat_every = 0) ?(jobs = 1) ~dir ~workload
 let run ?io ?heartbeat_every ?jobs ?(config = Ormp_vm.Config.default)
     ?(options = default_options) ~dir ~workload () =
   let* _ = find_workload workload in
-  mkdirs dir;
+  Storage.mkdirs dir;
   if Sys.file_exists (dir // manifest_file) then
     Error (Printf.sprintf "session already exists in %s (use resume)" dir)
   else begin
     Storage.write_atomic ~path:(dir // manifest_file)
       (S.to_string (manifest_to_sexp ~workload ~config ~options) ^ "\n");
-    execute ?io ?heartbeat_every ?jobs ~dir ~workload ~config ~options ~restore:None ()
+    drive ?io ?heartbeat_every ?jobs ~dir ~workload ~config ~options ~resume:false ()
   end
 
-let newest_snapshot dir =
-  let ordinals =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter_map (fun f ->
-           match String.length f > 9 && String.sub f 0 9 = "snapshot-" with
-           | true -> int_of_string_opt (String.sub f 9 (String.length f - 9))
-           | false -> None)
-    |> List.sort (fun a b -> compare b a)
-  in
-  let rec first_valid = function
-    | [] -> None
-    | k :: rest -> (
-      match Snapshot.load (dir // snapshot_file k) with
-      | Ok snap -> Some snap
-      | Error _ -> first_valid rest)
-  in
-  first_valid ordinals
+let load_manifest dir =
+  match S.load (dir // manifest_file) with
+  | Ok s -> manifest_of_sexp s
+  | Error e -> Error (Printf.sprintf "no session in %s: %s" dir e)
 
 let resume ?io ?heartbeat_every ?jobs ~dir () =
-  let* manifest_sexp =
-    match S.load (dir // manifest_file) with
-    | Ok s -> Ok s
-    | Error e -> Error (Printf.sprintf "no session in %s: %s" dir e)
-  in
-  let* workload, config, options = manifest_of_sexp manifest_sexp in
-  let restore =
-    match newest_snapshot dir with
-    | None -> None
-    | Some snap -> (
-      match Journal.recover ~at:snap.Snapshot.position (dir // journal_file) with
-      | Error _ -> None
-      | Ok r ->
-        if r.Journal.crc_at <> snap.Snapshot.journal_crc then None
-        else
-          Some
-            {
-              rs_snapshot = snap;
-              rs_tail =
-                Array.sub r.Journal.events snap.Snapshot.position
-                  (Array.length r.Journal.events - snap.Snapshot.position);
-              rs_count = Array.length r.Journal.events;
-              rs_crc = r.Journal.r_crc;
-            })
-  in
-  (* With no usable snapshot (or a journal that contradicts it), fall back
-     to a from-scratch run over the same manifest — correct, just slower. *)
-  execute ?io ?heartbeat_every ?jobs ~dir ~workload ~config ~options ~restore ()
+  let* workload, config, options = load_manifest dir in
+  drive ?io ?heartbeat_every ?jobs ~dir ~workload ~config ~options ~resume:true ()
 
 let status ~dir =
-  let* manifest_sexp =
-    match S.load (dir // manifest_file) with
-    | Ok s -> Ok s
-    | Error e -> Error (Printf.sprintf "no session in %s: %s" dir e)
-  in
-  let* workload, _, _ = manifest_of_sexp manifest_sexp in
-  let st_snapshot =
-    match newest_snapshot dir with
-    | None -> None
-    | Some s -> Some (s.Snapshot.checkpoint, s.Snapshot.position)
-  in
-  let st_journal =
-    match Journal.recover (dir // journal_file) with
-    | Ok r -> Some (Array.length r.Journal.events)
-    | Error _ -> None
+  let* workload, _, _ = load_manifest dir in
+  let snap, journal =
+    match recover ~dir with
+    | Ok (snap, r) -> (snap, Some (Array.length r.Journal.events))
+    | Error _ -> (None, None)
   in
   Ok
     {
       st_workload = workload;
-      st_snapshot;
-      st_journal;
+      st_snapshot = Option.map (fun s -> (s.Snapshot.checkpoint, s.Snapshot.position)) snap;
+      st_journal = journal;
       st_complete = Sys.file_exists (dir // report_file);
     }

@@ -45,7 +45,7 @@ type outcome = {
 
 type status_info = {
   st_workload : string;
-  st_snapshot : (int * int) option;  (** newest valid (ordinal, position) *)
+  st_snapshot : (int * int) option;  (** (ordinal, position) {!restore} starts from *)
   st_journal : int option;  (** surviving journal events *)
   st_complete : bool;  (** final profiles + report written *)
 }
@@ -60,6 +60,69 @@ val heartbeat_file : string
 (** Name of the heartbeat sample file inside a session directory
     ([heartbeat]) — one {!Ormp_telemetry.Heartbeat.sample} s-expression
     per line, append-only. *)
+
+val journal_file : string
+(** [journal.trace]: a directory holding one has a session to {!restore}. *)
+
+val report_file : string
+(** [report], written last: a directory holding one is finished. *)
+
+(** {1 The live session} *)
+
+type t
+(** A session in progress: its {!Pipeline}, journal, and triggers. Its
+    events come from the VM ({!run}, {!resume}) or off the wire
+    ([ormp serve]); both recover through the one {!restore}. *)
+
+val start :
+  ?io:Ormp_workloads.Faults.Io.t ->
+  ?heartbeat_every:int ->
+  ?pool:Ormp_trace.Pool.t * int ->
+  ?site_name:(int -> string) ->
+  options:options ->
+  dir:string ->
+  workload:string ->
+  unit ->
+  t
+(** A fresh session in the existing [dir]. [pool] and [site_name] go to
+    {!Pipeline.create}; [heartbeat_every] is as for {!run}. *)
+
+val restore :
+  ?io:Ormp_workloads.Faults.Io.t ->
+  ?heartbeat_every:int ->
+  ?pool:Ormp_trace.Pool.t * int ->
+  ?site_name:(int -> string) ->
+  options:options ->
+  dir:string ->
+  workload:string ->
+  unit ->
+  (t, string) result
+(** The one recovery path: the newest snapshot whose seal and journal
+    CRC both check (else the empty state at position 0), then the journal
+    tail replayed, then the journal reopened for append. [Error], never
+    an exception, when the journal is unreadable or its replay raises —
+    a pooled compressor's parked failure included; only an injected
+    {!Ormp_workloads.Faults.Io.Killed} escapes. *)
+
+val append : t -> Ormp_trace.Event.t -> unit
+(** Journal one event, apply it, fire the triggers due. An event the
+    pipeline rejects raises after it is journaled: {!restore} of this
+    session then fails closed. *)
+
+val flush : t -> unit
+(** Make the journal durable through {!position}. *)
+
+val close : t -> unit
+(** Flush and close the journal, leaving [dir] to {!restore}. Idempotent. *)
+
+val finish : t -> elapsed:float -> outcome
+(** {!close}, then write the three profiles and the [report]. *)
+
+val position : t -> int
+val pipeline : t -> Pipeline.t
+val journal_bytes : t -> int
+
+(** {1 Driving a workload} *)
 
 val run :
   ?io:Ormp_workloads.Faults.Io.t ->
@@ -100,10 +163,10 @@ val resume :
   dir:string ->
   unit ->
   (outcome, string) result
-(** Continue a session killed mid-run. Picks the newest snapshot whose
-    seal and journal cross-check hold (falling back to older ones, or to
-    a from-scratch re-run when none survive), replays the journal tail,
-    re-executes the remainder, and finishes exactly as {!run} would
-    have: the three profile files are byte-identical. *)
+(** Continue a session killed mid-run: {!restore} it, re-execute the
+    remainder, and finish exactly as {!run} would have — the three
+    profile files are byte-identical. When {!restore} returns [Error]
+    (an unreadable or poisoned journal), the session starts over from
+    scratch under the same manifest: correct, just slower. *)
 
 val status : dir:string -> (status_info, string) result

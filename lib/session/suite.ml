@@ -46,9 +46,7 @@ let profile_task ?config ?jobs program ~should_stop =
 let run ?(bench = false) ?timeout_s ?(retries = 1) ?backoff_s ?(faults = []) ?config ?jobs
     ?out_dir () =
   let t0 = Ormp_util.Clock.now_s () in
-  (match out_dir with
-  | Some d -> if not (Sys.file_exists d) then Unix.mkdir d 0o755
-  | None -> ());
+  Option.iter Storage.mkdirs out_dir;
   let entries =
     List.map
       (fun (e : Registry.entry) ->

@@ -148,14 +148,23 @@ let test_lint_worker_spawn_fixture () =
   check_int "total findings" 1 (List.length fs);
   Alcotest.(check (list int)) "worker-spawn finding lines" [ 5 ] (lines_of "worker-spawn" fs)
 
+let test_lint_journal_owner_fixture () =
+  let fs = Lint.scan_file (fixture "bad_journal.ml") in
+  check_int "journal-owner errors" 2 (count_rule "journal-owner" fs);
+  check_int "total findings" 2 (List.length fs);
+  (* Journal.flush is not an owner operation; the comment and the string
+     on lines 12-13 must not count *)
+  Alcotest.(check (list int)) "journal-owner finding lines" [ 5; 8 ]
+    (lines_of "journal-owner" fs)
+
 let test_lint_scan_fixtures () =
   let r = Lint.scan [ fixtures ] in
-  check_int "files" 5 r.Lint.files_scanned;
-  check_int "errors" 10 (Lint.errors r);
+  check_int "files" 6 r.Lint.files_scanned;
+  check_int "errors" 12 (Lint.errors r);
   check_int "warnings" 2 (Lint.warnings r);
   check_int "notes" 0 (Lint.notes r);
   check_bool "not clean" false (Lint.clean r);
-  (* severity-ranked: all 6 errors sort before the 2 warnings *)
+  (* severity-ranked: all 12 errors sort before the 2 warnings *)
   let sevs = List.map (fun f -> f.Lint.severity) r.Lint.findings in
   let rec sorted = function
     | a :: (b :: _ as rest) ->
@@ -202,6 +211,7 @@ let () =
           tc "blocking fixture counts" test_lint_blocking_fixture;
           tc "blocking rule exempts the net_io seam" test_lint_blocking_seam_exempt;
           tc "worker-spawn fixture counts" test_lint_worker_spawn_fixture;
+          tc "journal-owner fixture counts" test_lint_journal_owner_fixture;
           tc "scan totals and ranking" test_lint_scan_fixtures;
           tc "sexp shape" test_lint_sexp_shape;
         ] );

@@ -16,24 +16,7 @@ module Alloc = Ormp_memsim.Allocator
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let tmpdir () = Filename.temp_file "ormp_parallel" "" |> fun f ->
-  Sys.remove f;
-  Unix.mkdir f 0o755;
-  f
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let profile_bytes dir =
-  ( read_file (Filename.concat dir "whomp.profile"),
-    read_file (Filename.concat dir "rasg.profile"),
-    read_file (Filename.concat dir "leap.profile") )
+open Files
 
 (* --- WHOMP on a pool = the separate serial wiring, every micro ---------- *)
 

@@ -22,25 +22,7 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let tmpdir () =
-  Filename.temp_file "ormp_server" "" |> fun f ->
-  Sys.remove f;
-  Unix.mkdir f 0o755;
-  f
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let profile_bytes dir =
-  ( read_file (Filename.concat dir "whomp.profile"),
-    read_file (Filename.concat dir "rasg.profile"),
-    read_file (Filename.concat dir "leap.profile") )
+open Files
 
 (* One event stream shared by every test; linked_list is small and hits
    alloc, access and free frames. *)
@@ -532,6 +514,25 @@ let test_position_gap_is_protocol_error () =
       check_int "fresh stream, no reconnects" 0 st.Client.st_reconnects;
       check_matches_reference "resumed after gap" (session_dir h "gappy"))
 
+(* An event the pipeline rejects (an Alloc overlapping a live object) is
+   journaled before it fails. Every later Hello for that session must get
+   Err from the recovery path, and nothing else: the daemon keeps serving
+   and a fresh session beside it finishes byte-identical. *)
+let test_poisoned_journal_fails_one_session () =
+  with_harness (fun h ->
+      let alloc = Event.Alloc { site = 1; addr = 4096; size = 64; type_name = None } in
+      let access = Event.Access { instr = 2; addr = 4096; size = 8; is_store = false } in
+      (match
+         Client.run_session ~socket:h.socket ~token:"poisoned" ~workload:"overlap"
+           ~events:[| alloc; access; alloc; access |]
+           ~retry:{ Client.default_retry with Client.attempts = 3; backoff_s = 0.005 }
+           ~io_timeout_s:5.0 ()
+       with
+      | Ok _ -> Alcotest.fail "a session with an overlapping alloc finished"
+      | Error _ -> ());
+      ignore (ok_stats "after the poisoned session" (run h "after-poison"));
+      check_matches_reference "after the poisoned session" (session_dir h "after-poison"))
+
 let test_duplicate_token_refused_while_attached () =
   with_harness (fun h ->
       let deadline_s = Net_io.now () +. 5.0 in
@@ -734,14 +735,6 @@ let test_live_stats_rows_track_positions () =
         let n = validate_flight_bundles h.root in
         check_bool "at least one flight bundle on disk" true (n >= 1))
 
-(* --- percentile helper --------------------------------------------------- *)
-
-let test_percentile () =
-  let xs = [ 5.0; 1.0; 4.0; 2.0; 3.0 ] in
-  check_string "p50" "3." (Printf.sprintf "%g." (Client.percentile xs 0.5));
-  check_string "p99" "5." (Printf.sprintf "%g." (Client.percentile xs 0.99));
-  check_string "empty" "0." (Printf.sprintf "%g." (Client.percentile [] 0.99))
-
 (* An exhausted retry budget must say why the attempts failed — here,
    that the socket does not exist — plus how many were sheds and how
    many reconnects. *)
@@ -788,7 +781,6 @@ let () =
             test_clean_session_byte_identical;
           Alcotest.test_case "pooled daemon is byte-identical" `Quick
             test_pooled_daemon_byte_identical;
-          Alcotest.test_case "percentile" `Quick test_percentile;
         ] );
       ( "faults",
         [
@@ -802,6 +794,8 @@ let () =
             test_position_gap_is_protocol_error;
           Alcotest.test_case "attached token cannot be stolen" `Quick
             test_duplicate_token_refused_while_attached;
+          Alcotest.test_case "poisoned journal fails one session" `Quick
+            test_poisoned_journal_fails_one_session;
           Alcotest.test_case "exhausted budget reports its reason" `Quick
             test_exhausted_budget_reports_reason;
         ] );

@@ -18,19 +18,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-let tmpdir () = Filename.temp_file "ormp_session" "" |> fun f ->
-  Sys.remove f;
-  Unix.mkdir f 0o755;
-  f
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
+open Files
 
 (* --- CRC-32 ------------------------------------------------------------ *)
 
@@ -107,8 +95,8 @@ let test_journal_roundtrip () =
     check_int "crc" crc r.Journal.r_crc;
     check_bool "not truncated" false r.Journal.truncated;
     check_bool "events equal" true (r.Journal.events = events_fixture));
-  (* Reopen for append, continuing count and CRC. *)
-  let w2 = Journal.create ~resume:(4, crc) path in
+  (* Reopen for append, continuing the CRC. *)
+  let w2 = Journal.create ~resume:crc path in
   Journal.append w2 (Event.Access { instr = 2; addr = 4096; size = 8; is_store = false });
   Journal.flush w2;
   Journal.close w2;
@@ -362,11 +350,6 @@ let prop_leap_live_roundtrip =
 let session_options =
   { Session.default_options with checkpoint_every = 500; watch_every = 0 }
 
-let profile_bytes dir =
-  ( read_file (Filename.concat dir "whomp.profile"),
-    read_file (Filename.concat dir "rasg.profile"),
-    read_file (Filename.concat dir "leap.profile") )
-
 let run_reference ~workload ~options =
   let dir = tmpdir () in
   match Session.run ~options ~dir ~workload () with
@@ -455,6 +438,43 @@ let test_resume_discards_corrupt_snapshot () =
     check_int "fell back to checkpoint 2" 1000
       (Option.value ~default:(-1) oc.Session.oc_resumed_from));
   check_bool "bytes still identical" true (profile_bytes dir = ref_bytes);
+  rm_rf dir;
+  rm_rf ref_dir
+
+(* A journal line the pipeline rejects — here an Alloc overlapping a live
+   object, parseable but impossible — must not crash resume: recovery
+   returns an error, and the VM-driven resume starts over from scratch
+   and still converges to the uninterrupted run's bytes. *)
+let test_resume_survives_poisoned_journal () =
+  let workload = "linked_list" in
+  let ref_dir, _ = run_reference ~workload ~options:session_options in
+  let dir = tmpdir () in
+  let io = Faults.Io.create { Faults.Io.none with kill_at_checkpoint = Some 1 } in
+  (match Session.run ~io ~options:session_options ~dir ~workload () with
+  | exception Faults.Io.Killed _ -> ()
+  | _ -> Alcotest.fail "kill did not fire");
+  let journal = Filename.concat dir "journal.trace" in
+  let live = Hashtbl.create 64 in
+  (match Journal.recover journal with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    Array.iter
+      (function
+        | Event.Alloc { addr; _ } as ev -> Hashtbl.replace live addr ev
+        | Event.Free { addr; _ } -> Hashtbl.remove live addr
+        | Event.Access _ -> ())
+      r.Journal.events);
+  let victim =
+    match Hashtbl.to_seq_values live |> List.of_seq |> List.sort compare with
+    | ev :: _ -> ev
+    | [] -> Alcotest.fail "no live object at the kill point"
+  in
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 journal (fun oc ->
+      Out_channel.output_string oc (Ormp_trace.Trace_file.event_line victim));
+  (match Session.resume ~dir () with
+  | Error e -> Alcotest.failf "resume over a poisoned journal: %s" e
+  | Ok oc -> check_bool "started over" true (oc.Session.oc_resumed_from = None));
+  check_bool "bytes identical" true (profile_bytes dir = profile_bytes ref_dir);
   rm_rf dir;
   rm_rf ref_dir
 
@@ -622,6 +642,7 @@ let () =
           tc "kill + resume is byte-identical at every checkpoint"
             test_kill_and_resume_byte_identity;
           tc "resume survives a corrupt newest snapshot" test_resume_discards_corrupt_snapshot;
+          tc "resume survives a poisoned journal" test_resume_survives_poisoned_journal;
           tc "journal ENOSPC degrades gracefully" test_session_degrades_on_journal_enospc;
           tc "watchdog rotates epochs and caps streams" test_session_rotation_epochs;
         ] );

@@ -122,6 +122,13 @@ let test_stats_percentile () =
   check_float "p100" 100.0 (Stats.percentile xs 100.0);
   check_float "p1" 1.0 (Stats.percentile xs 1.0)
 
+(* Small unsorted input, as the client's ack latencies arrive. *)
+let test_stats_percentile_nearest_rank () =
+  let xs = [ 5.0; 1.0; 4.0; 2.0; 3.0 ] in
+  check_float "p50" 3.0 (Stats.percentile xs 50.0);
+  check_float "p99" 5.0 (Stats.percentile xs 99.0);
+  check_float "empty" 0.0 (Stats.percentile [] 99.0)
+
 let test_stats_geomean () =
   check_float "geomean" 4.0 (Stats.geomean [ 2.0; 8.0 ]);
   check_float "geomean empty" 0.0 (Stats.geomean [])
@@ -392,6 +399,7 @@ let () =
           tc "stddev" test_stats_stddev;
           tc "median" test_stats_median;
           tc "percentile" test_stats_percentile;
+          tc "percentile nearest rank" test_stats_percentile_nearest_rank;
           tc "geomean" test_stats_geomean;
           tc "gcd" test_stats_gcd;
           tc "egcd" test_stats_egcd;
