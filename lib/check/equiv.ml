@@ -1,4 +1,4 @@
-module S = Ormp_util.Sexp
+module W = Ormp_util.Sexp.Writer
 
 let first_diff a b =
   let n = min (String.length a) (String.length b) in
@@ -22,21 +22,16 @@ let check ~what a b =
          what i (String.length a) (String.length b) (excerpt a i) (excerpt b i))
 
 let rasg a b =
-  check ~what:"rasg"
-    (S.to_string (Ormp_persist.Rasg_io.to_sexp a))
-    (S.to_string (Ormp_persist.Rasg_io.to_sexp b))
+  let render = W.render Ormp_persist.Rasg_io.write in
+  check ~what:"rasg" (render a) (render b)
 
 let leap a b =
-  check ~what:"leap"
-    (S.to_string (Ormp_persist.Leap_io.to_sexp a))
-    (S.to_string (Ormp_persist.Leap_io.to_sexp b))
+  let render = W.render Ormp_persist.Leap_io.write in
+  check ~what:"leap" (render a) (render b)
 
 let whomp (a : Ormp_whomp.Whomp.profile) (b : Ormp_whomp.Whomp.profile) =
-  match
-    check ~what:"whomp"
-      (S.to_string (Ormp_persist.Whomp_io.to_sexp a))
-      (S.to_string (Ormp_persist.Whomp_io.to_sexp b))
-  with
+  let render = W.render Ormp_persist.Whomp_io.write in
+  match check ~what:"whomp" (render a) (render b) with
   | Ok () -> Ok ()
   | Error e ->
     (* Narrow the report to the first differing dimension grammar, when the
@@ -45,8 +40,8 @@ let whomp (a : Ormp_whomp.Whomp.profile) (b : Ormp_whomp.Whomp.profile) =
       | (na, ga) :: ra, (nb, gb) :: rb ->
         if na <> nb then Error (Printf.sprintf "%s (dimension order: %S vs %S)" e na nb)
         else if
-          S.to_string (Ormp_persist.Grammar_io.to_sexp (na, ga))
-          <> S.to_string (Ormp_persist.Grammar_io.to_sexp (nb, gb))
+          W.render Ormp_persist.Grammar_io.write (na, ga)
+          <> W.render Ormp_persist.Grammar_io.write (nb, gb)
         then Error (Printf.sprintf "%s (first divergent dimension: %S)" e na)
         else narrow (ra, rb)
       | _ -> Error e

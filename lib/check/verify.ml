@@ -131,12 +131,8 @@ let grammar g =
      symbols (and always at least 2): stale-index misses scale with how
      much relinking the input forced, i.e. with grammar size. *)
   let tolerance = max 2 (Seq_c.grammar_size g / 512) in
-  (* Enumerate through [iter_rules] (ascending-id, allocation-light) rather
-     than materializing [rules] twice over the verification pass. *)
-  let listing = ref [] in
-  Seq_c.iter_rules g (fun id rhs -> listing := (id, rhs) :: !listing);
   grammar_rules ~input_length:(Seq_c.input_length g) ~max_duplicate_digrams:tolerance
-    (List.rev !listing)
+    (Seq_c.rules g)
 
 (* --- LMADs and compressors ------------------------------------------- *)
 

@@ -1,23 +1,27 @@
 module S = Ormp_util.Sexp
+module W = Ormp_util.Sexp.Writer
 module Seq_c = Ormp_sequitur.Sequitur
 
 let ( let* ) = Result.bind
 
 (* One grammar as [(grammar (dim <name>) (rule <id> <sym>...)...)]:
-   terminals are bare ints, non-terminals [R<id>] atoms. Rules are
-   enumerated with {!Ormp_sequitur.Sequitur.iter_rules} — same ascending-id
-   order as [rules], without materializing the intermediate listing. *)
-let to_sexp (name, g) =
-  let rules = ref [] in
-  Seq_c.iter_rules g (fun id rhs ->
-      rules :=
-        S.field "rule"
-          (S.int id
-          :: List.map
-               (function `T v -> S.int v | `N id -> S.atom (Printf.sprintf "R%d" id))
-               rhs)
-        :: !rules);
-  S.field "grammar" (S.field "dim" [ S.atom name ] :: List.rev !rules)
+   terminals are bare ints, non-terminals [R<id>] atoms. Rules stream
+   straight from {!Ormp_sequitur.Sequitur.visit_rules} into the writer —
+   ascending-id order, no intermediate listing, nothing allocated per
+   symbol. *)
+let write w (name, g) =
+  W.nested w "grammar";
+  W.flat w "dim";
+  W.atom w name;
+  W.close w;
+  Seq_c.visit_rules g
+    ~rule:(fun id ->
+      W.flat w "rule";
+      W.int w id)
+    ~terminal:(fun v -> W.int w v)
+    ~nonterminal:(fun id -> W.prefixed w 'R' id)
+    ~rule_end:(fun _ -> W.close w);
+  W.close w
 
 let sym_of_atom a =
   if String.length a > 1 && a.[0] = 'R' then
@@ -60,7 +64,7 @@ let of_sexp args =
   let* g = Seq_c.of_rules (List.rev rules) in
   Ok (dim, g)
 
-let save path (name, g) = S.save path (to_sexp (name, g))
+let save path grammar = W.to_file path write grammar
 
 let load path =
   match

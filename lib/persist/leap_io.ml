@@ -1,65 +1,68 @@
 module S = Ormp_util.Sexp
+module W = Ormp_util.Sexp.Writer
 module Leap = Ormp_leap.Leap
 
 let version = 1
 
 (* --- writing --------------------------------------------------------- *)
 
-let comp_to_sexp = Lmad_io.comp_to_sexp
+let write_span_pair w (sp : Leap.span) =
+  W.int w sp.Leap.t_first;
+  W.int w sp.Leap.t_last
 
-let spans_to_sexp (s : Leap.stream) =
-  S.field "spans"
-    (List.concat_map
-       (fun (sp : Leap.span) -> [ S.int sp.Leap.t_first; S.int sp.Leap.t_last ])
-       (List.rev (Ormp_util.Vec.fold_left (fun acc sp -> sp :: acc) [] s.Leap.spans)))
-  ::
-  (match s.Leap.dspan with
-  | None -> []
-  | Some sp -> [ S.field "dspan" [ S.int sp.Leap.t_first; S.int sp.Leap.t_last ] ])
+let write_spans w (s : Leap.stream) =
+  W.flat w "spans";
+  Ormp_util.Vec.iter (write_span_pair w) s.Leap.spans;
+  W.close w;
+  Option.iter
+    (fun sp ->
+      W.flat w "dspan";
+      write_span_pair w sp;
+      W.close w)
+    s.Leap.dspan
 
-let stream_to_sexp (k : Leap.key) (s : Leap.stream) =
-  S.field "stream"
-    ([
-       S.field "instr" [ S.int k.Leap.instr ];
-       S.field "group" [ S.int k.Leap.group ];
-       comp_to_sexp "comp" s.Leap.comp;
-       comp_to_sexp "off" s.Leap.off;
-     ]
-    @ spans_to_sexp s)
+let write_stream w ((k : Leap.key), (s : Leap.stream)) =
+  W.nested w "stream";
+  W.int_field w "instr" k.Leap.instr;
+  W.int_field w "group" k.Leap.group;
+  Lmad_io.write_comp w "comp" s.Leap.comp;
+  Lmad_io.write_comp w "off" s.Leap.off;
+  write_spans w s;
+  W.close w
 
-let to_sexp (p : Leap.profile) =
-  S.field "ormp-leap-profile"
-    ([
-       S.field "version" [ S.int version ];
-       S.field "collected" [ S.int p.Leap.collected ];
-       S.field "wild" [ S.int p.Leap.wild ];
-       (* Sorted: Hashtbl.fold order depends on insertion history, which
-          differs between a live collector and a restored one — the file
-          must be byte-identical either way (the loader never cared). *)
-       S.field "stores"
-         (List.map S.int
-            (List.sort compare
-               (* lint:allow hashtbl-order — order erased by the sort above *)
-               (Hashtbl.fold
-                  (fun i is_store acc -> if is_store then i :: acc else acc)
-                  p.Leap.store_instrs [])));
-       S.field "instrs"
-         (List.map S.int
-            (List.sort compare
-               (* lint:allow hashtbl-order — order erased by the sort above *)
-               (Hashtbl.fold (fun i _ acc -> i :: acc) p.Leap.store_instrs [])));
-     ]
-    (* Degradation counters ride along only when a session capped stream
-       growth, keeping uncapped files (and version 1 readers) unchanged. *)
-    @ (if p.Leap.dropped_streams <> 0 then
-         [ S.field "dropped-streams" [ S.int p.Leap.dropped_streams ] ]
-       else [])
-    @ (if p.Leap.dropped_accesses <> 0 then
-         [ S.field "dropped-accesses" [ S.int p.Leap.dropped_accesses ] ]
-       else [])
-    @ List.map (fun (k, s) -> stream_to_sexp k s) p.Leap.streams)
+let write_int_list w name xs =
+  W.flat w name;
+  List.iter (W.int w) xs;
+  W.close w
 
-let save path p = S.save path (to_sexp p)
+let write w (p : Leap.profile) =
+  W.nested w "ormp-leap-profile";
+  W.int_field w "version" version;
+  W.int_field w "collected" p.Leap.collected;
+  W.int_field w "wild" p.Leap.wild;
+  (* Sorted: Hashtbl.fold order depends on insertion history, which
+     differs between a live collector and a restored one — the file
+     must be byte-identical either way (the loader never cared). *)
+  write_int_list w "stores"
+    (List.sort compare
+       (* lint:allow hashtbl-order — order erased by the sort above *)
+       (Hashtbl.fold
+          (fun i is_store acc -> if is_store then i :: acc else acc)
+          p.Leap.store_instrs []));
+  write_int_list w "instrs"
+    (List.sort compare
+       (* lint:allow hashtbl-order — order erased by the sort above *)
+       (Hashtbl.fold (fun i _ acc -> i :: acc) p.Leap.store_instrs []));
+  (* Degradation counters ride along only when a session capped stream
+     growth, keeping uncapped files (and version 1 readers) unchanged. *)
+  if p.Leap.dropped_streams <> 0 then
+    W.int_field w "dropped-streams" p.Leap.dropped_streams;
+  if p.Leap.dropped_accesses <> 0 then
+    W.int_field w "dropped-accesses" p.Leap.dropped_accesses;
+  List.iter (write_stream w) p.Leap.streams;
+  W.close w
+
+let save path p = W.to_file path write p
 
 (* --- reading --------------------------------------------------------- *)
 

@@ -8,16 +8,18 @@
     descriptor of each stream is finalized at save time). *)
 
 val save : string -> Ormp_leap.Leap.profile -> unit
-(** @raise Sys_error on I/O failure. *)
+(** Streams {!write} into [path]; the file is closed even when a write
+    fails.
+    @raise Sys_error on I/O failure. *)
 
 val load : string -> (Ormp_leap.Leap.profile, string) result
 
-val to_sexp : Ormp_leap.Leap.profile -> Ormp_util.Sexp.t
+val write : Ormp_util.Sexp.Writer.t -> Ormp_leap.Leap.profile -> unit
 val of_sexp : Ormp_util.Sexp.t -> (Ormp_leap.Leap.profile, string) result
 
 (** {1 Stream parts shared with session snapshots} *)
 
-val spans_to_sexp : Ormp_leap.Leap.stream -> Ormp_util.Sexp.t list
+val write_spans : Ormp_util.Sexp.Writer.t -> Ormp_leap.Leap.stream -> unit
 (** The stream's [(spans a b ...)] field, plus [(dspan a b)] when set. *)
 
 val spans_of_sexp :

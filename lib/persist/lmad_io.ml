@@ -1,22 +1,29 @@
 module S = Ormp_util.Sexp
+module W = Ormp_util.Sexp.Writer
 module C = Ormp_lmad.Compressor
 module L = Ormp_lmad.Lmad
 
 let ( let* ) = Result.bind
 
-let ints xs = List.map S.int xs
+(* [(name a b ...)] *)
+let write_ints w name a =
+  W.flat w name;
+  Array.iter (W.int w) a;
+  W.close w
 
 (* --- LMAD descriptors ------------------------------------------------ *)
 
-let level_to_sexp (l : L.level) =
-  S.field "level"
-    [
-      S.field "stride" (ints (Array.to_list l.L.stride));
-      S.field "count" [ S.int l.L.count ];
-    ]
+let write_level w (l : L.level) =
+  W.nested w "level";
+  write_ints w "stride" l.L.stride;
+  W.int_field w "count" l.L.count;
+  W.close w
 
-let lmad_to_sexp (d : L.t) =
-  S.field "lmad" (S.field "start" (ints (Array.to_list d.L.start)) :: List.map level_to_sexp d.L.levels)
+let write_lmad w (d : L.t) =
+  W.nested w "lmad";
+  write_ints w "start" d.L.start;
+  List.iter (write_level w) d.L.levels;
+  W.close w
 
 let levels_of_sexps items =
   S.collect_results
@@ -45,14 +52,13 @@ let lmad_of_sexp t =
 
 (* --- summaries ------------------------------------------------------- *)
 
-let summary_to_sexp (s : C.summary) =
-  S.field "summary"
-    [
-      S.field "min" (ints (Array.to_list s.C.min_v));
-      S.field "max" (ints (Array.to_list s.C.max_v));
-      S.field "granularity" (ints (Array.to_list s.C.granularity));
-      S.field "discarded" [ S.int s.C.discarded ];
-    ]
+let write_summary w (s : C.summary) =
+  W.nested w "summary";
+  write_ints w "min" s.C.min_v;
+  write_ints w "max" s.C.max_v;
+  write_ints w "granularity" s.C.granularity;
+  W.int_field w "discarded" s.C.discarded;
+  W.close w
 
 let summary_of_sexp t =
   let* min_args = S.assoc "min" t in
@@ -72,18 +78,17 @@ let summary_of_sexp t =
 
 (* --- lossy compressor snapshots (profile files) ---------------------- *)
 
-let comp_to_sexp name (c : C.t) =
+let write_comp w name (c : C.t) =
   let p = C.parts c in
-  S.field name
-    ([
-       S.field "dims" [ S.int p.C.p_dims ];
-       S.field "budget" [ S.int p.C.p_budget ];
-       S.field "max-depth" [ S.int p.C.p_max_depth ];
-       S.field "total" [ S.int p.C.p_total ];
-       S.field "discarded" [ S.int p.C.p_discarded ];
-     ]
-    @ List.map lmad_to_sexp p.C.p_lmads
-    @ match p.C.p_summary with None -> [] | Some s -> [ summary_to_sexp s ])
+  W.nested w name;
+  W.int_field w "dims" p.C.p_dims;
+  W.int_field w "budget" p.C.p_budget;
+  W.int_field w "max-depth" p.C.p_max_depth;
+  W.int_field w "total" p.C.p_total;
+  W.int_field w "discarded" p.C.p_discarded;
+  List.iter (write_lmad w) p.C.p_lmads;
+  Option.iter (write_summary w) p.C.p_summary;
+  W.close w
 
 let comp_of_sexp name t =
   let* args = S.assoc name t in
@@ -121,34 +126,27 @@ let comp_of_sexp name t =
 
 (* --- exact compressor state (session snapshots) ---------------------- *)
 
-let state_to_sexp name (c : C.t) =
+let write_open w (os : C.open_state) =
+  W.nested w "open";
+  write_ints w "start" os.C.s_start;
+  List.iter (write_level w) os.C.s_levels;
+  Option.iter (write_ints w "top-stride") os.C.s_top_stride;
+  W.int_field w "top-done" os.C.s_top_done;
+  W.int_field w "partial" os.C.s_partial;
+  W.close w
+
+let write_state w name (c : C.t) =
   let s = C.state c in
-  let open_fields (os : C.open_state) =
-    S.field "open"
-      ([ S.field "start" (ints (Array.to_list os.C.s_start)) ]
-      @ List.map level_to_sexp os.C.s_levels
-      @ (match os.C.s_top_stride with
-        | None -> []
-        | Some ts -> [ S.field "top-stride" (ints (Array.to_list ts)) ])
-      @ [
-          S.field "top-done" [ S.int os.C.s_top_done ];
-          S.field "partial" [ S.int os.C.s_partial ];
-        ])
-  in
-  S.field name
-    ([
-       S.field "dims" [ S.int s.C.s_dims ];
-       S.field "budget" [ S.int s.C.s_budget ];
-       S.field "max-depth" [ S.int s.C.s_max_depth ];
-       S.field "total" [ S.int s.C.s_total ];
-     ]
-    @ List.map lmad_to_sexp s.C.s_closed
-    @ (match s.C.s_current with None -> [] | Some os -> [ open_fields os ])
-    @ (match s.C.s_summary with None -> [] | Some sum -> [ summary_to_sexp sum ])
-    @
-    match s.C.s_last_discarded with
-    | None -> []
-    | Some p -> [ S.field "last-discarded" (ints (Array.to_list p)) ])
+  W.nested w name;
+  W.int_field w "dims" s.C.s_dims;
+  W.int_field w "budget" s.C.s_budget;
+  W.int_field w "max-depth" s.C.s_max_depth;
+  W.int_field w "total" s.C.s_total;
+  List.iter (write_lmad w) s.C.s_closed;
+  Option.iter (write_open w) s.C.s_current;
+  Option.iter (write_summary w) s.C.s_summary;
+  Option.iter (write_ints w "last-discarded") s.C.s_last_discarded;
+  W.close w
 
 let state_of_sexp name t =
   let* args = S.assoc name t in

@@ -1,18 +1,18 @@
 module S = Ormp_util.Sexp
+module W = Ormp_util.Sexp.Writer
 
 let version = 1
 
 let ( let* ) = Result.bind
 
-let to_sexp (p : Ormp_whomp.Rasg.profile) =
-  S.field "ormp-rasg-profile"
-    [
-      S.field "version" [ S.int version ];
-      S.field "accesses" [ S.int p.Ormp_whomp.Rasg.accesses ];
-      Grammar_io.to_sexp ("rasg", p.Ormp_whomp.Rasg.grammar);
-    ]
+let write w (p : Ormp_whomp.Rasg.profile) =
+  W.nested w "ormp-rasg-profile";
+  W.int_field w "version" version;
+  W.int_field w "accesses" p.Ormp_whomp.Rasg.accesses;
+  Grammar_io.write w ("rasg", p.Ormp_whomp.Rasg.grammar);
+  W.close w
 
-let save path p = S.save path (to_sexp p)
+let save path p = W.to_file path write p
 
 let of_sexp t =
   let* args = S.as_list t in

@@ -6,8 +6,12 @@
     all three outputs; [elapsed] is deliberately not serialized (wall
     time differs between byte-identical runs). *)
 
-val to_sexp : Ormp_whomp.Rasg.profile -> Ormp_util.Sexp.t
+val write : Ormp_util.Sexp.Writer.t -> Ormp_whomp.Rasg.profile -> unit
+
 val save : string -> Ormp_whomp.Rasg.profile -> unit
+(** Streams {!write} into [path]; the file is closed even when a write
+    fails.
+    @raise Sys_error on I/O failure. *)
 
 val of_sexp : Ormp_util.Sexp.t -> (Ormp_whomp.Rasg.profile, string) result
 

@@ -1,6 +1,6 @@
 module S = Ormp_util.Sexp
-module Seq_c = Ormp_sequitur.Sequitur
-module W = Ormp_whomp.Whomp
+module W = Ormp_util.Sexp.Writer
+module Whomp = Ormp_whomp.Whomp
 module Omc = Ormp_core.Omc
 
 (* Version 2 added the free-site column to object records. *)
@@ -10,42 +10,43 @@ let ( let* ) = Result.bind
 
 (* --- writing --------------------------------------------------------- *)
 
-let grammar_to_sexp = Grammar_io.to_sexp
+let write_group w (g : Omc.group_info) =
+  W.flat w "group";
+  W.int w g.Omc.gid;
+  W.int w g.Omc.site;
+  W.atom w g.Omc.label;
+  W.int w g.Omc.population;
+  W.close w
 
-let group_to_sexp (g : Omc.group_info) =
-  S.field "group"
-    [ S.int g.Omc.gid; S.int g.Omc.site; S.atom g.Omc.label; S.int g.Omc.population ]
+let write_lifetime w (l : Omc.lifetime) =
+  W.flat w "object";
+  W.int w l.Omc.group;
+  W.int w l.Omc.serial;
+  W.int w l.Omc.base;
+  W.int w l.Omc.size;
+  W.int w l.Omc.alloc_time;
+  W.int w (match l.Omc.free_time with None -> -1 | Some t -> t);
+  W.int w (match l.Omc.free_site with None -> -1 | Some s -> s);
+  W.close w
 
-let lifetime_to_sexp (l : Omc.lifetime) =
-  S.field "object"
-    [
-      S.int l.Omc.group;
-      S.int l.Omc.serial;
-      S.int l.Omc.base;
-      S.int l.Omc.size;
-      S.int l.Omc.alloc_time;
-      S.int (match l.Omc.free_time with None -> -1 | Some t -> t);
-      S.int (match l.Omc.free_site with None -> -1 | Some s -> s);
-    ]
+let write w (p : Whomp.profile) =
+  W.nested w "ormp-whomp-profile";
+  W.int_field w "version" version;
+  W.int_field w "collected" p.Whomp.collected;
+  W.int_field w "wild" p.Whomp.wild;
+  List.iter (Grammar_io.write w) p.Whomp.dims;
+  List.iter (write_group w) p.Whomp.groups;
+  List.iter (write_lifetime w) p.Whomp.lifetimes;
+  W.close w
 
-let to_sexp (p : W.profile) =
-  S.field "ormp-whomp-profile"
-    ([
-       S.field "version" [ S.int version ];
-       S.field "collected" [ S.int p.W.collected ];
-       S.field "wild" [ S.int p.W.wild ];
-     ]
-    @ List.map grammar_to_sexp p.W.dims
-    @ List.map group_to_sexp p.W.groups
-    @ List.map lifetime_to_sexp p.W.lifetimes)
-
-let save path p = S.save path (to_sexp p)
+let save path p = W.to_file path write p
 
 (* --- reading --------------------------------------------------------- *)
 
 (* The heavy lifting — rebuilding a live grammar from its rule listing,
    with cyclic/dangling-reference detection — lives in {!Grammar_io} (and
-   ultimately {!Seq_c.of_rules}) so the session snapshots share it. *)
+   ultimately {!Ormp_sequitur.Sequitur.of_rules}) so the session
+   snapshots share it. *)
 let grammar_of_sexp = Grammar_io.of_sexp
 
 let group_of_sexp args =
@@ -87,7 +88,7 @@ let of_sexp t =
       let* dims = S.pick rest "grammar" grammar_of_sexp in
       let* groups = S.pick rest "group" group_of_sexp in
       let* lifetimes = S.pick rest "object" lifetime_of_sexp in
-      Ok { W.dims; collected; wild; groups; lifetimes; elapsed = 0.0 }
+      Ok { Whomp.dims; collected; wild; groups; lifetimes; elapsed = 0.0 }
   | _ -> Error "not an ormp-whomp-profile"
 
 let load path =

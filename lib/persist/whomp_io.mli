@@ -8,14 +8,20 @@
     saved alongside. *)
 
 val save : string -> Ormp_whomp.Whomp.profile -> unit
+(** Streams {!write} into [path]; the file is closed even when a write
+    fails.
+    @raise Sys_error on I/O failure. *)
+
 val load : string -> (Ormp_whomp.Whomp.profile, string) result
 
-val to_sexp : Ormp_whomp.Whomp.profile -> Ormp_util.Sexp.t
+val write : Ormp_util.Sexp.Writer.t -> Ormp_whomp.Whomp.profile -> unit
+(** The profile as one s-expression; {!save} streams it into the file. *)
+
 val of_sexp : Ormp_util.Sexp.t -> (Ormp_whomp.Whomp.profile, string) result
 
 (** {1 Object records shared with session snapshots} *)
 
-val lifetime_to_sexp : Ormp_core.Omc.lifetime -> Ormp_util.Sexp.t
+val write_lifetime : Ormp_util.Sexp.Writer.t -> Ormp_core.Omc.lifetime -> unit
 (** [(object group serial base size alloc-time free-time free-site)],
     with [-1] for a time or site that is not set. *)
 

@@ -705,15 +705,36 @@ let expand t =
   assert (!k = t.input_len);
   a
 
-let rhs_list t id =
+(* The one rule enumeration everything else is built on. Ascending ids
+   are already sorted, and the RHS walk is a plain loop over the links:
+   nothing is allocated, so persisting a grammar costs no heap per
+   symbol. *)
+let visit_rules t ~rule ~terminal ~nonterminal ~rule_end =
+  for id = 0 to t.next_rule_id - 1 do
+    let g = t.rule_guard.(id) in
+    if g >= 0 then begin
+      rule id;
+      let s = ref (s_nxt t g) in
+      while !s <> g do
+        if is_nonterm t !s then nonterminal (s_code t !s) else terminal (s_code t !s);
+        s := s_nxt t !s
+      done;
+      rule_end id
+    end
+  done
+
+let iter_rules t f =
   let rhs = ref [] in
-  iter_rhs t id (fun s ->
-      rhs := (if is_nonterm t s then `N (s_code t s) else `T (s_code t s)) :: !rhs);
-  List.rev !rhs
+  visit_rules t
+    ~rule:(fun _ -> rhs := [])
+    ~terminal:(fun v -> rhs := `T v :: !rhs)
+    ~nonterminal:(fun r -> rhs := `N r :: !rhs)
+    ~rule_end:(fun id -> f id (List.rev !rhs))
 
-let iter_rules t f = fold_live_rules t () (fun () id -> f id (rhs_list t id))
-
-let rules t = List.rev (fold_live_rules t [] (fun acc id -> (id, rhs_list t id) :: acc))
+let rules t =
+  let acc = ref [] in
+  iter_rules t (fun id rhs -> acc := (id, rhs) :: !acc);
+  List.rev !acc
 
 let of_rules rule_list =
   let table = Hashtbl.create 64 in
@@ -753,15 +774,11 @@ let of_rules rule_list =
   end
 
 let pp fmt t =
-  iter_rules t (fun id rhs ->
-      Format.fprintf fmt "R%d ->" id;
-      List.iter
-        (fun sym ->
-          match sym with
-          | `T v -> Format.fprintf fmt " %d" v
-          | `N id -> Format.fprintf fmt " R%d" id)
-        rhs;
-      Format.fprintf fmt "@.")
+  visit_rules t
+    ~rule:(fun id -> Format.fprintf fmt "R%d ->" id)
+    ~terminal:(fun v -> Format.fprintf fmt " %d" v)
+    ~nonterminal:(fun id -> Format.fprintf fmt " R%d" id)
+    ~rule_end:(fun _ -> Format.fprintf fmt "@.")
 
 let check_invariants t =
   let exception Bad of string in

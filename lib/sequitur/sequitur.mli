@@ -52,17 +52,28 @@ val byte_size : t -> int
 val expand : t -> int array
 (** Decompress: the exact sequence of terminals pushed so far. *)
 
+val visit_rules :
+  t ->
+  rule:(int -> unit) ->
+  terminal:(int -> unit) ->
+  nonterminal:(int -> unit) ->
+  rule_end:(int -> unit) ->
+  unit
+(** Enumerate live rules in ascending rule-id order (start rule first):
+    [rule id], then [terminal v] or [nonterminal id'] for each right-hand
+    side symbol in order, then [rule_end id]. Rule ids are monotonic, so
+    the scan is already sorted; the enumeration itself allocates nothing,
+    which is what lets a profile be persisted without heap traffic per
+    symbol. {!rules}, {!iter_rules} and {!pp} are built on it. The
+    callbacks must not modify the grammar. *)
+
 val rules : t -> (int * [ `T of int | `N of int ] list) list
 (** Live rules as [(rule-id, right-hand side)], start rule (id 0) first,
     for display and testing. *)
 
 val iter_rules : t -> (int -> [ `T of int | `N of int ] list -> unit) -> unit
-(** Iterate live rules in ascending rule-id order (start rule first) —
-    the same deterministic order as {!rules} without materializing the
-    whole listing, and without the per-call sorted-id list the previous
-    implementation built: rule ids are monotonic, so an ascending id scan
-    is already sorted. Serialization ([persist]) and verification
-    ([check]) enumerate rules through this. *)
+(** {!visit_rules} with each right-hand side gathered into a list — the
+    same order as {!rules} without materializing the whole listing. *)
 
 val of_rules : (int * [ `T of int | `N of int ] list) list -> (t, string) result
 (** Rebuild a live compressor from a {!rules} listing: the start rule is

@@ -1,4 +1,5 @@
 module S = Ormp_util.Sexp
+module W = Ormp_util.Sexp.Writer
 module Seq_c = Ormp_sequitur.Sequitur
 module A = Ormp_memsim.Allocator
 module Io = Ormp_workloads.Faults.Io
@@ -225,7 +226,7 @@ let rotate ctx =
   ctx.rotations <- ctx.rotations + 1;
   let seal (dim, g) =
     let file = Printf.sprintf "epoch-%d-%s" ctx.rotations dim in
-    Storage.save_sealed (ctx.dir // file) (Ormp_persist.Grammar_io.to_sexp (dim, g));
+    Storage.save_sealed (ctx.dir // file) Ormp_persist.Grammar_io.write (dim, g);
     {
       Snapshot.ep_index = ctx.rotations;
       ep_dim = dim;
@@ -377,21 +378,21 @@ let close ctx =
 
 (* --- report ------------------------------------------------------------ *)
 
-let outcome_to_sexp (o : outcome) =
-  S.field "ormp-session-report"
-    ([
-       S.field "workload" [ S.atom o.oc_workload ];
-       S.field "position" [ S.int o.oc_position ];
-       S.field "collected" [ S.int o.oc_collected ];
-       S.field "wild" [ S.int o.oc_wild ];
-       S.field "checkpoints" [ S.int o.oc_checkpoints ];
-       S.field "resumed-from"
-         [ S.int (match o.oc_resumed_from with None -> -1 | Some p -> p) ];
-       S.field "replayed" [ S.int o.oc_replayed ];
-       S.field "rotations" [ S.int o.oc_rotations ];
-     ]
-    @ List.map Snapshot.epoch_to_sexp o.oc_epochs
-    @ List.map Snapshot.degradation_to_sexp o.oc_degradations)
+let write_outcome w (o : outcome) =
+  W.nested w "ormp-session-report";
+  W.flat w "workload";
+  W.atom w o.oc_workload;
+  W.close w;
+  W.int_field w "position" o.oc_position;
+  W.int_field w "collected" o.oc_collected;
+  W.int_field w "wild" o.oc_wild;
+  W.int_field w "checkpoints" o.oc_checkpoints;
+  W.int_field w "resumed-from" (match o.oc_resumed_from with None -> -1 | Some p -> p);
+  W.int_field w "replayed" o.oc_replayed;
+  W.int_field w "rotations" o.oc_rotations;
+  List.iter (Snapshot.write_epoch w) o.oc_epochs;
+  List.iter (Snapshot.write_degradation w) o.oc_degradations;
+  W.close w
 
 let finish ctx ~elapsed =
   (* The journal is durable before finalization, so a compressor failure
@@ -416,7 +417,7 @@ let finish ctx ~elapsed =
     }
   in
   Storage.write_atomic ~path:(ctx.dir // report_file)
-    (S.to_string (outcome_to_sexp outcome) ^ "\n");
+    (W.render write_outcome outcome ^ "\n");
   outcome
 
 (* --- start / restore --------------------------------------------------- *)

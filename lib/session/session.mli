@@ -50,8 +50,6 @@ type status_info = {
   st_complete : bool;  (** final profiles + report written *)
 }
 
-val outcome_to_sexp : outcome -> Ormp_util.Sexp.t
-
 val find_workload : string -> (Ormp_vm.Program.t, string) result
 (** Resolve by {!Ormp_workloads.Registry} name/spec-ref, then by
     {!Ormp_workloads.Micro} name. *)

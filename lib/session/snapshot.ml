@@ -1,4 +1,5 @@
 module S = Ormp_util.Sexp
+module W = Ormp_util.Sexp.Writer
 module Seq_c = Ormp_sequitur.Sequitur
 module Omc = Ormp_core.Omc
 module Cdc = Ormp_core.Cdc
@@ -36,85 +37,97 @@ type t = {
 
 (* --- encoding --------------------------------------------------------- *)
 
-let opt_atom = function None -> S.atom "-" | Some s -> S.list [ S.atom s ]
+(* A group's type is [-] when unknown, [(name)] when known. *)
+let write_group w (g : Omc.group_state) =
+  (match g.Omc.gs_type with None -> W.flat w "group" | Some _ -> W.nested w "group");
+  W.int w g.Omc.gs_site;
+  (match g.Omc.gs_type with
+  | None -> W.atom w "-"
+  | Some ty ->
+    W.flat w ty;
+    W.close w);
+  W.int w g.Omc.gs_population;
+  W.close w
 
-let group_to_sexp (g : Omc.group_state) =
-  S.field "group" [ S.int g.Omc.gs_site; opt_atom g.Omc.gs_type; S.int g.Omc.gs_population ]
+let write_cdc w (s : Cdc.state) =
+  W.nested w "cdc";
+  W.flat w "grouping";
+  W.atom w (match s.Cdc.s_omc.Omc.s_grouping with `Site -> "site" | `Type -> "type");
+  W.close w;
+  W.int_field w "clock" s.Cdc.s_clock;
+  W.int_field w "wild" s.Cdc.s_wild;
+  W.int_field w "unknown-frees" s.Cdc.s_omc.Omc.s_unknown_frees;
+  List.iter (write_group w) s.Cdc.s_omc.Omc.s_groups;
+  List.iter (Whomp_io.write_lifetime w) s.Cdc.s_omc.Omc.s_lifetimes;
+  W.close w
 
-let cdc_to_sexp (s : Cdc.state) =
-  S.field "cdc"
-    ([
-       S.field "grouping"
-         [ S.atom (match s.Cdc.s_omc.Omc.s_grouping with `Site -> "site" | `Type -> "type") ];
-       S.field "clock" [ S.int s.Cdc.s_clock ];
-       S.field "wild" [ S.int s.Cdc.s_wild ];
-       S.field "unknown-frees" [ S.int s.Cdc.s_omc.Omc.s_unknown_frees ];
-     ]
-    @ List.map group_to_sexp s.Cdc.s_omc.Omc.s_groups
-    @ List.map Whomp_io.lifetime_to_sexp s.Cdc.s_omc.Omc.s_lifetimes)
+let write_stream w ((k : Leap.key), (s : Leap.stream)) =
+  W.nested w "stream";
+  W.int_field w "instr" k.Leap.instr;
+  W.int_field w "group" k.Leap.group;
+  Lmad_io.write_state w "comp" s.Leap.comp;
+  Lmad_io.write_state w "off" s.Leap.off;
+  Leap_io.write_spans w s;
+  W.close w
 
-let stream_to_sexp (k : Leap.key) (s : Leap.stream) =
-  S.field "stream"
-    ([
-       S.field "instr" [ S.int k.Leap.instr ];
-       S.field "group" [ S.int k.Leap.group ];
-       Lmad_io.state_to_sexp "comp" s.Leap.comp;
-       Lmad_io.state_to_sexp "off" s.Leap.off;
-     ]
-    @ Leap_io.spans_to_sexp s)
+let write_leap w (lv : Leap.live) =
+  W.nested w "leap";
+  W.flat w "stores";
+  List.iter (fun (i, st) -> if st then W.int w i) lv.Leap.lv_stores;
+  W.close w;
+  W.flat w "instrs";
+  List.iter (fun (i, _) -> W.int w i) lv.Leap.lv_stores;
+  W.close w;
+  W.flat w "dropped";
+  List.iter
+    (fun (k : Leap.key) ->
+      W.int w k.Leap.instr;
+      W.int w k.Leap.group)
+    lv.Leap.lv_dropped;
+  W.close w;
+  W.int_field w "dropped-accesses" lv.Leap.lv_dropped_accesses;
+  List.iter (write_stream w) lv.Leap.lv_streams;
+  W.close w
 
-let leap_to_sexp (lv : Leap.live) =
-  S.field "leap"
-    ([
-       S.field "stores"
-         (List.filter_map (fun (i, st) -> if st then Some (S.int i) else None) lv.Leap.lv_stores);
-       S.field "instrs" (List.map (fun (i, _) -> S.int i) lv.Leap.lv_stores);
-       S.field "dropped"
-         (List.concat_map
-            (fun (k : Leap.key) -> [ S.int k.Leap.instr; S.int k.Leap.group ])
-            lv.Leap.lv_dropped);
-       S.field "dropped-accesses" [ S.int lv.Leap.lv_dropped_accesses ];
-     ]
-    @ List.map (fun (k, s) -> stream_to_sexp k s) lv.Leap.lv_streams)
+let write_epoch w (e : epoch) =
+  W.flat w "epoch";
+  W.int w e.ep_index;
+  W.atom w e.ep_dim;
+  W.atom w e.ep_file;
+  W.int w e.ep_from;
+  W.int w e.ep_to;
+  W.int w e.ep_symbols;
+  W.close w
 
-let epoch_to_sexp (e : epoch) =
-  S.field "epoch"
-    [
-      S.int e.ep_index;
-      S.atom e.ep_dim;
-      S.atom e.ep_file;
-      S.int e.ep_from;
-      S.int e.ep_to;
-      S.int e.ep_symbols;
-    ]
+let write_degradation w (d : degradation) =
+  W.flat w "degradation";
+  W.int w d.dg_position;
+  W.atom w d.dg_kind;
+  W.atom w d.dg_detail;
+  W.close w
 
-let degradation_to_sexp (d : degradation) =
-  S.field "degradation" [ S.int d.dg_position; S.atom d.dg_kind; S.atom d.dg_detail ]
-
-let to_sexp (t : t) =
+let write w (t : t) =
   let gi, gg, go, gf = t.whomp in
-  S.field "ormp-session-snapshot"
-    ([
-       S.field "version" [ S.int version ];
-       S.field "position" [ S.int t.position ];
-       S.field "checkpoint" [ S.int t.checkpoint ];
-       S.field "journal-crc" [ S.int t.journal_crc ];
-       S.field "rotations" [ S.int t.rotations ];
-     ]
-    @ List.map epoch_to_sexp t.epochs
-    @ List.map degradation_to_sexp t.degradations
-    @ [
-        cdc_to_sexp t.cdc;
-        S.field "whomp"
-          [
-            Grammar_io.to_sexp ("instr", gi);
-            Grammar_io.to_sexp ("group", gg);
-            Grammar_io.to_sexp ("object", go);
-            Grammar_io.to_sexp ("offset", gf);
-          ];
-        S.field "rasg" [ Grammar_io.to_sexp ("rasg", t.rasg) ];
-        leap_to_sexp t.leap;
-      ])
+  W.nested w "ormp-session-snapshot";
+  W.int_field w "version" version;
+  W.int_field w "position" t.position;
+  W.int_field w "checkpoint" t.checkpoint;
+  W.int_field w "journal-crc" t.journal_crc;
+  W.int_field w "rotations" t.rotations;
+  List.iter (write_epoch w) t.epochs;
+  List.iter (write_degradation w) t.degradations;
+  write_cdc w t.cdc;
+  W.nested w "whomp";
+  Grammar_io.write w ("instr", gi);
+  Grammar_io.write w ("group", gg);
+  Grammar_io.write w ("object", go);
+  Grammar_io.write w ("offset", gf);
+  W.close w;
+  W.nested w "rasg";
+  Grammar_io.write w ("rasg", t.rasg);
+  W.close w;
+  write_leap w t.leap;
+  W.close w
 
 (* --- decoding --------------------------------------------------------- *)
 
@@ -268,7 +281,7 @@ let of_sexp t =
         }
   | _ -> Error "not an ormp-session-snapshot"
 
-let save ?io path t = Storage.save_sealed ?io path (to_sexp t)
+let save ?io path t = Storage.save_sealed ?io path write t
 
 let load path =
   match

@@ -46,13 +46,17 @@ type t = {
   leap : Ormp_leap.Leap.live;
 }
 
-val epoch_to_sexp : epoch -> Ormp_util.Sexp.t
+val write_epoch : Ormp_util.Sexp.Writer.t -> epoch -> unit
 val epoch_of_sexp : Ormp_util.Sexp.t list -> (epoch, string) result
 
-val degradation_to_sexp : degradation -> Ormp_util.Sexp.t
+val write_degradation : Ormp_util.Sexp.Writer.t -> degradation -> unit
 val degradation_of_sexp : Ormp_util.Sexp.t list -> (degradation, string) result
 
-val to_sexp : t -> Ormp_util.Sexp.t
+val write : Ormp_util.Sexp.Writer.t -> t -> unit
+(** The snapshot payload, through the same grammar, object and LMAD
+    encoders as the profile files; {!save} renders it into a buffer and
+    seals it. *)
+
 val of_sexp : Ormp_util.Sexp.t -> (t, string) result
 
 val save : ?io:Ormp_workloads.Faults.Io.t -> string -> t -> unit

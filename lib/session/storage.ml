@@ -59,8 +59,8 @@ let unseal data =
       if actual <> crc then Error (Printf.sprintf "CRC mismatch: file %d, computed %d" crc actual)
       else Ok payload)
 
-let save_sealed ?io path sexp =
-  write_atomic ?io ~path (seal (Ormp_util.Sexp.to_string sexp))
+let save_sealed ?io path write x =
+  write_atomic ?io ~path (seal (Ormp_util.Sexp.Writer.render write x))
 
 let load_sealed path =
   let ( let* ) = Result.bind in

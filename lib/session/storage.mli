@@ -24,8 +24,11 @@ val seal : string -> string
 val unseal : string -> (string, string) result
 (** Recover and verify a sealed payload. *)
 
-val save_sealed : ?io:Ormp_workloads.Faults.Io.t -> string -> Ormp_util.Sexp.t -> unit
-(** Atomic write of a sealed rendered sexp. *)
+val save_sealed :
+  ?io:Ormp_workloads.Faults.Io.t -> string -> (Ormp_util.Sexp.Writer.t -> 'a -> unit) -> 'a -> unit
+(** [save_sealed path write x]: [write w x] rendered compact into a
+    buffer, sealed, and written atomically — one write, so the fault plan
+    sees one write per file. *)
 
 val load_sealed : string -> (Ormp_util.Sexp.t, string) result
 (** Read + unseal + parse; [Error] on missing, torn, or corrupt files. *)

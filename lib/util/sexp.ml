@@ -1,66 +1,235 @@
+(* lint:hot-path *)
+
 type t = Atom of string | List of t list
 
+(* A plain loop: [String.exists] would allocate its inner closure on
+   every atom the writer renders. *)
 let needs_quoting s =
-  s = ""
-  || String.exists
-       (function
-         | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | '\\' | ';' -> true
-         | _ -> false)
-       s
+  let n = String.length s in
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    match String.unsafe_get s !i with
+    | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | '\\' | ';' -> false
+    | _ -> true
+  do
+    incr i
+  done;
+  n = 0 || !i < n
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' ->
-        Buffer.add_char buf '\\';
-        Buffer.add_char buf c
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+(* --- the streaming writer ---------------------------------------------- *)
 
-let atom_to_string s = if needs_quoting s then escape s else s
+(* Every persisted format renders through this one writer, straight to its
+   destination. Profiles are megabytes of integers: building a [t] first
+   would box a string per integer, and choosing each list's layout would
+   rescan the list. Instead the encoder declares a list's layout as it
+   opens it, integers render through a reused digit buffer, and text
+   gathers in a private chunk, so a channel sees one [output] per 64 KiB
+   instead of one locked call per atom and separator (OCaml 5 locks a
+   channel on every call). A writer is owned by the one domain rendering
+   with it: all of its state lives in the record, none at module level. *)
+module Writer = struct
+  type sink = Channel of out_channel | Buf of Buffer.t
 
-let rec to_buf buf = function
-  | Atom s -> Buffer.add_string buf (atom_to_string s)
+  type t = {
+    chunk : Bytes.t;
+    mutable pos : int;  (* bytes of [chunk] not yet flushed *)
+    digits : Bytes.t;  (* integers render right-aligned here *)
+    sink : sink;
+    indent : bool;  (* the file layout; false is the compact one *)
+    mutable depth : int;  (* lists open *)
+    mutable flat_from : int;  (* depth of the outermost open flat list; max_int if none *)
+    mutable first : bool;  (* the next element is the first of its list *)
+  }
+
+  let chunk_size = 65536
+  let digits_size = String.length (string_of_int min_int)
+
+  let make ~indent sink =
+    {
+      chunk = Bytes.create chunk_size;
+      pos = 0;
+      digits = Bytes.create digits_size;
+      sink;
+      indent;
+      depth = 0;
+      flat_from = max_int;
+      first = true;
+    }
+
+  let flush w =
+    if w.pos > 0 then begin
+      (match w.sink with
+      | Channel oc -> output oc w.chunk 0 w.pos
+      | Buf b -> Buffer.add_subbytes b w.chunk 0 w.pos);
+      w.pos <- 0
+    end
+
+  let put_char w c =
+    if w.pos = chunk_size then flush w;
+    Bytes.unsafe_set w.chunk w.pos c;
+    w.pos <- w.pos + 1
+
+  let put_string w s =
+    let n = String.length s in
+    if w.pos + n > chunk_size then flush w;
+    if n > chunk_size then
+      match w.sink with Channel oc -> output_string oc s | Buf b -> Buffer.add_string b s
+    else begin
+      Bytes.unsafe_blit_string s 0 w.chunk w.pos n;
+      w.pos <- w.pos + n
+    end
+
+  (* "00" "01" ... "99": two digits per division. *)
+  let digit_pairs =
+    String.init 200 (fun i -> Char.chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
+
+  (* Digits are produced right-aligned from the non-positive value, so
+     [min_int] needs no special case: each remainder [q * 100 - m] lies in
+     [0, 99]. *)
+  let put_int w n =
+    let d = w.digits in
+    let i = ref digits_size in
+    let m = ref (if n < 0 then n else -n) in
+    while !m <= -100 do
+      let q = !m / 100 in
+      let r = 2 * ((q * 100) - !m) in
+      i := !i - 2;
+      Bytes.unsafe_set d !i (String.unsafe_get digit_pairs r);
+      Bytes.unsafe_set d (!i + 1) (String.unsafe_get digit_pairs (r + 1));
+      m := q
+    done;
+    if !m <= -10 then begin
+      let r = -2 * !m in
+      i := !i - 2;
+      Bytes.unsafe_set d !i (String.unsafe_get digit_pairs r);
+      Bytes.unsafe_set d (!i + 1) (String.unsafe_get digit_pairs (r + 1))
+    end
+    else begin
+      decr i;
+      Bytes.unsafe_set d !i (Char.unsafe_chr (48 - !m))
+    end;
+    if n < 0 then begin
+      decr i;
+      Bytes.unsafe_set d !i '-'
+    end;
+    let len = digits_size - !i in
+    if w.pos + len > chunk_size then flush w;
+    Bytes.unsafe_blit d !i w.chunk w.pos len;
+    w.pos <- w.pos + len
+
+  let put_quoted w s =
+    put_char w '"';
+    for i = 0 to String.length s - 1 do
+      match String.unsafe_get s i with
+      | ('"' | '\\') as c ->
+        put_char w '\\';
+        put_char w c
+      | '\n' ->
+        put_char w '\\';
+        put_char w 'n'
+      | c -> put_char w c
+    done;
+    put_char w '"'
+
+  (* Inside a list, each element after the first is preceded by a space —
+     or, in the indented layout and outside any flat list, by a newline
+     and two spaces per open list. *)
+  let separate w =
+    if w.first then w.first <- false
+    else if w.depth > 0 then
+      if w.indent && w.depth < w.flat_from then begin
+        put_char w '\n';
+        for _i = 1 to 2 * w.depth do
+          put_char w ' '
+        done
+      end
+      else put_char w ' '
+
+  let open_list w ~flat =
+    separate w;
+    put_char w '(';
+    w.depth <- w.depth + 1;
+    if flat && w.flat_from = max_int then w.flat_from <- w.depth;
+    w.first <- true
+
+  let close w =
+    if w.depth = 0 then invalid_arg "Sexp.Writer.close: no open list";
+    put_char w ')';
+    if w.flat_from = w.depth then w.flat_from <- max_int;
+    w.depth <- w.depth - 1;
+    w.first <- false
+
+  let atom w s =
+    separate w;
+    if needs_quoting s then put_quoted w s else put_string w s
+
+  let int w n =
+    separate w;
+    put_int w n
+
+  let prefixed w c n =
+    separate w;
+    put_char w c;
+    put_int w n
+
+  let nested w name =
+    open_list w ~flat:false;
+    atom w name
+
+  let flat w name =
+    open_list w ~flat:true;
+    atom w name
+
+  let int_field w name n =
+    flat w name;
+    int w n;
+    close w
+
+  let finish w =
+    if w.depth <> 0 then invalid_arg "Sexp.Writer: unclosed list";
+    flush w
+
+  let to_channel oc write x =
+    let w = make ~indent:true (Channel oc) in
+    write w x;
+    put_char w '\n';
+    finish w
+
+  let to_file path write x =
+    let oc = open_out_bin path in
+    match
+      to_channel oc write x;
+      close_out oc
+    with
+    | () -> ()
+    | exception exn ->
+      (* [close_out] raises before closing when its flush fails (a full
+         disk), so the descriptor is released here on every path. *)
+      close_out_noerr oc;
+      raise exn
+
+  let render write x =
+    let b = Buffer.create 256 in
+    let w = make ~indent:false (Buf b) in
+    write w x;
+    finish w;
+    Buffer.contents b
+end
+
+(* A tree renders through the writer like any codec; only here is a
+   list's layout read off its contents (a list of atoms stays on one
+   line). *)
+let rec write w = function
+  | Atom s -> Writer.atom w s
   | List xs ->
-    Buffer.add_char buf '(';
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char buf ' ';
-        to_buf buf x)
-      xs;
-    Buffer.add_char buf ')'
+    Writer.open_list w ~flat:(List.for_all (function Atom _ -> true | List _ -> false) xs);
+    List.iter (write w) xs;
+    Writer.close w
 
-let to_string t =
-  let buf = Buffer.create 256 in
-  to_buf buf t;
-  Buffer.contents buf
-
-let rec write_indented oc ~depth t =
-  match t with
-  | Atom _ -> output_string oc (to_string t)
-  | List xs when List.for_all (function Atom _ -> true | _ -> false) xs ->
-    output_string oc (to_string t)
-  | List xs ->
-    output_char oc '(';
-    List.iteri
-      (fun i x ->
-        if i > 0 then begin
-          output_char oc '\n';
-          output_string oc (String.make ((depth + 1) * 2) ' ')
-        end;
-        write_indented oc ~depth:(depth + 1) x)
-      xs;
-    output_char oc ')'
-
-let to_channel oc t =
-  write_indented oc ~depth:0 t;
-  output_char oc '\n'
+let to_string t = Writer.render write t
+let to_channel oc t = Writer.to_channel oc write t
 
 exception Parse_error of string
 
@@ -158,10 +327,7 @@ let load path =
     close_in ic;
     of_string content
 
-let save path t =
-  let oc = open_out_bin path in
-  to_channel oc t;
-  close_out oc
+let save path t = Writer.to_file path write t
 
 let atom s = Atom s
 let int n = Atom (string_of_int n)
@@ -200,7 +366,12 @@ let rec collect_results = function
     Ok (x :: xs)
   | Error e :: _ -> Error e
 
-let int_list args = collect_results (List.map as_int args)
+let rec int_list = function
+  | [] -> Ok []
+  | x :: rest ->
+    let* n = as_int x in
+    let* ns = int_list rest in
+    Ok (n :: ns)
 
 let single conv name t =
   let* args = assoc name t in
@@ -209,8 +380,11 @@ let single conv name t =
 let int_field name t = single as_int name t
 let atom_field name t = single as_atom name t
 
-let pick items name f =
-  collect_results
-    (List.filter_map
-       (function List (Atom n :: args) when n = name -> Some (f args) | _ -> None)
-       items)
+let rec pick items name f =
+  match items with
+  | [] -> Ok []
+  | List (Atom n :: args) :: rest when n = name ->
+    let* x = f args in
+    let* xs = pick rest name f in
+    Ok (x :: xs)
+  | _ :: rest -> pick rest name f

@@ -13,7 +13,9 @@ val to_string : t -> string
 (** Compact rendering (single line). *)
 
 val to_channel : out_channel -> t -> unit
-(** Rendering with light indentation, for humane profile files. *)
+(** Rendering with light indentation, for humane profile files, followed
+    by a newline. A list of atoms stays on one line; any other list puts
+    each element after its head on a line of its own. *)
 
 val of_string : string -> (t, string) result
 (** Parse exactly one s-expression (surrounding whitespace allowed). *)
@@ -22,9 +24,66 @@ val load : string -> (t, string) result
 (** Read one s-expression from a file. *)
 
 val save : string -> t -> unit
-(** Write to a file (with indentation). *)
+(** Write to a file (with indentation). The file is closed even when a
+    write fails; the [Sys_error] is re-raised. *)
 
-(** Builders and view helpers used by the persistence layers. *)
+(** {2 Streaming writer}
+
+    Every persisted format renders through one writer, straight into a
+    file or a buffer, with no tree in between: {!to_string},
+    {!to_channel} and {!save} are walks of a tree over it, so the quoting
+    and layout rules above exist once. An encoder opens each list with
+    {!Writer.nested} or {!Writer.flat}, declaring the layout the tree
+    renderer would read off the list's contents.
+
+    A writer owns a private 64 KiB chunk and a digit buffer, and keeps no
+    state shared across domains: any number of domains may render at
+    once, each with its own writer. Writing an atom or an integer
+    allocates nothing. *)
+
+module Writer : sig
+  type t
+
+  val nested : t -> string -> unit
+  (** [nested w name] opens [(name] as a list holding other lists: in the
+      indented layout each later element goes on a line of its own. *)
+
+  val flat : t -> string -> unit
+  (** [flat w name] opens [(name] as a list of atoms, on one line in
+      either layout. A list opened inside a flat one is rendered flat
+      too. *)
+
+  val close : t -> unit
+  (** Close the innermost open list.
+      @raise Invalid_argument when none is open. *)
+
+  val atom : t -> string -> unit
+  (** One atom, double-quoted with [\\]-escapes when it needs to be. *)
+
+  val int : t -> int -> unit
+  (** The decimal atom [string_of_int n], rendered without allocating. *)
+
+  val prefixed : t -> char -> int -> unit
+  (** [prefixed w c n] is the atom [c] followed by the digits of [n], e.g.
+      [R12]; [c] must be a character that needs no quoting. *)
+
+  val int_field : t -> string -> int -> unit
+  (** [int_field w name n] is the flat list [(name n)]. *)
+
+  val to_file : string -> (t -> 'a -> unit) -> 'a -> unit
+  (** [to_file path write x] renders [write w x] into [path] in the
+      indented layout of {!Sexp.to_channel}, then a newline. The channel
+      is closed on any exception, which is re-raised.
+      @raise Sys_error on I/O failure.
+      @raise Invalid_argument if [write] leaves a list open. *)
+
+  val render : (t -> 'a -> unit) -> 'a -> string
+  (** The compact layout of {!Sexp.to_string}, as a string.
+      @raise Invalid_argument if [write] leaves a list open. *)
+end
+
+(** Tree builders, for the small files that still build a tree (manifest,
+    reports, telemetry), and the view helpers every reader decodes with. *)
 
 val atom : string -> t
 val int : int -> t

@@ -27,14 +27,14 @@ let whomp_pair () =
   ignore (Runner.run_batched churn b);
   (legacy, finb ~elapsed:0.0)
 
+let whomp_bytes = Ormp_util.Sexp.Writer.render Ormp_persist.Whomp_io.write
+
 let test_whomp_equivalence () =
   let legacy, batched = whomp_pair () in
   check_int "same collected" legacy.Ormp_whomp.Whomp.collected
     batched.Ormp_whomp.Whomp.collected;
   check_int "same wild" legacy.Ormp_whomp.Whomp.wild batched.Ormp_whomp.Whomp.wild;
-  check_string "byte-identical WHOMP profile"
-    (Ormp_util.Sexp.to_string (Ormp_persist.Whomp_io.to_sexp legacy))
-    (Ormp_util.Sexp.to_string (Ormp_persist.Whomp_io.to_sexp batched))
+  check_string "byte-identical WHOMP profile" (whomp_bytes legacy) (whomp_bytes batched)
 
 let test_rasg_equivalence () =
   let s, fin = Ormp_whomp.Rasg.sink () in
@@ -57,8 +57,8 @@ let test_leap_equivalence () =
   let batched = finb ~elapsed:0.0 in
   check_int "same collected" legacy.Ormp_leap.Leap.collected batched.Ormp_leap.Leap.collected;
   check_string "byte-identical LEAP profile"
-    (Ormp_util.Sexp.to_string (Ormp_persist.Leap_io.to_sexp legacy))
-    (Ormp_util.Sexp.to_string (Ormp_persist.Leap_io.to_sexp batched))
+    (Ormp_util.Sexp.Writer.render Ormp_persist.Leap_io.write legacy)
+    (Ormp_util.Sexp.Writer.render Ormp_persist.Leap_io.write batched)
 
 (* ------------------------------------------------------------------ *)
 (* MRU cache invalidation: the stale-entry regression                  *)
@@ -236,9 +236,7 @@ let test_fanout_profiler_plus_sanitizer () =
     ignore (Runner.run_batched p b);
     fin ~elapsed:0.0
   in
-  check_string "profile unchanged by fanout"
-    (Ormp_util.Sexp.to_string (Ormp_persist.Whomp_io.to_sexp direct))
-    (Ormp_util.Sexp.to_string (Ormp_persist.Whomp_io.to_sexp shared));
+  check_string "profile unchanged by fanout" (whomp_bytes direct) (whomp_bytes shared);
   let report = Ormp_check.Sanitizer.finish ~site_name ~subject:p.Ormp_vm.Program.name san in
   check_int "sanitizer saw the planted uaf" 1 (Ormp_check.Report.errors report)
 

@@ -315,7 +315,7 @@ let test_alias_different_groups_never () =
    properties isolate the collection layer: key tables, admission order,
    caps, and checkpoint restore. *)
 
-let profile_bytes p = Ormp_util.Sexp.to_string (Ormp_persist.Leap_io.to_sexp p)
+let profile_bytes = Ormp_util.Sexp.Writer.render Ormp_persist.Leap_io.write
 
 (* Random tuple streams with enough regular structure to exercise every
    compressor arm: strided runs (one key sweeping offsets), plus random

@@ -260,6 +260,365 @@ let test_whomp_expand_after_load () =
     check_bool "lossless through the file" true (tuples_p = tuples_q));
   Sys.remove path
 
+(* ------------------------------------------------------------------ *)
+(* Streaming writer vs the legacy tree encoders                        *)
+(* ------------------------------------------------------------------ *)
+
+module W = Ormp_util.Sexp.Writer
+module Legacy = Persist_legacy
+module Seq_c = Ormp_sequitur.Sequitur
+module Micro = Ormp_workloads.Micro
+module Omc = Ormp_core.Omc
+module Snapshot = Ormp_session.Snapshot
+module Session = Ormp_session.Session
+module Pipeline = Ormp_session.Pipeline
+
+(* Bytes of a file written by [save path], through one scratch path. *)
+let file_bytes save =
+  with_tempfile (fun path ->
+      save path;
+      read_file path)
+
+(* The streamed file equals the legacy [Sexp.save] of the legacy tree. *)
+let same_file save legacy_tree =
+  file_bytes save = file_bytes (fun path -> Legacy.Render.save path legacy_tree)
+
+(* A streamed payload equals the legacy [Sexp.to_string]. *)
+let same_payload write x legacy_tree = W.render write x = Legacy.Render.to_string legacy_tree
+
+let grammar_of syms =
+  let g = Seq_c.create () in
+  List.iter (Seq_c.push g) syms;
+  g
+
+(* Terminals that repeat (so rules form), plus the extremes and
+   arbitrary negatives. *)
+let gen_symbol =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, int_range (-3) 5);
+        (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1; -1; 0 ]);
+        (1, int);
+      ])
+
+let gen_symbols = QCheck.Gen.(list_size (int_range 0 200) gen_symbol)
+
+(* Labels that need quoting (space, quote, backslash, newline, semicolon,
+   parentheses, the empty label) and ones that do not. *)
+let gen_label =
+  let special = [ " "; "\""; "\\"; "\n"; ";"; ""; "a b"; "(x)"; "tab\there"; "cr\r" ] in
+  let chars = [ 'a'; 'Z'; '0'; '-'; ' '; '"'; '\\'; '\n'; ';'; '('; ')' ] in
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl (special @ [ "site3"; "node" ]));
+        (2, string_size ~gen:(oneofl chars) (int_range 0 6));
+      ])
+
+let check_grammar name syms =
+  let g = grammar_of syms in
+  let tree = Legacy.grammar_to_sexp (name, g) in
+  let rasg = { Ormp_whomp.Rasg.grammar = g; accesses = List.length syms; elapsed = 0.0 } in
+  same_file (fun path -> Ormp_persist.Grammar_io.save path (name, g)) tree
+  && same_payload Ormp_persist.Grammar_io.write (name, g) tree
+  && same_file (fun path -> Ormp_persist.Rasg_io.save path rasg) (Legacy.rasg_to_sexp rasg)
+
+let test_grammar_edge_cases () =
+  List.iter
+    (fun syms -> check_bool "grammar = legacy" true (check_grammar "rasg" syms))
+    [
+      [];
+      [ 7 ];
+      [ -7 ];
+      [ min_int ];
+      [ max_int ];
+      [ max_int; min_int; max_int; min_int; max_int; min_int ];
+    ]
+
+let prop_grammar_eq_legacy =
+  QCheck.Test.make ~name:"grammar and rasg codecs = legacy on random inputs" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(pair string (list int))
+       QCheck.Gen.(pair gen_label gen_symbols))
+    (fun (name, syms) -> check_grammar name syms)
+
+(* A WHOMP profile and a snapshot whose labels, types, file names and
+   degradation details all need quoting. *)
+let prop_labels_eq_legacy =
+  let gen =
+    QCheck.Gen.(
+      quad
+        (list_size (int_range 0 6) gen_label)
+        (list_size (int_range 0 4) gen_symbols)
+        (list_size (int_range 0 3) (pair gen_label gen_label))
+        (int_range 0 5))
+  in
+  QCheck.Test.make ~name:"quoted labels = legacy" ~count:200 (QCheck.make gen)
+    (fun (labels, streams, details, n_objects) ->
+      let dims =
+        List.mapi
+          (fun i d -> (d, grammar_of (Option.value ~default:[] (List.nth_opt streams i))))
+          [ "instr"; "group"; "object"; "offset" ]
+      in
+      let grammar i = snd (List.nth dims i) in
+      let groups =
+        List.mapi
+          (fun gid label -> { Omc.gid; site = 100 + gid; label; population = gid * 3 })
+          labels
+      in
+      let lifetimes =
+        List.init n_objects (fun i ->
+            {
+              Omc.group = i mod 2;
+              serial = i;
+              base = 4096 * (i + 1);
+              size = 16 * (i + 1);
+              alloc_time = i;
+              free_time = (if i mod 2 = 0 then Some (i + 10) else None);
+              free_site = (if i mod 3 = 0 then Some (i + 20) else None);
+            })
+      in
+      let whomp =
+        { Ormp_whomp.Whomp.dims; collected = 12; wild = -1; groups; lifetimes; elapsed = 0.0 }
+      in
+      let group_state i label =
+        {
+          Omc.gs_site = i;
+          gs_type = (if i mod 2 = 0 then Some label else None);
+          gs_population = i;
+        }
+      in
+      let cdc =
+        {
+          Ormp_core.Cdc.s_omc =
+            {
+              Omc.s_grouping = `Type;
+              s_groups = List.mapi group_state labels;
+              s_lifetimes = lifetimes;
+              s_unknown_frees = 2;
+            };
+          s_clock = 99;
+          s_wild = 3;
+        }
+      in
+      let epoch i (dim, file) =
+        {
+          Snapshot.ep_index = i + 1;
+          ep_dim = dim;
+          ep_file = file;
+          ep_from = i;
+          ep_to = i + 1;
+          ep_symbols = 5;
+        }
+      in
+      let degradation i (kind, detail) =
+        { Snapshot.dg_position = i; dg_kind = kind; dg_detail = detail }
+      in
+      let snap =
+        {
+          Snapshot.position = 40;
+          checkpoint = 2;
+          journal_crc = 0xFFFFFFFF;
+          rotations = List.length details;
+          epochs = List.mapi epoch details;
+          degradations = List.mapi degradation details;
+          cdc;
+          whomp = (grammar 0, grammar 1, grammar 2, grammar 3);
+          rasg = grammar 3;
+          leap = Ormp_leap.Leap.live (Ormp_leap.Leap.collector ());
+        }
+      in
+      same_file (fun path -> Ormp_persist.Whomp_io.save path whomp) (Legacy.whomp_to_sexp whomp)
+      && same_payload Ormp_persist.Whomp_io.write whomp (Legacy.whomp_to_sexp whomp)
+      && same_payload Snapshot.write snap (Legacy.snapshot_to_sexp snap))
+
+(* Random small instances of every micro workload, at random seeds. *)
+let gen_micro =
+  let up_to k = QCheck.Gen.int_range 2 k in
+  let prog name gen = QCheck.Gen.map (fun p -> (name, p)) gen in
+  QCheck.Gen.(
+    triple
+      (oneof
+         [
+           prog "linked_list"
+             (map2 (fun nodes sweeps -> Micro.linked_list ~nodes ~sweeps ()) (up_to 24) (up_to 3));
+           prog "array_stride"
+             (map2 (fun elems sweeps -> Micro.array_stride ~elems ~sweeps ()) (up_to 64) (up_to 3));
+           prog "matrix" (map (fun n -> Micro.matrix ~n ()) (up_to 5));
+           prog "binary_tree"
+             (map2
+                (fun nodes searches -> Micro.binary_tree ~nodes ~searches ())
+                (up_to 32) (up_to 32));
+           prog "hash_probe"
+             (map2 (fun buckets ops -> Micro.hash_probe ~buckets ~ops ()) (up_to 64) (up_to 200));
+           prog "random_walk"
+             (map2 (fun nodes steps -> Micro.random_walk ~nodes ~steps ()) (up_to 32) (up_to 200));
+           prog "churn" (map2 (fun live ops -> Micro.churn ~live ~ops ()) (up_to 16) (up_to 300));
+           prog "two_site_list"
+             (map2
+                (fun nodes sweeps -> Micro.two_site_list ~nodes ~sweeps ())
+                (up_to 24) (up_to 3));
+         ])
+      (int_range 0 1000) gen_label)
+
+let prop_micro_eq_legacy =
+  let print ((name, _), seed, label) = Printf.sprintf "%s seed %d workload %S" name seed label in
+  QCheck.Test.make ~name:"micro workload profiles, snapshots and report = legacy" ~count:25
+    (QCheck.make ~print gen_micro)
+    (fun ((_, program), seed, label) ->
+      let config = { Ormp_vm.Config.default with seed } in
+      let pipe, _ = Pipeline.run ~config program in
+      let whomp = Pipeline.whomp_profile pipe ~elapsed:0.0 in
+      let rasg = Pipeline.rasg_profile pipe ~elapsed:0.0 in
+      let leap = Pipeline.leap_profile pipe ~elapsed:0.0 in
+      let snap =
+        match Pipeline.grammars pipe with
+        | [ (_, gi); (_, gg); (_, go); (_, gf); (_, rasg) ] ->
+          {
+            Snapshot.position = Pipeline.position pipe;
+            checkpoint = 1;
+            journal_crc = seed;
+            rotations = 0;
+            epochs = [];
+            degradations = [ { Snapshot.dg_position = 1; dg_kind = "rotate"; dg_detail = label } ];
+            cdc = Pipeline.cdc_state pipe;
+            whomp = (gi, gg, go, gf);
+            rasg;
+            leap = Pipeline.leap_live pipe;
+          }
+        | _ -> QCheck.Test.fail_report "not five grammars"
+      in
+      let legacy_snap = Legacy.snapshot_to_sexp snap in
+      (* A session of the same program under a workload name that needs
+         quoting: its report, checkpoints and epoch spills take the
+         session's own path. *)
+      let dir = Files.tmpdir () in
+      let same_report =
+        Fun.protect
+          ~finally:(fun () -> Files.rm_rf dir)
+          (fun () ->
+            let options =
+              {
+                Session.default_options with
+                checkpoint_every = 97;
+                watch_every = 50;
+                grammar_budget = 60;
+              }
+            in
+            let s = Session.start ~options ~dir ~workload:label () in
+            ignore (Ormp_vm.Runner.run ~config program (Session.append s));
+            let outcome = Session.finish s ~elapsed:0.0 in
+            Files.read_file (Filename.concat dir Session.report_file)
+            = Legacy.Render.to_string (Legacy.outcome_to_sexp outcome) ^ "\n")
+      in
+      same_file (fun path -> Ormp_persist.Whomp_io.save path whomp) (Legacy.whomp_to_sexp whomp)
+      && same_file (fun path -> Ormp_persist.Rasg_io.save path rasg) (Legacy.rasg_to_sexp rasg)
+      && same_file (fun path -> Ormp_persist.Leap_io.save path leap) (Legacy.leap_to_sexp leap)
+      && same_payload Snapshot.write snap legacy_snap
+      && file_bytes (fun path -> Snapshot.save path snap)
+         = Ormp_session.Storage.seal (Legacy.Render.to_string legacy_snap)
+      && same_report)
+
+(* Trees: Sexp.to_string and Sexp.save are walks over the writer. *)
+let prop_tree_eq_legacy =
+  let gen =
+    QCheck.Gen.(
+      sized
+      @@ fix (fun self n ->
+             if n <= 0 then map Sexp.atom gen_label
+             else
+               frequency
+                 [
+                   (2, map Sexp.int gen_symbol);
+                   (2, map Sexp.atom gen_label);
+                   (1, map Sexp.list (list_size (int_range 0 4) (self (n / 2))));
+                 ]))
+  in
+  QCheck.Test.make ~name:"tree rendering = legacy renderer" ~count:500
+    (QCheck.make ~print:Legacy.Render.to_string gen)
+    (fun t ->
+      Sexp.to_string t = Legacy.Render.to_string t && same_file (fun path -> Sexp.save path t) t)
+
+let render_int = W.render W.int
+
+let test_int_extremes () =
+  List.iter
+    (fun n -> Alcotest.(check string) (string_of_int n) (string_of_int n) (render_int n))
+    [ 0; 1; -1; 9; 10; -10; 99; 100; -100; 101; min_int; max_int; min_int + 1; max_int - 1 ]
+
+let prop_int_rendering =
+  QCheck.Test.make ~name:"writer ints = string_of_int" ~count:2000 QCheck.int (fun n ->
+      render_int n = string_of_int n)
+
+(* ------------------------------------------------------------------ *)
+(* Failed saves release their descriptor                               *)
+(* ------------------------------------------------------------------ *)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* Writing to /dev/full opens fine and fails on the flush. A failed save
+   must still close its file, or each one leaks a descriptor — in the
+   daemon, one per Finish on a full disk. *)
+let test_failed_save_closes_fd () =
+  if not (Sys.file_exists "/dev/full" && Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let pipe, _ = Pipeline.run (Micro.churn ~live:8 ~ops:600 ()) in
+  let whomp = Pipeline.whomp_profile pipe ~elapsed:0.0 in
+  let rasg = Pipeline.rasg_profile pipe ~elapsed:0.0 in
+  let leap = Pipeline.leap_profile pipe ~elapsed:0.0 in
+  let fails name save =
+    match save "/dev/full" with
+    | () -> Alcotest.failf "%s to /dev/full succeeded" name
+    | exception Sys_error _ -> ()
+  in
+  let before = open_fds () in
+  for _ = 1 to 20 do
+    fails "whomp save" (fun path -> Ormp_persist.Whomp_io.save path whomp);
+    fails "rasg save" (fun path -> Ormp_persist.Rasg_io.save path rasg);
+    fails "leap save" (fun path -> Ormp_persist.Leap_io.save path leap);
+    fails "sexp save" (fun path -> Sexp.save path (Sexp.atom "x"))
+  done;
+  check_int "open descriptors after 80 failed saves" before (open_fds ())
+
+(* ------------------------------------------------------------------ *)
+(* Allocation witness                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words one save allocates, after a warm-up save to the same
+   path. *)
+let save_words save =
+  with_tempfile (fun path ->
+      save path;
+      let w0 = Gc.minor_words () in
+      save path;
+      Gc.minor_words () -. w0)
+
+(* Saving profiles whose grammars are over ten times larger allocates at
+   most a constant number of extra minor words: nothing per symbol, rule
+   or object record. *)
+let test_save_allocation_free () =
+  let profiles ops =
+    let pipe, _ = Pipeline.run (Micro.hash_probe ~buckets:512 ~ops ()) in
+    (Pipeline.whomp_profile pipe ~elapsed:0.0, Pipeline.rasg_profile pipe ~elapsed:0.0)
+  in
+  let small_w, small_r = profiles 200 and large_w, large_r = profiles 6000 in
+  let whomp_size = Ormp_whomp.Whomp.omsg_size in
+  let rasg_size (r : Ormp_whomp.Rasg.profile) = Seq_c.grammar_size r.Ormp_whomp.Rasg.grammar in
+  check_bool
+    (Printf.sprintf "10x the grammar (whomp %d vs %d, rasg %d vs %d symbols)" (whomp_size small_w)
+       (whomp_size large_w) (rasg_size small_r) (rasg_size large_r))
+    true
+    (whomp_size large_w >= 10 * whomp_size small_w && rasg_size large_r >= 10 * rasg_size small_r);
+  let extra save small large =
+    save_words (fun path -> save path large) -. save_words (fun path -> save path small)
+  in
+  let whomp_extra = extra Ormp_persist.Whomp_io.save small_w large_w in
+  let rasg_extra = extra Ormp_persist.Rasg_io.save small_r large_r in
+  check_bool
+    (Printf.sprintf "extra minor words: whomp %.0f, rasg %.0f (<= 1024)" whomp_extra rasg_extra)
+    true
+    (whomp_extra <= 1024.0 && rasg_extra <= 1024.0)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "ormp_persist"
@@ -287,5 +646,17 @@ let () =
           tc "expand after load" test_whomp_expand_after_load;
           tc "corruption paths" test_whomp_corruption;
           tc "cyclic grammar" test_whomp_cyclic_grammar;
+        ] );
+      ( "writer",
+        [
+          tc "grammar edge cases = legacy" test_grammar_edge_cases;
+          QCheck_alcotest.to_alcotest prop_grammar_eq_legacy;
+          QCheck_alcotest.to_alcotest prop_labels_eq_legacy;
+          QCheck_alcotest.to_alcotest prop_micro_eq_legacy;
+          QCheck_alcotest.to_alcotest prop_tree_eq_legacy;
+          tc "int extremes" test_int_extremes;
+          QCheck_alcotest.to_alcotest prop_int_rendering;
+          tc "failed save closes its file" test_failed_save_closes_fd;
+          tc "save is allocation-free per symbol" test_save_allocation_free;
         ] );
     ]

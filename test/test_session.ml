@@ -20,6 +20,12 @@ let check_string = Alcotest.(check string)
 
 open Files
 
+(* A snapshot's payload as [Snapshot.save] renders it, and its decoding. *)
+let snapshot_payload = Ormp_util.Sexp.Writer.render Snapshot.write
+
+let decode_snapshot payload =
+  Result.bind (Ormp_util.Sexp.of_string payload) Snapshot.of_sexp
+
 (* --- CRC-32 ------------------------------------------------------------ *)
 
 let test_crc32_vectors () =
@@ -223,15 +229,13 @@ let test_snapshot_roundtrip () =
       leap = Ormp_leap.Leap.live leap;
     }
   in
-  let sexp = Snapshot.to_sexp snap in
-  match Snapshot.of_sexp sexp with
+  let payload = snapshot_payload snap in
+  match decode_snapshot payload with
   | Error e -> Alcotest.fail e
   | Ok snap2 ->
     (* Structural equality via re-encoding: the decoded snapshot must
-       serialize to the identical sexp. *)
-    check_string "re-encoding identical"
-      (Ormp_util.Sexp.to_string sexp)
-      (Ormp_util.Sexp.to_string (Snapshot.to_sexp snap2));
+       serialize to the identical payload. *)
+    check_string "re-encoding identical" payload (snapshot_payload snap2);
     check_int "position" snap.Snapshot.position snap2.Snapshot.position;
     check_int "journal_crc" snap.Snapshot.journal_crc snap2.Snapshot.journal_crc
 
@@ -339,11 +343,9 @@ let prop_leap_live_roundtrip =
           leap = Ormp_leap.Leap.live leap;
         }
       in
-      match Snapshot.of_sexp (Snapshot.to_sexp snap) with
+      match decode_snapshot (snapshot_payload snap) with
       | Error e -> QCheck.Test.fail_report e
-      | Ok snap2 ->
-        Ormp_util.Sexp.to_string (Snapshot.to_sexp snap)
-        = Ormp_util.Sexp.to_string (Snapshot.to_sexp snap2))
+      | Ok snap2 -> snapshot_payload snap = snapshot_payload snap2)
 
 (* --- session run / resume ---------------------------------------------- *)
 
