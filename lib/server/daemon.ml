@@ -7,7 +7,6 @@ module Session = Ormp_session.Session
 module Storage = Ormp_session.Storage
 module Pipeline = Ormp_session.Pipeline
 module Pool = Ormp_trace.Pool
-module Event = Ormp_trace.Event
 module Log = Ormp_telemetry.Log
 module Tm = Ormp_telemetry.Telemetry
 module Hb = Ormp_telemetry.Heartbeat
@@ -407,11 +406,13 @@ let handle_hello t c ~token ~workload ~ack_every =
             attach live ~fresh:false)
   end
 
-(* Apply the new suffix of a frame that claims to start at [start]. A
-   start beyond our position is a gap (protocol error — the client and
-   we disagree about durable history); a start before it is the overlap
-   a duplicated retry produces, and the overlap is dropped exactly. *)
-let ingest t c s ~start ~count ~event_at =
+(* Apply the new suffix of a frame that claims to start at [start] and
+   hold [count] events: [apply ~skip] applies its events from index [skip]
+   on. A start beyond our position is a gap (protocol error — the client
+   and we disagree about durable history); a start before it is the
+   overlap a duplicated retry produces, and the overlap is dropped
+   exactly. *)
+let ingest t c s ~start ~count ~apply =
   let pos = Session.position s.live in
   if start > pos then begin
     protocol_error t c
@@ -419,18 +420,17 @@ let ingest t c s ~start ~count ~event_at =
     false
   end
   else begin
-    let skip = pos - start in
-    (try
-       for i = skip to count - 1 do
-         Session.append s.live (event_at i);
-         t.total_events <- t.total_events + 1
-       done;
-       true
-     with e ->
-       protocol_error t c
-         (Printf.sprintf "ingest failed at position %d: %s" (Session.position s.live)
-            (Printexc.to_string e));
-       false)
+    let ok =
+      match apply ~skip:(min count (pos - start)) with
+      | () -> true
+      | exception e ->
+        protocol_error t c
+          (Printf.sprintf "ingest failed at position %d: %s" (Session.position s.live)
+             (Printexc.to_string e));
+        false
+    in
+    t.total_events <- t.total_events + (Session.position s.live - pos);
+    ok
   end
 
 let after_frame t c s =
@@ -584,21 +584,15 @@ let handle_msg t c (msg : Wire.msg) =
     match c.sess with
     | None -> protocol_error t c "Batch before Hello"
     | Some s ->
-      let event_at i =
-        Event.Access
-          {
-            instr = chunk.Ormp_trace.Batch.instr.(i);
-            addr = chunk.Ormp_trace.Batch.addr.(i);
-            size = chunk.Ormp_trace.Batch.size.(i);
-            is_store = chunk.Ormp_trace.Batch.store.(i) <> 0;
-          }
-      in
-      if ingest t c s ~start ~count:chunk.Ormp_trace.Batch.len ~event_at then after_frame t c s)
+      let count = chunk.Ormp_trace.Batch.len in
+      let apply ~skip = Session.append_chunk s.live chunk ~off:skip ~len:(count - skip) in
+      if ingest t c s ~start ~count ~apply then after_frame t c s)
   | Ev { position; event } -> (
     match c.sess with
     | None -> protocol_error t c "Ev before Hello"
     | Some s ->
-      if ingest t c s ~start:position ~count:1 ~event_at:(fun _ -> event) then after_frame t c s)
+      let apply ~skip = if skip = 0 then Session.append s.live event in
+      if ingest t c s ~start:position ~count:1 ~apply then after_frame t c s)
   | Finish { position } -> (
     match c.sess with
     | None -> protocol_error t c "Finish before Hello"
@@ -631,10 +625,9 @@ let read_conn t ~scratch c =
 
 let heartbeat t =
   let now = Net_io.now () in
-  (match t.pool with Some p -> Pool.drain p | None -> ());
-  (* The pool is drained right now — the one moment grammar sizes may be
-     read — so refresh the per-session caches the stats snapshot serves
-     between heartbeats. *)
+  (* [grammar_symbols] quiesces each session (draining the pool), so
+     refresh here the per-session caches the stats snapshot serves
+     between heartbeats, without a drain. *)
   Hashtbl.iter
     (fun _ s -> s.cached_symbols <- Pipeline.grammar_symbols (pipe s))
     t.sessions;

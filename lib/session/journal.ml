@@ -2,8 +2,8 @@ module Tf = Ormp_trace.Trace_file
 module Io = Ormp_workloads.Faults.Io
 module Tm = Ormp_telemetry.Telemetry
 
-(* Per-event counters are fine here: sessions are I/O-bound, and the
-   append path already formats and writes a line per event. *)
+(* Per-event counters are fine here: each is one branch while telemetry
+   is off, and a journal line is a few dozen bytes of [output]. *)
 let m_appends = Tm.Metrics.counter "journal.appends"
 let m_bytes = Tm.Metrics.counter "journal.bytes"
 
@@ -13,34 +13,67 @@ type writer = {
   oc : out_channel;
   io : Io.t option;
   mutable crc : int;
+  line : Tf.buffer;  (* the lines being appended, rendered in place *)
 }
 
 let create ?io ?resume path =
-  match resume with
-  | None ->
-    (* The header lands atomically: a journal file either does not exist
-       or starts with a complete header. A kill between creating the file
-       and flushing a buffered header used to leave an empty journal that
-       [recover] rejects, so the session could never be resumed. *)
-    Storage.write_atomic ~path (Tf.header ^ "\n");
-    let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
-    (* Count the header in [bytes], as a freshly written journal always did. *)
-    seek_out oc (out_channel_length oc);
-    { oc; io; crc = 0 }
-  | Some crc ->
-    let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
-    { oc; io; crc }
+  let crc =
+    match resume with
+    | Some crc -> crc
+    | None ->
+      (* The header lands atomically: a journal file either does not exist
+         or starts with a complete header. A kill between creating the file
+         and flushing a buffered header used to leave an empty journal that
+         [recover] rejects, so the session could never be resumed. *)
+      Storage.write_atomic ~path (Tf.header ^ "\n");
+      0
+  in
+  let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
+  (* An append channel starts at position 0; count the bytes already in
+     the file (the header, and a resumed journal's lines) in [bytes]. *)
+  seek_out oc (out_channel_length oc);
+  { oc; io; crc; line = Tf.buffer () }
+
+(* Write out and CRC what [w.line] holds. The CRC covers event lines only
+   (header excluded), each with its newline — the same accumulation
+   recovery performs. *)
+let emit w =
+  let b = Tf.bytes w.line and n = Tf.length w.line in
+  (match w.io with
+  | None -> output w.oc b 0 n
+  | Some f -> Io.write f w.oc (Bytes.sub_string b 0 n));
+  w.crc <- Ormp_util.Crc32.update_sub w.crc b 0 n;
+  Tf.clear w.line;
+  if Tm.on () then Tm.Metrics.add m_bytes n
 
 let append w ev =
-  let line = Tf.event_line ev in
-  (match w.io with None -> output_string w.oc line | Some f -> Io.write f w.oc line);
-  (* The CRC covers event lines only (header excluded), and includes each
-     line's newline — the same accumulation recovery performs. *)
-  w.crc <- Ormp_util.Crc32.update w.crc line;
-  if Tm.on () then begin
-    Tm.Metrics.incr m_appends;
-    Tm.Metrics.add m_bytes (String.length line)
-  end
+  Tf.clear w.line;
+  Tf.render w.line ev;
+  emit w;
+  if Tm.on () then Tm.Metrics.incr m_appends
+
+(* A chunk's lines go out in one [output], in pieces of at most this many
+   bytes, so a maximal wire batch cannot grow the line buffer past it. *)
+let emit_bytes = 65536
+
+let append_chunk w (c : Ormp_trace.Batch.chunk) ~off ~len =
+  if off < 0 || len < 0 || off > c.len - len then invalid_arg "Journal.append_chunk";
+  Tf.clear w.line;
+  for i = off to off + len - 1 do
+    Tf.render_access w.line ~instr:(Array.unsafe_get c.instr i) ~addr:(Array.unsafe_get c.addr i)
+      ~size:(Array.unsafe_get c.size i)
+      ~is_store:(Array.unsafe_get c.store i <> 0);
+    (* Under a fault plan each line is still its own write, so every
+       planned ordinal names one event, as with [append]. *)
+    if w.io <> None || Tf.length w.line >= emit_bytes then emit w
+  done;
+  if Tf.length w.line > 0 then emit w;
+  if Tm.on () then Tm.Metrics.add m_appends len
+
+let crc_event scratch crc ev =
+  Tf.clear scratch;
+  Tf.render scratch ev;
+  Ormp_util.Crc32.update_sub crc (Tf.bytes scratch) 0 (Tf.length scratch)
 
 let flush w = flush w.oc
 
@@ -68,6 +101,7 @@ let recover ?(at = 0) path =
     Error "journal: bad header"
   else begin
     let events = Ormp_util.Vec.create () in
+    let scratch = Tf.buffer () in
     let crc = ref 0 and crc_at = ref (if at = 0 then Some 0 else None) in
     let truncate_at = ref None in
     let err = ref None in
@@ -88,9 +122,10 @@ let recover ?(at = 0) path =
           | Error msg -> err := Some (Printf.sprintf "journal: %s in %S" msg line)
           | Ok ev ->
             Ormp_util.Vec.push events ev;
-            (* Re-render rather than reuse [line]: append CRCs exactly what
-               event_line emits, and the two must stay byte-equal. *)
-            crc := Ormp_util.Crc32.update !crc (Tf.event_line ev);
+            (* Re-render rather than CRC the line as read: append CRCs
+               exactly what the renderer emits, and the two must stay
+               byte-equal. *)
+            crc := crc_event scratch !crc ev;
             if Ormp_util.Vec.length events = at then crc_at := Some !crc)
     done;
     match !err with

@@ -15,7 +15,24 @@ val create : ?io:Ormp_workloads.Faults.Io.t -> ?resume:int -> string -> writer
     the recovered value. *)
 
 val append : writer -> Ormp_trace.Event.t -> unit
-(** May raise the planned {!Ormp_workloads.Faults.Io} fault. *)
+(** Render the event's line in place, write it with one [output] and
+    extend the CRC over the same bytes; allocates nothing. Under a fault
+    plan the line is one {!Ormp_workloads.Faults.Io.write}, and the
+    planned fault may raise. *)
+
+val append_chunk : writer -> Ormp_trace.Batch.chunk -> off:int -> len:int -> unit
+(** [append] of the accesses [off, off + len) of a chunk, rendered
+    straight from its lanes: the same bytes and CRC as one [append] per
+    access. Without a fault plan the lines go out in 64 KiB [output]s;
+    under one, each line is still its own write, so a fault lands on the
+    same event it would with [append] (the lines before it are written
+    and in the CRC).
+    @raise Invalid_argument when the range is outside [0, chunk.len). *)
+
+val crc_event : Ormp_trace.Trace_file.buffer -> int -> Ormp_trace.Event.t -> int
+(** [crc_event scratch crc ev] is the CRC a journal at [crc] holds after
+    appending [ev], rendered into [scratch] (cleared first): how replay
+    re-derives the CRC of events it does not write. *)
 
 val flush : writer -> unit
 val close : writer -> unit
@@ -24,7 +41,8 @@ val crc : writer -> int
 (** Running CRC-32 over all appended event lines. *)
 
 val bytes : writer -> int
-(** Bytes buffered/written to the journal so far (channel position). *)
+(** The journal's size, buffered bytes included: the header and, for a
+    resumed writer, every byte already in the file count. *)
 
 type recovered = {
   events : Ormp_trace.Event.t array;  (** the full surviving journal *)

@@ -1,6 +1,7 @@
 (* See the mli. One CDC translates each access once; its SoA tuple chunks
    feed the four WHOMP grammars and LEAP, and every raw access address
-   feeds the RASG grammar. With a pool, the five grammar pushes run on
+   feeds the RASG grammar through one staging lane, pushed a run at a
+   time. With a pool, the five grammar pushes run on
    pinned workers (per-grammar order, and thus bytes, stay serial) and
    each session's failures are captured per session, so one session's
    compressor exception can never poison workers other sessions share. *)
@@ -34,8 +35,6 @@ type whomp = { mutable collector : W.collector; mutable dims : Seq_c.t array }
 type par = {
   pool : Pool.t;
   slots : int array;  (* worker index per grammar: 4 WHOMP dims + RASG *)
-  stage_addr : int array;  (* RASG staging; the dim lanes stage inside the CDC *)
-  mutable stage_len : int;
 }
 
 type t = {
@@ -43,6 +42,8 @@ type t = {
   batch : Batch.t;
   w : whomp;
   mutable rasg : Seq_c.t;
+  stage_addr : int array;  (* RASG staging; the dim lanes stage inside the CDC *)
+  mutable stage_len : int;
   leap : Leap.collector;
   par : par option;
   failed : exn option ref;
@@ -71,12 +72,7 @@ let create ?pool ?(site_name = default_site_name) ?restore ?leap_budget ?max_str
   let par =
     Option.map
       (fun (p, slot) ->
-        {
-          pool = p;
-          slots = Array.init 5 (fun d -> (slot + d) mod Pool.size p);
-          stage_addr = Array.make Batch.default_capacity 0;
-          stage_len = 0;
-        })
+        { pool = p; slots = Array.init 5 (fun d -> (slot + d) mod Pool.size p) })
       pool
   in
   let on_tuples =
@@ -116,41 +112,68 @@ let create ?pool ?(site_name = default_site_name) ?restore ?leap_budget ?max_str
       (Cdc.of_state ~site_name ~on_tuple s.cdc, s.position, s.cdc.Cdc.s_clock + s.cdc.Cdc.s_wild)
   in
   let batch = Cdc.batch_tuples cdc ~on_tuples () in
-  { cdc; batch; w; rasg; leap; par; failed; rasg_accesses; position }
+  {
+    cdc;
+    batch;
+    w;
+    rasg;
+    stage_addr = Array.make Batch.default_capacity 0;
+    stage_len = 0;
+    leap;
+    par;
+    failed;
+    rasg_accesses;
+    position;
+  }
 
-let flush_stage t p =
-  if p.stage_len > 0 then begin
-    let len = p.stage_len in
-    let copy = Array.sub p.stage_addr 0 len in
-    let g = t.rasg in
-    Pool.dispatch p.pool p.slots.(4)
-      (guard t.failed (fun () -> Seq_c.push_batch g copy ~off:0 ~len));
-    p.stage_len <- 0
+(* Push the staged RASG run: in place when serial (the push consumes the
+   lane before returning), as a copy on the grammar's pinned worker when
+   pooled. *)
+let flush_stage t =
+  let len = t.stage_len in
+  if len > 0 then begin
+    (match t.par with
+    | None -> Seq_c.push_batch t.rasg t.stage_addr ~off:0 ~len
+    | Some p ->
+      let copy = Array.sub t.stage_addr 0 len in
+      let g = t.rasg in
+      Pool.dispatch p.pool p.slots.(4)
+        (guard t.failed (fun () -> Seq_c.push_batch g copy ~off:0 ~len)));
+    t.stage_len <- 0
   end
+
+let[@inline] stage t addr =
+  if t.stage_len = Array.length t.stage_addr then flush_stage t;
+  Array.unsafe_set t.stage_addr t.stage_len addr;
+  t.stage_len <- t.stage_len + 1
 
 let apply t (ev : Event.t) =
   (match ev with
-  | Access { addr; _ } -> (
+  | Access { addr; _ } ->
     t.rasg_accesses <- t.rasg_accesses + 1;
-    match t.par with
-    | None -> Seq_c.push t.rasg addr
-    | Some p ->
-      if p.stage_len = Array.length p.stage_addr then flush_stage t p;
-      p.stage_addr.(p.stage_len) <- addr;
-      p.stage_len <- p.stage_len + 1)
+    stage t addr
   | Alloc _ | Free _ -> ());
   Batch.event t.batch ev;
   t.position <- t.position + 1
+
+let apply_chunk t (c : Batch.chunk) ~off ~len =
+  if off < 0 || len < 0 || off > c.len - len then invalid_arg "Pipeline.apply_chunk";
+  for i = off to off + len - 1 do
+    let addr = Array.unsafe_get c.addr i in
+    stage t addr;
+    Batch.on_access t.batch ~instr:(Array.unsafe_get c.instr i) ~addr
+      ~size:(Array.unsafe_get c.size i)
+      ~is_store:(Array.unsafe_get c.store i <> 0)
+  done;
+  t.rasg_accesses <- t.rasg_accesses + len;
+  t.position <- t.position + len
 
 let position t = t.position
 
 let quiesce t =
   Batch.flush t.batch;
-  match t.par with
-  | None -> ()
-  | Some p ->
-    flush_stage t p;
-    Pool.drain p.pool
+  flush_stage t;
+  match t.par with None -> () | Some p -> Pool.drain p.pool
 
 let failure t = !(t.failed)
 
@@ -165,6 +188,7 @@ let wild t = Cdc.wild t.cdc
 let grammars t = W.collector_dims t.w.collector @ [ ("rasg", t.rasg) ]
 
 let grammar_symbols t =
+  quiesce t;
   List.fold_left (fun acc (_, g) -> acc + Seq_c.grammar_size g) 0 (grammars t)
 
 let live_objects t = Omc.live_objects (Cdc.omc t.cdc)

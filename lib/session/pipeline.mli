@@ -35,8 +35,14 @@ val create :
     stands at the snapshot's position. *)
 
 val apply : t -> Ormp_trace.Event.t -> unit
-(** Feed one event. Accesses also feed the RASG address grammar; alloc
-    and free flush the staged batch. Caller's thread only. *)
+(** Feed one event. Accesses also stage their address for the RASG
+    grammar; alloc and free flush the CDC's staged batch. Caller's thread
+    only. *)
+
+val apply_chunk : t -> Ormp_trace.Batch.chunk -> off:int -> len:int -> unit
+(** [apply] of the accesses [off, off + len) of a chunk, straight from its
+    lanes with no event boxed: the same state as one [apply] per access.
+    @raise Invalid_argument when the range is outside [0, chunk.len). *)
 
 val position : t -> int
 (** Events applied so far, counting a restored prefix. *)
@@ -55,9 +61,9 @@ val collected : t -> int
 val wild : t -> int
 
 val grammar_symbols : t -> int
-(** Total symbols across the five grammars. Call only after {!quiesce}
-    or a drain of the pool: between those, the grammars belong to the
-    workers. *)
+(** Total symbols across the five grammars, exact at {!position}: it
+    quiesces first (with a pool, that waits for this pipeline's
+    workers). *)
 
 val live_objects : t -> int
 val leap_streams : t -> int
@@ -69,7 +75,8 @@ val occupancy : t -> float
 
 val grammars : t -> (string * Ormp_sequitur.Sequitur.t) list
 (** The live grammars: the four WHOMP dimensions in paper order, then
-    [("rasg", _)]. Does not quiesce; see {!grammar_symbols}. *)
+    [("rasg", _)]. Does not quiesce: read them only after {!quiesce}, as
+    staged accesses and pooled pushes may still be pending. *)
 
 (** {1 Quiesced accessors}
 

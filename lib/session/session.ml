@@ -348,25 +348,82 @@ let triggers ctx =
     | _ -> ()
   end
 
+(* Without a sound journal, a snapshot taken now could never be replayed
+   past — so checkpointing is disabled together with journaling, and the
+   run continues purely in memory. *)
+let journal_off ctx j msg =
+  ctx.jcrc <- Journal.crc j;
+  Journal.close j;
+  ctx.journal <- None;
+  ctx.checkpointing <- false;
+  degrade ctx "journal-off" msg
+
 let journal_append ctx ev =
   match ctx.journal with
   | None -> ()
   | Some j -> (
     match Journal.append j ev with
     | () -> ctx.jcrc <- Journal.crc j
-    | exception (Io.Torn_write msg | Io.No_space msg) ->
-      (* Without a sound journal, a snapshot taken now could never be
-         replayed past — so checkpointing is disabled together with
-         journaling, and the run continues purely in memory. *)
-      Journal.close j;
-      ctx.journal <- None;
-      ctx.checkpointing <- false;
-      degrade ctx "journal-off" msg)
+    | exception (Io.Torn_write msg | Io.No_space msg) -> journal_off ctx j msg)
 
 let append ctx ev =
   journal_append ctx ev;
   Pipeline.apply ctx.pipe ev;
   triggers ctx
+
+(* The first multiple of [every] after [pos]; never, for 0. *)
+let due pos every = if every > 0 then ((pos / every) + 1) * every else max_int
+
+(* The first position after [pos] at which some trigger is due. *)
+let next_trigger ctx pos =
+  let o = ctx.options in
+  min
+    (min (due pos o.watch_every) (due pos (if ctx.checkpointing then o.checkpoint_every else 0)))
+    (due pos (match ctx.hb with Some h -> h.hb_every | None -> 0))
+
+(* Journal then apply [off, off + len) of a chunk, which no trigger falls
+   inside. If the journal fails at a line, the events before it are
+   applied first, so the degradation lands at the position per-event
+   [append] records. *)
+let append_run ctx chunk ~off ~len =
+  match ctx.journal with
+  | None -> Pipeline.apply_chunk ctx.pipe chunk ~off ~len
+  | Some j -> (
+    let written = ref 0 in
+    match
+      match ctx.io with
+      | None ->
+        Journal.append_chunk j chunk ~off ~len;
+        written := len
+      | Some _ ->
+        (* Line by line under a fault plan: a fault names the event it hit. *)
+        while !written < len do
+          Journal.append_chunk j chunk ~off:(off + !written) ~len:1;
+          incr written
+        done
+    with
+    | () ->
+      ctx.jcrc <- Journal.crc j;
+      Pipeline.apply_chunk ctx.pipe chunk ~off ~len
+    | exception (Io.Torn_write msg | Io.No_space msg) ->
+      Pipeline.apply_chunk ctx.pipe chunk ~off ~len:!written;
+      journal_off ctx j msg;
+      Pipeline.apply_chunk ctx.pipe chunk ~off:(off + !written) ~len:(len - !written))
+
+(* Write ahead per run: the chunk is cut wherever a trigger is due, so
+   each trigger fires at exactly the position, and on exactly the state,
+   it would under one [append] per access. *)
+let append_chunk ctx chunk ~off ~len =
+  if off < 0 || len < 0 || off > chunk.Ormp_trace.Batch.len - len then
+    invalid_arg "Session.append_chunk";
+  let stop = off + len and i = ref off in
+  while !i < stop do
+    let pos = position ctx in
+    let n = min (stop - !i) (next_trigger ctx pos - pos) in
+    append_run ctx chunk ~off:!i ~len:n;
+    i := !i + n;
+    triggers ctx
+  done
 
 let close ctx =
   match ctx.journal with
@@ -500,9 +557,10 @@ let restore ?io ?heartbeat_every ?pool ?site_name ~options ~dir ~workload () =
   let ctx = create ?io ?heartbeat_every ?pool ?site_name ?snap ~options ~dir ~workload () in
   let events = r.Journal.events in
   let from = position ctx and count = Array.length events in
+  let scratch = Tf.buffer () in
   let replay () =
     for i = from to count - 1 do
-      ctx.jcrc <- Ormp_util.Crc32.update ctx.jcrc (Tf.event_line events.(i));
+      ctx.jcrc <- Journal.crc_event scratch ctx.jcrc events.(i);
       Pipeline.apply ctx.pipe events.(i);
       triggers ctx
     done;
@@ -542,12 +600,12 @@ let drive ?io ?heartbeat_every ?(jobs = 1) ~dir ~workload ~config ~options ~resu
       | Error _ -> fresh ()
   in
   let skip = position ctx and expect_crc = ctx.jcrc in
-  let gen = ref 0 and regen_crc = ref 0 in
+  let gen = ref 0 and regen_crc = ref 0 and scratch = Tf.buffer () in
   let sink ev =
     incr gen;
     if !gen > skip then append ctx ev
     else begin
-      regen_crc := Ormp_util.Crc32.update !regen_crc (Tf.event_line ev);
+      regen_crc := Journal.crc_event scratch !regen_crc ev;
       if !gen = skip && !regen_crc <> expect_crc then
         raise
           (Resume_diverged

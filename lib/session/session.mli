@@ -107,6 +107,15 @@ val append : t -> Ormp_trace.Event.t -> unit
     pipeline rejects raises after it is journaled: {!restore} of this
     session then fails closed. *)
 
+val append_chunk : t -> Ormp_trace.Batch.chunk -> off:int -> len:int -> unit
+(** {!append} of the accesses [off, off + len) of a chunk, straight from
+    its lanes: the chunk is cut at every position where a trigger is due,
+    and each run is journaled ({!Journal.append_chunk}) and then applied
+    ({!Pipeline.apply_chunk}). Journal bytes, CRC, triggers, snapshots,
+    degradations and profiles are those of one [append] per access,
+    including a journal that fails mid-chunk and turns off.
+    @raise Invalid_argument when the range is outside [0, chunk.len). *)
+
 val flush : t -> unit
 (** Make the journal durable through {!position}. *)
 

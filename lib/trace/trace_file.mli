@@ -16,9 +16,34 @@ A <instr> <addr> <size> <0|1>      an executed load (0) or store (1)
 val header : string
 (** The first line of every trace file. *)
 
+(** {1 Rendering}
+
+    One renderer produces every line: {!writer}, the session journal (and
+    the CRC it keeps over its lines), and the [Ev] payloads of the serve
+    wire protocol. It writes into a caller-owned, growable buffer and
+    allocates nothing once the buffer fits the line. *)
+
+type buffer
+(** Rendered lines, appended one after another. Owned by one domain. *)
+
+val buffer : unit -> buffer
+val clear : buffer -> unit
+
+val length : buffer -> int
+(** Bytes rendered since the last {!clear}. *)
+
+val bytes : buffer -> Bytes.t
+(** The buffer's storage; its first {!length} bytes are the rendered
+    lines. A later {!render} may replace it. *)
+
+val render : buffer -> Event.t -> unit
+(** Append the event's line, newline included. *)
+
+val render_access : buffer -> instr:int -> addr:int -> size:int -> is_store:bool -> unit
+(** [render] of an [Access] straight from lane values, with no event. *)
+
 val event_line : Event.t -> string
-(** The exact line (newline included) {!writer} emits for an event — the
-    session journal CRCs these strings, so the two must never diverge. *)
+(** The line {!render} appends, as a fresh string. *)
 
 val parse_line : string -> (Event.t, string) result
 (** Decode one event line (header excluded). *)

@@ -24,8 +24,8 @@ let needs_quoting s =
    destination. Profiles are megabytes of integers: building a [t] first
    would box a string per integer, and choosing each list's layout would
    rescan the list. Instead the encoder declares a list's layout as it
-   opens it, integers render through a reused digit buffer, and text
-   gathers in a private chunk, so a channel sees one [output] per 64 KiB
+   opens it, and text gathers in a private chunk (integers render straight
+   into it through [Decimal]), so a channel sees one [output] per 64 KiB
    instead of one locked call per atom and separator (OCaml 5 locks a
    channel on every call). A writer is owned by the one domain rendering
    with it: all of its state lives in the record, none at module level. *)
@@ -35,7 +35,6 @@ module Writer = struct
   type t = {
     chunk : Bytes.t;
     mutable pos : int;  (* bytes of [chunk] not yet flushed *)
-    digits : Bytes.t;  (* integers render right-aligned here *)
     sink : sink;
     indent : bool;  (* the file layout; false is the compact one *)
     mutable depth : int;  (* lists open *)
@@ -44,13 +43,11 @@ module Writer = struct
   }
 
   let chunk_size = 65536
-  let digits_size = String.length (string_of_int min_int)
 
   let make ~indent sink =
     {
       chunk = Bytes.create chunk_size;
       pos = 0;
-      digits = Bytes.create digits_size;
       sink;
       indent;
       depth = 0;
@@ -81,43 +78,9 @@ module Writer = struct
       w.pos <- w.pos + n
     end
 
-  (* "00" "01" ... "99": two digits per division. *)
-  let digit_pairs =
-    String.init 200 (fun i -> Char.chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
-
-  (* Digits are produced right-aligned from the non-positive value, so
-     [min_int] needs no special case: each remainder [q * 100 - m] lies in
-     [0, 99]. *)
   let put_int w n =
-    let d = w.digits in
-    let i = ref digits_size in
-    let m = ref (if n < 0 then n else -n) in
-    while !m <= -100 do
-      let q = !m / 100 in
-      let r = 2 * ((q * 100) - !m) in
-      i := !i - 2;
-      Bytes.unsafe_set d !i (String.unsafe_get digit_pairs r);
-      Bytes.unsafe_set d (!i + 1) (String.unsafe_get digit_pairs (r + 1));
-      m := q
-    done;
-    if !m <= -10 then begin
-      let r = -2 * !m in
-      i := !i - 2;
-      Bytes.unsafe_set d !i (String.unsafe_get digit_pairs r);
-      Bytes.unsafe_set d (!i + 1) (String.unsafe_get digit_pairs (r + 1))
-    end
-    else begin
-      decr i;
-      Bytes.unsafe_set d !i (Char.unsafe_chr (48 - !m))
-    end;
-    if n < 0 then begin
-      decr i;
-      Bytes.unsafe_set d !i '-'
-    end;
-    let len = digits_size - !i in
-    if w.pos + len > chunk_size then flush w;
-    Bytes.unsafe_blit d !i w.chunk w.pos len;
-    w.pos <- w.pos + len
+    if w.pos + Decimal.max_length > chunk_size then flush w;
+    w.pos <- Decimal.write w.chunk w.pos n
 
   let put_quoted w s =
     put_char w '"';

@@ -36,7 +36,7 @@ val save : string -> t -> unit
     {!Writer.nested} or {!Writer.flat}, declaring the layout the tree
     renderer would read off the list's contents.
 
-    A writer owns a private 64 KiB chunk and a digit buffer, and keeps no
+    A writer owns a private 64 KiB chunk, and keeps no
     state shared across domains: any number of domains may render at
     once, each with its own writer. Writing an atom or an integer
     allocates nothing. *)

@@ -6,8 +6,9 @@
    the sessions stream, restarted, and every client must retry and
    resume to completion. The daemon is then drained with SIGTERM (must
    exit 0), and all eight session profiles must be byte-identical to a
-   locally-computed serial reference. Prints one OK line; any failure
-   exits nonzero with a diagnosis. *)
+   locally-computed serial reference, and every session journal to the
+   header plus the rendered lines of the stream. Prints one OK line; any
+   failure exits nonzero with a diagnosis. *)
 
 module Client = Ormp_server.Client
 module Net_fault = Ormp_workloads.Faults.Net
@@ -121,6 +122,18 @@ let () =
     let dir = Filename.concat root (Filename.concat "sessions" (Printf.sprintf "tok-%d" i)) in
     if profile_bytes dir <> want then fail "session tok-%d profiles differ from reference" i
   done;
+  (* ...and every journal must be the stream itself, line for line: the
+     daemon's chunk path wrote each access once, in order, through the
+     kill -9, the restart and the three wire faults *)
+  let want_journal =
+    Ormp_trace.Trace_file.header ^ "\n"
+    ^ String.concat "" (Array.to_list (Array.map Ormp_trace.Trace_file.event_line events))
+  in
+  for i = 0 to n_clients - 1 do
+    let dir = Filename.concat root (Filename.concat "sessions" (Printf.sprintf "tok-%d" i)) in
+    if read_file (Filename.concat dir "journal.trace") <> want_journal then
+      fail "session tok-%d journal differs from the rendered event stream" i
+  done;
   (* the faults above leave flight bundles behind; each one must be a
      valid post-mortem (span-checked trace + loadable record) *)
   let flight_dir = Filename.concat root "flight" in
@@ -141,5 +154,5 @@ let () =
 
   Printf.printf
     "serve-smoke OK: %d sessions (3 wire-faulted) survived kill -9 + restart with %d \
-     reconnects; all profiles byte-identical; %d flight bundles validated\n"
+     reconnects; all profiles and journals byte-identical; %d flight bundles validated\n"
     n_clients !reconnects (Array.length bundles)

@@ -115,19 +115,72 @@ let decode_sliced slice encoded =
   done;
   List.rev !out
 
+(* The data frames a client sends for a stream: a Batch per run of
+   accesses (at most the default capacity each), an Ev per alloc/free. *)
+let client_frames events =
+  let out = ref [] and next = ref 0 in
+  let b =
+    Batch.create
+      ~on_chunk:(fun c ->
+        let lane a = Array.sub a 0 c.Batch.len in
+        let chunk =
+          {
+            Batch.instr = lane c.Batch.instr;
+            addr = lane c.Batch.addr;
+            size = lane c.Batch.size;
+            store = lane c.Batch.store;
+            len = c.Batch.len;
+          }
+        in
+        out := Wire.Batch { start = !next; chunk } :: !out;
+        next := !next + c.Batch.len)
+      ~on_event:(fun event ->
+        out := Wire.Ev { position = !next; event } :: !out;
+        incr next)
+      ()
+  in
+  Array.iter (Batch.event b) events;
+  Batch.flush b;
+  List.rev !out
+
+(* The serve-churn stream: 52k events, alloc/free every few accesses. *)
+let churn_frames =
+  lazy
+    (let events =
+       let buf = Ormp_util.Vec.create () in
+       ignore
+         (Ormp_vm.Runner.run
+            (Ormp_workloads.Micro.churn ~live:64 ~ops:20000 ())
+            (Ormp_util.Vec.push buf));
+       Ormp_util.Vec.to_array buf
+     in
+     client_frames events)
+
 let test_wire_roundtrip () =
+  let check_sliced what msgs slices =
+    let encoded = String.concat "" (List.map Wire.encode msgs) in
+    List.iter
+      (fun slice ->
+        let got = decode_sliced slice encoded in
+        check_int (Printf.sprintf "%s: count at slice %d" what slice) (List.length msgs)
+          (List.length got);
+        List.iter2
+          (fun want have ->
+            check_bool (Printf.sprintf "%s: msg equal at slice %d" what slice) true
+              (eq_msg want have))
+          msgs got)
+      slices
+  in
   let msgs = roundtrip_msgs () in
-  let encoded = String.concat "" (List.map Wire.encode msgs) in
-  List.iter
-    (fun slice ->
-      let got = decode_sliced slice encoded in
-      check_int (Printf.sprintf "count at slice %d" slice) (List.length msgs)
-        (List.length got);
-      List.iter2
-        (fun want have ->
-          check_bool (Printf.sprintf "msg equal at slice %d" slice) true (eq_msg want have))
-        msgs got)
-    [ 1; 2; 3; 7; 64; String.length encoded ]
+  check_sliced "control" msgs
+    [ 1; 2; 3; 7; 64; String.length (String.concat "" (List.map Wire.encode msgs)) ];
+  (* A churn-sized stream, Evs included, in the daemon's 64 KiB reads:
+     each read holds hundreds of frames. *)
+  let churn = Lazy.force churn_frames in
+  check_bool "churn stream has >= 2000 frames" true (List.length churn >= 2000);
+  check_bool "churn stream has Ev frames" true
+    (List.exists (function Wire.Ev _ -> true | _ -> false) churn);
+  check_sliced "churn" churn [ 65536 ]
 
 let test_wire_crc_rejects_corruption () =
   let s = Wire.encode (Wire.Hello { token = "t"; workload = "w"; ack_every = 1 }) in
@@ -146,6 +199,31 @@ let test_wire_crc_rejects_corruption () =
   match Wire.next dec2 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "oversized length prefix accepted"
+
+(* A frame whose CRC fails in the middle of one feed: every frame before
+   it decodes, and the error comes at exactly that frame. *)
+let test_wire_crc_error_at_its_frame () =
+  let msgs = List.filteri (fun i _ -> i < 60) (Lazy.force churn_frames) in
+  let frames = List.map Wire.encode msgs in
+  let bad = 37 in
+  let offset = List.fold_left ( + ) 0 (List.filteri (fun i _ -> i < bad) (List.map String.length frames)) in
+  let b = Bytes.of_string (String.concat "" frames) in
+  (* the last payload byte of frame [bad] *)
+  let at = offset + String.length (List.nth frames bad) - 5 in
+  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x5a));
+  let dec = Wire.decoder () in
+  Wire.feed dec b 0 (Bytes.length b);
+  List.iteri
+    (fun i want ->
+      if i < bad then
+        match Wire.next dec with
+        | Ok (Some have) -> check_bool (Printf.sprintf "frame %d intact" i) true (eq_msg want have)
+        | Ok None -> Alcotest.failf "frame %d: decoder wants more bytes" i
+        | Error e -> Alcotest.failf "frame %d: early error %s" i e)
+    msgs;
+  match Wire.next dec with
+  | Error e -> check_string "the corrupt frame fails its CRC" "frame CRC mismatch" e
+  | Ok _ -> Alcotest.failf "frame %d: corruption was accepted" bad
 
 let test_wire_partial_frame_buffers () =
   let s = Wire.encode Wire.Ping in
@@ -555,6 +633,50 @@ let test_duplicate_token_refused_while_attached () =
       Net_io.close_noerr fd2;
       Net_io.close_noerr fd)
 
+(* An Ev whose line is not exactly the rendering of the event it parses
+   to could not be journaled and replayed as sent: a type name holding a
+   newline would split into two journal lines and make the session
+   unrecoverable; an empty name and trailing blanks read back as another
+   event. Each such frame is a protocol error raised before anything is
+   journaled, and the daemon keeps serving. ("-" is the wire spelling of
+   an untyped alloc, so a name of "-" arrives as one; the check below
+   pins that.) *)
+let test_noncanonical_event_is_a_protocol_error () =
+  with_harness (fun h ->
+      let deadline_s = Net_io.now () +. 5.0 in
+      let attach () =
+        let fd = Net_io.connect_unix ~path:h.socket ~deadline_s in
+        let dec = Wire.decoder () in
+        Net_io.send_all fd
+          (Wire.encode (Wire.Hello { token = "named"; workload = "linked_list"; ack_every = 1 }))
+          ~deadline_s;
+        match recv_msg fd dec ~deadline_s with
+        | Wire.Hello_ok { position; _ } -> (fd, dec, position)
+        | _ -> Alcotest.fail "expected Hello_ok"
+      in
+      let alloc name = Event.Alloc { site = 1; addr = 4096; size = 64; type_name = Some name } in
+      List.iter
+        (fun name ->
+          let fd, dec, position = attach () in
+          check_int (Printf.sprintf "%S: session still at 0" name) 0 position;
+          Net_io.send_all fd (Wire.encode (Wire.Ev { position; event = alloc name })) ~deadline_s;
+          (match recv_msg fd dec ~deadline_s with
+          | Wire.Err _ -> ()
+          | _ -> Alcotest.failf "type name %S was accepted" name);
+          Net_io.close_noerr fd)
+        [ "a\nb"; "\n"; ""; "x "; "x\t"; "tail\r" ];
+      let fd, _, position = attach () in
+      check_int "nothing was applied" 0 position;
+      Net_io.close_noerr fd;
+      check_string "nothing was journaled"
+        (Ormp_trace.Trace_file.header ^ "\n")
+        (read_file (Filename.concat (session_dir h "named") "journal.trace"));
+      (match decode_one (Wire.encode (Wire.Ev { position = 3; event = alloc "-" })) with
+      | Ok (Some (Wire.Ev { event = Event.Alloc { type_name = None; _ }; _ })) -> ()
+      | _ -> Alcotest.fail "a \"-\" name should decode as an untyped alloc");
+      ignore (ok_stats "beside the rejected frames" (run h "beside-named"));
+      check_matches_reference "beside the rejected frames" (session_dir h "beside-named"))
+
 (* --- shedding ----------------------------------------------------------- *)
 
 let test_shed_past_max_sessions () =
@@ -763,6 +885,8 @@ let () =
         [
           Alcotest.test_case "roundtrip at every slice size" `Quick test_wire_roundtrip;
           Alcotest.test_case "crc rejects corruption" `Quick test_wire_crc_rejects_corruption;
+          Alcotest.test_case "crc error lands on its frame" `Quick
+            test_wire_crc_error_at_its_frame;
           Alcotest.test_case "partial frames buffer visibly" `Quick
             test_wire_partial_frame_buffers;
           QCheck_alcotest.to_alcotest prop_stats_roundtrip;
@@ -792,6 +916,8 @@ let () =
             test_garbage_connection_isolated;
           Alcotest.test_case "position gap is a protocol error" `Quick
             test_position_gap_is_protocol_error;
+          Alcotest.test_case "non-canonical event is a protocol error" `Quick
+            test_noncanonical_event_is_a_protocol_error;
           Alcotest.test_case "attached token cannot be stolen" `Quick
             test_duplicate_token_refused_while_attached;
           Alcotest.test_case "poisoned journal fails one session" `Quick

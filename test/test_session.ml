@@ -13,6 +13,7 @@ module Suite = Ormp_session.Suite
 module Faults = Ormp_workloads.Faults
 module Micro = Ormp_workloads.Micro
 module Event = Ormp_trace.Event
+module Batch = Ormp_trace.Batch
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -35,6 +36,38 @@ let test_crc32_vectors () =
   check_int "incremental = whole"
     (Crc32.string "hello world")
     (Crc32.update (Crc32.update 0 "hello ") "world")
+
+(* The bytewise table loop the slicing-by-4 CRC replaced: the oracle. *)
+let bytewise_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let bytewise crc s off len =
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = off to off + len - 1 do
+    c := bytewise_table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+(* Every start alignment 0..7 and every length 0..64, from a random
+   running CRC: the four-byte steps and the byte tail must agree with
+   the oracle wherever they split. *)
+let prop_crc32_slicing_equals_bytewise =
+  QCheck.Test.make ~name:"update_sub = bytewise oracle" ~count:50
+    QCheck.(pair (string_of_size (Gen.return 72)) (int_bound 0xFFFFFFFF))
+    (fun (s, crc) ->
+      let b = Bytes.of_string s in
+      let ok = ref true in
+      for off = 0 to 7 do
+        for len = 0 to 64 do
+          if Crc32.update_sub crc b off len <> bytewise crc s off len then ok := false
+        done
+      done;
+      !ok && Crc32.string s = bytewise 0 s 0 (String.length s))
 
 (* --- storage ----------------------------------------------------------- *)
 
@@ -150,6 +183,220 @@ let test_journal_torn_tail () =
   (* Recovery physically truncated the file back to the sound prefix. *)
   check_string "file truncated" sound (read_file path);
   rm_rf dir
+
+(* The serving path appends a line per event: rendered in place, one
+   [output], the CRC over the same bytes. Neither [append] nor
+   [append_chunk] may allocate per line (the Gc counters' own boxed
+   floats and the chunk buffer's one growth fit in the bound), and the two
+   must write the same bytes and CRC. *)
+let test_journal_appends_do_not_allocate () =
+  let dir = tmpdir () in
+  let n = 10_000 in
+  let big i = if i land 1 = 0 then max_int - i else min_int + i in
+  let chunk =
+    {
+      Batch.instr = Array.init n (fun i -> i mod 97);
+      addr = Array.init n big;
+      size = Array.init n (fun i -> if i mod 5 = 0 then -8 else 8);
+      store = Array.init n (fun i -> i land 1);
+      len = n;
+    }
+  in
+  let events =
+    Array.init n (fun i ->
+        Event.Access
+          {
+            instr = chunk.Batch.instr.(i);
+            addr = chunk.Batch.addr.(i);
+            size = chunk.Batch.size.(i);
+            is_store = chunk.Batch.store.(i) <> 0;
+          })
+  in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let per_event = Journal.create (Filename.concat dir "per-event") in
+  let appends = minor_words (fun () -> Array.iter (Journal.append per_event) events) in
+  let chunked = Journal.create (Filename.concat dir "chunked") in
+  let chunks =
+    minor_words (fun () ->
+        let off = ref 0 in
+        while !off < n do
+          let len = min 512 (n - !off) in
+          Journal.append_chunk chunked chunk ~off:!off ~len;
+          off := !off + len
+        done)
+  in
+  check_bool (Printf.sprintf "10k appends: %.0f minor words" appends) true (appends <= 1024.0);
+  check_bool (Printf.sprintf "10k chunked: %.0f minor words" chunks) true (chunks <= 1024.0);
+  check_int "same CRC" (Journal.crc per_event) (Journal.crc chunked);
+  Journal.close per_event;
+  Journal.close chunked;
+  check_bool "same bytes" true
+    (read_file (Filename.concat dir "per-event") = read_file (Filename.concat dir "chunked"));
+  rm_rf dir
+
+let micro_events ?(seed = 1) name =
+  let buf = Ormp_util.Vec.create () in
+  let config = { Ormp_vm.Config.default with seed } in
+  ignore (Ormp_vm.Runner.run ~config (List.assoc name Micro.all) (Ormp_util.Vec.push buf));
+  Ormp_util.Vec.to_array buf
+
+let file_size path = (Unix.stat path).Unix.st_size
+
+(* A restored session's journal size counts the journal it reopened:
+   the daemon's Stats rows and heartbeats read it, and a resumed writer
+   used to start again from 0. *)
+let test_journal_bytes_survive_restore () =
+  let dir = tmpdir () in
+  let path = Filename.concat dir Session.journal_file in
+  let events = micro_events "linked_list" in
+  let options = Session.default_options and workload = "linked_list" in
+  let s = Session.start ~options ~dir ~workload () in
+  Array.iter (Session.append s) (Array.sub events 0 100);
+  Session.flush s;
+  check_int "fresh session" (file_size path) (Session.journal_bytes s);
+  Session.close s;
+  (match Session.restore ~options ~dir ~workload () with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+    check_int "restored at 100" 100 (Session.position s);
+    check_int "restored session" (file_size path) (Session.journal_bytes s);
+    Array.iter (Session.append s) (Array.sub events 100 10);
+    Session.flush s;
+    check_int "10 events later" (file_size path) (Session.journal_bytes s);
+    Session.close s);
+  rm_rf dir
+
+(* --- the chunk path = the per-event path ------------------------------- *)
+
+(* Every file a session leaves, by name; the heartbeat file holds wall
+   clock rates, so only its line count is compared. *)
+let session_files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.map (fun f ->
+         let body = read_file (Filename.concat dir f) in
+         if f = Session.heartbeat_file then
+           (f, string_of_int (List.length (String.split_on_char '\n' body)))
+         else (f, body))
+
+(* Trigger cadences that fall inside chunks (primes, well below a chunk
+   run of accesses), each alone and all together: checkpoints, the
+   rotating watchdog, heartbeats. *)
+let cadences =
+  [|
+    (97, 0, 0);
+    (0, 61, 0);
+    (0, 0, 37);
+    (113, 71, 53);
+  |]
+
+(* A random micro stream through two sessions: one [append] per event,
+   and one [append_chunk] per random run of accesses, each run arriving
+   in a chunk that repeats up to 5 accesses already applied (the
+   duplicated prefix a retried wire frame carries, skipped with [~off])
+   and carries junk past its [len]. Journal bytes and CRC, snapshots,
+   epoch files, report and profiles must all be equal — under no fault,
+   and under ENOSPC or a torn write at a random journal write. *)
+let prop_append_chunk_equals_append =
+  QCheck.Test.make ~name:"append_chunk = per-event append" ~count:16
+    QCheck.(
+      quad
+        (int_bound (List.length Micro.all - 1))
+        (int_range 1 10_000) (int_bound (Array.length cadences - 1))
+        (pair bool (int_bound 2)))
+    (fun (w, seed, cadence, (pooled, fault)) ->
+      let name = fst (List.nth Micro.all w) in
+      let events = micro_events ~seed name in
+      let n = Array.length events in
+      let ckpt, watch, hb = cadences.(cadence) in
+      let options =
+        {
+          Session.default_options with
+          checkpoint_every = ckpt;
+          watch_every = watch;
+          grammar_budget = (if watch > 0 then 200 else 0);
+          keep = 0;
+        }
+      in
+      let fault_at = 1 + (seed mod max 1 n) in
+      let io () =
+        match fault with
+        | 0 -> None
+        | 1 -> Some (Faults.Io.create { Faults.Io.none with no_space = Some fault_at })
+        | _ -> Some (Faults.Io.create { Faults.Io.none with torn_write = Some fault_at })
+      in
+      let run ?pool dir feed =
+        let s =
+          Session.start ?io:(io ()) ~heartbeat_every:hb ?pool ~options ~dir ~workload:name ()
+        in
+        feed s;
+        ignore (Session.finish s ~elapsed:0.0)
+      in
+      let per_event = tmpdir () and chunked = tmpdir () in
+      let rng = Ormp_util.Prng.create ~seed in
+      let by_chunks s =
+        (* [run_start]: where the current run of accesses began *)
+        let run_start = ref 0 and next = ref 0 in
+        let flush upto =
+          if upto > !next then begin
+            let dup = Ormp_util.Prng.int rng (1 + min 5 (!next - !run_start)) in
+            let first = !next - dup and len = upto - !next in
+            let junk = Ormp_util.Prng.int rng 4 in
+            let lane f =
+              Array.init (dup + len + junk) (fun i ->
+                  if i < dup + len then
+                    match events.(first + i) with
+                    | Event.Access { instr; addr; size; is_store } -> f instr addr size is_store
+                    | _ -> assert false
+                  else -1)
+            in
+            let chunk =
+              {
+                Batch.instr = lane (fun i _ _ _ -> i);
+                addr = lane (fun _ a _ _ -> a);
+                size = lane (fun _ _ z _ -> z);
+                store = lane (fun _ _ _ st -> Bool.to_int st);
+                len = dup + len;
+              }
+            in
+            Session.append_chunk s chunk ~off:dup ~len;
+            next := upto
+          end
+        in
+        let cap = ref (1 + Ormp_util.Prng.int rng 40) in
+        Array.iteri
+          (fun i ev ->
+            match ev with
+            | Event.Access _ ->
+              if i + 1 - !next >= !cap then begin
+                flush (i + 1);
+                cap := 1 + Ormp_util.Prng.int rng 40
+              end
+            | Event.Alloc _ | Event.Free _ ->
+              flush i;
+              Session.append s ev;
+              next := i + 1;
+              run_start := i + 1)
+          events;
+        flush n
+      in
+      let both pool =
+        run ?pool per_event (fun s -> Array.iter (Session.append s) events);
+        run ?pool chunked by_chunks
+      in
+      Ormp_session.Pipeline.with_pool ~jobs:(if pooled then 2 else 1) both;
+      let crc dir =
+        match Journal.recover (Filename.concat dir Session.journal_file) with
+        | Ok r -> r.Journal.r_crc
+        | Error e -> QCheck.Test.fail_reportf "journal unreadable: %s" e
+      in
+      let same = session_files per_event = session_files chunked && crc per_event = crc chunked in
+      rm_rf per_event;
+      rm_rf chunked;
+      same)
 
 (* --- trace file truncation tolerance (satellite c) --------------------- *)
 
@@ -616,7 +863,10 @@ let () =
   Alcotest.run "ormp_session"
     [
       ( "crc32",
-        [ tc "vectors" test_crc32_vectors ] );
+        [
+          tc "vectors" test_crc32_vectors;
+          QCheck_alcotest.to_alcotest prop_crc32_slicing_equals_bytewise;
+        ] );
       ( "storage",
         [
           tc "seal/unseal" test_seal_unseal;
@@ -627,6 +877,8 @@ let () =
           tc "roundtrip + resume append" test_journal_roundtrip;
           tc "torn tail truncation" test_journal_torn_tail;
           tc "header durable at create" test_journal_header_durable_at_create;
+          tc "appends do not allocate" test_journal_appends_do_not_allocate;
+          tc "journal bytes survive restore" test_journal_bytes_survive_restore;
         ] );
       ( "trace",
         [ tc "truncated trailing record tolerated" test_trace_truncated_tail ] );
@@ -647,6 +899,7 @@ let () =
           tc "resume survives a poisoned journal" test_resume_survives_poisoned_journal;
           tc "journal ENOSPC degrades gracefully" test_session_degrades_on_journal_enospc;
           tc "watchdog rotates epochs and caps streams" test_session_rotation_epochs;
+          QCheck_alcotest.to_alcotest prop_append_chunk_equals_append;
         ] );
       ( "supervise",
         [

@@ -160,6 +160,99 @@ let test_trace_file_errors () =
   | Ok _ -> Alcotest.fail "accepted malformed line");
   Sys.remove path
 
+(* --- the renderer and the parser against test/trace_legacy.ml --------- *)
+
+let gen_int =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1; 1; 99; 100; -100 ];
+        int;
+        small_signed_int;
+        map (fun n -> -n) nat;
+      ])
+
+(* Type names with spaces, dashes and tabs, empty ones included. *)
+let gen_name = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'Z'; ' '; '-'; '_'; '\t'; '7' ]) (int_range 0 6))
+
+let gen_event =
+  QCheck.Gen.(
+    oneof
+      [
+        map4
+          (fun instr addr size is_store -> Event.Access { instr; addr; size; is_store })
+          gen_int gen_int gen_int bool;
+        map4
+          (fun site addr size type_name -> Event.Alloc { site; addr; size; type_name })
+          gen_int gen_int gen_int (opt gen_name);
+        map2 (fun addr site -> Event.Free { addr; site }) gen_int (opt gen_int);
+      ])
+
+let arb_events =
+  QCheck.make
+    ~print:(fun evs -> String.concat "" (List.map Trace_legacy.event_line evs))
+    QCheck.Gen.(list_size (int_range 1 8) gen_event)
+
+(* One buffer, reused across cases and appended to within one: its bytes
+   must be the legacy lines, concatenated. *)
+let prop_render_equals_legacy =
+  let b = Trace_file.buffer () in
+  QCheck.Test.make ~name:"render = legacy Printf lines" ~count:2000 arb_events (fun evs ->
+      Trace_file.clear b;
+      List.iter (Trace_file.render b) evs;
+      let got = Bytes.sub_string (Trace_file.bytes b) 0 (Trace_file.length b) in
+      let want = String.concat "" (List.map Trace_legacy.event_line evs) in
+      got = want
+      && List.for_all (fun ev -> Trace_file.event_line ev = Trace_legacy.event_line ev) evs)
+
+let test_render_access_extremes () =
+  let b = Trace_file.buffer () in
+  List.iter
+    (fun (instr, addr, size, is_store) ->
+      Trace_file.clear b;
+      Trace_file.render_access b ~instr ~addr ~size ~is_store;
+      Alcotest.(check string)
+        "render_access = legacy"
+        (Trace_legacy.event_line (Event.Access { instr; addr; size; is_store }))
+        (Bytes.sub_string (Trace_file.bytes b) 0 (Trace_file.length b)))
+    [
+      (min_int, max_int, -1, true);
+      (max_int, min_int, 0, false);
+      (0, -4096, min_int, true);
+      (7, 10, 100, false);
+    ]
+
+(* Lines the parser must read exactly as the legacy one does: rendered
+   events, then the same with fields swapped for other spellings (signs,
+   base prefixes, underscores, 19+ digits, doubled or trailing blanks,
+   missing and extra fields). *)
+let gen_line =
+  QCheck.Gen.(
+    let field =
+      oneof
+        [
+          map string_of_int gen_int;
+          oneofl
+            [
+              ""; "-"; "+5"; "0x1f"; "0b101"; "0o17"; "1_000"; "-0"; "007"; "4611686018427387904";
+              "-4611686018427387905"; "99999999999999999999"; "1"; "0"; "x"; " "; "\t";
+            ];
+        ]
+    in
+    let tag = oneofl [ "A"; "+"; "-"; "B"; "AA"; "" ] in
+    oneof
+      [
+        map Trace_legacy.event_line gen_event;
+        map2 (fun t fs -> String.concat " " (t :: fs)) tag (list_size (int_range 0 6) field);
+        map2 (fun ev pad -> String.trim (Trace_legacy.event_line ev) ^ pad) gen_event
+          (oneofl [ " "; "\t"; "  "; "\r"; "" ]);
+      ])
+
+let prop_parse_equals_legacy =
+  QCheck.Test.make ~name:"parse_line = legacy parser" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_line)
+    (fun line -> Trace_file.parse_line line = Trace_legacy.parse_line line)
+
 let test_trace_file_profiler_replay_equals_live () =
   (* Record a workload, replay the file through WHOMP: identical profile. *)
   let program = Ormp_workloads.Micro.linked_list ~nodes:8 ~sweeps:2 () in
@@ -266,6 +359,9 @@ let () =
           tc "type names with spaces" test_trace_file_type_names_with_spaces;
           tc "errors" test_trace_file_errors;
           tc "profiler replay equals live" test_trace_file_profiler_replay_equals_live;
+          tc "render_access extremes" test_render_access_extremes;
+          QCheck_alcotest.to_alcotest prop_render_equals_legacy;
+          QCheck_alcotest.to_alcotest prop_parse_equals_legacy;
         ] );
       ( "worker",
         [

@@ -374,6 +374,38 @@ let prop_varint_positive =
       let w = Bytesize.varint n in
       w >= 1 && w <= 10)
 
+(* --- decimal ------------------------------------------------------------ *)
+
+let decimal_string n =
+  let b = Bytes.make (Decimal.max_length + 3) '.' in
+  let stop = Decimal.write b 2 n in
+  check_int "returns the end" (2 + String.length (string_of_int n)) stop;
+  check_bool "writes nothing around it" true
+    (Bytes.get b 0 = '.' && Bytes.get b 1 = '.'
+    && (stop = Bytes.length b || Bytes.get b stop = '.'));
+  Bytes.sub_string b 2 (stop - 2)
+
+(* Every width: both sides of each power of ten, either sign. *)
+let test_decimal_extremes () =
+  let powers = List.init 19 (fun k -> int_of_string ("1" ^ String.make k '0')) in
+  List.iter
+    (fun n -> Alcotest.(check string) (string_of_int n) (string_of_int n) (decimal_string n))
+    ([ min_int; max_int; min_int + 1; max_int - 1; 0 ]
+    @ List.concat_map (fun p -> [ p; p - 1; -p; 1 - p ]) powers);
+  check_int "max_length" (String.length (string_of_int min_int)) Decimal.max_length;
+  check_bool "no room raises" true
+    (match Decimal.write (Bytes.create 3) 1 1234 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let prop_decimal_string_of_int =
+  QCheck.Test.make ~name:"write = string_of_int" ~count:2000
+    QCheck.(oneof [ int; small_signed_int; map (fun n -> -n) small_nat ])
+    (fun n ->
+      let b = Bytes.create Decimal.max_length in
+      let stop = Decimal.write b 0 n in
+      Bytes.sub_string b 0 stop = string_of_int n)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "ormp_util"
@@ -432,6 +464,9 @@ let () =
           tc "percent/ratio" test_ascii_percent_ratio;
           tc "bar chart" test_ascii_bar_chart;
         ] );
+      ( "decimal",
+        [ tc "extremes" test_decimal_extremes; QCheck_alcotest.to_alcotest prop_decimal_string_of_int ]
+      );
       ( "bytesize",
         [
           tc "varint widths" test_varint_widths;
