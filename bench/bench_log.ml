@@ -16,14 +16,8 @@ let create ~mode = { mode; sections = []; blocks = [] }
 
 let add_section t name wall_s = t.sections <- (name, wall_s) :: t.sections
 
-(* Adds the top-level member [key]. List members accumulate: Table 1 and
-   the scaling sweep both contribute [dilation] rows. *)
-let add t key v =
-  match (List.assoc_opt key t.blocks, v) with
-  | Some (J.List old), J.List rows ->
-    t.blocks <-
-      List.map (fun (k, b) -> if k = key then (k, J.List (old @ rows)) else (k, b)) t.blocks
-  | _ -> t.blocks <- t.blocks @ [ (key, v) ]
+(* Adds the top-level member [key]; each section adds its own. *)
+let add t key v = t.blocks <- t.blocks @ [ (key, v) ]
 
 (* The file's member order, whatever order the sections ran in; a block
    missing here goes last. *)

@@ -87,9 +87,6 @@ let with_temp_dir name f =
   Unix.mkdir base 0o755;
   Fun.protect ~finally:(fun () -> rm_rf base) (fun () -> f base)
 
-let dilation_row workload dilation =
-  J.Obj [ ("workload", J.String workload); ("dilation", J.Float dilation) ]
-
 (* ------------------------------------------------------------------ *)
 (* Paper sections                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -146,7 +143,12 @@ let run_dependence_figs log ~bench ~enabled () =
           Bench_log.add log "dilation"
             (J.List
                (List.map
-                  (fun r -> dilation_row r.Experiments.workload r.Experiments.dilation)
+                  (fun r ->
+                    J.Obj
+                      [
+                        ("workload", J.String r.Experiments.workload);
+                        ("dilation", J.Float r.Experiments.dilation);
+                      ])
                   rows));
           print_string (Experiments.render_table1 rows))
   end
@@ -495,9 +497,8 @@ let micro_tests () =
    curve, because the curve only means what the hardware lets it mean —
    on a single-core box every row degenerates to serial-plus-ring-
    overhead, and that flat line is the honest result, not a failure.
-   Each row also lands in the dilation block (instrumented wall over
-   native wall), the native run timed with Table 1's batch-doubling
-   timer so the jobs sweep is comparable with Table 1. *)
+   The one full-stack dilation is the end-to-end benchmark's (e2e/), so
+   this section reports wall time and throughput only. *)
 let run_scaling log ~bench () =
   timed log "scaling" (fun () ->
       print_endline
@@ -507,9 +508,6 @@ let run_scaling log ~bench () =
       let cores = Domain.recommended_domain_count () in
       let sweep =
         List.sort_uniq compare (1 :: 2 :: 4 :: (if cores > 4 then [ cores ] else []))
-      in
-      let native_s =
-        Experiments.time_batch ~repeats:3 (fun () -> ignore (Ormp_vm.Runner.run_bare program))
       in
       let events = ref 0 in
       (* The full stack exactly as sessions and the daemon run it: one
@@ -546,7 +544,7 @@ let run_scaling log ~bench () =
       Printf.printf "%s: %d accesses, %d core(s) available\n" "164.gzip-like" !events cores;
       print_endline
         (Ormp_util.Ascii.table
-           ~header:[ "jobs"; "wall"; "speedup"; "throughput"; "dilation" ]
+           ~header:[ "jobs"; "wall"; "speedup"; "throughput" ]
            ~rows:
              (List.map
                 (fun (jobs, wall_s) ->
@@ -555,19 +553,16 @@ let run_scaling log ~bench () =
                     Printf.sprintf "%.3f s" wall_s;
                     Printf.sprintf "%.2fx" (serial_s /. wall_s);
                     Printf.sprintf "%.2f M ev/s" (events_per_sec wall_s /. 1e6);
-                    Printf.sprintf "%.1fx" (wall_s /. native_s);
                   ])
                 walls));
-      if cores = 1 then
-        print_endline
-          "note: 1 core available — the compressor domains time-slice one CPU,\n\
-           so this curve measures ring overhead, not parallel speedup.\n";
-      Bench_log.add log "dilation"
-        (J.List
-           (List.map
-              (fun (jobs, wall_s) ->
-                dilation_row (Printf.sprintf "combined(jobs=%d)" jobs) (wall_s /. native_s))
-              walls));
+      List.iter
+        (fun (jobs, _) ->
+          if jobs > cores then
+            Printf.printf
+              "note: jobs=%d on %d core(s) — the compressor domains time-slice the CPUs,\n\
+               so this row measures ring overhead, not parallel speedup.\n"
+              jobs cores)
+        walls;
       Bench_log.add log "scaling"
         (J.Obj
            [

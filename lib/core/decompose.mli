@@ -10,9 +10,9 @@
     group to get a number of (object, offset, time) streams". The
     time-stamp keeps sub-stream entries globally ordered.
 
-    The collectors here materialize the decomposed streams for analysis,
-    examples and tests; the profilers perform the same decomposition
-    streamingly for scale. *)
+    The collectors here materialize the decomposed streams; only the
+    tests use them, as a reference for the profilers, which perform the
+    same decomposition streamingly for scale. *)
 
 module Horizontal : sig
   type t

@@ -42,7 +42,7 @@ let generate ~workload ~seed =
     Ok (events, Array.length events)
 
 let reference ~dir ~events =
-  Ormp_session.Storage.mkdirs dir;
+  Ormp_util.Fs.mkdirs dir;
   let pipe = Pipeline.create () in
   Array.iter (Pipeline.apply pipe) events;
   Pipeline.finalize pipe ~dir ~elapsed:0.0

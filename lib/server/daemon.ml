@@ -124,7 +124,7 @@ type t = {
 }
 
 let create opts =
-  Storage.mkdirs (opts.root // "sessions");
+  Ormp_util.Fs.mkdirs (opts.root // "sessions");
   (* The stats channel reads the telemetry registry; a daemon that
      serves Stats frames must have it recording. *)
   if opts.stats then Tm.enable ();
@@ -381,7 +381,7 @@ let handle_hello t c ~token ~workload ~ack_every =
           send t c (Wire.Hello_ok { fresh; complete = false; position })
         in
         if not (Sys.file_exists (dir // Session.journal_file)) then begin
-          Storage.mkdirs dir;
+          Ormp_util.Fs.mkdirs dir;
           Storage.write_atomic ~path:(dir // "manifest")
             (S.to_string (S.field "ormp-serve-session" [ S.field "workload" [ S.atom workload ] ])
             ^ "\n");

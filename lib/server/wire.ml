@@ -393,27 +393,20 @@ let get_stats c : Stats.t =
     s_hists = Array.to_list hists;
   }
 
-(* An [Ev] payload is one journal line, exactly as the renderer writes
-   it: one newline, at the end, and the bytes of the event it parses to.
-   Anything else (a type name holding a newline, a trimmed blank, a [""]
-   name that reads back as none, a non-decimal integer) could not be
-   journaled and replayed as the event the client meant, so it is a
-   protocol error before anything is journaled. *)
+(* An [Ev] payload is one journal line: one newline, at the end, before
+   which {!Ormp_trace.Trace_file.parse_line} accepts the bytes — exactly
+   the lines the renderer writes. Anything else (a type name holding a
+   newline, trailing blanks, a [""] name, a non-decimal integer) could
+   not be journaled and replayed as the event the client meant, so it is
+   a protocol error before anything is journaled. *)
 let rec index_newline b i e = if i = e || Bytes.unsafe_get b i = '\n' then i else index_newline b (i + 1) e
 
-let rec equal_sub a ao b bo n =
-  n = 0 || (Bytes.unsafe_get a ao = Bytes.unsafe_get b bo && equal_sub a (ao + 1) b (bo + 1) (n - 1))
-
-let get_event c line =
+let get_event c =
   let a = c.pos and e = c.lim in
   if index_newline c.b a e <> e - 1 then raise (Bad "bad event payload: not one line");
   match Tf.parse_line (Bytes.sub_string c.b a (e - 1 - a)) with
   | Error msg -> raise (Bad ("bad event payload: " ^ msg))
   | Ok ev ->
-    Tf.clear line;
-    Tf.render line ev;
-    if not (Tf.length line = e - a && equal_sub (Tf.bytes line) 0 c.b a (e - a)) then
-      raise (Bad "bad event payload: not canonical");
     c.pos <- e;
     ev
 
@@ -443,7 +436,7 @@ let get_batch c =
   c.pos <- o + n;
   Batch { start; chunk = { Batch.instr; addr; size; store; len = n } }
 
-let parse c ~line =
+let parse c =
   let finish msg =
     if c.pos <> c.lim then raise (Bad "trailing payload bytes");
     msg
@@ -469,7 +462,7 @@ let parse c ~line =
   | 'B' -> finish (get_batch c)
   | 'V' ->
     let position = get_i64 c in
-    finish (Ev { position; event = get_event c line })
+    finish (Ev { position; event = get_event c })
   | 'F' -> finish (Finish { position = get_i64 c })
   | 'G' ->
     let position = get_i64 c in
@@ -486,14 +479,9 @@ let parse c ~line =
 (* --- incremental decoding ----------------------------------------------- *)
 
 (* Unread bytes are [buf.[off, len)]; see the header for the policy. *)
-type decoder = {
-  mutable buf : Bytes.t;
-  mutable off : int;
-  mutable len : int;
-  line : Tf.buffer;  (* an [Ev]'s line re-rendered, for the canonical check *)
-}
+type decoder = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
 
-let decoder () = { buf = Bytes.create 4096; off = 0; len = 0; line = Tf.buffer () }
+let decoder () = { buf = Bytes.create 4096; off = 0; len = 0 }
 
 let buffered d = d.len - d.off
 
@@ -531,7 +519,7 @@ let next d =
       d.off <- p + n + 4;
       if Crc32.update_sub 0 d.buf p n <> crc then Error "frame CRC mismatch"
       else
-        match parse { b = d.buf; pos = p; lim = p + n } ~line:d.line with
+        match parse { b = d.buf; pos = p; lim = p + n } with
         | msg -> Ok (Some msg)
         | exception Bad e -> Error e
     end

@@ -7,6 +7,15 @@ module Tm = Ormp_telemetry.Telemetry
 let m_appends = Tm.Metrics.counter "journal.appends"
 let m_bytes = Tm.Metrics.counter "journal.bytes"
 
+type recovered = {
+  tail : Ormp_trace.Event.t array;
+  count : int;
+  crc_at : int;
+  r_crc : int;
+  sound : int;
+  truncated : bool;
+}
+
 (* --- writing ---------------------------------------------------------- *)
 
 type writer = {
@@ -19,7 +28,11 @@ type writer = {
 let create ?io ?resume path =
   let crc =
     match resume with
-    | Some crc -> crc
+    | Some r ->
+      (* Cut a torn final line off, so the first append starts a line of
+         its own. Only here: recovery itself never writes. *)
+      if r.truncated then Unix.truncate path r.sound;
+      r.r_crc
     | None ->
       (* The header lands atomically: a journal file either does not exist
          or starts with a complete header. A kill between creating the file
@@ -83,65 +96,28 @@ let crc w = w.crc
 
 (* --- recovery --------------------------------------------------------- *)
 
-type recovered = {
-  events : Ormp_trace.Event.t array;
-  r_crc : int;
-  crc_at : int;
-  truncated : bool;
-}
-
-let ( let* ) = Result.bind
-
+(* One pass over the file: every line's bytes as read go into the CRC (by
+   the trace syntax they are the bytes [append] wrote and CRC'd), the
+   first [at] only counted, the rest parsed. *)
 let recover ?(at = 0) path =
-  let* data = Storage.read_file path in
-  let len = String.length data in
-  let line_end from = match String.index_from_opt data from '\n' with Some i -> i | None -> -1 in
-  let hdr_end = line_end 0 in
-  if hdr_end < 0 || String.trim (String.sub data 0 hdr_end) <> Tf.header then
-    Error "journal: bad header"
-  else begin
-    let events = Ormp_util.Vec.create () in
-    let scratch = Tf.buffer () in
-    let crc = ref 0 and crc_at = ref (if at = 0 then Some 0 else None) in
-    let truncate_at = ref None in
-    let err = ref None in
-    let pos = ref (hdr_end + 1) in
-    while !err = None && !truncate_at = None && !pos < len do
-      match line_end !pos with
-      | -1 ->
-        (* Final bytes with no terminating newline: the torn tail of a write
-           that died mid-line. Note the byte offset so the caller's journal
-           can be reopened for append right where the sound prefix ends. *)
-        truncate_at := Some !pos
-      | e -> (
-        let line = String.sub data !pos (e - !pos) in
-        pos := e + 1;
-        if String.trim line = "" then ()
-        else
-          match Tf.parse_line line with
-          | Error msg -> err := Some (Printf.sprintf "journal: %s in %S" msg line)
-          | Ok ev ->
-            Ormp_util.Vec.push events ev;
-            (* Re-render rather than CRC the line as read: append CRCs
-               exactly what the renderer emits, and the two must stay
-               byte-equal. *)
-            crc := crc_event scratch !crc ev;
-            if Ormp_util.Vec.length events = at then crc_at := Some !crc)
-    done;
-    match !err with
-    | Some e -> Error e
-    | None -> (
-      (match !truncate_at with
-      | Some off -> (try Unix.truncate path off with Unix.Unix_error _ -> ())
-      | None -> ());
-      match !crc_at with
-      | None -> Error (Printf.sprintf "journal holds %d events, snapshot is at %d" (Ormp_util.Vec.length events) at)
-      | Some crc_at ->
-        Ok
-          {
-            events = Ormp_util.Vec.to_array events;
-            r_crc = !crc;
-            crc_at;
-            truncated = !truncate_at <> None;
-          })
-  end
+  let crc = ref 0 and crc_at = ref 0 and lines = ref 0 in
+  let line l =
+    crc := Ormp_util.Crc32.update (Ormp_util.Crc32.update !crc l) "\n";
+    incr lines;
+    if !lines = at then crc_at := !crc
+  in
+  let tail = Ormp_util.Vec.create () in
+  match Tf.scan ~skip:at ~line path (Ormp_util.Vec.push tail) with
+  | Error e -> Error ("journal: " ^ e)
+  | Ok s when s.Tf.lines < at ->
+    Error (Printf.sprintf "journal holds %d events, snapshot is at %d" s.Tf.lines at)
+  | Ok s ->
+    Ok
+      {
+        tail = Ormp_util.Vec.to_array tail;
+        count = s.Tf.lines;
+        crc_at = !crc_at;
+        r_crc = !crc;
+        sound = s.Tf.sound;
+        truncated = s.Tf.torn;
+      }

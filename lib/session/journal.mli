@@ -3,16 +3,28 @@
     Every raw probe event is appended (in {!Ormp_trace.Trace_file} line
     format) {e before} it is applied to the profilers, with a running
     CRC-32 over the event lines. A checkpoint records the journal position
-    and CRC it covers; recovery replays the journal tail after the newest
-    valid snapshot and detects both torn tails (truncated, tolerated) and
-    divergence (CRC mismatch, fatal). *)
+    and CRC it covers; recovery reads the journal, checks the CRC of the
+    prefix the newest valid snapshot covers without parsing it, returns
+    the tail after it, and detects both torn tails (dropped, tolerated)
+    and divergence (CRC mismatch, fatal). Recovery never writes; reopening
+    for append cuts a torn tail off. *)
+
+type recovered = {
+  tail : Ormp_trace.Event.t array;  (** the events after the first [at] *)
+  count : int;  (** the events in the sound prefix *)
+  crc_at : int;  (** CRC after the first [at] events *)
+  r_crc : int;  (** CRC over every sound event line *)
+  sound : int;  (** the byte offset where the sound prefix ends *)
+  truncated : bool;  (** a torn final line follows the sound prefix *)
+}
 
 type writer
 
-val create : ?io:Ormp_workloads.Faults.Io.t -> ?resume:int -> string -> writer
-(** Open a fresh journal (header written), or — with [resume:crc] —
-    reopen an existing one for append, continuing the running CRC from
-    the recovered value. *)
+val create : ?io:Ormp_workloads.Faults.Io.t -> ?resume:recovered -> string -> writer
+(** Open a fresh journal (header written), or — with [resume:r], what
+    {!recover} read from the same file — reopen it for append: a torn
+    final line is truncated away first, and the running CRC continues
+    from [r.r_crc]. *)
 
 val append : writer -> Ormp_trace.Event.t -> unit
 (** Render the event's line in place, write it with one [output] and
@@ -31,8 +43,9 @@ val append_chunk : writer -> Ormp_trace.Batch.chunk -> off:int -> len:int -> uni
 
 val crc_event : Ormp_trace.Trace_file.buffer -> int -> Ormp_trace.Event.t -> int
 (** [crc_event scratch crc ev] is the CRC a journal at [crc] holds after
-    appending [ev], rendered into [scratch] (cleared first): how replay
-    re-derives the CRC of events it does not write. *)
+    appending [ev], rendered into [scratch] (cleared first): how a
+    restore's replay and a resume's re-execution re-derive the CRC of
+    events they do not write. *)
 
 val flush : writer -> unit
 val close : writer -> unit
@@ -44,16 +57,11 @@ val bytes : writer -> int
 (** The journal's size, buffered bytes included: the header and, for a
     resumed writer, every byte already in the file count. *)
 
-type recovered = {
-  events : Ormp_trace.Event.t array;  (** the full surviving journal *)
-  r_crc : int;  (** CRC over all surviving event lines *)
-  crc_at : int;  (** CRC after the first [at] events *)
-  truncated : bool;  (** a torn tail was cut off *)
-}
-
 val recover : ?at:int -> string -> (recovered, string) result
-(** Scan a journal left behind by a dead run. A final line without its
-    terminating newline is a torn write: it is dropped and the file is
-    truncated to the sound prefix (so a resumed writer appends cleanly).
-    Fails if the journal holds fewer than [at] events or any complete
-    line is unparseable. *)
+(** Read a journal left behind by a dead (or a running) writer, in one
+    streaming pass through {!Ormp_trace.Trace_file.scan}: the first [at]
+    lines are counted and CRC'd as read, not parsed; the rest are parsed
+    into [tail]. A final line without its terminating newline is a torn
+    write: it is dropped and reported in [truncated], and the file is
+    left as it is. Fails if the journal holds fewer than [at] events or
+    any complete line after them does not parse. *)

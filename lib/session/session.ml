@@ -548,29 +548,28 @@ let recover ~dir =
   |> List.sort (fun a b -> compare b a)
   |> newest
 
-(* Triggers re-fire during the replay (rotations must be re-applied;
-   snapshot rewrites are idempotent), but nothing is re-journaled: the
-   CRC is re-derived instead, so rewritten snapshots carry the right
-   value. *)
+(* The journal's tail after the snapshot is replayed. Triggers re-fire
+   during the replay (rotations must be re-applied; snapshot rewrites are
+   idempotent), but nothing is re-journaled: the CRC is re-derived
+   instead, so rewritten snapshots carry the right value. *)
 let restore ?io ?heartbeat_every ?pool ?site_name ~options ~dir ~workload () =
   let* snap, r = recover ~dir in
   let ctx = create ?io ?heartbeat_every ?pool ?site_name ?snap ~options ~dir ~workload () in
-  let events = r.Journal.events in
-  let from = position ctx and count = Array.length events in
   let scratch = Tf.buffer () in
   let replay () =
-    for i = from to count - 1 do
-      ctx.jcrc <- Journal.crc_event scratch ctx.jcrc events.(i);
-      Pipeline.apply ctx.pipe events.(i);
-      triggers ctx
-    done;
+    Array.iter
+      (fun ev ->
+        ctx.jcrc <- Journal.crc_event scratch ctx.jcrc ev;
+        Pipeline.apply ctx.pipe ev;
+        triggers ctx)
+      r.Journal.tail;
     Pipeline.quiesce ctx.pipe;
     Option.iter raise (Pipeline.failure ctx.pipe)
   in
   match Tm.span ~name:"session.replay" replay with
   | () ->
-    ctx.replayed <- count - from;
-    ctx.journal <- Some (Journal.create ?io ~resume:r.Journal.r_crc (dir // journal_file));
+    ctx.replayed <- Array.length r.Journal.tail;
+    ctx.journal <- Some (Journal.create ?io ~resume:r (dir // journal_file));
     Ok ctx
   | exception (Io.Killed _ as killed) -> raise killed
   | exception e ->
@@ -633,7 +632,7 @@ let drive ?io ?heartbeat_every ?(jobs = 1) ~dir ~workload ~config ~options ~resu
 let run ?io ?heartbeat_every ?jobs ?(config = Ormp_vm.Config.default)
     ?(options = default_options) ~dir ~workload () =
   let* _ = find_workload workload in
-  Storage.mkdirs dir;
+  Ormp_util.Fs.mkdirs dir;
   if Sys.file_exists (dir // manifest_file) then
     Error (Printf.sprintf "session already exists in %s (use resume)" dir)
   else begin
@@ -655,7 +654,7 @@ let status ~dir =
   let* workload, _, _ = load_manifest dir in
   let snap, journal =
     match recover ~dir with
-    | Ok (snap, r) -> (snap, Some (Array.length r.Journal.events))
+    | Ok (snap, r) -> (snap, Some r.Journal.count)
     | Error _ -> (None, None)
   in
   Ok

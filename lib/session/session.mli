@@ -97,7 +97,8 @@ val restore :
   (t, string) result
 (** The one recovery path: the newest snapshot whose seal and journal
     CRC both check (else the empty state at position 0), then the journal
-    tail replayed, then the journal reopened for append. [Error], never
+    tail after it replayed, then the journal reopened for append — the
+    one step that writes, cutting a torn final line off. [Error], never
     an exception, when the journal is unreadable or its replay raises —
     a pooled compressor's parked failure included; only an injected
     {!Ormp_workloads.Faults.Io.Killed} escapes. *)
@@ -177,3 +178,6 @@ val resume :
     scratch under the same manifest: correct, just slower. *)
 
 val status : dir:string -> (status_info, string) result
+(** What {!restore} would start from, found by the same reads. It
+    writes nothing, so it is safe to call on a session that is running
+    (a line the writer has not finished is counted as torn, not cut). *)

@@ -5,13 +5,6 @@ let read_file path =
   | s -> Ok s
   | exception Sys_error msg -> Error msg
 
-let rec mkdirs path =
-  if path = "" || path = "." || Sys.file_exists path then ()
-  else begin
-    mkdirs (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let write_channel ?io oc s =
   match io with None -> output_string oc s | Some f -> Io.write f oc s
 

@@ -7,11 +7,6 @@
     {!Ormp_workloads.Faults.Io.t} threads the injected-fault plan through
     every write for the durability tests. *)
 
-val read_file : string -> (string, string) result
-
-val mkdirs : string -> unit
-(** [mkdir -p]: create [path] and any missing parents (mode 0755). *)
-
 val write_atomic :
   ?io:Ormp_workloads.Faults.Io.t -> path:string -> string -> unit
 (** Write [content] to [path ^ ".tmp"], then rename over [path]. On any

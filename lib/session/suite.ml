@@ -46,7 +46,7 @@ let profile_task ?config ?jobs program ~should_stop =
 let run ?(bench = false) ?timeout_s ?(retries = 1) ?backoff_s ?(faults = []) ?config ?jobs
     ?out_dir () =
   let t0 = Ormp_util.Clock.now_s () in
-  Option.iter Storage.mkdirs out_dir;
+  Option.iter Ormp_util.Fs.mkdirs out_dir;
   let entries =
     List.map
       (fun (e : Registry.entry) ->

@@ -110,18 +110,12 @@ let to_sexp ?(reason = "") t =
 let trace_file = "trace.json"
 let record_file = "record.sexp"
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 (* Write the post-mortem bundle under [dir] (created as needed). Best
    effort by design: a full disk must not take the daemon down with it,
    so failures surface as [Error] for the caller to count, not raise. *)
 let dump t ~dir ~reason : (unit, string) result =
   try
-    mkdir_p dir;
+    Ormp_util.Fs.mkdirs dir;
     let oc = open_out_bin (Filename.concat dir trace_file) in
     output_string oc (Ormp_util.Json.to_string (to_trace_json t));
     output_char oc '\n';

@@ -23,7 +23,7 @@ let metrics_json_file = "metrics.json"
 let trace_file = "trace.json"
 
 let write_reports ~dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Ormp_util.Fs.mkdirs dir;
   let snap = Metrics.snapshot () in
   Ormp_util.Sexp.save (Filename.concat dir metrics_sexp_file) (Metrics.to_sexp snap);
   let write_json name j =

@@ -92,6 +92,10 @@ let save path events =
 
 (* --- parsing ------------------------------------------------------------ *)
 
+(* A line is accepted iff it is exactly what [render] writes for the event
+   it denotes, so a line's bytes are its rendering's bytes and readers may
+   CRC them as read. *)
+
 (* A line splits into fields at single spaces, exactly as
    [String.split_on_char ' '] would split it (so doubled spaces make empty
    fields, which no integer parses). [field_end s i] is the end of the
@@ -105,45 +109,56 @@ let next_end s e =
   let n = String.length s in
   if e >= n then n + 1 else field_end s (e + 1)
 
-let rec decimal s i e acc =
+(* [min_int = 10 * min_div10 - min_mod10]. *)
+let min_div10 = min_int / 10
+let min_mod10 = -(min_int mod 10)
+
+(* The digits [s.[i, e)] accumulated negatively onto [acc], so that
+   [min_int] is reachable; [1] once one is not a digit or the value
+   leaves the int range. *)
+let rec digits s i e acc =
   if i = e then acc
   else
-    match String.unsafe_get s i with
-    | '0' .. '9' as c -> decimal s (i + 1) e ((acc * 10) + (Char.code c - 48))
-    | _ -> -1
+    let d = Char.code (String.unsafe_get s i) - 48 in
+    if d < 0 || d > 9 || acc < min_div10 || (acc = min_div10 && d > min_mod10) then 1
+    else digits s (i + 1) e ((acc * 10) - d)
 
-(* The integer in [s.[a, e)] as [int_of_string_opt] reads it. Canonical
-   decimals — what [render] writes — are read in place; anything else
-   (a [+] sign, a base prefix, underscores, 19 or more digits) goes to
-   the stdlib reader, so the accepted syntax is exactly [int_of_string]'s. *)
+(* The integer [s.[a, e)] spells if it is spelled as [Decimal.write]
+   spells it: an optional [-], then digits with no leading zero (["0"]
+   alone excepted, ["-0"] refused), within the int range. *)
 let int_field s a e =
   let neg = a < e && String.unsafe_get s a = '-' in
   let d = if neg then a + 1 else a in
-  let v = if d < e && e - d <= 18 then decimal s d e 0 else -1 in
-  if v >= 0 then Some (if neg then -v else v) else int_of_string_opt (String.sub s a (e - a))
+  if d = e || (String.unsafe_get s d = '0' && (neg || e - d > 1)) then None
+  else
+    let v = digits s d e 0 in
+    if v > 0 || ((not neg) && v = min_int) then None else Some (if neg then v else -v)
 
-let parse_line line =
-  let s = String.trim line in
+(* What [String.trim] strips: a type name may not end in one, because a
+   reader that trimmed the line would lose it. *)
+let is_blank = function ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false
+
+let parse_line s =
   let n = String.length s in
-  (* [e1..e5]: where the first five fields end; [n + 1] past the last. *)
+  (* [e1..e4]: where the first four fields end; [n + 1] past the last. A
+     field [k] lies in bounds once [e(k-1) < n]. *)
   let e1 = field_end s 0 in
   let e2 = next_end s e1 in
   let e3 = next_end s e2 in
   let e4 = next_end s e3 in
-  let e5 = next_end s e4 in
   let tag = if e1 = 1 then String.unsafe_get s 0 else ' ' in
   match tag with
-  | 'A' when e5 = n -> (
-    let store = if e5 - e4 = 2 then String.unsafe_get s (e4 + 1) else ' ' in
+  | 'A' when e4 < n && field_end s (e4 + 1) = n -> (
+    let store = if n - e4 = 2 then String.unsafe_get s (e4 + 1) else ' ' in
     match (int_field s (e1 + 1) e2, int_field s (e2 + 1) e3, int_field s (e3 + 1) e4, store) with
     | Some instr, Some addr, Some size, ('0' | '1') ->
       Ok (Event.Access { instr; addr; size; is_store = store = '1' })
     | _ -> Error "malformed access")
-  | '+' when e4 <= n -> (
-    (* Every field after the fourth is the type name, spaces and all. *)
+  | '+' when e4 + 1 < n && not (is_blank (String.unsafe_get s (n - 1))) -> (
+    (* Everything after the fourth field is the type name, spaces and all. *)
     let type_name =
-      if e4 = n then None
-      else match String.sub s (e4 + 1) (n - e4 - 1) with "-" -> None | t -> Some t
+      if n - e4 = 2 && String.unsafe_get s (e4 + 1) = '-' then None
+      else Some (String.sub s (e4 + 1) (n - e4 - 1))
     in
     match (int_field s (e1 + 1) e2, int_field s (e2 + 1) e3, int_field s (e3 + 1) e4) with
     | Some site, Some addr, Some size -> Ok (Event.Alloc { site; addr; size; type_name })
@@ -158,57 +173,57 @@ let parse_line line =
     | _ -> Error "malformed free")
   | _ -> Error "unrecognized event"
 
-(* --- replay ------------------------------------------------------------- *)
+(* --- reading ------------------------------------------------------------ *)
+
+type scan = { lines : int; sound : int; torn : bool }
+
+let scan ?(skip = 0) ?(line = ignore) path sink =
+  match open_in_bin path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+    (* A line read at [sound] that ends at [pos_in ic] had its newline iff
+       the position moved past it. *)
+    let read sound =
+      (* lint:allow blocking-io — reads a regular trace file *)
+      match input_line ic with
+      | exception End_of_file -> None
+      | l -> Some (l, pos_in ic > sound + String.length l)
+    in
+    (* [n]: the complete lines after the header so far, which end at [sound]. *)
+    let rec go n sound =
+      match read sound with
+      | None -> Ok { lines = n; sound; torn = false }
+      | Some (_, false) -> Ok { lines = n; sound; torn = true }
+      | Some (l, true) -> (
+        line l;
+        if n < skip then go (n + 1) (pos_in ic)
+        else
+          match parse_line l with
+          | Ok ev ->
+            sink ev;
+            go (n + 1) (pos_in ic)
+          (* lint:allow hot-path-alloc — an error message, built once per failed read *)
+          | Error msg -> Error (Printf.sprintf "line %d: %s" (n + 2) msg))
+    in
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+    match read 0 with
+    | None -> Error "empty trace file"
+    | Some (h, true) when h = header -> go 0 (pos_in ic)
+    (* lint:allow hot-path-alloc — an error message, built once per failed read *)
+    | Some (h, _) -> Error (Printf.sprintf "bad header %S" h)
 
 let default_truncation_warning msg = Ormp_telemetry.Log.warnf ~src:"trace" "%s" msg
 
 let replay ?(on_truncated = default_truncation_warning) path sink =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic -> (
-    let finish r =
-      close_in ic;
-      r
-    in
-    (* lint:allow blocking-io — replay reads a recorded regular file *)
-    match input_line ic with
-    | exception End_of_file -> finish (Error "empty trace file")
-    | first when String.trim first <> header ->
-      (* lint:allow hot-path-alloc — an error message, built once per failed replay *)
-      finish (Error (Printf.sprintf "bad header %S" first))
-    | _ ->
-      let len = in_channel_length ic in
-      (* A record that fails to parse, sits at the very end of the file, and
-         lacks its terminating newline is the signature of a torn write (the
-         process died mid-[write_event]). Every complete record before it is
-         intact, so warn and deliver those rather than rejecting the trace. *)
-      let torn_tail () = pos_in ic >= len && len > 0 && (seek_in ic (len - 1); input_char ic <> '\n') in
-      let count = ref 0 in
-      let lineno = ref 1 in
-      let rec go () =
-        (* lint:allow blocking-io — same regular trace file as above *)
-        match input_line ic with
-        | exception End_of_file -> Ok !count
-        | line when String.trim line = "" -> go ()
-        | line -> (
-          incr lineno;
-          match parse_line line with
-          | Ok ev ->
-            sink ev;
-            incr count;
-            go ()
-          | Error msg ->
-            if torn_tail () then begin
-              on_truncated
-                (* lint:allow hot-path-alloc — the one warning of a torn trace *)
-                (Printf.sprintf "%s: truncated final record at line %d (%s); keeping %d events"
-                   path !lineno msg !count);
-              Ok !count
-            end
-            (* lint:allow hot-path-alloc — an error message, built once per failed replay *)
-            else Error (Printf.sprintf "line %d: %s" !lineno msg))
-      in
-      finish (go ()))
+  match scan path sink with
+  | Error _ as e -> e
+  | Ok s ->
+    if s.torn then
+      on_truncated
+        (* lint:allow hot-path-alloc — the one warning of a torn trace *)
+        (Printf.sprintf "%s: dropped a torn final record at byte %d (no newline); keeping %d events"
+           path s.sound s.lines);
+    Ok s.lines
 
 let load path =
   let buf = Ormp_util.Vec.create () in

@@ -130,19 +130,23 @@ let test_journal_roundtrip () =
   (match Journal.recover path with
   | Error e -> Alcotest.fail e
   | Ok r ->
-    check_int "count" 4 (Array.length r.Journal.events);
+    check_int "count" 4 r.Journal.count;
     check_int "crc" crc r.Journal.r_crc;
     check_bool "not truncated" false r.Journal.truncated;
-    check_bool "events equal" true (r.Journal.events = events_fixture));
+    check_bool "events equal" true (r.Journal.tail = events_fixture));
   (* Reopen for append, continuing the CRC. *)
-  let w2 = Journal.create ~resume:crc path in
+  let w2 =
+    match Journal.recover path with
+    | Ok r -> Journal.create ~resume:r path
+    | Error e -> Alcotest.fail e
+  in
   Journal.append w2 (Event.Access { instr = 2; addr = 4096; size = 8; is_store = false });
   Journal.flush w2;
   Journal.close w2;
   (match Journal.recover ~at:4 path with
   | Error e -> Alcotest.fail e
   | Ok r ->
-    check_int "count after append" 5 (Array.length r.Journal.events);
+    check_int "count after append" 5 r.Journal.count;
     check_int "crc at snapshot point" crc r.Journal.crc_at);
   rm_rf dir
 
@@ -157,7 +161,7 @@ let test_journal_header_durable_at_create () =
   Journal.append w events_fixture.(0);
   (match Journal.recover path with
   | Error e -> Alcotest.failf "unflushed fresh journal unrecoverable: %s" e
-  | Ok r -> check_int "no durable events yet" 0 (Array.length r.Journal.events));
+  | Ok r -> check_int "no durable events yet" 0 r.Journal.count);
   Journal.flush w;
   check_int "bytes count the header" (String.length (read_file path)) (Journal.bytes w);
   Journal.close w;
@@ -179,8 +183,11 @@ let test_journal_torn_tail () =
   | Error e -> Alcotest.fail e
   | Ok r ->
     check_bool "truncated" true r.Journal.truncated;
-    check_int "sound events kept" 4 (Array.length r.Journal.events));
-  (* Recovery physically truncated the file back to the sound prefix. *)
+    check_int "sound events kept" 4 r.Journal.count;
+    (* Recovery only reads; reopening for append truncates the file
+       back to the sound prefix. *)
+    check_string "file untouched by recovery" (sound ^ "A 12 34") (read_file path);
+    Journal.close (Journal.create ~resume:r path));
   check_string "file truncated" sound (read_file path);
   rm_rf dir
 
@@ -397,6 +404,78 @@ let prop_append_chunk_equals_append =
       rm_rf per_event;
       rm_rf chunked;
       same)
+
+(* --- recovery = the parent's algorithm ------------------------------- *)
+
+(* Recovery as it was before lines were read in one syntax, kept here as
+   the oracle: the whole file split into lines, every complete line
+   parsed by the legacy parser, the CRC re-derived through the legacy
+   renderer; an unterminated final piece is torn. *)
+let legacy_recover ~at data =
+  let h = String.index data '\n' in
+  let pieces = String.split_on_char '\n' (String.sub data (h + 1) (String.length data - h - 1)) in
+  let n = List.length pieces in
+  let complete = List.filteri (fun i _ -> i < n - 1) pieces in
+  let torn = List.nth pieces (n - 1) in
+  let events =
+    List.map
+      (fun l -> match Trace_legacy.parse_line l with Ok ev -> ev | Error e -> failwith e)
+      complete
+  in
+  let crcs =
+    List.rev
+      (List.fold_left
+         (fun acc ev -> Crc32.update (List.hd acc) (Trace_legacy.event_line ev) :: acc)
+         [ 0 ] events)
+  in
+  let count = List.length events in
+  if count < at then None
+  else
+    Some
+      ( Array.of_list (List.filteri (fun i _ -> i >= at) events),
+        count,
+        List.nth crcs at,
+        List.nth crcs count,
+        torn )
+
+(* Journals the writer produced for random Micro workloads, each with a
+   random torn tail (a cut line, or none) and a random [at]: recovery
+   matches the oracle, leaves the file as it is, and reopening truncates
+   exactly the torn tail. *)
+let prop_recover_equals_legacy =
+  QCheck.Test.make ~name:"recover = legacy recovery" ~count:30
+    QCheck.(quad (int_bound (List.length Micro.all - 1)) (int_range 1 10_000) (int_bound 1000) (int_bound 1000))
+    (fun (w, seed, at_pick, cut_pick) ->
+      let events = micro_events ~seed (fst (List.nth Micro.all w)) in
+      let dir = tmpdir () in
+      let path = Filename.concat dir "j" in
+      let j = Journal.create path in
+      Array.iter (Journal.append j) events;
+      Journal.close j;
+      let sound = read_file path in
+      let line = Ormp_trace.Trace_file.event_line events.(cut_pick mod Array.length events) in
+      let torn = String.sub line 0 (cut_pick mod (String.length line - 1)) in
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+          output_string oc torn);
+      let data = read_file path in
+      let at = at_pick mod (Array.length events + 3) in
+      let ok =
+        match (Journal.recover ~at path, legacy_recover ~at data) with
+        | Error _, None -> read_file path = data
+        | Ok r, Some (tail, count, crc_at, crc, want_torn) ->
+          r.Journal.tail = tail && r.Journal.count = count && r.Journal.crc_at = crc_at
+          && r.Journal.r_crc = crc
+          && r.Journal.truncated = (want_torn <> "")
+          && want_torn = torn
+          && r.Journal.sound = String.length sound
+          && read_file path = data
+          &&
+          (Journal.close (Journal.create ~resume:r path);
+           read_file path = sound)
+        | Ok _, None | Error _, Some _ -> false
+      in
+      rm_rf dir;
+      ok)
 
 (* --- trace file truncation tolerance (satellite c) --------------------- *)
 
@@ -712,7 +791,7 @@ let test_resume_survives_poisoned_journal () =
         | Event.Alloc { addr; _ } as ev -> Hashtbl.replace live addr ev
         | Event.Free { addr; _ } -> Hashtbl.remove live addr
         | Event.Access _ -> ())
-      r.Journal.events);
+      r.Journal.tail);
   let victim =
     match Hashtbl.to_seq_values live |> List.of_seq |> List.sort compare with
     | ev :: _ -> ev
@@ -724,6 +803,72 @@ let test_resume_survives_poisoned_journal () =
   | Error e -> Alcotest.failf "resume over a poisoned journal: %s" e
   | Ok oc -> check_bool "started over" true (oc.Session.oc_resumed_from = None));
   check_bool "bytes identical" true (profile_bytes dir = profile_bytes ref_dir);
+  rm_rf dir;
+  rm_rf ref_dir
+
+(* Recovery parses only the tail: a line inside the prefix a snapshot
+   covers is checked by the CRC alone, so a poisoned prefix fails the
+   snapshot's CRC, and restore falls back until the full parse fails. *)
+let test_restore_rejects_unparseable_prefix () =
+  let workload = "linked_list" in
+  let dir = tmpdir () in
+  let io = Faults.Io.create { Faults.Io.none with kill_at_checkpoint = Some 2 } in
+  (match Session.run ~io ~options:session_options ~dir ~workload () with
+  | exception Faults.Io.Killed _ -> ()
+  | _ -> Alcotest.fail "kill did not fire");
+  let path = Filename.concat dir Session.journal_file in
+  let data = read_file path in
+  (* Line 3 (the second event) becomes a line no writer produces. *)
+  let l2 = String.index_from data (String.index data '\n' + 1) '\n' + 1 in
+  let l3 = String.index_from data l2 '\n' in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.sub data 0 l2);
+      output_string oc "A 1 2 3";
+      output_string oc (String.sub data l3 (String.length data - l3)));
+  (match Journal.recover ~at:1000 path with
+  | Ok r -> check_int "the prefix is not parsed" 1000 (r.Journal.count - Array.length r.Journal.tail)
+  | Error e -> Alcotest.fail e);
+  (match Session.restore ~options:session_options ~dir ~workload () with
+  | Ok _ -> Alcotest.fail "restored over an unparseable prefix"
+  | Error _ -> ());
+  rm_rf dir
+
+(* [Session.status] on a running session only reads. The writer's
+   channel flushes 64 KiB at a time, so the file on disk ends mid-line
+   while the run goes on; a status that cut that "torn" tail off used to
+   corrupt the journal once the writer's next flush appended the rest of
+   the line. *)
+let test_status_leaves_a_live_journal_alone () =
+  let workload = "linked_list" in
+  let ref_dir, _ = run_reference ~workload ~options:Session.default_options in
+  let unpolled = read_file (Filename.concat ref_dir Session.journal_file) in
+  let dir = tmpdir () in
+  let path = Filename.concat dir Session.journal_file in
+  Storage.write_atomic ~path:(Filename.concat dir "manifest")
+    (read_file (Filename.concat ref_dir "manifest"));
+  let events = micro_events workload in
+  let s = Session.start ~options:Session.default_options ~dir ~workload () in
+  let i = ref 0 in
+  while Session.journal_bytes s < 70_000 do
+    Session.append s events.(!i);
+    incr i
+  done;
+  let on_disk = read_file path in
+  check_bool "the channel flushed part of the journal, ending mid-line" true
+    (String.length on_disk > String.length Ormp_trace.Trace_file.header + 1
+    && String.length on_disk < Session.journal_bytes s
+    && on_disk.[String.length on_disk - 1] <> '\n');
+  (match Session.status ~dir with
+  | Error e -> Alcotest.fail e
+  | Ok st -> check_bool "status counts the flushed lines" true (st.Session.st_journal <> None));
+  Array.iter (Session.append s) (Array.sub events !i (Array.length events - !i));
+  Session.close s;
+  check_bool "journal = the unpolled run's" true (read_file path = unpolled);
+  (match Journal.recover path with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    check_int "every event recovered" (Array.length events) r.Journal.count;
+    check_bool "no torn tail" false r.Journal.truncated);
   rm_rf dir;
   rm_rf ref_dir
 
@@ -879,6 +1024,7 @@ let () =
           tc "header durable at create" test_journal_header_durable_at_create;
           tc "appends do not allocate" test_journal_appends_do_not_allocate;
           tc "journal bytes survive restore" test_journal_bytes_survive_restore;
+          QCheck_alcotest.to_alcotest prop_recover_equals_legacy;
         ] );
       ( "trace",
         [ tc "truncated trailing record tolerated" test_trace_truncated_tail ] );
@@ -897,7 +1043,9 @@ let () =
             test_kill_and_resume_byte_identity;
           tc "resume survives a corrupt newest snapshot" test_resume_discards_corrupt_snapshot;
           tc "resume survives a poisoned journal" test_resume_survives_poisoned_journal;
+          tc "restore rejects an unparseable prefix" test_restore_rejects_unparseable_prefix;
           tc "journal ENOSPC degrades gracefully" test_session_degrades_on_journal_enospc;
+          tc "status leaves a live journal alone" test_status_leaves_a_live_journal_alone;
           tc "watchdog rotates epochs and caps streams" test_session_rotation_epochs;
           QCheck_alcotest.to_alcotest prop_append_chunk_equals_append;
         ] );

@@ -361,6 +361,22 @@ let test_flight_dump_bundle () =
 
 (* ------------------------------------------------------------------ *)
 
+(* [--telemetry DIR] may name a directory whose parents do not exist
+   yet, as [session run --dir] may. *)
+let test_reports_into_missing_nested_dir () =
+  let root = Filename.temp_file "ormp-reports" "" in
+  Sys.remove root;
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  let files = [ Tm.metrics_sexp_file; Tm.metrics_json_file; Tm.trace_file ] in
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ()) files;
+      List.iter
+        (fun d -> try Sys.rmdir d with Sys_error _ -> ())
+        [ dir; Filename.dirname dir; root ])
+  @@ fun () ->
+  Tm.write_reports ~dir;
+  List.iter (fun f -> check_bool f true (Sys.file_exists (Filename.concat dir f))) files
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "ormp_telemetry"
@@ -372,6 +388,7 @@ let () =
           tc "kind mismatch rejected" test_kind_mismatch_rejected;
           tc "histogram summary" test_histogram_summary;
           tc "json roundtrip" test_metrics_json_roundtrip;
+          tc "reports into a missing nested dir" test_reports_into_missing_nested_dir;
           QCheck_alcotest.to_alcotest prop_cross_domain_merge;
         ] );
       ( "spans",

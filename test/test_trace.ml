@@ -222,10 +222,9 @@ let test_render_access_extremes () =
       (7, 10, 100, false);
     ]
 
-(* Lines the parser must read exactly as the legacy one does: rendered
-   events, then the same with fields swapped for other spellings (signs,
-   base prefixes, underscores, 19+ digits, doubled or trailing blanks,
-   missing and extra fields). *)
+(* Lines for the parser: rendered events without their newline, then
+   fields swapped for other spellings (signs, base prefixes, underscores,
+   19+ digits, doubled or trailing blanks, missing and extra fields). *)
 let gen_line =
   QCheck.Gen.(
     let field =
@@ -242,16 +241,61 @@ let gen_line =
     let tag = oneofl [ "A"; "+"; "-"; "B"; "AA"; "" ] in
     oneof
       [
-        map Trace_legacy.event_line gen_event;
+        map
+          (fun ev ->
+            let l = Trace_legacy.event_line ev in
+            String.sub l 0 (String.length l - 1))
+          gen_event;
         map2 (fun t fs -> String.concat " " (t :: fs)) tag (list_size (int_range 0 6) field);
         map2 (fun ev pad -> String.trim (Trace_legacy.event_line ev) ^ pad) gen_event
           (oneofl [ " "; "\t"; "  "; "\r"; "" ]);
       ])
 
-let prop_parse_equals_legacy =
-  QCheck.Test.make ~name:"parse_line = legacy parser" ~count:3000
+(* One syntax: the parser accepts a line iff the legacy parser reads it
+   as an event whose legacy rendering is that very line. *)
+let prop_parse_is_exact_legacy =
+  QCheck.Test.make ~name:"parse_line = exact legacy lines" ~count:3000
     (QCheck.make ~print:(Printf.sprintf "%S") gen_line)
-    (fun line -> Trace_file.parse_line line = Trace_legacy.parse_line line)
+    (fun line ->
+      let exact =
+        match Trace_legacy.parse_line line with
+        | Ok ev when Trace_legacy.event_line ev = line ^ "\n" -> Ok ev
+        | Ok _ | Error _ -> Error ()
+      in
+      match (Trace_file.parse_line line, exact) with
+      | Ok ev, Ok want -> ev = want
+      | Error _, Error () -> true
+      | Ok _, Error () | Error _, Ok _ -> false)
+
+let write_trace body =
+  let path = Filename.temp_file "ormp_trace" ".trace" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc body);
+  path
+
+(* A final line without its newline is a torn write, whether or not it
+   would parse: dropped and reported, never delivered as another event. *)
+let test_trace_file_torn_final_line () =
+  List.iter
+    (fun torn ->
+      let path = write_trace ("ormp-trace 1\nA 1 4096 8 0\n+ 2 8192 64 node\n" ^ torn) in
+      let warned = ref 0 and seen = ref 0 in
+      (match Trace_file.replay ~on_truncated:(fun _ -> incr warned) path (fun _ -> incr seen) with
+      | Ok n -> check_int (Printf.sprintf "%S: count" torn) 2 n
+      | Error e -> Alcotest.failf "%S: %s" torn e);
+      check_int (Printf.sprintf "%S: delivered" torn) 2 !seen;
+      check_int (Printf.sprintf "%S: warned once" torn) 1 !warned;
+      Sys.remove path)
+    [ "- 4096 3"; "+ 8 8192 64 lea"; "- 40" ]
+
+(* Errors name the physical line, the header being line 1; a blank line
+   is an error, not skipped. *)
+let test_trace_file_blank_line () =
+  let path = write_trace "ormp-trace 1\nA 1 4096 8 0\n\nA 2 4104 8 1\n" in
+  (match Trace_file.replay ~on_truncated:(fun _ -> ()) path Sink.null with
+  | Ok _ -> Alcotest.fail "blank line accepted"
+  | Error e ->
+    check_bool (Printf.sprintf "%S names line 3" e) true (String.starts_with ~prefix:"line 3:" e));
+  Sys.remove path
 
 let test_trace_file_profiler_replay_equals_live () =
   (* Record a workload, replay the file through WHOMP: identical profile. *)
@@ -361,7 +405,9 @@ let () =
           tc "profiler replay equals live" test_trace_file_profiler_replay_equals_live;
           tc "render_access extremes" test_render_access_extremes;
           QCheck_alcotest.to_alcotest prop_render_equals_legacy;
-          QCheck_alcotest.to_alcotest prop_parse_equals_legacy;
+          QCheck_alcotest.to_alcotest prop_parse_is_exact_legacy;
+          tc "torn final line dropped" test_trace_file_torn_final_line;
+          tc "blank line is an error" test_trace_file_blank_line;
         ] );
       ( "worker",
         [
