@@ -349,17 +349,56 @@ let micro_tests () =
   let repetitive = Array.init 4096 (fun i -> i mod 7) in
   let scattered = Array.init 4096 (fun _ -> Ormp_util.Prng.int rng 100000) in
   let scattered_big = Array.init 32768 (fun _ -> Ormp_util.Prng.int rng 1000000) in
-  let seq_push ?size_hint name input =
+  let seq_push name input =
     Test.make ~name
       (Staged.stage (fun () ->
-           let s = Ormp_sequitur.Sequitur.create ?size_hint () in
+           let s = Ormp_sequitur.Sequitur.create () in
            Array.iter (Ormp_sequitur.Sequitur.push s) input))
   in
-  let seq_push_batch ?size_hint name input =
+  let seq_push_batch name input =
     Test.make ~name
       (Staged.stage (fun () ->
-           let s = Ormp_sequitur.Sequitur.create ?size_hint () in
+           let s = Ormp_sequitur.Sequitur.create () in
            Ormp_sequitur.Sequitur.push_batch s input ~off:0 ~len:(Array.length input)))
+  in
+  (* The regime the full-stack benchmark pays for. The rows above are
+     periodic or match-free; 175.vpr-like's object lane makes about one
+     match per symbol. The lane is collected once, through the CDC at
+     test scale, outside the timed code; its match and rule-creation
+     rates come from one untimed push with the [sequitur.*] counters on. *)
+  let vpr_object_lane =
+    let chunks = ref [] in
+    let cdc =
+      Ormp_core.Cdc.create ~site_name:(Printf.sprintf "site%d") ~on_tuple:(fun _ -> assert false) ()
+    in
+    let batch =
+      Ormp_core.Cdc.batch_tuples cdc
+        ~on_tuples:(fun tp -> chunks := Array.sub tp.Ormp_core.Cdc.tp_obj 0 tp.tp_len :: !chunks)
+        ()
+    in
+    ignore
+      (Ormp_vm.Runner.run_batched
+         (Ormp_workloads.Registry.program (Ormp_workloads.Registry.find "175.vpr-like"))
+         batch);
+    Array.concat (List.rev !chunks)
+  in
+  let vpr_row = "sequitur: vpr-like object lane (push_batch)" in
+  let vpr_object_rates =
+    let module Tm = Ormp_telemetry.Telemetry in
+    Tm.reset ();
+    Tm.enable ();
+    let g = Ormp_sequitur.Sequitur.create () in
+    Ormp_sequitur.Sequitur.push_array g vpr_object_lane;
+    let counters = (Tm.Metrics.snapshot ()).Tm.Metrics.snap_counters in
+    Tm.disable ();
+    Tm.reset ();
+    let per_symbol c =
+      float_of_int (Option.value ~default:0 (List.assoc_opt c counters))
+      /. float_of_int (max 1 (Array.length vpr_object_lane))
+    in
+    let matches = per_symbol "sequitur.matches" and created = per_symbol "sequitur.rules_created" in
+    Printf.printf "%s: %.3f matches and %.3f rule creations per symbol\n" vpr_row matches created;
+    [ ("matches_per_symbol", J.Float matches); ("rules_created_per_symbol", J.Float created) ]
   in
   let range_index =
     Test.make ~name:"range_index: 1k insert+find"
@@ -448,22 +487,15 @@ let micro_tests () =
            Array.iter (Ormp_trace.Batch.event b) trace_events;
            Ormp_trace.Batch.flush b))
   in
+  trace_count := (vpr_row, Array.length vpr_object_lane) :: !trace_count;
   let tests =
     Test.make_grouped ~name:"ormp"
       [
       seq_push "sequitur: 4k repetitive symbols" repetitive;
       seq_push "sequitur: 4k scattered symbols" scattered;
-      (* The digram table pre-sized from the stream-length hint: a
-         scattered stream interns ~one digram per symbol, so past the
-         4096-bucket default floor the unhinted run pays repeated
-         rehash-and-copy churn. The delta between these two rows is the
-         measured saving. *)
       seq_push "sequitur: 32k scattered symbols" scattered_big;
-      seq_push ~size_hint:(Array.length scattered_big)
-        "sequitur: 32k scattered symbols (size hint)" scattered_big;
       seq_push_batch "sequitur: 4k repetitive symbols (push_batch)" repetitive;
-      seq_push_batch ~size_hint:(Array.length scattered_big)
-        "sequitur: 32k scattered symbols (push_batch, size hint)" scattered_big;
+      seq_push_batch vpr_row vpr_object_lane;
         range_index;
         omc_translate;
         omc_translate_batch;
@@ -484,7 +516,7 @@ let micro_tests () =
             Ormp_baselines.Lossless_dep.sink (Ormp_baselines.Lossless_dep.create ()));
       ]
   in
-  (tests, !trace_count)
+  (tests, !trace_count, [ (vpr_row, vpr_object_rates) ])
 
 (* ------------------------------------------------------------------ *)
 (* Scaling: full-pipeline jobs sweep                                  *)
@@ -1102,17 +1134,16 @@ let run_verify log ~bench () =
       else print_newline ())
 
 (* Symbols/events one run of the named micro row consumes. The
-   recorded-trace profiler rows report their count from [micro_tests]
-   (the shared trace's length); rows with no natural event count (the
-   solver) are omitted and report per-run figures only. *)
+   recorded-trace profiler rows and the vpr-like lane row report their
+   count from [micro_tests] (the trace's or the lane's length); rows with
+   no natural event count (the solver) are omitted and report per-run
+   figures only. *)
 let micro_event_counts =
   [
     ("sequitur: 4k repetitive symbols", 4096);
     ("sequitur: 4k scattered symbols", 4096);
     ("sequitur: 32k scattered symbols", 32768);
-    ("sequitur: 32k scattered symbols (size hint)", 32768);
     ("sequitur: 4k repetitive symbols (push_batch)", 4096);
-    ("sequitur: 32k scattered symbols (push_batch, size hint)", 32768);
     ("range_index: 1k insert+find", 2000);
     ("omc: 1k translations", 1000);
     ("omc: 1k batched translations", 1000);
@@ -1131,7 +1162,7 @@ let run_micro log () =
          words per run, the allocation column of the bench table. *)
       let instances = Toolkit.Instance.[ monotonic_clock; minor_allocated ] in
       let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-      let tests, trace_counts = micro_tests () in
+      let tests, trace_counts, row_extras = micro_tests () in
       let event_counts = micro_event_counts @ trace_counts in
       let raw = Benchmark.all cfg instances tests in
       let ns_results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
@@ -1175,13 +1206,13 @@ let run_micro log () =
                      ("minor_words_per_run", J.Float words);
                      ("events", J.Int events);
                    ]
-                  @
-                  if events > 0 then
-                    [
-                      ("ns_per_event", J.Float (per_event events ns));
-                      ("minor_words_per_event", J.Float (per_event events words));
-                    ]
-                  else []))
+                  @ (if events > 0 then
+                       [
+                         ("ns_per_event", J.Float (per_event events ns));
+                         ("minor_words_per_event", J.Float (per_event events words));
+                       ]
+                     else [])
+                  @ Option.value ~default:[] (List.assoc_opt name row_extras)))
               rows));
       let pretty_ns ns =
         if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)

@@ -19,12 +19,15 @@
      code+links+meta of the same symbol constantly, and the large
      dimension grammars (thousands of live symbols) were paying a miss per
      column. A [meta] word packs
-     [generation lsl 3 | nonterm lsl 2 | allocated lsl 1 | guard]. The
-     generation is bumped when a symbol dies, so a digram-index entry that
-     remembers the generation it was created under detects that its slot
-     has since died — the arena equivalent of the old [dead] flag, with
-     the same validate-on-lookup discipline instead of the reference
-     implementation's "triples" re-indexing hack.
+     [generation lsl 4 | anchor lsl 3 | nonterm lsl 2 | allocated lsl 1 |
+     guard]. The generation is bumped when a symbol dies, so a
+     digram-index entry that remembers the generation it was created under
+     detects that its slot has since died — the arena equivalent of the
+     old [dead] flag, with the same validate-on-lookup discipline instead
+     of the reference implementation's "triples" re-indexing hack. The
+     anchor bit is set whenever a binding naming the slot is written; while
+     it is clear, no binding names the slot at its current generation, so
+     removing the slot's digram needs no probe.
    - Arena accesses on the push path are unchecked ([Array.unsafe_get]):
      every slot that reaches them came out of [alloc_sym] below [sym_top],
      and links only ever hold such slots — [check_invariants] validates
@@ -44,12 +47,13 @@
      enumerates live rules start-rule-first with no sort and no
      allocation (the old implementation built a sorted id list per
      [fold_rules] call).
-   - The digram index is linear-probing open addressing over three
-     parallel arrays (packed key, slot, slot generation at insert), with
-     -1/-2 empty/tombstone sentinels in the slot column and a
-     multiplicative hash — no polymorphic hashing, no per-operation
-     allocation. The table is kept at most half full (counting
-     tombstones), so probes terminate.
+   - The digram index is linear-probing open addressing over one array
+     of [key; slot lor (generation lsl 34)] pairs, with -1 in the packed
+     word for an empty entry and a multiplicative hash — no polymorphic
+     hashing, no per-operation allocation. Removal moves later entries of
+     the cluster back into the hole (backward shift), so the table holds
+     no tombstones; it doubles when its live bindings reach half of it, so
+     probes stay short and always terminate.
 
    Symbol codes, digram keys, operation order and the digram-index binding
    semantics (single binding per key, replace overwrites, remove deletes)
@@ -94,13 +98,12 @@ type t = {
      triplet did every third entry) and the table is a third smaller —
      the offset dimension's index is the single largest structure the
      combined profile touches, and the four dimension grammars share the
-     cache when a chunk interleaves them. The packed word -1 = empty,
-     -2 = tombstone; gen is the slot's generation at insert time, and
-     [gen_sweep] restarts generations before the 29-bit field can wrap. *)
+     cache when a chunk interleaves them. The packed word -1 = empty; gen
+     is the slot's generation at insert time, and [gen_sweep] restarts
+     generations before the 29-bit field can wrap. *)
   mutable dig : int array;
   mutable dig_mask : int;
-  mutable dig_live : int;  (* live bindings *)
-  mutable dig_used : int;  (* live bindings + tombstones *)
+  mutable dig_live : int;  (* live bindings = occupied entries *)
   mutable input_len : int;
   mutable need_sweep : bool;  (* a generation reached the packed-field limit *)
   (* telemetry accumulators, published by [flush_tm] *)
@@ -134,6 +137,8 @@ let flush_tm t =
 let tag_guard = 1
 let tag_live = 2
 let tag_nonterm = 4
+let tag_anchor = 8
+let gen_shift = 4
 
 (* Digram-index entries pack [slot lor (gen lsl slot_bits)] into one word;
    [gen_sweep] re-baselines all generations before one can outgrow the
@@ -151,7 +156,10 @@ let set_nxt t s v = Array.unsafe_set t.sym (s + 2) v
 let is_guard t s = s_meta t s land tag_guard <> 0
 let is_live t s = s_meta t s land tag_live <> 0
 let is_nonterm t s = s_meta t s land tag_nonterm <> 0
-let gen t s = s_meta t s lsr 3
+let gen t s = s_meta t s lsr gen_shift
+
+(* The index entry word naming slot [s] at its current generation. *)
+let packed t s = s lor (gen t s lsl slot_bits)
 
 (* The record implementation's [code_of]: terminals on the even codes,
    rule ids on the odd. Used for digram keys, digram comparison and
@@ -173,7 +181,9 @@ let grow_syms t =
   t.sym <- b
 
 (* Fresh symbols are self-linked, like the record implementation's
-   [fresh]. The accumulated generation survives recycling. *)
+   [fresh]. The accumulated generation survives recycling, and so does the
+   anchor bit: recycling does not change the generation, so a binding
+   written for the slot since its death still names it. *)
 let alloc_sym t tag code =
   let s =
     match t.free_head with
@@ -186,23 +196,26 @@ let alloc_sym t tag code =
       t.free_head <- s_nxt t s;
       s
   in
-  let g = gen t s in
+  let m = s_meta t s in
   let a = t.sym in
   Array.unsafe_set a s code;
   Array.unsafe_set a (s + 1) s;
   Array.unsafe_set a (s + 2) s;
-  Array.unsafe_set a (s + 3) ((g lsl 3) lor tag_live lor tag);
+  Array.unsafe_set a (s + 3)
+    ((m land lnot (tag_anchor - 1)) lor tag_live lor tag);
   s
 
 (* Death bumps the generation (any digram-index entry still naming this
    slot now reads as stale, exactly like the old [dead] flag) but freezes
    code, tag and links, and only queues the slot for reclaim — see the
    layout comment on why mid-cascade reads of dead slots must keep seeing
-   the dead symbol's data. *)
+   the dead symbol's data. No binding names the new generation, so the
+   anchor bit is cleared with it. *)
 let mark_dead t s =
   let m = s_meta t s in
-  let g = (m lsr 3) + 1 in
-  Array.unsafe_set t.sym (s + 3) ((g lsl 3) lor (m land (tag_guard lor tag_nonterm)));
+  let g = (m lsr gen_shift) + 1 in
+  Array.unsafe_set t.sym (s + 3)
+    ((g lsl gen_shift) lor (m land (tag_guard lor tag_nonterm)));
   if g >= gen_limit then t.need_sweep <- true;
   if t.pend_len = Array.length t.pend then begin
     let b = Array.make (2 * t.pend_len) 0 in
@@ -285,27 +298,25 @@ let mix k =
   let h = k * 0x2545F4914F6CDD1D in
   h lxor (h lsr 32)
 
-(* Find [key]. Returns the entry's base offset into [dig] (>= 0, a
-   multiple of 2), or [lnot b] where [b] is the insertion entry's base —
-   first tombstone on the probe path if any, else the terminating empty
-   entry. Single-int result so the hot path allocates nothing. *)
+(* A probe result is an entry's base offset into [dig] (a multiple of 2),
+   valid only until the next write to the table: an insert may double it
+   and a removal shifts later entries back. No caller holds one across
+   another index operation. *)
+
+(* Find [key]. Returns the entry's base (>= 0), or [lnot b] where [b] is
+   the base of the empty entry that ends the probe — where [key] would be
+   inserted. Single-int result so the hot path allocates nothing. *)
 let dig_probe t key =
   let mask = t.dig_mask in
   let d = t.dig in
   let i = ref (mix key land mask) in
-  let ins = ref (-1) in
   let res = ref 0 in
   let probing = ref true in
   while !probing do
     let b = 2 * !i in
-    let v = Array.unsafe_get d (b + 1) in
-    if v = -1 then begin
-      res := lnot (if !ins >= 0 then !ins else b);
+    if Array.unsafe_get d (b + 1) = -1 then begin
+      res := lnot b;
       probing := false
-    end
-    else if v = -2 then begin
-      if !ins < 0 then ins := b;
-      i := (!i + 1) land mask
     end
     else if Array.unsafe_get d b = key then begin
       res := b;
@@ -315,126 +326,128 @@ let dig_probe t key =
   done;
   !res
 
-let dig_alloc cap =
-  let d = Array.make (2 * cap) 0 in
-  let i = ref 1 in
-  while !i < 2 * cap do
-    d.(!i) <- -1;
-    i := !i + 2
-  done;
-  d
+(* Keys of empty entries are never read, so one fill with the empty
+   packed word serves both columns. *)
+let dig_alloc cap = Array.make (2 * cap) (-1)
 
-let dig_rehash t cap' =
+(* Place every occupied entry of [od] into a fresh [cap']-entry table,
+   rewriting its packed word with [f] (-1 drops it). Used to grow and by
+   [gen_sweep]. *)
+let dig_rebuild t cap' f =
   let od = t.dig in
-  let n = Array.length od / 2 in
   let d = dig_alloc cap' in
-  t.dig <- d;
-  t.dig_mask <- cap' - 1;
-  t.dig_used <- t.dig_live;
-  let mask = t.dig_mask in
-  for i = 0 to n - 1 do
+  let mask = cap' - 1 in
+  let live = ref 0 in
+  for i = 0 to (Array.length od / 2) - 1 do
     let v = od.((2 * i) + 1) in
-    if v >= 0 then begin
-      let key = od.(2 * i) in
-      let j = ref (mix key land mask) in
-      while d.((2 * !j) + 1) >= 0 do
-        j := (!j + 1) land mask
-      done;
-      let b = 2 * !j in
-      d.(b) <- key;
-      d.(b + 1) <- v
+    if v <> -1 then begin
+      let v = f v in
+      if v <> -1 then begin
+        let key = od.(2 * i) in
+        let j = ref (mix key land mask) in
+        while d.((2 * !j) + 1) <> -1 do
+          j := (!j + 1) land mask
+        done;
+        d.(2 * !j) <- key;
+        d.((2 * !j) + 1) <- v;
+        incr live
+      end
     end
-  done
+  done;
+  t.dig <- d;
+  t.dig_mask <- mask;
+  t.dig_live <- !live
 
-(* Keep at least half the table empty-or-reusable so probes stay short and
-   always terminate: resize when live+tombstones reach half capacity; grow
-   only when live bindings justify it, otherwise rehash in place to purge
-   tombstones. *)
-let dig_maybe_resize t =
-  let cap = t.dig_mask + 1 in
-  if t.dig_used * 2 >= cap then
-    dig_rehash t (if t.dig_live * 3 >= cap then cap * 2 else cap)
+(* Every write of a binding — [dig_insert_at], [dig_replace] and
+   [check]'s overwrite — sets the anchor bit of the slot it names. *)
+let set_anchor t s = Array.unsafe_set t.sym (s + 3) (s_meta t s lor tag_anchor)
 
-(* Insert at probe-result base [ins]; no binding for [key] exists. *)
-let dig_insert_at t ins key slot =
+(* Insert at the empty entry [b] a probe for [key] ended on. The table
+   doubles when its live bindings reach half of it, so at least half of
+   it is always empty and every probe terminates. *)
+let dig_insert_at t b key slot =
   let d = t.dig in
-  let reused_tombstone = Array.unsafe_get d (ins + 1) = -2 in
-  Array.unsafe_set d ins key;
-  Array.unsafe_set d (ins + 1) (slot lor (gen t slot lsl slot_bits));
+  Array.unsafe_set d b key;
+  Array.unsafe_set d (b + 1) (packed t slot);
+  set_anchor t slot;
   t.dig_live <- t.dig_live + 1;
-  if not reused_tombstone then t.dig_used <- t.dig_used + 1;
-  dig_maybe_resize t
+  if 2 * t.dig_live >= t.dig_mask + 1 then dig_rebuild t (2 * (t.dig_mask + 1)) Fun.id
 
 (* [Hashtbl.replace] semantics: overwrite the single binding or insert. *)
 let dig_replace t key slot =
   let p = dig_probe t key in
-  if p >= 0 then
-    Array.unsafe_set t.dig (p + 1) (slot lor (gen t slot lsl slot_bits))
+  if p >= 0 then begin
+    Array.unsafe_set t.dig (p + 1) (packed t slot);
+    set_anchor t slot
+  end
   else dig_insert_at t (lnot p) key slot
+
+(* Linear probing's deletion without tombstones (Knuth 6.4, Algorithm R):
+   walk the rest of the cluster after the hole and move back every entry
+   whose probe path from its home crosses the hole — its home is no
+   nearer to it, cyclically, than the hole is. Cyclic distances handle
+   clusters that wrap past the end of the table. *)
+let dig_delete_at t b =
+  let d = t.dig in
+  let mask = t.dig_mask in
+  let hole = ref (b / 2) in
+  let j = ref ((!hole + 1) land mask) in
+  while Array.unsafe_get d ((2 * !j) + 1) <> -1 do
+    let key = Array.unsafe_get d (2 * !j) in
+    if (!j - (mix key land mask)) land mask >= (!j - !hole) land mask then begin
+      Array.unsafe_set d (2 * !hole) key;
+      Array.unsafe_set d ((2 * !hole) + 1) (Array.unsafe_get d ((2 * !j) + 1));
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  Array.unsafe_set d ((2 * !hole) + 1) (-1);
+  t.dig_live <- t.dig_live - 1
 
 (* Remove the binding for [key], but only if it names exactly this live
    occurrence (slot and generation — one packed compare). *)
 let dig_remove_if t key slot =
   let p = dig_probe t key in
-  if p >= 0 then begin
-    let d = t.dig in
-    if Array.unsafe_get d (p + 1) = slot lor (gen t slot lsl slot_bits) then begin
-      Array.unsafe_set d (p + 1) (-2);
-      t.dig_live <- t.dig_live - 1
-    end
-  end
+  if p >= 0 && Array.unsafe_get t.dig (p + 1) = packed t slot then dig_delete_at t p
 
 (* Generations are packed into 29 bits of a digram entry. A pathological
    stream could in principle drive one slot's death count to the field
    limit (hundreds of millions of deaths of a single recycled slot);
    before that happens, re-baseline: drop stale entries outright, then
-   restart every generation — stored and live — at zero. Entry validity
-   is preserved exactly (stale entries were already dead to every lookup,
-   live entries still name their slot's current generation), so the
-   grammar is unaffected. O(table + arena), amortized over 2^29 deaths.
+   restart every generation — stored and live — at zero. A stale entry
+   cannot just be blanked where it lies (that would cut its cluster), so
+   the table is rebuilt at its capacity from the current-generation
+   entries. Entry validity is preserved exactly (stale entries were
+   already dead to every lookup, live entries still name their slot's
+   current generation), so the grammar is unaffected, and so is each
+   slot's anchor bit. O(table + arena), amortized over 2^29 deaths.
    Runs between pushes, never mid-cascade — [push_one] checks the flag
    after the cascade settles, and a slot dies at most once per cascade
    (dead slots are not recycled until [reclaim_dead]), so a generation
    exceeds [gen_limit] by at most the one increment that set the flag. *)
 let gen_sweep t =
-  let d = t.dig in
-  for i = 0 to t.dig_mask do
-    let b = 2 * i in
-    let v = d.(b + 1) in
-    if v >= 0 then begin
+  dig_rebuild t (t.dig_mask + 1) (fun v ->
       let slot = v land slot_mask in
-      if v lsr slot_bits <> gen t slot then begin
-        d.(b + 1) <- -2;
-        t.dig_live <- t.dig_live - 1
-      end
-      else d.(b + 1) <- slot (* generation 0 *)
-    end
-  done;
+      if v lsr slot_bits <> gen t slot then -1 else slot (* generation 0 *));
   let s = ref 0 in
   while !s < t.sym_top do
-    t.sym.(!s + 3) <- t.sym.(!s + 3) land (tag_guard lor tag_live lor tag_nonterm);
+    t.sym.(!s + 3) <- t.sym.(!s + 3) land (tag_anchor lor tag_nonterm lor tag_live lor tag_guard);
     s := !s + 4
   done;
   t.need_sweep <- false
 
 (* --- construction ------------------------------------------------------ *)
 
-let next_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
+(* The arena and the index start small and double with what the grammar
+   keeps live (symbols; digram bindings, at half the table), which is
+   O(grammar size) however long the input. *)
+let dig_init = 8192
+let sym_init = 1024
 
-let create ?(size_hint = 0) () =
-  (* A stream of n symbols keeps at most ~n live digram entries (grammar
-     size is bounded by input length); pre-sizing the index to twice the
-     expected stream length eliminates every rehash of the doubling
-     schedule while preserving the half-empty probe guarantee. The symbol
-     arena is likewise pre-sized — live symbols never exceed grammar size
-     plus live guards. *)
-  let dig_cap = next_pow2 (max 8192 (2 * size_hint)) in
-  let sym_cap = max 1024 (next_pow2 size_hint) in
+let create () =
   let t =
     {
-      sym = Array.make (4 * sym_cap) 0;
+      sym = Array.make (4 * sym_init) 0;
       sym_top = 0;
       free_head = -1;
       pend = Array.make 64 0;
@@ -443,10 +456,9 @@ let create ?(size_hint = 0) () =
       rule_refs = Array.make 64 0;
       next_rule_id = 1;
       live_rule_count = 0;
-      dig = dig_alloc dig_cap;
-      dig_mask = dig_cap - 1;
+      dig = dig_alloc dig_init;
+      dig_mask = dig_init - 1;
       dig_live = 0;
-      dig_used = 0;
       input_len = 0;
       need_sweep = false;
       tm_on = false;
@@ -462,11 +474,23 @@ let create ?(size_hint = 0) () =
 (* --- core algorithm ---------------------------------------------------- *)
 
 (* Remove the index entry for the digram starting at [s], but only if the
-   index actually points at this occurrence. *)
+   index actually points at this occurrence. A slot without the anchor bit
+   has no binding naming it at its current generation, so the probe is
+   skipped. Once the probe has run, the binding it looked for — the only
+   one that can name [s], keyed by its current digram (see
+   [delete_symbol_unanchored]) — is gone, so the bit is cleared there
+   (and otherwise only by [mark_dead]). A binding overwritten for another
+   slot leaves the old slot's bit set; its next removal probe then finds
+   nothing. *)
 let delete_digram t s =
-  let n = s_nxt t s in
-  if (not (is_guard t s)) && not (is_guard t n) then
-    dig_remove_if t (pack (sym_code t s) (sym_code t n)) s
+  let m = s_meta t s in
+  if m land tag_anchor <> 0 then begin
+    let n = s_nxt t s in
+    if m land tag_guard = 0 && not (is_guard t n) then begin
+      Array.unsafe_set t.sym (s + 3) (m land lnot tag_anchor);
+      dig_remove_if t (pack (sym_code t s) (sym_code t n)) s
+    end
+  end
 
 (* Relink [left] -> [right]; drops the index entry of the digram that used
    to start at [left]. *)
@@ -515,6 +539,12 @@ let append_copy t r proto =
   if nonterm then reuse t c;
   insert_fresh_after t (last t r) ns
 
+(* Rule utility after a match: [i] is a non-terminal whose rule is now
+   used once. Top-level, not a closure in [process_match], so a match
+   allocates nothing. *)
+let underused t i =
+  (not (is_guard t i)) && is_nonterm t i && t.rule_refs.(s_code t i) = 1
+
 (* [check t s] enforces digram uniqueness for the digram starting at [s].
    Returns [true] iff a match was found and processed (in which case [s] is
    dead and the caller must not use it further). Branch order matches the
@@ -534,7 +564,7 @@ let rec check t s =
       let d = t.dig in
       let mp = Array.unsafe_get d (p + 1) in
       let m = mp land slot_mask in
-      if mp = s lor (gen t s lsl slot_bits) then false
+      if mp = packed t s then false
       else if
         mp lsr slot_bits <> gen t m
         (* stale: the stored occurrence died (slot possibly recycled) *)
@@ -542,7 +572,8 @@ let rec check t s =
         || not (sym_code t m = cs && sym_code t (s_nxt t m) = csn)
         (* packed-key collision: key equality is not digram equality *)
       then begin
-        Array.unsafe_set d (p + 1) (s lor (gen t s lsl slot_bits));
+        Array.unsafe_set d (p + 1) (packed t s);
+        set_anchor t s;
         false
       end
       else if s_nxt t m = s || sn = m then
@@ -583,13 +614,10 @@ and process_match t s m =
   (* Rule utility: the substitution dropped one use of each component of the
      matched digram, i.e. of [first r] and [last r] (a matched rule always
      has a two-symbol right-hand side). Inline any that is now used once. *)
-  let underused i =
-    (not (is_guard t i)) && is_nonterm t i && t.rule_refs.(s_code t i) = 1
-  in
   let f = first t r in
-  if underused f then expand_symbol t f;
+  if underused t f then expand_symbol t f;
   let l = last t r in
-  if underused l then expand_symbol t l
+  if underused t l then expand_symbol t l
 
 (* Replace the digram starting at [s] with a single non-terminal for [r]. *)
 and substitute t s r =
@@ -766,8 +794,9 @@ let of_rules rule_list =
     match expand_rule 0 with
     | terminals ->
       (* The algorithm is deterministic: re-pushing the expansion rebuilds
-         exactly the saved grammar, rule ids included. *)
-      let g = create ~size_hint:(List.length terminals) () in
+         exactly the saved grammar, rule ids included, and grows the same
+         tables the original run grew. *)
+      let g = create () in
       List.iter (push g) terminals;
       Ok g
     | exception Bad msg -> Error msg
@@ -811,20 +840,33 @@ let check_invariants t =
           if u < 2 then raise (Bad (Printf.sprintf "rule %d violates utility (%d uses)" id u))
         end);
     let entries = ref 0 in
-    for i = 0 to t.dig_mask do
+    let mask = t.dig_mask in
+    let empty i = t.dig.((2 * i) + 1) = -1 in
+    for i = 0 to mask do
       let b = 2 * i in
       let v = t.dig.(b + 1) in
-      if v >= 0 then begin
+      if v <> -1 then begin
         incr entries;
         let s = v land slot_mask in
+        (* a tombstone (or any word that is not a binding) names no slot *)
+        if s land 3 <> 0 || s >= t.sym_top then
+          raise (Bad "digram index holds a tombstone or a wild slot");
         if v lsr slot_bits <> gen t s || not (is_live t s) then
           raise (Bad "digram index entry points to dead symbol");
         if is_guard t s || is_guard t (s_nxt t s) then
           raise (Bad "digram index entry anchored at guard");
         if pack (sym_code t s) (sym_code t (s_nxt t s)) <> t.dig.(b) then
-          raise (Bad "digram index entry key mismatch")
+          raise (Bad "digram index entry key mismatch");
+        if s_meta t s land tag_anchor = 0 then
+          raise (Bad "digram index entry names a slot without the anchor bit");
+        let j = ref (mix t.dig.(b) land mask) in
+        while !j <> i do
+          if empty !j then raise (Bad "digram index entry unreachable from its home");
+          j := (!j + 1) land mask
+        done
       end
     done;
     if !entries <> t.dig_live then raise (Bad "digram index live-count drift");
+    if 2 * t.dig_live > mask + 1 then raise (Bad "digram index over half full");
     Ok ()
   with Bad msg -> Error msg

@@ -13,11 +13,11 @@
 type t
 (** An incremental Sequitur compressor and the grammar built so far. *)
 
-val create : ?size_hint:int -> unit -> t
-(** Fresh compressor with an empty start rule. [size_hint] — the expected
-    input-stream length, when the caller knows it — pre-sizes the digram
-    hashtable so the incremental build never pays a rehash; the grammar
-    produced is identical either way. *)
+val create : unit -> t
+(** Fresh compressor with an empty start rule. Its symbol arena and digram
+    index start small and double with what the grammar keeps live (the
+    index when its live bindings reach half of it), so they stay
+    O(grammar size) however long the input. *)
 
 val push : t -> int -> unit
 (** Append one terminal to the input sequence and restore the grammar
@@ -82,22 +82,27 @@ val of_rules : (int * [ `T of int | `N of int ] list) list -> (t, string) result
     grammar has exactly the saved rules — ids included — and further
     {!push}es continue as if the original compressor had never stopped.
     This is what makes grammar state checkpointable: a snapshot is just
-    {!rules}. *)
+    {!rules}. The rebuild starts from {!create}[ ()], so it grows the same
+    tables the original run grew and holds no more heap than the grammar
+    it restores. *)
 
 val pp : Format.formatter -> t -> unit
 (** Pretty-print the grammar, one rule per line ([R0 -> a R1 R1]). *)
 
 val check_invariants : t -> (unit, string) result
 (** Validate internal consistency: doubly-linked list integrity, no dead
-    symbol reachable, reference counts matching actual uses, every digram
-    index entry live and matching its key, and rule utility (every
-    non-start rule used at least twice). For tests. *)
+    symbol reachable, reference counts matching actual uses, rule utility
+    (every non-start rule used at least twice), and a digram index with no
+    tombstone, at most half full, whose every entry is live, matches its
+    key, is reachable from its home without crossing an empty entry, and
+    names a slot carrying the anchor bit. For tests. *)
 
 (**/**)
 
 val gen_sweep : t -> unit
 (** Re-baseline the generation counters that detect stale digram-index
-    entries: drop stale entries, restart every live generation at zero.
+    entries: rebuild the index from its current-generation entries,
+    restart every live generation at zero.
     Runs automatically (between pushes) before a counter can outgrow its
     packed field — after hundreds of millions of symbol deaths — so tests
     exercise it directly; calling it at any push boundary must leave the

@@ -127,12 +127,16 @@ let test_rule_reuse_path () =
 (* The flat-arena implementation must be indistinguishable from the record
    implementation it replaced: identical rules (ids included), sizes and
    expansion for any input. [Sequitur_legacy] is the old implementation
-   kept verbatim as the oracle. *)
+   kept verbatim as the oracle. The arena's own invariants are checked too:
+   [check]'s overwrite of a binding whose digram differs is reached only
+   through packed-key collisions, so the collision stress below is where
+   that overwrite's anchor bit is checked. *)
 let equivalent a =
   let arena = compress a in
   let legacy = Sequitur_legacy.create () in
   Sequitur_legacy.push_array legacy a;
-  Sequitur.rules arena = Sequitur_legacy.rules legacy
+  Sequitur.check_invariants arena = Ok ()
+  && Sequitur.rules arena = Sequitur_legacy.rules legacy
   && Sequitur.grammar_size arena = Sequitur_legacy.grammar_size legacy
   && Sequitur.rule_count arena = Sequitur_legacy.rule_count legacy
   && Sequitur.byte_size arena = Sequitur_legacy.byte_size legacy
@@ -204,6 +208,67 @@ let prop_equiv_runs =
     QCheck.(small_list (pair (int_range 0 2) (int_range 1 6)))
     (fun spec -> equivalent (Array.concat (List.map (fun (v, n) -> Array.make n v) spec)))
 
+(* Long streams: the cases above stay far below the digram index's initial
+   8,192 entries, so none of them grows the table, wraps a cluster past
+   its end or shifts entries back across a full cluster. These push 64k
+   symbols — the index doubles at least three times — in random chunks,
+   check the invariants (the index's included) after every chunk, and
+   compare the result with the legacy oracle. One stream repeats phrases
+   from a dictionary (deep rule hierarchies). The uniform streams have no
+   structure at all: over 8 values two symbols in three match, so rules
+   churn and bindings are removed all over a small table, wraps included;
+   over 400 values about one symbol in nine matches and the table grows
+   to 2^17. *)
+let long_len = 65536
+
+let gen_phrase_stream =
+  QCheck.Gen.(
+    list_repeat 2000 (list_size (int_range 3 24) (int_bound 2999)) >>= fun dict ->
+    let dict = Array.of_list (List.map Array.of_list dict) in
+    let rec fill acc n =
+      if n >= long_len then return (Array.sub (Array.concat (List.rev acc)) 0 long_len)
+      else int_bound (Array.length dict - 1) >>= fun i -> fill (dict.(i) :: acc) (n + Array.length dict.(i))
+    in
+    fill [] 0)
+
+let gen_uniform_stream values = QCheck.Gen.(array_size (return long_len) (int_bound (values - 1)))
+
+let long_case gen_stream =
+  QCheck.make
+    ~print:(fun (a, cuts) ->
+      Printf.sprintf "%d symbols, chunks %s" (Array.length a)
+        (String.concat "," (List.map string_of_int cuts)))
+    QCheck.Gen.(pair gen_stream (list_size (int_range 4 24) (int_range 1 8192)))
+
+let long_equivalent (a, cuts) =
+  let t = Sequitur.create () in
+  let off = ref 0 in
+  let push len =
+    let len = min len (Array.length a - !off) in
+    Sequitur.push_batch t a ~off:!off ~len;
+    off := !off + len;
+    ok t
+  in
+  List.iter push cuts;
+  push (Array.length a - !off);
+  let legacy = Sequitur_legacy.create () in
+  Sequitur_legacy.push_array legacy a;
+  Sequitur.rules t = Sequitur_legacy.rules legacy
+  && Sequitur.grammar_size t = Sequitur_legacy.grammar_size legacy
+  && Sequitur.expand t = a
+
+let prop_long_phrases =
+  QCheck.Test.make ~name:"arena = legacy (64k symbols of repeated phrases)" ~count:2
+    (long_case gen_phrase_stream) long_equivalent
+
+let prop_long_uniform8 =
+  QCheck.Test.make ~name:"arena = legacy (64k uniform symbols over 8 values)" ~count:3
+    (long_case (gen_uniform_stream 8)) long_equivalent
+
+let prop_long_uniform400 =
+  QCheck.Test.make ~name:"arena = legacy (64k uniform symbols over 400 values)" ~count:1
+    (long_case (gen_uniform_stream 400)) long_equivalent
+
 (* --- push_batch -------------------------------------------------------- *)
 
 let test_push_batch_slice () =
@@ -226,6 +291,54 @@ let test_push_batch_bad_span () =
   check_bool "negative len" true (raises 0 (-1));
   check_bool "overrun" true (raises 2 2);
   check_int "nothing pushed" 0 (Sequitur.input_length t)
+
+(* The compressor allocates nothing per pushed symbol, matches included:
+   after a warm-up that grows its tables, 64k more symbols cost at most a
+   few stray words, whether the stream matches on nearly every symbol
+   (the periodic one) or on about one in six. (Table doublings allocate
+   in the major heap.) *)
+let test_push_allocates_nothing () =
+  let rng = Ormp_util.Prng.create ~seed:7 in
+  let n = 65536 in
+  List.iter
+    (fun (name, f) ->
+      let a = Array.init (2 * n) f in
+      let t = Sequitur.create () in
+      Sequitur.push_batch t a ~off:0 ~len:n;
+      let w0 = Gc.minor_words () in
+      Sequitur.push_batch t a ~off:n ~len:n;
+      let words = Gc.minor_words () -. w0 in
+      check_bool
+        (Printf.sprintf "%s: %.0f minor words for %d symbols" name words n)
+        true (words <= 1024.0);
+      ok t)
+    [
+      ("repetitive", fun i -> (i mod 7) + (i / 4096 mod 3));
+      ("high-entropy", fun _ -> Ormp_util.Prng.int rng 400);
+    ]
+
+(* A grammar restored from its rules re-pushes its expansion into a
+   compressor grown from empty, as the original was, so it holds no more
+   heap than the original however long the input was. *)
+let test_restore_heap () =
+  let rng = Ormp_util.Prng.create ~seed:11 in
+  List.iter
+    (fun (name, a) ->
+      let t = compress a in
+      match Sequitur.of_rules (Sequitur.rules t) with
+      | Error e -> Alcotest.fail (name ^ ": " ^ e)
+      | Ok r ->
+        check_bool (name ^ ": same rules") true (Sequitur.rules r = Sequitur.rules t);
+        let words g = Obj.reachable_words (Obj.repr g) in
+        check_bool
+          (Printf.sprintf "%s: restored %d words <= original %d" name (words r) (words t))
+          true
+          (words r <= words t))
+    [
+      ("periodic", Array.init 50_000 (fun i -> i mod 7));
+      ("phrases", Array.init 50_000 (fun i -> (i * 7919 / 13) mod 97 + (i / 1000)));
+      ("scattered", Array.init 20_000 (fun _ -> Ormp_util.Prng.int rng 400));
+    ]
 
 let test_iter_rules_matches_rules () =
   let t = compress (of_string "abcbcabcbc") in
@@ -351,6 +464,8 @@ let () =
           tc "push_batch rejects bad spans" test_push_batch_bad_span;
           tc "iter_rules matches rules" test_iter_rules_matches_rules;
           tc "gen_sweep is a no-op at rest" test_gen_sweep_noop;
+          tc "push allocates nothing after warm-up" test_push_allocates_nothing;
+          tc "restored grammar holds no more heap" test_restore_heap;
         ] );
       ( "property",
         [
@@ -365,5 +480,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_equiv_collisions;
           QCheck_alcotest.to_alcotest prop_equiv_runs;
           QCheck_alcotest.to_alcotest prop_gen_sweep_transparent;
+          QCheck_alcotest.to_alcotest prop_long_phrases;
+          QCheck_alcotest.to_alcotest prop_long_uniform8;
+          QCheck_alcotest.to_alcotest prop_long_uniform400;
         ] );
     ]
