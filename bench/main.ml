@@ -365,7 +365,10 @@ let micro_tests () =
      periodic or match-free; 175.vpr-like's object lane makes about one
      match per symbol. The lane is collected once, through the CDC at
      test scale, outside the timed code; its match and rule-creation
-     rates come from one untimed push with the [sequitur.*] counters on. *)
+     rates come from one untimed push with the [sequitur.*] counters on,
+     and so do the words the finished grammar holds and its live rules
+     (a grammar's heap should follow its live rules, not the rules it
+     ever created). *)
   let vpr_object_lane =
     let chunks = ref [] in
     let cdc =
@@ -397,8 +400,17 @@ let micro_tests () =
       /. float_of_int (max 1 (Array.length vpr_object_lane))
     in
     let matches = per_symbol "sequitur.matches" and created = per_symbol "sequitur.rules_created" in
-    Printf.printf "%s: %.3f matches and %.3f rule creations per symbol\n" vpr_row matches created;
-    [ ("matches_per_symbol", J.Float matches); ("rules_created_per_symbol", J.Float created) ]
+    let held_words = Obj.reachable_words (Obj.repr g) in
+    let live_rules = Ormp_sequitur.Sequitur.rule_count g in
+    Printf.printf
+      "%s: %.3f matches and %.3f rule creations per symbol; %d words held for %d live rules\n"
+      vpr_row matches created held_words live_rules;
+    [
+      ("matches_per_symbol", J.Float matches);
+      ("rules_created_per_symbol", J.Float created);
+      ("held_words", J.Int held_words);
+      ("live_rules", J.Int live_rules);
+    ]
   in
   let range_index =
     Test.make ~name:"range_index: 1k insert+find"

@@ -35,7 +35,9 @@ let sym_of_atom a =
 
 (* [args] are the elements after the [grammar] atom. The live grammar is
    rebuilt with {!Ormp_sequitur.Sequitur.of_rules} (expand + re-push), which
-   also rejects cyclic and dangling rule references from corrupt files. *)
+   also rejects cyclic and dangling rule references from corrupt files and
+   any listing other than the one the rebuild holds; its errors name the
+   grammar. *)
 let of_sexp args =
   let body = S.List (S.Atom "_" :: args) in
   let* dim_args = S.assoc "dim" body in
@@ -61,8 +63,9 @@ let of_sexp args =
         | _ -> Ok rules)
       (Ok []) args
   in
-  let* g = Seq_c.of_rules (List.rev rules) in
-  Ok (dim, g)
+  match Seq_c.of_rules (List.rev rules) with
+  | Ok g -> Ok (dim, g)
+  | Error e -> Error (Printf.sprintf "grammar %s: %s" dim e)
 
 let save path grammar = W.to_file path write grammar
 

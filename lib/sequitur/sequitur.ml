@@ -19,34 +19,46 @@
      code+links+meta of the same symbol constantly, and the large
      dimension grammars (thousands of live symbols) were paying a miss per
      column. A [meta] word packs
-     [generation lsl 4 | anchor lsl 3 | nonterm lsl 2 | allocated lsl 1 |
-     guard]. The generation is bumped when a symbol dies, so a
+     [rule lsl 34 | generation lsl 4 | anchor lsl 3 | nonterm lsl 2 |
+     allocated lsl 1 | guard]. The generation is bumped when a symbol
+     dies, so a
      digram-index entry that remembers the generation it was created under
      detects that its slot has since died — the arena equivalent of the
      old [dead] flag, with the same validate-on-lookup discipline instead
      of the reference implementation's "triples" re-indexing hack. The
      anchor bit is set whenever a binding naming the slot is written; while
      it is clear, no binding names the slot at its current generation, so
-     removing the slot's digram needs no probe.
+     removing the slot's digram needs no probe. The rule field, on
+     nonterminals and guards only (0 on terminals), is the rule slot (see
+     below) the symbol names or heads.
    - Arena accesses on the push path are unchecked ([Array.unsafe_get]):
      every slot that reaches them came out of [alloc_sym] below [sym_top],
      and links only ever hold such slots — [check_invariants] validates
      the link structure in tests.
-   - Dead slots keep their code, tag and links frozen until the current
-     push's constraint cascade has fully settled, and only then join the
-     free list (threaded through [nxt]): the record implementation's dead
-     records stayed intact under the GC, and the cascade does read through
-     them — e.g. re-indexing a just-created rule's first digram after a
-     deeper substitution already retired that rule. Freeing eagerly would
-     let a recycled slot alias a dead one mid-cascade and change the
-     grammar. Allocation is pop-or-bump-top.
-   - Rules are identified by their monotonically-assigned id. Two columns
-     indexed by id hold the guard slot ([rule_guard], bit-complemented on
-     retirement so dead rules stay addressable) and the reference count.
-     Ids are never recycled, so iterating ids in ascending order
-     enumerates live rules start-rule-first with no sort and no
-     allocation (the old implementation built a sorted id list per
-     [fold_rules] call).
+   - Dead slots keep their code, tag, rule field and links frozen until
+     the current push's constraint cascade has fully settled, and only
+     then join the free list (threaded through [nxt]): the record
+     implementation's dead records stayed intact under the GC, and the
+     cascade does read through them — e.g. re-indexing a just-created
+     rule's first digram after a deeper substitution already retired that
+     rule. Freeing eagerly would let a recycled slot alias a dead one
+     mid-cascade and change the grammar. Allocation is pop-or-bump-top.
+   - Rules live in slots too: stride-4 records [guard; refs; next; prev]
+     in one int array [rul], holding the guard's symbol slot, the
+     reference count and the live list's links. A rule's id is its
+     creation ordinal, kept in its guard's [code] and in every
+     nonterminal naming it; the slot is where its storage happens to be.
+     A retired rule's slot is recycled the way a symbol's is: it joins
+     the rule free list (threaded through [next]) only when its dead
+     guard is reclaimed after the cascade, so a rule retired mid-cascade
+     stays addressable through the slot its nonterminals and its guard
+     still name. Live rules are threaded in ascending id order on a ring
+     headed by the start rule's slot (always 0): ids are assigned in
+     ascending order, so a new rule joins at the tail, and enumeration
+     walks only live rules, start rule first, with no sort and no
+     allocation. So rule storage holds the live grammar's rules, not
+     every rule ever created, and a live-symbol count makes the grammar
+     size O(1).
    - The digram index is linear-probing open addressing over one array
      of [key; slot lor (generation lsl 34)] pairs, with -1 in the packed
      word for an empty entry and a multiplicative hash — no polymorphic
@@ -87,9 +99,13 @@ type t = {
   mutable free_head : int;  (* free list through [nxt]; -1 = empty *)
   mutable pend : int array;  (* dead slots awaiting end-of-push reclaim *)
   mutable pend_len : int;
-  (* rules, indexed by id *)
-  mutable rule_guard : int array;  (* guard slot; [lnot slot] once retired *)
-  mutable rule_refs : int array;
+  mutable live_syms : int;  (* right-hand-side symbols of live rules *)
+  (* rule slots: interleaved [guard; refs; next; prev] records, slots are
+     base offsets (multiples of 4); the start rule's slot is 0 and heads
+     the ring of live rules in ascending id order *)
+  mutable rul : int array;
+  mutable rul_top : int;
+  mutable rul_free : int;  (* free list through [next]; -1 = empty *)
   mutable next_rule_id : int;
   mutable live_rule_count : int;
   (* digram index: open addressing, linear probing. Entries are
@@ -147,6 +163,13 @@ let slot_bits = 34
 let slot_mask = (1 lsl slot_bits) - 1
 let gen_limit = (1 lsl 29) - 1
 
+(* [meta] above the tags and the generation (which stays at most
+   [gen_limit], in bits 4..32) holds the rule slot of a nonterminal or a
+   guard: 29 bits, so the rule store is at most 2^29 words. *)
+let rule_shift = 34
+let low_mask = (1 lsl rule_shift) - 1
+let gen_mask = low_mask lsr gen_shift
+
 let s_code t s = Array.unsafe_get t.sym s
 let s_prv t s = Array.unsafe_get t.sym (s + 1)
 let s_nxt t s = Array.unsafe_get t.sym (s + 2)
@@ -156,7 +179,10 @@ let set_nxt t s v = Array.unsafe_set t.sym (s + 2) v
 let is_guard t s = s_meta t s land tag_guard <> 0
 let is_live t s = s_meta t s land tag_live <> 0
 let is_nonterm t s = s_meta t s land tag_nonterm <> 0
-let gen t s = s_meta t s lsr gen_shift
+let gen t s = (s_meta t s lsr gen_shift) land gen_mask
+
+(* The rule slot a nonterminal names or a guard heads. *)
+let rule_of t s = s_meta t s lsr rule_shift
 
 (* The index entry word naming slot [s] at its current generation. *)
 let packed t s = s lor (gen t s lsl slot_bits)
@@ -183,7 +209,10 @@ let grow_syms t =
 (* Fresh symbols are self-linked, like the record implementation's
    [fresh]. The accumulated generation survives recycling, and so does the
    anchor bit: recycling does not change the generation, so a binding
-   written for the slot since its death still names it. *)
+   written for the slot since its death still names it. [tag] carries the
+   kind bits and, for a nonterminal or a guard, the rule field. Every
+   symbol but a guard sits on a live rule's right-hand side ([tag_guard]
+   is bit 0, hence the branch-free count). *)
 let alloc_sym t tag code =
   let s =
     match t.free_head with
@@ -202,20 +231,22 @@ let alloc_sym t tag code =
   Array.unsafe_set a (s + 1) s;
   Array.unsafe_set a (s + 2) s;
   Array.unsafe_set a (s + 3)
-    ((m land lnot (tag_anchor - 1)) lor tag_live lor tag);
+    ((m land low_mask land lnot (tag_anchor - 1)) lor tag_live lor tag);
+  t.live_syms <- t.live_syms + 1 - (tag land tag_guard);
   s
 
 (* Death bumps the generation (any digram-index entry still naming this
    slot now reads as stale, exactly like the old [dead] flag) but freezes
-   code, tag and links, and only queues the slot for reclaim — see the
-   layout comment on why mid-cascade reads of dead slots must keep seeing
-   the dead symbol's data. No binding names the new generation, so the
-   anchor bit is cleared with it. *)
+   code, tag, rule field and links, and only queues the slot for reclaim
+   — see the layout comment on why mid-cascade reads of dead slots must
+   keep seeing the dead symbol's data. No binding names the new
+   generation, so the anchor bit is cleared with it. *)
 let mark_dead t s =
   let m = s_meta t s in
-  let g = (m lsr gen_shift) + 1 in
+  let g = ((m lsr gen_shift) land gen_mask) + 1 in
   Array.unsafe_set t.sym (s + 3)
-    ((g lsl gen_shift) lor (m land (tag_guard lor tag_nonterm)));
+    ((g lsl gen_shift) lor (m land (tag_guard lor tag_nonterm lor lnot low_mask)));
+  t.live_syms <- t.live_syms - 1 + (m land tag_guard);
   if g >= gen_limit then t.need_sweep <- true;
   if t.pend_len = Array.length t.pend then begin
     let b = Array.make (2 * t.pend_len) 0 in
@@ -225,64 +256,97 @@ let mark_dead t s =
   Array.unsafe_set t.pend t.pend_len s;
   t.pend_len <- t.pend_len + 1
 
-(* End-of-push reclaim: the cascade has settled, nothing references the
-   dead slots any more; thread them onto the free list. *)
-let reclaim_dead t =
-  for i = 0 to t.pend_len - 1 do
-    let s = Array.unsafe_get t.pend i in
-    set_nxt t s t.free_head;
-    t.free_head <- s
-  done;
-  t.pend_len <- 0
-
 (* --- rules ------------------------------------------------------------- *)
 
-let grow_rules t want =
-  let cap = Array.length t.rule_guard in
-  if want > cap then begin
-    let cap' = max want (cap * 2) in
-    let g def a =
-      let b = Array.make cap' def in
-      Array.blit a 0 b 0 cap;
-      b
-    in
-    t.rule_guard <- g (-1) t.rule_guard;
-    t.rule_refs <- g 0 t.rule_refs
-  end
+(* Rule-slot accessors; [r] is a rule slot, never a rule id. *)
+let r_guard t r = Array.unsafe_get t.rul r
+let r_refs t r = Array.unsafe_get t.rul (r + 1)
+let r_next t r = Array.unsafe_get t.rul (r + 2)
+let r_prev t r = Array.unsafe_get t.rul (r + 3)
+let set_r_refs t r v = Array.unsafe_set t.rul (r + 1) v
+let set_r_next t r v = Array.unsafe_set t.rul (r + 2) v
+let set_r_prev t r v = Array.unsafe_set t.rul (r + 3) v
 
-(* A guard slot's [code] is its rule id. *)
+(* A rule's id: its guard's [code]. *)
+let rule_id t r = s_code t (r_guard t r)
+
+let grow_rules t =
+  let n = Array.length t.rul in
+  (* Rule slots must fit [meta]'s rule field. *)
+  if n * 2 > 1 lsl (63 - rule_shift) then failwith "Sequitur: rule store limit";
+  let b = Array.make (n * 2) 0 in
+  Array.blit t.rul 0 b 0 n;
+  t.rul <- b
+
+(* A rule's guard carries its id in [code] and its slot in the rule field.
+   Ids are assigned in ascending order, so the new rule is the largest
+   live one and joins the live ring at its tail, just before the start
+   rule's slot 0. The start rule itself is made first, into slot 0 of a
+   zeroed store, where the same splice leaves it alone on the ring. *)
 let make_rule t id =
-  grow_rules t (id + 1);
-  t.rule_guard.(id) <- alloc_sym t tag_guard id;
-  t.rule_refs.(id) <- 0;
-  t.live_rule_count <- t.live_rule_count + 1
+  let r =
+    match t.rul_free with
+    | -1 ->
+      if t.rul_top = Array.length t.rul then grow_rules t;
+      let r = t.rul_top in
+      t.rul_top <- r + 4;
+      r
+    | r ->
+      t.rul_free <- r_next t r;
+      r
+  in
+  Array.unsafe_set t.rul r (alloc_sym t (tag_guard lor (r lsl rule_shift)) id);
+  set_r_refs t r 0;
+  let tail = r_prev t 0 in
+  set_r_next t r 0;
+  set_r_prev t r tail;
+  set_r_next t tail r;
+  set_r_prev t 0 r;
+  t.live_rule_count <- t.live_rule_count + 1;
+  r
 
-(* Retired rules stay addressable ([lnot slot]): a deep cascade can retire
-   a rule the enclosing [process_match] still holds, which then re-reads
-   [first]/[last] through the dead guard — the record implementation did
-   the same through its garbage guard record. *)
-let guard_slot t r =
-  let g = Array.unsafe_get t.rule_guard r in
-  if g >= 0 then g else lnot g
+let first t r = s_nxt t (r_guard t r)
+let last t r = s_prv t (r_guard t r)
+let reuse t r = set_r_refs t r (r_refs t r + 1)
 
-let first t r = s_nxt t (guard_slot t r)
-let last t r = s_prv t (guard_slot t r)
-let reuse t r = t.rule_refs.(r) <- t.rule_refs.(r) + 1
-
-(* Guarded on liveness: [expand_symbol] reaches here twice for the same
-   rule (via [deuse] and directly), and retirement must count once. *)
+(* A retired rule leaves the live ring at once, but its slot keeps its
+   guard and count until that guard is reclaimed: a deep cascade can
+   retire a rule the enclosing [process_match] still holds, which then
+   re-reads [first]/[last] through the dead guard — the record
+   implementation did the same through its garbage guard record. Guarded
+   on liveness: [expand_symbol] reaches here twice for the same rule (via
+   [deuse] and directly), and retirement must count once. *)
 let kill_rule t r =
-  let g = t.rule_guard.(r) in
-  if g >= 0 then begin
+  let g = r_guard t r in
+  if is_live t g then begin
     mark_dead t g;
-    t.rule_guard.(r) <- lnot g;
+    let p = r_prev t r and n = r_next t r in
+    set_r_next t p n;
+    set_r_prev t n p;
     t.live_rule_count <- t.live_rule_count - 1;
     if t.tm_on then t.tm_retired <- t.tm_retired + 1
   end
 
 let deuse t r =
-  t.rule_refs.(r) <- t.rule_refs.(r) - 1;
-  if t.rule_refs.(r) = 0 && r <> 0 then kill_rule t r
+  let n = r_refs t r - 1 in
+  set_r_refs t r n;
+  if n = 0 && r <> 0 then kill_rule t r
+
+(* End-of-push reclaim: the cascade has settled, nothing references the
+   dead slots any more; thread them onto the free list, and the slot of
+   each dead guard's rule onto the rule free list. *)
+let reclaim_dead t =
+  for i = 0 to t.pend_len - 1 do
+    let s = Array.unsafe_get t.pend i in
+    if is_guard t s then begin
+      let r = rule_of t s in
+      set_r_next t r t.rul_free;
+      t.rul_free <- r
+    end;
+    set_nxt t s t.free_head;
+    t.free_head <- s
+  done;
+  t.pend_len <- 0
 
 (* --- digram index ------------------------------------------------------ *)
 
@@ -419,8 +483,9 @@ let dig_remove_if t key slot =
    the table is rebuilt at its capacity from the current-generation
    entries. Entry validity is preserved exactly (stale entries were
    already dead to every lookup, live entries still name their slot's
-   current generation), so the grammar is unaffected, and so is each
-   slot's anchor bit. O(table + arena), amortized over 2^29 deaths.
+   current generation), so the grammar is unaffected, and so are each
+   slot's anchor bit and rule field. O(table + arena), amortized over
+   2^29 deaths.
    Runs between pushes, never mid-cascade — [push_one] checks the flag
    after the cascade settles, and a slot dies at most once per cascade
    (dead slots are not recycled until [reclaim_dead]), so a generation
@@ -431,18 +496,21 @@ let gen_sweep t =
       if v lsr slot_bits <> gen t slot then -1 else slot (* generation 0 *));
   let s = ref 0 in
   while !s < t.sym_top do
-    t.sym.(!s + 3) <- t.sym.(!s + 3) land (tag_anchor lor tag_nonterm lor tag_live lor tag_guard);
+    t.sym.(!s + 3) <-
+      t.sym.(!s + 3)
+      land (lnot low_mask lor tag_anchor lor tag_nonterm lor tag_live lor tag_guard);
     s := !s + 4
   done;
   t.need_sweep <- false
 
 (* --- construction ------------------------------------------------------ *)
 
-(* The arena and the index start small and double with what the grammar
-   keeps live (symbols; digram bindings, at half the table), which is
-   O(grammar size) however long the input. *)
+(* The arena, the rule store and the index start small and double with
+   what the grammar keeps live (symbols; rules; digram bindings, at half
+   the table), which is O(grammar size) however long the input. *)
 let dig_init = 8192
 let sym_init = 1024
+let rul_init = 32
 
 let create () =
   let t =
@@ -452,8 +520,10 @@ let create () =
       free_head = -1;
       pend = Array.make 64 0;
       pend_len = 0;
-      rule_guard = Array.make 64 (-1);
-      rule_refs = Array.make 64 0;
+      live_syms = 0;
+      rul = Array.make (4 * rul_init) 0;
+      rul_top = 0;
+      rul_free = -1;
       next_rule_id = 1;
       live_rule_count = 0;
       dig = dig_alloc dig_init;
@@ -468,7 +538,7 @@ let create () =
       tm_inlines = 0;
     }
   in
-  make_rule t 0;
+  ignore (make_rule t 0 : int);
   t
 
 (* --- core algorithm ---------------------------------------------------- *)
@@ -518,7 +588,7 @@ let delete_symbol t s =
   delete_digram t s;
   join t (s_prv t s) (s_nxt t s);
   mark_dead t s;
-  if is_nonterm t s then deuse t (s_code t s)
+  if is_nonterm t s then deuse t (rule_of t s)
 
 (* [delete_symbol] minus the leading [delete_digram], for a slot that
    provably has no index binding anchored at it. Bindings always carry
@@ -530,20 +600,20 @@ let delete_symbol t s =
 let delete_symbol_unanchored t s =
   join t (s_prv t s) (s_nxt t s);
   mark_dead t s;
-  if is_nonterm t s then deuse t (s_code t s)
+  if is_nonterm t s then deuse t (rule_of t s)
 
+(* The copy keeps [proto]'s kind and rule field (0 on a terminal). *)
 let append_copy t r proto =
-  let c = s_code t proto in
-  let nonterm = is_nonterm t proto in
-  let ns = alloc_sym t (if nonterm then tag_nonterm else 0) c in
-  if nonterm then reuse t c;
+  let m = s_meta t proto in
+  let ns = alloc_sym t (m land (tag_nonterm lor lnot low_mask)) (s_code t proto) in
+  if m land tag_nonterm <> 0 then reuse t (m lsr rule_shift);
   insert_fresh_after t (last t r) ns
 
 (* Rule utility after a match: [i] is a non-terminal whose rule is now
    used once. Top-level, not a closure in [process_match], so a match
    allocates nothing. *)
 let underused t i =
-  (not (is_guard t i)) && is_nonterm t i && t.rule_refs.(s_code t i) = 1
+  (not (is_guard t i)) && is_nonterm t i && r_refs t (rule_of t i) = 1
 
 (* [check t s] enforces digram uniqueness for the digram starting at [s].
    Returns [true] iff a match was found and processed (in which case [s] is
@@ -587,20 +657,21 @@ let rec check t s =
   end
 
 (* A duplicate digram was found: replace both occurrences by a non-terminal,
-   creating a rule if the stored occurrence is not already a whole rule. *)
+   creating a rule if the stored occurrence is not already a whole rule.
+   Rules are passed around by slot. *)
 and process_match t s m =
   if t.tm_on then t.tm_matches <- t.tm_matches + 1;
   let r =
     if is_guard t (s_prv t m) && is_guard t (s_nxt t (s_nxt t m)) then begin
       (* [m] spans the complete right-hand side of an existing rule. *)
-      let r = s_code t (s_prv t m) in
+      let r = rule_of t (s_prv t m) in
       substitute t s r;
       r
     end
     else begin
-      let r = t.next_rule_id in
-      t.next_rule_id <- r + 1;
-      make_rule t r;
+      let id = t.next_rule_id in
+      t.next_rule_id <- id + 1;
+      let r = make_rule t id in
       if t.tm_on then t.tm_created <- t.tm_created + 1;
       append_copy t r s;
       append_copy t r (s_nxt t s);
@@ -629,7 +700,7 @@ and substitute t s r =
      is spliced in with no probe at all. *)
   delete_symbol t (s_nxt t s);
   delete_symbol_unanchored t s;
-  let ns = alloc_sym t tag_nonterm r in
+  let ns = alloc_sym t (tag_nonterm lor (r lsl rule_shift)) (rule_id t r) in
   reuse t r;
   let nq = s_nxt t q in
   set_nxt t ns nq;
@@ -642,7 +713,7 @@ and substitute t s r =
    right-hand side in place of [s] and retire the rule. *)
 and expand_symbol t s =
   if t.tm_on then t.tm_inlines <- t.tm_inlines + 1;
-  let r = s_code t s in
+  let r = rule_of t s in
   let left = s_prv t s and right = s_nxt t s in
   let f = first t r and l = last t r in
   delete_digram t s;
@@ -686,36 +757,34 @@ let input_length t = t.input_len
 
 (* --- observers --------------------------------------------------------- *)
 
-(* Rule ids are monotonic and never recycled, so an ascending id scan
-   enumerates live rules deterministically (start rule first) with no
-   intermediate sorted id list. *)
+(* The live ring starts at the start rule's slot 0 and runs in ascending
+   id order, so walking it enumerates exactly the live rules,
+   deterministically (start rule first), with no sort and no
+   intermediate id list. *)
 let fold_live_rules t init f =
-  let acc = ref init in
-  for id = 0 to t.next_rule_id - 1 do
-    if t.rule_guard.(id) >= 0 then acc := f !acc id
-  done;
-  !acc
+  let rec go acc r =
+    let acc = f acc r in
+    let n = r_next t r in
+    if n = 0 then acc else go acc n
+  in
+  go init 0
 
 let iter_rhs t r f =
-  let g = t.rule_guard.(r) in
+  let g = r_guard t r in
   let s = ref (s_nxt t g) in
   while !s <> g do
     f !s;
     s := s_nxt t !s
   done
 
-let grammar_size t =
-  fold_live_rules t 0 (fun acc id ->
-      let n = ref 0 in
-      iter_rhs t id (fun _ -> incr n);
-      acc + !n)
+let grammar_size t = t.live_syms
 
 let rule_count t = t.live_rule_count
 
 let byte_size t =
-  fold_live_rules t 0 (fun acc id ->
+  fold_live_rules t 0 (fun acc r ->
       let n = ref 1 (* rule separator *) in
-      iter_rhs t id (fun s -> n := !n + Ormp_util.Bytesize.varint (sym_code t s));
+      iter_rhs t r (fun s -> n := !n + Ormp_util.Bytesize.varint (sym_code t s));
       acc + !n)
 
 let expand t =
@@ -723,7 +792,7 @@ let expand t =
   let k = ref 0 in
   let rec go r =
     iter_rhs t r (fun s ->
-        if is_nonterm t s then go (s_code t s)
+        if is_nonterm t s then go (rule_of t s)
         else begin
           a.(!k) <- s_code t s;
           incr k
@@ -733,22 +802,24 @@ let expand t =
   assert (!k = t.input_len);
   a
 
-(* The one rule enumeration everything else is built on. Ascending ids
-   are already sorted, and the RHS walk is a plain loop over the links:
-   nothing is allocated, so persisting a grammar costs no heap per
-   symbol. *)
+(* The one rule enumeration everything else is built on. The live ring
+   is already sorted, and both walks are plain loops over links: nothing
+   is allocated, so persisting a grammar costs no heap per symbol. *)
 let visit_rules t ~rule ~terminal ~nonterminal ~rule_end =
-  for id = 0 to t.next_rule_id - 1 do
-    let g = t.rule_guard.(id) in
-    if g >= 0 then begin
-      rule id;
-      let s = ref (s_nxt t g) in
-      while !s <> g do
-        if is_nonterm t !s then nonterminal (s_code t !s) else terminal (s_code t !s);
-        s := s_nxt t !s
-      done;
-      rule_end id
-    end
+  let r = ref 0 in
+  let more = ref true in
+  while !more do
+    let g = r_guard t !r in
+    let id = s_code t g in
+    rule id;
+    let s = ref (s_nxt t g) in
+    while !s <> g do
+      if is_nonterm t !s then nonterminal (s_code t !s) else terminal (s_code t !s);
+      s := s_nxt t !s
+    done;
+    rule_end id;
+    r := r_next t !r;
+    more := !r <> 0
   done
 
 let iter_rules t f =
@@ -793,12 +864,17 @@ let of_rules rule_list =
     in
     match expand_rule 0 with
     | terminals ->
-      (* The algorithm is deterministic: re-pushing the expansion rebuilds
-         exactly the saved grammar, rule ids included, and grows the same
-         tables the original run grew. *)
+      (* The algorithm is deterministic: re-pushing the expansion of a
+         listing a compressor wrote rebuilds exactly that grammar, rule
+         ids included, and grows the same tables the original run grew.
+         Any other listing of the same expansion (a repeated digram, a
+         rule used once, an unused, duplicated or renumbered rule) is
+         not what the rebuilt compressor holds, so loading it would
+         silently replace the grammar on file. *)
       let g = create () in
       List.iter (push g) terminals;
-      Ok g
+      if rules g = rule_list then Ok g
+      else Error "rule listing is not the grammar its expansion rebuilds"
     | exception Bad msg -> Error msg
   end
 
@@ -811,33 +887,99 @@ let pp fmt t =
 
 let check_invariants t =
   let exception Bad of string in
+  let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt in
   try
-    if t.pend_len <> 0 then raise (Bad "dead slots pending outside a push cascade");
+    if t.pend_len <> 0 then bad "dead slots pending outside a push cascade";
+    (* Reads below are unchecked (the module is built with -unsafe), so
+       every slot is range-checked before it is followed. *)
+    let sym_ok s = s >= 0 && s < t.sym_top && s land 3 = 0 in
+    let rul_ok r = r >= 0 && r < t.rul_top && r land 3 = 0 in
+    (* The live ring: from the start rule's slot 0, strictly ascending
+       ids, each slot headed by a live guard that names it back. *)
+    let live : (int, int) Hashtbl.t = Hashtbl.create 64 in
+    let r = ref 0 and prev_id = ref (-1) in
+    let more = ref true in
+    while !more do
+      let rs = !r in
+      if not (rul_ok rs) then bad "live ring holds wild rule slot %d" rs;
+      if Hashtbl.length live >= t.live_rule_count then
+        bad "live ring longer than the %d live rules" t.live_rule_count;
+      let g = r_guard t rs in
+      if not (sym_ok g && is_live t g && is_guard t g) then
+        bad "rule slot %d on the live ring has no live guard" rs;
+      if rule_of t g <> rs then bad "guard of rule slot %d names slot %d" rs (rule_of t g);
+      let id = s_code t g in
+      if rs = 0 && id <> 0 then bad "slot 0 holds rule %d, not the start rule" id;
+      if id <= !prev_id || id >= t.next_rule_id then
+        bad "live ring not in ascending id order (rule %d after rule %d)" id !prev_id;
+      if not (rul_ok (r_next t rs)) || r_prev t (r_next t rs) <> rs then
+        bad "broken live ring link after rule %d" id;
+      Hashtbl.replace live rs id;
+      prev_id := id;
+      r := r_next t rs;
+      more := !r <> 0
+    done;
+    if Hashtbl.length live <> t.live_rule_count then
+      bad "live ring holds %d rules but %d are live" (Hashtbl.length live) t.live_rule_count;
+    (* ... and it holds every live guard of the arena. *)
+    let s = ref 0 in
+    while !s < t.sym_top do
+      if is_live t !s && is_guard t !s then begin
+        let rs = rule_of t !s in
+        if not (Hashtbl.mem live rs && r_guard t rs = !s) then
+          bad "live guard of rule %d is not on the live ring" (s_code t !s)
+      end;
+      s := !s + 4
+    done;
+    (* Free rule slots are disjoint from live ones, and at rest (every
+       dead guard reclaimed) the two account for every slot. *)
+    let free = Hashtbl.create 16 in
+    let r = ref t.rul_free in
+    while !r <> -1 do
+      if not (rul_ok !r) then bad "rule free list holds wild slot %d" !r;
+      if Hashtbl.mem live !r then bad "rule slot %d is both live and free" !r;
+      if Hashtbl.mem free !r then bad "rule free list cycles at slot %d" !r;
+      Hashtbl.replace free !r ();
+      r := r_next t !r
+    done;
+    if Hashtbl.length live + Hashtbl.length free <> t.rul_top / 4 then
+      bad "rule slots lost: %d live and %d free of %d" (Hashtbl.length live)
+        (Hashtbl.length free) (t.rul_top / 4);
     let uses : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    fold_live_rules t () (fun () id ->
-        let g = t.rule_guard.(id) in
-        if not (is_live t g && is_guard t g) then
-          raise (Bad (Printf.sprintf "dead guard in rule %d" id));
-        if s_code t g <> id then
-          raise (Bad (Printf.sprintf "guard code mismatch in rule %d" id));
-        iter_rhs t id (fun s ->
-            if not (is_live t s) then
-              raise (Bad (Printf.sprintf "dead symbol reachable in rule %d" id));
-            if is_guard t s then raise (Bad (Printf.sprintf "guard inside rule %d body" id));
-            if s_prv t (s_nxt t s) <> s then raise (Bad "broken next/prev link");
-            if s_nxt t (s_prv t s) <> s then raise (Bad "broken prev/next link");
-            if is_nonterm t s then begin
-              let r2 = s_code t s in
-              if r2 < 0 || r2 >= t.next_rule_id || t.rule_guard.(r2) < 0 then
-                raise (Bad (Printf.sprintf "rule %d references dead rule %d" id r2));
+    let syms = ref 0 in
+    fold_live_rules t () (fun () rs ->
+        let id = Hashtbl.find live rs in
+        let g = r_guard t rs in
+        let s = ref (s_nxt t g) in
+        while !s <> g do
+          let s' = !s in
+          if not (sym_ok s') then bad "wild slot in rule %d" id;
+          if not (is_live t s') then bad "dead symbol reachable in rule %d" id;
+          if is_guard t s' then bad "guard inside rule %d body" id;
+          if s_prv t (s_nxt t s') <> s' then bad "broken next/prev link";
+          if s_nxt t (s_prv t s') <> s' then bad "broken prev/next link";
+          incr syms;
+          if !syms > t.sym_top / 4 then bad "right-hand side of rule %d does not close" id;
+          if is_nonterm t s' then begin
+            let r2 = rule_of t s' in
+            match Hashtbl.find_opt live r2 with
+            | Some id2 when id2 = s_code t s' ->
               Hashtbl.replace uses r2 (1 + Option.value ~default:0 (Hashtbl.find_opt uses r2))
-            end));
-    fold_live_rules t () (fun () id ->
-        if id <> 0 then begin
-          let u = Option.value ~default:0 (Hashtbl.find_opt uses id) in
-          if u <> t.rule_refs.(id) then
-            raise (Bad (Printf.sprintf "rule %d refcount %d but %d uses" id t.rule_refs.(id) u));
-          if u < 2 then raise (Bad (Printf.sprintf "rule %d violates utility (%d uses)" id u))
+            | Some id2 ->
+              bad "nonterminal R%d in rule %d names the slot of rule %d" (s_code t s') id id2
+            | None -> bad "rule %d references dead rule %d" id (s_code t s')
+          end
+          else if rule_of t s' <> 0 then bad "terminal in rule %d carries a rule slot" id;
+          s := s_nxt t s'
+        done);
+    if !syms <> t.live_syms then
+      bad "live-symbol count %d but %d right-hand-side symbols" t.live_syms !syms;
+    fold_live_rules t () (fun () rs ->
+        if rs <> 0 then begin
+          let id = Hashtbl.find live rs in
+          let u = Option.value ~default:0 (Hashtbl.find_opt uses rs) in
+          if u <> r_refs t rs then bad "rule %d refcount %d but %d uses" id (r_refs t rs) u;
+          if u < 2 then bad "rule %d violates utility (%d uses)" id u
         end);
     let entries = ref 0 in
     let mask = t.dig_mask in
@@ -850,23 +992,23 @@ let check_invariants t =
         let s = v land slot_mask in
         (* a tombstone (or any word that is not a binding) names no slot *)
         if s land 3 <> 0 || s >= t.sym_top then
-          raise (Bad "digram index holds a tombstone or a wild slot");
+          bad "digram index holds a tombstone or a wild slot";
         if v lsr slot_bits <> gen t s || not (is_live t s) then
-          raise (Bad "digram index entry points to dead symbol");
+          bad "digram index entry points to dead symbol";
         if is_guard t s || is_guard t (s_nxt t s) then
-          raise (Bad "digram index entry anchored at guard");
+          bad "digram index entry anchored at guard";
         if pack (sym_code t s) (sym_code t (s_nxt t s)) <> t.dig.(b) then
-          raise (Bad "digram index entry key mismatch");
+          bad "digram index entry key mismatch";
         if s_meta t s land tag_anchor = 0 then
-          raise (Bad "digram index entry names a slot without the anchor bit");
+          bad "digram index entry names a slot without the anchor bit";
         let j = ref (mix t.dig.(b) land mask) in
         while !j <> i do
-          if empty !j then raise (Bad "digram index entry unreachable from its home");
+          if empty !j then bad "digram index entry unreachable from its home";
           j := (!j + 1) land mask
         done
       end
     done;
-    if !entries <> t.dig_live then raise (Bad "digram index live-count drift");
-    if 2 * t.dig_live > mask + 1 then raise (Bad "digram index over half full");
+    if !entries <> t.dig_live then bad "digram index live-count drift";
+    if 2 * t.dig_live > mask + 1 then bad "digram index over half full";
     Ok ()
   with Bad msg -> Error msg

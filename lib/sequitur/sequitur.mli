@@ -14,10 +14,12 @@ type t
 (** An incremental Sequitur compressor and the grammar built so far. *)
 
 val create : unit -> t
-(** Fresh compressor with an empty start rule. Its symbol arena and digram
-    index start small and double with what the grammar keeps live (the
-    index when its live bindings reach half of it), so they stay
-    O(grammar size) however long the input. *)
+(** Fresh compressor with an empty start rule. Its symbol arena, rule
+    store and digram index start small and double with what the grammar
+    keeps live (the index when its live bindings reach half of it), and
+    the slots of dead symbols and retired rules are recycled, so they stay
+    O(grammar size) however long the input and however many rules it ever
+    created. *)
 
 val push : t -> int -> unit
 (** Append one terminal to the input sequence and restore the grammar
@@ -39,7 +41,7 @@ val input_length : t -> int
 val grammar_size : t -> int
 (** Total number of symbols on the right-hand sides of all live rules —
     the standard Sequitur size metric used for the paper's compression
-    comparisons. *)
+    comparisons. O(1): a maintained count, so it may be polled often. *)
 
 val rule_count : t -> int
 (** Number of live rules, including the start rule. *)
@@ -61,11 +63,13 @@ val visit_rules :
   unit
 (** Enumerate live rules in ascending rule-id order (start rule first):
     [rule id], then [terminal v] or [nonterminal id'] for each right-hand
-    side symbol in order, then [rule_end id]. Rule ids are monotonic, so
-    the scan is already sorted; the enumeration itself allocates nothing,
-    which is what lets a profile be persisted without heap traffic per
-    symbol. {!rules}, {!iter_rules} and {!pp} are built on it. The
-    callbacks must not modify the grammar. *)
+    side symbol in order, then [rule_end id]. A rule's id is its creation
+    ordinal; the walk follows a list of the live rules kept in id order,
+    so it is already sorted and costs O(live grammar), not O(rules ever
+    created). The enumeration itself allocates nothing, which is what
+    lets a profile be persisted without heap traffic per symbol.
+    {!rules}, {!iter_rules} and {!pp} are built on it. The callbacks must
+    not modify the grammar. *)
 
 val rules : t -> (int * [ `T of int | `N of int ] list) list
 (** Live rules as [(rule-id, right-hand side)], start rule (id 0) first,
@@ -82,9 +86,11 @@ val of_rules : (int * [ `T of int | `N of int ] list) list -> (t, string) result
     grammar has exactly the saved rules — ids included — and further
     {!push}es continue as if the original compressor had never stopped.
     This is what makes grammar state checkpointable: a snapshot is just
-    {!rules}. The rebuild starts from {!create}[ ()], so it grows the same
-    tables the original run grew and holds no more heap than the grammar
-    it restores. *)
+    {!rules}. A listing that is not exactly what the rebuild holds (same
+    ids, order and right-hand sides) is [Error]: no compressor wrote it,
+    so it cannot be continued. The rebuild starts from {!create}[ ()], so
+    it grows the same tables the original run grew and holds no more heap
+    than the grammar it restores. *)
 
 val pp : Format.formatter -> t -> unit
 (** Pretty-print the grammar, one rule per line ([R0 -> a R1 R1]). *)
@@ -92,17 +98,22 @@ val pp : Format.formatter -> t -> unit
 val check_invariants : t -> (unit, string) result
 (** Validate internal consistency: doubly-linked list integrity, no dead
     symbol reachable, reference counts matching actual uses, rule utility
-    (every non-start rule used at least twice), and a digram index with no
-    tombstone, at most half full, whose every entry is live, matches its
-    key, is reachable from its home without crossing an empty entry, and
-    names a slot carrying the anchor bit. For tests. *)
+    (every non-start rule used at least twice); rule storage — the live
+    rule list strictly ascending by id and holding exactly the live
+    guards, every nonterminal naming the slot of a live rule whose id is
+    its code, free rule slots disjoint from live ones, and the live-symbol
+    count equal to the right-hand-side symbols {!visit_rules} yields; and
+    a digram index with no tombstone, at most half full, whose every entry
+    is live, matches its key, is reachable from its home without crossing
+    an empty entry, and names a slot carrying the anchor bit. For tests. *)
 
 (**/**)
 
 val gen_sweep : t -> unit
 (** Re-baseline the generation counters that detect stale digram-index
     entries: rebuild the index from its current-generation entries,
-    restart every live generation at zero.
+    restart every live generation at zero (each symbol keeps its rule
+    slot).
     Runs automatically (between pushes) before a counter can outgrow its
     packed field — after hundreds of millions of symbol deaths — so tests
     exercise it directly; calling it at any push boundary must leave the

@@ -45,19 +45,25 @@ let create ?(capacity = default_capacity) ~on_chunk ~on_event () =
     children = [];
   }
 
+(* Hand the chunk to [on_chunk] and empty it whether that returns or
+   raises, so a chunk is delivered at most once: a crash-time {!flush}
+   (e.g. [Runner.run_batched]'s) must not send again the chunk whose
+   consumer just raised. One handler per chunk, none per access. *)
+let[@inline never] deliver t c =
+  match t.on_chunk c with
+  | () -> c.len <- 0
+  | exception exn ->
+    let bt = Printexc.get_raw_backtrace () in
+    c.len <- 0;
+    Printexc.raise_with_backtrace exn bt
+
 let rec flush t =
-  if t.chunk.len > 0 then begin
-    t.on_chunk t.chunk;
-    t.chunk.len <- 0
-  end;
+  if t.chunk.len > 0 then deliver t t.chunk;
   List.iter flush t.children
 
 let[@inline] on_access t ~instr ~addr ~size ~is_store =
   let c = t.chunk in
-  if c.len = t.capacity then begin
-    t.on_chunk c;
-    c.len <- 0
-  end;
+  if c.len = t.capacity then deliver t c;
   (* [len < capacity = length of each array] holds here, so the writes
      need no bounds checks — this function runs once per executed
      load/store. *)

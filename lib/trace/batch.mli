@@ -43,8 +43,11 @@ val create :
 (** [on_chunk] consumes the first [len] entries of the buffer (the arrays
     are reused across flushes — consumers must not retain them);
     [on_event] receives the non-access events, always after any pending
-    accesses have been flushed. Capacity defaults to
-    {!default_capacity}. @raise Invalid_argument on capacity <= 0. *)
+    accesses have been flushed. A chunk is delivered at most once: it is
+    emptied when [on_chunk] returns and when it raises, so a flush after
+    a consumer's crash does not send the same accesses again. Capacity
+    defaults to {!default_capacity}. @raise Invalid_argument on
+    capacity <= 0. *)
 
 val on_access : t -> instr:int -> addr:int -> size:int -> is_store:bool -> unit
 (** The fast path: four int writes, no allocation; flushes when full. *)

@@ -240,6 +240,39 @@ let test_fanout_profiler_plus_sanitizer () =
   let report = Ormp_check.Sanitizer.finish ~site_name ~subject:p.Ormp_vm.Program.name san in
   check_int "sanitizer saw the planted uaf" 1 (Ormp_check.Report.errors report)
 
+(* A chunk is delivered at most once. The consumer raises on its first
+   chunk, inside the workload's run; [Runner.run_batched] then flushes
+   what is buffered before re-raising, and that flush must not hand over
+   the chunk the consumer already had. *)
+let test_chunk_delivered_once_when_consumer_raises () =
+  let calls = ref 0 and delivered = ref 0 in
+  let b =
+    Batch.create ~capacity:16
+      ~on_chunk:(fun c ->
+        incr calls;
+        delivered := !delivered + c.Batch.len;
+        if !calls = 1 then failwith "consumer crash")
+      ~on_event:ignore ()
+  in
+  (match Runner.run_batched (Ormp_workloads.Micro.array_stride ~elems:64 ~sweeps:1 ()) b with
+  | _ -> Alcotest.fail "the consumer's crash must reach the caller"
+  | exception Failure _ -> ());
+  check_int "on_chunk calls" 1 !calls;
+  check_int "accesses delivered" 16 !delivered;
+  (* The same holds for an explicit flush. *)
+  let calls = ref 0 in
+  let b =
+    Batch.create ~capacity:16
+      ~on_chunk:(fun _ ->
+        incr calls;
+        failwith "consumer crash")
+      ~on_event:ignore ()
+  in
+  Batch.on_access b ~instr:1 ~addr:0x10 ~size:8 ~is_store:false;
+  (match Batch.flush b with () -> Alcotest.fail "flush must re-raise" | exception Failure _ -> ());
+  Batch.flush b;
+  check_int "a second flush sends nothing" 1 !calls
+
 let () =
   Alcotest.run "batch"
     [
@@ -266,5 +299,10 @@ let () =
           Alcotest.test_case "flush cascades" `Quick test_fanout_flush_cascades;
           Alcotest.test_case "profiler + sanitizer share one run" `Quick
             test_fanout_profiler_plus_sanitizer;
+        ] );
+      ( "delivery",
+        [
+          Alcotest.test_case "chunk delivered once when the consumer raises" `Quick
+            test_chunk_delivered_once_when_consumer_raises;
         ] );
     ]

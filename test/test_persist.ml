@@ -221,6 +221,35 @@ let test_whomp_cyclic_grammar () =
       check_bool "cyclic grammar rejected" true
         (Result.is_error (Ormp_persist.Whomp_io.load path)))
 
+(* A listing that expands to the recorded accesses but is not the grammar
+   the compressor built must not load: continuing it would continue a
+   different grammar. Here [linked_list]'s instr start rule is inlined one
+   level, "R2058 R2058" as "R1033 R1033 R1033 R1033", which repeats a
+   digram and leaves R2058 unused. *)
+let test_whomp_noncanonical_grammar () =
+  let p =
+    match Ormp_session.Session.find_workload "linked_list" with
+    | Ok program -> Ormp_whomp.Whomp.profile program
+    | Error e -> Alcotest.fail e
+  in
+  with_tempfile (fun path ->
+      Ormp_persist.Whomp_io.save path p;
+      check_bool "pristine profile loads" true (Result.is_ok (Ormp_persist.Whomp_io.load path));
+      let good = read_file path in
+      let rule0 = "(rule 0 R2058 R2058)" in
+      match find_sub good rule0 with
+      | None -> Alcotest.fail "linked_list's instr start rule is no longer R2058 R2058"
+      | Some i ->
+        let j = i + String.length rule0 in
+        write_file path
+          (String.sub good 0 i ^ "(rule 0 R1033 R1033 R1033 R1033)"
+          ^ String.sub good j (String.length good - j));
+        match Ormp_persist.Whomp_io.load path with
+        | Ok _ -> Alcotest.fail "a non-canonical grammar loaded"
+        | Error e ->
+          check_bool (Printf.sprintf "error names the grammar (%s)" e) true
+            (find_sub e "grammar instr" <> None))
+
 (* ------------------------------------------------------------------ *)
 (* WHOMP profile round-trip                                            *)
 (* ------------------------------------------------------------------ *)
@@ -646,6 +675,7 @@ let () =
           tc "expand after load" test_whomp_expand_after_load;
           tc "corruption paths" test_whomp_corruption;
           tc "cyclic grammar" test_whomp_cyclic_grammar;
+          tc "non-canonical grammar" test_whomp_noncanonical_grammar;
         ] );
       ( "writer",
         [

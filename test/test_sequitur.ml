@@ -340,6 +340,50 @@ let test_restore_heap () =
       ("scattered", Array.init 20_000 (fun _ -> Ormp_util.Prng.int rng 400));
     ]
 
+(* A grammar's heap is its live grammar. This stream holds 13-19 live
+   rules while it creates and retires rules all along (every seventh
+   symbol alternates between two values), so the compressor's heap must
+   not grow with the number of rules it ever made: rule slots are
+   recycled like symbol slots. The invariants, rule storage included, are
+   checked after every chunk. *)
+let test_heap_is_live_grammar () =
+  let n = 800_000 and chunk = 10_000 and early = 50_000 in
+  let a = Array.init n (fun i -> if i mod 7 = 6 then 100 + ((i / 7) land 1) else i mod 7) in
+  let t = Sequitur.create () in
+  let words () = Obj.reachable_words (Obj.repr t) in
+  let at_early = ref 0 in
+  let off = ref 0 in
+  while !off < n do
+    Sequitur.push_batch t a ~off:!off ~len:chunk;
+    off := !off + chunk;
+    ok t;
+    if !off = early then at_early := words ()
+  done;
+  let at_end = words () in
+  check_bool
+    (Printf.sprintf "%d words at %d symbols <= 2 x %d at %d" at_end n !at_early early)
+    true
+    (at_end <= 2 * !at_early);
+  Alcotest.(check (array int)) "lossless" a (Sequitur.expand t)
+
+(* [of_rules] accepts exactly the listings a compressor writes: the same
+   expansion listed any other way is an error. *)
+let test_of_rules_rejects_other_listings () =
+  let listing = Sequitur.rules (compress (of_string "abcbcabcbc")) in
+  check_bool "own listing loads" true (Result.is_ok (Sequitur.of_rules listing));
+  let a = Char.code 'a' and b = Char.code 'b' in
+  List.iter
+    (fun (name, rules) ->
+      check_bool name true (Result.is_error (Sequitur.of_rules rules)))
+    [
+      ("repeated digram", [ (0, [ `T a; `T b; `T a; `T b ]) ]);
+      ("rule used once", [ (0, [ `N 1 ]); (1, [ `T a; `T b ]) ]);
+      ("renumbered rule", [ (0, [ `N 7; `N 7 ]); (7, [ `T a; `T b ]) ]);
+      ("unused rule", [ (0, [ `T a ]); (1, [ `T a; `T b ]) ]);
+      ("rules out of order", List.rev listing);
+      ("duplicated rule", listing @ [ List.nth listing 1 ]);
+    ]
+
 let test_iter_rules_matches_rules () =
   let t = compress (of_string "abcbcabcbc") in
   let acc = ref [] in
@@ -429,6 +473,41 @@ let prop_gen_sweep_transparent =
       && Sequitur.grammar_size swept = Sequitur_legacy.grammar_size legacy
       && Sequitur.expand swept = Sequitur_legacy.expand legacy)
 
+(* [grammar_size] is a maintained count, not a walk: it must equal the
+   right-hand-side symbols {!Sequitur.visit_rules} yields after any
+   pushes, and after [gen_sweep] rewrote every [meta] word. *)
+let rhs_symbols t =
+  let n = ref 0 in
+  Sequitur.visit_rules t ~rule:ignore
+    ~terminal:(fun _ -> incr n)
+    ~nonterminal:(fun _ -> incr n)
+    ~rule_end:ignore;
+  !n
+
+let prop_grammar_size_counts =
+  QCheck.Test.make ~name:"grammar_size = symbols visit_rules yields (pushes, gen_sweep)"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(pair (array int) int)
+       QCheck.Gen.(pair gen_small_alphabet (int_bound 400)))
+    (fun (a, cut) ->
+      let cut = min cut (Array.length a) in
+      let t = Sequitur.create () in
+      let counts () =
+        Sequitur.grammar_size t = rhs_symbols t
+        && (match Sequitur.check_invariants t with Ok () -> true | Error _ -> false)
+      in
+      (* Stop at the first miss: pushing on into a broken grammar can
+         loop forever. *)
+      Sequitur.push_batch t a ~off:0 ~len:cut;
+      counts ()
+      && (Sequitur.gen_sweep t;
+          counts ())
+      && (Sequitur.push_batch t a ~off:cut ~len:(Array.length a - cut);
+          counts ())
+      && (Sequitur.gen_sweep t;
+          counts ()))
+
 let prop_concat_runs =
   QCheck.Test.make ~name:"roundtrip on concatenated runs" ~count:300
     QCheck.(small_list (pair (int_range 0 2) (int_range 1 6)))
@@ -463,9 +542,11 @@ let () =
           tc "push_batch slice" test_push_batch_slice;
           tc "push_batch rejects bad spans" test_push_batch_bad_span;
           tc "iter_rules matches rules" test_iter_rules_matches_rules;
+          tc "of_rules rejects other listings" test_of_rules_rejects_other_listings;
           tc "gen_sweep is a no-op at rest" test_gen_sweep_noop;
           tc "push allocates nothing after warm-up" test_push_allocates_nothing;
           tc "restored grammar holds no more heap" test_restore_heap;
+          tc "heap is the live grammar" test_heap_is_live_grammar;
         ] );
       ( "property",
         [
@@ -480,6 +561,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_equiv_collisions;
           QCheck_alcotest.to_alcotest prop_equiv_runs;
           QCheck_alcotest.to_alcotest prop_gen_sweep_transparent;
+          QCheck_alcotest.to_alcotest prop_grammar_size_counts;
           QCheck_alcotest.to_alcotest prop_long_phrases;
           QCheck_alcotest.to_alcotest prop_long_uniform8;
           QCheck_alcotest.to_alcotest prop_long_uniform400;
