@@ -457,11 +457,29 @@ let micro_tests () =
            Ormp_core.Omc.translate_batch omc ~instrs:omc_instrs ~addrs:omc_addrs ~len:1000
              ~groups ~serials ~offsets))
   in
+  (* The LMAD rows feed points as LEAP does, as scalars through the
+     packed-code entry points. The over-budget row is LEAP's 2-D
+     (object, offset) stream once a stream has used its 30 descriptors:
+     scattered objects at word-aligned offsets, so all but its first few
+     dozen points go to the discarded-point summary. *)
   let lmad_add name pts =
     Test.make ~name
       (Staged.stage (fun () ->
            let c = Ormp_lmad.Compressor.create ~dims:1 () in
-           Array.iter (fun p -> ignore (Ormp_lmad.Compressor.add c [| p |])) pts))
+           for i = 0 to Array.length pts - 1 do
+             ignore (Ormp_lmad.Compressor.add1_code c (Array.unsafe_get pts i))
+           done))
+  in
+  let lmad_over_budget =
+    let objs = Array.init 4096 (fun _ -> Ormp_util.Prng.int rng 1000) in
+    let offs = Array.init 4096 (fun _ -> 8 * Ormp_util.Prng.int rng 64) in
+    Test.make ~name:"lmad: 4k-point over-budget 2-D stream"
+      (Staged.stage (fun () ->
+           let c = Ormp_lmad.Compressor.create ~dims:2 () in
+           for i = 0 to 4095 do
+             ignore
+               (Ormp_lmad.Compressor.add2_code c (Array.unsafe_get objs i) (Array.unsafe_get offs i))
+           done))
   in
   let solver =
     let mk start stride count =
@@ -513,6 +531,7 @@ let micro_tests () =
         omc_translate_batch;
         lmad_add "lmad: 4k-point regular stream" (Array.init 4096 (fun i -> i * 8));
         lmad_add "lmad: 4k-point scattered stream" scattered;
+        lmad_over_budget;
         solver;
         profiler_event "whomp: probe event cost (3k-event trace)" (fun () ->
             fst (Ormp_whomp.Whomp.sink ~site_name:(Printf.sprintf "s%d") ()));
@@ -1161,6 +1180,7 @@ let micro_event_counts =
     ("omc: 1k batched translations", 1000);
     ("lmad: 4k-point regular stream", 4096);
     ("lmad: 4k-point scattered stream", 4096);
+    ("lmad: 4k-point over-budget 2-D stream", 4096);
   ]
 
 let run_micro log () =

@@ -13,8 +13,9 @@ let threshold = 1.5
    above [threshold]x the baseline plus one word — the flat rows sit at
    (or near) zero words/event, where a pure ratio would flag measurement
    noise. [Throughput] (events/s, higher is better): more than
-   [threshold]x lower. *)
-type rule = Time | Words | Throughput
+   [threshold]x lower. [Exact] (a count that repeats exactly run to run,
+   lower is better): any rise. *)
+type rule = Time | Words | Throughput | Exact
 
 type status = Pass | Fail | Skipped
 
@@ -33,7 +34,8 @@ let guarded_prefixes = [ "sequitur"; "leap"; "whomp"; "omc"; "range_index" ]
 (* The gated figures of one document, in document order. The hotpath and
    scaling figures are always listed (as [None] when the run lacks them);
    micro rows with an event count give per-event time and words (stable
-   across a re-sized run), the rest per-run time. *)
+   across a re-sized run), the rest per-run time, and a row that records
+   the heap its finished structure holds ([held_words]) gives that too. *)
 let figures doc =
   let num o k =
     match Option.bind (J.member k o) J.to_float with
@@ -48,12 +50,16 @@ let figures doc =
         match Option.bind (J.member "name" r) J.to_str with
         | Some name
           when List.exists (fun prefix -> String.starts_with ~prefix name) guarded_prefixes ->
-          if Option.value ~default:0 (Option.bind (J.member "events" r) J.to_int) > 0 then
-            [
-              (name ^ " [/event]", Time, num r "ns_per_event");
-              (name ^ " [words/event]", Words, num r "minor_words_per_event");
-            ]
-          else [ (name, Time, num r "ns_per_run") ]
+          (if Option.value ~default:0 (Option.bind (J.member "events" r) J.to_int) > 0 then
+             [
+               (name ^ " [/event]", Time, num r "ns_per_event");
+               (name ^ " [words/event]", Words, num r "minor_words_per_event");
+             ]
+           else [ (name, Time, num r "ns_per_run") ])
+          @
+          if Option.is_some (J.member "held_words" r) then
+            [ (name ^ " [held words]", Exact, num r "held_words") ]
+          else []
         | _ -> [])
       (rows doc "micro")
   in
@@ -73,6 +79,7 @@ let judge rule base cur =
   | Words, Some b, Some c -> if c > limit b then Fail else Pass
   | Throughput, Some b, Some c when b > 0.0 && c > 0.0 ->
     if b /. c > threshold then Fail else Pass
+  | Exact, Some b, Some c -> if c > b then Fail else Pass
   | _ -> Skipped
 
 let compare ~baseline ~current =
@@ -101,5 +108,6 @@ let line v =
     | Words ->
       Printf.sprintf "  %-56s %10.2f -> %10.2f w   limit %.2f  %s" v.figure b c (limit b) word
     | Throughput ->
-      Printf.sprintf "  %-56s %10.0f -> %10.0f ev/s %4.2fx  %s" v.figure b c (b /. c) word)
+      Printf.sprintf "  %-56s %10.0f -> %10.0f ev/s %4.2fx  %s" v.figure b c (b /. c) word
+    | Exact -> Printf.sprintf "  %-56s %10.0f -> %10.0f w   exact  %s" v.figure b c word)
   | _ -> Printf.sprintf "  %-56s not in both runs - skipped" v.figure

@@ -5,14 +5,15 @@
 module J = Ormp_util.Json
 module G = Perf_guard
 
-let micro_row ?(words = 0.0) name ns =
+let micro_row ?(words = 0.0) ?held name ns =
   J.Obj
-    [
-      ("name", J.String name);
-      ("events", J.Int 1000);
-      ("ns_per_event", J.Float ns);
-      ("minor_words_per_event", J.Float words);
-    ]
+    ([
+       ("name", J.String name);
+       ("events", J.Int 1000);
+       ("ns_per_event", J.Float ns);
+       ("minor_words_per_event", J.Float words);
+     ]
+    @ match held with Some w -> [ ("held_words", J.Int w) ] | None -> [])
 
 let doc ?hotpath ?jobs1 micro =
   J.Obj
@@ -64,6 +65,23 @@ let test_words () =
   Alcotest.check status "0 -> 1.2 words fails" G.Fail
     (verdict_of ~baseline ~current:(current 1.2) words_figure)
 
+let test_held_words () =
+  let figure = "sequitur: row [held words]" in
+  let held w = doc [ micro_row ~held:w "sequitur: row" 100.0 ] in
+  Alcotest.check status "the same count passes" G.Pass
+    (verdict_of ~baseline:(held 57434) ~current:(held 57434) figure);
+  Alcotest.check status "one word more fails" G.Fail
+    (verdict_of ~baseline:(held 57434) ~current:(held 57435) figure);
+  Alcotest.check status "fewer words pass" G.Pass
+    (verdict_of ~baseline:(held 73818) ~current:(held 57434) figure);
+  Alcotest.check status "a baseline without the count skips it" G.Skipped
+    (verdict_of ~baseline:(doc [ micro_row "sequitur: row" 100.0 ]) ~current:(held 57434) figure);
+  Alcotest.(check bool)
+    "a row without the count has no such figure" false
+    (List.exists
+       (fun v -> v.G.figure = figure)
+       (G.compare ~baseline:(held 57434) ~current:(doc [ micro_row "sequitur: row" 100.0 ])))
+
 let test_throughput () =
   let figure = "scaling.combined(jobs=1).events_per_sec" in
   Alcotest.check status "1.6x lower events/s fails" G.Fail
@@ -95,6 +113,7 @@ let () =
         [
           Alcotest.test_case "ns/event ratio" `Quick test_time;
           Alcotest.test_case "minor words slack" `Quick test_words;
+          Alcotest.test_case "held words exact" `Quick test_held_words;
           Alcotest.test_case "jobs=1 throughput" `Quick test_throughput;
           Alcotest.test_case "row missing from baseline" `Quick test_missing_row;
           Alcotest.test_case "nothing comparable" `Quick test_nothing_comparable;

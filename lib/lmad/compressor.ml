@@ -291,7 +291,7 @@ let discard t p =
     match t.last_discarded with
     | Some prev ->
       for i = 0 to t.dims - 1 do
-        t.sum_gran.(i) <- Ormp_util.Stats.gcd t.sum_gran.(i) (p.(i) - prev.(i))
+        t.sum_gran.(i) <- Ormp_util.Stats.gcd_step t.sum_gran.(i) (p.(i) - prev.(i))
       done
     | None -> ()
   end;
@@ -399,8 +399,8 @@ let discard2 t a b =
     if b > t.sum_max.(1) then t.sum_max.(1) <- b;
     match t.last_discarded with
     | Some prev ->
-      t.sum_gran.(0) <- Ormp_util.Stats.gcd t.sum_gran.(0) (a - prev.(0));
-      t.sum_gran.(1) <- Ormp_util.Stats.gcd t.sum_gran.(1) (b - prev.(1))
+      t.sum_gran.(0) <- Ormp_util.Stats.gcd_step t.sum_gran.(0) (a - prev.(0));
+      t.sum_gran.(1) <- Ormp_util.Stats.gcd_step t.sum_gran.(1) (b - prev.(1))
     | None -> ()
   end;
   (match t.last_discarded with
@@ -420,7 +420,7 @@ let discard1 t a =
     if a < t.sum_min.(0) then t.sum_min.(0) <- a;
     if a > t.sum_max.(0) then t.sum_max.(0) <- a;
     match t.last_discarded with
-    | Some prev -> t.sum_gran.(0) <- Ormp_util.Stats.gcd t.sum_gran.(0) (a - prev.(0))
+    | Some prev -> t.sum_gran.(0) <- Ormp_util.Stats.gcd_step t.sum_gran.(0) (a - prev.(0))
     | None -> ()
   end;
   (match t.last_discarded with

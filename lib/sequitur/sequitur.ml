@@ -4,8 +4,8 @@
    [find_opt] allocated an option per push — per-access heap churn on the
    hottest path of the whole profiler. This rewrite stores symbols as slots
    in one interleaved int array and the digram index as an open-addressing
-   int->int table, so a [push] in the common no-match case touches no
-   allocator at all.
+   table of one-word entries, so a [push] in the common no-match case
+   touches no allocator at all.
 
    Layout:
 
@@ -19,18 +19,12 @@
      code+links+meta of the same symbol constantly, and the large
      dimension grammars (thousands of live symbols) were paying a miss per
      column. A [meta] word packs
-     [rule lsl 34 | generation lsl 4 | anchor lsl 3 | nonterm lsl 2 |
-     allocated lsl 1 | guard]. The generation is bumped when a symbol
-     dies, so a
-     digram-index entry that remembers the generation it was created under
-     detects that its slot has since died — the arena equivalent of the
-     old [dead] flag, with the same validate-on-lookup discipline instead
-     of the reference implementation's "triples" re-indexing hack. The
-     anchor bit is set whenever a binding naming the slot is written; while
-     it is clear, no binding names the slot at its current generation, so
-     removing the slot's digram needs no probe. The rule field, on
-     nonterminals and guards only (0 on terminals), is the rule slot (see
-     below) the symbol names or heads.
+     [rule lsl 4 | anchor lsl 3 | nonterm lsl 2 | live lsl 1 | guard].
+     The anchor bit is set whenever a binding naming the slot is written;
+     while it is clear, no binding names the slot, so removing the slot's
+     digram needs no probe. The rule field, on nonterminals and guards
+     only (0 on terminals), is the rule slot (see below) the symbol names
+     or heads.
    - Arena accesses on the push path are unchecked ([Array.unsafe_get]):
      every slot that reaches them came out of [alloc_sym] below [sym_top],
      and links only ever hold such slots — [check_invariants] validates
@@ -59,19 +53,26 @@
      allocation. So rule storage holds the live grammar's rules, not
      every rule ever created, and a live-symbol count makes the grammar
      size O(1).
-   - The digram index is linear-probing open addressing over one array
-     of [key; slot lor (generation lsl 34)] pairs, with -1 in the packed
-     word for an empty entry and a multiplicative hash — no polymorphic
-     hashing, no per-operation allocation. Removal moves later entries of
-     the cluster back into the hole (backward shift), so the table holds
-     no tombstones; it doubles when its live bindings reach half of it, so
-     probes stay short and always terminate.
+   - The digram index is linear-probing open addressing over one array of
+     one-word entries, [hash lsl 31 lor (slot / 4)]: 31 bits of the
+     packed digram key's multiplicative hash above the slot's index, -1
+     for an empty entry. The key is not stored. Every binding names a live
+     slot and is keyed by that slot's current digram, so a probe whose
+     hash bits match confirms the key from the arena (the slot's code and
+     its successor's), and removal and growth find an entry's home from
+     its hash bits alone. Removal moves later entries of the cluster back
+     into the hole (backward shift), so the table holds no tombstones; it
+     doubles when its live bindings reach half of it, so probes stay short
+     and always terminate.
 
    Symbol codes, digram keys, operation order and the digram-index binding
    semantics (single binding per key, replace overwrites, remove deletes)
    are carried over exactly from the record implementation, so the grammar
    built for any input — including packed-key collisions from oversized or
    negative terminals — is identical symbol-for-symbol, rule ids included.
+   The record implementation's lookups treat a binding to a dead record as
+   absent, so a binding write that would name a dead slot removes the
+   key's binding instead.
    [test/sequitur_legacy.ml] keeps the old implementation alive to prove
    this property under qcheck. *)
 
@@ -108,20 +109,16 @@ type t = {
   mutable rul_free : int;  (* free list through [next]; -1 = empty *)
   mutable next_rule_id : int;
   mutable live_rule_count : int;
-  (* digram index: open addressing, linear probing. Entries are
-     interleaved [key; slot lor (gen lsl 34)] pairs in one array: a
-     16-byte entry never straddles a cache line (the old [key;slot;gen]
-     triplet did every third entry) and the table is a third smaller —
-     the offset dimension's index is the single largest structure the
-     combined profile touches, and the four dimension grammars share the
-     cache when a chunk interleaves them. The packed word -1 = empty; gen
-     is the slot's generation at insert time, and [gen_sweep] restarts
-     generations before the 29-bit field can wrap. *)
+  (* digram index: open addressing, linear probing, one word per entry
+     ([hash lsl 31 lor (slot / 4)], -1 = empty). The high-entropy
+     grammars' indexes are the largest structures the combined profile
+     holds, and the four dimension grammars share the cache when a chunk
+     interleaves them, so an entry stores nothing the arena already
+     holds: eight entries share a cache line. *)
   mutable dig : int array;
   mutable dig_mask : int;
   mutable dig_live : int;  (* live bindings = occupied entries *)
   mutable input_len : int;
-  mutable need_sweep : bool;  (* a generation reached the packed-field limit *)
   (* telemetry accumulators, published by [flush_tm] *)
   mutable tm_on : bool;
   mutable tm_matches : int;
@@ -154,21 +151,10 @@ let tag_guard = 1
 let tag_live = 2
 let tag_nonterm = 4
 let tag_anchor = 8
-let gen_shift = 4
 
-(* Digram-index entries pack [slot lor (gen lsl slot_bits)] into one word;
-   [gen_sweep] re-baselines all generations before one can outgrow the
-   field. *)
-let slot_bits = 34
-let slot_mask = (1 lsl slot_bits) - 1
-let gen_limit = (1 lsl 29) - 1
-
-(* [meta] above the tags and the generation (which stays at most
-   [gen_limit], in bits 4..32) holds the rule slot of a nonterminal or a
-   guard: 29 bits, so the rule store is at most 2^29 words. *)
-let rule_shift = 34
-let low_mask = (1 lsl rule_shift) - 1
-let gen_mask = low_mask lsr gen_shift
+(* [meta] above the four tag bits holds the rule slot of a nonterminal or
+   a guard. *)
+let rule_shift = 4
 
 let s_code t s = Array.unsafe_get t.sym s
 let s_prv t s = Array.unsafe_get t.sym (s + 1)
@@ -179,13 +165,9 @@ let set_nxt t s v = Array.unsafe_set t.sym (s + 2) v
 let is_guard t s = s_meta t s land tag_guard <> 0
 let is_live t s = s_meta t s land tag_live <> 0
 let is_nonterm t s = s_meta t s land tag_nonterm <> 0
-let gen t s = (s_meta t s lsr gen_shift) land gen_mask
 
 (* The rule slot a nonterminal names or a guard heads. *)
 let rule_of t s = s_meta t s lsr rule_shift
-
-(* The index entry word naming slot [s] at its current generation. *)
-let packed t s = s lor (gen t s lsl slot_bits)
 
 (* The record implementation's [code_of]: terminals on the even codes,
    rule ids on the odd. Used for digram keys, digram comparison and
@@ -196,23 +178,27 @@ let sym_code t s =
   let c = s_code t s in
   if is_nonterm t s then (c lsl 1) lor 1 else c lsl 1
 
+(* A digram-index entry holds a slot as its 31-bit index (slot / 4), and
+   31 bits of its key's hash. *)
+let idx_bits = 31
+let idx_mask = (1 lsl idx_bits) - 1
+
 let grow_syms t =
   let n = Array.length t.sym in
-  (* Slots must fit the digram entries' 34-bit slot field; 2^34 words of
-     arena is 128 GiB — unreachable, but fail loud rather than pack a
-     truncated slot. *)
-  if n * 2 > (1 lsl 34) - 1 then failwith "Sequitur: symbol arena limit";
+  (* Slots must fit the digram entries' slot field; 2^33 words of arena
+     is 64 GiB — unreachable, but fail loud rather than pack a truncated
+     slot. *)
+  if n * 2 > 1 lsl (idx_bits + 2) then failwith "Sequitur: symbol arena limit";
   let b = Array.make (n * 2) 0 in
   Array.blit t.sym 0 b 0 n;
   t.sym <- b
 
 (* Fresh symbols are self-linked, like the record implementation's
-   [fresh]. The accumulated generation survives recycling, and so does the
-   anchor bit: recycling does not change the generation, so a binding
-   written for the slot since its death still names it. [tag] carries the
-   kind bits and, for a nonterminal or a guard, the rule field. Every
-   symbol but a guard sits on a live rule's right-hand side ([tag_guard]
-   is bit 0, hence the branch-free count). *)
+   [fresh]. No binding names a fresh slot (bindings name live slots
+   only), so its anchor bit is clear. [tag] carries the kind bits and,
+   for a nonterminal or a guard, the rule field. Every symbol but a guard
+   sits on a live rule's right-hand side ([tag_guard] is bit 0, hence the
+   branch-free count). *)
 let alloc_sym t tag code =
   let s =
     match t.free_head with
@@ -225,29 +211,24 @@ let alloc_sym t tag code =
       t.free_head <- s_nxt t s;
       s
   in
-  let m = s_meta t s in
   let a = t.sym in
   Array.unsafe_set a s code;
   Array.unsafe_set a (s + 1) s;
   Array.unsafe_set a (s + 2) s;
-  Array.unsafe_set a (s + 3)
-    ((m land low_mask land lnot (tag_anchor - 1)) lor tag_live lor tag);
+  Array.unsafe_set a (s + 3) (tag_live lor tag);
   t.live_syms <- t.live_syms + 1 - (tag land tag_guard);
   s
 
-(* Death bumps the generation (any digram-index entry still naming this
-   slot now reads as stale, exactly like the old [dead] flag) but freezes
-   code, tag, rule field and links, and only queues the slot for reclaim
-   — see the layout comment on why mid-cascade reads of dead slots must
-   keep seeing the dead symbol's data. No binding names the new
-   generation, so the anchor bit is cleared with it. *)
+(* Death clears the live bit but freezes code, kind, rule field and
+   links, and only queues the slot for reclaim — see the layout comment
+   on why mid-cascade reads of dead slots must keep seeing the dead
+   symbol's data. A slot's binding is removed before it dies (every
+   successor change goes through a [join] that removes it), so the
+   anchor bit is cleared with it. *)
 let mark_dead t s =
   let m = s_meta t s in
-  let g = ((m lsr gen_shift) land gen_mask) + 1 in
-  Array.unsafe_set t.sym (s + 3)
-    ((g lsl gen_shift) lor (m land (tag_guard lor tag_nonterm lor lnot low_mask)));
+  Array.unsafe_set t.sym (s + 3) (m land lnot (tag_live lor tag_anchor));
   t.live_syms <- t.live_syms - 1 + (m land tag_guard);
-  if g >= gen_limit then t.need_sweep <- true;
   if t.pend_len = Array.length t.pend then begin
     let b = Array.make (2 * t.pend_len) 0 in
     Array.blit t.pend 0 b 0 t.pend_len;
@@ -357,159 +338,149 @@ let reclaim_dead t =
 let pack hi lo = (hi lsl 31) lxor lo
 
 (* Multiplicative finalizer: packed keys put most entropy in the high bits,
-   the table index wants it low. *)
-let mix k =
+   the table index wants it low. An entry keeps the low 31 bits, which are
+   its home in any table of up to 2^31 entries. *)
+let hash k =
   let h = k * 0x2545F4914F6CDD1D in
-  h lxor (h lsr 32)
+  (h lxor (h lsr 32)) land idx_mask
 
-(* A probe result is an entry's base offset into [dig] (a multiple of 2),
-   valid only until the next write to the table: an insert may double it
-   and a removal shifts later entries back. No caller holds one across
-   another index operation. *)
+(* An entry is [hash lsl idx_bits lor (slot / 4)]: both fields are 31
+   bits, so an entry is non-negative and -1 marks an empty one. *)
+let entry h s = (h lsl idx_bits) lor (s lsr 2)
+let entry_slot e = (e land idx_mask) lsl 2
+let entry_home e mask = (e lsr idx_bits) land mask
 
-(* Find [key]. Returns the entry's base (>= 0), or [lnot b] where [b] is
-   the base of the empty entry that ends the probe — where [key] would be
-   inserted. Single-int result so the hot path allocates nothing. *)
-let dig_probe t key =
+(* The packed key of the digram starting at [s]. *)
+let key_at t s = pack (sym_code t s) (sym_code t (s_nxt t s))
+
+(* A probe result is an entry's index into [dig], valid only until the
+   next write to the table: an insert may double it and a removal shifts
+   later entries back. No caller holds one across another index
+   operation. *)
+
+(* Find [key], whose hash is [h]. Returns the entry's index (>= 0), or
+   [lnot i] where [i] is the empty entry that ends the probe — where [key]
+   would be inserted. An entry with [h]'s bits is [key]'s binding if its
+   slot's digram packs to [key]; otherwise it is another key with the same
+   hash bits. Single-int result so the hot path allocates nothing. *)
+let dig_probe t h key =
   let mask = t.dig_mask in
   let d = t.dig in
-  let i = ref (mix key land mask) in
+  let i = ref (h land mask) in
   let res = ref 0 in
   let probing = ref true in
   while !probing do
-    let b = 2 * !i in
-    if Array.unsafe_get d (b + 1) = -1 then begin
-      res := lnot b;
+    let e = Array.unsafe_get d !i in
+    if e = -1 then begin
+      res := lnot !i;
       probing := false
     end
-    else if Array.unsafe_get d b = key then begin
-      res := b;
+    else if e lsr idx_bits = h && key_at t (entry_slot e) = key then begin
+      res := !i;
       probing := false
     end
     else i := (!i + 1) land mask
   done;
   !res
 
-(* Keys of empty entries are never read, so one fill with the empty
-   packed word serves both columns. *)
-let dig_alloc cap = Array.make (2 * cap) (-1)
-
-(* Place every occupied entry of [od] into a fresh [cap']-entry table,
-   rewriting its packed word with [f] (-1 drops it). Used to grow and by
-   [gen_sweep]. *)
-let dig_rebuild t cap' f =
+(* Move every entry into a table twice the size, each at its home from
+   its hash bits. *)
+let dig_grow t =
   let od = t.dig in
-  let d = dig_alloc cap' in
-  let mask = cap' - 1 in
-  let live = ref 0 in
-  for i = 0 to (Array.length od / 2) - 1 do
-    let v = od.((2 * i) + 1) in
-    if v <> -1 then begin
-      let v = f v in
-      if v <> -1 then begin
-        let key = od.(2 * i) in
-        let j = ref (mix key land mask) in
-        while d.((2 * !j) + 1) <> -1 do
-          j := (!j + 1) land mask
-        done;
-        d.(2 * !j) <- key;
-        d.((2 * !j) + 1) <- v;
-        incr live
-      end
+  let cap = 2 * Array.length od in
+  if cap > 1 lsl idx_bits then failwith "Sequitur: digram index limit";
+  let d = Array.make cap (-1) in
+  let mask = cap - 1 in
+  for i = 0 to Array.length od - 1 do
+    let e = Array.unsafe_get od i in
+    if e <> -1 then begin
+      let j = ref (entry_home e mask) in
+      while Array.unsafe_get d !j <> -1 do
+        j := (!j + 1) land mask
+      done;
+      Array.unsafe_set d !j e
     end
   done;
   t.dig <- d;
-  t.dig_mask <- mask;
-  t.dig_live <- !live
-
-(* Every write of a binding — [dig_insert_at], [dig_replace] and
-   [check]'s overwrite — sets the anchor bit of the slot it names. *)
-let set_anchor t s = Array.unsafe_set t.sym (s + 3) (s_meta t s lor tag_anchor)
-
-(* Insert at the empty entry [b] a probe for [key] ended on. The table
-   doubles when its live bindings reach half of it, so at least half of
-   it is always empty and every probe terminates. *)
-let dig_insert_at t b key slot =
-  let d = t.dig in
-  Array.unsafe_set d b key;
-  Array.unsafe_set d (b + 1) (packed t slot);
-  set_anchor t slot;
-  t.dig_live <- t.dig_live + 1;
-  if 2 * t.dig_live >= t.dig_mask + 1 then dig_rebuild t (2 * (t.dig_mask + 1)) Fun.id
-
-(* [Hashtbl.replace] semantics: overwrite the single binding or insert. *)
-let dig_replace t key slot =
-  let p = dig_probe t key in
-  if p >= 0 then begin
-    Array.unsafe_set t.dig (p + 1) (packed t slot);
-    set_anchor t slot
-  end
-  else dig_insert_at t (lnot p) key slot
+  t.dig_mask <- mask
 
 (* Linear probing's deletion without tombstones (Knuth 6.4, Algorithm R):
    walk the rest of the cluster after the hole and move back every entry
    whose probe path from its home crosses the hole — its home is no
    nearer to it, cyclically, than the hole is. Cyclic distances handle
    clusters that wrap past the end of the table. *)
-let dig_delete_at t b =
+let dig_delete_at t i =
   let d = t.dig in
   let mask = t.dig_mask in
-  let hole = ref (b / 2) in
-  let j = ref ((!hole + 1) land mask) in
-  while Array.unsafe_get d ((2 * !j) + 1) <> -1 do
-    let key = Array.unsafe_get d (2 * !j) in
-    if (!j - (mix key land mask)) land mask >= (!j - !hole) land mask then begin
-      Array.unsafe_set d (2 * !hole) key;
-      Array.unsafe_set d ((2 * !hole) + 1) (Array.unsafe_get d ((2 * !j) + 1));
+  let hole = ref i in
+  let j = ref ((i + 1) land mask) in
+  let e = ref (Array.unsafe_get d !j) in
+  while !e <> -1 do
+    if (!j - entry_home !e mask) land mask >= (!j - !hole) land mask then begin
+      Array.unsafe_set d !hole !e;
       hole := !j
     end;
-    j := (!j + 1) land mask
+    j := (!j + 1) land mask;
+    e := Array.unsafe_get d !j
   done;
-  Array.unsafe_set d ((2 * !hole) + 1) (-1);
+  Array.unsafe_set d !hole (-1);
   t.dig_live <- t.dig_live - 1
 
-(* Remove the binding for [key], but only if it names exactly this live
-   occurrence (slot and generation — one packed compare). *)
-let dig_remove_if t key slot =
-  let p = dig_probe t key in
-  if p >= 0 && Array.unsafe_get t.dig (p + 1) = packed t slot then dig_delete_at t p
+(* [Hashtbl.replace] semantics: bind [key] (hash [h]) to [s], given what
+   [dig_probe] returned for it — overwrite the binding it found, or insert
+   at the empty entry it ended on. Every write sets the anchor bit of the
+   slot it names. The table doubles when its live bindings reach half of
+   it, so at least half of it is always empty and every probe terminates.
+   A write naming a dead slot removes the key's binding instead: the
+   record implementation's lookups treat a binding to a dead record as
+   absent, and here a binding must name a live slot for its key to be
+   derivable. *)
+let dig_bind t p h s =
+  let m = s_meta t s in
+  if m land tag_live = 0 then begin
+    if p >= 0 then dig_delete_at t p
+  end
+  else begin
+    Array.unsafe_set t.sym (s + 3) (m lor tag_anchor);
+    if p >= 0 then Array.unsafe_set t.dig p (entry h s)
+    else begin
+      Array.unsafe_set t.dig (lnot p) (entry h s);
+      t.dig_live <- t.dig_live + 1;
+      if 2 * t.dig_live >= t.dig_mask + 1 then dig_grow t
+    end
+  end
 
-(* Generations are packed into 29 bits of a digram entry. A pathological
-   stream could in principle drive one slot's death count to the field
-   limit (hundreds of millions of deaths of a single recycled slot);
-   before that happens, re-baseline: drop stale entries outright, then
-   restart every generation — stored and live — at zero. A stale entry
-   cannot just be blanked where it lies (that would cut its cluster), so
-   the table is rebuilt at its capacity from the current-generation
-   entries. Entry validity is preserved exactly (stale entries were
-   already dead to every lookup, live entries still name their slot's
-   current generation), so the grammar is unaffected, and so are each
-   slot's anchor bit and rule field. O(table + arena), amortized over
-   2^29 deaths.
-   Runs between pushes, never mid-cascade — [push_one] checks the flag
-   after the cascade settles, and a slot dies at most once per cascade
-   (dead slots are not recycled until [reclaim_dead]), so a generation
-   exceeds [gen_limit] by at most the one increment that set the flag. *)
-let gen_sweep t =
-  dig_rebuild t (t.dig_mask + 1) (fun v ->
-      let slot = v land slot_mask in
-      if v lsr slot_bits <> gen t slot then -1 else slot (* generation 0 *));
-  let s = ref 0 in
-  while !s < t.sym_top do
-    t.sym.(!s + 3) <-
-      t.sym.(!s + 3)
-      land (lnot low_mask lor tag_anchor lor tag_nonterm lor tag_live lor tag_guard);
-    s := !s + 4
+let dig_replace t key s =
+  let h = hash key in
+  dig_bind t (dig_probe t h key) h s
+
+(* Remove the binding for [key] if it names [s], whose current digram
+   [key] is. That binding's entry word is fully determined, and no other
+   entry equals it (a binding naming [s] is keyed by its current digram,
+   and a key has one binding), so the search compares whole words and
+   reads no arena. *)
+let dig_remove_if t key s =
+  let mask = t.dig_mask in
+  let d = t.dig in
+  let h = hash key in
+  let want = entry h s in
+  let i = ref (h land mask) in
+  let e = ref (Array.unsafe_get d !i) in
+  while !e <> want && !e <> -1 do
+    i := (!i + 1) land mask;
+    e := Array.unsafe_get d !i
   done;
-  t.need_sweep <- false
+  if !e = want then dig_delete_at t !i
 
 (* --- construction ------------------------------------------------------ *)
 
 (* The arena, the rule store and the index start small and double with
    what the grammar keeps live (symbols; rules; digram bindings, at half
-   the table), which is O(grammar size) however long the input. *)
-let dig_init = 8192
-let sym_init = 1024
+   the table), which is O(grammar size) however long the input. Each
+   first growth of the index or the arena allocates 512 words, past the
+   minor heap's largest block, so pushes allocate no minor words. *)
+let dig_init = 256
+let sym_init = 64
 let rul_init = 32
 
 let create () =
@@ -526,11 +497,10 @@ let create () =
       rul_free = -1;
       next_rule_id = 1;
       live_rule_count = 0;
-      dig = dig_alloc dig_init;
+      dig = Array.make dig_init (-1);
       dig_mask = dig_init - 1;
       dig_live = 0;
       input_len = 0;
-      need_sweep = false;
       tm_on = false;
       tm_matches = 0;
       tm_created = 0;
@@ -545,13 +515,12 @@ let create () =
 
 (* Remove the index entry for the digram starting at [s], but only if the
    index actually points at this occurrence. A slot without the anchor bit
-   has no binding naming it at its current generation, so the probe is
-   skipped. Once the probe has run, the binding it looked for — the only
-   one that can name [s], keyed by its current digram (see
-   [delete_symbol_unanchored]) — is gone, so the bit is cleared there
-   (and otherwise only by [mark_dead]). A binding overwritten for another
-   slot leaves the old slot's bit set; its next removal probe then finds
-   nothing. *)
+   has no binding naming it, so the probe is skipped. Once the probe has
+   run, the binding it looked for — the only one that can name [s], keyed
+   by its current digram (see [delete_symbol_unanchored]) — is gone, so
+   the bit is cleared there (and otherwise only by [mark_dead] and
+   [alloc_sym]). A binding overwritten for another slot leaves the old
+   slot's bit set; its next removal probe then finds nothing. *)
 let delete_digram t s =
   let m = s_meta t s in
   if m land tag_anchor <> 0 then begin
@@ -571,11 +540,9 @@ let join t left right =
 
 (* Insert [ns] right after [q]. Every insertion site allocates [ns] fresh,
    which licenses skipping the symmetric [delete_digram t ns] a generic
-   two-[join] insert would perform: [ns] was never indexed since its
-   allocation, and any stale index entry naming its slot carries a
-   pre-death generation ([mark_dead] bumps it) so [dig_remove_if] rejects
-   it. Skipping that probe halves the digram-table traffic of a no-match
-   push. *)
+   two-[join] insert would perform: no binding names a fresh slot, since
+   a slot's binding is removed before it dies. Skipping that probe halves
+   the digram-table traffic of a no-match push. *)
 let insert_fresh_after t q ns =
   let r = s_nxt t q in
   set_nxt t ns r;
@@ -605,7 +572,7 @@ let delete_symbol_unanchored t s =
 (* The copy keeps [proto]'s kind and rule field (0 on a terminal). *)
 let append_copy t r proto =
   let m = s_meta t proto in
-  let ns = alloc_sym t (m land (tag_nonterm lor lnot low_mask)) (s_code t proto) in
+  let ns = alloc_sym t (m land lnot (tag_guard lor tag_live lor tag_anchor)) (s_code t proto) in
   if m land tag_nonterm <> 0 then reuse t (m lsr rule_shift);
   insert_fresh_after t (last t r) ns
 
@@ -625,25 +592,18 @@ let rec check t s =
   else begin
     let cs = sym_code t s and csn = sym_code t sn in
     let key = pack cs csn in
-    let p = dig_probe t key in
+    let h = hash key in
+    let p = dig_probe t h key in
     if p < 0 then begin
-      dig_insert_at t (lnot p) key s;
+      dig_bind t p h s;
       false
     end
     else begin
-      let d = t.dig in
-      let mp = Array.unsafe_get d (p + 1) in
-      let m = mp land slot_mask in
-      if mp = packed t s then false
-      else if
-        mp lsr slot_bits <> gen t m
-        (* stale: the stored occurrence died (slot possibly recycled) *)
-        || is_guard t (s_nxt t m)
-        || not (sym_code t m = cs && sym_code t (s_nxt t m) = csn)
+      let m = entry_slot (Array.unsafe_get t.dig p) in
+      if m = s then false
+      else if not (sym_code t m = cs && sym_code t (s_nxt t m) = csn) then begin
         (* packed-key collision: key equality is not digram equality *)
-      then begin
-        Array.unsafe_set d (p + 1) (packed t s);
-        set_anchor t s;
+        dig_bind t p h s;
         false
       end
       else if s_nxt t m = s || sn = m then
@@ -732,10 +692,7 @@ let push_one t v =
   insert_fresh_after t (last t 0) s;
   t.input_len <- t.input_len + 1;
   ignore (check t (s_prv t s));
-  if t.pend_len > 0 then begin
-    reclaim_dead t;
-    if t.need_sweep then gen_sweep t
-  end
+  if t.pend_len > 0 then reclaim_dead t
 
 let push t v =
   t.tm_on <- Tm.on ();
@@ -981,34 +938,58 @@ let check_invariants t =
           if u <> r_refs t rs then bad "rule %d refcount %d but %d uses" id (r_refs t rs) u;
           if u < 2 then bad "rule %d violates utility (%d uses)" id u
         end);
-    let entries = ref 0 in
+    (* The symbol free list: dead slots only, each once. *)
+    let free = Bytes.make (t.sym_top / 4) '\000' in
+    let s = ref t.free_head in
+    while !s <> -1 do
+      if not (sym_ok !s) then bad "symbol free list holds wild slot %d" !s;
+      if Bytes.get free (!s / 4) <> '\000' then bad "symbol free list cycles at slot %d" !s;
+      if is_live t !s then bad "live slot %d on the symbol free list" !s;
+      Bytes.set free (!s / 4) '\001';
+      s := s_nxt t !s
+    done;
+    (* The digram index, entry by entry: each names a live slot, off the
+       free list, whose successor is not a guard, carries the hash bits
+       of that slot's current digram and names a slot carrying the anchor
+       bit. *)
     let mask = t.dig_mask in
-    let empty i = t.dig.((2 * i) + 1) = -1 in
+    let d = t.dig in
+    let entries = ref 0 in
     for i = 0 to mask do
-      let b = 2 * i in
-      let v = t.dig.(b + 1) in
-      if v <> -1 then begin
+      let e = d.(i) in
+      if e <> -1 then begin
         incr entries;
-        let s = v land slot_mask in
-        (* a tombstone (or any word that is not a binding) names no slot *)
-        if s land 3 <> 0 || s >= t.sym_top then
-          bad "digram index holds a tombstone or a wild slot";
-        if v lsr slot_bits <> gen t s || not (is_live t s) then
-          bad "digram index entry points to dead symbol";
-        if is_guard t s || is_guard t (s_nxt t s) then
-          bad "digram index entry anchored at guard";
-        if pack (sym_code t s) (sym_code t (s_nxt t s)) <> t.dig.(b) then
-          bad "digram index entry key mismatch";
+        let s = entry_slot e in
+        if e < 0 || not (sym_ok s) then bad "digram index entry %d names no slot" i;
+        if Bytes.get free (s / 4) <> '\000' then bad "digram index entry names free slot %d" s;
+        if not (is_live t s) then bad "digram index entry names dead slot %d" s;
+        if is_guard t s || not (sym_ok (s_nxt t s)) || is_guard t (s_nxt t s) then
+          bad "digram index entry names slot %d, not the start of a digram" s;
+        if e lsr idx_bits <> hash (key_at t s) then
+          bad "digram index entry for slot %d does not hash its digram" s;
         if s_meta t s land tag_anchor = 0 then
-          bad "digram index entry names a slot without the anchor bit";
-        let j = ref (mix t.dig.(b) land mask) in
-        while !j <> i do
-          if empty !j then bad "digram index entry unreachable from its home";
-          j := (!j + 1) land mask
-        done
+          bad "digram index entry names a slot without the anchor bit"
       end
     done;
     if !entries <> t.dig_live then bad "digram index live-count drift";
     if 2 * t.dig_live > mask + 1 then bad "digram index over half full";
+    (* ... and together: each is reachable from its home without crossing
+       an empty entry or another entry for its key. Two entries for one
+       key share a home, so the later one's path crosses the earlier;
+       two entries naming one slot would share its key. *)
+    for i = 0 to mask do
+      let e = d.(i) in
+      if e <> -1 then begin
+        let key = key_at t (entry_slot e) in
+        let j = ref (entry_home e mask) in
+        while !j <> i do
+          let f = d.(!j) in
+          if f = -1 then bad "digram index entry unreachable from its home";
+          if f lsr idx_bits = e lsr idx_bits && key_at t (entry_slot f) = key then
+            bad "two digram index entries for one key";
+          j := (!j + 1) land mask
+        done
+      end
+    done;
     Ok ()
   with Bad msg -> Error msg

@@ -14,12 +14,12 @@ type t
 (** An incremental Sequitur compressor and the grammar built so far. *)
 
 val create : unit -> t
-(** Fresh compressor with an empty start rule. Its symbol arena, rule
-    store and digram index start small and double with what the grammar
-    keeps live (the index when its live bindings reach half of it), and
-    the slots of dead symbols and retired rules are recycled, so they stay
-    O(grammar size) however long the input and however many rules it ever
-    created. *)
+(** Fresh compressor with an empty start rule. Its symbol arena (64
+    symbols), rule store (32 rules) and digram index (256 one-word
+    entries) start small and double with what the grammar keeps live (the
+    index when its live bindings reach half of it), and the slots of dead
+    symbols and retired rules are recycled, so they stay O(grammar size)
+    however long the input and however many rules it ever created. *)
 
 val push : t -> int -> unit
 (** Append one terminal to the input sequence and restore the grammar
@@ -102,19 +102,10 @@ val check_invariants : t -> (unit, string) result
     rule list strictly ascending by id and holding exactly the live
     guards, every nonterminal naming the slot of a live rule whose id is
     its code, free rule slots disjoint from live ones, and the live-symbol
-    count equal to the right-hand-side symbols {!visit_rules} yields; and
-    a digram index with no tombstone, at most half full, whose every entry
-    is live, matches its key, is reachable from its home without crossing
-    an empty entry, and names a slot carrying the anchor bit. For tests. *)
-
-(**/**)
-
-val gen_sweep : t -> unit
-(** Re-baseline the generation counters that detect stale digram-index
-    entries: rebuild the index from its current-generation entries,
-    restart every live generation at zero (each symbol keeps its rule
-    slot).
-    Runs automatically (between pushes) before a counter can outgrow its
-    packed field — after hundreds of millions of symbol deaths — so tests
-    exercise it directly; calling it at any push boundary must leave the
-    grammar and all subsequent pushes unchanged. *)
+    count equal to the right-hand-side symbols {!visit_rules} yields; the
+    symbol free list holding dead slots only; and a digram index at most
+    half full whose every entry names a live slot, off the free list,
+    whose successor is not a guard, carries the hash bits of that slot's
+    current digram, is reachable from its home without crossing an empty
+    entry and names a slot carrying the anchor bit, with no two entries
+    for one key or one slot. For tests. *)

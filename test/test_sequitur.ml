@@ -203,22 +203,60 @@ let prop_equiv_collisions =
     (QCheck.make ~print:QCheck.Print.(array int) gen_collision_alphabet)
     equivalent
 
+(* The index keeps only each key's hash bits and confirms a hit from the
+   arena, so every binding must name a live slot keyed by that slot's
+   current digram. [check_invariants] runs after every single push here,
+   on streams built to collide: a [v lsl 40] code shifts out of the
+   packed key's high half entirely, and negative codes, [min_int] and
+   [max_int] overflow it, so over an alphabet of 2-7 such values most
+   distinct digrams share a packed key. The grammar must still be the
+   legacy oracle's. *)
+let gen_colliding_stream =
+  QCheck.Gen.(
+    let code =
+      oneof
+        [
+          map (fun v -> v lsl 40) (int_range (-4) 4);
+          int_range (-9) (-1);
+          oneofl [ min_int; min_int + 1; max_int; max_int - 1 ];
+        ]
+    in
+    int_range 2 7 >>= fun k ->
+    array_size (return k) code >>= fun alphabet ->
+    sized (fun n ->
+        array_size (return (min n 300)) (map (Array.get alphabet) (int_bound (k - 1)))))
+
+let prop_invariants_every_push =
+  QCheck.Test.make ~name:"invariants after every push (colliding codes)" ~count:300
+    (QCheck.make ~print:QCheck.Print.(array int) gen_colliding_stream)
+    (fun a ->
+      let t = Sequitur.create () in
+      Array.iteri
+        (fun i v ->
+          Sequitur.push t v;
+          match Sequitur.check_invariants t with
+          | Ok () -> ()
+          | Error msg -> QCheck.Test.fail_reportf "after push %d: %s" (i + 1) msg)
+        a;
+      let legacy = Sequitur_legacy.create () in
+      Sequitur_legacy.push_array legacy a;
+      Sequitur.rules t = Sequitur_legacy.rules legacy)
+
 let prop_equiv_runs =
   QCheck.Test.make ~name:"arena = legacy (concatenated runs)" ~count:300
     QCheck.(small_list (pair (int_range 0 2) (int_range 1 6)))
     (fun spec -> equivalent (Array.concat (List.map (fun (v, n) -> Array.make n v) spec)))
 
-(* Long streams: the cases above stay far below the digram index's initial
-   8,192 entries, so none of them grows the table, wraps a cluster past
-   its end or shifts entries back across a full cluster. These push 64k
-   symbols — the index doubles at least three times — in random chunks,
-   check the invariants (the index's included) after every chunk, and
-   compare the result with the legacy oracle. One stream repeats phrases
-   from a dictionary (deep rule hierarchies). The uniform streams have no
-   structure at all: over 8 values two symbols in three match, so rules
-   churn and bindings are removed all over a small table, wraps included;
-   over 400 values about one symbol in nine matches and the table grows
-   to 2^17. *)
+(* Long streams: the cases above hold at most a few hundred bindings, so
+   none of them grows the table far or shifts entries back across a large
+   cluster. These push 64k symbols — the index doubles at least eight
+   times — in random chunks, check the invariants (the index's included)
+   after every chunk, and compare the result with the legacy oracle. One
+   stream repeats phrases from a dictionary (deep rule hierarchies). The
+   uniform streams have no structure at all: over 8 values two symbols in
+   three match, so rules churn and bindings are removed all over the
+   table, wraps included; over 400 values about one symbol in nine
+   matches and the table grows to 2^17. *)
 let long_len = 65536
 
 let gen_phrase_stream =
@@ -433,49 +471,9 @@ let prop_runs =
       Sequitur.expand t = a
       && (match Sequitur.check_invariants t with Ok () -> true | Error _ -> false))
 
-(* --- generation-counter sweep ----------------------------------------- *)
-
-(* [gen_sweep] re-baselines the per-slot generation counters before the
-   packed 29-bit field can wrap. It fires naturally only after hundreds of
-   millions of symbol deaths, so these tests call it directly: at any push
-   boundary it must be a pure no-op on the observable grammar — stale
-   digram-index entries dropped, nothing else disturbed — and continued
-   pushes must still match a compressor that never swept. *)
-let test_gen_sweep_noop () =
-  let a = of_string "abcdbcabcdbc" in
-  let t = compress a in
-  let before = Sequitur.rules t in
-  Sequitur.gen_sweep t;
-  ok t;
-  check_bool "rules unchanged" true (Sequitur.rules t = before);
-  Alcotest.(check (array int)) "expansion unchanged" a (Sequitur.expand t);
-  (* Sweeping twice in a row must also be safe. *)
-  Sequitur.gen_sweep t;
-  ok t;
-  check_bool "rules unchanged after second sweep" true (Sequitur.rules t = before)
-
-let prop_gen_sweep_transparent =
-  QCheck.Test.make ~name:"gen_sweep at any push boundary = legacy (alphabet of 4)" ~count:300
-    (QCheck.make
-       ~print:QCheck.Print.(pair (array int) int)
-       QCheck.Gen.(pair gen_small_alphabet (int_bound 400)))
-    (fun (a, cut) ->
-      let cut = min cut (Array.length a) in
-      let swept = Sequitur.create () in
-      Sequitur.push_batch swept a ~off:0 ~len:cut;
-      Sequitur.gen_sweep swept;
-      Sequitur.push_batch swept a ~off:cut ~len:(Array.length a - cut);
-      Sequitur.gen_sweep swept;
-      let legacy = Sequitur_legacy.create () in
-      Sequitur_legacy.push_array legacy a;
-      (match Sequitur.check_invariants swept with Ok () -> true | Error _ -> false)
-      && Sequitur.rules swept = Sequitur_legacy.rules legacy
-      && Sequitur.grammar_size swept = Sequitur_legacy.grammar_size legacy
-      && Sequitur.expand swept = Sequitur_legacy.expand legacy)
-
 (* [grammar_size] is a maintained count, not a walk: it must equal the
    right-hand-side symbols {!Sequitur.visit_rules} yields after any
-   pushes, and after [gen_sweep] rewrote every [meta] word. *)
+   pushes. *)
 let rhs_symbols t =
   let n = ref 0 in
   Sequitur.visit_rules t ~rule:ignore
@@ -485,8 +483,7 @@ let rhs_symbols t =
   !n
 
 let prop_grammar_size_counts =
-  QCheck.Test.make ~name:"grammar_size = symbols visit_rules yields (pushes, gen_sweep)"
-    ~count:300
+  QCheck.Test.make ~name:"grammar_size = symbols visit_rules yields (pushes)" ~count:300
     (QCheck.make
        ~print:QCheck.Print.(pair (array int) int)
        QCheck.Gen.(pair gen_small_alphabet (int_bound 400)))
@@ -501,11 +498,7 @@ let prop_grammar_size_counts =
          loop forever. *)
       Sequitur.push_batch t a ~off:0 ~len:cut;
       counts ()
-      && (Sequitur.gen_sweep t;
-          counts ())
       && (Sequitur.push_batch t a ~off:cut ~len:(Array.length a - cut);
-          counts ())
-      && (Sequitur.gen_sweep t;
           counts ()))
 
 let prop_concat_runs =
@@ -543,7 +536,6 @@ let () =
           tc "push_batch rejects bad spans" test_push_batch_bad_span;
           tc "iter_rules matches rules" test_iter_rules_matches_rules;
           tc "of_rules rejects other listings" test_of_rules_rejects_other_listings;
-          tc "gen_sweep is a no-op at rest" test_gen_sweep_noop;
           tc "push allocates nothing after warm-up" test_push_allocates_nothing;
           tc "restored grammar holds no more heap" test_restore_heap;
           tc "heap is the live grammar" test_heap_is_live_grammar;
@@ -559,8 +551,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_equiv_small_alphabet;
           QCheck_alcotest.to_alcotest prop_equiv_any;
           QCheck_alcotest.to_alcotest prop_equiv_collisions;
+          QCheck_alcotest.to_alcotest prop_invariants_every_push;
           QCheck_alcotest.to_alcotest prop_equiv_runs;
-          QCheck_alcotest.to_alcotest prop_gen_sweep_transparent;
           QCheck_alcotest.to_alcotest prop_grammar_size_counts;
           QCheck_alcotest.to_alcotest prop_long_phrases;
           QCheck_alcotest.to_alcotest prop_long_uniform8;
