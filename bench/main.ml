@@ -77,6 +77,13 @@ let rec rm_rf path =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* A workload's whole event stream, for the rows that replay one recorded
+   trace. *)
+let record_events program =
+  let buf = Ormp_util.Vec.create () in
+  ignore (Ormp_vm.Runner.run program (Ormp_util.Vec.push buf));
+  Ormp_util.Vec.to_array buf
+
 (* Runs [f] on a fresh scratch directory, removed afterwards. *)
 let with_temp_dir name f =
   let base =
@@ -205,12 +212,7 @@ let run_hotpath log ~bench () =
          section and the table1 dilation column rather than here. *)
       let decoys = if bench then 4096 else 2048 in
       let entry = Ormp_workloads.Registry.find "164.gzip-like" in
-      let rc = Ormp_trace.Sink.recorder () in
-      ignore
-        (Ormp_vm.Runner.run
-           (Ormp_workloads.Registry.program entry)
-           (Ormp_trace.Sink.recorder_sink rc));
-      let events = Ormp_trace.Sink.events rc in
+      let events = record_events (Ormp_workloads.Registry.program entry) in
       (* Split the trace: object events populate an OMC once, the access
          stream is what the measured loops replay (gzip-like never frees,
          so every object stays live across iterations). *)
@@ -494,12 +496,7 @@ let micro_tests () =
      per-event figures divide by the same denominator (returned to the
      caller for the bench table and the guard). *)
   let trace_events =
-    let r = Ormp_trace.Sink.recorder () in
-    ignore
-      (Ormp_vm.Runner.run
-         (Ormp_workloads.Micro.linked_list ~nodes:64 ~sweeps:8 ())
-         (Ormp_trace.Sink.recorder_sink r));
-    Ormp_trace.Sink.events r
+    record_events (Ormp_workloads.Micro.linked_list ~nodes:64 ~sweeps:8 ())
   in
   let trace_count = ref [] in
   let profiler_event name mk_sink =
@@ -541,10 +538,10 @@ let micro_tests () =
             fst (Ormp_leap.Leap.sink ~site_name:(Printf.sprintf "s%d") ()));
         profiler_batch "leap: batched probe cost (3k-event trace)" (fun () ->
             fst (Ormp_leap.Leap.sink_batched ~site_name:(Printf.sprintf "s%d") ()));
-        profiler_event "connors: probe event cost (3k-event trace)" (fun () ->
-            Ormp_baselines.Connors.sink (Ormp_baselines.Connors.create ()));
-        profiler_event "lossless-dep: probe event cost (3k-event trace)" (fun () ->
-            Ormp_baselines.Lossless_dep.sink (Ormp_baselines.Lossless_dep.create ()));
+        profiler_batch "connors: batched probe cost (3k-event trace)" (fun () ->
+            Ormp_baselines.Connors.batch (Ormp_baselines.Connors.create ()));
+        profiler_batch "lossless-dep: batched probe cost (3k-event trace)" (fun () ->
+            Ormp_baselines.Lossless_dep.batch (Ormp_baselines.Lossless_dep.create ()));
       ]
   in
   (tests, !trace_count, [ (vpr_row, vpr_object_rates) ])
@@ -574,9 +571,9 @@ let run_scaling log ~bench () =
       in
       let events = ref 0 in
       (* The full stack exactly as sessions and the daemon run it: one
-         Pipeline (CDC, four OMSG grammars, RASG, LEAP) fed per event,
-         through to the finished profiles; jobs > 1 adds a private pool
-         of jobs - 1 grammar workers. *)
+         Pipeline (CDC, four OMSG grammars, RASG, LEAP) fed the VM's
+         lanes, through to the finished profiles; jobs > 1 adds a private
+         pool of jobs - 1 grammar workers. *)
       let measure jobs =
         let t0 = Ormp_util.Clock.now_s () in
         let pipe, r = Ormp_session.Pipeline.run ~jobs program in
@@ -739,12 +736,7 @@ let run_telemetry log ~bench () =
       print_endline
         (Ormp_util.Ascii.section "Telemetry: instrumentation overhead (on/off guard)");
       let entry = Ormp_workloads.Registry.find "164.gzip-like" in
-      let rc = Ormp_trace.Sink.recorder () in
-      ignore
-        (Ormp_vm.Runner.run
-           (Ormp_workloads.Registry.program ~bench entry)
-           (Ormp_trace.Sink.recorder_sink rc));
-      let events = Ormp_trace.Sink.events rc in
+      let events = record_events (Ormp_workloads.Registry.program ~bench entry) in
       let n =
         Array.fold_left
           (fun acc ev ->

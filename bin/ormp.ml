@@ -169,9 +169,9 @@ let trace_cmd =
     let config = config_of ~seed ~policy in
     let printed = ref 0 in
     let san = Ormp_check.Sanitizer.create () in
-    let with_sanitizer sink =
-      if sanitize then Ormp_trace.Sink.fanout [ sink; Ormp_check.Sanitizer.sink san ]
-      else sink
+    let with_sanitizer lanes =
+      if sanitize then Ormp_trace.Batch.fanout [ lanes; Ormp_check.Sanitizer.batch san ]
+      else lanes
     in
     let result =
       with_telemetry telemetry ~name:("trace:" ^ workload) @@ fun () ->
@@ -187,7 +187,7 @@ let trace_cmd =
             ()
         in
         let result =
-          Ormp_vm.Runner.run ~config program (with_sanitizer (Ormp_core.Cdc.sink cdc))
+          Ormp_vm.Runner.run_batched ~config program (with_sanitizer (Ormp_core.Cdc.batch cdc))
         in
         Printf.printf "... %d accesses collected, %d wild\n"
           (Ormp_core.Cdc.collected cdc) (Ormp_core.Cdc.wild cdc);
@@ -195,14 +195,32 @@ let trace_cmd =
       end
       else begin
         let total = ref 0 in
-        let sink ev =
-          incr total;
+        let print ev =
           if !printed < limit then begin
             Format.printf "%a@." Ormp_trace.Event.pp ev;
             incr printed
           end
         in
-        let result = Ormp_vm.Runner.run ~config program (with_sanitizer sink) in
+        let lanes =
+          Ormp_trace.Batch.create
+            ~on_chunk:(fun c ->
+              total := !total + c.len;
+              for i = 0 to min c.len (limit - !printed) - 1 do
+                print
+                  (Ormp_trace.Event.Access
+                     {
+                       instr = c.instr.(i);
+                       addr = c.addr.(i);
+                       size = c.size.(i);
+                       is_store = c.store.(i) <> 0;
+                     })
+              done)
+            ~on_event:(fun ev ->
+              incr total;
+              print ev)
+            ()
+        in
+        let result = Ormp_vm.Runner.run_batched ~config program (with_sanitizer lanes) in
         Printf.printf "... %d events total\n" !total;
         result
       end
@@ -242,7 +260,7 @@ let whomp_cmd =
       with_telemetry telemetry ~name:("whomp:" ^ workload) @@ fun () ->
       let wrap =
         if sanitize then
-          Some (fun apply -> Ormp_trace.Sink.fanout [ apply; Ormp_check.Sanitizer.sink san ])
+          Some (fun lanes -> Ormp_trace.Batch.fanout [ lanes; Ormp_check.Sanitizer.batch san ])
         else None
       in
       let pipe, result = Pipeline.run ~config ~jobs ?wrap program in
@@ -383,16 +401,18 @@ let compare_cmd =
   let run workload seed policy window =
     let program = find_program workload in
     let config = config_of ~seed ~policy in
-    let leap_sink, leap_fin = Ormp_leap.Leap.sink ~site_name:(Printf.sprintf "site%d") () in
+    let leap_batch, leap_fin =
+      Ormp_leap.Leap.sink_batched ~site_name:(Printf.sprintf "site%d") ()
+    in
     let truth = Ormp_baselines.Lossless_dep.create () in
     let connors = Ormp_baselines.Connors.create ~window () in
     let result =
-      Ormp_vm.Runner.run ~config program
-        (Ormp_trace.Sink.fanout
+      Ormp_vm.Runner.run_batched ~config program
+        (Ormp_trace.Batch.fanout
            [
-             leap_sink;
-             Ormp_baselines.Lossless_dep.sink truth;
-             Ormp_baselines.Connors.sink connors;
+             leap_batch;
+             Ormp_baselines.Lossless_dep.batch truth;
+             Ormp_baselines.Connors.batch connors;
            ])
     in
     let table = result.Ormp_vm.Runner.table in
@@ -433,15 +453,22 @@ let record_cmd =
     let program = find_program workload in
     let config = config_of ~seed ~policy in
     let oc = open_out out in
-    let sink = Ormp_trace.Trace_file.writer oc in
-    let counter = Ormp_trace.Sink.counter () in
+    let accesses = ref 0 and allocs = ref 0 and frees = ref 0 in
+    let count =
+      Ormp_trace.Batch.create
+        ~on_chunk:(fun c -> accesses := !accesses + c.len)
+        ~on_event:(function
+          | Ormp_trace.Event.Alloc _ -> incr allocs
+          | Ormp_trace.Event.Free _ -> incr frees
+          | Ormp_trace.Event.Access _ -> ())
+        ()
+    in
     ignore
-      (Ormp_vm.Runner.run ~config program
-         (Ormp_trace.Sink.fanout [ sink; Ormp_trace.Sink.counter_sink counter ]));
+      (Ormp_vm.Runner.run_batched ~config program
+         (Ormp_trace.Batch.fanout [ Ormp_trace.Trace_file.writer oc; count ]));
     close_out oc;
-    Printf.printf "recorded %d accesses (+%d allocs, %d frees) to %s\n"
-      (Ormp_trace.Sink.accesses counter) counter.Ormp_trace.Sink.allocs
-      counter.Ormp_trace.Sink.frees out
+    Printf.printf "recorded %d accesses (+%d allocs, %d frees) to %s\n" !accesses !allocs
+      !frees out
   in
   let out =
     Arg.(
@@ -457,36 +484,37 @@ let replay_cmd =
   let run path profiler quiet =
     apply_quiet quiet;
     let fail msg = Exit_codes.findingsf "%s" msg in
-    let replay_into sink finish =
-      match Ormp_trace.Trace_file.replay path sink with
+    let replay_into lanes finish =
+      match Ormp_trace.Trace_file.replay path (Ormp_trace.Batch.event lanes) with
       | Ok n ->
+        Ormp_trace.Batch.flush lanes;
         Printf.printf "replayed %d events from %s\n" n path;
         finish ()
       | Error msg -> fail msg
     in
     match profiler with
     | "whomp" ->
-      let sink, fin = Ormp_whomp.Whomp.sink ~site_name:(Printf.sprintf "site%d") () in
-      replay_into sink (fun () ->
+      let lanes, fin = Ormp_whomp.Whomp.sink_batched ~site_name:(Printf.sprintf "site%d") () in
+      replay_into lanes (fun () ->
           let p = fin ~elapsed:0.0 in
           Printf.printf "WHOMP: %d accesses collected, OMSG %d bytes\n"
             p.Ormp_whomp.Whomp.collected (Ormp_whomp.Whomp.omsg_bytes p))
     | "leap" ->
-      let sink, fin = Ormp_leap.Leap.sink ~site_name:(Printf.sprintf "site%d") () in
-      replay_into sink (fun () ->
+      let lanes, fin = Ormp_leap.Leap.sink_batched ~site_name:(Printf.sprintf "site%d") () in
+      replay_into lanes (fun () ->
           let p = fin ~elapsed:0.0 in
           Printf.printf "LEAP: %d accesses, %d bytes, %s captured\n" p.Ormp_leap.Leap.collected
             (Ormp_leap.Leap.byte_size p)
             (Ormp_util.Ascii.percent (Ormp_leap.Leap.accesses_captured p)))
     | "lossless" ->
       let t = Ormp_baselines.Lossless_dep.create () in
-      replay_into (Ormp_baselines.Lossless_dep.sink t) (fun () ->
+      replay_into (Ormp_baselines.Lossless_dep.batch t) (fun () ->
           List.iter
             (fun d -> Format.printf "  %a@." Ormp_baselines.Dep_types.pp d)
             (Ormp_baselines.Lossless_dep.deps t))
     | "connors" ->
       let t = Ormp_baselines.Connors.create () in
-      replay_into (Ormp_baselines.Connors.sink t) (fun () ->
+      replay_into (Ormp_baselines.Connors.batch t) (fun () ->
           List.iter
             (fun d -> Format.printf "  %a@." Ormp_baselines.Dep_types.pp d)
             (Ormp_baselines.Connors.deps t))
@@ -563,33 +591,45 @@ let check_cmd =
       Ormp_check.Report.clean r
     in
     let check_profile path =
-      match Ormp_persist.Whomp_io.load path with
-      | Ok p -> (
-        match Ormp_check.Verify.whomp_profile p with
-        | Ok () ->
-          Printf.printf "%s: WHOMP profile OK (%d accesses, %d objects)\n" path
-            p.Ormp_whomp.Whomp.collected
-            (List.length p.Ormp_whomp.Whomp.lifetimes);
-          true
-        | Error e ->
-          Printf.eprintf "%s: invalid WHOMP profile: %s\n" path e;
-          false)
+      (* [Error] when [path] does not load as [kind]; otherwise the verdict,
+         printed. *)
+      let try_as kind load verify describe =
+        Result.map
+          (fun p ->
+            match verify p with
+            | Ok () ->
+              Printf.printf "%s: %s profile OK (%s)\n" path kind (describe p);
+              true
+            | Error e ->
+              Printf.eprintf "%s: invalid %s profile: %s\n" path kind e;
+              false)
+          (load path)
+      in
+      match
+        try_as "WHOMP" Ormp_persist.Whomp_io.load Ormp_check.Verify.whomp_profile (fun p ->
+            Printf.sprintf "%d accesses, %d objects" p.Ormp_whomp.Whomp.collected
+              (List.length p.Ormp_whomp.Whomp.lifetimes))
+      with
+      | Ok ok -> ok
       | Error whomp_err -> (
-        match Ormp_persist.Leap_io.load path with
-        | Ok p -> (
-          match Ormp_check.Verify.leap_profile p with
-          | Ok () ->
-            Printf.printf "%s: LEAP profile OK (%d accesses, %d streams)\n" path
-              p.Ormp_leap.Leap.collected
-              (List.length p.Ormp_leap.Leap.streams);
-            true
-          | Error e ->
-            Printf.eprintf "%s: invalid LEAP profile: %s\n" path e;
-            false)
-        | Error leap_err ->
-          Printf.eprintf "%s: not a loadable profile\n  as WHOMP: %s\n  as LEAP: %s\n"
-            path whomp_err leap_err;
-          false)
+        match
+          try_as "LEAP" Ormp_persist.Leap_io.load Ormp_check.Verify.leap_profile (fun p ->
+              Printf.sprintf "%d accesses, %d streams" p.Ormp_leap.Leap.collected
+                (List.length p.Ormp_leap.Leap.streams))
+        with
+        | Ok ok -> ok
+        | Error leap_err -> (
+          match
+            try_as "RASG" Ormp_persist.Rasg_io.load Ormp_check.Verify.rasg_profile (fun p ->
+                Printf.sprintf "%d accesses, %d symbols" p.Ormp_whomp.Rasg.accesses
+                  (Ormp_whomp.Rasg.size p))
+          with
+          | Ok ok -> ok
+          | Error rasg_err ->
+            Printf.eprintf
+              "%s: not a loadable profile\n  as WHOMP: %s\n  as LEAP: %s\n  as RASG: %s\n" path
+              whomp_err leap_err rasg_err;
+            false))
     in
     let ok =
       match (workload, profile, all) with
@@ -619,7 +659,7 @@ let check_cmd =
       value
       & opt (some string) None
       & info [ "profile"; "p" ] ~docv:"FILE"
-          ~doc:"Verify the structural invariants of a saved WHOMP or LEAP profile.")
+          ~doc:"Verify the structural invariants of a saved WHOMP, LEAP or RASG profile.")
   in
   let all =
     Arg.(value & flag & info [ "all" ] ~doc:"Sanitize every registered workload.")
@@ -664,8 +704,7 @@ let lint_cmd =
     let dirs = match dirs with [] -> [ "lib" ] | ds -> ds in
     List.iter
       (fun d ->
-        if not (Sys.file_exists d && Sys.is_directory d) then
-          Exit_codes.usagef "lint: no such directory: %s" d)
+        if not (Sys.file_exists d) then Exit_codes.usagef "lint: no such file or directory: %s" d)
       dirs;
     let r = Ormp_check.Lint.scan dirs in
     if sexp then print_endline (Ormp_util.Sexp.to_string (Ormp_check.Lint.to_sexp r))
@@ -675,7 +714,8 @@ let lint_cmd =
   let dirs =
     Arg.(
       value & pos_all string []
-      & info [] ~docv:"DIR" ~doc:"Directories to scan recursively (default: lib).")
+      & info [] ~docv:"PATH"
+          ~doc:"Directories to scan recursively, or single .ml files (default: lib).")
   in
   let sexp =
     Arg.(value & flag & info [ "sexp" ] ~doc:"Machine-readable s-expression report.")
@@ -685,7 +725,8 @@ let lint_cmd =
        ~doc:
          "Static source pass enforcing the repo's concurrency and output conventions \
           (raw atomics outside the transport seam, Hashtbl iteration on output paths, \
-          allocation in hot-path files, stderr writes bypassing the logger)")
+          allocation in hot-path files, stderr writes bypassing the logger, boxed VM \
+          drivers)")
     Term.(const run $ dirs $ sexp)
 
 (* --- modelcheck ------------------------------------------------------- *)

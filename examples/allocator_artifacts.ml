@@ -15,11 +15,15 @@ let program = Ormp_workloads.Micro.linked_list ~nodes:12 ~sweeps:2 ()
 
 let raw_prefix config =
   let addrs = ref [] in
-  let sink = function
-    | Ormp_trace.Event.Access { addr; _ } -> if List.length !addrs < 6 then addrs := addr :: !addrs
-    | _ -> ()
+  let lanes =
+    Ormp_trace.Batch.create
+      ~on_chunk:(fun c ->
+        for i = 0 to c.len - 1 do
+          if List.length !addrs < 6 then addrs := c.addr.(i) :: !addrs
+        done)
+      ~on_event:ignore ()
   in
-  ignore (Runner.run ~config program sink);
+  ignore (Runner.run_batched ~config program lanes);
   List.rev !addrs
 
 let or_prefix config =
@@ -30,7 +34,7 @@ let or_prefix config =
       ~on_tuple:(fun tu -> if List.length !tuples < 6 then tuples := tu :: !tuples)
       ()
   in
-  ignore (Runner.run ~config program (Ormp_core.Cdc.sink cdc));
+  ignore (Runner.run_batched ~config program (Ormp_core.Cdc.batch cdc));
   List.rev !tuples
 
 let () =

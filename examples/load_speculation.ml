@@ -23,11 +23,13 @@ let () =
   let program = Ormp_workloads.Registry.program entry in
 
   (* One run feeds both LEAP and the (slow, exact) lossless profiler. *)
-  let leap_sink, leap_fin = Ormp_leap.Leap.sink ~site_name:(Printf.sprintf "site%d") () in
+  let leap_batch, leap_fin =
+    Ormp_leap.Leap.sink_batched ~site_name:(Printf.sprintf "site%d") ()
+  in
   let truth = Ormp_baselines.Lossless_dep.create () in
   let result =
-    Ormp_vm.Runner.run program
-      (Ormp_trace.Sink.fanout [ leap_sink; Ormp_baselines.Lossless_dep.sink truth ])
+    Ormp_vm.Runner.run_batched program
+      (Ormp_trace.Batch.fanout [ leap_batch; Ormp_baselines.Lossless_dep.batch truth ])
   in
   let table = result.Ormp_vm.Runner.table in
   let leap = leap_fin ~elapsed:result.Ormp_vm.Runner.elapsed in

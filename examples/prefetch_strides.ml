@@ -13,11 +13,13 @@ let cache_line = 64
 let analyse name =
   let entry = Ormp_workloads.Registry.find name in
   let program = Ormp_workloads.Registry.program entry in
-  let leap_sink, leap_fin = Ormp_leap.Leap.sink ~site_name:(Printf.sprintf "site%d") () in
+  let leap_batch, leap_fin =
+    Ormp_leap.Leap.sink_batched ~site_name:(Printf.sprintf "site%d") ()
+  in
   let wu = Ormp_baselines.Lossless_stride.create () in
   let result =
-    Ormp_vm.Runner.run program
-      (Ormp_trace.Sink.fanout [ leap_sink; Ormp_baselines.Lossless_stride.sink wu ])
+    Ormp_vm.Runner.run_batched program
+      (Ormp_trace.Batch.fanout [ leap_batch; Ormp_baselines.Lossless_stride.batch wu ])
   in
   let table = result.Ormp_vm.Runner.table in
   let leap = leap_fin ~elapsed:result.Ormp_vm.Runner.elapsed in

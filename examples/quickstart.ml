@@ -44,7 +44,7 @@ let () =
         end)
       ()
   in
-  ignore (Runner.run list_walk (Ormp_core.Cdc.sink cdc));
+  ignore (Runner.run_batched list_walk (Ormp_core.Cdc.batch cdc));
 
   (* 2. WHOMP: the lossless whole-stream profiler. Four Sequitur grammars,
      one per dimension. *)

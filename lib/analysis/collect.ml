@@ -14,7 +14,7 @@ let run ?config ?grouping program =
       ~on_tuple:(Ormp_util.Vec.push buf)
       ()
   in
-  let result = Ormp_vm.Runner.run ?config program (Ormp_core.Cdc.sink cdc) in
+  let result = Ormp_vm.Runner.run_batched ?config program (Ormp_core.Cdc.batch cdc) in
   let omc = Ormp_core.Cdc.omc cdc in
   {
     tuples = Ormp_util.Vec.to_array buf;

@@ -20,20 +20,24 @@ let create ?(window = default_window) () =
 
 let bump tbl key = Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
-let sink t =
-  fun (ev : Ormp_trace.Event.t) ->
-    match ev with
-    | Access { instr; addr; is_store = true; _ } ->
-      t.store_seq <- t.store_seq + 1;
-      Hashtbl.replace t.last_store addr (instr, t.store_seq)
-    | Access { instr; addr; is_store = false; _ } -> (
-      bump t.execs instr;
-      match Hashtbl.find_opt t.last_store addr with
-      | Some (st, seq) when seq > t.store_seq - t.window ->
-        (* The matching store is still inside the history window. *)
-        bump t.conflicts (st, instr)
-      | _ -> ())
-    | Alloc _ | Free _ -> ()
+let access t ~instr ~addr ~size:_ ~is_store =
+  if is_store then begin
+    t.store_seq <- t.store_seq + 1;
+    Hashtbl.replace t.last_store addr (instr, t.store_seq)
+  end
+  else begin
+    bump t.execs instr;
+    match Hashtbl.find_opt t.last_store addr with
+    | Some (st, seq) when seq > t.store_seq - t.window ->
+      (* The matching store is still inside the history window. *)
+      bump t.conflicts (st, instr)
+    | _ -> ()
+  end
+
+let batch t =
+  Ormp_trace.Batch.create
+    ~on_chunk:(fun c -> Ormp_trace.Batch.iter c (access t))
+    ~on_event:ignore ()
 
 let load_execs t load = Option.value ~default:0 (Hashtbl.find_opt t.execs load)
 
@@ -48,5 +52,5 @@ let deps t =
 
 let profile ?config ?window program =
   let t = create ?window () in
-  ignore (Ormp_vm.Runner.run ?config program (sink t));
+  ignore (Ormp_vm.Runner.run_batched ?config program (batch t));
   t

@@ -20,7 +20,11 @@ val default_window : int
     paper's comparison operates in. The window ablation sweeps it. *)
 
 val create : ?window:int -> unit -> t
-val sink : t -> Ormp_trace.Sink.t
+val access : t -> instr:int -> addr:int -> size:int -> is_store:bool -> unit
+(** One executed load or store, in {!Ormp_trace.Batch.iter}'s shape. *)
+
+val batch : t -> Ormp_trace.Batch.t
+(** {!access} on every chunk entry; object events are ignored. *)
 
 val deps : t -> Dep_types.dep list
 (** Same shape and semantics as {!Lossless_dep.deps}, but computed from

@@ -9,16 +9,19 @@ let create () =
 
 let bump tbl key = Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
-let sink t =
-  fun (ev : Ormp_trace.Event.t) ->
-    match ev with
-    | Access { instr; addr; is_store = true; _ } -> Hashtbl.replace t.last_writer addr instr
-    | Access { instr; addr; is_store = false; _ } ->
-      bump t.execs instr;
-      (match Hashtbl.find_opt t.last_writer addr with
-      | Some st -> bump t.conflicts (st, instr)
-      | None -> ())
-    | Alloc _ | Free _ -> ()
+let access t ~instr ~addr ~size:_ ~is_store =
+  if is_store then Hashtbl.replace t.last_writer addr instr
+  else begin
+    bump t.execs instr;
+    match Hashtbl.find_opt t.last_writer addr with
+    | Some st -> bump t.conflicts (st, instr)
+    | None -> ()
+  end
+
+let batch t =
+  Ormp_trace.Batch.create
+    ~on_chunk:(fun c -> Ormp_trace.Batch.iter c (access t))
+    ~on_event:ignore ()
 
 let load_execs t load = Option.value ~default:0 (Hashtbl.find_opt t.execs load)
 
@@ -35,5 +38,5 @@ let locations t = Hashtbl.length t.last_writer
 
 let profile ?config program =
   let t = create () in
-  ignore (Ormp_vm.Runner.run ?config program (sink t));
+  ignore (Ormp_vm.Runner.run_batched ?config program (batch t));
   t

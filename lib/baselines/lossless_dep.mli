@@ -11,7 +11,11 @@
 type t
 
 val create : unit -> t
-val sink : t -> Ormp_trace.Sink.t
+val access : t -> instr:int -> addr:int -> size:int -> is_store:bool -> unit
+(** One executed load or store, in {!Ormp_trace.Batch.iter}'s shape. *)
+
+val batch : t -> Ormp_trace.Batch.t
+(** {!access} on every chunk entry; object events are ignored. *)
 
 val deps : t -> Dep_types.dep list
 (** All (store, load) pairs with at least one conflict, frequency =

@@ -16,20 +16,21 @@ let per t instr =
     Hashtbl.replace t.instrs instr p;
     p
 
-let sink t =
-  fun (ev : Ormp_trace.Event.t) ->
-    match ev with
-    | Access { instr; addr; _ } ->
-      let p = per t instr in
-      p.execs <- p.execs + 1;
-      (match p.last_addr with
-      | Some prev ->
-        let stride = addr - prev in
-        Hashtbl.replace p.stride_counts stride
-          (1 + Option.value ~default:0 (Hashtbl.find_opt p.stride_counts stride))
-      | None -> ());
-      p.last_addr <- Some addr
-    | Alloc _ | Free _ -> ()
+let access t ~instr ~addr ~size:_ ~is_store:_ =
+  let p = per t instr in
+  p.execs <- p.execs + 1;
+  (match p.last_addr with
+  | Some prev ->
+    let stride = addr - prev in
+    Hashtbl.replace p.stride_counts stride
+      (1 + Option.value ~default:0 (Hashtbl.find_opt p.stride_counts stride))
+  | None -> ());
+  p.last_addr <- Some addr
+
+let batch t =
+  Ormp_trace.Batch.create
+    ~on_chunk:(fun c -> Ormp_trace.Batch.iter c (access t))
+    ~on_event:ignore ()
 
 let strides t instr =
   match Hashtbl.find_opt t.instrs instr with
@@ -58,8 +59,3 @@ let strongly_strided ?(threshold = 0.7) t =
         | _ -> acc)
     t.instrs []
   |> List.sort compare
-
-let profile ?config program =
-  let t = create () in
-  ignore (Ormp_vm.Runner.run ?config program (sink t));
-  t

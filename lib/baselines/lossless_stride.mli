@@ -10,7 +10,11 @@
 type t
 
 val create : unit -> t
-val sink : t -> Ormp_trace.Sink.t
+val access : t -> instr:int -> addr:int -> size:int -> is_store:bool -> unit
+(** One executed load or store, in {!Ormp_trace.Batch.iter}'s shape. *)
+
+val batch : t -> Ormp_trace.Batch.t
+(** {!access} on every chunk entry; object events are ignored. *)
 
 val strides : t -> int -> (int * int) list
 (** [(stride, occurrences)] multiset for an instruction, most frequent
@@ -24,5 +28,3 @@ val strongly_strided : ?threshold:float -> t -> (int * int) list
     at least [threshold] (default 0.7) of their stride instances.
     Instructions executed fewer than 2 times never qualify. Sorted by
     instruction id. *)
-
-val profile : ?config:Ormp_vm.Config.t -> Ormp_vm.Program.t -> t

@@ -70,12 +70,6 @@ let access t ~addr ~size =
   if !hit then t.hits <- t.hits + 1;
   !hit
 
-let sink t =
-  fun (ev : Ormp_trace.Event.t) ->
-    match ev with
-    | Access { addr; size; _ } -> ignore (access t ~addr ~size)
-    | Alloc _ | Free _ -> ()
-
 let accesses t = t.accesses
 let hits t = t.hits
 let misses t = t.accesses - t.hits

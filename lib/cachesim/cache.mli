@@ -30,9 +30,6 @@ val access : t -> addr:int -> size:int -> bool
 (** Touch [size] bytes at [addr]; returns [true] on a (full) hit. An
     access spanning two lines touches both and hits only if both hit. *)
 
-val sink : t -> Ormp_trace.Sink.t
-(** Feed the cache directly from probe events (loads and stores alike). *)
-
 val accesses : t -> int
 val hits : t -> int
 val misses : t -> int

@@ -126,6 +126,15 @@ let rules =
          recovery path";
     };
     {
+      r_name = "boxed-driver";
+      r_severity = Finding.Error;
+      r_doc = "Runner.run (the boxed, per-event driver) only in the VM (lib/vm)";
+      r_applies = (fun p -> not (in_dir "vm" p));
+      r_needs_tag = false;
+      r_patterns = [ "Runner.run\\b" ];
+      r_message = "boxed per-event VM driver — feed Batch lanes through Runner.run_batched";
+    };
+    {
       r_name = "bare-eprintf";
       r_severity = Finding.Error;
       r_doc = "no direct stderr writes bypassing the telemetry logger";
@@ -214,12 +223,17 @@ let ident_char c =
 
 (* [needle] occurs at an identifier boundary: the preceding character is
    not part of an identifier. A '.' prefix is allowed on purpose —
-   [Stdlib.Atomic.get] and [Format.eprintf] are still the raw thing. *)
+   [Stdlib.Atomic.get] and [Format.eprintf] are still the raw thing. A
+   needle ending in [\b] must end at one too: it is a whole identifier. *)
 let has_token hay needle =
+  let whole = String.ends_with ~suffix:"\\b" needle in
+  let needle = if whole then String.sub needle 0 (String.length needle - 2) else needle in
   let nh = String.length hay and nn = String.length needle in
+  let boundary j = j < 0 || j >= nh || not (ident_char hay.[j]) in
   let rec at i =
     if i + nn > nh then false
-    else if String.sub hay i nn = needle && (i = 0 || not (ident_char hay.[i - 1])) then true
+    else if String.sub hay i nn = needle && boundary (i - 1) && ((not whole) || boundary (i + nn))
+    then true
     else at (i + 1)
   in
   nn > 0 && at 0

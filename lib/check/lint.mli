@@ -1,6 +1,6 @@
 (** Source-level lint for the repo's concurrency and output conventions.
 
-    Seven rules, enforced over [.ml] files (comments and strings are
+    Eight rules, enforced over [.ml] files (comments and strings are
     stripped before matching):
 
     - [atomic] (error) — no raw [Atomic.] use outside the functorized
@@ -24,6 +24,10 @@
     - [journal-owner] (error) — {!Ormp_session.Journal}'s [create],
       [recover] and [append] only in {!Ormp_session.Session} (a path ending
       in [session/session.ml]): one owner of durability, one recovery path.
+    - [boxed-driver] (error) — [Runner.run], matched as a whole
+      identifier, only under [vm/]: every driver feeds
+      {!Ormp_trace.Batch} lanes through [Runner.run_batched]. Waive only
+      where a caller needs the boxed event array itself.
     - [bare-eprintf] (error) — no direct stderr writes ([eprintf],
       [prerr_*], [output_string stderr]) bypassing
       {!Ormp_telemetry.Log}.

@@ -182,23 +182,15 @@ let[@inline] on_access t ~instr ~addr =
     t.clock <- t.clock + 1
   | _ -> on_access_slow t ~instr ~addr
 
-let event t (ev : Ormp_trace.Event.t) =
-  match ev with
-  | Access { instr; addr; size = _; is_store = _ } -> on_access t ~instr ~addr
-  | Alloc { site; addr; size; type_name = _ } -> on_alloc t ~site ~addr ~size
-  | Free { addr; site } -> on_free t ?site ~addr ()
-
-let sink t : Ormp_trace.Sink.t = fun ev -> event t ev
-
 let batch ?capacity t =
   Ormp_trace.Batch.create ?capacity
     ~on_chunk:(fun c ->
       for i = 0 to c.len - 1 do
         on_access t ~instr:c.instr.(i) ~addr:c.addr.(i)
       done)
-    ~on_event:(fun ev ->
-      match ev with
-      | Alloc _ | Free _ -> event t ev
+    ~on_event:(function
+      | Ormp_trace.Event.Alloc { site; addr; size; type_name = _ } -> on_alloc t ~site ~addr ~size
+      | Free { addr; site } -> on_free t ?site ~addr ()
       | Access _ -> assert false (* batches route accesses through on_chunk *))
     ()
 

@@ -41,11 +41,6 @@ val batch : ?capacity:int -> t -> Ormp_trace.Batch.t
 (** The batched fast path; accesses are checked straight out of the
     chunk arrays with a one-entry MRU object cache. *)
 
-val sink : t -> Ormp_trace.Sink.t
-(** Per-event adapter, for callers still on the legacy sink interface. *)
-
-val event : t -> Ormp_trace.Event.t -> unit
-
 val finish :
   ?leaks:bool ->
   ?site_name:(int -> string) ->

@@ -390,6 +390,14 @@ let omc (o : Ormp_core.Omc.t) =
 
 (* --- whole profiles ---------------------------------------------------- *)
 
+(* A profile's grammar, valid and holding the [count] its profile records
+   under [field]. *)
+let counted name g ~field ~count =
+  let* () = match grammar g with Ok () -> Ok () | Error e -> errf "%s grammar: %s" name e in
+  let n = Seq_c.input_length g in
+  if n <> count then errf "%s grammar holds %d symbols, profile %s %d" name n field count
+  else Ok ()
+
 let whomp_profile (p : Ormp_whomp.Whomp.profile) =
   let module W = Ormp_whomp.Whomp in
   let* () =
@@ -403,14 +411,10 @@ let whomp_profile (p : Ormp_whomp.Whomp.profile) =
   let* () =
     check_all
       (List.map
-         (fun (name, g) () ->
-           let* () =
-             match grammar g with Ok () -> Ok () | Error e -> errf "%s grammar: %s" name e
-           in
-           let n = Seq_c.input_length g in
-           if n <> p.W.collected then
-             errf "%s grammar holds %d symbols, profile collected %d" name n p.W.collected
-           else Ok ())
+         (fun (name, g) () -> counted name g ~field:"collected" ~count:p.W.collected)
          p.W.dims)
   in
   objects ~groups:p.W.groups p.W.lifetimes
+
+let rasg_profile (p : Ormp_whomp.Rasg.profile) =
+  counted "rasg" p.Ormp_whomp.Rasg.grammar ~field:"accesses" ~count:p.Ormp_whomp.Rasg.accesses

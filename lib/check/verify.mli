@@ -69,3 +69,7 @@ val whomp_profile : Ormp_whomp.Whomp.profile -> (unit, string) result
 (** The four dimension grammars present in paper order, each passing
     {!grammar} with input length equal to [collected], and the
     lifetime/group tables passing {!objects}. *)
+
+val rasg_profile : Ormp_whomp.Rasg.profile -> (unit, string) result
+(** The raw-address grammar passing {!grammar} with input length equal
+    to [accesses]. *)

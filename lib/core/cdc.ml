@@ -115,6 +115,22 @@ let batch_tuples ?capacity t ~on_tuples () =
   in
   Ormp_trace.Batch.create ~capacity ~on_chunk ~on_event ()
 
+let batch t =
+  batch_tuples t
+    ~on_tuples:(fun tp ->
+      for i = 0 to tp.tp_len - 1 do
+        t.on_tuple
+          {
+            Tuple.instr = tp.tp_instr.(i);
+            group = tp.tp_group.(i);
+            obj = tp.tp_obj.(i);
+            offset = tp.tp_offset.(i);
+            time = tp.tp_time0 + i;
+            is_store = tp.tp_store.(i) <> 0;
+          }
+      done)
+    ()
+
 let omc t = t.omc
 let collected t = t.clock
 let wild t = t.wild
@@ -123,11 +139,11 @@ type state = { s_omc : Omc.state; s_clock : int; s_wild : int }
 
 let state t = { s_omc = Omc.state t.omc; s_clock = t.clock; s_wild = t.wild }
 
-let of_state ?(on_wild = fun _ -> ()) ~site_name ~on_tuple (s : state) =
+let of_state ~site_name ~on_tuple (s : state) =
   {
     omc = Omc.of_state ~site_name s.s_omc;
     on_tuple;
-    on_wild;
+    on_wild = ignore;
     clock = s.s_clock;
     wild = s.s_wild;
   }

@@ -57,6 +57,11 @@ val batch_tuples :
     first, so the interleaving and the time stamps are identical; wild
     accesses still go to [on_wild] one at a time. *)
 
+val batch : t -> Ormp_trace.Batch.t
+(** {!batch_tuples} into the CDC's own [on_tuple], one boxed {!Tuple.t}
+    per translated access, for consumers that keep or print tuples: the
+    tuples, their order and their stamps are those of {!sink}. *)
+
 val omc : t -> Omc.t
 
 val collected : t -> int
@@ -76,7 +81,6 @@ val state : t -> state
     stamped. *)
 
 val of_state :
-  ?on_wild:(Ormp_trace.Event.t -> unit) ->
   site_name:(int -> string) ->
   on_tuple:(Tuple.t -> unit) ->
   state ->
@@ -84,4 +88,4 @@ val of_state :
 (** Rebuild a CDC mid-stream: the restored hub stamps the next collected
     access with the saved clock and translates through the rebuilt object
     table, so the tuple stream continues exactly where the snapshot was
-    taken. Consumers ([on_tuple]/[on_wild]) are supplied fresh. *)
+    taken. [on_tuple] is supplied fresh; wild accesses are only counted. *)

@@ -14,20 +14,20 @@ let site_name = Printf.sprintf "site%d"
 
 let run_suite ?(bench = false) ?config ?window entry =
   let program = Registry.program ~bench entry in
-  let leap_sink, leap_fin = Ormp_leap.Leap.sink ~site_name () in
+  let leap_batch, leap_fin = Ormp_leap.Leap.sink_batched ~site_name () in
   let truth = Ormp_baselines.Lossless_dep.create () in
   let connors = Ormp_baselines.Connors.create ?window () in
   let wu = Ormp_baselines.Lossless_stride.create () in
-  let sink =
-    Ormp_trace.Sink.fanout
+  let lanes =
+    Ormp_trace.Batch.fanout
       [
-        leap_sink;
-        Ormp_baselines.Lossless_dep.sink truth;
-        Ormp_baselines.Connors.sink connors;
-        Ormp_baselines.Lossless_stride.sink wu;
+        leap_batch;
+        Ormp_baselines.Lossless_dep.batch truth;
+        Ormp_baselines.Connors.batch connors;
+        Ormp_baselines.Lossless_stride.batch wu;
       ]
   in
-  let result = Ormp_vm.Runner.run ?config program sink in
+  let result = Ormp_vm.Runner.run_batched ?config program lanes in
   { entry; leap = leap_fin ~elapsed:result.Ormp_vm.Runner.elapsed; truth; connors; wu }
 
 let run_suites ?bench ?(parallel = false) () =
@@ -459,13 +459,13 @@ let ablation_pool_handling ?(bench = false) () =
   List.map
     (fun (mode, expose_pieces) ->
       let program = Ormp_workloads.Parser_like.program ~scale ~expose_pieces () in
-      let leap_sink, leap_fin = Ormp_leap.Leap.sink ~site_name () in
+      let leap_batch, leap_fin = Ormp_leap.Leap.sink_batched ~site_name () in
       let truth = Ormp_baselines.Lossless_dep.create () in
-      let whomp_sink, whomp_fin = Ormp_whomp.Whomp.sink ~site_name () in
+      let whomp_batch, whomp_fin = Ormp_whomp.Whomp.sink_batched ~site_name () in
       let result =
-        Ormp_vm.Runner.run program
-          (Ormp_trace.Sink.fanout
-             [ leap_sink; Ormp_baselines.Lossless_dep.sink truth; whomp_sink ])
+        Ormp_vm.Runner.run_batched program
+          (Ormp_trace.Batch.fanout
+             [ leap_batch; Ormp_baselines.Lossless_dep.batch truth; whomp_batch ])
       in
       let leap = leap_fin ~elapsed:result.Ormp_vm.Runner.elapsed in
       let whomp = whomp_fin ~elapsed:0.0 in
@@ -594,7 +594,7 @@ let ablation_no_decomposition ?(bench = false) () =
         Ormp_sequitur.Sequitur.push fused tu.offset
       in
       let cdc = Ormp_core.Cdc.create ~site_name ~on_tuple () in
-      ignore (Ormp_vm.Runner.run program (Ormp_core.Cdc.sink cdc));
+      ignore (Ormp_vm.Runner.run_batched program (Ormp_core.Cdc.batch cdc));
       let omsg = Ormp_whomp.Whomp.profile program in
       let fb = Ormp_sequitur.Sequitur.byte_size fused in
       let ob = Ormp_whomp.Whomp.omsg_bytes omsg in

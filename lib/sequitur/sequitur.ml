@@ -170,13 +170,14 @@ let is_nonterm t s = s_meta t s land tag_nonterm <> 0
 let rule_of t s = s_meta t s lsr rule_shift
 
 (* The record implementation's [code_of]: terminals on the even codes,
-   rule ids on the odd. Used for digram keys, digram comparison and
-   byte-size accounting only — the raw 63-bit value in [code] is what
-   [expand] reproduces, so the top-bit truncation here affects matching
-   exactly as before and storage not at all. *)
+   rule ids on the odd. Used for digram keys and byte-size accounting
+   only: it drops bit 62 of the raw code, so two symbols are the same
+   symbol when [same_sym] says so, never on equal [sym_code]s. *)
 let sym_code t s =
   let c = s_code t s in
   if is_nonterm t s then (c lsl 1) lor 1 else c lsl 1
+
+let same_sym t a b = s_code t a = s_code t b && (s_meta t a lxor s_meta t b) land tag_nonterm = 0
 
 (* A digram-index entry holds a slot as its 31-bit index (slot / 4), and
    31 bits of its key's hash. *)
@@ -601,7 +602,7 @@ let rec check t s =
     else begin
       let m = entry_slot (Array.unsafe_get t.dig p) in
       if m = s then false
-      else if not (sym_code t m = cs && sym_code t (s_nxt t m) = csn) then begin
+      else if not (same_sym t m s && same_sym t (s_nxt t m) sn) then begin
         (* packed-key collision: key equality is not digram equality *)
         dig_bind t p h s;
         false

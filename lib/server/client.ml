@@ -37,6 +37,8 @@ let generate ~workload ~seed =
   | Ok program ->
     let buf = Ormp_util.Vec.create () in
     let config = { Ormp_vm.Config.default with seed } in
+    (* Sessions and [reference] take the run as boxed events.
+       lint:allow boxed-driver *)
     ignore (Ormp_vm.Runner.run ~config program (Ormp_util.Vec.push buf));
     let events = Ormp_util.Vec.to_array buf in
     Ok (events, Array.length events)

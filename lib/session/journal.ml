@@ -88,6 +88,14 @@ let crc_event scratch crc ev =
   Tf.render scratch ev;
   Ormp_util.Crc32.update_sub crc (Tf.bytes scratch) 0 (Tf.length scratch)
 
+let crc_chunk scratch crc (c : Ormp_trace.Batch.chunk) ~off ~len =
+  Tf.clear scratch;
+  for i = off to off + len - 1 do
+    Tf.render_access scratch ~instr:c.instr.(i) ~addr:c.addr.(i) ~size:c.size.(i)
+      ~is_store:(c.store.(i) <> 0)
+  done;
+  Ormp_util.Crc32.update_sub crc (Tf.bytes scratch) 0 (Tf.length scratch)
+
 let flush w = flush w.oc
 
 let bytes w = pos_out w.oc

@@ -47,6 +47,11 @@ val crc_event : Ormp_trace.Trace_file.buffer -> int -> Ormp_trace.Event.t -> int
     restore's replay and a resume's re-execution re-derive the CRC of
     events they do not write. *)
 
+val crc_chunk :
+  Ormp_trace.Trace_file.buffer -> int -> Ormp_trace.Batch.chunk -> off:int -> len:int -> int
+(** {!crc_event} over the accesses [off, off + len) of a chunk, rendered
+    from its lanes: how a resume's re-execution checks its prefix. *)
+
 val flush : writer -> unit
 val close : writer -> unit
 

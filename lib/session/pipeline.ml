@@ -47,7 +47,7 @@ type t = {
   leap : Leap.collector;
   par : par option;
   failed : exn option ref;
-  mutable rasg_accesses : int;
+  mutable rasg_accesses : int;  (* the accesses the live RASG grammar holds *)
   mutable position : int;
 }
 
@@ -109,7 +109,7 @@ let create ?pool ?(site_name = default_site_name) ?restore ?leap_budget ?max_str
     match restore with
     | None -> (Cdc.create ~site_name ~on_tuple (), 0, 0)
     | Some s ->
-      (Cdc.of_state ~site_name ~on_tuple s.cdc, s.position, s.cdc.Cdc.s_clock + s.cdc.Cdc.s_wild)
+      (Cdc.of_state ~site_name ~on_tuple s.cdc, s.position, Seq_c.input_length s.rasg)
   in
   let batch = Cdc.batch_tuples cdc ~on_tuples () in
   {
@@ -210,6 +210,7 @@ let rotate t =
   t.w.collector <- whomp;
   t.w.dims <- dims_of whomp;
   t.rasg <- Seq_c.create ();
+  t.rasg_accesses <- 0;
   sealed
 
 let cdc_state t =
@@ -229,7 +230,7 @@ let whomp_profile t ~elapsed =
   W.publish_dim_gauges (grammars t);
   {
     W.dims = W.collector_dims t.w.collector;
-    collected = Cdc.collected t.cdc;
+    collected = Seq_c.input_length t.w.dims.(0);
     wild = Cdc.wild t.cdc;
     groups = Omc.groups omc;
     lifetimes = Omc.lifetimes omc;
@@ -263,7 +264,10 @@ let run ?config ?(jobs = 1) ?site_name ?(wrap = Fun.id) program =
   let site_name = Option.value site_name ~default:(table_site_name table) in
   with_pool ~jobs @@ fun pool ->
   let t = create ?pool ~site_name () in
-  let result = Ormp_vm.Runner.run ?config program (wrap (apply t)) in
+  let lanes =
+    Batch.create ~on_chunk:(fun c -> apply_chunk t c ~off:0 ~len:c.len) ~on_event:(apply t) ()
+  in
+  let result = Ormp_vm.Runner.run_batched ?config program (wrap lanes) in
   table := Some result.Ormp_vm.Runner.table;
   sync t;
   (t, result)

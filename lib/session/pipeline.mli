@@ -91,8 +91,10 @@ val cdc_state : t -> Ormp_core.Cdc.state
 val leap_live : t -> Ormp_leap.Leap.live
 
 val whomp_profile : t -> elapsed:float -> Ormp_whomp.Whomp.profile
-(** Also publishes the OMC gauges and the gauges of all five grammars
-    when telemetry is on. *)
+(** Its [collected], like {!rasg_profile}'s [accesses], counts the
+    accesses since the last {!rotate}; its [wild], groups and lifetimes
+    cover every epoch. Also publishes the OMC's and the five grammars'
+    gauges when telemetry is on. *)
 
 val rasg_profile : t -> elapsed:float -> Ormp_whomp.Rasg.profile
 val leap_profile : t -> elapsed:float -> Ormp_leap.Leap.profile
@@ -122,10 +124,11 @@ val run :
   ?config:Ormp_vm.Config.t ->
   ?jobs:int ->
   ?site_name:(int -> string) ->
-  ?wrap:((Ormp_trace.Event.t -> unit) -> Ormp_trace.Event.t -> unit) ->
+  ?wrap:(Ormp_trace.Batch.t -> Ormp_trace.Batch.t) ->
   Ormp_vm.Program.t ->
   t * Ormp_vm.Runner.result
 (** Run [program] through one pipeline under {!with_pool}, returned
-    quiesced. Site names default to {!table_site_name} over the run's own
-    table. [wrap] splices a caller's sink around {!apply}, e.g. a
-    sanitizer tap or a cancellation guard. *)
+    quiesced. The VM's lanes go to {!apply_chunk}, its object events to
+    {!apply}. Site names default to {!table_site_name} over the run's
+    own table. [wrap] splices a caller's batch in front of the
+    pipeline's, e.g. a sanitizer tap or a cancellation guard. *)

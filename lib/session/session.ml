@@ -582,7 +582,8 @@ let restore ?io ?heartbeat_every ?pool ?site_name ~options ~dir ~workload () =
 (* Run [workload] under the VM into a fresh session, or with [resume] the
    restored one (or a fresh one when nothing is recoverable). The events
    the session already holds are regenerated (the VM is deterministic),
-   CRC-checked against the journal, and dropped. *)
+   CRC-checked against the journal from the lanes, and dropped; the rest
+   go to [append_chunk], which cuts each chunk at the triggers. *)
 let drive ?io ?heartbeat_every ?(jobs = 1) ~dir ~workload ~config ~options ~resume () =
   let* program = find_workload workload in
   (* Sites are named through the table the run produces; the reference is
@@ -599,20 +600,32 @@ let drive ?io ?heartbeat_every ?(jobs = 1) ~dir ~workload ~config ~options ~resu
       | Error _ -> fresh ()
   in
   let skip = position ctx and expect_crc = ctx.jcrc in
-  let gen = ref 0 and regen_crc = ref 0 and scratch = Tf.buffer () in
-  let sink ev =
-    incr gen;
-    if !gen > skip then append ctx ev
+  let pending = ref skip and regen_crc = ref 0 and scratch = Tf.buffer () in
+  let regenerated n =
+    pending := !pending - n;
+    if !pending = 0 && !regen_crc <> expect_crc then
+      raise
+        (Resume_diverged
+           (Printf.sprintf "re-executed events [0,%d) differ from the journal (crc %d, journal %d)"
+              skip !regen_crc expect_crc))
+  in
+  let on_chunk (c : Ormp_trace.Batch.chunk) =
+    let pre = min c.len !pending in
+    if pre > 0 then begin
+      regen_crc := Journal.crc_chunk scratch !regen_crc c ~off:0 ~len:pre;
+      regenerated pre
+    end;
+    if pre < c.len then append_chunk ctx c ~off:pre ~len:(c.len - pre)
+  in
+  let on_event ev =
+    if !pending = 0 then append ctx ev
     else begin
       regen_crc := Journal.crc_event scratch !regen_crc ev;
-      if !gen = skip && !regen_crc <> expect_crc then
-        raise
-          (Resume_diverged
-             (Printf.sprintf "re-executed events [0,%d) differ from the journal (crc %d, journal %d)"
-                skip !regen_crc expect_crc))
+      regenerated 1
     end
   in
-  match Ormp_vm.Runner.run ~config program sink with
+  let lanes = Ormp_trace.Batch.create ~on_chunk ~on_event () in
+  match Ormp_vm.Runner.run_batched ~config program lanes with
   | exception Resume_diverged msg ->
     close ctx;
     Error msg

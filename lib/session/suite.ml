@@ -25,22 +25,15 @@ type report = {
   rp_elapsed : float;
 }
 
-(* Check the stop flag once every 1024 events: cheap against a per-event
-   profile cost, frequent against any workload that is still making
-   progress (a hang inside the probe stream keeps emitting events, so the
-   guard is guaranteed to run). *)
-let guarded_sink should_stop inner =
-  let n = ref 0 in
-  fun ev ->
-    incr n;
-    if !n land 1023 = 0 && should_stop () then raise Supervise.Cancelled;
-    inner ev
+let guard should_stop inner =
+  let poll _ = if should_stop () then raise Supervise.Cancelled in
+  Ormp_trace.Batch.fanout [ Ormp_trace.Batch.create ~on_chunk:poll ~on_event:poll (); inner ]
 
 let profile_task ?config ?jobs program ~should_stop =
-  (* A cancellation (or any fault) raised by the guarded sink unwinds
-     through [Pipeline.run], which joins the pool before it propagates to
+  (* A cancellation (or any fault) raised by the guard unwinds through
+     [Pipeline.run], which joins the pool before it propagates to
      Supervise. *)
-  let pipe, result = Pipeline.run ?config ?jobs ~wrap:(guarded_sink should_stop) program in
+  let pipe, result = Pipeline.run ?config ?jobs ~wrap:(guard should_stop) program in
   Pipeline.whomp_profile pipe ~elapsed:result.Ormp_vm.Runner.elapsed
 
 let run ?(bench = false) ?timeout_s ?(retries = 1) ?backoff_s ?(faults = []) ?config ?jobs

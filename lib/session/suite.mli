@@ -37,10 +37,10 @@ type report = {
   rp_elapsed : float;
 }
 
-val guarded_sink :
-  (unit -> bool) -> Ormp_trace.Sink.t -> Ormp_trace.Sink.t
-(** Wrap a sink with a cooperative-cancellation guard: every 1024 events
-    it polls the flag and raises {!Supervise.Cancelled}. *)
+val guard : (unit -> bool) -> Ormp_trace.Batch.t -> Ormp_trace.Batch.t
+(** [guard should_stop inner] feeds [inner] and raises {!Supervise.Cancelled}
+    once [should_stop ()] holds. It polls per chunk of accesses and per alloc
+    or free: cheap against their profile cost, and a hang emits one or both. *)
 
 val run :
   ?bench:bool ->
@@ -57,7 +57,8 @@ val run :
     [retries = 1]). With [out_dir], each completed workload's WHOMP
     profile is saved as [<name>.whomp] there. Never raises on workload
     failure — that is the point. Each workload runs through one
-    {!Pipeline}; [jobs > 1] (default 1) gives it a private pool of
+    {!Pipeline} behind a guard that polls the deadline per chunk and
+    per object event; [jobs > 1] (default 1) gives it a private pool of
     [jobs - 1] compressor workers ({!Pipeline.with_pool}). The saved
     profiles are byte-identical either way, and a cancelled or crashed
     task still joins its pool before the supervisor moves on. *)

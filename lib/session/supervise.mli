@@ -4,12 +4,12 @@
     and isolates its crashes: an exception ends the task's domain, not
     the suite. Cancellation is cooperative — OCaml domains cannot be
     killed from outside — so tasks receive a [should_stop] closure and
-    are expected to poll it from their event path (see
-    {!Suite.guarded_sink}); when the deadline passes the flag flips, and
-    the task raises {!Cancelled} at its next poll. *)
+    are expected to poll it from their event path (the suite polls per
+    chunk and per alloc or free); when the deadline passes the flag
+    flips, and the task raises {!Cancelled} at its next poll. *)
 
 exception Cancelled
-(** Raised {e by the task} (typically via its guard sink) once
+(** Raised {e by the task} (typically via its guard) once
     [should_stop] turns true. *)
 
 type failure = { attempts : int; error : string; backtrace : string }

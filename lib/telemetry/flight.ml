@@ -110,16 +110,34 @@ let to_sexp ?(reason = "") t =
 let trace_file = "trace.json"
 let record_file = "record.sexp"
 
-(* Write the post-mortem bundle under [dir] (created as needed). Best
-   effort by design: a full disk must not take the daemon down with it,
-   so failures surface as [Error] for the caller to count, not raise. *)
+(* A bundle directory holds files only. *)
+let remove_bundle d =
+  if Sys.file_exists d then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+    Sys.rmdir d
+  end
+
+(* Write the post-mortem bundle as [dir], built in [.<name>.tmp] beside it
+   and renamed into place: whole or not at all. Temporary directories a
+   killed dump left there go first. Best effort by design: a full disk
+   must not take the daemon down, so failures surface as [Error]. *)
 let dump t ~dir ~reason : (unit, string) result =
+  let parent = Filename.dirname dir in
+  let tmp = Filename.concat parent ("." ^ Filename.basename dir ^ ".tmp") in
   try
-    Ormp_util.Fs.mkdirs dir;
-    let oc = open_out_bin (Filename.concat dir trace_file) in
+    Ormp_util.Fs.mkdirs parent;
+    Array.iter
+      (fun f ->
+        if String.starts_with ~prefix:"." f && String.ends_with ~suffix:".tmp" f then
+          remove_bundle (Filename.concat parent f))
+      (Sys.readdir parent);
+    Sys.mkdir tmp 0o755;
+    let oc = open_out_bin (Filename.concat tmp trace_file) in
     output_string oc (Ormp_util.Json.to_string (to_trace_json t));
     output_char oc '\n';
     close_out oc;
-    Ormp_util.Sexp.save (Filename.concat dir record_file) (to_sexp ~reason t);
+    Ormp_util.Sexp.save (Filename.concat tmp record_file) (to_sexp ~reason t);
+    remove_bundle dir;
+    Sys.rename tmp dir;
     Ok ()
   with Sys_error m -> Error m

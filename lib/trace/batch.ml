@@ -11,8 +11,6 @@ type chunk = {
    enough that the per-chunk flush overhead is noise. *)
 let default_capacity = 512
 
-let is_store c i = c.store.(i) <> 0
-
 let iter c f =
   for i = 0 to c.len - 1 do
     f ~instr:c.instr.(i) ~addr:c.addr.(i) ~size:c.size.(i) ~is_store:(c.store.(i) <> 0)
@@ -110,18 +108,3 @@ let fanout ?(capacity = default_capacity) children =
     }
   in
   t
-
-let of_sink ?capacity (sink : Sink.t) =
-  create ?capacity
-    ~on_chunk:(fun c ->
-      for i = 0 to c.len - 1 do
-        sink
-          (Event.Access
-             {
-               instr = c.instr.(i);
-               addr = c.addr.(i);
-               size = c.size.(i);
-               is_store = c.store.(i) <> 0;
-             })
-      done)
-    ~on_event:sink ()

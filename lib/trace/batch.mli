@@ -9,12 +9,9 @@
     Event order is preserved exactly: non-access events (alloc/free) are
     rare, so they flush the pending accesses and are delivered individually
     through [on_event]. Consumers therefore observe the same sequence a
-    per-event sink would, just sliced into chunks.
-
-    {!of_sink} adapts any legacy per-event sink to the batched interface,
-    so existing profilers keep working unchanged while batch-aware ones
-    ({!Ormp_core.Cdc.batch_tuples} and the profilers built on it) skip
-    event boxing entirely. *)
+    per-event sink would, just sliced into chunks. Every profiling driver
+    feeds one of these ({!Ormp_vm.Runner.run_batched}); {!event} feeds a
+    recorded or replayed trace into the same consumers. *)
 
 type chunk = {
   instr : int array;
@@ -25,8 +22,6 @@ type chunk = {
 }
 
 val default_capacity : int
-
-val is_store : chunk -> int -> bool
 
 val iter :
   chunk -> (instr:int -> addr:int -> size:int -> is_store:bool -> unit) -> unit
@@ -67,7 +62,3 @@ val fanout : ?capacity:int -> t list -> t
     flush at their own chunk boundaries; {!flush} on the fanout cascades
     into every child, so the usual end-of-run flush still drains
     everything. @raise Invalid_argument on capacity <= 0. *)
-
-val of_sink : ?capacity:int -> Sink.t -> t
-(** Adapter: a batch whose consumer re-boxes each chunk entry into
-    {!Event.Access} records for a legacy per-event sink. *)

@@ -1,39 +1,3 @@
 type t = Event.t -> unit
 
 let null = fun (_ : Event.t) -> ()
-
-let fanout sinks = fun ev -> List.iter (fun s -> s ev) sinks
-
-type recorder = { buf : Event.t Ormp_util.Vec.t; mutable accesses : int }
-
-let recorder () = { buf = Ormp_util.Vec.create (); accesses = 0 }
-
-let recorder_sink r =
- fun ev ->
-  Ormp_util.Vec.push r.buf ev;
-  if Event.is_access ev then r.accesses <- r.accesses + 1
-
-let events r = Ormp_util.Vec.to_array r.buf
-
-let replay r sink = Ormp_util.Vec.iter sink r.buf
-
-let access_count r = r.accesses
-
-let trace_bytes r = r.accesses * Ormp_util.Bytesize.fixed_record
-
-type counter = {
-  mutable loads : int;
-  mutable stores : int;
-  mutable allocs : int;
-  mutable frees : int;
-}
-
-let counter () = { loads = 0; stores = 0; allocs = 0; frees = 0 }
-
-let counter_sink c = function
-  | Event.Access { is_store = false; _ } -> c.loads <- c.loads + 1
-  | Event.Access { is_store = true; _ } -> c.stores <- c.stores + 1
-  | Event.Alloc _ -> c.allocs <- c.allocs + 1
-  | Event.Free _ -> c.frees <- c.frees + 1
-
-let accesses c = c.loads + c.stores

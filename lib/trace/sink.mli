@@ -1,39 +1,8 @@
-(** Event consumers.
-
-    A profiler is a sink of probe events; the VM drives whatever sink it is
-    given. Sinks compose with {!fanout}, and {!recorder} captures a full
-    trace for replay — the moral equivalent of the raw trace file a
-    trace-based profiler would write. *)
+(** Per-event consumers, one boxed {!Event.t} at a time: the engine's
+    direct path, the trace readers and the per-event reference profilers.
+    Profiling drivers feed {!Batch} lanes instead. *)
 
 type t = Event.t -> unit
 
 val null : t
 (** Discards everything (bare, un-instrumented run). *)
-
-val fanout : t list -> t
-(** Deliver each event to every sink, in order. *)
-
-type recorder
-
-val recorder : unit -> recorder
-val recorder_sink : recorder -> t
-
-val events : recorder -> Event.t array
-(** Everything recorded so far, in arrival order. *)
-
-val replay : recorder -> t -> unit
-(** Re-deliver the recorded events to another sink. *)
-
-val access_count : recorder -> int
-(** Number of [Access] events recorded. *)
-
-val trace_bytes : recorder -> int
-(** Size of the recorded access trace at {!Ormp_util.Bytesize.fixed_record}
-    bytes per access — the uncompressed-trace baseline for compression
-    ratios. *)
-
-type counter = { mutable loads : int; mutable stores : int; mutable allocs : int; mutable frees : int }
-
-val counter : unit -> counter
-val counter_sink : counter -> t
-val accesses : counter -> int

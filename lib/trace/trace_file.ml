@@ -79,15 +79,21 @@ let writer oc =
   output_string oc header;
   output_char oc '\n';
   let b = buffer () in
-  fun ev ->
+  (* [write] renders [x]'s lines into the buffer, which goes out whole. *)
+  let emit write x =
     clear b;
-    render b ev;
+    write b x;
     output oc b.bytes 0 b.len
+  in
+  Batch.create
+    ~on_chunk:(emit (fun b c -> Batch.iter c (render_access b)))
+    ~on_event:(emit render) ()
 
 let save path events =
   let oc = open_out path in
-  let sink = writer oc in
-  Array.iter sink events;
+  let w = writer oc in
+  Array.iter (Batch.event w) events;
+  Batch.flush w;
   close_out oc
 
 (* --- parsing ------------------------------------------------------------ *)

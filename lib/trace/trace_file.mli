@@ -72,9 +72,10 @@ val parse_line : string -> (Event.t, string) result
     newline, and {!render}'s line for any event is accepted unless the
     event's type name is empty, holds a newline or ends in a blank. *)
 
-val writer : out_channel -> Sink.t
-(** A sink that appends every event to the channel (header written
-    immediately). The caller owns the channel. *)
+val writer : out_channel -> Batch.t
+(** A batch that appends every event to the channel (header written
+    immediately), a chunk's lines in one [output]. The caller owns the
+    channel and flushes the batch before closing it. *)
 
 val save : string -> Event.t array -> unit
 (** Write a recorded event array to a file. *)

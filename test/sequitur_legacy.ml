@@ -43,7 +43,15 @@ let pack hi lo = (hi lsl 31) lxor lo
 
 let digram_key s = pack (code_of s) (code_of s.next)
 
-let same_digram a b = code_of a = code_of b && code_of a.next = code_of b.next
+(* Symbol identity is the raw value and the kind, not [code_of], which
+   drops a terminal's bit 62. *)
+let same_sym a b =
+  match (a.kind, b.kind) with
+  | Term v, Term w -> v = w
+  | Nonterm r, Nonterm q -> r.id = q.id
+  | _ -> false
+
+let same_digram a b = same_sym a b && same_sym a.next b.next
 
 let make_rule id =
   let rec rule = { id; guard = g; refcount = 0 }

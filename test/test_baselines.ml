@@ -8,6 +8,12 @@ let check_float = Alcotest.(check (float 1e-9))
 let ld ~instr ~addr = Event.Access { instr; addr; size = 8; is_store = false }
 let st ~instr ~addr = Event.Access { instr; addr; size = 8; is_store = true }
 
+(* Each event goes through the consumer's batch, flushed at once, so the
+   profiler's state is current whenever the test reads it. *)
+let sink_of b ev =
+  Batch.event b ev;
+  Batch.flush b
+
 let feed sink evs = List.iter sink evs
 
 (* ------------------------------------------------------------------ *)
@@ -37,7 +43,7 @@ let test_dep_pp () =
 
 let test_lossless_raw () =
   let t = Lossless_dep.create () in
-  feed (Lossless_dep.sink t)
+  feed (sink_of (Lossless_dep.batch t))
     [ st ~instr:1 ~addr:100; ld ~instr:2 ~addr:100; ld ~instr:2 ~addr:200 ];
   (match Lossless_dep.deps t with
   | [ d ] ->
@@ -52,7 +58,7 @@ let test_lossless_last_writer_semantics () =
   (* The paper's example: ld1 depends on st2 for 10%, st3 for 90% — each
      load execution is charged to the LAST writer only. *)
   let t = Lossless_dep.create () in
-  let sink = Lossless_dep.sink t in
+  let sink = sink_of (Lossless_dep.batch t) in
   for i = 1 to 10 do
     if i = 1 then sink (st ~instr:2 ~addr:100) else sink (st ~instr:3 ~addr:100);
     sink (ld ~instr:1 ~addr:100)
@@ -63,12 +69,12 @@ let test_lossless_last_writer_semantics () =
 
 let test_lossless_no_dep_without_store () =
   let t = Lossless_dep.create () in
-  feed (Lossless_dep.sink t) [ ld ~instr:2 ~addr:100 ];
+  feed (sink_of (Lossless_dep.batch t)) [ ld ~instr:2 ~addr:100 ];
   check_int "no deps" 0 (List.length (Lossless_dep.deps t))
 
 let test_lossless_load_before_store () =
   let t = Lossless_dep.create () in
-  feed (Lossless_dep.sink t) [ ld ~instr:2 ~addr:100; st ~instr:1 ~addr:100 ];
+  feed (sink_of (Lossless_dep.batch t)) [ ld ~instr:2 ~addr:100; st ~instr:1 ~addr:100 ];
   check_int "no RAW backwards" 0 (List.length (Lossless_dep.deps t))
 
 (* ------------------------------------------------------------------ *)
@@ -77,12 +83,12 @@ let test_lossless_load_before_store () =
 
 let test_connors_hit_within_window () =
   let t = Connors.create ~window:4 () in
-  feed (Connors.sink t) [ st ~instr:1 ~addr:100; ld ~instr:2 ~addr:100 ];
+  feed (sink_of (Connors.batch t)) [ st ~instr:1 ~addr:100; ld ~instr:2 ~addr:100 ];
   check_float "found" 1.0 (Dep_types.find (Connors.deps t) ~store:1 ~load:2)
 
 let test_connors_miss_outside_window () =
   let t = Connors.create ~window:4 () in
-  let sink = Connors.sink t in
+  let sink = sink_of (Connors.batch t) in
   sink (st ~instr:1 ~addr:100);
   (* four unrelated stores push the interesting one out of the window *)
   for i = 1 to 4 do
@@ -93,7 +99,7 @@ let test_connors_miss_outside_window () =
 
 let test_connors_most_recent_store_wins () =
   let t = Connors.create ~window:16 () in
-  feed (Connors.sink t)
+  feed (sink_of (Connors.batch t))
     [ st ~instr:1 ~addr:100; st ~instr:3 ~addr:100; ld ~instr:2 ~addr:100 ];
   let deps = Connors.deps t in
   check_float "recent writer charged" 1.0 (Dep_types.find deps ~store:3 ~load:2);
@@ -115,7 +121,7 @@ let prop_connors_never_overestimates =
     (fun (window, ops) ->
       let truth = Lossless_dep.create () in
       let connors = Connors.create ~window () in
-      let sink = Ormp_trace.Sink.fanout [ Lossless_dep.sink truth; Connors.sink connors ] in
+      let sink = sink_of (Batch.fanout [ Lossless_dep.batch truth; Connors.batch connors ]) in
       List.iter
         (fun (is_store, instr, slot) ->
           let instr = if is_store then instr else instr + 10 in
@@ -136,7 +142,7 @@ let prop_connors_unbounded_equals_lossless =
       let truth = Lossless_dep.create () in
       let connors = Connors.create ~window:max_int ()
       in
-      let sink = Ormp_trace.Sink.fanout [ Lossless_dep.sink truth; Connors.sink connors ] in
+      let sink = sink_of (Batch.fanout [ Lossless_dep.batch truth; Connors.batch connors ]) in
       List.iter
         (fun (is_store, instr, slot) ->
           let instr = if is_store then instr else instr + 10 in
@@ -150,7 +156,7 @@ let prop_connors_unbounded_equals_lossless =
 
 let test_stride_pure () =
   let t = Lossless_stride.create () in
-  let sink = Lossless_stride.sink t in
+  let sink = sink_of (Lossless_stride.batch t) in
   for i = 0 to 9 do
     sink (ld ~instr:1 ~addr:(1000 + (8 * i)))
   done;
@@ -164,7 +170,7 @@ let test_stride_pure () =
 
 let test_stride_threshold () =
   let t = Lossless_stride.create () in
-  let sink = Lossless_stride.sink t in
+  let sink = sink_of (Lossless_stride.batch t) in
   (* 6 strides of 8, 4 strides of 24: dominant covers 60% < 70%. *)
   let addr = ref 0 in
   sink (ld ~instr:1 ~addr:!addr);
@@ -178,12 +184,12 @@ let test_stride_threshold () =
 
 let test_stride_single_exec_excluded () =
   let t = Lossless_stride.create () in
-  (Lossless_stride.sink t) (ld ~instr:1 ~addr:0);
+  (sink_of (Lossless_stride.batch t)) (ld ~instr:1 ~addr:0);
   check_int "too few execs" 0 (List.length (Lossless_stride.strongly_strided t))
 
 let test_stride_multiple_instrs () =
   let t = Lossless_stride.create () in
-  let sink = Lossless_stride.sink t in
+  let sink = sink_of (Lossless_stride.batch t) in
   for i = 0 to 9 do
     sink (ld ~instr:1 ~addr:(8 * i));
     sink (st ~instr:2 ~addr:(4096 + (16 * i)))

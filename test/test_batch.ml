@@ -179,11 +179,18 @@ let test_translate_batch_alloc_free () =
 module Batch = Ormp_trace.Batch
 module Event = Ormp_trace.Event
 
-(* A child that records the exact event sequence it observes, re-boxed
-   through the legacy sink adapter. *)
+(* A child that records the exact event sequence it observes, each chunk
+   entry re-boxed as an access event. *)
 let recorder ~capacity =
   let seen = ref [] in
-  let b = Batch.of_sink ~capacity (fun ev -> seen := ev :: !seen) in
+  let push ev = seen := ev :: !seen in
+  let b =
+    Batch.create ~capacity
+      ~on_chunk:(fun c ->
+        Batch.iter c (fun ~instr ~addr ~size ~is_store ->
+            push (Event.Access { instr; addr; size; is_store })))
+      ~on_event:push ()
+  in
   (b, fun () -> List.rev !seen)
 
 let script =

@@ -64,15 +64,6 @@ let test_miss_rate () =
   ignore (Cache.access c ~addr:0 ~size:8);
   Alcotest.(check (float 1e-9)) "one of two" 0.5 (Cache.miss_rate c)
 
-let test_sink () =
-  let c = Cache.create tiny in
-  let s = Cache.sink c in
-  s (Ormp_trace.Event.Access { instr = 0; addr = 0; size = 8; is_store = false });
-  s (Ormp_trace.Event.Alloc { site = 0; addr = 0; size = 64; type_name = None });
-  s (Ormp_trace.Event.Access { instr = 0; addr = 0; size = 8; is_store = true });
-  check_int "only accesses counted" 2 (Cache.accesses c);
-  check_int "hits" 1 (Cache.hits c)
-
 let test_sequential_vs_scattered () =
   (* Sequential sweeps enjoy line reuse; random accesses over a large
      footprint do not. *)
@@ -141,7 +132,6 @@ let () =
           tc "associativity and LRU" test_associativity_and_lru;
           tc "reset" test_reset;
           tc "miss rate" test_miss_rate;
-          tc "sink" test_sink;
           tc "sequential vs scattered" test_sequential_vs_scattered;
           QCheck_alcotest.to_alcotest prop_matches_reference_model;
         ] );

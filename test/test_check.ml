@@ -528,9 +528,17 @@ let test_real_profiles_verify () =
       (match Verify.whomp_profile (Ormp_whomp.Whomp.profile p) with
       | Ok () -> ()
       | Error e -> Alcotest.fail (p.Ormp_vm.Program.name ^ " whomp: " ^ e));
-      match Verify.leap_profile (Ormp_leap.Leap.profile p) with
+      (match Verify.leap_profile (Ormp_leap.Leap.profile p) with
       | Ok () -> ()
-      | Error e -> Alcotest.fail (p.Ormp_vm.Program.name ^ " leap: " ^ e))
+      | Error e -> Alcotest.fail (p.Ormp_vm.Program.name ^ " leap: " ^ e));
+      let rasg = Ormp_whomp.Rasg.profile p in
+      (match Verify.rasg_profile rasg with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (p.Ormp_vm.Program.name ^ " rasg: " ^ e));
+      check_bool "rasg access count checked" true
+        (is_error
+           (Verify.rasg_profile
+              { rasg with Ormp_whomp.Rasg.accesses = rasg.Ormp_whomp.Rasg.accesses + 1 })))
     [ Micro.churn ~live:12 ~ops:1500 (); Micro.matrix ~n:8 (); Micro.array_stride ~elems:256 ~sweeps:3 () ]
 
 let test_omc_verify () =

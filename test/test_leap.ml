@@ -220,10 +220,10 @@ let test_mdf_no_false_aliasing_across_reuse () =
         done)
   in
   let truth = Ormp_baselines.Lossless_dep.create () in
-  let leap_sink, leap_fin = Leap.sink ~site_name:(Printf.sprintf "s%d") () in
+  let leap_batch, leap_fin = Leap.sink_batched ~site_name:(Printf.sprintf "s%d") () in
   let result =
-    Runner.run prog
-      (Ormp_trace.Sink.fanout [ leap_sink; Ormp_baselines.Lossless_dep.sink truth ])
+    Runner.run_batched prog
+      (Ormp_trace.Batch.fanout [ leap_batch; Ormp_baselines.Lossless_dep.batch truth ])
   in
   let leap = leap_fin ~elapsed:result.Runner.elapsed in
   (* ids: 0 alloc, 1 free, 2 st, 3 ld *)

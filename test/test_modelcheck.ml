@@ -157,14 +157,22 @@ let test_lint_journal_owner_fixture () =
   Alcotest.(check (list int)) "journal-owner finding lines" [ 5; 8 ]
     (lines_of "journal-owner" fs)
 
+let test_lint_boxed_driver_fixture () =
+  let fs = Lint.scan_file (fixture "bad_driver.ml") in
+  check_int "boxed-driver errors" 2 (count_rule "boxed-driver" fs);
+  check_int "total findings" 2 (List.length fs);
+  (* run_batched and run_bare are other identifiers; the waived call on
+     line 15 and the comment and string after it must not count *)
+  Alcotest.(check (list int)) "boxed-driver finding lines" [ 4; 7 ] (lines_of "boxed-driver" fs)
+
 let test_lint_scan_fixtures () =
   let r = Lint.scan [ fixtures ] in
-  check_int "files" 6 r.Lint.files_scanned;
-  check_int "errors" 12 (Lint.errors r);
+  check_int "files" 7 r.Lint.files_scanned;
+  check_int "errors" 14 (Lint.errors r);
   check_int "warnings" 2 (Lint.warnings r);
   check_int "notes" 0 (Lint.notes r);
   check_bool "not clean" false (Lint.clean r);
-  (* severity-ranked: all 12 errors sort before the 2 warnings *)
+  (* severity-ranked: all 14 errors sort before the 2 warnings *)
   let sevs = List.map (fun f -> f.Lint.severity) r.Lint.findings in
   let rec sorted = function
     | a :: (b :: _ as rest) ->
@@ -212,6 +220,7 @@ let () =
           tc "blocking rule exempts the net_io seam" test_lint_blocking_seam_exempt;
           tc "worker-spawn fixture counts" test_lint_worker_spawn_fixture;
           tc "journal-owner fixture counts" test_lint_journal_owner_fixture;
+          tc "boxed-driver fixture counts" test_lint_boxed_driver_fixture;
           tc "scan totals and ranking" test_lint_scan_fixtures;
           tc "sexp shape" test_lint_sexp_shape;
         ] );

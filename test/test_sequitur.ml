@@ -80,9 +80,14 @@ let test_nested_repetition () =
 let test_negative_terminals () =
   ignore (roundtrip "negatives" [| -1; -2; -1; -2; -1; -2; -1; -2 |])
 
+(* Terminals that differ only in bit 62 share a digram key, and stay two
+   symbols. *)
+let bit62_streams = [ [| min_int; 5; 0; 5 |]; [| 7; 1 lsl 61; 7; (1 lsl 61) + min_int |] ]
+
 let test_large_terminals () =
   let big = 1 lsl 40 in
-  ignore (roundtrip "large" [| big; big + 1; big; big + 1; big; big + 1 |])
+  ignore (roundtrip "large" [| big; big + 1; big; big + 1; big; big + 1 |]);
+  List.iter (fun a -> ignore (roundtrip "bit 62" a)) bit62_streams
 
 let test_incremental_equals_batch () =
   let a = of_string "xyxyxyzxyxyxyz" in
@@ -166,7 +171,8 @@ let test_equivalence_corpus () =
   assert_equivalent "cycle4" (Array.init 4096 (fun i -> i mod 4));
   assert_equivalent "negatives" [| -1; -2; -1; -2; -1; -2; -1; -2 |];
   let big = 1 lsl 40 in
-  assert_equivalent "large terminals" [| big; big + 1; big; big + 1; big; big + 1 |]
+  assert_equivalent "large terminals" [| big; big + 1; big; big + 1; big; big + 1 |];
+  List.iter (assert_equivalent "bit 62") bit62_streams
 
 (* Oversized terminal codes overflow the 31-bit packing lanes of the digram
    key, so distinct digrams can collide on the same packed key; both

@@ -743,6 +743,60 @@ let test_kill_and_resume_byte_identity () =
   done;
   rm_rf ref_dir
 
+(* A resume re-executes the prefix its session already holds and checks it
+   against the journal. Here the prefix ends inside a lane chunk and the
+   manifest's heap base moved after the kill, so every re-executed address
+   differs: the resume must refuse, naming the prefix. *)
+let test_resume_refuses_a_diverged_prefix () =
+  let workload = "linked_list" in
+  let every = session_options.Session.checkpoint_every in
+  let events =
+    let buf = Ormp_util.Vec.create () in
+    ignore (Ormp_vm.Runner.run (List.assoc workload Micro.all) (Ormp_util.Vec.push buf));
+    Ormp_util.Vec.to_array buf
+  in
+  (* Position [p] is inside a chunk when events [p - 1] and [p] are
+     accesses and [p] is no multiple of the capacity into their run. *)
+  let rec run_start i = if i > 0 && Event.is_access events.(i - 1) then run_start (i - 1) else i in
+  let inside_chunk p =
+    Event.is_access events.(p - 1)
+    && Event.is_access events.(p)
+    && (p - run_start p) mod Batch.default_capacity <> 0
+  in
+  let rec pick k =
+    if (k + 1) * every >= Array.length events then Alcotest.fail "no checkpoint inside a chunk"
+    else if inside_chunk (k * every) then k
+    else pick (k + 1)
+  in
+  let k = pick 1 in
+  let dir = tmpdir () in
+  let io = Faults.Io.create { Faults.Io.none with kill_at_checkpoint = Some k } in
+  (match Session.run ~io ~options:session_options ~dir ~workload () with
+  | exception Faults.Io.Killed _ -> ()
+  | _ -> Alcotest.fail "kill did not fire");
+  let manifest = Filename.concat dir "manifest" in
+  let rec shift = function
+    | Ormp_util.Sexp.List [ Atom "heap-base"; Atom n ] ->
+      Ormp_util.Sexp.List [ Atom "heap-base"; Atom (string_of_int (int_of_string n + 4096)) ]
+    | List l -> List (List.map shift l)
+    | a -> a
+  in
+  (match Ormp_util.Sexp.load manifest with
+  | Error e -> Alcotest.fail e
+  | Ok m ->
+    Out_channel.with_open_bin manifest (fun oc ->
+        output_string oc (Ormp_util.Sexp.to_string (shift m) ^ "\n")));
+  (match Session.resume ~dir () with
+  | Ok _ -> Alcotest.fail "resumed over a diverged prefix"
+  | Error e ->
+    let prefix = Printf.sprintf "[0,%d)" (k * every) in
+    check_bool
+      (Printf.sprintf "%S names the prefix %s" e prefix)
+      true
+      (List.exists (String.equal prefix) (String.split_on_char ' ' e)));
+  check_bool "no final profile" false (Sys.file_exists (Filename.concat dir "whomp.profile"));
+  rm_rf dir
+
 let test_resume_discards_corrupt_snapshot () =
   let workload = "linked_list" in
   let ref_dir, _ = run_reference ~workload ~options:session_options in
@@ -917,9 +971,18 @@ let test_session_rotation_epochs () =
     | Error e -> Alcotest.fail e
     | Ok p ->
       check_bool "streams were capped" true (p.Ormp_leap.Leap.dropped_streams > 0);
-      match Ormp_check.Verify.leap_profile p with
+      (match Ormp_check.Verify.leap_profile p with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("capped profile fails verification: " ^ e));
+      (* The rotated grammars hold the last epoch only, and the counts in
+         their profiles say so. *)
+      let verified file load verify =
+        match Result.bind (load (Filename.concat dir file)) verify with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "rotated %s fails verification: %s" file e
+      in
+      verified "whomp.profile" Ormp_persist.Whomp_io.load Ormp_check.Verify.whomp_profile;
+      verified "rasg.profile" Ormp_persist.Rasg_io.load Ormp_check.Verify.rasg_profile);
   rm_rf dir
 
 (* --- supervisor and suite ---------------------------------------------- *)
@@ -949,6 +1012,28 @@ let test_supervise_timeout () =
   with
   | Supervise.Timed_out t -> check_int "no retry on timeout" 1 t.attempts
   | _ -> Alcotest.fail "did not time out"
+
+(* A task that only allocates and frees never fills a chunk of accesses:
+   the suite's guard must poll on object events too, or the supervisor
+   waits on the domain until the task ends (never, for a hang). The churn
+   is bounded, at ~10x the deadline, so a guard that misses it fails the
+   test instead of hanging it. *)
+let test_guard_cancels_an_object_only_hang () =
+  let module E = Ormp_vm.Engine in
+  let program =
+    Ormp_vm.Program.make ~name:"object-churn" ~description:"500k allocs and frees" (fun e ->
+        let site = E.instr e ~name:"churn.alloc" Ormp_trace.Instr.Alloc_site in
+        let free_site = E.instr e ~name:"churn.free" Ormp_trace.Instr.Free_site in
+        for _ = 1 to 500_000 do
+          E.free e ~site:free_site (E.alloc e ~site 16)
+        done)
+  in
+  match
+    Supervise.run ~timeout_s:0.02 (fun ~should_stop ->
+        Ormp_session.Pipeline.run ~wrap:(Suite.guard should_stop) program)
+  with
+  | Supervise.Timed_out t -> check_int "one attempt" 1 t.attempts
+  | _ -> Alcotest.fail "object-only hang was not cancelled"
 
 let test_suite_degraded () =
   (* One workload crash-injected, one hang-injected: the suite exits with a
@@ -1041,6 +1126,7 @@ let () =
           tc "run writes profiles and report" test_session_run_basic;
           tc "kill + resume is byte-identical at every checkpoint"
             test_kill_and_resume_byte_identity;
+          tc "resume refuses a diverged prefix" test_resume_refuses_a_diverged_prefix;
           tc "resume survives a corrupt newest snapshot" test_resume_discards_corrupt_snapshot;
           tc "resume survives a poisoned journal" test_resume_survives_poisoned_journal;
           tc "restore rejects an unparseable prefix" test_restore_rejects_unparseable_prefix;
@@ -1053,6 +1139,7 @@ let () =
         [
           tc "completed and failed" test_supervise_completed_and_failed;
           tc "timeout" test_supervise_timeout;
+          tc "guard cancels an object-only hang" test_guard_cancels_an_object_only_hang;
           tc "runner flushes batch on crash" test_runner_flushes_on_crash;
           tc "degraded suite" test_suite_degraded;
         ] );

@@ -337,9 +337,20 @@ let test_flight_dump_bundle () =
   let f = Flight.create ~cap:8 () in
   Flight.record f ~kind:"resume" ~session:"tok a" ~detail:"position 300 (torn tail)";
   Flight.record f ~kind:"proto-error" ~session:"tok b" ~detail:"position gap";
-  (match Flight.dump f ~dir:nested ~reason:"unit test" with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail ("dump failed: " ^ m));
+  let dump () =
+    match Flight.dump f ~dir:nested ~reason:"unit test" with
+    | Ok () -> ()
+    | Error m -> Alcotest.fail ("dump failed: " ^ m)
+  in
+  dump ();
+  (* A dump killed half-way leaves only its temporary directory beside the
+     bundle; the next dump removes it and replaces the bundle whole. *)
+  let stale = Filename.concat dir ".deeper.tmp" in
+  Sys.mkdir stale 0o755;
+  Out_channel.with_open_bin (Filename.concat stale Flight.record_file) (fun oc ->
+      output_string oc "(flight (reason");
+  dump ();
+  Alcotest.(check (array string)) "only the bundle remains" [| "deeper" |] (Sys.readdir dir);
   (* the trace half parses as JSON and passes the span validator *)
   let trace =
     In_channel.with_open_bin (Filename.concat nested Flight.trace_file)

@@ -5,8 +5,8 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let recording_engine ?(config = Config.default) ?(statics = []) () =
-  let r = Sink.recorder () in
-  let e = Engine.make ~config ~sink:(Sink.recorder_sink r) ~statics in
+  let r = Ormp_util.Vec.create () in
+  let e = Engine.make ~config ~sink:(Ormp_util.Vec.push r) ~statics in
   (e, r)
 
 (* ------------------------------------------------------------------ *)
@@ -17,7 +17,7 @@ let test_alloc_emits_probe () =
   let e, r = recording_engine () in
   let site = Engine.instr e ~name:"t.alloc" Instr.Alloc_site in
   let o = Engine.alloc e ~site ~type_name:"n" 32 in
-  (match Sink.events r with
+  (match Ormp_util.Vec.to_array r with
   | [| Event.Alloc { site = s; addr; size; type_name } |] ->
     check_int "site" site s;
     check_int "addr" (Engine.addr o) addr;
@@ -34,7 +34,7 @@ let test_load_store_events () =
   let o = Engine.alloc e ~site 64 in
   Engine.load e ~instr:ld o 8;
   Engine.store e ~instr:st ~size:4 o 16;
-  (match Sink.events r with
+  (match Ormp_util.Vec.to_array r with
   | [|
       _;
       Event.Access { instr = i1; addr = ad1; size = s1; is_store = st1 };
@@ -78,14 +78,14 @@ let test_free_emits_probe_and_recycles () =
   Engine.free e ~site:fsite o;
   check_bool "free event emitted" true
     (Array.exists (function Event.Free { addr; _ } -> addr = Engine.addr o | _ -> false)
-       (Sink.events r));
+       (Ormp_util.Vec.to_array r));
   check_int "allocator empty" 0
     (Ormp_memsim.Allocator.live_blocks (Engine.allocator e))
 
 let test_statics_emitted_upfront () =
   let statics = [ { Ormp_memsim.Layout.name = "tbl"; size = 128 } ] in
   let e, r = recording_engine ~statics () in
-  check_int "one alloc event at startup" 1 (Array.length (Sink.events r));
+  check_int "one alloc event at startup" 1 (Array.length (Ormp_util.Vec.to_array r));
   let o = Engine.static e "tbl" in
   check_int "size" 128 (Engine.obj_size o);
   check_bool "address in data segment" true (Engine.addr o >= Config.default.Config.static_base);
@@ -100,17 +100,17 @@ let test_raw_accesses () =
   let ld = Engine.instr e ~name:"t.raw" Instr.Load in
   Engine.load_raw e ~instr:ld 0xdeadbeef;
   Engine.store_raw e ~instr:ld ~size:2 0xdeadbef0;
-  check_int "two events" 2 (Array.length (Sink.events r))
+  check_int "two events" 2 (Array.length (Ormp_util.Vec.to_array r))
 
 let test_pool_pieces () =
   let e, r = recording_engine () in
   let site = Engine.instr e ~name:"t.pool" Instr.Alloc_site in
   let ld = Engine.instr e ~name:"t.ld" Instr.Load in
   let pool = Engine.pool_create e ~site 256 in
-  check_int "pool creation is one alloc event" 1 (Array.length (Sink.events r));
+  check_int "pool creation is one alloc event" 1 (Array.length (Ormp_util.Vec.to_array r));
   let p1 = Engine.pool_piece e ~pool 24 in
   let p2 = Engine.pool_piece e ~pool 24 in
-  check_int "pieces emit no probe" 1 (Array.length (Sink.events r));
+  check_int "pieces emit no probe" 1 (Array.length (Ormp_util.Vec.to_array r));
   check_int "p1 at pool base" (Engine.addr pool) (Engine.addr p1);
   check_int "p2 8-aligned after p1" (Engine.addr pool + 24) (Engine.addr p2);
   Engine.load e ~instr:ld p1 8;
@@ -120,7 +120,7 @@ let test_pool_pieces () =
          | Event.Access { addr; _ } ->
            addr >= Engine.addr pool && addr < Engine.addr pool + 256
          | _ -> false)
-       (Sink.events r));
+       (Ormp_util.Vec.to_array r));
   Engine.pool_reset e ~pool;
   let p3 = Engine.pool_piece e ~pool 24 in
   check_int "reset rewinds" (Engine.addr pool) (Engine.addr p3)
@@ -145,11 +145,11 @@ let test_pool_exposed_pieces () =
   let site = Engine.instr e ~name:"t.pool" Instr.Alloc_site in
   let psite = Engine.instr e ~name:"t.piece" Instr.Alloc_site in
   let pool = Engine.pool_create e ~site ~expose_pieces:true ~pieces_site:psite 256 in
-  check_int "pool malloc unprobed" 0 (Array.length (Sink.events r));
+  check_int "pool malloc unprobed" 0 (Array.length (Ormp_util.Vec.to_array r));
   let p1 = Engine.pool_piece e ~pool 24 in
   let _p2 = Engine.pool_piece e ~pool 24 in
-  check_int "pieces probed" 2 (Array.length (Sink.events r));
-  (match (Sink.events r).(0) with
+  check_int "pieces probed" 2 (Array.length (Ormp_util.Vec.to_array r));
+  (match (Ormp_util.Vec.to_array r).(0) with
   | Event.Alloc { site = s; addr; size; _ } ->
     check_int "piece site" psite s;
     check_int "piece addr" (Engine.addr p1) addr;
@@ -157,7 +157,7 @@ let test_pool_exposed_pieces () =
   | _ -> Alcotest.fail "expected piece alloc event");
   Engine.pool_reset e ~pool;
   let frees =
-    Array.to_list (Sink.events r)
+    Array.to_list (Ormp_util.Vec.to_array r)
     |> List.filter (function Event.Free _ -> true | _ -> false)
   in
   check_int "reset frees live pieces" 2 (List.length frees);
@@ -231,9 +231,9 @@ let tiny =
       done)
 
 let run_trace config =
-  let r = Ormp_trace.Sink.recorder () in
-  ignore (Runner.run ~config tiny (Ormp_trace.Sink.recorder_sink r));
-  Sink.events r
+  let r = Ormp_util.Vec.create () in
+  ignore (Runner.run ~config tiny (Ormp_util.Vec.push r));
+  Ormp_util.Vec.to_array r
 
 let test_runner_deterministic () =
   check_bool "same config, same trace" true (run_trace Config.default = run_trace Config.default)
@@ -269,13 +269,13 @@ let test_config_variants_distinct () =
 
 let test_workload_seed_in_config () =
   let mk seed =
-    let r = Sink.recorder () in
+    let r = Ormp_util.Vec.create () in
     ignore
       (Runner.run
          ~config:{ Config.default with Config.seed }
          (Ormp_workloads.Micro.random_walk ~nodes:16 ~steps:64 ())
-         (Sink.recorder_sink r));
-    Sink.events r
+         (Ormp_util.Vec.push r));
+    Ormp_util.Vec.to_array r
   in
   check_bool "same seed same trace" true (mk 1 = mk 1);
   check_bool "different seed different trace" true (mk 1 <> mk 2)

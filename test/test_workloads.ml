@@ -5,9 +5,11 @@ open Ormp_trace
 let check_bool = Alcotest.(check bool)
 
 let run_events ?(config = Config.default) program =
-  let r = Sink.recorder () in
-  ignore (Runner.run ~config program (Sink.recorder_sink r));
-  r
+  let r = Ormp_util.Vec.create () in
+  ignore (Runner.run ~config program (Ormp_util.Vec.push r));
+  Ormp_util.Vec.to_array r
+
+let count f events = Array.fold_left (fun n ev -> if f ev then n + 1 else n) 0 events
 
 let all_programs =
   List.map (fun e -> (e.Registry.name, Registry.program e)) Registry.spec
@@ -21,25 +23,27 @@ let test_all_produce_accesses () =
   List.iter
     (fun (name, p) ->
       let r = run_events p in
-      check_bool (name ^ ": has accesses") true (Sink.access_count r > 1000))
+      check_bool (name ^ ": has accesses") true (count Event.is_access r > 1000))
     all_programs
 
 let test_all_deterministic () =
   List.iter
     (fun (name, p) ->
-      let a = Sink.events (run_events p) in
-      let b = Sink.events (run_events p) in
+      let a = run_events p in
+      let b = run_events p in
       check_bool (name ^ ": reproducible") true (a = b))
     all_programs
 
 let test_all_have_loads_and_stores () =
   List.iter
     (fun (name, p) ->
-      let c = Sink.counter () in
-      ignore (Runner.run p (Sink.counter_sink c));
-      check_bool (name ^ ": loads") true (c.Sink.loads > 0);
-      check_bool (name ^ ": stores") true (c.Sink.stores > 0);
-      check_bool (name ^ ": allocs") true (c.Sink.allocs > 0))
+      let r = run_events p in
+      let has f = count f r > 0 in
+      check_bool (name ^ ": loads") true
+        (has (function Event.Access { is_store = false; _ } -> true | _ -> false));
+      check_bool (name ^ ": stores") true
+        (has (function Event.Access { is_store = true; _ } -> true | _ -> false));
+      check_bool (name ^ ": allocs") true (has (function Event.Alloc _ -> true | _ -> false)))
     all_programs
 
 (* The paper's core premise, checked end-to-end for every workload: the
@@ -172,7 +176,7 @@ let test_linked_list_fields () =
     (function
       | Event.Alloc { addr; size = 16; _ } -> Hashtbl.replace bases addr ()
       | _ -> ())
-    (Sink.events r);
+    r;
   Array.iter
     (function
       | Event.Access { instr; addr; _ } ->
@@ -181,7 +185,7 @@ let test_linked_list_fields () =
               Hashtbl.replace offsets instr (addr - base))
           bases
       | _ -> ())
-    (Sink.events r);
+    r;
   Hashtbl.iter
     (fun _ off -> check_bool "field offsets only" true (off = 0 || off = 8))
     offsets
