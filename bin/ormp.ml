@@ -1619,8 +1619,8 @@ let stats_cmd =
        other tooling in this repo consumes. *)
     let sexp_path = dir // Telemetry.metrics_sexp_file in
     (if Sys.file_exists sexp_path then
-       match Ormp_util.Sexp.load sexp_path with
-       | Ok _ -> ()
+       match Ormp_util.Sexp.Reader.(load sexp_path skip) with
+       | Ok () -> ()
        | Error msg -> problem "%s: %s" sexp_path msg
      else problem "%s: missing" sexp_path);
     (match load_json (dir // Telemetry.trace_file) with

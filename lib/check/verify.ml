@@ -18,112 +18,71 @@ let errf fmt = Printf.ksprintf (fun s -> Error s) fmt
 type rules = (int * [ `T of int | `N of int ] list) list
 
 let grammar_rules ?input_length ?(max_duplicate_digrams = 0) (rules : rules) =
-  let tbl = Hashtbl.create 64 in
+  (* Acyclic, fully defined, no rule twice, and expanding to exactly the
+     pushed sequence's length (checked at the end). *)
+  let* n = Seq_c.expansion_length ~bound:(Option.value input_length ~default:max_int) rules in
+  (* Rule utility: every non-start rule is referenced at least twice
+     (otherwise Sequitur would have inlined it). *)
+  let refs = Hashtbl.create 64 in
+  List.iter
+    (fun (_, rhs) ->
+      List.iter
+        (function
+          | `N r -> Hashtbl.replace refs r (1 + Option.value ~default:0 (Hashtbl.find_opt refs r))
+          | `T _ -> ())
+        rhs)
+    rules;
   let* () =
     check_all
       (List.map
          (fun (id, rhs) () ->
-           if Hashtbl.mem tbl id then errf "duplicate rule R%d" id
-           else begin
-             Hashtbl.replace tbl id rhs;
-             Ok ()
-           end)
+           if id <> 0 && Option.value ~default:0 (Hashtbl.find_opt refs id) < 2 then
+             errf "rule R%d used %d time(s), utility requires 2" id
+               (Option.value ~default:0 (Hashtbl.find_opt refs id))
+           else if id <> 0 && List.length rhs < 2 then
+             errf "rule R%d has %d symbol(s), rules describe digrams or longer" id
+               (List.length rhs)
+           else Ok ())
          rules)
   in
-  if not (Hashtbl.mem tbl 0) then Error "no start rule R0"
-  else
-    (* Rule utility: every non-start rule is referenced at least twice
-       (otherwise Sequitur would have inlined it). *)
-    let refs = Hashtbl.create 64 in
-    List.iter
-      (fun (_, rhs) ->
-        List.iter
-          (function
-            | `N r -> Hashtbl.replace refs r (1 + Option.value ~default:0 (Hashtbl.find_opt refs r))
-            | `T _ -> ())
-          rhs)
-      rules;
-    let* () =
-      check_all
-        (List.map
-           (fun (id, rhs) () ->
-             if id <> 0 && Option.value ~default:0 (Hashtbl.find_opt refs id) < 2 then
-               errf "rule R%d used %d time(s), utility requires 2" id
-                 (Option.value ~default:0 (Hashtbl.find_opt refs id))
-             else if id <> 0 && List.length rhs < 2 then
-               errf "rule R%d has %d symbol(s), rules describe digrams or longer" id
-                 (List.length rhs)
-             else Ok ())
-           rules)
-    in
-    (* Digram uniqueness: no pair of adjacent symbols occurs twice in the
-       grammar, except the overlapping occurrence a run of equal symbols
-       produces ("aaa" holds digram aa at positions 0 and 1, which share
-       the middle symbol — the classic algorithm leaves those alone).
-       [max_duplicate_digrams] tolerates that many violations: our
-       Sequitur validates digram-index hits lazily, so a stale index
-       entry can cost one missed match whose duplicate then survives in
-       the final grammar (documented in the compressor; rediscovered on
-       the next repetition, so duplicates stay rare). *)
-    let digrams = Hashtbl.create 256 in
-    let duplicates = ref 0 in
-    let first_dup = ref None in
-    let* () =
-      check_all
-        (List.map
-           (fun (id, rhs) () ->
-             let arr = Array.of_list rhs in
-             for p = 0 to Array.length arr - 2 do
-               let d = (arr.(p), arr.(p + 1)) in
-               match Hashtbl.find_opt digrams d with
-               | Some (r0, p0) when not (r0 = id && p = p0 + 1) ->
-                 incr duplicates;
-                 if !first_dup = None then first_dup := Some (r0, p0, id, p)
-               | _ -> Hashtbl.replace digrams d (id, p)
-             done;
-             match !first_dup with
-             | Some (r0, p0, rd, pd) when !duplicates > max_duplicate_digrams ->
-               errf "%d repeated digram(s) (first: R%d position %d and R%d position %d)"
-                 !duplicates r0 p0 rd pd
-             | _ -> Ok ())
-           rules)
-    in
-    (* Expansion round-trip: the grammar must be acyclic, fully defined,
-       and expand to exactly the pushed sequence's length. *)
-    let memo = Hashtbl.create 64 in
-    let expanding = Hashtbl.create 16 in
-    let rec expand_len id =
-      match Hashtbl.find_opt memo id with
-      | Some n -> Ok n
-      | None ->
-        if Hashtbl.mem expanding id then errf "cyclic rule R%d" id
-        else (
-          match Hashtbl.find_opt tbl id with
-          | None -> errf "dangling reference R%d" id
-          | Some rhs ->
-            Hashtbl.replace expanding id ();
-            let* n =
-              List.fold_left
-                (fun acc sym ->
-                  let* n = acc in
-                  match sym with
-                  | `T _ -> Ok (n + 1)
-                  | `N r ->
-                    let* m = expand_len r in
-                    Ok (n + m))
-                (Ok 0) rhs
-            in
-            Hashtbl.remove expanding id;
-            Hashtbl.replace memo id n;
-            Ok n)
-    in
-    let* n = expand_len 0 in
-    (match input_length with
-    | Some len when len <> n -> errf "expansion length %d, input length %d" n len
-    | _ ->
-      (* Unreferenced non-start rules escape the expansion; refs caught them
-         above (0 uses < 2), so nothing more to check. *)
-      Ok ())
+  (* Digram uniqueness: no pair of adjacent symbols occurs twice in the
+     grammar, except the overlapping occurrence a run of equal symbols
+     produces ("aaa" holds digram aa at positions 0 and 1, which share
+     the middle symbol — the classic algorithm leaves those alone).
+     [max_duplicate_digrams] tolerates that many violations: our
+     Sequitur validates digram-index hits lazily, so a stale index
+     entry can cost one missed match whose duplicate then survives in
+     the final grammar (documented in the compressor; rediscovered on
+     the next repetition, so duplicates stay rare). *)
+  let digrams = Hashtbl.create 256 in
+  let duplicates = ref 0 in
+  let first_dup = ref None in
+  let* () =
+    check_all
+      (List.map
+         (fun (id, rhs) () ->
+           let arr = Array.of_list rhs in
+           for p = 0 to Array.length arr - 2 do
+             let d = (arr.(p), arr.(p + 1)) in
+             match Hashtbl.find_opt digrams d with
+             | Some (r0, p0) when not (r0 = id && p = p0 + 1) ->
+               incr duplicates;
+               if !first_dup = None then first_dup := Some (r0, p0, id, p)
+             | _ -> Hashtbl.replace digrams d (id, p)
+           done;
+           match !first_dup with
+           | Some (r0, p0, rd, pd) when !duplicates > max_duplicate_digrams ->
+             errf "%d repeated digram(s) (first: R%d position %d and R%d position %d)"
+               !duplicates r0 p0 rd pd
+           | _ -> Ok ())
+         rules)
+  in
+  match input_length with
+  | Some len when len <> n -> errf "expansion length %d, input length %d" n len
+  | _ ->
+    (* Unreferenced non-start rules escape the expansion; refs caught them
+       above (0 uses < 2), so nothing more to check. *)
+    Ok ()
 
 let grammar g =
   let* () = Seq_c.check_invariants g in
@@ -153,29 +112,26 @@ let lmad ?dims (d : L.t) =
        d.L.levels)
 
 let compressor (c : C.t) =
-  let p = C.parts c in
-  let* () = if p.C.p_dims < 1 then errf "compressor dims %d < 1" p.C.p_dims else Ok () in
+  let st = C.state c and lmads = C.lmads c and discarded = C.discarded c in
+  let dims = st.C.s_dims and budget = st.C.s_budget and total = st.C.s_total in
+  let* () = if dims < 1 then errf "compressor dims %d < 1" dims else Ok () in
+  let* () = if budget < 1 then errf "compressor budget %d < 1" budget else Ok () in
+  let n = List.length lmads in
+  let* () = if n > budget then errf "%d LMADs exceed budget %d" n budget else Ok () in
+  let* () = check_all (List.map (fun d () -> lmad ~dims d) lmads) in
   let* () =
-    if p.C.p_budget < 1 then errf "compressor budget %d < 1" p.C.p_budget else Ok ()
-  in
-  let n = List.length p.C.p_lmads in
-  let* () =
-    if n > p.C.p_budget then errf "%d LMADs exceed budget %d" n p.C.p_budget else Ok ()
-  in
-  let* () = check_all (List.map (fun d () -> lmad ~dims:p.C.p_dims d) p.C.p_lmads) in
-  let* () =
-    if p.C.p_discarded < 0 || p.C.p_discarded > p.C.p_total then
-      errf "discarded %d outside [0, total %d]" p.C.p_discarded p.C.p_total
+    if discarded < 0 || discarded > total then
+      errf "discarded %d outside [0, total %d]" discarded total
     else Ok ()
   in
-  let captured = p.C.p_total - p.C.p_discarded in
-  let described = List.fold_left (fun acc d -> acc + L.size d) 0 p.C.p_lmads in
+  let captured = total - discarded in
+  let described = List.fold_left (fun acc d -> acc + L.size d) 0 lmads in
   let* () =
     if described > captured then
       errf "LMADs describe %d points but only %d were captured" described captured
     else Ok ()
   in
-  match (p.C.p_summary, p.C.p_discarded) with
+  match (C.summary c, discarded) with
   | None, 0 -> Ok ()
   | None, d -> errf "%d points discarded but no summary" d
   | Some _, 0 -> Error "summary present but nothing was discarded"
@@ -183,13 +139,13 @@ let compressor (c : C.t) =
     if s.C.discarded <> d then
       errf "summary counts %d discarded, compressor %d" s.C.discarded d
     else if
-      Array.length s.C.min_v <> p.C.p_dims
-      || Array.length s.C.max_v <> p.C.p_dims
-      || Array.length s.C.granularity <> p.C.p_dims
+      Array.length s.C.min_v <> dims
+      || Array.length s.C.max_v <> dims
+      || Array.length s.C.granularity <> dims
     then Error "summary dimensionality mismatch"
     else begin
       let bad = ref (Ok ()) in
-      for i = 0 to p.C.p_dims - 1 do
+      for i = 0 to dims - 1 do
         if !bad = Ok () then
           if s.C.min_v.(i) > s.C.max_v.(i) then
             bad := errf "summary box dim %d: min %d > max %d" i s.C.min_v.(i) s.C.max_v.(i)
@@ -204,16 +160,16 @@ let compressor (c : C.t) =
 let leap_stream (s : Ormp_leap.Leap.stream) =
   let* () = compressor s.Ormp_leap.Leap.comp in
   let* () = compressor s.Ormp_leap.Leap.off in
-  let pc = C.parts s.Ormp_leap.Leap.comp and po = C.parts s.Ormp_leap.Leap.off in
-  let* () = if pc.C.p_dims <> 2 then errf "point stream dims %d <> 2" pc.C.p_dims else Ok () in
-  let* () = if po.C.p_dims <> 1 then errf "offset stream dims %d <> 1" po.C.p_dims else Ok () in
+  let pc = C.state s.Ormp_leap.Leap.comp and po = C.state s.Ormp_leap.Leap.off in
+  let* () = if pc.C.s_dims <> 2 then errf "point stream dims %d <> 2" pc.C.s_dims else Ok () in
+  let* () = if po.C.s_dims <> 1 then errf "offset stream dims %d <> 1" po.C.s_dims else Ok () in
   let* () =
-    if pc.C.p_total <> po.C.p_total then
-      errf "point stream saw %d accesses, offset stream %d" pc.C.p_total po.C.p_total
+    if pc.C.s_total <> po.C.s_total then
+      errf "point stream saw %d accesses, offset stream %d" pc.C.s_total po.C.s_total
     else Ok ()
   in
   let nspans = Ormp_util.Vec.length s.Ormp_leap.Leap.spans in
-  let nlmads = List.length pc.C.p_lmads in
+  let nlmads = List.length (C.lmads s.Ormp_leap.Leap.comp) in
   (* The compressor can close-and-reopen a descriptor internally without
      reporting a placement for it, so the span table may run one short of
      the descriptor list; [Leap.descriptors] pads the tail. More spans
@@ -233,7 +189,7 @@ let leap_stream (s : Ormp_leap.Leap.stream) =
         else prev_last := sp.t_last)
     s.Ormp_leap.Leap.spans;
   let* () = !bad in
-  match (s.Ormp_leap.Leap.dspan, pc.C.p_discarded) with
+  match (s.Ormp_leap.Leap.dspan, C.discarded s.Ormp_leap.Leap.comp) with
   | None, 0 -> Ok ()
   | None, d -> errf "%d accesses discarded but no discard span" d
   | Some _, 0 -> Error "discard span present but nothing was discarded"

@@ -512,49 +512,6 @@ let reconstruct t =
   let closed = List.concat_map Lmad.points (List.rev t.closed) in
   match t.current with None -> closed | Some od -> closed @ open_points od
 
-type parts = {
-  p_dims : int;
-  p_budget : int;
-  p_max_depth : int;
-  p_lmads : Lmad.t list;
-  p_total : int;
-  p_discarded : int;
-  p_summary : summary option;
-}
-
-let parts t =
-  {
-    p_dims = t.dims;
-    p_budget = t.budget;
-    p_max_depth = t.max_depth;
-    p_lmads = lmads t;
-    p_total = t.total;
-    p_discarded = t.discarded_count;
-    p_summary = summary t;
-  }
-
-let of_parts p =
-  let t = create ~budget:p.p_budget ~max_depth:p.p_max_depth ~dims:p.p_dims () in
-  List.iter
-    (fun d ->
-      if Lmad.dims d <> p.p_dims then invalid_arg "Compressor.of_parts: descriptor dims mismatch")
-    p.p_lmads;
-  if List.length p.p_lmads > p.p_budget then invalid_arg "Compressor.of_parts: over budget";
-  t.closed <- List.rev p.p_lmads;
-  t.n_closed <- List.length p.p_lmads;
-  t.total <- p.p_total;
-  t.discarded_count <- p.p_discarded;
-  (match p.p_summary with
-  | Some s ->
-    if s.discarded <> p.p_discarded then
-      invalid_arg "Compressor.of_parts: summary count mismatch";
-    t.sum_min <- Array.copy s.min_v;
-    t.sum_max <- Array.copy s.max_v;
-    t.sum_gran <- Array.copy s.granularity
-  | None ->
-    if p.p_discarded <> 0 then invalid_arg "Compressor.of_parts: missing summary");
-  t
-
 type open_state = {
   s_start : int array;
   s_levels : Lmad.level list;
@@ -636,6 +593,11 @@ let of_state s =
   | None -> ()
   | Some sum ->
     if sum.discarded <= 0 then invalid_arg "Compressor.of_state: empty summary";
+    if
+      Array.length sum.min_v <> s.s_dims
+      || Array.length sum.max_v <> s.s_dims
+      || Array.length sum.granularity <> s.s_dims
+    then invalid_arg "Compressor.of_state: summary dims mismatch";
     t.discarded_count <- sum.discarded;
     t.sum_min <- Array.copy sum.min_v;
     t.sum_max <- Array.copy sum.max_v;

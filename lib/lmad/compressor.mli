@@ -101,39 +101,16 @@ val reconstruct : t -> int array list
     pending partial iteration); equals the input stream when
     [fully_captured]. For tests. *)
 
-(** {1 Persistence} *)
-
-type parts = {
-  p_dims : int;
-  p_budget : int;
-  p_max_depth : int;
-  p_lmads : Lmad.t list;  (** in creation order; the open descriptor is
-                              finalized (a trailing partial iteration, if
-                              any, is not representable and is dropped
-                              from the descriptors — totals keep counting
-                              it) *)
-  p_total : int;
-  p_discarded : int;
-  p_summary : summary option;
-}
-
-val parts : t -> parts
-(** A serializable snapshot of the compressor's state. *)
-
-val of_parts : parts -> t
-(** Rebuild a compressor from a snapshot. The result answers every query
-    like the original; further [add]s start a fresh descriptor, and the
-    summary's granularity chain restarts at the next discarded point.
-    @raise Invalid_argument on inconsistent parts. *)
-
 (** {1 Exact state snapshots}
 
-    {!parts} is the {e lossy} persistence view: the open descriptor is
-    finalized, so a rebuilt compressor does not continue the stream the
-    way the original would have. Checkpoint/resume needs the exact live
-    state — open descriptor, pending partial iteration, discarded-summary
-    chain — so that a restored compressor placed back in a stream behaves
-    byte-for-byte like one that was never interrupted. *)
+    Checkpoint/resume needs the exact live state — open descriptor,
+    pending partial iteration, discarded-summary chain — so that a
+    restored compressor placed back in a stream behaves byte-for-byte
+    like one that was never interrupted. A profile file keeps less: its
+    descriptors are {!lmads} (the open one finalized), and it is rebuilt
+    through {!of_state} with no open descriptor and no last discarded
+    point, so further [add]s start a fresh descriptor and the summary's
+    granularity chain restarts. *)
 
 type open_state = {
   s_start : int array;  (** descriptor origin *)

@@ -14,12 +14,10 @@ val write : Ormp_util.Sexp.Writer.t -> string * Ormp_sequitur.Sequitur.t -> unit
     {!Ormp_sequitur.Sequitur.visit_rules}: nothing is allocated per
     symbol. *)
 
-val of_sexp :
-  Ormp_util.Sexp.t list -> (string * Ormp_sequitur.Sequitur.t, string) result
-(** Decode from the field list following the [grammar] atom; rejects
-    malformed symbols and cyclic or dangling rule references. *)
-
-val save : string -> string * Ormp_sequitur.Sequitur.t -> unit
-
-val load : string -> (string * Ormp_sequitur.Sequitur.t, string) result
-(** Never raises on a corrupt file. *)
+val read :
+  Ormp_util.Sexp.Reader.t -> length:int -> exact:bool -> string * Ormp_sequitur.Sequitur.t
+(** The mirror of {!write}. The listing must expand to at most [length]
+    symbols, exactly [length] when [exact] — checked by
+    {!Ormp_sequitur.Sequitur.expansion_length} before anything expands —
+    and be the one {!Ormp_sequitur.Sequitur.of_rules} rebuilds; the
+    reader fails naming the grammar otherwise. *)

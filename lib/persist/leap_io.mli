@@ -15,14 +15,32 @@ val save : string -> Ormp_leap.Leap.profile -> unit
 val load : string -> (Ormp_leap.Leap.profile, string) result
 
 val write : Ormp_util.Sexp.Writer.t -> Ormp_leap.Leap.profile -> unit
-val of_sexp : Ormp_util.Sexp.t -> (Ormp_leap.Leap.profile, string) result
 
-(** {1 Stream parts shared with session snapshots} *)
+val read : Ormp_util.Sexp.Reader.t -> Ormp_leap.Leap.profile
+(** The mirror of {!write}: its fields in its order. [elapsed] reads back
+    as 0. {!load} is [read] over a file, and never raises on a corrupt
+    one. *)
 
-val write_spans : Ormp_util.Sexp.Writer.t -> Ormp_leap.Leap.stream -> unit
-(** The stream's [(spans a b ...)] field, plus [(dspan a b)] when set. *)
+(** {1 Parts shared with session snapshots}
 
-val spans_of_sexp :
-  Ormp_util.Sexp.t ->
-  (Ormp_leap.Leap.span Ormp_util.Vec.t * Ormp_leap.Leap.span option, string) result
-(** Reads them back from a stream's field list. *)
+    A stream is written with a compressor codec: {!Lmad_io.write_comp}
+    in profiles, {!Lmad_io.write_state} in snapshots. *)
+
+val write_stream :
+  (Ormp_util.Sexp.Writer.t -> string -> Ormp_lmad.Compressor.t -> unit) ->
+  Ormp_util.Sexp.Writer.t ->
+  Ormp_leap.Leap.key * Ormp_leap.Leap.stream ->
+  unit
+(** [(stream (instr i) (group g) (comp ..) (off ..) (spans a b ...)
+    (dspan a b)?)]. *)
+
+val read_stream :
+  (Ormp_util.Sexp.Reader.t -> string -> Ormp_lmad.Compressor.t) ->
+  Ormp_util.Sexp.Reader.t ->
+  Ormp_leap.Leap.key * Ormp_leap.Leap.stream
+
+val write_stores : Ormp_util.Sexp.Writer.t -> (int * bool) list -> unit
+(** [(stores ...) (instrs ...)] from the instructions in ascending order,
+    each with its store flag. *)
+
+val read_stores : Ormp_util.Sexp.Reader.t -> (int * bool) list

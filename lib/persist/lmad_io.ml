@@ -1,15 +1,22 @@
-module S = Ormp_util.Sexp
 module W = Ormp_util.Sexp.Writer
+module R = Ormp_util.Sexp.Reader
 module C = Ormp_lmad.Compressor
 module L = Ormp_lmad.Lmad
-
-let ( let* ) = Result.bind
 
 (* [(name a b ...)] *)
 let write_ints w name a =
   W.flat w name;
   Array.iter (W.int w) a;
   W.close w
+
+let read_ints r name =
+  R.flat r name;
+  let xs = ref [] in
+  while R.more r do
+    xs := R.int r :: !xs
+  done;
+  R.close r;
+  Array.of_list (List.rev !xs)
 
 (* --- LMAD descriptors ------------------------------------------------ *)
 
@@ -19,36 +26,27 @@ let write_level w (l : L.level) =
   W.int_field w "count" l.L.count;
   W.close w
 
+(* Every level a compressor builds iterates at least twice. *)
+let read_level r =
+  R.nested r "level";
+  let stride = read_ints r "stride" in
+  let count = R.int_field r "count" in
+  if count < 2 then R.fail r "expected a level count of at least 2";
+  R.close r;
+  { L.stride; count }
+
 let write_lmad w (d : L.t) =
   W.nested w "lmad";
   write_ints w "start" d.L.start;
   List.iter (write_level w) d.L.levels;
   W.close w
 
-let levels_of_sexps items =
-  S.collect_results
-    (List.filter_map
-       (function
-         | S.List (S.Atom "level" :: _) as l ->
-           Some
-             (let* stride_args = S.assoc "stride" l in
-              let* stride = S.int_list stride_args in
-              let* count = S.int_field "count" l in
-              Ok { L.stride = Array.of_list stride; count })
-         | _ -> None)
-       items)
-
-let lmad_of_sexp t =
-  let* args = S.as_list t in
-  match args with
-  | S.Atom "lmad" :: rest ->
-    let* start_args = S.assoc "start" (S.List (S.Atom "_" :: rest)) in
-    let* start = S.int_list start_args in
-    let* levels = levels_of_sexps rest in
-    (match L.of_levels ~start:(Array.of_list start) ~levels with
-    | d -> Ok d
-    | exception Invalid_argument msg -> Error msg)
-  | _ -> Error "expected (lmad ...)"
+let read_lmad r =
+  R.nested r "lmad";
+  let start = read_ints r "start" in
+  let levels = R.repeated r "level" read_level in
+  R.close r;
+  match L.of_levels ~start ~levels with d -> d | exception Invalid_argument msg -> R.fail r msg
 
 (* --- summaries ------------------------------------------------------- *)
 
@@ -60,69 +58,54 @@ let write_summary w (s : C.summary) =
   W.int_field w "discarded" s.C.discarded;
   W.close w
 
-let summary_of_sexp t =
-  let* min_args = S.assoc "min" t in
-  let* min_v = S.int_list min_args in
-  let* max_args = S.assoc "max" t in
-  let* max_v = S.int_list max_args in
-  let* gran_args = S.assoc "granularity" t in
-  let* granularity = S.int_list gran_args in
-  let* discarded = S.int_field "discarded" t in
-  Ok
-    {
-      C.min_v = Array.of_list min_v;
-      max_v = Array.of_list max_v;
-      granularity = Array.of_list granularity;
-      discarded;
-    }
+let read_summary r =
+  R.nested r "summary";
+  let min_v = read_ints r "min" in
+  let max_v = read_ints r "max" in
+  let granularity = read_ints r "granularity" in
+  let discarded = R.int_field r "discarded" in
+  R.close r;
+  { C.min_v; max_v; granularity; discarded }
 
-(* --- lossy compressor snapshots (profile files) ---------------------- *)
+let of_state r s = match C.of_state s with c -> c | exception Invalid_argument msg -> R.fail r msg
+
+(* --- compressors in profile files ------------------------------------ *)
 
 let write_comp w name (c : C.t) =
-  let p = C.parts c in
+  let s = C.state c in
   W.nested w name;
-  W.int_field w "dims" p.C.p_dims;
-  W.int_field w "budget" p.C.p_budget;
-  W.int_field w "max-depth" p.C.p_max_depth;
-  W.int_field w "total" p.C.p_total;
-  W.int_field w "discarded" p.C.p_discarded;
-  List.iter (write_lmad w) p.C.p_lmads;
-  Option.iter (write_summary w) p.C.p_summary;
+  W.int_field w "dims" s.C.s_dims;
+  W.int_field w "budget" s.C.s_budget;
+  W.int_field w "max-depth" s.C.s_max_depth;
+  W.int_field w "total" s.C.s_total;
+  W.int_field w "discarded" (C.discarded c);
+  List.iter (write_lmad w) (C.lmads c);
+  Option.iter (write_summary w) s.C.s_summary;
   W.close w
 
-let comp_of_sexp name t =
-  let* args = S.assoc name t in
-  let body = S.List (S.Atom name :: args) in
-  let* dims = S.int_field "dims" body in
-  let* budget = S.int_field "budget" body in
-  let* max_depth = S.int_field "max-depth" body in
-  let* total = S.int_field "total" body in
-  let* discarded = S.int_field "discarded" body in
-  let lmad_sexps =
-    List.filter (function S.List (S.Atom "lmad" :: _) -> true | _ -> false) args
-  in
-  let* lmads = S.collect_results (List.map lmad_of_sexp lmad_sexps) in
-  let* summary =
-    match S.assoc "summary" body with
-    | Ok sargs ->
-      let* s = summary_of_sexp (S.List (S.Atom "summary" :: sargs)) in
-      Ok (Some s)
-    | Error _ -> Ok None
-  in
-  match
-    C.of_parts
-      {
-        C.p_dims = dims;
-        p_budget = budget;
-        p_max_depth = max_depth;
-        p_lmads = lmads;
-        p_total = total;
-        p_discarded = discarded;
-        p_summary = summary;
-      }
-  with
-  | c -> Ok c
-  | exception Invalid_argument msg -> Error msg
+let read_comp r name =
+  R.nested r name;
+  let s_dims = R.int_field r "dims" in
+  let s_budget = R.int_field r "budget" in
+  let s_max_depth = R.int_field r "max-depth" in
+  let s_total = R.int_field r "total" in
+  let discarded = R.int_field r "discarded" in
+  let s_closed = R.repeated r "lmad" read_lmad in
+  let s_summary = R.optional r "summary" read_summary in
+  R.close r;
+  if discarded <> (match s_summary with None -> 0 | Some s -> s.C.discarded) then
+    R.fail r "discarded count disagrees with the summary";
+  of_state r
+    {
+      C.s_dims;
+      s_budget;
+      s_max_depth;
+      s_closed;
+      s_current = None;
+      s_total;
+      s_summary;
+      s_last_discarded = None;
+    }
 
 (* --- exact compressor state (session snapshots) ---------------------- *)
 
@@ -134,6 +117,16 @@ let write_open w (os : C.open_state) =
   W.int_field w "top-done" os.C.s_top_done;
   W.int_field w "partial" os.C.s_partial;
   W.close w
+
+let read_open r =
+  R.nested r "open";
+  let s_start = read_ints r "start" in
+  let s_levels = R.repeated r "level" read_level in
+  let s_top_stride = R.optional r "top-stride" (fun r -> read_ints r "top-stride") in
+  let s_top_done = R.int_field r "top-done" in
+  let s_partial = R.int_field r "partial" in
+  R.close r;
+  { C.s_start; s_levels; s_top_stride; s_top_done; s_partial }
 
 let write_state w name (c : C.t) =
   let s = C.state c in
@@ -148,70 +141,16 @@ let write_state w name (c : C.t) =
   Option.iter (write_ints w "last-discarded") s.C.s_last_discarded;
   W.close w
 
-let state_of_sexp name t =
-  let* args = S.assoc name t in
-  let body = S.List (S.Atom name :: args) in
-  let* dims = S.int_field "dims" body in
-  let* budget = S.int_field "budget" body in
-  let* max_depth = S.int_field "max-depth" body in
-  let* total = S.int_field "total" body in
-  let lmad_sexps =
-    List.filter (function S.List (S.Atom "lmad" :: _) -> true | _ -> false) args
-  in
-  let* closed = S.collect_results (List.map lmad_of_sexp lmad_sexps) in
-  let* current =
-    match S.assoc "open" body with
-    | Error _ -> Ok None
-    | Ok oargs ->
-      let obody = S.List (S.Atom "open" :: oargs) in
-      let* start_args = S.assoc "start" obody in
-      let* start = S.int_list start_args in
-      let* levels = levels_of_sexps oargs in
-      let* top_stride =
-        match S.assoc "top-stride" obody with
-        | Error _ -> Ok None
-        | Ok ts_args ->
-          let* ts = S.int_list ts_args in
-          Ok (Some (Array.of_list ts))
-      in
-      let* top_done = S.int_field "top-done" obody in
-      let* partial = S.int_field "partial" obody in
-      Ok
-        (Some
-           {
-             C.s_start = Array.of_list start;
-             s_levels = levels;
-             s_top_stride = top_stride;
-             s_top_done = top_done;
-             s_partial = partial;
-           })
-  in
-  let* summary =
-    match S.assoc "summary" body with
-    | Error _ -> Ok None
-    | Ok sargs ->
-      let* s = summary_of_sexp (S.List (S.Atom "summary" :: sargs)) in
-      Ok (Some s)
-  in
-  let* last_discarded =
-    match S.assoc "last-discarded" body with
-    | Error _ -> Ok None
-    | Ok largs ->
-      let* p = S.int_list largs in
-      Ok (Some (Array.of_list p))
-  in
-  match
-    C.of_state
-      {
-        C.s_dims = dims;
-        s_budget = budget;
-        s_max_depth = max_depth;
-        s_closed = closed;
-        s_current = current;
-        s_total = total;
-        s_summary = summary;
-        s_last_discarded = last_discarded;
-      }
-  with
-  | c -> Ok c
-  | exception Invalid_argument msg -> Error msg
+let read_state r name =
+  R.nested r name;
+  let s_dims = R.int_field r "dims" in
+  let s_budget = R.int_field r "budget" in
+  let s_max_depth = R.int_field r "max-depth" in
+  let s_total = R.int_field r "total" in
+  let s_closed = R.repeated r "lmad" read_lmad in
+  let s_current = R.optional r "open" read_open in
+  let s_summary = R.optional r "summary" read_summary in
+  let s_last_discarded = R.optional r "last-discarded" (fun r -> read_ints r "last-discarded") in
+  R.close r;
+  of_state r
+    { C.s_dims; s_budget; s_max_depth; s_closed; s_current; s_total; s_summary; s_last_discarded }

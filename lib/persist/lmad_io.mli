@@ -2,35 +2,36 @@
 
     Shared by the LEAP profile format ({!Leap_io}) and the session layer's
     checkpoint snapshots. Two compressor codecs exist on purpose:
-    {!write_comp} persists the {e lossy} {!Ormp_lmad.Compressor.parts}
-    view (profile files — the open descriptor is finalized), while
+    {!write_comp} persists the {e lossy} profile view (the open
+    descriptor finalized into {!Ormp_lmad.Compressor.lmads}), while
     {!write_state} persists the {e exact}
     {!Ormp_lmad.Compressor.state} (snapshots — a restored compressor
-    continues the stream byte-for-byte). *)
+    continues the stream byte-for-byte). Each [read_*] is the mirror of
+    its [write_*]. *)
+
+val read_ints : Ormp_util.Sexp.Reader.t -> string -> int array
+(** Reads [(name a b ...)]. *)
 
 val write_lmad : Ormp_util.Sexp.Writer.t -> Ormp_lmad.Lmad.t -> unit
-val lmad_of_sexp : Ormp_util.Sexp.t -> (Ormp_lmad.Lmad.t, string) result
+val read_lmad : Ormp_util.Sexp.Reader.t -> Ormp_lmad.Lmad.t
 
 val write_summary : Ormp_util.Sexp.Writer.t -> Ormp_lmad.Compressor.summary -> unit
-
-val summary_of_sexp :
-  Ormp_util.Sexp.t -> (Ormp_lmad.Compressor.summary, string) result
-(** Decodes from the body holding the [min]/[max]/... fields. *)
+val read_summary : Ormp_util.Sexp.Reader.t -> Ormp_lmad.Compressor.summary
 
 val write_comp : Ormp_util.Sexp.Writer.t -> string -> Ormp_lmad.Compressor.t -> unit
-(** [(name (dims ..) (budget ..) ... (lmad ..)* (summary ..)?)] via
-    {!Ormp_lmad.Compressor.parts}. *)
+(** [(name (dims ..) (budget ..) (max-depth ..) (total ..) (discarded ..)
+    (lmad ..)* (summary ..)?)], from the compressor's
+    {!Ormp_lmad.Compressor.state}, {!Ormp_lmad.Compressor.lmads} and
+    {!Ormp_lmad.Compressor.discarded}. *)
 
-val comp_of_sexp :
-  string -> Ormp_util.Sexp.t -> (Ormp_lmad.Compressor.t, string) result
-(** Finds the [name] field in the given body and rebuilds via
-    {!Ormp_lmad.Compressor.of_parts}. *)
+val read_comp : Ormp_util.Sexp.Reader.t -> string -> Ormp_lmad.Compressor.t
+(** Rebuilds through {!Ormp_lmad.Compressor.of_state} with no open
+    descriptor and no last discarded point; [(discarded N)] must match
+    the summary's count. *)
 
 val write_state : Ormp_util.Sexp.Writer.t -> string -> Ormp_lmad.Compressor.t -> unit
 (** Exact-state form, including the open descriptor and the
     discarded-summary continuation point. *)
 
-val state_of_sexp :
-  string -> Ormp_util.Sexp.t -> (Ormp_lmad.Compressor.t, string) result
-(** Inverse of {!write_state}; rebuilds via
-    {!Ormp_lmad.Compressor.of_state}. *)
+val read_state : Ormp_util.Sexp.Reader.t -> string -> Ormp_lmad.Compressor.t
+(** Rebuilds via {!Ormp_lmad.Compressor.of_state}. *)

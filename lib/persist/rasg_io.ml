@@ -1,9 +1,7 @@
-module S = Ormp_util.Sexp
 module W = Ormp_util.Sexp.Writer
+module R = Ormp_util.Sexp.Reader
 
 let version = 1
-
-let ( let* ) = Result.bind
 
 let write w (p : Ormp_whomp.Rasg.profile) =
   W.nested w "ormp-rasg-profile";
@@ -14,24 +12,14 @@ let write w (p : Ormp_whomp.Rasg.profile) =
 
 let save path p = W.to_file path write p
 
-let of_sexp t =
-  let* args = S.as_list t in
-  match args with
-  | S.Atom "ormp-rasg-profile" :: rest ->
-    let body = S.List (S.Atom "_" :: rest) in
-    let* v = S.int_field "version" body in
-    if v <> version then Error (Printf.sprintf "unsupported version %d" v)
-    else
-      let* accesses = S.int_field "accesses" body in
-      let* gargs = S.assoc "grammar" body in
-      let* _, grammar = Grammar_io.of_sexp gargs in
-      Ok { Ormp_whomp.Rasg.grammar; accesses; elapsed = 0.0 }
-  | _ -> Error "not an ormp-rasg-profile"
+let read r =
+  R.nested r "ormp-rasg-profile";
+  let v = R.int_field r "version" in
+  if v <> version then R.fail r (Printf.sprintf "unsupported version %d" v);
+  let accesses = R.int_field r "accesses" in
+  let dim, grammar = Grammar_io.read r ~length:accesses ~exact:true in
+  if dim <> "rasg" then R.fail r "expected the rasg grammar";
+  R.close r;
+  { Ormp_whomp.Rasg.grammar; accesses; elapsed = 0.0 }
 
-let load path =
-  match
-    let* t = S.load path in
-    of_sexp t
-  with
-  | result -> result
-  | exception exn -> Error (Printf.sprintf "corrupt profile %s: %s" path (Printexc.to_string exn))
+let load path = R.load path read

@@ -13,7 +13,9 @@ val save : string -> Ormp_whomp.Rasg.profile -> unit
     fails.
     @raise Sys_error on I/O failure. *)
 
-val of_sexp : Ormp_util.Sexp.t -> (Ormp_whomp.Rasg.profile, string) result
+val read : Ormp_util.Sexp.Reader.t -> Ormp_whomp.Rasg.profile
+(** The mirror of {!write}; the grammar expands to exactly [accesses]
+    symbols. *)
 
 val load : string -> (Ormp_whomp.Rasg.profile, string) result
 (** [elapsed] reads back as 0. Never raises on a corrupt file. *)

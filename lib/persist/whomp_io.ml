@@ -1,12 +1,10 @@
-module S = Ormp_util.Sexp
 module W = Ormp_util.Sexp.Writer
+module R = Ormp_util.Sexp.Reader
 module Whomp = Ormp_whomp.Whomp
 module Omc = Ormp_core.Omc
 
 (* Version 2 added the free-site column to object records. *)
 let version = 2
-
-let ( let* ) = Result.bind
 
 (* --- writing --------------------------------------------------------- *)
 
@@ -43,62 +41,45 @@ let save path p = W.to_file path write p
 
 (* --- reading --------------------------------------------------------- *)
 
-(* The heavy lifting — rebuilding a live grammar from its rule listing,
-   with cyclic/dangling-reference detection — lives in {!Grammar_io} (and
-   ultimately {!Ormp_sequitur.Sequitur.of_rules}) so the session
-   snapshots share it. *)
-let grammar_of_sexp = Grammar_io.of_sexp
+let read_group r =
+  R.flat r "group";
+  let gid = R.int r in
+  let site = R.int r in
+  let label = R.atom r in
+  let population = R.int r in
+  R.close r;
+  { Omc.gid; site; label; population }
 
-let group_of_sexp args =
-  match args with
-  | [ gid; site; label; population ] ->
-    let* gid = S.as_int gid in
-    let* site = S.as_int site in
-    let* label = S.as_atom label in
-    let* population = S.as_int population in
-    Ok { Omc.gid; site; label; population }
-  | _ -> Error "bad group"
+(* [-1] is "not set"; any other negative was never written. *)
+let read_lifetime r =
+  let opt r =
+    match R.int r with
+    | -1 -> None
+    | n when n >= 0 -> Some n
+    | _ -> R.fail r "expected -1 or a time or site"
+  in
+  R.flat r "object";
+  let group = R.int r in
+  let serial = R.int r in
+  let base = R.int r in
+  let size = R.int r in
+  let alloc_time = R.int r in
+  let free_time = opt r in
+  let free_site = opt r in
+  R.close r;
+  { Omc.group; serial; base; size; alloc_time; free_time; free_site }
 
-let lifetime_of_sexp args =
-  let* xs = S.int_list args in
-  match xs with
-  | [ group; serial; base; size; alloc_time; free; free_site ] ->
-    Ok
-      {
-        Omc.group;
-        serial;
-        base;
-        size;
-        alloc_time;
-        free_time = (if free < 0 then None else Some free);
-        free_site = (if free_site < 0 then None else Some free_site);
-      }
-  | _ -> Error "bad object record"
+let read r =
+  R.nested r "ormp-whomp-profile";
+  let v = R.int_field r "version" in
+  if v <> version then R.fail r (Printf.sprintf "unsupported version %d" v);
+  let collected = R.int_field r "collected" in
+  let wild = R.int_field r "wild" in
+  (* Every dimension holds one symbol per collected access. *)
+  let dims = R.repeated r "grammar" (Grammar_io.read ~length:collected ~exact:true) in
+  let groups = R.repeated r "group" read_group in
+  let lifetimes = R.repeated r "object" read_lifetime in
+  R.close r;
+  { Whomp.dims; collected; wild; groups; lifetimes; elapsed = 0.0 }
 
-let of_sexp t =
-  let* args = S.as_list t in
-  match args with
-  | S.Atom "ormp-whomp-profile" :: rest ->
-    let body = S.List (S.Atom "_" :: rest) in
-    let* v = S.int_field "version" body in
-    if v <> version then Error (Printf.sprintf "unsupported version %d" v)
-    else
-      let* collected = S.int_field "collected" body in
-      let* wild = S.int_field "wild" body in
-      let* dims = S.pick rest "grammar" grammar_of_sexp in
-      let* groups = S.pick rest "group" group_of_sexp in
-      let* lifetimes = S.pick rest "object" lifetime_of_sexp in
-      Ok { Whomp.dims; collected; wild; groups; lifetimes; elapsed = 0.0 }
-  | _ -> Error "not an ormp-whomp-profile"
-
-let load path =
-  (* A malformed file must never escape as an exception: Sexp.load already
-     returns [Error] for I/O and parse failures, and this wrapper converts
-     anything the structural decoding raises (e.g. Sequitur rejecting an
-     impossible rebuilt sequence) into one too. *)
-  match
-    let* t = S.load path in
-    of_sexp t
-  with
-  | result -> result
-  | exception exn -> Error (Printf.sprintf "corrupt profile %s: %s" path (Printexc.to_string exn))
+let load path = R.load path read

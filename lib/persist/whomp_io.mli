@@ -13,11 +13,15 @@ val save : string -> Ormp_whomp.Whomp.profile -> unit
     @raise Sys_error on I/O failure. *)
 
 val load : string -> (Ormp_whomp.Whomp.profile, string) result
+(** {!read} over the file; never raises on a corrupt one. *)
 
 val write : Ormp_util.Sexp.Writer.t -> Ormp_whomp.Whomp.profile -> unit
 (** The profile as one s-expression; {!save} streams it into the file. *)
 
-val of_sexp : Ormp_util.Sexp.t -> (Ormp_whomp.Whomp.profile, string) result
+val read : Ormp_util.Sexp.Reader.t -> Ormp_whomp.Whomp.profile
+(** The mirror of {!write}: its fields in its order, each dimension
+    grammar expanding to exactly [collected] symbols. [elapsed] reads
+    back as 0. *)
 
 (** {1 Object records shared with session snapshots} *)
 
@@ -25,5 +29,4 @@ val write_lifetime : Ormp_util.Sexp.Writer.t -> Ormp_core.Omc.lifetime -> unit
 (** [(object group serial base size alloc-time free-time free-site)],
     with [-1] for a time or site that is not set. *)
 
-val lifetime_of_sexp : Ormp_util.Sexp.t list -> (Ormp_core.Omc.lifetime, string) result
-(** Decodes the arguments of an [object] record. *)
+val read_lifetime : Ormp_util.Sexp.Reader.t -> Ormp_core.Omc.lifetime

@@ -793,48 +793,62 @@ let rules t =
   iter_rules t (fun id rhs -> acc := (id, rhs) :: !acc);
   List.rev !acc
 
+(* Lengths are memoized per rule, -1 marking a rule whose expansion is in
+   progress (met again: a cycle). A rule reachable from the start rule
+   occurs in its expansion at least once, so the first length past
+   [bound] ends the walk; each sum is compared with [bound] before it is
+   taken, so none overflows. *)
+let expansion_length ~bound listing =
+  let exception Bad of string in
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
+  let table = Hashtbl.create 64 and len = Hashtbl.create 64 in
+  let rec length id =
+    match Hashtbl.find_opt len id with
+    | Some -1 -> bad "cyclic rule R%d" id
+    | Some n -> n
+    | None ->
+      let rhs =
+        match Hashtbl.find_opt table id with Some rhs -> rhs | None -> bad "dangling rule R%d" id
+      in
+      Hashtbl.replace len id (-1);
+      let add n sym =
+        let k = match sym with `T _ -> 1 | `N r -> length r in
+        if k > bound - n then bad "grammar expands past %d symbols" bound else n + k
+      in
+      let n = List.fold_left add 0 rhs in
+      Hashtbl.replace len id n;
+      n
+  in
+  try
+    List.iter
+      (fun (id, rhs) ->
+        if Hashtbl.mem table id then bad "duplicate rule R%d" id;
+        Hashtbl.replace table id rhs)
+      listing;
+    if not (Hashtbl.mem table 0) then bad "grammar has no start rule";
+    Ok (length 0)
+  with Bad msg -> Error msg
+
 let of_rules rule_list =
-  let table = Hashtbl.create 64 in
-  List.iter (fun (id, rhs) -> Hashtbl.replace table id rhs) rule_list;
-  if not (Hashtbl.mem table 0) then Error "grammar has no start rule"
-  else begin
-    let exception Bad of string in
-    let memo = Hashtbl.create 64 in
-    let expanding = Hashtbl.create 16 in
-    let rec expand_rule id =
-      match Hashtbl.find_opt memo id with
-      | Some e -> e
-      | None ->
-        if Hashtbl.mem expanding id then
-          (* A corrupted listing can reference a rule from its own
-             expansion; without this check the recursion would never
-             terminate. *)
-          raise (Bad (Printf.sprintf "cyclic rule R%d" id));
-        (match Hashtbl.find_opt table id with
-        | None -> raise (Bad (Printf.sprintf "dangling rule R%d" id))
-        | Some rhs ->
-          Hashtbl.replace expanding id ();
-          let parts = List.map (function `T v -> [ v ] | `N r -> expand_rule r) rhs in
-          Hashtbl.remove expanding id;
-          let e = List.concat parts in
-          Hashtbl.replace memo id e;
-          e)
+  match expansion_length ~bound:max_int rule_list with
+  | Error _ as e -> e
+  | Ok _ ->
+    let table = Hashtbl.create 64 in
+    List.iter (fun (id, rhs) -> Hashtbl.replace table id rhs) rule_list;
+    let rec expand g id =
+      List.iter (function `T v -> push g v | `N r -> expand g r) (Hashtbl.find table id)
     in
-    match expand_rule 0 with
-    | terminals ->
-      (* The algorithm is deterministic: re-pushing the expansion of a
-         listing a compressor wrote rebuilds exactly that grammar, rule
-         ids included, and grows the same tables the original run grew.
-         Any other listing of the same expansion (a repeated digram, a
-         rule used once, an unused, duplicated or renumbered rule) is
-         not what the rebuilt compressor holds, so loading it would
-         silently replace the grammar on file. *)
-      let g = create () in
-      List.iter (push g) terminals;
-      if rules g = rule_list then Ok g
-      else Error "rule listing is not the grammar its expansion rebuilds"
-    | exception Bad msg -> Error msg
-  end
+    (* The algorithm is deterministic: re-pushing the expansion of a
+       listing a compressor wrote rebuilds exactly that grammar, rule ids
+       included, and grows the same tables the original run grew. Any
+       other listing of the same expansion (a repeated digram, a rule used
+       once, an unused or renumbered rule) is not what the rebuilt
+       compressor holds, so loading it would silently replace the grammar
+       on file. *)
+    let g = create () in
+    expand g 0;
+    if rules g = rule_list then Ok g
+    else Error "rule listing is not the grammar its expansion rebuilds"
 
 let pp fmt t =
   visit_rules t

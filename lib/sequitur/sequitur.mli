@@ -79,10 +79,20 @@ val iter_rules : t -> (int -> [ `T of int | `N of int ] list -> unit) -> unit
 (** {!visit_rules} with each right-hand side gathered into a list — the
     same order as {!rules} without materializing the whole listing. *)
 
+val expansion_length :
+  bound:int -> (int * [ `T of int | `N of int ] list) list -> (int, string) result
+(** The length of the start rule's expansion in a {!rules} listing, in
+    O(rules + symbols) and without expanding anything: [Error] for a
+    duplicate, dangling or cyclic rule, a missing start rule, or as soon
+    as a rule the start rule reaches expands past [bound] symbols (so no
+    count overflows, for any [bound >= 0]). A loader calls it with the
+    count its file records before {!of_rules}, so a listing that doubles
+    at every rule fails at once instead of expanding. *)
+
 val of_rules : (int * [ `T of int | `N of int ] list) list -> (t, string) result
-(** Rebuild a live compressor from a {!rules} listing: the start rule is
-    expanded (rejecting dangling and cyclic rule references) and the
-    terminal sequence re-pushed. Sequitur is deterministic, so the rebuilt
+(** Rebuild a live compressor from a {!rules} listing: the listing is
+    checked by {!expansion_length}, then the start rule is expanded and
+    its terminal sequence re-pushed. Sequitur is deterministic, so the rebuilt
     grammar has exactly the saved rules — ids included — and further
     {!push}es continue as if the original compressor had never stopped.
     This is what makes grammar state checkpointable: a snapshot is just

@@ -1,5 +1,5 @@
-module S = Ormp_util.Sexp
 module W = Ormp_util.Sexp.Writer
+module R = Ormp_util.Sexp.Reader
 module Seq_c = Ormp_sequitur.Sequitur
 module A = Ormp_memsim.Allocator
 module Io = Ormp_workloads.Faults.Io
@@ -93,70 +93,72 @@ let policy_of_string s =
       | None -> Error ("bad policy " ^ s))
     | _ -> Error ("unknown policy " ^ s))
 
-let manifest_to_sexp ~workload ~(config : Ormp_vm.Config.t) ~(options : options) =
-  S.field "ormp-session"
-    [
-      S.field "version" [ S.int 1 ];
-      S.field "workload" [ S.atom workload ];
-      S.field "config"
-        [
-          S.field "policy" [ S.atom (policy_to_string config.policy) ];
-          S.field "heap-base" [ S.int config.heap_base ];
-          S.field "static-base" [ S.int config.static_base ];
-          S.field "static-gap" [ S.int config.static_gap ];
-          S.field "align" [ S.int config.align ];
-          S.field "seed" [ S.int config.seed ];
-        ];
-      S.field "options"
-        [
-          S.field "checkpoint-every" [ S.int options.checkpoint_every ];
-          S.field "watch-every" [ S.int options.watch_every ];
-          S.field "grammar-budget" [ S.int options.grammar_budget ];
-          S.field "max-streams" [ S.int options.max_streams ];
-          S.field "leap-budget"
-            [ S.int (match options.leap_budget with None -> -1 | Some b -> b) ];
-          S.field "keep" [ S.int options.keep ];
-        ];
-    ]
+let write_manifest w (workload, (config : Ormp_vm.Config.t), (options : options)) =
+  W.nested w "ormp-session";
+  W.int_field w "version" 1;
+  W.flat w "workload";
+  W.atom w workload;
+  W.close w;
+  W.nested w "config";
+  W.flat w "policy";
+  W.atom w (policy_to_string config.policy);
+  W.close w;
+  W.int_field w "heap-base" config.heap_base;
+  W.int_field w "static-base" config.static_base;
+  W.int_field w "static-gap" config.static_gap;
+  W.int_field w "align" config.align;
+  W.int_field w "seed" config.seed;
+  W.close w;
+  W.nested w "options";
+  W.int_field w "checkpoint-every" options.checkpoint_every;
+  W.int_field w "watch-every" options.watch_every;
+  W.int_field w "grammar-budget" options.grammar_budget;
+  W.int_field w "max-streams" options.max_streams;
+  W.int_field w "leap-budget" (match options.leap_budget with None -> -1 | Some b -> b);
+  W.int_field w "keep" options.keep;
+  W.close w;
+  W.close w
 
-let manifest_of_sexp t =
-  let* args = S.as_list t in
-  match args with
-  | S.Atom "ormp-session" :: rest ->
-    let body = S.List (S.Atom "_" :: rest) in
-    let* v = S.int_field "version" body in
-    if v <> 1 then Error (Printf.sprintf "unsupported manifest version %d" v)
-    else
-      let* workload = S.atom_field "workload" body in
-      let* cargs = S.assoc "config" body in
-      let cbody = S.List (S.Atom "_" :: cargs) in
-      let* policy_s = S.atom_field "policy" cbody in
-      let* policy = policy_of_string policy_s in
-      let* heap_base = S.int_field "heap-base" cbody in
-      let* static_base = S.int_field "static-base" cbody in
-      let* static_gap = S.int_field "static-gap" cbody in
-      let* align = S.int_field "align" cbody in
-      let* seed = S.int_field "seed" cbody in
-      let* oargs = S.assoc "options" body in
-      let obody = S.List (S.Atom "_" :: oargs) in
-      let* checkpoint_every = S.int_field "checkpoint-every" obody in
-      let* watch_every = S.int_field "watch-every" obody in
-      let* grammar_budget = S.int_field "grammar-budget" obody in
-      let* max_streams = S.int_field "max-streams" obody in
-      let* leap_budget = S.int_field "leap-budget" obody in
-      let* keep = S.int_field "keep" obody in
-      Ok
-        ( workload,
-          { Ormp_vm.Config.policy; heap_base; static_base; static_gap; align; seed },
-          {
-            checkpoint_every;
-            watch_every;
-            grammar_budget;
-            max_streams;
-            leap_budget = (if leap_budget < 0 then None else Some leap_budget);
-            keep;
-          } )
-  | _ -> Error "not an ormp-session manifest"
+let read_manifest r =
+  R.nested r "ormp-session";
+  let v = R.int_field r "version" in
+  if v <> 1 then R.fail r (Printf.sprintf "unsupported manifest version %d" v);
+  R.flat r "workload";
+  let workload = R.atom r in
+  R.close r;
+  R.nested r "config";
+  R.flat r "policy";
+  let policy_s = R.atom r in
+  R.close r;
+  (* Only the spelling [policy_to_string] gives back. *)
+  let policy =
+    match policy_of_string policy_s with
+    | Ok p when policy_to_string p = policy_s -> p
+    | _ -> R.fail r ("unknown policy " ^ policy_s)
+  in
+  let heap_base = R.int_field r "heap-base" in
+  let static_base = R.int_field r "static-base" in
+  let static_gap = R.int_field r "static-gap" in
+  let align = R.int_field r "align" in
+  let seed = R.int_field r "seed" in
+  R.close r;
+  R.nested r "options";
+  let checkpoint_every = R.int_field r "checkpoint-every" in
+  let watch_every = R.int_field r "watch-every" in
+  let grammar_budget = R.int_field r "grammar-budget" in
+  let max_streams = R.int_field r "max-streams" in
+  let leap_budget =
+    match R.int_field r "leap-budget" with
+    | -1 -> None
+    | b when b >= 0 -> Some b
+    | _ -> R.fail r "expected -1 or a leap budget"
+  in
+  let keep = R.int_field r "keep" in
+  R.close r;
+  R.close r;
+  ( workload,
+    { Ormp_vm.Config.policy; heap_base; static_base; static_gap; align; seed },
+    { checkpoint_every; watch_every; grammar_budget; max_streams; leap_budget; keep } )
 
 (* --- workload lookup --------------------------------------------------- *)
 
@@ -524,19 +526,21 @@ let start ?io ?heartbeat_every ?pool ?site_name ~options ~dir ~workload () =
   ctx.journal <- Some (Journal.create ?io (dir // journal_file));
   ctx
 
-(* The surviving journal, and the newest snapshot whose seal holds and
+(* The surviving journal, and the newest snapshot that [load] takes and
    whose journal CRC matches the journal's prefix ([None]: start from the
-   empty state at position 0). *)
-let recover ~dir =
+   empty state at position 0). [restore] loads whole snapshots, [status]
+   only their sealed headers. *)
+let recover ~dir ~load ~header =
   let path = dir // journal_file in
   let rec newest = function
     | [] -> Result.map (fun r -> (None, r)) (Journal.recover path)
     | k :: older -> (
-      match Snapshot.load (dir // snapshot_file k) with
+      match load (dir // snapshot_file k) with
       | Error _ -> newest older
       | Ok snap -> (
-        match Journal.recover ~at:snap.Snapshot.position path with
-        | Ok r when r.Journal.crc_at = snap.Snapshot.journal_crc -> Ok (Some snap, r)
+        let h : Snapshot.header = header snap in
+        match Journal.recover ~at:h.h_position path with
+        | Ok r when r.Journal.crc_at = h.h_journal_crc -> Ok (Some snap, r)
         | Ok _ | Error _ -> newest older))
   in
   (try Sys.readdir dir with Sys_error _ -> [||])
@@ -553,7 +557,7 @@ let recover ~dir =
    idempotent), but nothing is re-journaled: the CRC is re-derived
    instead, so rewritten snapshots carry the right value. *)
 let restore ?io ?heartbeat_every ?pool ?site_name ~options ~dir ~workload () =
-  let* snap, r = recover ~dir in
+  let* snap, r = recover ~dir ~load:Snapshot.load ~header:Snapshot.header in
   let ctx = create ?io ?heartbeat_every ?pool ?site_name ?snap ~options ~dir ~workload () in
   let scratch = Tf.buffer () in
   let replay () =
@@ -650,14 +654,13 @@ let run ?io ?heartbeat_every ?jobs ?(config = Ormp_vm.Config.default)
     Error (Printf.sprintf "session already exists in %s (use resume)" dir)
   else begin
     Storage.write_atomic ~path:(dir // manifest_file)
-      (S.to_string (manifest_to_sexp ~workload ~config ~options) ^ "\n");
+      (W.render write_manifest (workload, config, options) ^ "\n");
     drive ?io ?heartbeat_every ?jobs ~dir ~workload ~config ~options ~resume:false ()
   end
 
 let load_manifest dir =
-  match S.load (dir // manifest_file) with
-  | Ok s -> manifest_of_sexp s
-  | Error e -> Error (Printf.sprintf "no session in %s: %s" dir e)
+  R.load (dir // manifest_file) read_manifest
+  |> Result.map_error (Printf.sprintf "no session in %s: %s" dir)
 
 let resume ?io ?heartbeat_every ?jobs ~dir () =
   let* workload, config, options = load_manifest dir in
@@ -666,14 +669,14 @@ let resume ?io ?heartbeat_every ?jobs ~dir () =
 let status ~dir =
   let* workload, _, _ = load_manifest dir in
   let snap, journal =
-    match recover ~dir with
+    match recover ~dir ~load:Snapshot.load_header ~header:Fun.id with
     | Ok (snap, r) -> (snap, Some r.Journal.count)
     | Error _ -> (None, None)
   in
   Ok
     {
       st_workload = workload;
-      st_snapshot = Option.map (fun s -> (s.Snapshot.checkpoint, s.Snapshot.position)) snap;
+      st_snapshot = Option.map (fun h -> Snapshot.(h.h_checkpoint, h.h_position)) snap;
       st_journal = journal;
       st_complete = Sys.file_exists (dir // report_file);
     }

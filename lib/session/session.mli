@@ -50,6 +50,13 @@ type status_info = {
   st_complete : bool;  (** final profiles + report written *)
 }
 
+val write_manifest : Ormp_util.Sexp.Writer.t -> string * Ormp_vm.Config.t * options -> unit
+(** The [manifest] file: the workload, VM configuration and options that
+    identify a session, which {!resume} reads back. *)
+
+val read_manifest : Ormp_util.Sexp.Reader.t -> string * Ormp_vm.Config.t * options
+(** The mirror of {!write_manifest}. *)
+
 val find_workload : string -> (Ormp_vm.Program.t, string) result
 (** Resolve by {!Ormp_workloads.Registry} name/spec-ref, then by
     {!Ormp_workloads.Micro} name. *)
@@ -178,6 +185,10 @@ val resume :
     scratch under the same manifest: correct, just slower. *)
 
 val status : dir:string -> (status_info, string) result
-(** What {!restore} would start from, found by the same reads. It
-    writes nothing, so it is safe to call on a session that is running
-    (a line the writer has not finished is counted as torn, not cut). *)
+(** What {!restore} would start from, found through the same recovery.
+    It writes nothing, so it is safe to call on a session that is
+    running (a line the writer has not finished is counted as torn, not
+    cut). It reads only each snapshot's seal and leading fields
+    ({!Snapshot.load_header}): it trusts a snapshot whose seal holds
+    without decoding its body, so it may report one whose body
+    {!restore} then refuses. *)

@@ -1,5 +1,5 @@
-module S = Ormp_util.Sexp
 module W = Ormp_util.Sexp.Writer
+module R = Ormp_util.Sexp.Reader
 module Seq_c = Ormp_sequitur.Sequitur
 module Omc = Ormp_core.Omc
 module Cdc = Ormp_core.Cdc
@@ -21,6 +21,8 @@ type epoch = {
 }
 
 type degradation = { dg_position : int; dg_kind : string; dg_detail : string }
+
+type header = { h_position : int; h_checkpoint : int; h_journal_crc : int }
 
 type t = {
   position : int;
@@ -61,23 +63,9 @@ let write_cdc w (s : Cdc.state) =
   List.iter (Whomp_io.write_lifetime w) s.Cdc.s_omc.Omc.s_lifetimes;
   W.close w
 
-let write_stream w ((k : Leap.key), (s : Leap.stream)) =
-  W.nested w "stream";
-  W.int_field w "instr" k.Leap.instr;
-  W.int_field w "group" k.Leap.group;
-  Lmad_io.write_state w "comp" s.Leap.comp;
-  Lmad_io.write_state w "off" s.Leap.off;
-  Leap_io.write_spans w s;
-  W.close w
-
 let write_leap w (lv : Leap.live) =
   W.nested w "leap";
-  W.flat w "stores";
-  List.iter (fun (i, st) -> if st then W.int w i) lv.Leap.lv_stores;
-  W.close w;
-  W.flat w "instrs";
-  List.iter (fun (i, _) -> W.int w i) lv.Leap.lv_stores;
-  W.close w;
+  Leap_io.write_stores w lv.Leap.lv_stores;
   W.flat w "dropped";
   List.iter
     (fun (k : Leap.key) ->
@@ -86,7 +74,7 @@ let write_leap w (lv : Leap.live) =
     lv.Leap.lv_dropped;
   W.close w;
   W.int_field w "dropped-accesses" lv.Leap.lv_dropped_accesses;
-  List.iter (write_stream w) lv.Leap.lv_streams;
+  List.iter (Leap_io.write_stream Lmad_io.write_state w) lv.Leap.lv_streams;
   W.close w
 
 let write_epoch w (e : epoch) =
@@ -131,163 +119,126 @@ let write w (t : t) =
 
 (* --- decoding --------------------------------------------------------- *)
 
-let ( let* ) = Result.bind
-
-let group_of_sexp args =
-  match args with
-  | [ site; ty; population ] ->
-    let* gs_site = S.as_int site in
-    let* gs_type =
-      match ty with
-      | S.Atom "-" -> Ok None
-      | S.List [ S.Atom t ] -> Ok (Some t)
-      | _ -> Error "bad group type"
-    in
-    let* gs_population = S.as_int population in
-    Ok { Omc.gs_site; gs_type; gs_population }
-  | _ -> Error "bad group"
-
-let cdc_of_sexp args =
-  let body = S.List (S.Atom "_" :: args) in
-  let* grouping =
-    let* g = S.assoc "grouping" body in
-    match g with
-    | [ S.Atom "site" ] -> Ok `Site
-    | [ S.Atom "type" ] -> Ok `Type
-    | _ -> Error "bad grouping"
+let read_group r =
+  R.flat r "group";
+  let gs_site = R.int r in
+  let gs_type =
+    if R.next_is r '(' then begin
+      R.list r;
+      let ty = R.atom r in
+      R.close r;
+      Some ty
+    end
+    else if R.atom r = "-" then None
+    else R.fail r "expected - or (type)"
   in
-  let* s_clock = S.int_field "clock" body in
-  let* s_wild = S.int_field "wild" body in
-  let* s_unknown_frees = S.int_field "unknown-frees" body in
-  let* s_groups = S.pick args "group" group_of_sexp in
-  let* s_lifetimes = S.pick args "object" Whomp_io.lifetime_of_sexp in
-  Ok
-    {
-      Cdc.s_omc = { Omc.s_grouping = grouping; s_groups; s_lifetimes; s_unknown_frees };
-      s_clock;
-      s_wild;
-    }
+  let gs_population = R.int r in
+  R.close r;
+  { Omc.gs_site; gs_type; gs_population }
 
-let stream_of_sexp t =
-  let* instr = S.int_field "instr" t in
-  let* group = S.int_field "group" t in
-  let* comp = Lmad_io.state_of_sexp "comp" t in
-  let* off = Lmad_io.state_of_sexp "off" t in
-  let* spans, dspan = Leap_io.spans_of_sexp t in
-  Ok ({ Leap.instr; group }, { Leap.comp; spans; off; dspan })
-
-let leap_of_sexp args =
-  let body = S.List (S.Atom "_" :: args) in
-  let* store_args = S.assoc "stores" body in
-  let* stores = S.int_list store_args in
-  let* instr_args = S.assoc "instrs" body in
-  let* instrs = S.int_list instr_args in
-  let* dropped_args = S.assoc "dropped" body in
-  let* dropped_ints = S.int_list dropped_args in
-  let rec pair_up = function
-    | [] -> Ok []
-    | i :: g :: rest ->
-      let* ks = pair_up rest in
-      Ok ({ Leap.instr = i; group = g } :: ks)
-    | [ _ ] -> Error "odd dropped list"
+let read_cdc r =
+  R.nested r "cdc";
+  R.flat r "grouping";
+  let s_grouping =
+    match R.atom r with "site" -> `Site | "type" -> `Type | _ -> R.fail r "expected site or type"
   in
-  let* lv_dropped = pair_up dropped_ints in
-  let* lv_dropped_accesses = S.int_field "dropped-accesses" body in
-  let* lv_streams =
-    S.pick args "stream" (fun a -> stream_of_sexp (S.List (S.Atom "_" :: a)))
+  R.close r;
+  let s_clock = R.int_field r "clock" in
+  let s_wild = R.int_field r "wild" in
+  let s_unknown_frees = R.int_field r "unknown-frees" in
+  let s_groups = R.repeated r "group" read_group in
+  let s_lifetimes = R.repeated r "object" Whomp_io.read_lifetime in
+  R.close r;
+  { Cdc.s_omc = { Omc.s_grouping; s_groups; s_lifetimes; s_unknown_frees }; s_clock; s_wild }
+
+let read_leap r =
+  R.nested r "leap";
+  let lv_stores = Leap_io.read_stores r in
+  R.flat r "dropped";
+  let dropped = ref [] in
+  while R.more r do
+    let instr = R.int r in
+    let group = R.int r in
+    dropped := { Leap.instr; group } :: !dropped
+  done;
+  R.close r;
+  let lv_dropped_accesses = R.int_field r "dropped-accesses" in
+  let lv_streams = R.repeated r "stream" (Leap_io.read_stream Lmad_io.read_state) in
+  R.close r;
+  { Leap.lv_streams; lv_stores; lv_dropped = List.rev !dropped; lv_dropped_accesses }
+
+let read_epoch r =
+  R.flat r "epoch";
+  let ep_index = R.int r in
+  let ep_dim = R.atom r in
+  let ep_file = R.atom r in
+  let ep_from = R.int r in
+  let ep_to = R.int r in
+  let ep_symbols = R.int r in
+  R.close r;
+  { ep_index; ep_dim; ep_file; ep_from; ep_to; ep_symbols }
+
+let read_degradation r =
+  R.flat r "degradation";
+  let dg_position = R.int r in
+  let dg_kind = R.atom r in
+  let dg_detail = R.atom r in
+  R.close r;
+  { dg_position; dg_kind; dg_detail }
+
+(* The leading fields, all that [load_header] reads. *)
+let read_header r =
+  R.nested r "ormp-session-snapshot";
+  let v = R.int_field r "version" in
+  if v <> version then R.fail r (Printf.sprintf "unsupported snapshot version %d" v);
+  let h_position = R.int_field r "position" in
+  let h_checkpoint = R.int_field r "checkpoint" in
+  let h_journal_crc = R.int_field r "journal-crc" in
+  { h_position; h_checkpoint; h_journal_crc }
+
+let read r =
+  let h = read_header r in
+  let rotations = R.int_field r "rotations" in
+  let epochs = R.repeated r "epoch" read_epoch in
+  let degradations = R.repeated r "degradation" read_degradation in
+  let cdc = read_cdc r in
+  (* A grammar holds at most the accesses among the events taken. *)
+  let grammar name =
+    let dim, g = Grammar_io.read r ~length:h.h_position ~exact:false in
+    if dim <> name then R.fail r ("expected the " ^ name ^ " grammar");
+    g
   in
-  let lv_stores =
-    List.map (fun i -> (i, List.mem i stores)) (List.sort_uniq compare instrs)
-  in
-  Ok { Leap.lv_streams; lv_stores; lv_dropped; lv_dropped_accesses }
+  R.nested r "whomp";
+  let gi = grammar "instr" in
+  let gg = grammar "group" in
+  let go = grammar "object" in
+  let gf = grammar "offset" in
+  R.close r;
+  R.nested r "rasg";
+  let rasg = grammar "rasg" in
+  R.close r;
+  let leap = read_leap r in
+  R.close r;
+  {
+    position = h.h_position;
+    checkpoint = h.h_checkpoint;
+    journal_crc = h.h_journal_crc;
+    rotations;
+    epochs;
+    degradations;
+    cdc;
+    whomp = (gi, gg, go, gf);
+    rasg;
+    leap;
+  }
 
-let epoch_of_sexp args =
-  match args with
-  | [ idx; dim; file; from_; to_; symbols ] ->
-    let* ep_index = S.as_int idx in
-    let* ep_dim = S.as_atom dim in
-    let* ep_file = S.as_atom file in
-    let* ep_from = S.as_int from_ in
-    let* ep_to = S.as_int to_ in
-    let* ep_symbols = S.as_int symbols in
-    Ok { ep_index; ep_dim; ep_file; ep_from; ep_to; ep_symbols }
-  | _ -> Error "bad epoch"
-
-let degradation_of_sexp args =
-  match args with
-  | [ pos; kind; detail ] ->
-    let* dg_position = S.as_int pos in
-    let* dg_kind = S.as_atom kind in
-    let* dg_detail = S.as_atom detail in
-    Ok { dg_position; dg_kind; dg_detail }
-  | _ -> Error "bad degradation"
-
-let grammar_in name args =
-  let* named = S.collect_results (List.map (fun g -> S.as_list g) args) in
-  let* found =
-    match
-      List.find_opt
-        (function
-          | S.Atom "grammar" :: body -> (
-            match S.assoc "dim" (S.List (S.Atom "_" :: body)) with
-            | Ok [ S.Atom d ] -> d = name
-            | _ -> false)
-          | _ -> false)
-        named
-    with
-    | Some (_ :: body) -> Ok body
-    | _ -> Error (Printf.sprintf "missing %s grammar" name)
-  in
-  let* _, g = Grammar_io.of_sexp found in
-  Ok g
-
-let of_sexp t =
-  let* args = S.as_list t in
-  match args with
-  | S.Atom "ormp-session-snapshot" :: rest ->
-    let body = S.List (S.Atom "_" :: rest) in
-    let* v = S.int_field "version" body in
-    if v <> version then Error (Printf.sprintf "unsupported snapshot version %d" v)
-    else
-      let* position = S.int_field "position" body in
-      let* checkpoint = S.int_field "checkpoint" body in
-      let* journal_crc = S.int_field "journal-crc" body in
-      let* rotations = S.int_field "rotations" body in
-      let* epochs = S.pick rest "epoch" epoch_of_sexp in
-      let* degradations = S.pick rest "degradation" degradation_of_sexp in
-      let* cdc_args = S.assoc "cdc" body in
-      let* cdc = cdc_of_sexp cdc_args in
-      let* whomp_args = S.assoc "whomp" body in
-      let* gi = grammar_in "instr" whomp_args in
-      let* gg = grammar_in "group" whomp_args in
-      let* go = grammar_in "object" whomp_args in
-      let* gf = grammar_in "offset" whomp_args in
-      let* rasg_args = S.assoc "rasg" body in
-      let* rasg = grammar_in "rasg" rasg_args in
-      let* leap_args = S.assoc "leap" body in
-      let* leap = leap_of_sexp leap_args in
-      Ok
-        {
-          position;
-          checkpoint;
-          journal_crc;
-          rotations;
-          epochs;
-          degradations;
-          cdc;
-          whomp = (gi, gg, go, gf);
-          rasg;
-          leap;
-        }
-  | _ -> Error "not an ormp-session-snapshot"
-
+let header t = { h_position = t.position; h_checkpoint = t.checkpoint; h_journal_crc = t.journal_crc }
 let save ?io path t = Storage.save_sealed ?io path write t
+let load path = Storage.load_sealed path read
 
-let load path =
-  match
-    let* s = Storage.load_sealed path in
-    of_sexp s
-  with
-  | result -> result
-  | exception exn ->
-    Error (Printf.sprintf "corrupt snapshot %s: %s" path (Printexc.to_string exn))
+(* The seal covers the whole payload, so the rest is left unread. *)
+let load_header path =
+  Storage.load_sealed path (fun r ->
+      let h = read_header r in
+      R.skip_rest r;
+      h)

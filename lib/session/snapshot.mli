@@ -47,17 +47,16 @@ type t = {
 }
 
 val write_epoch : Ormp_util.Sexp.Writer.t -> epoch -> unit
-val epoch_of_sexp : Ormp_util.Sexp.t list -> (epoch, string) result
-
 val write_degradation : Ormp_util.Sexp.Writer.t -> degradation -> unit
-val degradation_of_sexp : Ormp_util.Sexp.t list -> (degradation, string) result
 
 val write : Ormp_util.Sexp.Writer.t -> t -> unit
 (** The snapshot payload, through the same grammar, object and LMAD
     encoders as the profile files; {!save} renders it into a buffer and
     seals it. *)
 
-val of_sexp : Ormp_util.Sexp.t -> (t, string) result
+val read : Ormp_util.Sexp.Reader.t -> t
+(** The mirror of {!write}; every grammar expands to at most [position]
+    symbols. *)
 
 val save : ?io:Ormp_workloads.Faults.Io.t -> string -> t -> unit
 (** Atomic + sealed; may raise the planned injected fault. *)
@@ -65,3 +64,16 @@ val save : ?io:Ormp_workloads.Faults.Io.t -> string -> t -> unit
 val load : string -> (t, string) result
 (** Never raises: torn, truncated, or structurally corrupt snapshots come
     back as [Error]. *)
+
+(** {1 Headers} *)
+
+type header = { h_position : int; h_checkpoint : int; h_journal_crc : int }
+(** The leading fields: what a recovery checks against the journal, and
+    what [session status] prints. *)
+
+val header : t -> header
+
+val load_header : string -> (header, string) result
+(** The seal checked and the leading fields read, without decoding the
+    body: a snapshot whose seal holds is trusted here, though {!load}
+    may still refuse its body. *)

@@ -38,16 +38,20 @@ let last_marker data =
   in
   go (n - m)
 
+(* The trailer is exactly what [seal] writes: the marker, the CRC as
+   [Decimal.write] spells it, one newline. *)
 let unseal data =
   match last_marker data with
   | -1 -> Error "no CRC trailer"
   | i -> (
-    let payload = String.sub data 0 i in
-    let tail_start = i + String.length crc_marker in
-    let tail = String.sub data tail_start (String.length data - tail_start) in
-    match int_of_string_opt (String.trim tail) with
-    | None -> Error "malformed CRC trailer"
-    | Some crc ->
+    let digits = i + String.length crc_marker and n = String.length data in
+    match
+      if data.[n - 1] <> '\n' then raise Ormp_util.Decimal.Not_canonical;
+      Ormp_util.Decimal.parse data digits (n - 1)
+    with
+    | exception Ormp_util.Decimal.Not_canonical -> Error "malformed CRC trailer"
+    | crc ->
+      let payload = String.sub data 0 i in
       let actual = Ormp_util.Crc32.string payload in
       if actual <> crc then Error (Printf.sprintf "CRC mismatch: file %d, computed %d" crc actual)
       else Ok payload)
@@ -55,8 +59,6 @@ let unseal data =
 let save_sealed ?io path write x =
   write_atomic ?io ~path (seal (Ormp_util.Sexp.Writer.render write x))
 
-let load_sealed path =
-  let ( let* ) = Result.bind in
-  let* data = read_file path in
-  let* payload = unseal data in
-  Ormp_util.Sexp.of_string payload
+let load_sealed path read =
+  Result.bind (read_file path) (fun data ->
+      Result.bind (unseal data) (fun payload -> Ormp_util.Sexp.Reader.run payload read))

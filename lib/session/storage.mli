@@ -17,7 +17,8 @@ val seal : string -> string
 (** [payload ^ "\n;crc <decimal CRC-32 of payload>\n"]. *)
 
 val unseal : string -> (string, string) result
-(** Recover and verify a sealed payload. *)
+(** Recover and verify a sealed payload: the trailer must be exactly the
+    one {!seal} writes. *)
 
 val save_sealed :
   ?io:Ormp_workloads.Faults.Io.t -> string -> (Ormp_util.Sexp.Writer.t -> 'a -> unit) -> 'a -> unit
@@ -25,5 +26,6 @@ val save_sealed :
     buffer, sealed, and written atomically — one write, so the fault plan
     sees one write per file. *)
 
-val load_sealed : string -> (Ormp_util.Sexp.t, string) result
-(** Read + unseal + parse; [Error] on missing, torn, or corrupt files. *)
+val load_sealed : string -> (Ormp_util.Sexp.Reader.t -> 'a) -> ('a, string) result
+(** [load_sealed path read]: read + unseal + {!Ormp_util.Sexp.Reader.run}
+    [read] over the payload; [Error] on missing, torn, or corrupt files. *)

@@ -22,71 +22,75 @@ type sample = {
   degraded : string list;  (** active degradation kinds, e.g. checkpointing *)
 }
 
-module S = Ormp_util.Sexp
+module W = Ormp_util.Sexp.Writer
+module R = Ormp_util.Sexp.Reader
 
-let to_sexp s =
-  let f v = S.Atom (Printf.sprintf "%.6g" v) in
-  S.List
-    [
-      S.field "wall_s" [ f s.wall_s ];
-      S.field "position" [ S.int s.position ];
-      S.field "events_per_sec" [ f s.events_per_sec ];
-      S.field "live_objects" [ S.int s.live_objects ];
-      S.field "grammar_symbols" [ S.int s.grammar_symbols ];
-      S.field "leap_streams" [ S.int s.leap_streams ];
-      S.field "journal_bytes" [ S.int s.journal_bytes ];
-      S.field "snapshot_bytes" [ S.int s.snapshot_bytes ];
-      S.field "last_checkpoint" [ S.int s.last_checkpoint ];
-      S.field "degraded" (List.map S.atom s.degraded);
-    ]
+(* Rates and times as [%.6g]: a reader takes back only that spelling. *)
+let float_text v = Printf.sprintf "%.6g" v
 
-let of_sexp sexp =
-  let ( let* ) = Result.bind in
-  let int1 name =
-    match S.assoc name sexp with
-    | Ok [ v ] -> S.as_int v
-    | Ok _ -> Error (name ^ ": expected one value")
-    | Error e -> Error e
+let write w s =
+  let float name v =
+    W.flat w name;
+    W.atom w (float_text v);
+    W.close w
   in
-  let float1 name =
-    match S.assoc name sexp with
-    | Ok [ v ] -> Result.map float_of_string (S.as_atom v)
-    | Ok _ -> Error (name ^ ": expected one value")
-    | Error e -> Error e
+  W.list w;
+  float "wall_s" s.wall_s;
+  W.int_field w "position" s.position;
+  float "events_per_sec" s.events_per_sec;
+  W.int_field w "live_objects" s.live_objects;
+  W.int_field w "grammar_symbols" s.grammar_symbols;
+  W.int_field w "leap_streams" s.leap_streams;
+  W.int_field w "journal_bytes" s.journal_bytes;
+  W.int_field w "snapshot_bytes" s.snapshot_bytes;
+  W.int_field w "last_checkpoint" s.last_checkpoint;
+  W.flat w "degraded";
+  List.iter (W.atom w) s.degraded;
+  W.close w;
+  W.close w
+
+let read r =
+  let float name =
+    R.flat r name;
+    let a = R.atom r in
+    R.close r;
+    match float_of_string_opt a with
+    | Some v when float_text v = a -> v
+    | _ -> R.fail r (name ^ ": expected a number as %.6g writes it")
   in
-  try
-    let* wall_s = float1 "wall_s" in
-    let* position = int1 "position" in
-    let* events_per_sec = float1 "events_per_sec" in
-    let* live_objects = int1 "live_objects" in
-    let* grammar_symbols = int1 "grammar_symbols" in
-    let* leap_streams = int1 "leap_streams" in
-    let* journal_bytes = int1 "journal_bytes" in
-    let* snapshot_bytes = int1 "snapshot_bytes" in
-    let* last_checkpoint = int1 "last_checkpoint" in
-    let degraded =
-      match S.assoc "degraded" sexp with
-      | Ok atoms -> List.filter_map (fun a -> Result.to_option (S.as_atom a)) atoms
-      | Error _ -> []
-    in
-    Ok
-      {
-        wall_s;
-        position;
-        events_per_sec;
-        live_objects;
-        grammar_symbols;
-        leap_streams;
-        journal_bytes;
-        snapshot_bytes;
-        last_checkpoint;
-        degraded;
-      }
-  with Failure _ -> Error "heartbeat: malformed number"
+  R.list r;
+  let wall_s = float "wall_s" in
+  let position = R.int_field r "position" in
+  let events_per_sec = float "events_per_sec" in
+  let live_objects = R.int_field r "live_objects" in
+  let grammar_symbols = R.int_field r "grammar_symbols" in
+  let leap_streams = R.int_field r "leap_streams" in
+  let journal_bytes = R.int_field r "journal_bytes" in
+  let snapshot_bytes = R.int_field r "snapshot_bytes" in
+  let last_checkpoint = R.int_field r "last_checkpoint" in
+  R.flat r "degraded";
+  let degraded = ref [] in
+  while R.more r do
+    degraded := R.atom r :: !degraded
+  done;
+  R.close r;
+  R.close r;
+  {
+    wall_s;
+    position;
+    events_per_sec;
+    live_objects;
+    grammar_symbols;
+    leap_streams;
+    journal_bytes;
+    snapshot_bytes;
+    last_checkpoint;
+    degraded = List.rev !degraded;
+  }
 
 let append path s =
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  output_string oc (S.to_string (to_sexp s));
+  output_string oc (W.render write s);
   output_char oc '\n';
   close_out oc
 
@@ -94,23 +98,7 @@ let append path s =
    is skipped rather than failing the whole file. *)
 let load path =
   if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let rec go acc =
-      (* lint:allow blocking-io — tails a regular heartbeat file *)
-      match input_line ic with
-      | exception End_of_file -> List.rev acc
-      | line ->
-        if String.trim line = "" then go acc
-        else
-          let acc =
-            match S.of_string line with
-            | Error _ -> acc
-            | Ok sexp -> ( match of_sexp sexp with Ok s -> s :: acc | Error _ -> acc)
-          in
-          go acc
-    in
-    let samples = go [] in
-    close_in ic;
-    samples
-  end
+  else
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line -> Result.to_option (R.run line read))

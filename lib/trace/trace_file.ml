@@ -115,31 +115,6 @@ let next_end s e =
   let n = String.length s in
   if e >= n then n + 1 else field_end s (e + 1)
 
-(* [min_int = 10 * min_div10 - min_mod10]. *)
-let min_div10 = min_int / 10
-let min_mod10 = -(min_int mod 10)
-
-(* The digits [s.[i, e)] accumulated negatively onto [acc], so that
-   [min_int] is reachable; [1] once one is not a digit or the value
-   leaves the int range. *)
-let rec digits s i e acc =
-  if i = e then acc
-  else
-    let d = Char.code (String.unsafe_get s i) - 48 in
-    if d < 0 || d > 9 || acc < min_div10 || (acc = min_div10 && d > min_mod10) then 1
-    else digits s (i + 1) e ((acc * 10) - d)
-
-(* The integer [s.[a, e)] spells if it is spelled as [Decimal.write]
-   spells it: an optional [-], then digits with no leading zero (["0"]
-   alone excepted, ["-0"] refused), within the int range. *)
-let int_field s a e =
-  let neg = a < e && String.unsafe_get s a = '-' in
-  let d = if neg then a + 1 else a in
-  if d = e || (String.unsafe_get s d = '0' && (neg || e - d > 1)) then None
-  else
-    let v = digits s d e 0 in
-    if v > 0 || ((not neg) && v = min_int) then None else Some (if neg then v else -v)
-
 (* What [String.trim] strips: a type name may not end in one, because a
    reader that trimmed the line would lose it. *)
 let is_blank = function ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false
@@ -156,27 +131,31 @@ let parse_line s =
   match tag with
   | 'A' when e4 < n && field_end s (e4 + 1) = n -> (
     let store = if n - e4 = 2 then String.unsafe_get s (e4 + 1) else ' ' in
-    match (int_field s (e1 + 1) e2, int_field s (e2 + 1) e3, int_field s (e3 + 1) e4, store) with
-    | Some instr, Some addr, Some size, ('0' | '1') ->
+    match
+      (Decimal.parse s (e1 + 1) e2, Decimal.parse s (e2 + 1) e3, Decimal.parse s (e3 + 1) e4)
+    with
+    | instr, addr, size when store = '0' || store = '1' ->
       Ok (Event.Access { instr; addr; size; is_store = store = '1' })
-    | _ -> Error "malformed access")
+    | _ | (exception Decimal.Not_canonical) -> Error "malformed access")
   | '+' when e4 + 1 < n && not (is_blank (String.unsafe_get s (n - 1))) -> (
     (* Everything after the fourth field is the type name, spaces and all. *)
     let type_name =
       if n - e4 = 2 && String.unsafe_get s (e4 + 1) = '-' then None
       else Some (String.sub s (e4 + 1) (n - e4 - 1))
     in
-    match (int_field s (e1 + 1) e2, int_field s (e2 + 1) e3, int_field s (e3 + 1) e4) with
-    | Some site, Some addr, Some size -> Ok (Event.Alloc { site; addr; size; type_name })
-    | _ -> Error "malformed alloc")
+    match
+      (Decimal.parse s (e1 + 1) e2, Decimal.parse s (e2 + 1) e3, Decimal.parse s (e3 + 1) e4)
+    with
+    | site, addr, size -> Ok (Event.Alloc { site; addr; size; type_name })
+    | exception Decimal.Not_canonical -> Error "malformed alloc")
   | '-' when e1 < n && e2 = n -> (
-    match int_field s (e1 + 1) e2 with
-    | Some addr -> Ok (Event.Free { addr; site = None })
-    | None -> Error "malformed free")
+    match Decimal.parse s (e1 + 1) e2 with
+    | addr -> Ok (Event.Free { addr; site = None })
+    | exception Decimal.Not_canonical -> Error "malformed free")
   | '-' when e2 < n && e3 = n -> (
-    match (int_field s (e1 + 1) e2, int_field s (e2 + 1) e3) with
-    | Some addr, Some site -> Ok (Event.Free { addr; site = Some site })
-    | _ -> Error "malformed free")
+    match (Decimal.parse s (e1 + 1) e2, Decimal.parse s (e2 + 1) e3) with
+    | addr, site -> Ok (Event.Free { addr; site = Some site })
+    | exception Decimal.Not_canonical -> Error "malformed free")
   | _ -> Error "unrecognized event"
 
 (* --- reading ------------------------------------------------------------ *)

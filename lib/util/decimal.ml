@@ -49,3 +49,27 @@ let write b off n =
   end
   else Bytes.unsafe_set b (!i - 1) (Char.unsafe_chr (48 - !m));
   stop
+
+exception Not_canonical
+
+(* [min_int = 10 * min_div10 - min_mod10]. *)
+let min_div10 = min_int / 10
+let min_mod10 = -(min_int mod 10)
+
+(* The digits [s.[i, e)] accumulated negatively onto [acc], so that
+   [min_int] is reachable. *)
+let rec digits s i e acc =
+  if i = e then acc
+  else
+    let d = Char.code (String.unsafe_get s i) - 48 in
+    if d < 0 || d > 9 || acc < min_div10 || (acc = min_div10 && d > min_mod10) then
+      raise Not_canonical
+    else digits s (i + 1) e ((acc * 10) - d)
+
+let parse s a e =
+  if a < 0 || e > String.length s then raise Not_canonical;
+  let neg = a < e && String.unsafe_get s a = '-' in
+  let d = if neg then a + 1 else a in
+  if d >= e || (String.unsafe_get s d = '0' && (neg || e - d > 1)) then raise Not_canonical;
+  let v = digits s d e 0 in
+  if neg then v else if v = min_int then raise Not_canonical else -v

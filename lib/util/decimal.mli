@@ -1,7 +1,8 @@
-(** Decimal integer rendering without allocation.
+(** Decimal integers, rendered and parsed without allocation.
 
     The one place an [int] becomes digits on the persistence and serving
-    paths: {!Sexp.Writer} renders every profile integer through it, and
+    paths, and digits an [int]: {!Sexp.Writer} and {!Sexp.Reader} render
+    and read every profile integer through it, and
     {!Ormp_trace.Trace_file} every journal line and wire event. Output is
     byte-identical to [string_of_int], [min_int] and [max_int] included. *)
 
@@ -13,3 +14,12 @@ val write : Bytes.t -> int -> int -> int
     negative) into [b] at [off] and returns the offset just past them,
     [off + String.length (string_of_int n)]. Two digits per division.
     @raise Invalid_argument when they do not fit in [b]. *)
+
+exception Not_canonical
+
+val parse : string -> int -> int -> int
+(** [parse s a e] is the integer [s.[a, e)] spells, when it is spelled
+    exactly as {!write} spells it: an optional [-], then digits with no
+    leading zero (["0"] alone excepted, ["-0"] refused), within the int
+    range. The inverse of {!write}; it allocates nothing.
+    @raise Not_canonical on any other spelling, the empty one included. *)

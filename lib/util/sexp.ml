@@ -137,8 +137,10 @@ module Writer = struct
     put_char w c;
     put_int w n
 
+  let list w = open_list w ~flat:false
+
   let nested w name =
-    open_list w ~flat:false;
+    list w;
     atom w name
 
   let flat w name =
@@ -194,102 +196,6 @@ let rec write w = function
 let to_string t = Writer.render write t
 let to_channel oc t = Writer.to_channel oc write t
 
-exception Parse_error of string
-
-let parse_all (s : string) =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | Some ';' ->
-      (* comment to end of line *)
-      while peek () <> None && peek () <> Some '\n' do
-        advance ()
-      done;
-      skip_ws ()
-    | _ -> ()
-  in
-  let parse_quoted () =
-    advance ();
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> raise (Parse_error "unterminated string")
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some c -> Buffer.add_char buf c
-        | None -> raise (Parse_error "dangling escape"));
-        advance ();
-        go ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_bare () =
-    let start = !pos in
-    let rec go () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';') | None -> ()
-      | Some _ ->
-        advance ();
-        go ()
-    in
-    go ();
-    String.sub s start (!pos - start)
-  in
-  let rec parse_one () =
-    skip_ws ();
-    match peek () with
-    | None -> raise (Parse_error "unexpected end of input")
-    | Some '(' ->
-      advance ();
-      let items = ref [] in
-      let rec go () =
-        skip_ws ();
-        match peek () with
-        | Some ')' -> advance ()
-        | None -> raise (Parse_error "unterminated list")
-        | Some _ ->
-          items := parse_one () :: !items;
-          go ()
-      in
-      go ();
-      List (List.rev !items)
-    | Some ')' -> raise (Parse_error "unexpected )")
-    | Some '"' -> Atom (parse_quoted ())
-    | Some _ -> Atom (parse_bare ())
-  in
-  let result = parse_one () in
-  skip_ws ();
-  if !pos <> n then raise (Parse_error "trailing input");
-  result
-
-let of_string s =
-  match parse_all s with
-  | t -> Ok t
-  | exception Parse_error msg -> Error msg
-
-let load path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let len = in_channel_length ic in
-    let content = really_input_string ic len in
-    close_in ic;
-    of_string content
-
 let save path t = Writer.to_file path write t
 
 let atom s = Atom s
@@ -297,57 +203,181 @@ let int n = Atom (string_of_int n)
 let list xs = List xs
 let field name xs = List (Atom name :: xs)
 
-let as_int = function
-  | Atom s -> (
-    match int_of_string_opt s with Some n -> Ok n | None -> Error ("not an int: " ^ s))
-  | List _ -> Error "expected int, got list"
+(* --- the reader ---------------------------------------------------------- *)
 
-let as_atom = function Atom s -> Ok s | List _ -> Error "expected atom, got list"
-let as_list = function List xs -> Ok xs | Atom s -> Error ("expected list, got atom " ^ s)
+(* The writer's mirror. A loader reads its writer's elements in the
+   writer's order, straight off the bytes: there is no tree, no recursion
+   (a megabyte of [(] costs one scan to its first unexpected token), and
+   an integer is parsed in place by [Decimal]. An atom is accepted only in
+   the writer's spelling of it, so a file that loads saves back to the
+   same tokens; only the blanks between tokens are free. *)
+module Reader = struct
+  exception Malformed of string
 
-let assoc name t =
-  match t with
-  | Atom _ -> Error "expected list of fields"
-  | List fields -> (
-    let found =
-      List.find_opt
-        (function List (Atom n :: _) when n = name -> true | _ -> false)
-        fields
+  type t = { s : string; mutable pos : int }
+
+  let fail r what = raise (Malformed ("byte " ^ string_of_int r.pos ^ ": " ^ what))
+  let expected r what = fail r ("expected " ^ what)
+  let is_blank = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+
+  let rec skip_blank r =
+    if r.pos < String.length r.s && is_blank (String.unsafe_get r.s r.pos) then begin
+      r.pos <- r.pos + 1;
+      skip_blank r
+    end
+
+  (* Where the bare token at [i] ends: at a blank, a parenthesis or the
+     end of input. *)
+  let rec bare_end s i =
+    if i = String.length s then i
+    else
+      match String.unsafe_get s i with
+      | ' ' | '\t' | '\n' | '\r' | '(' | ')' -> i
+      | _ -> bare_end s (i + 1)
+
+  let more r =
+    skip_blank r;
+    r.pos < String.length r.s && String.unsafe_get r.s r.pos <> ')'
+
+  let next_is r c =
+    skip_blank r;
+    r.pos < String.length r.s && String.unsafe_get r.s r.pos = c
+
+  (* The bare token at [i] is [name]. *)
+  let name_at r i name =
+    let n = String.length name in
+    bare_end r.s i = i + n
+    &&
+    let k = ref 0 in
+    while !k < n && String.unsafe_get r.s (i + !k) = String.unsafe_get name !k do
+      incr k
+    done;
+    !k = n
+
+  let list r = if next_is r '(' then r.pos <- r.pos + 1 else expected r "a list"
+
+  let at r name =
+    next_is r '('
+    &&
+    let save = r.pos in
+    r.pos <- r.pos + 1;
+    skip_blank r;
+    let found = name_at r r.pos name in
+    r.pos <- save;
+    found
+
+  (* A wrong name is reported at its own offset, past the [(]. *)
+  let nested r name =
+    if not (next_is r '(') then expected r ("(" ^ name);
+    r.pos <- r.pos + 1;
+    skip_blank r;
+    if not (name_at r r.pos name) then expected r ("(" ^ name);
+    r.pos <- r.pos + String.length name
+
+  let flat = nested
+
+  let close r = if next_is r ')' then r.pos <- r.pos + 1 else expected r ")"
+
+  let quoted r =
+    let b = Buffer.create 16 in
+    let rec go i =
+      if i >= String.length r.s then expected r "a closing quote"
+      else
+        match String.unsafe_get r.s i with
+        | '"' -> i + 1
+        | '\n' -> expected r "a closing quote"
+        | '\\' when i + 1 < String.length r.s -> (
+          match String.unsafe_get r.s (i + 1) with
+          | ('"' | '\\') as c ->
+            Buffer.add_char b c;
+            go (i + 2)
+          | 'n' ->
+            Buffer.add_char b '\n';
+            go (i + 2)
+          | _ -> expected r "an escape the writer makes")
+        | c ->
+          Buffer.add_char b c;
+          go (i + 1)
     in
-    match found with
-    | Some (List (_ :: args)) -> Ok args
-    | _ -> Error ("missing field " ^ name))
+    let stop = go (r.pos + 1) in
+    let a = Buffer.contents b in
+    if not (needs_quoting a) then expected r "a bare atom";
+    r.pos <- stop;
+    a
 
-(* --- decoding kit ------------------------------------------------------ *)
+  let atom r =
+    if next_is r '"' then quoted r
+    else
+      let e = bare_end r.s r.pos in
+      let a = String.sub r.s r.pos (e - r.pos) in
+      if needs_quoting a then expected r "an atom";
+      r.pos <- e;
+      a
 
-let ( let* ) = Result.bind
+  let int r =
+    skip_blank r;
+    let e = bare_end r.s r.pos in
+    match Decimal.parse r.s r.pos e with
+    | n ->
+      r.pos <- e;
+      n
+    | exception Decimal.Not_canonical -> expected r "an integer"
 
-let rec collect_results = function
-  | [] -> Ok []
-  | Ok x :: rest ->
-    let* xs = collect_results rest in
-    Ok (x :: xs)
-  | Error e :: _ -> Error e
+  let prefixed r c =
+    skip_blank r;
+    let e = bare_end r.s r.pos in
+    match if next_is r c then Decimal.parse r.s (r.pos + 1) e else raise Decimal.Not_canonical with
+    | n ->
+      r.pos <- e;
+      n
+    | exception Decimal.Not_canonical -> expected r (String.make 1 c ^ " and an integer")
 
-let rec int_list = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* n = as_int x in
-    let* ns = int_list rest in
-    Ok (n :: ns)
+  let int_field r name =
+    flat r name;
+    let n = int r in
+    close r;
+    n
 
-let single conv name t =
-  let* args = assoc name t in
-  match args with [ x ] -> conv x | _ -> Error ("bad field " ^ name)
+  let repeated r name read =
+    let xs = ref [] in
+    while at r name do
+      xs := read r :: !xs
+    done;
+    List.rev !xs
 
-let int_field name t = single as_int name t
-let atom_field name t = single as_atom name t
+  let optional r name read = if at r name then Some (read r) else None
 
-let rec pick items name f =
-  match items with
-  | [] -> Ok []
-  | List (Atom n :: args) :: rest when n = name ->
-    let* x = f args in
-    let* xs = pick rest name f in
-    Ok (x :: xs)
-  | _ :: rest -> pick rest name f
+  let skip r =
+    let depth = ref 0 in
+    let go = ref true in
+    while !go do
+      if next_is r '(' then begin
+        list r;
+        incr depth
+      end
+      else if !depth > 0 && next_is r ')' then begin
+        close r;
+        decr depth
+      end
+      else ignore (atom r);
+      go := !depth > 0
+    done
+
+  let skip_rest r = r.pos <- String.length r.s
+
+  let run s read =
+    let r = { s; pos = 0 } in
+    match
+      let x = read r in
+      skip_blank r;
+      if r.pos < String.length s then expected r "the end of input";
+      x
+    with
+    | x -> Ok x
+    | exception Malformed msg -> Error msg
+
+  let load path read =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | s -> run s read
+    | exception Sys_error msg -> Error msg
+end

@@ -1,9 +1,10 @@
 (** Minimal s-expressions, for profile persistence.
 
-    Atoms are written bare when they contain no whitespace, parentheses or
-    quotes, and as double-quoted strings (with [\\]-escapes) otherwise.
-    The reader accepts both forms. No other dependencies — profiles must
-    be loadable by the standalone CLI. *)
+    Atoms are written bare when they contain no whitespace, parentheses,
+    quotes, backslashes or semicolons, and as double-quoted strings (with
+    [\\]-escapes) otherwise. {!Writer} renders them; {!Reader}, its
+    mirror, reads them back. No other dependencies — profiles must be
+    loadable by the standalone CLI. *)
 
 type t =
   | Atom of string
@@ -16,12 +17,6 @@ val to_channel : out_channel -> t -> unit
 (** Rendering with light indentation, for humane profile files, followed
     by a newline. A list of atoms stays on one line; any other list puts
     each element after its head on a line of its own. *)
-
-val of_string : string -> (t, string) result
-(** Parse exactly one s-expression (surrounding whitespace allowed). *)
-
-val load : string -> (t, string) result
-(** Read one s-expression from a file. *)
 
 val save : string -> t -> unit
 (** Write to a file (with indentation). The file is closed even when a
@@ -47,6 +42,9 @@ module Writer : sig
   val nested : t -> string -> unit
   (** [nested w name] opens [(name] as a list holding other lists: in the
       indented layout each later element goes on a line of its own. *)
+
+  val list : t -> unit
+  (** Opens a list with no name, laid out as {!nested} does. *)
 
   val flat : t -> string -> unit
   (** [flat w name] opens [(name] as a list of atoms, on one line in
@@ -82,8 +80,8 @@ module Writer : sig
       @raise Invalid_argument if [write] leaves a list open. *)
 end
 
-(** Tree builders, for the small files that still build a tree (manifest,
-    reports, telemetry), and the view helpers every reader decodes with. *)
+(** Tree builders, for the reports, telemetry and flight bundles that
+    still build a tree. *)
 
 val atom : string -> t
 val int : int -> t
@@ -91,31 +89,82 @@ val list : t list -> t
 val field : string -> t list -> t
 (** [field "name" xs] is [(name xs...)]. *)
 
-val as_int : t -> (int, string) result
-val as_atom : t -> (string, string) result
-val as_list : t -> (t list, string) result
+(** {2 Reader}
 
-val assoc : string -> t -> (t list, string) result
-(** [assoc "name" (List fields)] finds the [(name ...)] field and returns
-    its arguments. *)
+    The {!Writer}'s mirror, and the one way anything in the library reads
+    an s-expression: a loader reads its writer's elements in the writer's
+    order, each with the reader call that mirrors the writer call that
+    wrote it, straight off a string (a file's bytes or a sealed payload).
+    It builds no tree and does not recurse, so hostile nesting costs one
+    scan to the first unexpected token.
 
-(** {2 Decoding kit}
+    It accepts only what a writer can write: an integer spelled as
+    {!Decimal.write} spells it, an atom bare exactly when the writer
+    would leave it bare, escapes in a quoted atom only for a quote, a
+    backslash and a newline, and no comments. Blanks between tokens are
+    free. A read that meets anything else raises an exception private to
+    the reader, which {!run} turns into one [Error] naming the byte offset
+    and what was expected there. Reading an integer allocates nothing. *)
 
-    Result-returning field readers shared by every persisted format
-    (profiles, session snapshots, manifests). *)
+module Reader : sig
+  type t
 
-val collect_results : ('a, string) result list -> ('a list, string) result
-(** Every [Ok] value in order, or the first [Error]. *)
+  val nested : t -> string -> unit
+  (** [nested r name] reads the opening [(name] of a list. *)
 
-val int_list : t list -> (int list, string) result
+  val flat : t -> string -> unit
+  (** The same read as {!nested}: the layout is not checked. Both exist so
+      that a loader reads like its writer. *)
 
-val int_field : string -> t -> (int, string) result
-(** [int_field "name" fields] is the one int argument of the [(name n)]
-    field; [Error] when the field is missing or has another arity. *)
+  val list : t -> unit
+  (** Reads the [(] of a list with no name. *)
 
-val atom_field : string -> t -> (string, string) result
-(** Like {!int_field}, for an atom argument. *)
+  val close : t -> unit
+  (** Reads the [)] closing the innermost list. *)
 
-val pick : t list -> string -> (t list -> ('a, string) result) -> ('a list, string) result
-(** [pick items name f] decodes every [(name args...)] element of [items]
-    with [f args], in order. *)
+  val atom : t -> string
+  val int : t -> int
+
+  val prefixed : t -> char -> int
+  (** [prefixed r c] reads the atom {!Writer.prefixed} writes, e.g. [R12]. *)
+
+  val int_field : t -> string -> int
+  (** Reads [(name n)]. *)
+
+  val at : t -> string -> bool
+  (** The next element is the list [(name ...)]. Consumes nothing but
+      blanks. *)
+
+  val repeated : t -> string -> (t -> 'a) -> 'a list
+  (** [repeated r name read] reads with [read] every element in a row
+      that is a list [(name ...)] — the mirror of a writer's [List.iter]. *)
+
+  val optional : t -> string -> (t -> 'a) -> 'a option
+  (** [optional r name read] reads [(name ...)] with [read] if it is next
+      — the mirror of a writer's [Option.iter]. *)
+
+  val more : t -> bool
+  (** The innermost list holds another element: the next token is not [)]
+      (nor the end of input). *)
+
+  val next_is : t -> char -> bool
+  (** The next token starts with the byte [c]. *)
+
+  val skip : t -> unit
+  (** Read one element of any shape. *)
+
+  val skip_rest : t -> unit
+  (** Leave the rest of the input unread: {!run} then requires no end. *)
+
+  val fail : t -> string -> 'a
+  (** [fail r what] abandons the read with [what] at the current offset:
+      how a loader refuses a value its writer could not have written. *)
+
+  val run : string -> (t -> 'a) -> ('a, string) result
+  (** [run s read] reads one element of [s] with [read], then requires
+      only blanks after it. Every failure of the reader, and every
+      {!fail}, is the one [Error]. *)
+
+  val load : string -> (t -> 'a) -> ('a, string) result
+  (** {!run} over a file's bytes; an unreadable file is [Error] too. *)
+end

@@ -5,7 +5,9 @@
    profile was built as a [Sexp.t] tree, then rendered by the renderer in
    [Render] below — indented into files, compact into sealed snapshot and
    epoch payloads and the session report. The streamed bytes must equal
-   what these produce. Not linked into the library. Do not modernize. *)
+   what these produce. The manifest and heartbeat encoders joined when
+   those two files moved onto the writer. Not linked into the library. Do
+   not modernize. *)
 
 module S = Ormp_util.Sexp
 module Seq_c = Ormp_sequitur.Sequitur
@@ -16,6 +18,8 @@ module C = Ormp_lmad.Compressor
 module L = Ormp_lmad.Lmad
 module Snapshot = Ormp_session.Snapshot
 module Session = Ormp_session.Session
+module Heartbeat = Ormp_telemetry.Heartbeat
+module A = Ormp_memsim.Allocator
 
 (* --- the tree renderer (Sexp.to_string / to_channel / save) ------------ *)
 
@@ -168,18 +172,20 @@ let summary_to_sexp (s : C.summary) =
       S.field "discarded" [ S.int s.C.discarded ];
     ]
 
+(* [Compressor.parts] is gone; its fields are read off the compressor
+   directly. *)
 let comp_to_sexp name (c : C.t) =
-  let p = C.parts c in
+  let s = C.state c in
   S.field name
     ([
-       S.field "dims" [ S.int p.C.p_dims ];
-       S.field "budget" [ S.int p.C.p_budget ];
-       S.field "max-depth" [ S.int p.C.p_max_depth ];
-       S.field "total" [ S.int p.C.p_total ];
-       S.field "discarded" [ S.int p.C.p_discarded ];
+       S.field "dims" [ S.int s.C.s_dims ];
+       S.field "budget" [ S.int s.C.s_budget ];
+       S.field "max-depth" [ S.int s.C.s_max_depth ];
+       S.field "total" [ S.int (C.total c) ];
+       S.field "discarded" [ S.int (C.discarded c) ];
      ]
-    @ List.map lmad_to_sexp p.C.p_lmads
-    @ match p.C.p_summary with None -> [] | Some s -> [ summary_to_sexp s ])
+    @ List.map lmad_to_sexp (C.lmads c)
+    @ match C.summary c with None -> [] | Some s -> [ summary_to_sexp s ])
 
 let state_to_sexp name (c : C.t) =
   let s = C.state c in
@@ -356,3 +362,56 @@ let outcome_to_sexp (o : Session.outcome) =
      ]
     @ List.map epoch_to_sexp o.Session.oc_epochs
     @ List.map degradation_to_sexp o.Session.oc_degradations)
+
+(* --- Session manifest (compact, then a newline) ----------------------- *)
+
+let policy_to_string = function
+  | A.Bump -> "bump"
+  | A.First_fit -> "first-fit"
+  | A.Best_fit -> "best-fit"
+  | A.Segregated -> "segregated"
+  | A.Randomized n -> Printf.sprintf "randomized:%d" n
+
+let manifest_to_sexp ~workload ~(config : Ormp_vm.Config.t) ~(options : Session.options) =
+  S.field "ormp-session"
+    [
+      S.field "version" [ S.int 1 ];
+      S.field "workload" [ S.atom workload ];
+      S.field "config"
+        [
+          S.field "policy" [ S.atom (policy_to_string config.policy) ];
+          S.field "heap-base" [ S.int config.heap_base ];
+          S.field "static-base" [ S.int config.static_base ];
+          S.field "static-gap" [ S.int config.static_gap ];
+          S.field "align" [ S.int config.align ];
+          S.field "seed" [ S.int config.seed ];
+        ];
+      S.field "options"
+        [
+          S.field "checkpoint-every" [ S.int options.checkpoint_every ];
+          S.field "watch-every" [ S.int options.watch_every ];
+          S.field "grammar-budget" [ S.int options.grammar_budget ];
+          S.field "max-streams" [ S.int options.max_streams ];
+          S.field "leap-budget"
+            [ S.int (match options.leap_budget with None -> -1 | Some b -> b) ];
+          S.field "keep" [ S.int options.keep ];
+        ];
+    ]
+
+(* --- Heartbeat line (compact) ------------------------------------------ *)
+
+let heartbeat_to_sexp (s : Heartbeat.sample) =
+  let f v = S.Atom (Printf.sprintf "%.6g" v) in
+  S.List
+    [
+      S.field "wall_s" [ f s.Heartbeat.wall_s ];
+      S.field "position" [ S.int s.position ];
+      S.field "events_per_sec" [ f s.events_per_sec ];
+      S.field "live_objects" [ S.int s.live_objects ];
+      S.field "grammar_symbols" [ S.int s.grammar_symbols ];
+      S.field "leap_streams" [ S.int s.leap_streams ];
+      S.field "journal_bytes" [ S.int s.journal_bytes ];
+      S.field "snapshot_bytes" [ S.int s.snapshot_bytes ];
+      S.field "last_checkpoint" [ S.int s.last_checkpoint ];
+      S.field "degraded" (List.map S.atom s.degraded);
+    ]

@@ -93,11 +93,20 @@ let validate_flight_bundles () =
       | Ok (Ok _) -> ()
       | Ok (Error e) -> fail "flight bundle %s: trace.json invalid: %s" name e
       | Error e -> fail "flight bundle %s: trace.json unparsable: %s" name e);
-      match Sexp.load (Filename.concat dir "record.sexp") with
-      | Ok s -> (
-        match Sexp.assoc "reason" s with
-        | Ok _ -> ()
-        | Error e -> fail "flight bundle %s: record.sexp has no reason: %s" name e)
+      (* The bundle opens with its reason; the rest must be well formed. *)
+      let reason r =
+        Sexp.Reader.(
+          nested r "flight";
+          flat r "reason";
+          ignore (atom r);
+          close r;
+          while more r do
+            skip r
+          done;
+          close r)
+      in
+      match Sexp.Reader.load (Filename.concat dir "record.sexp") reason with
+      | Ok () -> ()
       | Error e -> fail "flight bundle %s: record.sexp: %s" name e)
     bundles;
   Array.length bundles

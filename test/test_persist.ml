@@ -1,4 +1,5 @@
-open Ormp_util
+(* The tree parser and decoding kit live on as the oracle. *)
+module Sexp = Load_legacy.S
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -349,7 +350,7 @@ let check_grammar name syms =
   let g = grammar_of syms in
   let tree = Legacy.grammar_to_sexp (name, g) in
   let rasg = { Ormp_whomp.Rasg.grammar = g; accesses = List.length syms; elapsed = 0.0 } in
-  same_file (fun path -> Ormp_persist.Grammar_io.save path (name, g)) tree
+  same_file (fun path -> W.to_file path Ormp_persist.Grammar_io.write (name, g)) tree
   && same_payload Ormp_persist.Grammar_io.write (name, g) tree
   && same_file (fun path -> Ormp_persist.Rasg_io.save path rasg) (Legacy.rasg_to_sexp rasg)
 
@@ -648,6 +649,402 @@ let test_save_allocation_free () =
     true
     (whomp_extra <= 1024.0 && rasg_extra <= 1024.0)
 
+(* ------------------------------------------------------------------ *)
+(* One reader: every loader against the tree oracle, and mutated input *)
+(* ------------------------------------------------------------------ *)
+
+module R = Ormp_util.Sexp.Reader
+module Old = Load_legacy
+module Leap = Ormp_leap.Leap
+module Heartbeat = Ormp_telemetry.Heartbeat
+
+(* A reader under test: a writer's output, its decoding by the reader and
+   by the tree oracle, and the writer that saves a decoded value again. *)
+type case =
+  | Case : {
+      name : string;
+      text : string;
+      read : R.t -> 'a;
+      oracle : Sexp.t -> ('a, string) result;
+      write : W.t -> 'a -> unit;
+    }
+      -> case
+
+let case name ~text ~read ~oracle ~write = Case { name; text; read; oracle; write }
+
+(* A LEAP collector over budget (summaries, discard spans) and over its
+   stream cap (dropped streams), with one regular stream whose descriptor
+   is still open. *)
+let lossy_leap () =
+  let leap = Leap.collector ~budget:2 ~max_streams:4 () in
+  for t = 0 to 79 do
+    let instr = t mod 5 in
+    Leap.collect leap
+      {
+        Ormp_core.Tuple.instr;
+        group = instr mod 2;
+        obj = 0;
+        offset = (if instr = 0 then t else t * t * 31 mod 97);
+        time = t;
+        is_store = instr = 3;
+      }
+  done;
+  leap
+
+let manifest_value =
+  ( "two words",
+    { Ormp_vm.Config.default with policy = Ormp_memsim.Allocator.Randomized 7 },
+    { Session.default_options with checkpoint_every = 500; leap_budget = Some 5 } )
+
+let heartbeat_value =
+  {
+    Heartbeat.wall_s = 1.5;
+    position = 4096;
+    events_per_sec = 125000.0;
+    live_objects = 96;
+    grammar_symbols = 512;
+    leap_streams = 7;
+    journal_bytes = 73000;
+    snapshot_bytes = 11000;
+    last_checkpoint = 4000;
+    degraded = [ "grammar-rotation"; "a b" ];
+  }
+
+(* Every reader, each over a small output of its writer that takes every
+   optional and repeated element it has: freed objects, a typed group
+   whose type needs quoting, summaries, discard spans, dropped streams,
+   open descriptors, epochs and degradations. *)
+let cases =
+  lazy
+    (let pipe, _ = Pipeline.run (Micro.churn ~live:4 ~ops:40 ()) in
+     let whomp = Pipeline.whomp_profile pipe ~elapsed:0.0 in
+     let rasg = Pipeline.rasg_profile pipe ~elapsed:0.0 in
+     let leap = lossy_leap () in
+     let live = Leap.live leap in
+     let leap_profile = Leap.finish leap ~collected:80 ~wild:3 ~elapsed:0.0 in
+     let cdc = Pipeline.cdc_state pipe in
+     let omc = cdc.Ormp_core.Cdc.s_omc in
+     let typed = { Omc.gs_site = 9; gs_type = Some "struct node"; gs_population = 0 } in
+     let snap =
+       match Pipeline.grammars pipe with
+       | [ (_, gi); (_, gg); (_, go); (_, gf); (_, rasg) ] ->
+         {
+           Snapshot.position = Pipeline.position pipe;
+           checkpoint = 2;
+           journal_crc = 77;
+           rotations = 1;
+           epochs =
+             [
+               {
+                 Snapshot.ep_index = 1;
+                 ep_dim = "instr";
+                 ep_file = "epoch-1-instr";
+                 ep_from = 0;
+                 ep_to = 9;
+                 ep_symbols = 4;
+               };
+             ];
+           degradations = [ { Snapshot.dg_position = 5; dg_kind = "rotate"; dg_detail = "a b" } ];
+           cdc = { cdc with s_omc = { omc with s_groups = omc.s_groups @ [ typed ] } };
+           whomp = (gi, gg, go, gf);
+           rasg;
+           leap = live;
+         }
+       | _ -> Alcotest.fail "not five grammars"
+     in
+     let file write x = W.render write x ^ "\n" in
+     [
+       case "whomp" ~text:(file_bytes (fun p -> Ormp_persist.Whomp_io.save p whomp))
+         ~read:Ormp_persist.Whomp_io.read ~oracle:Old.Whomp_profile.of_sexp
+         ~write:Ormp_persist.Whomp_io.write;
+       case "rasg" ~text:(file_bytes (fun p -> Ormp_persist.Rasg_io.save p rasg))
+         ~read:Ormp_persist.Rasg_io.read ~oracle:Old.Rasg.of_sexp ~write:Ormp_persist.Rasg_io.write;
+       case "leap" ~text:(file_bytes (fun p -> Ormp_persist.Leap_io.save p leap_profile))
+         ~read:Ormp_persist.Leap_io.read ~oracle:Old.Leap_profile.of_sexp
+         ~write:Ormp_persist.Leap_io.write;
+       case "snapshot" ~text:(W.render Snapshot.write snap) ~read:Snapshot.read
+         ~oracle:Old.Snapshot_payload.of_sexp ~write:Snapshot.write;
+       case "manifest" ~text:(file Session.write_manifest manifest_value)
+         ~read:Session.read_manifest ~oracle:Old.Manifest.manifest_of_sexp
+         ~write:Session.write_manifest;
+       case "heartbeat" ~text:(W.render Heartbeat.write heartbeat_value) ~read:Heartbeat.read
+         ~oracle:Old.Heartbeat_line.of_sexp ~write:Heartbeat.write;
+     ])
+
+(* The tokens of a text, as offset pairs: parentheses, quoted atoms
+   (escapes included) and bare atoms, with blanks between them. *)
+let tokens s =
+  let n = String.length s in
+  let blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' in
+  let rec quoted j =
+    if j >= n then n
+    else if s.[j] = '\\' then quoted (j + 2)
+    else if s.[j] = '"' then j + 1
+    else quoted (j + 1)
+  in
+  let ends c = blank c || c = '(' || c = ')' in
+  let rec bare j = if j >= n || ends s.[j] then j else bare (j + 1) in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if blank s.[i] then go (i + 1) acc
+    else
+      let e =
+        if s.[i] = '(' || s.[i] = ')' then i + 1
+        else if s.[i] = '"' then min n (quoted (i + 1))
+        else bare i
+      in
+      go e ((i, e) :: acc)
+  in
+  go 0 []
+
+let token_texts s = List.map (fun (a, e) -> String.sub s a (e - a)) (tokens s)
+let splice s a e by = String.sub s 0 a ^ by ^ String.sub s e (String.length s - e)
+
+(* Every mutation of [text]: each strict prefix; each byte with bit 0 and
+   bit 5 flipped; each list dropped, doubled and renamed; each blank run
+   between tokens changed, and all of them at once. *)
+let mutants text =
+  let n = String.length text in
+  let toks = Array.of_list (tokens text) in
+  let prefixes = List.init n (fun k -> String.sub text 0 k) in
+  let flip i bit =
+    String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor bit) else c) text
+  in
+  let flips = List.concat_map (fun i -> [ flip i 0x01; flip i 0x20 ]) (List.init n Fun.id) in
+  let lists = ref [] and opens = ref [] in
+  Array.iteri
+    (fun k (a, _) ->
+      match text.[a] with
+      | '(' -> opens := k :: !opens
+      | ')' -> (
+        match !opens with
+        | o :: rest ->
+          opens := rest;
+          lists := (o, k) :: !lists
+        | [] -> ())
+      | _ -> ())
+    toks;
+  let elements =
+    List.concat_map
+      (fun (o, k) ->
+        let a = fst toks.(o) and e = snd toks.(k) in
+        let renamed =
+          if o + 1 < k && text.[fst toks.(o + 1)] <> '(' then
+            let ha, he = toks.(o + 1) in
+            [ splice text ha he (String.sub text ha (he - ha) ^ "x") ]
+          else []
+        in
+        [ splice text a e ""; splice text e e (" " ^ String.sub text a (e - a)) ] @ renamed)
+      !lists
+  in
+  let gaps = List.init (Array.length toks - 1) (fun k -> (snd toks.(k), fst toks.(k + 1))) in
+  let respace = function " " -> "\n\t " | _ -> " " in
+  let respaced (a, e) = respace (String.sub text a (e - a)) in
+  let blanks =
+    List.filter_map
+      (fun (a, e) -> if a < e then Some (splice text a e (respaced (a, e))) else None)
+      gaps
+  in
+  let all_blanks =
+    let b = Buffer.create n and last = ref 0 in
+    List.iter
+      (fun (a, e) ->
+        Buffer.add_string b (String.sub text !last (a - !last));
+        Buffer.add_string b (if a < e then respaced (a, e) else "");
+        last := e)
+      gaps;
+    Buffer.add_string b (String.sub text !last (n - !last));
+    Buffer.contents b
+  in
+  prefixes @ flips @ elements @ (all_blanks :: blanks)
+
+(* Optional and repeated elements each fixture must take. *)
+let must_hold =
+  [
+    ("whomp", [ "(object"; "(group" ]);
+    ("leap", [ "(summary"; "(dspan"; "(dropped-streams"; "(dropped-accesses" ]);
+    ("snapshot", [ "(open"; "(summary"; "(last-discarded"; "(top-stride"; "(dspan"; "(epoch"; "(\"struct" ]);
+  ]
+
+let test_readers_eq_oracle () =
+  List.iter
+    (fun (Case c) ->
+      List.iter
+        (fun sub -> check_bool (c.name ^ " holds " ^ sub) true (find_sub c.text sub <> None))
+        (Option.value ~default:[] (List.assoc_opt c.name must_hold));
+      let oracle = Result.bind (Sexp.of_string c.text) c.oracle in
+      match (R.run c.text c.read, oracle) with
+      | Ok v, Ok o ->
+        Alcotest.(check string) (c.name ^ " decodes as the oracle does") (W.render c.write o)
+          (W.render c.write v);
+        Alcotest.(check (list string)) (c.name ^ " saves back its tokens") (token_texts c.text)
+          (token_texts (W.render c.write v))
+      | Error e, _ -> Alcotest.failf "%s: the reader refused its writer's output: %s" c.name e
+      | _, Error e -> Alcotest.failf "%s: the oracle refused it: %s" c.name e)
+    (Lazy.force cases)
+
+(* Random micro workloads at random seeds: each profile and a snapshot of
+   the run decode through the reader as through the tree oracle. *)
+let prop_micro_readers_eq_oracle =
+  let print ((name, _), seed, _) = Printf.sprintf "%s seed %d" name seed in
+  QCheck.Test.make ~name:"micro profiles and snapshots decode as the oracle does" ~count:15
+    (QCheck.make ~print gen_micro)
+    (fun ((_, program), seed, _) ->
+      let pipe, _ = Pipeline.run ~config:{ Ormp_vm.Config.default with seed } program in
+      let same write read oracle x =
+        let text = W.render write x in
+        match (R.run text read, Result.bind (Sexp.of_string text) oracle) with
+        | Ok v, Ok o -> W.render write v = W.render write o && W.render write v = text
+        | Error e, _ | _, Error e -> QCheck.Test.fail_report e
+      in
+      let snap =
+        match Pipeline.grammars pipe with
+        | [ (_, gi); (_, gg); (_, go); (_, gf); (_, rasg) ] ->
+          {
+            Snapshot.position = Pipeline.position pipe;
+            checkpoint = 1;
+            journal_crc = seed;
+            rotations = 0;
+            epochs = [];
+            degradations = [];
+            cdc = Pipeline.cdc_state pipe;
+            whomp = (gi, gg, go, gf);
+            rasg;
+            leap = Pipeline.leap_live pipe;
+          }
+        | _ -> QCheck.Test.fail_report "not five grammars"
+      in
+      same Ormp_persist.Whomp_io.write Ormp_persist.Whomp_io.read Old.Whomp_profile.of_sexp
+        (Pipeline.whomp_profile pipe ~elapsed:0.0)
+      && same Ormp_persist.Rasg_io.write Ormp_persist.Rasg_io.read Old.Rasg.of_sexp
+           (Pipeline.rasg_profile pipe ~elapsed:0.0)
+      && same Ormp_persist.Leap_io.write Ormp_persist.Leap_io.read Old.Leap_profile.of_sexp
+           (Pipeline.leap_profile pipe ~elapsed:0.0)
+      && same Snapshot.write Snapshot.read Old.Snapshot_payload.of_sexp snap)
+
+(* On every mutant the reader returns, never raises; what it takes, it
+   saves back to the mutant's tokens. *)
+let test_mutants_fail_closed () =
+  List.iter
+    (fun (Case c) ->
+      let taken = ref 0 and refused = ref 0 in
+      List.iter
+        (fun m ->
+          match R.run m c.read with
+          | exception e ->
+            Alcotest.failf "%s reader raised %s on %S" c.name (Printexc.to_string e) m
+          | Error _ -> incr refused
+          | Ok v ->
+            incr taken;
+            let back = W.render c.write v in
+            if token_texts back <> token_texts m then
+              Alcotest.failf "%s reader took %S but saves back %S" c.name m back)
+        (mutants c.text);
+      check_bool (Printf.sprintf "%s: %d mutants taken, %d refused" c.name !taken !refused) true
+        (!taken > 0 && !refused > 0))
+    (Lazy.force cases)
+
+let elapsed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* The first unexpected token is the second [(], where a name belongs;
+   the third in a heartbeat line, which opens with a list of lists. *)
+let test_deep_nesting () =
+  let text = String.make 1_000_000 '(' in
+  List.iter
+    (fun (Case c) ->
+      let first = if c.name = "heartbeat" then "byte 2: " else "byte 1: " in
+      match elapsed (fun () -> R.run text c.read) with
+      | Ok _, _ -> Alcotest.failf "%s took a megabyte of (" c.name
+      | Error e, t ->
+        check_bool (Printf.sprintf "%s: %S in %.3f s" c.name e t) true
+          (String.starts_with ~prefix:first e && t < 0.5))
+    (Lazy.force cases)
+
+(* Cases that loaded before the reader: a field written twice, an
+   unknown field, a hexadecimal count, a misspelled stream. *)
+let test_noncanonical_profiles () =
+  let leap = Ormp_leap.Leap.profile (Micro.array_stride ~elems:64 ~sweeps:2 ()) in
+  let text = W.render Ormp_persist.Leap_io.write leap in
+  let after field by =
+    match find_sub text ("(" ^ field) with
+    | None -> Alcotest.failf "no %s field" field
+    | Some i ->
+      let j = String.index_from text i ')' + 1 in
+      splice text j j by
+  in
+  let replace field by =
+    match find_sub text ("(" ^ field) with
+    | None -> Alcotest.failf "no %s field" field
+    | Some i -> splice text i (String.index_from text i ')') by
+  in
+  List.iter
+    (fun (name, mutant) ->
+      check_bool name true (Result.is_error (R.run mutant Ormp_persist.Leap_io.read)))
+    [
+      ("second (wild 5)", after "wild" " (wild 5)");
+      ("unknown (zzz (((((()))))))", after "wild" " (zzz (((((()))))))");
+      ( "hexadecimal collected",
+        replace "collected" (Printf.sprintf "(collected 0x%X" leap.Ormp_leap.Leap.collected) );
+      ("(strem", replace "stream" "(strem");
+    ]
+
+(* A listing whose every rule is two copies of the next expands to 2^n
+   symbols; the count on file bounds it before anything expands. *)
+let bomb_rasg levels =
+  let rules =
+    List.init levels (fun k -> Printf.sprintf "(rule %d R%d R%d)" k (k + 1) (k + 1))
+    @ [ Printf.sprintf "(rule %d 1 2)" levels ]
+  in
+  Printf.sprintf "(ormp-rasg-profile (version 1) (accesses 100) (grammar (dim rasg) %s))"
+    (String.concat " " rules)
+
+let test_rule_bombs () =
+  List.iter
+    (fun rules ->
+      match elapsed (fun () -> R.run (bomb_rasg (rules - 1)) Ormp_persist.Rasg_io.read) with
+      | Ok _, _ -> Alcotest.failf "the %d-rule bomb loaded" rules
+      | Error e, t ->
+        check_bool (Printf.sprintf "%d rules: %S in %.3f s" rules e t) true
+          (find_sub e "expands past 100" <> None && t < 0.5))
+    [ 22; 40 ]
+
+(* Minor words to read [(xs 1 2 ... n)], summing as it goes: the same
+   for a hundred integers as for a hundred thousand. *)
+let test_read_int_allocation_free () =
+  let words n =
+    let text = "(xs " ^ String.concat " " (List.init n string_of_int) ^ ")" in
+    let sum r =
+      R.flat r "xs";
+      let acc = ref 0 in
+      while R.more r do
+        acc := !acc + R.int r
+      done;
+      R.close r;
+      !acc
+    in
+    ignore (R.run text sum);
+    let w0 = Gc.minor_words () in
+    let total = R.run text sum in
+    let w = Gc.minor_words () -. w0 in
+    check_bool "sum" true (total = Ok (n * (n - 1) / 2));
+    w
+  in
+  let small = words 100 and large = words 100_000 in
+  check_bool (Printf.sprintf "minor words: %.0f for 100 ints, %.0f for 100k" small large) true
+    (large <= small)
+
+let test_manifest_heartbeat_eq_legacy () =
+  let workload, config, options = manifest_value in
+  Alcotest.(check string) "manifest"
+    (Legacy.Render.to_string (Legacy.manifest_to_sexp ~workload ~config ~options))
+    (W.render Session.write_manifest manifest_value);
+  Alcotest.(check string) "heartbeat"
+    (Legacy.Render.to_string (Legacy.heartbeat_to_sexp heartbeat_value))
+    (W.render Heartbeat.write heartbeat_value)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "ormp_persist"
@@ -688,5 +1085,16 @@ let () =
           QCheck_alcotest.to_alcotest prop_int_rendering;
           tc "failed save closes its file" test_failed_save_closes_fd;
           tc "save is allocation-free per symbol" test_save_allocation_free;
+          tc "manifest and heartbeat = legacy" test_manifest_heartbeat_eq_legacy;
+        ] );
+      ( "reader",
+        [
+          tc "every reader decodes as the tree oracle" test_readers_eq_oracle;
+          QCheck_alcotest.to_alcotest prop_micro_readers_eq_oracle;
+          tc "mutated inputs fail closed" test_mutants_fail_closed;
+          tc "a megabyte of ( fails at its first token" test_deep_nesting;
+          tc "doubled, unknown, hex and misspelled fields" test_noncanonical_profiles;
+          tc "rule bombs fail before expanding" test_rule_bombs;
+          tc "reading an integer allocates nothing" test_read_int_allocation_free;
         ] );
     ]

@@ -410,6 +410,35 @@ let test_heap_is_live_grammar () =
     (at_end <= 2 * !at_early);
   Alcotest.(check (array int)) "lossless" a (Sequitur.expand t)
 
+(* A listing's expansion length, without expanding: exact on a
+   compressor's own listing, and on a listing that doubles at every rule
+   it stops at the bound (2^61 symbols, or 2^70 past [max_int]). *)
+let test_expansion_length () =
+  let t = compress (of_string "abcbcabcbcabcbcabcbc") in
+  Alcotest.(check (result int string))
+    "own listing" (Ok (Sequitur.input_length t))
+    (Sequitur.expansion_length ~bound:max_int (Sequitur.rules t));
+  check_bool "one short of the bound" true
+    (Result.is_error
+       (Sequitur.expansion_length ~bound:(Sequitur.input_length t - 1) (Sequitur.rules t)));
+  let doubling n = List.init n (fun k -> (k, [ `N (k + 1); `N (k + 1) ])) @ [ (n, [ `T 1 ]) ] in
+  List.iter
+    (fun (bound, n) ->
+      check_bool (Printf.sprintf "%d doublings under bound %d" n bound) true
+        (Result.is_error (Sequitur.expansion_length ~bound (doubling n))))
+    [ (100, 61); (max_int, 70) ];
+  Alcotest.(check (result int string)) "exactly at the bound" (Ok 1024)
+    (Sequitur.expansion_length ~bound:1024 (doubling 10));
+  List.iter
+    (fun (name, rules) ->
+      check_bool name true (Result.is_error (Sequitur.expansion_length ~bound:max_int rules)))
+    [
+      ("cycle", [ (0, [ `N 1; `N 1 ]); (1, [ `N 0; `T 2 ]) ]);
+      ("dangling", [ (0, [ `N 4; `N 4 ]) ]);
+      ("duplicate", [ (0, [ `T 1 ]); (0, [ `T 2 ]) ]);
+      ("no start rule", [ (1, [ `T 1; `T 2 ]) ]);
+    ]
+
 (* [of_rules] accepts exactly the listings a compressor writes: the same
    expansion listed any other way is an error. *)
 let test_of_rules_rejects_other_listings () =
@@ -542,6 +571,7 @@ let () =
           tc "push_batch rejects bad spans" test_push_batch_bad_span;
           tc "iter_rules matches rules" test_iter_rules_matches_rules;
           tc "of_rules rejects other listings" test_of_rules_rejects_other_listings;
+          tc "expansion length stops at its bound" test_expansion_length;
           tc "push allocates nothing after warm-up" test_push_allocates_nothing;
           tc "restored grammar holds no more heap" test_restore_heap;
           tc "heap is the live grammar" test_heap_is_live_grammar;

@@ -765,9 +765,9 @@ let validate_flight_bundles root =
       (match Option.map Spans.validate_json (Result.to_option (J.of_string trace)) with
       | Some (Ok _) -> ()
       | _ -> Alcotest.failf "flight bundle %s: trace.json does not validate" name);
-      match Sexp.load (Filename.concat dir "record.sexp") with
+      match Load_legacy.S.load (Filename.concat dir "record.sexp") with
       | Ok s -> (
-        match Sexp.assoc "reason" s with
+        match Load_legacy.S.assoc "reason" s with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "flight bundle %s: no reason field (%s)" name e)
       | Error e -> Alcotest.failf "flight bundle %s: record.sexp: %s" name e)

@@ -24,8 +24,7 @@ open Files
 (* A snapshot's payload as [Snapshot.save] renders it, and its decoding. *)
 let snapshot_payload = Ormp_util.Sexp.Writer.render Snapshot.write
 
-let decode_snapshot payload =
-  Result.bind (Ormp_util.Sexp.of_string payload) Snapshot.of_sexp
+let decode_snapshot payload = Ormp_util.Sexp.Reader.run payload Snapshot.read
 
 (* --- CRC-32 ------------------------------------------------------------ *)
 
@@ -634,7 +633,10 @@ let prop_compressor_state_resume =
       let tail = split 0 points in
       let resumed = C.of_state (C.state first) in
       feed resumed tail;
-      C.parts whole = C.parts resumed && C.total whole = C.total resumed)
+      C.lmads whole = C.lmads resumed
+      && C.summary whole = C.summary resumed
+      && C.discarded whole = C.discarded resumed
+      && C.total whole = C.total resumed)
 
 let prop_leap_live_roundtrip =
   QCheck.Test.make ~name:"leap live state survives snapshot codec" ~count:30
@@ -703,6 +705,34 @@ let test_session_run_basic () =
   | Ok st ->
     check_bool "complete" true st.Session.st_complete;
     check_string "workload" "linked_list" st.Session.st_workload);
+  rm_rf dir
+
+(* [status] reads a snapshot's seal and leading fields only: it reports a
+   sealed snapshot whose body [Snapshot.load] refuses. *)
+let test_status_reads_headers () =
+  let dir, _ = run_reference ~workload:"linked_list" ~options:session_options in
+  let newest =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (String.starts_with ~prefix:"snapshot-")
+    |> List.sort (fun a b -> compare (String.length b, b) (String.length a, a))
+    |> List.hd
+  in
+  let path = Filename.concat dir newest in
+  let snap = match Snapshot.load path with Ok s -> s | Error e -> Alcotest.fail e in
+  let payload = Result.get_ok (Storage.unseal (read_file path)) in
+  (* Sealed afresh, cut inside the first field after the header. *)
+  let marker = "(rotations" in
+  let rec cut i = if String.sub payload i (String.length marker) = marker then i else cut (i + 1) in
+  Storage.write_atomic ~path (Storage.seal (String.sub payload 0 (cut 0) ^ marker));
+  check_bool "the body no longer loads" true (Result.is_error (Snapshot.load path));
+  (match Snapshot.load_header path with
+  | Error e -> Alcotest.fail e
+  | Ok h -> check_int "header position" snap.Snapshot.position h.Snapshot.h_position);
+  (match Session.status ~dir with
+  | Error e -> Alcotest.fail e
+  | Ok st ->
+    check_bool "status reports the sealed header" true
+      (st.Session.st_snapshot = Some (snap.Snapshot.checkpoint, snap.Snapshot.position)));
   rm_rf dir
 
 let test_kill_and_resume_byte_identity () =
@@ -781,7 +811,7 @@ let test_resume_refuses_a_diverged_prefix () =
     | List l -> List (List.map shift l)
     | a -> a
   in
-  (match Ormp_util.Sexp.load manifest with
+  (match Load_legacy.S.load manifest with
   | Error e -> Alcotest.fail e
   | Ok m ->
     Out_channel.with_open_bin manifest (fun oc ->
@@ -961,9 +991,13 @@ let test_session_rotation_epochs () =
       (fun e ->
         let path = Filename.concat dir e.Snapshot.ep_file in
         check_bool ("epoch file " ^ e.Snapshot.ep_file) true (Sys.file_exists path);
-        match Storage.load_sealed path with
+        let read r =
+          Ormp_persist.Grammar_io.read r ~length:(e.Snapshot.ep_to - e.Snapshot.ep_from)
+            ~exact:false
+        in
+        match Storage.load_sealed path read with
         | Error err -> Alcotest.fail err
-        | Ok _ -> ())
+        | Ok (dim, _) -> check_string "epoch dimension" e.Snapshot.ep_dim dim)
       oc.Session.oc_epochs;
     (* The LEAP stream cap must surface as dropped accounting in the final
        profile while keeping the collected invariant intact. *)
@@ -1132,6 +1166,7 @@ let () =
           tc "restore rejects an unparseable prefix" test_restore_rejects_unparseable_prefix;
           tc "journal ENOSPC degrades gracefully" test_session_degrades_on_journal_enospc;
           tc "status leaves a live journal alone" test_status_leaves_a_live_journal_alone;
+          tc "status reads only snapshot headers" test_status_reads_headers;
           tc "watchdog rotates epochs and caps streams" test_session_rotation_epochs;
           QCheck_alcotest.to_alcotest prop_append_chunk_equals_append;
         ] );

@@ -225,7 +225,7 @@ let sample =
   }
 
 let test_heartbeat_roundtrip () =
-  match Heartbeat.of_sexp (Heartbeat.to_sexp sample) with
+  match Ormp_util.Sexp.(Reader.run (Writer.render Heartbeat.write sample) Heartbeat.read) with
   | Error e -> Alcotest.fail e
   | Ok s ->
     check_int "position" sample.Heartbeat.position s.Heartbeat.position;
@@ -361,10 +361,10 @@ let test_flight_dump_bundle () =
   | _ -> Alcotest.fail "dumped trace.json does not validate");
   (* the sexp half loads and carries the reason plus both events, with
      the space-bearing atoms quoted well enough to survive the parse *)
-  match Sexp.load (Filename.concat nested Flight.record_file) with
+  match Load_legacy.S.load (Filename.concat nested Flight.record_file) with
   | Error e -> Alcotest.fail ("record.sexp does not load: " ^ e)
   | Ok s -> (
-    match (Sexp.assoc "reason" s, Sexp.assoc "events" s) with
+    match (Load_legacy.S.assoc "reason" s, Load_legacy.S.assoc "events" s) with
     | Ok [ Sexp.Atom r ], Ok evs ->
       check_bool "reason preserved" true (r = "unit test");
       check_int "both events present" 2 (List.length evs)

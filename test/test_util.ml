@@ -426,6 +426,25 @@ let prop_decimal_string_of_int =
       let stop = Decimal.write b 0 n in
       Bytes.sub_string b 0 stop = string_of_int n)
 
+let parse s = Decimal.parse s 0 (String.length s)
+
+let prop_decimal_parse_inverts_write =
+  QCheck.Test.make ~name:"parse inverts write" ~count:2000
+    QCheck.(oneof [ int; small_signed_int; oneofl [ min_int; max_int; 0; -1 ] ])
+    (fun n ->
+      let s = string_of_int n in
+      parse s = n && Decimal.parse ("(" ^ s ^ ")") 1 (1 + String.length s) = n)
+
+let test_decimal_parse_refuses () =
+  List.iter
+    (fun s ->
+      check_bool (Printf.sprintf "%S refused" s) true
+        (match parse s with _ -> false | exception Decimal.Not_canonical -> true))
+    [
+      ""; "-"; "-0"; "00"; "007"; "+5"; " 5"; "5 "; "0x10"; "1e3"; "1_000"; "9223372036854775808";
+      "-9223372036854775809"; "99999999999999999999";
+    ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "ormp_util"
@@ -486,7 +505,12 @@ let () =
           tc "bar chart" test_ascii_bar_chart;
         ] );
       ( "decimal",
-        [ tc "extremes" test_decimal_extremes; QCheck_alcotest.to_alcotest prop_decimal_string_of_int ]
+        [
+          tc "extremes" test_decimal_extremes;
+          QCheck_alcotest.to_alcotest prop_decimal_string_of_int;
+          QCheck_alcotest.to_alcotest prop_decimal_parse_inverts_write;
+          tc "parse refuses other spellings" test_decimal_parse_refuses;
+        ]
       );
       ( "bytesize",
         [
