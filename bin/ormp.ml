@@ -39,8 +39,8 @@ let telemetry_arg =
     & info [ "telemetry" ] ~docv:"DIR"
         ~doc:
           "Switch on the self-profiling telemetry layer and write its reports — \
-           metrics.sexp, metrics.json and a Chrome trace_event trace.json — to DIR \
-           after the run. Inspect with $(b,ormp stats) $(i,DIR).")
+           the metrics registry as metrics.json and a Chrome trace_event trace.json — \
+           to DIR after the run. Inspect with $(b,ormp stats) $(i,DIR).")
 
 let quiet_arg =
   Arg.(
@@ -1375,7 +1375,8 @@ let serve_cmd =
       value & opt float 1.0
       & info [ "heartbeat-every" ] ~docv:"SECONDS"
           ~doc:
-            "Aggregate heartbeat-sample cadence, appended to DIR/heartbeat (0 disables).")
+            "How often the grammar-symbol figure that Stats snapshots serve is \
+             refreshed (0 disables) and $(b,--stats-file) is exported.")
   in
   let retry_after =
     Arg.(
@@ -1400,8 +1401,9 @@ let serve_cmd =
       & opt (some string) None
       & info [ "stats-file" ] ~docv:"PATH"
           ~doc:
-            "Also export the live stats snapshot to PATH as JSON (atomic rename) at \
-             heartbeat cadence — the scrape-friendly twin of $(b,ormp top).")
+            "Also export the live stats snapshot to PATH (atomic rename) at \
+             $(b,--heartbeat-every) cadence: the JSON document a Stats frame carries, \
+             the scrape-friendly twin of $(b,ormp top).")
   in
   let no_stats =
     Arg.(
@@ -1560,7 +1562,6 @@ let client_cmd =
 let stats_cmd =
   let run dir check quiet =
     apply_quiet quiet;
-    let module J = Ormp_util.Json in
     let ( // ) = Filename.concat in
     let failed = ref false in
     let problem fmt =
@@ -1570,65 +1571,24 @@ let stats_cmd =
           failed := true)
         fmt
     in
-    let load_json path =
+    let load path decode =
       if not (Sys.file_exists path) then begin
         problem "%s: missing" path;
         None
       end
       else
-        match J.of_string (read_file path) with
-        | Ok j -> Some j
+        match Result.bind (Ormp_util.Json.of_string (read_file path)) decode with
+        | Ok v -> Some v
         | Error msg ->
           problem "%s: %s" path msg;
           None
     in
-    (match load_json (dir // Telemetry.metrics_json_file) with
-    | None -> ()
-    | Some j ->
-      let obj name = match J.member name j with Some (J.Obj fields) -> fields | _ -> [] in
-      let num v =
-        match J.to_float v with Some f -> Printf.sprintf "%.6g" f | None -> "?"
-      in
-      (match obj "counters" with
-      | [] -> ()
-      | counters ->
-        print_endline (Ormp_util.Ascii.section "counters");
-        print_endline
-          (Ormp_util.Ascii.table ~header:[ "counter"; "value" ]
-             ~rows:(List.map (fun (n, v) -> [ n; num v ]) counters)));
-      (match obj "gauges" with
-      | [] -> ()
-      | gauges ->
-        print_endline (Ormp_util.Ascii.section "gauges");
-        print_endline
-          (Ormp_util.Ascii.table ~header:[ "gauge"; "value" ]
-             ~rows:(List.map (fun (n, v) -> [ n; num v ]) gauges)));
-      match obj "histograms" with
-      | [] -> ()
-      | hists ->
-        let module M = Ormp_telemetry.Metrics in
-        let hrow (n, v) =
-          match M.hist_summary_of_json v with
-          | Some h -> M.hist_row n h
-          | None -> [ n; "?" ]
-        in
-        print_endline (Ormp_util.Ascii.section "histograms");
-        print_endline
-          (Ormp_util.Ascii.table ~header:M.hist_header ~rows:(List.map hrow hists)));
-    (* The s-expression snapshot must stay loadable too — it is the form
-       other tooling in this repo consumes. *)
-    let sexp_path = dir // Telemetry.metrics_sexp_file in
-    (if Sys.file_exists sexp_path then
-       match Ormp_util.Sexp.Reader.(load sexp_path skip) with
-       | Ok () -> ()
-       | Error msg -> problem "%s: %s" sexp_path msg
-     else problem "%s: missing" sexp_path);
-    (match load_json (dir // Telemetry.trace_file) with
-    | None -> ()
-    | Some j -> (
-      match Ormp_telemetry.Spans.validate_json j with
-      | Ok n -> Printf.printf "trace    : %d complete spans, nesting OK\n" n
-      | Error msg -> problem "%s: invalid trace: %s" (dir // Telemetry.trace_file) msg));
+    Option.iter
+      (fun snap -> print_string (Telemetry.Metrics.render snap))
+      (load (dir // Telemetry.metrics_json_file) Telemetry.Metrics.of_json);
+    (match load (dir // Telemetry.trace_file) Telemetry.Spans.validate_json with
+    | Some n -> Printf.printf "trace    : %d complete spans, nesting OK\n" n
+    | None -> ());
     (let hb_path = dir // Session.heartbeat_file in
      if Sys.file_exists hb_path then
        match Ormp_telemetry.Heartbeat.load hb_path with
@@ -1650,8 +1610,8 @@ let stats_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Exit 1 unless the metrics files parse and every span in the trace is \
-             strictly nested (B/E pairs match per thread, LIFO).")
+            "Exit 1 unless metrics.json decodes as a registry snapshot and every span \
+             in the trace is strictly nested (B/E pairs match per thread, LIFO).")
   in
   Cmd.v
     (Cmd.info "stats"

@@ -9,13 +9,12 @@ let m_wild = Tm.Metrics.counter "cdc.wild"
 type t = {
   omc : Omc.t;
   on_tuple : Tuple.t -> unit;
-  on_wild : Ormp_trace.Event.t -> unit;
   mutable clock : int;
   mutable wild : int;
 }
 
-let create ?grouping ?(on_wild = fun _ -> ()) ~site_name ~on_tuple () =
-  { omc = Omc.create ?grouping ~site_name (); on_tuple; on_wild; clock = 0; wild = 0 }
+let create ?grouping ~site_name ~on_tuple () =
+  { omc = Omc.create ?grouping ~site_name (); on_tuple; clock = 0; wild = 0 }
 
 let sink t =
   fun (ev : Ormp_trace.Event.t) ->
@@ -26,9 +25,7 @@ let sink t =
         let tuple = { Tuple.instr; group; obj; offset; time = t.clock; is_store } in
         t.clock <- t.clock + 1;
         t.on_tuple tuple
-      | None ->
-        t.wild <- t.wild + 1;
-        t.on_wild ev)
+      | None -> t.wild <- t.wild + 1)
     | Alloc { site; addr; size; type_name } ->
       Omc.on_alloc t.omc ~time:t.clock ~site ~addr ~size ~type_name
     | Free { addr; site } -> Omc.on_free ?site t.omc ~time:t.clock ~addr
@@ -45,10 +42,8 @@ type tuples = {
   mutable tp_time0 : int;
 }
 
-let batch_tuples ?capacity t ~on_tuples () =
-  let capacity =
-    match capacity with Some c -> c | None -> Ormp_trace.Batch.default_capacity
-  in
+let batch_tuples t ~on_tuples () =
+  let capacity = Ormp_trace.Batch.default_capacity in
   let groups = Array.make capacity 0 in
   let serials = Array.make capacity 0 in
   let offsets = Array.make capacity 0 in
@@ -86,17 +81,7 @@ let batch_tuples ?capacity t ~on_tuples () =
         out.tp_len <- j + 1;
         t.clock <- t.clock + 1
       end
-      else begin
-        t.wild <- t.wild + 1;
-        t.on_wild
-          (Ormp_trace.Event.Access
-             {
-               instr = c.instr.(i);
-               addr = c.addr.(i);
-               size = c.size.(i);
-               is_store = c.store.(i) <> 0;
-             })
-      end
+      else t.wild <- t.wild + 1
     done;
     if out.tp_len > 0 then on_tuples out;
     if Tm.on () then begin
@@ -113,7 +98,7 @@ let batch_tuples ?capacity t ~on_tuples () =
     | Free { addr; site } -> Omc.on_free ?site t.omc ~time:t.clock ~addr
     | Access _ -> assert false
   in
-  Ormp_trace.Batch.create ~capacity ~on_chunk ~on_event ()
+  Ormp_trace.Batch.create ~on_chunk ~on_event ()
 
 let batch t =
   batch_tuples t
@@ -143,7 +128,6 @@ let of_state ~site_name ~on_tuple (s : state) =
   {
     omc = Omc.of_state ~site_name s.s_omc;
     on_tuple;
-    on_wild = ignore;
     clock = s.s_clock;
     wild = s.s_wild;
   }

@@ -7,14 +7,12 @@
     (whatever consumer the profiler installs).
 
     Accesses the OMC cannot translate (stack or otherwise unprofiled
-    memory) are not collected; they are counted and optionally forwarded
-    raw. *)
+    memory) are not collected; they are only counted ({!wild}). *)
 
 type t
 
 val create :
   ?grouping:Omc.grouping ->
-  ?on_wild:(Ormp_trace.Event.t -> unit) ->
   site_name:(int -> string) ->
   on_tuple:(Tuple.t -> unit) ->
   unit ->
@@ -49,13 +47,12 @@ type tuples = {
           chunk are consecutive) *)
 }
 
-val batch_tuples :
-  ?capacity:int -> t -> on_tuples:(tuples -> unit) -> unit -> Ormp_trace.Batch.t
-(** The chunk is reused: consumers must copy what they keep before
-    returning. The tuple sequence (concatenated over chunks) is exactly
-    what {!sink} would deliver — object events flush pending accesses
-    first, so the interleaving and the time stamps are identical; wild
-    accesses still go to [on_wild] one at a time. *)
+val batch_tuples : t -> on_tuples:(tuples -> unit) -> unit -> Ormp_trace.Batch.t
+(** Lanes of {!Ormp_trace.Batch.default_capacity}. The chunk is reused:
+    consumers must copy what they keep before returning. The tuple
+    sequence (concatenated over chunks) is exactly what {!sink} would
+    deliver — object events flush pending accesses first, so the
+    interleaving and the time stamps are identical. *)
 
 val batch : t -> Ormp_trace.Batch.t
 (** {!batch_tuples} into the CDC's own [on_tuple], one boxed {!Tuple.t}
@@ -88,4 +85,4 @@ val of_state :
 (** Rebuild a CDC mid-stream: the restored hub stamps the next collected
     access with the saved clock and translates through the rebuilt object
     table, so the tuple stream continues exactly where the snapshot was
-    taken. [on_tuple] is supplied fresh; wild accesses are only counted. *)
+    taken. [on_tuple] is supplied fresh. *)

@@ -31,11 +31,10 @@ let read_rule r =
   R.close r;
   (id, List.rev !rhs)
 
-(* The listing's expansion is measured against the count its file
-   records before anything expands, so a listing that doubles at every
-   rule fails here in O(listing). The live grammar is then rebuilt with
-   {!Ormp_sequitur.Sequitur.of_rules}, which refuses any listing other
-   than the one the rebuild holds. *)
+(* {!Ormp_sequitur.Sequitur.of_rules} measures the listing against the
+   count its file records before anything expands, so a listing that
+   doubles at every rule fails in O(listing), and refuses any listing
+   other than the one the rebuild holds. *)
 let read r ~length ~exact =
   R.nested r "grammar";
   R.flat r "dim";
@@ -43,13 +42,10 @@ let read r ~length ~exact =
   R.close r;
   let rules = R.repeated r "rule" read_rule in
   R.close r;
-  let rebuilt =
-    match Seq_c.expansion_length ~bound:length rules with
-    | Ok n when exact && n <> length ->
-      Error (Printf.sprintf "expands to %d symbols, not %d" n length)
-    | Ok _ -> Seq_c.of_rules rules
-    | Error _ as e -> e
-  in
-  match rebuilt with
+  match Seq_c.of_rules ~bound:length rules with
+  | Ok g when exact && Seq_c.input_length g <> length ->
+    R.fail r
+      (Printf.sprintf "grammar %s: expands to %d symbols, not %d" dim (Seq_c.input_length g)
+         length)
   | Ok g -> (dim, g)
   | Error e -> R.fail r (Printf.sprintf "grammar %s: %s" dim e)

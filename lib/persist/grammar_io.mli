@@ -17,7 +17,7 @@ val write : Ormp_util.Sexp.Writer.t -> string * Ormp_sequitur.Sequitur.t -> unit
 val read :
   Ormp_util.Sexp.Reader.t -> length:int -> exact:bool -> string * Ormp_sequitur.Sequitur.t
 (** The mirror of {!write}. The listing must expand to at most [length]
-    symbols, exactly [length] when [exact] — checked by
-    {!Ormp_sequitur.Sequitur.expansion_length} before anything expands —
-    and be the one {!Ormp_sequitur.Sequitur.of_rules} rebuilds; the
-    reader fails naming the grammar otherwise. *)
+    symbols — measured by {!Ormp_sequitur.Sequitur.of_rules} before
+    anything expands — and be the one it rebuilds, and the rebuilt
+    grammar must hold exactly [length] symbols when [exact]; the reader
+    fails naming the grammar otherwise. *)

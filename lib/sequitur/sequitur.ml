@@ -829,8 +829,8 @@ let expansion_length ~bound listing =
     Ok (length 0)
   with Bad msg -> Error msg
 
-let of_rules rule_list =
-  match expansion_length ~bound:max_int rule_list with
+let of_rules ~bound rule_list =
+  match expansion_length ~bound rule_list with
   | Error _ as e -> e
   | Ok _ ->
     let table = Hashtbl.create 64 in

@@ -85,22 +85,23 @@ val expansion_length :
     O(rules + symbols) and without expanding anything: [Error] for a
     duplicate, dangling or cyclic rule, a missing start rule, or as soon
     as a rule the start rule reaches expands past [bound] symbols (so no
-    count overflows, for any [bound >= 0]). A loader calls it with the
-    count its file records before {!of_rules}, so a listing that doubles
-    at every rule fails at once instead of expanding. *)
+    count overflows, for any [bound >= 0]). {!of_rules} measures with
+    it, so a listing that doubles at every rule fails at once instead of
+    expanding. *)
 
-val of_rules : (int * [ `T of int | `N of int ] list) list -> (t, string) result
+val of_rules : bound:int -> (int * [ `T of int | `N of int ] list) list -> (t, string) result
 (** Rebuild a live compressor from a {!rules} listing: the listing is
-    checked by {!expansion_length}, then the start rule is expanded and
-    its terminal sequence re-pushed. Sequitur is deterministic, so the rebuilt
-    grammar has exactly the saved rules — ids included — and further
-    {!push}es continue as if the original compressor had never stopped.
-    This is what makes grammar state checkpointable: a snapshot is just
-    {!rules}. A listing that is not exactly what the rebuild holds (same
-    ids, order and right-hand sides) is [Error]: no compressor wrote it,
-    so it cannot be continued. The rebuild starts from {!create}[ ()], so
-    it grows the same tables the original run grew and holds no more heap
-    than the grammar it restores. *)
+    measured by {!expansion_length} against [bound] (a loader passes the
+    count its file records) before anything expands, then the start rule
+    is expanded and its terminal sequence re-pushed. Sequitur is
+    deterministic, so the rebuilt grammar has exactly the saved rules —
+    ids included — and further {!push}es continue as if the original
+    compressor had never stopped. This is what makes grammar state
+    checkpointable: a snapshot is just {!rules}. A listing that is not
+    exactly what the rebuild holds (same ids, order and right-hand sides)
+    is [Error]: no compressor wrote it, so it cannot be continued. The
+    rebuild starts from {!create}[ ()], so it grows the same tables the
+    original run grew and holds no more heap than the grammar it restores. *)
 
 val pp : Format.formatter -> t -> unit
 (** Pretty-print the grammar, one rule per line ([R0 -> a R1 R1]). *)

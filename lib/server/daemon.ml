@@ -9,8 +9,6 @@ module Pipeline = Ormp_session.Pipeline
 module Pool = Ormp_trace.Pool
 module Log = Ormp_telemetry.Log
 module Tm = Ormp_telemetry.Telemetry
-module Hb = Ormp_telemetry.Heartbeat
-module S = Ormp_util.Sexp
 
 let ( // ) = Filename.concat
 
@@ -19,7 +17,6 @@ let m_frames = Tm.Metrics.counter "serve.frames"
 let m_sheds = Tm.Metrics.counter "serve.sheds"
 let m_proto_errors = Tm.Metrics.counter "serve.protocol_errors"
 let m_stats_requests = Tm.Metrics.counter "serve.stats_requests"
-let m_hb_dropped = Tm.Metrics.counter "daemon.heartbeat.dropped"
 let m_ack_flush = Tm.Metrics.histogram "serve.ack_flush_ns"
 
 type options = {
@@ -71,7 +68,7 @@ type session = {
   mutable rate : float;  (* events/s over the last rate window *)
   mutable rate_last_pos : int;
   mutable rate_last_s : float;
-  mutable cached_symbols : int;  (* grammar size; refreshed at heartbeat *)
+  mutable cached_symbols : int;  (* grammar size, as of [refresh_symbols] *)
 }
 
 let pipe s = Session.pipeline s.live
@@ -104,8 +101,7 @@ type t = {
   mutable shed_count : int;
   mutable total_events : int;
   start_s : float;
-  mutable hb_last_s : float;
-  mutable hb_last_events : int;
+  mutable symbols_last_s : float;  (* last grammar-symbol cache refresh *)
   (* Introspection state. *)
   flight : Ormp_telemetry.Flight.t;
   mutable sessions_started : int;
@@ -115,8 +111,6 @@ type t = {
   mutable out_hw : int;  (* high water of total unsent output bytes *)
   mutable flight_dumps : int;
   mutable flight_dumps_suppressed : int;
-  mutable hb_dropped : int;
-  mutable hb_drop_warned : bool;
   mutable rate : float;  (* daemon-wide events/s over the last window *)
   mutable rate_last_events : int;
   mutable rate_last_s : float;
@@ -145,8 +139,7 @@ let create opts =
     shed_count = 0;
     total_events = 0;
     start_s = Net_io.now ();
-    hb_last_s = Net_io.now ();
-    hb_last_events = 0;
+    symbols_last_s = Net_io.now ();
     flight = Ormp_telemetry.Flight.create ();
     sessions_started = 0;
     sessions_resumed = 0;
@@ -155,8 +148,6 @@ let create opts =
     out_hw = 0;
     flight_dumps = 0;
     flight_dumps_suppressed = 0;
-    hb_dropped = 0;
-    hb_drop_warned = false;
     rate = 0.0;
     rate_last_events = 0;
     rate_last_s = Net_io.now ();
@@ -342,17 +333,10 @@ let handle_hello t c ~token ~workload ~ack_every =
     else
       match admission_refusal t with
       | Some reason -> shed t c ~token reason
-      | None -> (
+      | None ->
         (* No checkpoints and no watchdog: a daemon session is the journal
            and the pipeline, recovered by full replay. Each session pins
            its grammars from its own pool slot, spreading the load. *)
-        let options =
-          {
-            Session.default_options with
-            leap_budget = t.opts.leap_budget;
-            max_streams = t.opts.max_streams;
-          }
-        in
         let pool = Option.map (fun p -> (p, t.next_slot)) t.pool in
         t.next_slot <- t.next_slot + 1;
         let attach live ~fresh =
@@ -381,17 +365,29 @@ let handle_hello t c ~token ~workload ~ack_every =
           send t c (Wire.Hello_ok { fresh; complete = false; position })
         in
         if not (Sys.file_exists (dir // Session.journal_file)) then begin
+          (* The options go on disk with the session (and no VM config:
+             its events come off the wire), so a daemon restarted with
+             other flags still finishes it as it began. *)
+          let options =
+            {
+              Session.default_options with
+              leap_budget = t.opts.leap_budget;
+              max_streams = t.opts.max_streams;
+            }
+          in
           Ormp_util.Fs.mkdirs dir;
-          Storage.write_atomic ~path:(dir // "manifest")
-            (S.to_string (S.field "ormp-serve-session" [ S.field "workload" [ S.atom workload ] ])
-            ^ "\n");
+          Session.save_manifest ~dir (workload, None, options);
           let live = Session.start ?pool ~options ~dir ~workload () in
           t.sessions_started <- t.sessions_started + 1;
           flight_record t ~kind:"hello" ~session:token ~detail:workload;
           attach live ~fresh:true
         end
         else
-          match Session.restore ?pool ~options ~dir ~workload () with
+          let restored =
+            Result.bind (Session.load_manifest ~dir) (fun (_, _, options) ->
+                Session.restore ?pool ~options ~dir ~workload ())
+          in
+          match restored with
           | Error e -> protocol_error t c (Printf.sprintf "session %s unrecoverable: %s" token e)
           | Ok live ->
             let position = Session.position live in
@@ -403,7 +399,7 @@ let handle_hello t c ~token ~workload ~ack_every =
                event trail is worth keeping. *)
             flight_dump t ~kind:"resume" ~session:token
               ~reason:(Printf.sprintf "resumed at position %d" position);
-            attach live ~fresh:false)
+            attach live ~fresh:false
   end
 
 (* Apply the new suffix of a frame that claims to start at [start] and
@@ -494,51 +490,38 @@ let daemon_rate t ~now =
 (* Everything here is a plain read of select-loop-owned state — no pool
    drain, no blocking, so serving Stats cannot stall the data path. The
    one aggregate that would need a drain (grammar symbols) is served
-   from the per-session cache the heartbeat refreshes; with the pool
+   from the per-session cache [refresh_symbols] keeps; with the pool
    disabled it is exact. *)
 let build_snapshot t =
   let now = Net_io.now () in
   let ms_of_ns ns = ns /. 1e6 in
-  let rows, nrows =
+  let rows =
     Hashtbl.fold
-      (fun _ s (acc, n) ->
-        if n >= Wire.max_stats_rows then (acc, n + 1)
-        else
-          let position = Session.position s.live in
-          let p50, p99 =
-            match Tm.Metrics.Local.summary s.ack_ns with
-            | None -> (0.0, 0.0)
-            | Some h -> (ms_of_ns h.Tm.Metrics.p50, ms_of_ns h.Tm.Metrics.p99)
-          in
-          let row =
-            {
-              Stats.r_token = s.token;
-              (* Workload names come from the client; cap them so no
-                 Hello can inflate the Stats frame. *)
-              r_workload =
-                (if String.length s.workload > 64 then String.sub s.workload 0 64
-                 else s.workload);
-              r_position = position;
-              r_journal_bytes = Session.journal_bytes s.live;
-              r_journal_lag = max 0 (position - s.durable);
-              r_events_per_sec = session_rate s ~now;
-              r_ack_p50_ms = p50;
-              r_ack_p99_ms = p99;
-              r_ring_occupancy = Pipeline.occupancy (pipe s);
-            }
-          in
-          (row :: acc, n + 1))
-      t.sessions ([], 0)
+      (fun _ s acc ->
+        let position = Session.position s.live in
+        let p50, p99 =
+          match Tm.Metrics.Local.summary s.ack_ns with
+          | None -> (0.0, 0.0)
+          | Some h -> (ms_of_ns h.Tm.Metrics.p50, ms_of_ns h.Tm.Metrics.p99)
+        in
+        {
+          Stats.r_token = s.token;
+          (* Workload names come from the client; cap them so no Hello
+             can inflate the Stats frame. *)
+          r_workload =
+            (if String.length s.workload > 64 then String.sub s.workload 0 64 else s.workload);
+          r_position = position;
+          r_journal_bytes = Session.journal_bytes s.live;
+          r_journal_lag = max 0 (position - s.durable);
+          r_events_per_sec = session_rate s ~now;
+          r_ack_p50_ms = p50;
+          r_ack_p99_ms = p99;
+          r_ring_occupancy = Pipeline.occupancy (pipe s);
+        }
+        :: acc)
+      t.sessions []
   in
   let sum f = Hashtbl.fold (fun _ s acc -> acc + f s) t.sessions 0 in
-  let counters, gauges, hists =
-    if Tm.on () then
-      let snap = Tm.Metrics.snapshot () in
-      ( snap.Tm.Metrics.snap_counters,
-        snap.Tm.Metrics.snap_gauges,
-        snap.Tm.Metrics.snap_hists )
-    else ([], [], [])
-  in
   {
     Stats.s_wall_s = now -. t.start_s;
     s_events_per_sec = daemon_rate t ~now;
@@ -554,6 +537,8 @@ let build_snapshot t =
     s_wal_bytes = sum (fun s -> Session.journal_bytes s.live);
     s_out_backlog = total_out_bytes t;
     s_out_backlog_hw = t.out_hw;
+    s_live_objects = sum (fun s -> Pipeline.live_objects (pipe s));
+    s_leap_streams = sum (fun s -> Pipeline.leap_streams (pipe s));
     s_grammar_symbols =
       (match t.pool with
       | None -> sum (fun s -> Pipeline.grammar_symbols (pipe s))
@@ -562,11 +547,9 @@ let build_snapshot t =
     s_flight_events = Flight.recorded t.flight;
     s_flight_dropped = Flight.dropped t.flight;
     s_flight_dumps = t.flight_dumps;
-    s_rows_truncated = nrows > Wire.max_stats_rows;
+    s_rows_truncated = false;
     s_rows = rows;
-    s_counters = counters;
-    s_gauges = gauges;
-    s_hists = hists;
+    s_registry = (if Tm.on () then Tm.Metrics.snapshot () else Tm.Metrics.empty);
   }
 
 let handle_msg t c (msg : Wire.msg) =
@@ -623,46 +606,12 @@ let read_conn t ~scratch c =
          if c.frame_since = 0.0 then Net_io.now () else c.frame_since
        else 0.0)
 
-let heartbeat t =
-  let now = Net_io.now () in
-  (* [grammar_symbols] quiesces each session (draining the pool), so
-     refresh here the per-session caches the stats snapshot serves
-     between heartbeats, without a drain. *)
-  Hashtbl.iter
-    (fun _ s -> s.cached_symbols <- Pipeline.grammar_symbols (pipe s))
-    t.sessions;
-  let sum f = Hashtbl.fold (fun _ s acc -> acc + f s) t.sessions 0 in
-  let dt = now -. t.hb_last_s in
-  let sample =
-    {
-      Hb.wall_s = now -. t.start_s;
-      position = t.total_events;
-      events_per_sec =
-        (if dt > 0.0 then float_of_int (t.total_events - t.hb_last_events) /. dt else 0.0);
-      live_objects = sum (fun s -> Pipeline.live_objects (pipe s));
-      grammar_symbols = sum (fun s -> s.cached_symbols);
-      leap_streams = sum (fun s -> Pipeline.leap_streams (pipe s));
-      journal_bytes = sum (fun s -> Session.journal_bytes s.live);
-      snapshot_bytes = 0;
-      last_checkpoint = 0;
-      degraded =
-        (if t.stopping then [ "draining" ] else [])
-        @ (if t.shed_count > 0 then [ "shed" ] else []);
-    }
-  in
-  t.hb_last_s <- now;
-  t.hb_last_events <- t.total_events;
-  try Hb.append (t.opts.root // "heartbeat") sample
-  with Sys_error e ->
-    (* A monitoring write must never take the daemon down, but it must
-       not vanish either: count every drop, warn once. *)
-    t.hb_dropped <- t.hb_dropped + 1;
-    if Tm.on () then Tm.Metrics.incr m_hb_dropped;
-    flight_record t ~kind:"heartbeat-drop" ~session:"" ~detail:e;
-    if not t.hb_drop_warned then begin
-      t.hb_drop_warned <- true;
-      Log.warnf ~src:"serve" "heartbeat append failed (%s); counting further drops" e
-    end
+(* [grammar_symbols] quiesces each session (draining the pool), so this
+   refreshes, every [heartbeat_every_s], the per-session caches the stats
+   snapshot serves between refreshes without a drain. *)
+let refresh_symbols t =
+  t.symbols_last_s <- Net_io.now ();
+  Hashtbl.iter (fun _ s -> s.cached_symbols <- Pipeline.grammar_symbols (pipe s)) t.sessions
 
 let export_stats_file t ~now =
   match t.opts.stats_file with
@@ -673,8 +622,7 @@ let export_stats_file t ~now =
     in
     if now -. t.stats_last_s >= every then begin
       t.stats_last_s <- now;
-      let json = Ormp_util.Json.to_string (Stats.to_json (build_snapshot t)) in
-      try Storage.write_atomic ~path (json ^ "\n")
+      try Storage.write_atomic ~path (Wire.stats_json (build_snapshot t))
       with Sys_error e -> Log.warnf ~src:"serve" "stats export failed: %s" e
     end
 
@@ -712,7 +660,8 @@ let timers t =
         end
       end)
     t.conns;
-  if o.heartbeat_every_s > 0.0 && now -. t.hb_last_s >= o.heartbeat_every_s then heartbeat t;
+  if o.heartbeat_every_s > 0.0 && now -. t.symbols_last_s >= o.heartbeat_every_s then
+    refresh_symbols t;
   export_stats_file t ~now
 
 let reap t =

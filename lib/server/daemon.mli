@@ -29,9 +29,14 @@
     Introspection (DESIGN.md §15): any connection may send [Stats_req]
     and gets a {!Stats.t} snapshot built from select-loop-owned state
     (never blocking the data path); a flight recorder keeps a bounded
-    ring of recent session events and dumps a Chrome-trace + sexp bundle
-    under [root/flight/] on every protocol error, deadline kill, shed
-    and crash-resume. *)
+    ring of recent session events and dumps it as a Chrome trace under
+    [root/flight/] on every protocol error, deadline kill, shed and
+    crash-resume.
+
+    Each session directory holds the {!Ormp_session.Session} manifest,
+    with the options the session runs under and no VM configuration; a
+    session restored after a restart runs under those options, whatever
+    the new daemon's flags. *)
 
 type options = {
   socket : string;
@@ -46,17 +51,20 @@ type options = {
   idle_timeout_s : float;  (** drop a connection silent for this long *)
   frame_timeout_s : float;  (** max age of a partially-received frame *)
   ping_every_s : float;  (** liveness ping cadence on quiet connections *)
-  heartbeat_every_s : float;  (** aggregate heartbeat-sample cadence *)
+  heartbeat_every_s : float;
+      (** how often the grammar-symbol cache the Stats snapshot serves is
+          refreshed (0 = never) and [stats_file] exported *)
   retry_after_s : float;  (** hint carried by [Shed] frames *)
-  leap_budget : int option;  (** per-session LEAP LMAD budget *)
-  max_streams : int;  (** per-session LEAP stream cap; 0 = unlimited *)
+  leap_budget : int option;  (** new sessions' LEAP LMAD budget *)
+  max_streams : int;  (** new sessions' LEAP stream cap; 0 = unlimited *)
   stats : bool;
       (** enable the telemetry registry at {!create} so [Stats_req]
           frames get populated snapshots (default true); disable only
           to measure the observability overhead itself *)
   stats_file : string option;
-      (** also export the JSON stats snapshot here (atomic rename) at
-          heartbeat cadence, for scrapers that cannot speak the wire *)
+      (** also export the Stats snapshot here (atomic rename) at
+          heartbeat cadence, for scrapers that cannot speak the wire: the
+          bytes a [Stats] frame carries after its tag *)
 }
 
 val default_options : socket:string -> root:string -> options

@@ -1,26 +1,17 @@
 (* The daemon's live introspection snapshot: daemon-wide gauges, one row
    per attached session, and the merged telemetry registry. Built by the
    daemon's select loop from state it already owns (no pool drain, no
-   blocking) and shipped over the wire as a versioned Stats frame; this
-   module is the shared vocabulary between the daemon, the codec, and
-   the CLI renderers, so it depends on neither Wire nor Daemon. *)
+   blocking), and encoded once, as JSON: the wire Stats frame carries the
+   bytes `serve --stats-file` writes. This module is the shared
+   vocabulary between the daemon, the wire and the CLI renderers, so it
+   depends on neither Wire nor Daemon. *)
 
 module Metrics = Ormp_telemetry.Metrics
 module J = Ormp_util.Json
 
-(* Bump when the snapshot layout changes; the codec refuses frames from
-   a different version rather than misreading them. *)
-let version = 1
-
-type hist = Metrics.hist_summary = {
-  count : int;
-  sum : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-}
+(* Bump when the snapshot layout changes; [read] refuses a document of
+   another version rather than misreading it. *)
+let version = 2
 
 type row = {
   r_token : string;
@@ -48,16 +39,16 @@ type t = {
   s_wal_bytes : int;
   s_out_backlog : int;  (* unsent output bytes across live connections *)
   s_out_backlog_hw : int;  (* high water since daemon start *)
+  s_live_objects : int;  (* summed over attached sessions *)
+  s_leap_streams : int;  (* summed over attached sessions *)
   s_grammar_symbols : int;  (* freshness bounded by heartbeat cadence *)
   s_grammar_budget : int;  (* 0 = unlimited *)
   s_flight_events : int;
   s_flight_dropped : int;
   s_flight_dumps : int;
-  s_rows_truncated : bool;  (* true when the frame row cap cut sessions *)
+  s_rows_truncated : bool;  (* true when rows were cut to fit the frame *)
   s_rows : row list;
-  s_counters : (string * int) list;
-  s_gauges : (string * float) list;
-  s_hists : (string * hist) list;
+  s_registry : Metrics.snapshot;
 }
 
 (* Fraction of the grammar budget still free; 1.0 when unlimited. *)
@@ -67,7 +58,7 @@ let headroom t =
     Float.max 0.0
       (1.0 -. (float_of_int t.s_grammar_symbols /. float_of_int t.s_grammar_budget))
 
-(* --- export ------------------------------------------------------------ *)
+(* --- the encoding -------------------------------------------------------- *)
 
 let row_to_json r =
   J.Obj
@@ -103,6 +94,8 @@ let to_json t =
             ("wal_bytes", J.Int t.s_wal_bytes);
             ("out_backlog", J.Int t.s_out_backlog);
             ("out_backlog_hw", J.Int t.s_out_backlog_hw);
+            ("live_objects", J.Int t.s_live_objects);
+            ("leap_streams", J.Int t.s_leap_streams);
             ("grammar_symbols", J.Int t.s_grammar_symbols);
             ("grammar_budget", J.Int t.s_grammar_budget);
             ("grammar_headroom", J.Float (headroom t));
@@ -112,29 +105,122 @@ let to_json t =
           ] );
       ("rows_truncated", J.Bool t.s_rows_truncated);
       ("sessions", J.List (List.map row_to_json t.s_rows));
-      ( "registry",
-        J.Obj
-          [
-            ("counters", J.Obj (List.map (fun (n, v) -> (n, J.Int v)) t.s_counters));
-            ("gauges", J.Obj (List.map (fun (n, v) -> (n, J.Float v)) t.s_gauges));
-            ( "histograms",
-              J.Obj
-                (List.map
-                   (fun (n, h) ->
-                     ( n,
-                       J.Obj
-                         [
-                           ("count", J.Int h.count);
-                           ("sum", J.Float h.sum);
-                           ("min", J.Float h.min);
-                           ("max", J.Float h.max);
-                           ("p50", J.Float h.p50);
-                           ("p90", J.Float h.p90);
-                           ("p99", J.Float h.p99);
-                         ] ))
-                   t.s_hists) );
-          ] );
+      ("registry", Metrics.to_json t.s_registry);
     ]
+
+let read_row j =
+  let m = J.obj j in
+  let r_token = J.field m "token" J.string in
+  let r_workload = J.field m "workload" J.string in
+  let r_position = J.field m "position" J.int in
+  let r_journal_bytes = J.field m "journal_bytes" J.int in
+  let r_journal_lag = J.field m "journal_lag" J.int in
+  let r_events_per_sec = J.field m "events_per_sec" J.number in
+  let r_ack_p50_ms = J.field m "ack_p50_ms" J.number in
+  let r_ack_p99_ms = J.field m "ack_p99_ms" J.number in
+  let r_ring_occupancy = J.field m "ring_occupancy" J.number in
+  J.close m;
+  {
+    r_token;
+    r_workload;
+    r_position;
+    r_journal_bytes;
+    r_journal_lag;
+    r_events_per_sec;
+    r_ack_p50_ms;
+    r_ack_p99_ms;
+    r_ring_occupancy;
+  }
+
+(* The daemon block, into a snapshot whose rows and registry [read]
+   fills in. *)
+let read_daemon j =
+  let d = J.obj j in
+  let int name = J.field d name J.int and number name = J.field d name J.number in
+  let s_wall_s = number "wall_s" in
+  let s_events_per_sec = number "events_per_sec" in
+  let s_pool_occupancy = number "pool_occupancy" in
+  let s_sessions_live = int "sessions_live" in
+  let s_sessions_started = int "sessions_started" in
+  let s_sessions_resumed = int "sessions_resumed" in
+  let s_sheds = int "sheds" in
+  let s_protocol_errors = int "protocol_errors" in
+  let s_deadline_kills = int "deadline_kills" in
+  let s_events_total = int "events_total" in
+  let s_wal_bytes = int "wal_bytes" in
+  let s_out_backlog = int "out_backlog" in
+  let s_out_backlog_hw = int "out_backlog_hw" in
+  let s_live_objects = int "live_objects" in
+  let s_leap_streams = int "leap_streams" in
+  let s_grammar_symbols = int "grammar_symbols" in
+  let s_grammar_budget = int "grammar_budget" in
+  (* Derived from the two above; [to_json] computes it again. *)
+  ignore (number "grammar_headroom");
+  let s_flight_events = int "flight_events" in
+  let s_flight_dropped = int "flight_dropped" in
+  let s_flight_dumps = int "flight_dumps" in
+  J.close d;
+  {
+    s_wall_s;
+    s_events_per_sec;
+    s_pool_occupancy;
+    s_sessions_live;
+    s_sessions_started;
+    s_sessions_resumed;
+    s_sheds;
+    s_protocol_errors;
+    s_deadline_kills;
+    s_events_total;
+    s_wal_bytes;
+    s_out_backlog;
+    s_out_backlog_hw;
+    s_live_objects;
+    s_leap_streams;
+    s_grammar_symbols;
+    s_grammar_budget;
+    s_flight_events;
+    s_flight_dropped;
+    s_flight_dumps;
+    s_rows_truncated = false;
+    s_rows = [];
+    s_registry = Metrics.empty;
+  }
+
+let read j =
+  let m = J.obj j in
+  let v = J.field m "version" J.int in
+  if v <> version then J.fail (Printf.sprintf "unsupported stats version %d (want %d)" v version);
+  let t = J.field m "daemon" read_daemon in
+  let s_rows_truncated = J.field m "rows_truncated" J.bool in
+  let s_rows = J.field m "sessions" (J.list read_row) in
+  let s_registry = J.field m "registry" Metrics.read in
+  J.close m;
+  { t with s_rows_truncated; s_rows; s_registry }
+
+let of_json = J.decode read
+
+(* The document as text, at most [max_bytes] long: when the whole
+   snapshot would pass that, the session rows that fit are kept, in
+   order, and [rows_truncated] is set. A row's text is independent of
+   the others, so the rest is measured once. *)
+let to_string ~max_bytes t =
+  let text t = J.to_string (to_json t) ^ "\n" in
+  let whole = text t in
+  if String.length whole <= max_bytes then whole
+  else begin
+    let cut = { t with s_rows = []; s_rows_truncated = true } in
+    (* One comma per row after the first: counting one for every row
+       errs on the short side. *)
+    let rec fit budget acc = function
+      | r :: rest ->
+        let n = String.length (J.to_string (row_to_json r)) + 1 in
+        if n <= budget then fit (budget - n) (r :: acc) rest else List.rev acc
+      | [] -> List.rev acc
+    in
+    text { cut with s_rows = fit (max_bytes - String.length (text cut)) [] t.s_rows }
+  end
+
+let of_string s = Result.bind (J.of_string s) of_json
 
 (* --- rendering ---------------------------------------------------------- *)
 
@@ -172,6 +258,10 @@ let render t =
         "out backlog";
         Printf.sprintf "%s (hw %s)" (pretty_bytes t.s_out_backlog)
           (pretty_bytes t.s_out_backlog_hw);
+      ];
+      [
+        "live";
+        Printf.sprintf "%d objects / %d LEAP streams" t.s_live_objects t.s_leap_streams;
       ];
       [
         "grammar";
@@ -218,22 +308,10 @@ let render t =
              "ring"; "wal"; "lag";
            ]
          ~rows);
-    if t.s_rows_truncated then out "(session rows truncated at the frame cap)"
+    if t.s_rows_truncated then out "(session rows cut to fit the frame)"
   end;
-  if t.s_counters <> [] || t.s_hists <> [] then begin
+  if t.s_registry <> Metrics.empty then begin
     out "";
-    out "%s" (A.section "registry");
-    if t.s_counters <> [] then
-      out "%s"
-        (A.table ~header:[ "counter"; "value" ]
-           ~rows:(List.map (fun (n, v) -> [ n; string_of_int v ]) t.s_counters));
-    if t.s_gauges <> [] then
-      out "%s"
-        (A.table ~header:[ "gauge"; "value" ]
-           ~rows:(List.map (fun (n, v) -> [ n; Printf.sprintf "%.6g" v ]) t.s_gauges));
-    if t.s_hists <> [] then
-      out "%s"
-        (A.table ~header:Metrics.hist_header
-           ~rows:(List.map (fun (n, h) -> Metrics.hist_row n h) t.s_hists))
+    Buffer.add_string buf (Metrics.render t.s_registry)
   end;
   Buffer.contents buf

@@ -2,25 +2,17 @@
     frame and the substance behind [ormp top] and [serve --stats-file].
 
     The daemon builds one from state its select loop already owns: cheap
-    live reads (positions, WAL bytes, backlog) are exact, while
-    aggregates that would need a pool drain (grammar symbols) are served
-    from caches refreshed at heartbeat cadence. This module knows
-    nothing of the wire or the daemon; it is the shared vocabulary
-    between them and the CLI renderers. *)
+    live reads (positions, WAL bytes, backlog, live objects, LEAP
+    streams) are exact, while aggregates that would need a pool drain
+    (grammar symbols) are served from caches refreshed at heartbeat
+    cadence. Its one encoding is a JSON document ({!to_json}, read back
+    by {!of_json}); the wire frame and the stats file carry the same
+    bytes ({!to_string}). This module knows nothing of the wire or the
+    daemon; it is the shared vocabulary between them and the CLI
+    renderers. *)
 
-(** Snapshot layout version carried in the frame; parsers reject other
-    versions. *)
+(** The document's [version] member; {!of_json} refuses other versions. *)
 val version : int
-
-type hist = Ormp_telemetry.Metrics.hist_summary = {
-  count : int;
-  sum : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-}
 
 (** One attached session. *)
 type row = {
@@ -49,22 +41,37 @@ type t = {
   s_wal_bytes : int;
   s_out_backlog : int;
   s_out_backlog_hw : int;
+  s_live_objects : int;  (** summed over attached sessions *)
+  s_leap_streams : int;  (** summed over attached sessions *)
   s_grammar_symbols : int;
   s_grammar_budget : int;  (** 0 = unlimited *)
   s_flight_events : int;
   s_flight_dropped : int;
   s_flight_dumps : int;
-  s_rows_truncated : bool;
+  s_rows_truncated : bool;  (** rows were cut to fit the frame *)
   s_rows : row list;
-  s_counters : (string * int) list;
-  s_gauges : (string * float) list;
-  s_hists : (string * hist) list;
+  s_registry : Ormp_telemetry.Metrics.snapshot;
 }
 
 (** Fraction of the grammar budget still free; 1.0 when unlimited. *)
 val headroom : t -> float
 
 val to_json : t -> Ormp_util.Json.t
+(** The registry block is {!Ormp_telemetry.Metrics.to_json}. Floats
+    travel as {!Ormp_util.Json} prints them ([%.6g]). *)
+
+val of_json : Ormp_util.Json.t -> (t, string) result
+(** The mirror of {!to_json}: members in its order and no others, and
+    the current {!version}. [to_json] of its result renders the same
+    text again. *)
+
+val to_string : max_bytes:int -> t -> string
+(** The rendered document and a newline, at most [max_bytes] long: when
+    the whole snapshot would pass that, only the session rows that fit
+    are kept, in order, and [rows_truncated] is set. *)
+
+val of_string : string -> (t, string) result
+(** {!Ormp_util.Json.of_string}, then {!of_json}. *)
 
 (** Multi-table human rendering shared by [ormp top] and one-shot dumps. *)
 val render : t -> string

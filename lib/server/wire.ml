@@ -40,88 +40,18 @@ let max_frame = 1 lsl 20
    keeps a corrupt-yet-CRC-valid count from allocating wild arrays. *)
 let max_batch = 65536
 
-(* Session rows beyond this are cut (and the frame flagged truncated) so
-   a crowded daemon's Stats reply can never outgrow [max_frame]. *)
-let max_stats_rows = 2048
-
 (* --- encoding ----------------------------------------------------------- *)
 
 let add_i64 b v = Buffer.add_int64_be b (Int64.of_int v)
-let add_u32 b v = Buffer.add_int32_be b (Int32.of_int v)
 
 let add_str16 b s =
   if String.length s > 0xFFFF then invalid_arg "Wire: string field too long";
   Buffer.add_uint16_be b (String.length s);
   Buffer.add_string b s
 
-let add_f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
-
-(* Stats payload, after the 'U' tag: u8 layout version, then the daemon
-   gauges (floats as raw IEEE bits, counts as i64), a truncation flag,
-   the session rows, and the three registry tables, each length-prefixed
-   with a u32 count. *)
-let add_stats b (s : Stats.t) =
-  Buffer.add_uint8 b Stats.version;
-  add_f64 b s.Stats.s_wall_s;
-  add_f64 b s.Stats.s_events_per_sec;
-  add_f64 b s.Stats.s_pool_occupancy;
-  add_i64 b s.Stats.s_sessions_live;
-  add_i64 b s.Stats.s_sessions_started;
-  add_i64 b s.Stats.s_sessions_resumed;
-  add_i64 b s.Stats.s_sheds;
-  add_i64 b s.Stats.s_protocol_errors;
-  add_i64 b s.Stats.s_deadline_kills;
-  add_i64 b s.Stats.s_events_total;
-  add_i64 b s.Stats.s_wal_bytes;
-  add_i64 b s.Stats.s_out_backlog;
-  add_i64 b s.Stats.s_out_backlog_hw;
-  add_i64 b s.Stats.s_grammar_symbols;
-  add_i64 b s.Stats.s_grammar_budget;
-  add_i64 b s.Stats.s_flight_events;
-  add_i64 b s.Stats.s_flight_dropped;
-  add_i64 b s.Stats.s_flight_dumps;
-  let nrows = List.length s.Stats.s_rows in
-  let truncated = s.Stats.s_rows_truncated || nrows > max_stats_rows in
-  Buffer.add_uint8 b (Bool.to_int truncated);
-  add_u32 b (min nrows max_stats_rows);
-  List.iteri
-    (fun i (r : Stats.row) ->
-      if i < max_stats_rows then begin
-        add_str16 b r.Stats.r_token;
-        add_str16 b r.Stats.r_workload;
-        add_i64 b r.Stats.r_position;
-        add_i64 b r.Stats.r_journal_bytes;
-        add_i64 b r.Stats.r_journal_lag;
-        add_f64 b r.Stats.r_events_per_sec;
-        add_f64 b r.Stats.r_ack_p50_ms;
-        add_f64 b r.Stats.r_ack_p99_ms;
-        add_f64 b r.Stats.r_ring_occupancy
-      end)
-    s.Stats.s_rows;
-  add_u32 b (List.length s.Stats.s_counters);
-  List.iter
-    (fun (n, v) ->
-      add_str16 b n;
-      add_i64 b v)
-    s.Stats.s_counters;
-  add_u32 b (List.length s.Stats.s_gauges);
-  List.iter
-    (fun (n, v) ->
-      add_str16 b n;
-      add_f64 b v)
-    s.Stats.s_gauges;
-  add_u32 b (List.length s.Stats.s_hists);
-  List.iter
-    (fun (n, (h : Stats.hist)) ->
-      add_str16 b n;
-      add_i64 b h.Stats.count;
-      add_f64 b h.Stats.sum;
-      add_f64 b h.Stats.min;
-      add_f64 b h.Stats.max;
-      add_f64 b h.Stats.p50;
-      add_f64 b h.Stats.p90;
-      add_f64 b h.Stats.p99)
-    s.Stats.s_hists
+(* A Stats frame's payload after its tag: the snapshot's JSON text, cut
+   to fit the frame. *)
+let stats_json s = Stats.to_string ~max_bytes:(max_frame - 1) s
 
 let payload = function
   | Hello { token; workload; ack_every } ->
@@ -169,11 +99,7 @@ let payload = function
   | Ping -> "P"
   | Pong -> "Q"
   | Stats_req -> "T"
-  | Stats s ->
-    let b = Buffer.create 1024 in
-    Buffer.add_char b 'U';
-    add_stats b s;
-    Buffer.contents b
+  | Stats s -> "U" ^ stats_json s
   | Batch _ | Ev _ -> assert false (* encoded in place below *)
 
 (* A frame of [n] payload bytes: the length field written, the payload
@@ -286,113 +212,6 @@ let get_str16 c =
   c.pos <- c.pos + n;
   v
 
-let get_stats c : Stats.t =
-  let v = get_u8 c in
-  if v <> Stats.version then
-    raise (Bad (Printf.sprintf "unsupported stats version %d (want %d)" v Stats.version));
-  let s_wall_s = get_f64 c in
-  let s_events_per_sec = get_f64 c in
-  let s_pool_occupancy = get_f64 c in
-  let s_sessions_live = get_i64 c in
-  let s_sessions_started = get_i64 c in
-  let s_sessions_resumed = get_i64 c in
-  let s_sheds = get_i64 c in
-  let s_protocol_errors = get_i64 c in
-  let s_deadline_kills = get_i64 c in
-  let s_events_total = get_i64 c in
-  let s_wal_bytes = get_i64 c in
-  let s_out_backlog = get_i64 c in
-  let s_out_backlog_hw = get_i64 c in
-  let s_grammar_symbols = get_i64 c in
-  let s_grammar_budget = get_i64 c in
-  let s_flight_events = get_i64 c in
-  let s_flight_dropped = get_i64 c in
-  let s_flight_dumps = get_i64 c in
-  let s_rows_truncated = get_u8 c <> 0 in
-  let nrows = get_u32 c in
-  if nrows > max_stats_rows then raise (Bad "bad stats row count");
-  let rows =
-    Array.init nrows (fun _ ->
-        let r_token = get_str16 c in
-        let r_workload = get_str16 c in
-        let r_position = get_i64 c in
-        let r_journal_bytes = get_i64 c in
-        let r_journal_lag = get_i64 c in
-        let r_events_per_sec = get_f64 c in
-        let r_ack_p50_ms = get_f64 c in
-        let r_ack_p99_ms = get_f64 c in
-        let r_ring_occupancy = get_f64 c in
-        {
-          Stats.r_token;
-          r_workload;
-          r_position;
-          r_journal_bytes;
-          r_journal_lag;
-          r_events_per_sec;
-          r_ack_p50_ms;
-          r_ack_p99_ms;
-          r_ring_occupancy;
-        })
-  in
-  (* Each registry entry consumes at least two bytes, so any genuine
-     count is below the bytes left; checking that before Array.init
-     keeps a corrupt-yet-CRC-valid count from allocating a wild array. *)
-  let get_count () =
-    let n = get_u32 c in
-    if n > c.lim - c.pos then raise (Bad "bad stats table count");
-    n
-  in
-  let ncounters = get_count () in
-  let counters =
-    Array.init ncounters (fun _ ->
-        let n = get_str16 c in
-        (n, get_i64 c))
-  in
-  let ngauges = get_count () in
-  let gauges =
-    Array.init ngauges (fun _ ->
-        let n = get_str16 c in
-        (n, get_f64 c))
-  in
-  let nhists = get_count () in
-  let hists =
-    Array.init nhists (fun _ ->
-        let n = get_str16 c in
-        let count = get_i64 c in
-        let sum = get_f64 c in
-        let min = get_f64 c in
-        let max = get_f64 c in
-        let p50 = get_f64 c in
-        let p90 = get_f64 c in
-        let p99 = get_f64 c in
-        (n, { Stats.count; sum; min; max; p50; p90; p99 }))
-  in
-  {
-    Stats.s_wall_s;
-    s_events_per_sec;
-    s_pool_occupancy;
-    s_sessions_live;
-    s_sessions_started;
-    s_sessions_resumed;
-    s_sheds;
-    s_protocol_errors;
-    s_deadline_kills;
-    s_events_total;
-    s_wal_bytes;
-    s_out_backlog;
-    s_out_backlog_hw;
-    s_grammar_symbols;
-    s_grammar_budget;
-    s_flight_events;
-    s_flight_dropped;
-    s_flight_dumps;
-    s_rows_truncated;
-    s_rows = Array.to_list rows;
-    s_counters = Array.to_list counters;
-    s_gauges = Array.to_list gauges;
-    s_hists = Array.to_list hists;
-  }
-
 (* An [Ev] payload is one journal line: one newline, at the end, before
    which {!Ormp_trace.Trace_file.parse_line} accepts the bytes — exactly
    the lines the renderer writes. Anything else (a type name holding a
@@ -473,7 +292,10 @@ let parse c =
   | 'P' -> finish Ping
   | 'Q' -> finish Pong
   | 'T' -> finish Stats_req
-  | 'U' -> finish (Stats (get_stats c))
+  | 'U' -> (
+    match Stats.of_string (Bytes.sub_string c.b c.pos (c.lim - c.pos)) with
+    | Ok s -> Stats s
+    | Error e -> raise (Bad ("bad stats payload: " ^ e)))
   | t -> raise (Bad (Printf.sprintf "unknown frame tag %C" t))
 
 (* --- incremental decoding ----------------------------------------------- *)

@@ -53,20 +53,19 @@ type msg =
           connection at any time, including before [Hello] — a monitor
           need not own a session. *)
   | Stats of Stats.t
-      (** The snapshot, versioned: the payload leads with a layout
-          version byte and parsers reject frames from another version
-          rather than misreading them. Floats travel as raw IEEE-754
-          bits, like [Shed]'s retry hint. *)
+      (** The snapshot: its payload after the tag is {!stats_json}, the
+          versioned JSON document [serve --stats-file] writes, and the
+          decoder refuses one {!Stats.of_string} refuses. *)
 
 val max_frame : int
 (** Upper bound on the payload length field; larger claims are protocol
     errors, so a torn or malicious length prefix cannot make the server
     buffer unboundedly. *)
 
-val max_stats_rows : int
-(** Per-session rows beyond this are dropped from a [Stats] frame (and
-    the snapshot flagged truncated) so the reply stays under
-    {!max_frame} on any daemon. *)
+val stats_json : Stats.t -> string
+(** [Stats.to_string] cut to fit a frame: session rows that would take
+    the payload past {!max_frame} are dropped and the snapshot flagged
+    truncated. *)
 
 val encode : msg -> string
 (** The full frame: header, payload and CRC trailer. *)

@@ -93,22 +93,25 @@ let policy_of_string s =
       | None -> Error ("bad policy " ^ s))
     | _ -> Error ("unknown policy " ^ s))
 
-let write_manifest w (workload, (config : Ormp_vm.Config.t), (options : options)) =
+let write_manifest w (workload, (config : Ormp_vm.Config.t option), (options : options)) =
   W.nested w "ormp-session";
   W.int_field w "version" 1;
   W.flat w "workload";
   W.atom w workload;
   W.close w;
-  W.nested w "config";
-  W.flat w "policy";
-  W.atom w (policy_to_string config.policy);
-  W.close w;
-  W.int_field w "heap-base" config.heap_base;
-  W.int_field w "static-base" config.static_base;
-  W.int_field w "static-gap" config.static_gap;
-  W.int_field w "align" config.align;
-  W.int_field w "seed" config.seed;
-  W.close w;
+  Option.iter
+    (fun (config : Ormp_vm.Config.t) ->
+      W.nested w "config";
+      W.flat w "policy";
+      W.atom w (policy_to_string config.policy);
+      W.close w;
+      W.int_field w "heap-base" config.heap_base;
+      W.int_field w "static-base" config.static_base;
+      W.int_field w "static-gap" config.static_gap;
+      W.int_field w "align" config.align;
+      W.int_field w "seed" config.seed;
+      W.close w)
+    config;
   W.nested w "options";
   W.int_field w "checkpoint-every" options.checkpoint_every;
   W.int_field w "watch-every" options.watch_every;
@@ -119,13 +122,7 @@ let write_manifest w (workload, (config : Ormp_vm.Config.t), (options : options)
   W.close w;
   W.close w
 
-let read_manifest r =
-  R.nested r "ormp-session";
-  let v = R.int_field r "version" in
-  if v <> 1 then R.fail r (Printf.sprintf "unsupported manifest version %d" v);
-  R.flat r "workload";
-  let workload = R.atom r in
-  R.close r;
+let read_config r =
   R.nested r "config";
   R.flat r "policy";
   let policy_s = R.atom r in
@@ -142,6 +139,16 @@ let read_manifest r =
   let align = R.int_field r "align" in
   let seed = R.int_field r "seed" in
   R.close r;
+  { Ormp_vm.Config.policy; heap_base; static_base; static_gap; align; seed }
+
+let read_manifest r =
+  R.nested r "ormp-session";
+  let v = R.int_field r "version" in
+  if v <> 1 then R.fail r (Printf.sprintf "unsupported manifest version %d" v);
+  R.flat r "workload";
+  let workload = R.atom r in
+  R.close r;
+  let config = R.optional r "config" read_config in
   R.nested r "options";
   let checkpoint_every = R.int_field r "checkpoint-every" in
   let watch_every = R.int_field r "watch-every" in
@@ -157,8 +164,15 @@ let read_manifest r =
   R.close r;
   R.close r;
   ( workload,
-    { Ormp_vm.Config.policy; heap_base; static_base; static_gap; align; seed },
+    config,
     { checkpoint_every; watch_every; grammar_budget; max_streams; leap_budget; keep } )
+
+let save_manifest ~dir manifest =
+  Storage.write_atomic ~path:(dir // manifest_file) (W.render write_manifest manifest ^ "\n")
+
+let load_manifest ~dir =
+  R.load (dir // manifest_file) read_manifest
+  |> Result.map_error (Printf.sprintf "no session in %s: %s" dir)
 
 (* --- workload lookup --------------------------------------------------- *)
 
@@ -653,21 +667,26 @@ let run ?io ?heartbeat_every ?jobs ?(config = Ormp_vm.Config.default)
   if Sys.file_exists (dir // manifest_file) then
     Error (Printf.sprintf "session already exists in %s (use resume)" dir)
   else begin
-    Storage.write_atomic ~path:(dir // manifest_file)
-      (W.render write_manifest (workload, config, options) ^ "\n");
+    save_manifest ~dir (workload, Some config, options);
     drive ?io ?heartbeat_every ?jobs ~dir ~workload ~config ~options ~resume:false ()
   end
 
-let load_manifest dir =
-  R.load (dir // manifest_file) read_manifest
-  |> Result.map_error (Printf.sprintf "no session in %s: %s" dir)
-
 let resume ?io ?heartbeat_every ?jobs ~dir () =
-  let* workload, config, options = load_manifest dir in
-  drive ?io ?heartbeat_every ?jobs ~dir ~workload ~config ~options ~resume:true ()
+  match load_manifest ~dir with
+  | Error _ as e -> e
+  | Ok (_, None, _) ->
+    (* A daemon session lives in ROOT/sessions/<token>. *)
+    Error
+      (Printf.sprintf
+         "the session in %s was started by `ormp serve` and has no VM config to \
+          re-execute: resume it by reconnecting its client to `ormp serve --root %s`"
+         dir
+         (Filename.dirname (Filename.dirname dir)))
+  | Ok (workload, Some config, options) ->
+    drive ?io ?heartbeat_every ?jobs ~dir ~workload ~config ~options ~resume:true ()
 
 let status ~dir =
-  let* workload, _, _ = load_manifest dir in
+  let* workload, _, _ = load_manifest ~dir in
   let snap, journal =
     match recover ~dir ~load:Snapshot.load_header ~header:Fun.id with
     | Ok (snap, r) -> (snap, Some r.Journal.count)

@@ -50,12 +50,20 @@ type status_info = {
   st_complete : bool;  (** final profiles + report written *)
 }
 
-val write_manifest : Ormp_util.Sexp.Writer.t -> string * Ormp_vm.Config.t * options -> unit
+val write_manifest :
+  Ormp_util.Sexp.Writer.t -> string * Ormp_vm.Config.t option * options -> unit
 (** The [manifest] file: the workload, VM configuration and options that
-    identify a session, which {!resume} reads back. *)
+    identify a session, which {!resume} reads back. A session whose
+    events come off the wire ([ormp serve]) has no VM configuration. *)
 
-val read_manifest : Ormp_util.Sexp.Reader.t -> string * Ormp_vm.Config.t * options
+val read_manifest : Ormp_util.Sexp.Reader.t -> string * Ormp_vm.Config.t option * options
 (** The mirror of {!write_manifest}. *)
+
+val save_manifest : dir:string -> string * Ormp_vm.Config.t option * options -> unit
+(** Write [dir]'s manifest atomically. *)
+
+val load_manifest : dir:string -> (string * Ormp_vm.Config.t option * options, string) result
+(** Read [dir]'s manifest; [Error] names [dir]. *)
 
 val find_workload : string -> (Ormp_vm.Program.t, string) result
 (** Resolve by {!Ormp_workloads.Registry} name/spec-ref, then by
@@ -182,7 +190,9 @@ val resume :
     remainder, and finish exactly as {!run} would have — the three
     profile files are byte-identical. When {!restore} returns [Error]
     (an unreadable or poisoned journal), the session starts over from
-    scratch under the same manifest: correct, just slower. *)
+    scratch under the same manifest: correct, just slower. A manifest
+    with no VM configuration (a daemon session) is [Error]: there is
+    nothing to re-execute. *)
 
 val status : dir:string -> (status_info, string) result
 (** What {!restore} would start from, found through the same recovery.

@@ -5,12 +5,12 @@
    overwrite-oldest with a dropped counter, never grow — because a
    recorder must not OOM the process it is recording.
 
-   A dump writes two files: `trace.json`, a Chrome trace_event document
+   A dump writes one file, `trace.json`: a Chrome trace_event document
    of zero-duration B/E pairs (one per recorded event, args carrying the
-   session token and detail) that passes [Spans.validate_json]; and
-   `record.sexp`, the same events plus the dump reason in a
-   grep-friendly sexp. Single-writer: the daemon's select loop owns the
-   ring, so there is no locking. *)
+   session token and detail) that passes [Spans.validate_json], with the
+   dump reason and the recorded and dropped counts in its `otherData`.
+   Single-writer: the daemon's select loop owns the ring, so there is no
+   locking. *)
 
 type event = { ts_ns : int64; kind : string; session : string; detail : string }
 
@@ -50,15 +50,13 @@ let fold f acc t =
   done;
   !acc
 
-let events t = List.rev (fold (fun acc e -> e :: acc) [] t)
-
 (* --- export ------------------------------------------------------------ *)
 
 (* Each event becomes an instantaneous B/E pair (same name, same tid,
    same timestamp) so the document satisfies the strict LIFO pairing
    that [Spans.validate_json] enforces; session/detail ride in args,
    which the validator ignores. *)
-let to_trace_json t =
+let to_trace_json t ~reason =
   let module J = Ormp_util.Json in
   let events =
     fold
@@ -82,33 +80,19 @@ let to_trace_json t =
       [] t
   in
   J.Obj
-    [ ("traceEvents", J.List (List.rev events)); ("displayTimeUnit", J.String "ns") ]
-
-let to_sexp ?(reason = "") t =
-  let module S = Ormp_util.Sexp in
-  let evs =
-    List.map
-      (fun e ->
-        S.List
-          [
-            S.Atom (Int64.to_string e.ts_ns);
-            S.Atom e.kind;
-            S.Atom e.session;
-            S.Atom e.detail;
-          ])
-      (events t)
-  in
-  S.List
     [
-      S.Atom "flight";
-      S.field "reason" [ S.Atom reason ];
-      S.field "recorded" [ S.int (recorded t) ];
-      S.field "dropped" [ S.int (dropped t) ];
-      S.field "events" evs;
+      ("traceEvents", J.List (List.rev events));
+      ("displayTimeUnit", J.String "ns");
+      ( "otherData",
+        J.Obj
+          [
+            ("reason", J.String reason);
+            ("recorded", J.Int (recorded t));
+            ("dropped", J.Int (dropped t));
+          ] );
     ]
 
 let trace_file = "trace.json"
-let record_file = "record.sexp"
 
 (* A bundle directory holds files only. *)
 let remove_bundle d =
@@ -133,10 +117,9 @@ let dump t ~dir ~reason : (unit, string) result =
       (Sys.readdir parent);
     Sys.mkdir tmp 0o755;
     let oc = open_out_bin (Filename.concat tmp trace_file) in
-    output_string oc (Ormp_util.Json.to_string (to_trace_json t));
+    output_string oc (Ormp_util.Json.to_string (to_trace_json t ~reason));
     output_char oc '\n';
     close_out oc;
-    Ormp_util.Sexp.save (Filename.concat tmp record_file) (to_sexp ~reason t);
     remove_bundle dir;
     Sys.rename tmp dir;
     Ok ()

@@ -226,6 +226,8 @@ type snapshot = {
   snap_hists : (string * hist_summary) list;
 }
 
+let empty = { snap_counters = []; snap_gauges = []; snap_hists = [] }
+
 let snapshot () =
   Mutex.lock registry_mutex;
   let defs = Ormp_util.Vec.to_array defs in
@@ -315,63 +317,11 @@ let reset () =
 
 (* --- export ------------------------------------------------------------ *)
 
-let to_sexp snap =
-  let module S = Ormp_util.Sexp in
-  let float_atom f = S.Atom (Printf.sprintf "%.6g" f) in
-  S.List
-    [
-      S.List
-        (S.Atom "counters"
-        :: List.map (fun (n, v) -> S.List [ S.Atom n; S.int v ]) snap.snap_counters);
-      S.List
-        (S.Atom "gauges"
-        :: List.map (fun (n, v) -> S.List [ S.Atom n; float_atom v ]) snap.snap_gauges);
-      S.List
-        (S.Atom "histograms"
-        :: List.map
-             (fun (n, h) ->
-               S.List
-                 [
-                   S.Atom n;
-                   S.field "count" [ S.int h.count ];
-                   S.field "sum" [ float_atom h.sum ];
-                   S.field "min" [ float_atom h.min ];
-                   S.field "max" [ float_atom h.max ];
-                   S.field "p50" [ float_atom h.p50 ];
-                   S.field "p90" [ float_atom h.p90 ];
-                   S.field "p99" [ float_atom h.p99 ];
-                 ])
-             snap.snap_hists);
-    ]
+module J = Ormp_util.Json
 
-(* One histogram-rendering convention shared by `ormp stats` and the
-   daemon's live stats snapshot: same column order, same %.6g formatting. *)
-let hist_header = [ "histogram"; "count"; "sum"; "min"; "max"; "p50"; "p90"; "p99" ]
-
-let hist_row name (h : hist_summary) =
-  let f v = Printf.sprintf "%.6g" v in
-  [ name; string_of_int h.count; f h.sum; f h.min; f h.max; f h.p50; f h.p90; f h.p99 ]
-
-(* Parse one histogram object as emitted by [to_json] back into a summary
-   (used by the CLI renderers); [None] if any field is missing/mistyped. *)
-let hist_summary_of_json (j : Ormp_util.Json.t) : hist_summary option =
-  let module J = Ormp_util.Json in
-  try
-    let num k = Option.get (Option.bind (J.member k j) J.to_float) in
-    Some
-      {
-        count = Option.get (Option.bind (J.member "count" j) J.to_int);
-        sum = num "sum";
-        min = num "min";
-        max = num "max";
-        p50 = num "p50";
-        p90 = num "p90";
-        p99 = num "p99";
-      }
-  with Invalid_argument _ -> None
-
+(* The registry's one encoding: `metrics.json` and the registry block of
+   the daemon's Stats snapshot. [read] is its mirror. *)
 let to_json snap =
-  let module J = Ormp_util.Json in
   J.Obj
     [
       ("counters", J.Obj (List.map (fun (n, v) -> (n, J.Int v)) snap.snap_counters));
@@ -393,3 +343,49 @@ let to_json snap =
                    ] ))
              snap.snap_hists) );
     ]
+
+let read_hist j =
+  let m = J.obj j in
+  let count = J.field m "count" J.int in
+  let sum = J.field m "sum" J.number in
+  let min = J.field m "min" J.number in
+  let max = J.field m "max" J.number in
+  let p50 = J.field m "p50" J.number in
+  let p90 = J.field m "p90" J.number in
+  let p99 = J.field m "p99" J.number in
+  J.close m;
+  { count; sum; min; max; p50; p90; p99 }
+
+(* Raises as the {!Ormp_util.Json} readers do; run it under
+   [Json.decode], or embedded in a larger decoder. *)
+let read j =
+  let m = J.obj j in
+  let snap_counters = J.field m "counters" (J.pairs J.int) in
+  let snap_gauges = J.field m "gauges" (J.pairs J.number) in
+  let snap_hists = J.field m "histograms" (J.pairs read_hist) in
+  J.close m;
+  { snap_counters; snap_gauges; snap_hists }
+
+let of_json = J.decode read
+
+(* The one rendering of a snapshot, shared by `ormp stats` and `ormp
+   top`: a "registry" banner, then a table per kind that has entries,
+   counters as integers, every float as %.6g. Empty for an empty
+   snapshot. *)
+let render snap =
+  let module A = Ormp_util.Ascii in
+  let f = Printf.sprintf "%.6g" in
+  let table header rows = if rows = [] then "" else A.table ~header ~rows ^ "\n" in
+  match
+    table [ "counter"; "value" ]
+      (List.map (fun (n, v) -> [ n; string_of_int v ]) snap.snap_counters)
+    ^ table [ "gauge"; "value" ] (List.map (fun (n, v) -> [ n; f v ]) snap.snap_gauges)
+    ^ table
+        [ "histogram"; "count"; "sum"; "min"; "max"; "p50"; "p90"; "p99" ]
+        (List.map
+           (fun (n, h) ->
+             [ n; string_of_int h.count; f h.sum; f h.min; f h.max; f h.p50; f h.p90; f h.p99 ])
+           snap.snap_hists)
+  with
+  | "" -> ""
+  | tables -> A.section "registry" ^ "\n" ^ tables

@@ -18,21 +18,18 @@ let now_ns = Ormp_util.Clock.now_ns
 let span = Spans.span
 
 (* Export file names under the --telemetry directory. *)
-let metrics_sexp_file = "metrics.sexp"
 let metrics_json_file = "metrics.json"
 let trace_file = "trace.json"
 
 let write_reports ~dir =
   Ormp_util.Fs.mkdirs dir;
-  let snap = Metrics.snapshot () in
-  Ormp_util.Sexp.save (Filename.concat dir metrics_sexp_file) (Metrics.to_sexp snap);
   let write_json name j =
     let oc = open_out (Filename.concat dir name) in
     output_string oc (Ormp_util.Json.to_string j);
     output_char oc '\n';
     close_out oc
   in
-  write_json metrics_json_file (Metrics.to_json snap);
+  write_json metrics_json_file (Metrics.to_json (Metrics.snapshot ()));
   write_json trace_file (Spans.to_json ())
 
 let reset () =

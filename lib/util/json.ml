@@ -1,7 +1,7 @@
 (* Minimal JSON: just enough to emit the telemetry exports (metrics
-   snapshots, Chrome trace-event files) and the bench harness's
-   BENCH_ormp.json, and to parse them back for validation and the perf
-   guard — the repo deliberately carries no JSON dependency.
+   snapshots, the daemon's Stats snapshot, Chrome trace-event files) and
+   the bench harness's BENCH_ormp.json, and to parse them back — the repo
+   deliberately carries no JSON dependency.
 
    Emission notes: non-finite floats have no JSON encoding and render as
    null; object member order is preserved. *)
@@ -68,6 +68,11 @@ let to_string t =
 (* --- parsing ---------------------------------------------------------- *)
 
 exception Parse_error of string
+
+(* The parser recurses once per nesting level, and the daemon parses
+   what clients send, so deeper documents are refused. Everything the
+   repo writes nests four levels or fewer. *)
+let max_depth = 64
 
 let of_string s =
   let n = String.length s in
@@ -155,7 +160,9 @@ let of_string s =
       advance ()
     done;
     let lit = String.sub s start (!pos - start) in
-    if String.exists (function '.' | 'e' | 'E' -> true | _ -> false) lit then
+    (* [%.6g] prints -0.0 as "-0", which no integer renders to. *)
+    if lit = "-0" then Float (-0.0)
+    else if String.exists (function '.' | 'e' | 'E' -> true | _ -> false) lit then
       match float_of_string_opt lit with Some f -> Float f | None -> fail "bad number"
     else
       match int_of_string_opt lit with
@@ -163,7 +170,12 @@ let of_string s =
       | None -> (
         match float_of_string_opt lit with Some f -> Float f | None -> fail "bad number")
   in
-  let rec parse_value () =
+  (* [depth] lists and objects enclose the value being parsed. *)
+  let enter depth =
+    if depth >= max_depth then fail (Printf.sprintf "nesting deeper than %d" max_depth);
+    advance ()
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -172,7 +184,7 @@ let of_string s =
     | Some 'f' -> literal "false" (Bool false)
     | Some '"' -> String (parse_string ())
     | Some '[' ->
-      advance ();
+      enter depth;
       skip_ws ();
       if peek () = Some ']' then begin
         advance ();
@@ -181,7 +193,7 @@ let of_string s =
       else begin
         let items = ref [] in
         let rec go () =
-          items := parse_value () :: !items;
+          items := parse_value (depth + 1) :: !items;
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -194,7 +206,7 @@ let of_string s =
         List (List.rev !items)
       end
     | Some '{' ->
-      advance ();
+      enter depth;
       skip_ws ();
       if peek () = Some '}' then begin
         advance ();
@@ -207,7 +219,7 @@ let of_string s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           fields := (k, v) :: !fields;
           skip_ws ();
           match peek () with
@@ -223,7 +235,7 @@ let of_string s =
     | Some _ -> parse_number ()
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing input";
     v
@@ -242,3 +254,56 @@ let to_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -
 let to_int = function Int i -> Some i | _ -> None
 
 let to_str = function String s -> Some s | _ -> None
+
+(* --- decoding ------------------------------------------------------------ *)
+
+(* A decoder reads a document the way its encoder built it: an object's
+   members one by one in the encoder's order, then nothing more. The
+   first value it meets that the encoder could not have written raises
+   [Mismatch], which [decode] turns into one [Error]. *)
+exception Mismatch of string
+
+let mismatch what j =
+  let s = to_string j in
+  let s = if String.length s > 40 then String.sub s 0 40 ^ "..." else s in
+  raise (Mismatch (Printf.sprintf "expected %s, found %s" what s))
+
+let decode read j = try Ok (read j) with Mismatch m -> Error m
+let fail m = raise (Mismatch m)
+
+type members = (string * t) list ref
+
+let obj = function Obj members -> ref members | j -> mismatch "an object" j
+
+let field (r : members) name read =
+  match !r with
+  | (k, v) :: rest when k = name ->
+    r := rest;
+    (try read v with Mismatch m -> raise (Mismatch (name ^ ": " ^ m)))
+  | (k, _) :: _ -> raise (Mismatch (Printf.sprintf "expected member %S, found %S" name k))
+  | [] -> raise (Mismatch (Printf.sprintf "expected member %S, found the end" name))
+
+let close (r : members) =
+  match !r with
+  | [] -> ()
+  | (k, _) :: _ -> raise (Mismatch (Printf.sprintf "unexpected member %S" k))
+
+let int = function Int n -> n | j -> mismatch "an integer" j
+
+(* [to_buf] writes every non-finite float as null. *)
+let number = function
+  | Float f -> f
+  | Int n -> float_of_int n
+  | Null -> Float.nan
+  | j -> mismatch "a number" j
+
+let string = function String s -> s | j -> mismatch "a string" j
+let bool = function Bool b -> b | j -> mismatch "a boolean" j
+let list read = function List xs -> List.map read xs | j -> mismatch "a list" j
+
+let pairs read = function
+  | Obj members ->
+    List.map
+      (fun (k, v) -> (k, try read v with Mismatch m -> raise (Mismatch (k ^ ": " ^ m))))
+      members
+  | j -> mismatch "an object" j

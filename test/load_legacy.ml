@@ -224,7 +224,7 @@ module Grammar = struct
           | _ -> Ok rules)
         (Ok []) args
     in
-    match Seq_c.of_rules (List.rev rules) with
+    match Seq_c.of_rules ~bound:max_int (List.rev rules) with
     | Ok g -> Ok (dim, g)
     | Error e -> Error (Printf.sprintf "grammar %s: %s" dim e)
 end
@@ -695,15 +695,21 @@ module Manifest = struct
       if v <> 1 then Error (Printf.sprintf "unsupported manifest version %d" v)
       else
         let* workload = S.atom_field "workload" body in
-        let* cargs = S.assoc "config" body in
-        let cbody = S.List (S.Atom "_" :: cargs) in
-        let* policy_s = S.atom_field "policy" cbody in
-        let* policy = policy_of_string policy_s in
-        let* heap_base = S.int_field "heap-base" cbody in
-        let* static_base = S.int_field "static-base" cbody in
-        let* static_gap = S.int_field "static-gap" cbody in
-        let* align = S.int_field "align" cbody in
-        let* seed = S.int_field "seed" cbody in
+        (* A daemon session's manifest has no config. *)
+        let* config =
+          match S.assoc "config" body with
+          | Error _ -> Ok None
+          | Ok cargs ->
+            let cbody = S.List (S.Atom "_" :: cargs) in
+            let* policy_s = S.atom_field "policy" cbody in
+            let* policy = policy_of_string policy_s in
+            let* heap_base = S.int_field "heap-base" cbody in
+            let* static_base = S.int_field "static-base" cbody in
+            let* static_gap = S.int_field "static-gap" cbody in
+            let* align = S.int_field "align" cbody in
+            let* seed = S.int_field "seed" cbody in
+            Ok (Some { Ormp_vm.Config.policy; heap_base; static_base; static_gap; align; seed })
+        in
         let* oargs = S.assoc "options" body in
         let obody = S.List (S.Atom "_" :: oargs) in
         let* checkpoint_every = S.int_field "checkpoint-every" obody in
@@ -714,7 +720,7 @@ module Manifest = struct
         let* keep = S.int_field "keep" obody in
         Ok
           ( workload,
-            { Ormp_vm.Config.policy; heap_base; static_base; static_gap; align; seed },
+            config,
             {
               Session.checkpoint_every;
               watch_every;

@@ -12,9 +12,6 @@
 
 module Client = Ormp_server.Client
 module Net_fault = Ormp_workloads.Faults.Net
-module Spans = Ormp_telemetry.Spans
-module Sexp = Ormp_util.Sexp
-module J = Ormp_util.Json
 
 let ormp = Sys.argv.(1)
 let root = "smoke.serve"
@@ -135,24 +132,11 @@ let () =
       fail "session tok-%d journal differs from the rendered event stream" i
   done;
   (* the faults above leave flight bundles behind; each one must be a
-     valid post-mortem (span-checked trace + loadable record) *)
-  let flight_dir = Filename.concat root "flight" in
-  let bundles = if Sys.file_exists flight_dir then Sys.readdir flight_dir else [||] in
-  Array.iter
-    (fun name ->
-      let dir = Filename.concat flight_dir name in
-      (match Result.map Spans.validate_json (J.of_string (read_file (Filename.concat dir "trace.json"))) with
-      | Ok (Ok _) -> ()
-      | Ok (Error e) -> fail "flight bundle %s: trace.json invalid: %s" name e
-      | Error e -> fail "flight bundle %s: trace.json unparsable: %s" name e);
-      match Sexp.Reader.(load (Filename.concat dir "record.sexp") skip) with
-      | Ok () -> ()
-      | Error e -> fail "flight bundle %s: record.sexp: %s" name e)
-    bundles;
-  if Array.length bundles = 0 then
-    fail "no flight bundle on disk despite wire faults and a kill -9 resume";
+     valid post-mortem (a span-checked trace naming its reason) *)
+  let bundles = match Flight_check.validate root with Ok n -> n | Error m -> fail "%s" m in
+  if bundles = 0 then fail "no flight bundle on disk despite wire faults and a kill -9 resume";
 
   Printf.printf
     "serve-smoke OK: %d sessions (3 wire-faulted) survived kill -9 + restart with %d \
      reconnects; all profiles and journals byte-identical; %d flight bundles validated\n"
-    n_clients !reconnects (Array.length bundles)
+    n_clients !reconnects bundles

@@ -5,17 +5,16 @@
    sessions (one with injected wire faults). While they stream, an
    `ormp top SOCKET --once` subprocess must exit 0 and render the
    daemon/sessions tables from a live Stats frame. After the clients
-   finish, the periodically-exported stats.json must parse as the
-   version-1 snapshot, every flight bundle the faulted session caused
-   must validate (trace.json through the span validator, record.sexp
-   through the sexp loader), and a SIGTERM drain must exit 0. Prints one
-   OK line; any failure exits nonzero with a diagnosis. *)
+   finish, the periodically-exported stats.json must decode as the
+   current snapshot version and render back to its own bytes, every
+   flight bundle the faulted session caused must be its trace.json alone
+   (span-validated, naming its reason), the daemon root must hold no
+   heartbeat file, and a SIGTERM drain must exit 0. Prints one OK line;
+   any failure exits nonzero with a diagnosis. *)
 
 module Client = Ormp_server.Client
 module Net_fault = Ormp_workloads.Faults.Net
-module Spans = Ormp_telemetry.Spans
-module J = Ormp_util.Json
-module Sexp = Ormp_util.Sexp
+module Stats = Ormp_server.Stats
 
 let ormp = Sys.argv.(1)
 let root = "smoke.watch"
@@ -80,37 +79,6 @@ let run_capture argv =
   | _, Unix.WEXITED c -> (c, Buffer.contents buf)
   | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) -> fail "%s died on signal %d" argv.(0) s
 
-let validate_flight_bundles () =
-  let flight_dir = Filename.concat root "flight" in
-  let bundles =
-    if Sys.file_exists flight_dir then Sys.readdir flight_dir else [||]
-  in
-  Array.iter
-    (fun name ->
-      let dir = Filename.concat flight_dir name in
-      let trace = read_file (Filename.concat dir "trace.json") in
-      (match Result.map Spans.validate_json (J.of_string trace) with
-      | Ok (Ok _) -> ()
-      | Ok (Error e) -> fail "flight bundle %s: trace.json invalid: %s" name e
-      | Error e -> fail "flight bundle %s: trace.json unparsable: %s" name e);
-      (* The bundle opens with its reason; the rest must be well formed. *)
-      let reason r =
-        Sexp.Reader.(
-          nested r "flight";
-          flat r "reason";
-          ignore (atom r);
-          close r;
-          while more r do
-            skip r
-          done;
-          close r)
-      in
-      match Sexp.Reader.load (Filename.concat dir "record.sexp") reason with
-      | Ok () -> ()
-      | Error e -> fail "flight bundle %s: record.sexp: %s" name e)
-    bundles;
-  Array.length bundles
-
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   rm_rf root;
@@ -172,17 +140,13 @@ let () =
     end
   in
   wait_stats 100;
-  (match J.of_string (read_file stats_file) with
-  | Error e -> fail "stats.json does not parse: %s" e
-  | Ok j -> (
-    (match Option.bind (J.member "version" j) J.to_int with
-    | Some 1 -> ()
-    | v -> fail "stats.json version = %s" (match v with Some n -> string_of_int n | None -> "missing"));
-    match J.member "daemon" j with
-    | Some _ -> ()
-    | None -> fail "stats.json has no daemon section"));
+  (let text = read_file stats_file in
+   match Stats.of_string text with
+   | Error e -> fail "stats.json does not decode: %s" e
+   | Ok s ->
+     if Ormp_server.Wire.stats_json s <> text then fail "stats.json does not render back");
 
-  let bundles = validate_flight_bundles () in
+  let bundles = match Flight_check.validate root with Ok n -> n | Error m -> fail "%s" m in
   if bundles = 0 then fail "no flight bundle on disk despite a faulted session";
 
   (* graceful drain must exit 0 *)
@@ -193,6 +157,6 @@ let () =
   | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) -> fail "daemon died on signal %d" s);
 
   Printf.printf
-    "watch-smoke OK: ormp top rendered a live snapshot, stats.json exported v1, %d \
+    "watch-smoke OK: ormp top rendered a live snapshot, stats.json exported v%d, %d \
      flight bundle(s) validated, drain exited 0\n"
-    bundles
+    Stats.version bundles

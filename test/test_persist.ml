@@ -693,8 +693,12 @@ let lossy_leap () =
 
 let manifest_value =
   ( "two words",
-    { Ormp_vm.Config.default with policy = Ormp_memsim.Allocator.Randomized 7 },
+    Some { Ormp_vm.Config.default with policy = Ormp_memsim.Allocator.Randomized 7 },
     { Session.default_options with checkpoint_every = 500; leap_budget = Some 5 } )
+
+(* What the daemon writes: no VM config. *)
+let daemon_manifest_value =
+  ("linked_list", None, { Session.default_options with max_streams = 1 })
 
 let heartbeat_value =
   {
@@ -765,6 +769,9 @@ let cases =
        case "snapshot" ~text:(W.render Snapshot.write snap) ~read:Snapshot.read
          ~oracle:Old.Snapshot_payload.of_sexp ~write:Snapshot.write;
        case "manifest" ~text:(file Session.write_manifest manifest_value)
+         ~read:Session.read_manifest ~oracle:Old.Manifest.manifest_of_sexp
+         ~write:Session.write_manifest;
+       case "daemon manifest" ~text:(file Session.write_manifest daemon_manifest_value)
          ~read:Session.read_manifest ~oracle:Old.Manifest.manifest_of_sexp
          ~write:Session.write_manifest;
        case "heartbeat" ~text:(W.render Heartbeat.write heartbeat_value) ~read:Heartbeat.read
@@ -1039,7 +1046,8 @@ let test_read_int_allocation_free () =
 let test_manifest_heartbeat_eq_legacy () =
   let workload, config, options = manifest_value in
   Alcotest.(check string) "manifest"
-    (Legacy.Render.to_string (Legacy.manifest_to_sexp ~workload ~config ~options))
+    (Legacy.Render.to_string
+       (Legacy.manifest_to_sexp ~workload ~config:(Option.get config) ~options))
     (W.render Session.write_manifest manifest_value);
   Alcotest.(check string) "heartbeat"
     (Legacy.Render.to_string (Legacy.heartbeat_to_sexp heartbeat_value))

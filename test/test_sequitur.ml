@@ -369,7 +369,7 @@ let test_restore_heap () =
   List.iter
     (fun (name, a) ->
       let t = compress a in
-      match Sequitur.of_rules (Sequitur.rules t) with
+      match Sequitur.of_rules ~bound:max_int (Sequitur.rules t) with
       | Error e -> Alcotest.fail (name ^ ": " ^ e)
       | Ok r ->
         check_bool (name ^ ": same rules") true (Sequitur.rules r = Sequitur.rules t);
@@ -439,15 +439,17 @@ let test_expansion_length () =
       ("no start rule", [ (1, [ `T 1; `T 2 ]) ]);
     ]
 
-(* [of_rules] accepts exactly the listings a compressor writes: the same
-   expansion listed any other way is an error. *)
+(* [of_rules] accepts exactly the listings a compressor writes, within
+   the caller's bound: the same expansion listed any other way is an
+   error. *)
 let test_of_rules_rejects_other_listings () =
   let listing = Sequitur.rules (compress (of_string "abcbcabcbc")) in
-  check_bool "own listing loads" true (Result.is_ok (Sequitur.of_rules listing));
+  check_bool "own listing loads" true (Result.is_ok (Sequitur.of_rules ~bound:10 listing));
+  check_bool "one short of the bound" true (Result.is_error (Sequitur.of_rules ~bound:9 listing));
   let a = Char.code 'a' and b = Char.code 'b' in
   List.iter
     (fun (name, rules) ->
-      check_bool name true (Result.is_error (Sequitur.of_rules rules)))
+      check_bool name true (Result.is_error (Sequitur.of_rules ~bound:max_int rules)))
     [
       ("repeated digram", [ (0, [ `T a; `T b; `T a; `T b ]) ]);
       ("rule used once", [ (0, [ `N 1 ]); (1, [ `T a; `T b ]) ]);

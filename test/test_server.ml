@@ -241,6 +241,17 @@ let test_wire_partial_frame_buffers () =
 
 (* --- stats frame codec --------------------------------------------------- *)
 
+let hist_summary count sum mn mx q =
+  {
+    Ormp_telemetry.Metrics.count;
+    sum;
+    min = mn;
+    max = mx;
+    p50 = q;
+    p90 = q *. 2.0;
+    p99 = q *. 3.0;
+  }
+
 let sample_stats () =
   {
     Stats.s_wall_s = 12.5;
@@ -256,6 +267,8 @@ let sample_stats () =
     s_wal_bytes = 73000;
     s_out_backlog = 0;
     s_out_backlog_hw = 4096;
+    s_live_objects = 96;
+    s_leap_streams = 7;
     s_grammar_symbols = 512;
     s_grammar_budget = 0;
     s_flight_events = 9;
@@ -271,27 +284,17 @@ let sample_stats () =
           r_journal_bytes = 73000;
           r_journal_lag = 0;
           r_events_per_sec = 125000.0;
-          (* 2.5 again stresses the high exponent bits in transit *)
           r_ack_p50_ms = 2.5;
           r_ack_p99_ms = 9.75;
           r_ring_occupancy = 0.125;
         };
       ];
-    s_counters = [ ("serve.stats_requests", 4) ];
-    s_gauges = [ ("pool.occupancy", 0.25) ];
-    s_hists =
-      [
-        ( "serve.ack_flush_ns",
-          {
-            Stats.count = 4;
-            sum = 1500.0;
-            min = 100.0;
-            max = 800.0;
-            p50 = 300.0;
-            p90 = 700.0;
-            p99 = 800.0;
-          } );
-      ];
+    s_registry =
+      {
+        Ormp_telemetry.Metrics.snap_counters = [ ("serve.stats_requests", 4) ];
+        snap_gauges = [ ("pool.occupancy", 0.25) ];
+        snap_hists = [ ("serve.ack_flush_ns", hist_summary 4 1500.0 100.0 800.0 300.0) ];
+      };
   }
 
 let decode_one s =
@@ -299,14 +302,14 @@ let decode_one s =
   Wire.feed dec (Bytes.of_string s) 0 (String.length s);
   Wire.next dec
 
-(* Byte-for-byte re-encoding sidesteps float-equality pitfalls: if the
-   decoded snapshot encodes to the exact frame it came from, every field
-   survived transit. *)
+(* A frame's payload after its tag. *)
+let payload_of frame = String.sub frame 5 (String.length frame - 9)
+
 let gen_stats =
   let open QCheck.Gen in
-  let str = string_size ~gen:printable (int_bound 12) in
-  let fin = float_bound_inclusive 1.0e9 in
-  let nat = int_bound 1_000_000 in
+  let str = string_size ~gen:char (int_bound 12) in
+  let fin = oneof [ float_bound_inclusive 1.0e9; float; oneofl [ 0.0; 3.0; Float.nan ] ] in
+  let nat = oneof [ int_bound 1_000_000; int ] in
   let row =
     pair (pair str str) (pair (triple nat nat nat) (quad fin fin fin fin))
     >|= fun ( (r_token, r_workload),
@@ -324,18 +327,15 @@ let gen_stats =
       r_ring_occupancy;
     }
   in
-  let hist =
-    pair nat (quad fin fin fin fin) >|= fun (count, (sum, mn, mx, q)) ->
-    { Stats.count; sum; min = mn; max = mx; p50 = q; p90 = q *. 2.0; p99 = q *. 3.0 }
-  in
+  let hist = pair nat (quad fin fin fin fin) >|= fun (count, (sum, mn, mx, q)) -> hist_summary count sum mn mx q in
   pair
     (pair (list_size (int_bound 5) row) (triple nat nat nat))
     (pair
        (pair (list_size (int_bound 4) (pair str nat)) (list_size (int_bound 4) (pair str fin)))
-       (pair (list_size (int_bound 3) (pair str hist)) (triple fin fin fin)))
+       (pair (list_size (int_bound 3) (pair str hist)) (triple fin fin (pair fin bool))))
   >|= fun ( (s_rows, (a, b, c)),
-            ((s_counters, s_gauges), (s_hists, (s_wall_s, s_events_per_sec, s_pool_occupancy)))
-          ) ->
+            ( (snap_counters, snap_gauges),
+              (snap_hists, (s_wall_s, s_events_per_sec, (s_pool_occupancy, s_rows_truncated))) ) ) ->
   {
     Stats.s_wall_s;
     s_events_per_sec;
@@ -350,37 +350,57 @@ let gen_stats =
     s_wal_bytes = c;
     s_out_backlog = a land 1023;
     s_out_backlog_hw = a;
+    s_live_objects = b land 4095;
+    s_leap_streams = c land 255;
     s_grammar_symbols = b;
     s_grammar_budget = c;
     s_flight_events = a land 255;
     s_flight_dropped = b land 255;
     s_flight_dumps = c land 63;
-    s_rows_truncated = false;
+    s_rows_truncated;
     s_rows;
-    s_counters;
-    s_gauges;
-    s_hists;
+    s_registry = { Ormp_telemetry.Metrics.snap_counters; snap_gauges; snap_hists };
   }
 
+(* One encoding: the text [Stats.of_string] reads renders again byte for
+   byte (floats travel as %.6g, so this sidesteps float equality), and a
+   frame carries that text after its tag and decodes to a snapshot that
+   re-encodes to the same frame. *)
 let prop_stats_roundtrip =
-  QCheck.Test.make ~name:"stats frames re-encode byte-identically" ~count:60
+  QCheck.Test.make ~name:"stats frames re-encode byte-identically" ~count:200
     (QCheck.make gen_stats) (fun s ->
-      let encoded = Wire.encode (Wire.Stats s) in
-      match decode_one encoded with
-      | Ok (Some (Wire.Stats s')) -> Wire.encode (Wire.Stats s') = encoded
+      let text = Wire.stats_json s in
+      let frame = Wire.encode (Wire.Stats s) in
+      (match Stats.of_string text with
+      | Ok s' -> Ormp_util.Json.to_string (Stats.to_json s') ^ "\n" = text
+      | Error e -> QCheck.Test.fail_report e)
+      && payload_of frame = text
+      &&
+      match decode_one frame with
+      | Ok (Some (Wire.Stats s')) -> Wire.encode (Wire.Stats s') = frame
       | _ -> false)
 
+(* Re-seal a frame whose payload was edited, so only the payload check
+   can object. *)
+let frame_of_payload p =
+  let n = String.length p in
+  let b = Bytes.create (n + 8) in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.blit_string p 0 b 4 n;
+  Bytes.set_int32_be b (n + 4) (Int32.of_int (Crc32.string p));
+  Bytes.to_string b
+
+let replace_first s ~sub ~by =
+  let n = String.length sub in
+  let rec find i = if String.sub s i n = sub then i else find (i + 1) in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
 let test_stats_version_rejected () =
-  let s = Wire.encode (Wire.Stats (sample_stats ())) in
-  let b = Bytes.of_string s in
-  (* frame = u32 len | payload | u32 crc; payload byte 1 is the layout
-     version, so frame byte 5 — flip it and reseal the CRC so only the
-     version check can object *)
-  Bytes.set b 5 '\x63';
-  let len = Bytes.length b in
-  let payload = Bytes.sub_string b 4 (len - 8) in
-  Bytes.set_int32_be b (len - 4) (Int32.of_int (Crc32.string payload));
-  match decode_one (Bytes.to_string b) with
+  let text = Wire.stats_json (sample_stats ()) in
+  let other = replace_first text ~sub:(Printf.sprintf {|"version":%d|} Stats.version) ~by:{|"version":99|} in
+  check_bool "another version is refused" true (Result.is_error (Stats.of_string other));
+  match decode_one (frame_of_payload ("U" ^ other)) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown stats version was accepted"
 
@@ -398,21 +418,71 @@ let test_stats_corruption_rejected () =
   (match Wire.next dec with
   | Ok None -> ()
   | _ -> Alcotest.fail "truncated stats frame should buffer, not decode");
-  (* a CRC-valid frame whose table count lies past the payload length is
-     rejected before any array gets allocated *)
-  let empty =
-    { (sample_stats ()) with Stats.s_rows = []; s_counters = []; s_gauges = []; s_hists = [] }
+  (* CRC-valid frames whose JSON is not what [Stats.to_json] writes: a
+     missing, mistyped or unknown member, trailing bytes, a cut
+     document, hostile nesting *)
+  let text = Wire.stats_json (sample_stats ()) in
+  List.iter
+    (fun (name, bad) ->
+      check_bool (name ^ ": Stats.of_string refuses") true (Result.is_error (Stats.of_string bad));
+      match decode_one (frame_of_payload ("U" ^ bad)) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: the frame was accepted" name)
+    [
+      ("missing member", replace_first text ~sub:{|"sheds":2,|} ~by:"");
+      ("mistyped member", replace_first text ~sub:{|"sheds":2|} ~by:{|"sheds":"2"|});
+      ("integer as float", replace_first text ~sub:{|"sheds":2|} ~by:{|"sheds":2.5|});
+      ("unknown member", replace_first text ~sub:{|"sheds":2|} ~by:{|"sheds":2,"extra":1|});
+      ("reordered members", replace_first text ~sub:{|"sheds":2,"protocol_errors":1|}
+          ~by:{|"protocol_errors":1,"sheds":2|});
+      ("trailing bytes", text ^ "x");
+      ("cut document", String.sub text 0 (String.length text / 2));
+      ("1 MiB of [", String.make ((1 lsl 20) - 1) '[');
+    ]
+
+(* The rows a frame can carry are bounded by the frame, not by a count:
+   2,048 rows of the longest tokens and of workload names made of
+   control characters (each escaped as six bytes) do not fit, so rows
+   are cut in order and the snapshot says so; the registry and the
+   daemon block survive whole. *)
+let test_stats_rows_cut_to_fit () =
+  let row i =
+    {
+      Stats.r_token = Printf.sprintf "%0128d" i;
+      r_workload = String.init 64 (fun j -> Char.chr ((i + j) land 0x1f));
+      r_position = max_int - i;
+      r_journal_bytes = max_int;
+      r_journal_lag = max_int;
+      r_events_per_sec = 1.23456789e300;
+      r_ack_p50_ms = -1.5e-300;
+      r_ack_p99_ms = Float.nan;
+      r_ring_occupancy = 0.999999;
+    }
   in
-  let b = Bytes.of_string (Wire.encode (Wire.Stats empty)) in
-  (* ncounters lives right after tag+version+3 floats+15 i64s+flag+nrows:
-     payload offset 151, frame offset 155 *)
-  Bytes.set_int32_be b 155 0x00FFFFFFl;
-  let len = Bytes.length b in
-  let payload = Bytes.sub_string b 4 (len - 8) in
-  Bytes.set_int32_be b (len - 4) (Int32.of_int (Crc32.string payload));
-  match decode_one (Bytes.to_string b) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "wild stats table count was accepted"
+  let s = { (sample_stats ()) with Stats.s_rows = List.init 2048 row } in
+  let frame = Wire.encode (Wire.Stats s) in
+  check_bool "frame under max_frame" true (String.length frame - 8 <= Wire.max_frame);
+  match decode_one frame with
+  | Ok (Some (Wire.Stats s')) ->
+    let kept = List.length s'.Stats.s_rows in
+    check_bool (Printf.sprintf "rows cut (%d of 2048 kept)" kept) true (kept > 0 && kept < 2048);
+    check_bool "rows_truncated says so" true s'.Stats.s_rows_truncated;
+    Alcotest.(check (list string)) "the first rows, in order"
+      (List.init kept (fun i -> (row i).Stats.r_token))
+      (List.map (fun r -> r.Stats.r_token) s'.Stats.s_rows);
+    Alcotest.(check (list string)) "control characters survive"
+      (List.init kept (fun i -> (row i).Stats.r_workload))
+      (List.map (fun r -> r.Stats.r_workload) s'.Stats.s_rows);
+    check_bool "registry whole" true (s'.Stats.s_registry = s.Stats.s_registry);
+    (* a snapshot that fits keeps every row and stays unflagged *)
+    let small = { s with Stats.s_rows = List.init 16 row } in
+    (match decode_one (Wire.encode (Wire.Stats small)) with
+    | Ok (Some (Wire.Stats s')) ->
+      check_int "all rows kept" 16 (List.length s'.Stats.s_rows);
+      check_bool "not flagged" false s'.Stats.s_rows_truncated
+    | _ -> Alcotest.fail "a small snapshot did not decode")
+  | Ok _ -> Alcotest.fail "not a Stats frame"
+  | Error e -> Alcotest.failf "cut frame does not decode: %s" e
 
 (* --- in-process daemon harness ----------------------------------------- *)
 
@@ -422,13 +492,15 @@ type harness = {
   mutable daemon : (Daemon.t * unit Domain.t) option;
 }
 
-let start_daemon ?(jobs = 1) ?(max_sessions = 64) h =
+let start_daemon ?(jobs = 1) ?(max_sessions = 64) ?(max_streams = 0) ?stats_file h =
   assert (h.daemon = None);
   let opts =
     {
       (Daemon.default_options ~socket:h.socket ~root:h.root) with
       Daemon.jobs;
       max_sessions;
+      max_streams;
+      stats_file;
       idle_timeout_s = 10.0;
       frame_timeout_s = 2.0;
       ping_every_s = 2.0;
@@ -449,10 +521,10 @@ let stop_daemon h =
     Domain.join d;
     h.daemon <- None
 
-let with_harness ?jobs ?max_sessions f =
+let with_harness ?jobs ?max_sessions ?stats_file f =
   let root = tmpdir () in
   let h = { root; socket = Filename.concat root "ormp.sock"; daemon = None } in
-  start_daemon ?jobs ?max_sessions h;
+  start_daemon ?jobs ?max_sessions ?stats_file:(Option.map (Filename.concat root) stats_file) h;
   Fun.protect
     ~finally:(fun () ->
       stop_daemon h;
@@ -534,17 +606,31 @@ let test_every_fault_class_recovers () =
 let test_garbage_connection_isolated () =
   with_harness (fun h ->
       let deadline_s = Net_io.now () +. 5.0 in
-      let fd = Net_io.connect_unix ~path:h.socket ~deadline_s in
-      Net_io.send_all fd "\x00\x00\x00\x08not-ormp\xde\xad\xbe\xef" ~deadline_s;
+      (* raw garbage, and a CRC-valid Stats frame of 1 MiB of [ (a
+         client's Stats frame is a protocol error however it parses) *)
+      let fds =
+        List.map
+          (fun bytes ->
+            let fd = Net_io.connect_unix ~path:h.socket ~deadline_s in
+            Net_io.send_all fd bytes ~deadline_s;
+            fd)
+          [
+            "\x00\x00\x00\x08not-ormp\xde\xad\xbe\xef";
+            frame_of_payload ("U" ^ String.make (Wire.max_frame - 1) '[');
+          ]
+      in
       let b = run h "beside-garbage" in
       (* the daemon answers Err and closes us; drain to EOF *)
       let buf = Bytes.create 4096 in
-      (try
-         while Net_io.recv_into fd buf ~deadline_s > 0 do
-           ()
-         done
-       with Net_io.Timeout -> Alcotest.fail "garbage connection was not closed");
-      Net_io.close_noerr fd;
+      List.iter
+        (fun fd ->
+          (try
+             while Net_io.recv_into fd buf ~deadline_s > 0 do
+               ()
+             done
+           with Net_io.Timeout -> Alcotest.fail "garbage connection was not closed");
+          Net_io.close_noerr fd)
+        fds;
       let sb = ok_stats "neighbor of garbage" b in
       check_int "neighbor saw no reconnects" 0 sb.Client.st_reconnects;
       check_matches_reference "neighbor of garbage" (session_dir h "beside-garbage"))
@@ -753,24 +839,78 @@ let test_restart_resumes_from_journal () =
         (st.Client.st_frames < Array.length events / Batch.default_capacity + 60);
       check_matches_reference "after restart" (session_dir h "phoenix"))
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* A daemon session's manifest is the session manifest, holding the
+   options the session runs under and no VM config: `session status`
+   reads it, and `session resume` refuses it naming the daemon. A
+   session cut off under default flags and finished by a daemon started
+   with --max-streams 1 runs under the options it began with, so its
+   profiles are the reference's. *)
+let test_restart_keeps_session_options () =
+  with_harness (fun h ->
+      let cut = Net_fault.create { Net_fault.none with Net_fault.disconnect_before = Some 20 } in
+      (match run h "steady" ~attempts:1 ~net:cut with
+      | Ok _ -> Alcotest.fail "a session cut off with one attempt finished"
+      | Error _ -> ());
+      let dir = session_dir h "steady" in
+      (match Ormp_session.Session.status ~dir with
+      | Ok st ->
+        check_string "status reads the workload" "linked_list" st.Ormp_session.Session.st_workload;
+        check_bool "journaled events" true (Option.value ~default:0 st.st_journal > 0);
+        check_bool "not complete" false st.st_complete
+      | Error e -> Alcotest.failf "session status on a daemon session: %s" e);
+      (match Ormp_session.Session.resume ~dir () with
+      | Ok _ -> Alcotest.fail "resumed a daemon session without a VM config"
+      | Error e -> check_bool ("resume names the daemon: " ^ e) true (contains e "ormp serve"));
+      stop_daemon h;
+      start_daemon ~max_streams:1 h;
+      let st = ok_stats "finished under other flags" (run h "steady") in
+      check_bool "resumed, not restarted" true (st.Client.st_frames < Array.length events);
+      check_matches_reference "finished under other flags" dir;
+      (* a session left by a daemon that wrote its own manifest format is
+         refused, never run under guessed options *)
+      let old = session_dir h "old-format" in
+      Ormp_util.Fs.mkdirs old;
+      let write name text =
+        Out_channel.with_open_bin (Filename.concat old name) (fun oc -> output_string oc text)
+      in
+      write "manifest" "(ormp-serve-session (workload linked_list))\n";
+      write "journal.trace" (Ormp_trace.Trace_file.header ^ "\n");
+      let deadline_s = Net_io.now () +. 5.0 in
+      let fd = Net_io.connect_unix ~path:h.socket ~deadline_s in
+      Net_io.send_all fd
+        (Wire.encode (Wire.Hello { token = "old-format"; workload = "linked_list"; ack_every = 0 }))
+        ~deadline_s;
+      (match recv_msg fd (Wire.decoder ()) ~deadline_s with
+      | Wire.Err e -> check_bool ("refused: " ^ e) true (contains e "ormp-session")
+      | _ -> Alcotest.fail "a session with an old-format manifest was served");
+      Net_io.close_noerr fd)
+
 (* --- live introspection --------------------------------------------------- *)
 
+(* Each bundle is its trace.json alone: the trace validates and carries
+   the dump reason; the daemon root holds no heartbeat file. *)
 let validate_flight_bundles root =
+  check_bool "no daemon heartbeat file" false (Sys.file_exists (Filename.concat root "heartbeat"));
   let flight_dir = Filename.concat root "flight" in
   let bundles = if Sys.file_exists flight_dir then Sys.readdir flight_dir else [||] in
   Array.iter
     (fun name ->
       let dir = Filename.concat flight_dir name in
-      let trace = read_file (Filename.concat dir "trace.json") in
-      (match Option.map Spans.validate_json (Result.to_option (J.of_string trace)) with
-      | Some (Ok _) -> ()
-      | _ -> Alcotest.failf "flight bundle %s: trace.json does not validate" name);
-      match Load_legacy.S.load (Filename.concat dir "record.sexp") with
-      | Ok s -> (
-        match Load_legacy.S.assoc "reason" s with
+      Alcotest.(check (array string)) ("flight bundle " ^ name) [| "trace.json" |] (Sys.readdir dir);
+      match J.of_string (read_file (Filename.concat dir "trace.json")) with
+      | Error e -> Alcotest.failf "flight bundle %s: trace.json: %s" name e
+      | Ok j -> (
+        (match Spans.validate_json j with
         | Ok _ -> ()
-        | Error e -> Alcotest.failf "flight bundle %s: no reason field (%s)" name e)
-      | Error e -> Alcotest.failf "flight bundle %s: record.sexp: %s" name e)
+        | Error e -> Alcotest.failf "flight bundle %s: trace.json does not validate: %s" name e);
+        match Option.bind (Option.bind (J.member "otherData" j) (J.member "reason")) J.to_str with
+        | Some reason -> check_bool (name ^ " has a reason") true (reason <> "")
+        | None -> Alcotest.failf "flight bundle %s: no reason in trace.json" name))
     bundles;
   Array.length bundles
 
@@ -780,7 +920,7 @@ let validate_flight_bundles root =
    through a torn frame and every flight bundle the daemon dumped for it
    must validate. *)
 let test_live_stats_rows_track_positions () =
-  with_harness (fun h ->
+  with_harness ~stats_file:"stats.json" (fun h ->
       let deadline_s = Net_io.now () +. 10.0 in
       let fd = Net_io.connect_unix ~path:h.socket ~deadline_s in
       let dec = Wire.decoder () in
@@ -824,6 +964,8 @@ let test_live_stats_rows_track_positions () =
       in
       let s = recv_stats () in
       check_int "one live session" 1 s.Stats.s_sessions_live;
+      check_bool "live objects summed over sessions" true (s.Stats.s_live_objects > 0);
+      check_bool "LEAP streams summed over sessions" true (s.Stats.s_leap_streams > 0);
       check_bool "start was counted" true (s.Stats.s_sessions_started >= 1);
       (match s.Stats.s_rows with
       | [ r ] ->
@@ -855,7 +997,16 @@ let test_live_stats_rows_track_positions () =
         check_bool "flight dump was counted" true (s2.Stats.s_flight_dumps >= 1);
         check_bool "events flowed" true (s2.Stats.s_events_total > 300);
         let n = validate_flight_bundles h.root in
-        check_bool "at least one flight bundle on disk" true (n >= 1))
+        check_bool "at least one flight bundle on disk" true (n >= 1);
+        (* the stats file is a Stats frame's payload: it decodes, and
+           renders back to its own bytes *)
+        let path = Filename.concat h.root "stats.json" in
+        let rec wait n = if n > 0 && not (Sys.file_exists path) then (Unix.sleepf 0.05; wait (n - 1)) in
+        wait 100;
+        let text = read_file path in
+        match Stats.of_string text with
+        | Ok s -> check_string "stats file renders back" text (Wire.stats_json s)
+        | Error e -> Alcotest.failf "stats file does not decode: %s" e)
 
 (* An exhausted retry budget must say why the attempts failed — here,
    that the socket does not exist — plus how many were sheds and how
@@ -867,13 +1018,8 @@ let test_exhausted_budget_reports_reason () =
   (match Client.run_session ~socket ~token:"gone" ~workload:"linked_list" ~events ~retry () with
   | Ok _ -> Alcotest.fail "session against a missing socket succeeded"
   | Error m ->
-    let has sub =
-      let n = String.length sub in
-      let rec at i = i + n <= String.length m && (String.sub m i n = sub || at (i + 1)) in
-      at 0
-    in
-    check_bool ("reason in: " ^ m) true (has (Unix.error_message Unix.ENOENT));
-    check_bool ("counts in: " ^ m) true (has "0 shed, 2 reconnects"));
+    check_bool ("reason in: " ^ m) true (contains m (Unix.error_message Unix.ENOENT));
+    check_bool ("counts in: " ^ m) true (contains m "0 shed, 2 reconnects"));
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
@@ -893,6 +1039,8 @@ let () =
           Alcotest.test_case "stats version is checked" `Quick test_stats_version_rejected;
           Alcotest.test_case "stats corruption is rejected" `Quick
             test_stats_corruption_rejected;
+          Alcotest.test_case "stats rows are cut to fit the frame" `Quick
+            test_stats_rows_cut_to_fit;
         ] );
       ( "introspection",
         [
@@ -931,5 +1079,7 @@ let () =
         [
           Alcotest.test_case "restart resumes from the journal" `Quick
             test_restart_resumes_from_journal;
+          Alcotest.test_case "restart keeps the session's options" `Quick
+            test_restart_keeps_session_options;
         ] );
     ]

@@ -601,7 +601,7 @@ let prop_sequitur_of_rules =
     (fun syms ->
       let g = Seq_c.create () in
       List.iter (Seq_c.push g) syms;
-      match Seq_c.of_rules (Seq_c.rules g) with
+      match Seq_c.of_rules ~bound:max_int (Seq_c.rules g) with
       | Error e -> QCheck.Test.fail_report e
       | Ok g2 ->
         Seq_c.rules g = Seq_c.rules g2

@@ -99,15 +99,30 @@ let test_metrics_json_roundtrip () =
   Metrics.add (Metrics.counter "t.json \"quoted\"") 5;
   Metrics.set (Metrics.gauge "t.json.gauge") 2.5;
   Metrics.observe (Metrics.histogram "t.json.hist") 1234.0;
+  Metrics.observe (Metrics.histogram "t.json.hist") 0.1;
   let snap = Metrics.snapshot () in
-  match J.of_string (J.to_string (Metrics.to_json snap)) with
-  | Error e -> Alcotest.fail ("metrics JSON does not parse back: " ^ e)
-  | Ok j ->
-    let counter =
-      Option.bind (J.member "counters" j) (fun c ->
-          Option.bind (J.member "t.json \"quoted\"" c) J.to_int)
-    in
-    check_int "counter survives the roundtrip" 5 (Option.value ~default:0 counter)
+  (match Metrics.of_json (Metrics.to_json snap) with
+  | Ok back ->
+    check_bool "counters, gauges and histogram summaries come back" true (back = snap)
+  | Error e -> Alcotest.fail ("metrics JSON does not decode: " ^ e));
+  (* Through the text, floats come back as %.6g prints them, so the
+     decoded snapshot renders the same text again. *)
+  let text = J.to_string (Metrics.to_json snap) in
+  (match Result.bind (J.of_string text) Metrics.of_json with
+  | Ok back -> Alcotest.(check string) "text again" text (J.to_string (Metrics.to_json back))
+  | Error e -> Alcotest.fail ("metrics.json text does not decode: " ^ e));
+  (* A mistyped, missing or extra member is refused. *)
+  List.iter
+    (fun doc ->
+      match Result.bind (J.of_string doc) Metrics.of_json with
+      | Ok _ -> Alcotest.failf "decoded %s" doc
+      | Error _ -> ())
+    [
+      {|{"counters":{"a":1.5},"gauges":{},"histograms":{}}|};
+      {|{"counters":{},"gauges":{}}|};
+      {|{"counters":{},"gauges":{},"histograms":{},"extra":0}|};
+      {|{"counters":{},"gauges":{},"histograms":{"h":{"count":1,"sum":1}}}|};
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -288,7 +303,19 @@ let test_log_level_parse () =
 (* ------------------------------------------------------------------ *)
 
 module Flight = Ormp_telemetry.Flight
-module Sexp = Ormp_util.Sexp
+
+(* The sessions of the events a flight trace holds, oldest first: one
+   B/E pair per event. *)
+let trace_sessions j =
+  match J.member "traceEvents" j with
+  | Some (J.List evs) ->
+    List.filter_map
+      (fun e ->
+        if J.member "ph" e = Some (J.String "B") then
+          Option.bind (Option.bind (J.member "args" e) (J.member "session")) J.to_str
+        else None)
+      evs
+  | _ -> Alcotest.fail "no traceEvents"
 
 let test_flight_ring_overwrites_oldest () =
   let f = Flight.create ~cap:4 () in
@@ -297,26 +324,24 @@ let test_flight_ring_overwrites_oldest () =
   done;
   check_int "recorded counts everything" 10 (Flight.recorded f);
   check_int "dropped is recorded minus cap" 6 (Flight.dropped f);
-  let live = Flight.events f in
-  check_int "ring holds cap events" 4 (List.length live);
   Alcotest.(check (list string))
-    "oldest-to-newest window"
+    "the ring holds the newest cap events, oldest first"
     [ "s7"; "s8"; "s9"; "s10" ]
-    (List.map (fun e -> e.Flight.session) live)
+    (trace_sessions (Flight.to_trace_json f ~reason:""))
 
 let test_flight_trace_validates () =
   let f = Flight.create ~cap:8 () in
   List.iter
     (fun k -> Flight.record f ~kind:k ~session:"sess-1" ~detail:"why it happened")
     [ "hello"; "shed"; "proto-error"; "deadline-kill"; "finish" ];
-  match Spans.validate_json (Flight.to_trace_json f) with
+  match Spans.validate_json (Flight.to_trace_json f ~reason:"test") with
   | Ok n -> check_int "one span per event" 5 n
   | Error e -> Alcotest.fail ("flight trace does not validate: " ^ e)
 
 let test_flight_empty_ring_exports () =
   let f = Flight.create ~cap:4 () in
   check_int "nothing dropped" 0 (Flight.dropped f);
-  match Spans.validate_json (Flight.to_trace_json f) with
+  match Spans.validate_json (Flight.to_trace_json f ~reason:"") with
   | Ok n -> check_int "empty trace validates" 0 n
   | Error e -> Alcotest.fail e
 
@@ -325,12 +350,7 @@ let test_flight_dump_bundle () =
   Sys.remove dir;
   let nested = Filename.concat dir "deeper" in
   Fun.protect ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [
-          Filename.concat nested Flight.trace_file;
-          Filename.concat nested Flight.record_file;
-        ];
+      (try Sys.remove (Filename.concat nested Flight.trace_file) with Sys_error _ -> ());
       (try Unix.rmdir nested with Unix.Unix_error _ -> ());
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
   @@ fun () ->
@@ -347,28 +367,28 @@ let test_flight_dump_bundle () =
      bundle; the next dump removes it and replaces the bundle whole. *)
   let stale = Filename.concat dir ".deeper.tmp" in
   Sys.mkdir stale 0o755;
-  Out_channel.with_open_bin (Filename.concat stale Flight.record_file) (fun oc ->
-      output_string oc "(flight (reason");
+  Out_channel.with_open_bin (Filename.concat stale Flight.trace_file) (fun oc ->
+      output_string oc "{\"traceEvents\":[");
   dump ();
   Alcotest.(check (array string)) "only the bundle remains" [| "deeper" |] (Sys.readdir dir);
-  (* the trace half parses as JSON and passes the span validator *)
+  (* the bundle is its trace: it passes the span validator and carries
+     the reason and the counts *)
   let trace =
     In_channel.with_open_bin (Filename.concat nested Flight.trace_file)
       In_channel.input_all
   in
-  (match Option.map Spans.validate_json (Result.to_option (J.of_string trace)) with
-  | Some (Ok n) -> check_int "dumped spans" 2 n
-  | _ -> Alcotest.fail "dumped trace.json does not validate");
-  (* the sexp half loads and carries the reason plus both events, with
-     the space-bearing atoms quoted well enough to survive the parse *)
-  match Load_legacy.S.load (Filename.concat nested Flight.record_file) with
-  | Error e -> Alcotest.fail ("record.sexp does not load: " ^ e)
-  | Ok s -> (
-    match (Load_legacy.S.assoc "reason" s, Load_legacy.S.assoc "events" s) with
-    | Ok [ Sexp.Atom r ], Ok evs ->
-      check_bool "reason preserved" true (r = "unit test");
-      check_int "both events present" 2 (List.length evs)
-    | _ -> Alcotest.fail "record.sexp missing reason/events fields")
+  match J.of_string trace with
+  | Error e -> Alcotest.fail ("dumped trace.json does not parse: " ^ e)
+  | Ok j ->
+    (match Spans.validate_json j with
+    | Ok n -> check_int "dumped spans" 2 n
+    | Error e -> Alcotest.fail ("dumped trace.json does not validate: " ^ e));
+    Alcotest.(check (list string)) "both events, blanks intact" [ "tok a"; "tok b" ]
+      (trace_sessions j);
+    let other name conv = Option.bind (Option.bind (J.member "otherData" j) (J.member name)) conv in
+    Alcotest.(check (option string)) "reason" (Some "unit test") (other "reason" J.to_str);
+    Alcotest.(check (option int)) "recorded" (Some 2) (other "recorded" J.to_int);
+    Alcotest.(check (option int)) "dropped" (Some 0) (other "dropped" J.to_int)
 
 (* ------------------------------------------------------------------ *)
 
@@ -378,7 +398,7 @@ let test_reports_into_missing_nested_dir () =
   let root = Filename.temp_file "ormp-reports" "" in
   Sys.remove root;
   let dir = Filename.concat (Filename.concat root "a") "b" in
-  let files = [ Tm.metrics_sexp_file; Tm.metrics_json_file; Tm.trace_file ] in
+  let files = [ Tm.metrics_json_file; Tm.trace_file ] in
   Fun.protect ~finally:(fun () ->
       List.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ()) files;
       List.iter

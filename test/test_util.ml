@@ -445,6 +445,64 @@ let test_decimal_parse_refuses () =
       "-9223372036854775809"; "99999999999999999999";
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Json                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The parser recurses once per level, so hostile nesting must stop at
+   the depth bound with [Error], never with [Stack_overflow]. *)
+let test_json_deep_nesting () =
+  let repeat unit n =
+    let b = Buffer.create (n * String.length unit) in
+    for _ = 1 to n do
+      Buffer.add_string b unit
+    done;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (name, doc) ->
+      match Json.of_string doc with
+      | Ok _ -> Alcotest.failf "%s parsed" name
+      | Error e -> check_bool (name ^ ": " ^ e) true (String.length e > 0)
+      | exception e -> Alcotest.failf "%s raised %s" name (Printexc.to_string e))
+    [
+      ("1 MiB of [", repeat "[" (1 lsl 20));
+      ("1 MiB of {\"a\":", repeat {|{"a":|} ((1 lsl 20) / 5));
+      ("65 levels", repeat "[" 65 ^ repeat "]" 65);
+    ];
+  check_bool "64 levels parse" true (Result.is_ok (Json.of_string (repeat "[" 64 ^ repeat "]" 64)))
+
+(* A float renders as %.6g; reading that text back and rendering it
+   again gives the same text, for integral values (read as integers),
+   -0 and the non-finite ones (null) too. *)
+let prop_json_number_text =
+  QCheck.Test.make ~name:"number text renders back" ~count:2000
+    QCheck.(
+      oneof
+        [ float; oneofl [ 0.0; -0.0; 100.0; 1e6; -1e-7; Float.nan; Float.infinity; 123456.0 ] ])
+    (fun f ->
+      let text = Json.to_string (Json.Float f) in
+      match Json.of_string text with
+      | Ok j -> Json.to_string (Json.Float (Json.number j)) = text
+      | Error _ -> false)
+
+let test_json_decode_mirror () =
+  let read j =
+    let m = Json.obj j in
+    let a = Json.field m "a" Json.int in
+    let b = Json.field m "b" (Json.list Json.string) in
+    Json.close m;
+    (a, b)
+  in
+  let decode doc = Result.bind (Json.of_string doc) (Json.decode read) in
+  check_bool "the encoder's members" true (decode {|{"a":1,"b":["x"]}|} = Ok (1, [ "x" ]));
+  List.iter
+    (fun doc -> check_bool doc true (Result.is_error (decode doc)))
+    [
+      {|{"b":["x"],"a":1}|}; {|{"a":1}|}; {|{"a":1,"b":["x"],"c":0}|}; {|{"a":1.5,"b":[]}|};
+      {|{"a":1,"b":[2]}|}; {|[]|}; {|{"a":1,"b":[]} x|};
+    ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "ormp_util"
@@ -512,6 +570,12 @@ let () =
           tc "parse refuses other spellings" test_decimal_parse_refuses;
         ]
       );
+      ( "json",
+        [
+          tc "deep nesting is an error" test_json_deep_nesting;
+          QCheck_alcotest.to_alcotest prop_json_number_text;
+          tc "decoders mirror their encoder" test_json_decode_mirror;
+        ] );
       ( "bytesize",
         [
           tc "varint widths" test_varint_widths;
