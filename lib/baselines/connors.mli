@@ -20,16 +20,12 @@ val default_window : int
     paper's comparison operates in. The window ablation sweeps it. *)
 
 val create : ?window:int -> unit -> t
-val access : t -> instr:int -> addr:int -> size:int -> is_store:bool -> unit
-(** One executed load or store, in {!Ormp_trace.Batch.iter}'s shape. *)
 
 val batch : t -> Ormp_trace.Batch.t
-(** {!access} on every chunk entry; object events are ignored. *)
+(** Every load and store of a chunk; object events are ignored. *)
 
 val deps : t -> Dep_types.dep list
 (** Same shape and semantics as {!Lossless_dep.deps}, but computed from
     window hits only. *)
-
-val load_execs : t -> int -> int
 
 val profile : ?config:Ormp_vm.Config.t -> ?window:int -> Ormp_vm.Program.t -> t

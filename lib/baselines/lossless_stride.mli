@@ -10,11 +10,9 @@
 type t
 
 val create : unit -> t
-val access : t -> instr:int -> addr:int -> size:int -> is_store:bool -> unit
-(** One executed load or store, in {!Ormp_trace.Batch.iter}'s shape. *)
 
 val batch : t -> Ormp_trace.Batch.t
-(** {!access} on every chunk entry; object events are ignored. *)
+(** Every load and store of a chunk; object events are ignored. *)
 
 val strides : t -> int -> (int * int) list
 (** [(stride, occurrences)] multiset for an instruction, most frequent

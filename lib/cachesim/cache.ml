@@ -1,7 +1,6 @@
 type config = { size_bytes : int; line_bytes : int; ways : int }
 
 let l1d = { size_bytes = 16 * 1024; line_bytes = 64; ways = 4 }
-let l2 = { size_bytes = 256 * 1024; line_bytes = 64; ways = 8 }
 
 type t = {
   config : config;

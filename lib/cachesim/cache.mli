@@ -18,9 +18,6 @@ val l1d : config
 (** 16 KiB, 64-byte lines, 4-way — the first-level data cache of the
     paper's Itanium testbed, near enough. *)
 
-val l2 : config
-(** 256 KiB, 64-byte lines, 8-way. *)
-
 type t
 
 val create : config -> t

@@ -1,8 +1,10 @@
 (* Source-level lint for the repo's own concurrency and output-path
-   conventions. Line-based: comments and string literals are stripped
-   with a small cross-line state machine (so prose mentioning an atomic
-   API, or this module's own pattern tables, never trigger), then each
-   rule looks for literal tokens at identifier boundaries.
+   conventions. Line-based: comments and string literals (quoted ones
+   included) are stripped with a small cross-line state machine (so prose
+   mentioning an atomic API, or this module's own pattern tables, never
+   trigger), then each rule looks for literal tokens at identifier
+   boundaries. One rule reads across files: a library module must be
+   named by some other lib or bin source.
 
    Waivers are source comments, so the justification lives next to the
    code it covers — see the mli for the exact marker syntax (spelling the
@@ -27,21 +29,42 @@ type report = { roots : string list; files_scanned : int; findings : finding lis
 type rule = {
   r_name : string;
   r_severity : Finding.severity;
-  r_doc : string;
   r_applies : string -> bool;  (* on the /-normalized relative path *)
   r_needs_tag : bool;  (* only files carrying the hot-path tag *)
-  r_patterns : string list;
+  r_patterns : string list;  (* empty for the whole-file orphan rule *)
   r_message : string;
 }
 
 let in_dir d path = List.mem d (String.split_on_char '/' path)
+
+(* [<root>/lib/<dir>/<m>.ml]: the lib root, the library's directory and
+   the module's name. *)
+let lib_module path =
+  match List.rev (String.split_on_char '/' path) with
+  | file :: dir :: "lib" :: above when Filename.check_suffix file ".ml" ->
+    Some
+      ( String.concat "/" (List.rev ("lib" :: above)),
+        dir,
+        String.capitalize_ascii (Filename.chop_suffix file ".ml") )
+  | _ -> None
+
+let orphan_rule =
+  {
+    r_name = "orphan-module";
+    r_severity = Finding.Error;
+    r_applies = (fun p -> lib_module p <> None);
+    r_needs_tag = false;
+    r_patterns = [];
+    r_message =
+      "no other lib or bin source names this module — delete it, move it to test/, or \
+       waive it naming the caller it serves";
+  }
 
 let rules =
   [
     {
       r_name = "atomic";
       r_severity = Finding.Error;
-      r_doc = "no raw Atomic use outside the functorized transport seam";
       r_applies = (fun _ -> true);
       r_needs_tag = false;
       r_patterns = [ "Atomic." ];
@@ -52,7 +75,6 @@ let rules =
     {
       r_name = "hashtbl-order";
       r_severity = Finding.Error;
-      r_doc = "no Hashtbl.iter/fold on output paths (iteration order is nondeterministic)";
       r_applies = in_dir "persist";
       r_needs_tag = false;
       r_patterns = [ "Hashtbl.iter"; "Hashtbl.fold" ];
@@ -63,7 +85,6 @@ let rules =
     {
       r_name = "hot-path-alloc";
       r_severity = Finding.Warning;
-      r_doc = "no allocation-prone constructs in lint:hot-path files";
       r_applies = (fun _ -> true);
       r_needs_tag = true;
       r_patterns =
@@ -84,7 +105,6 @@ let rules =
     {
       r_name = "blocking-io";
       r_severity = Finding.Error;
-      r_doc = "no unbounded blocking calls outside the server's deadline-aware I/O seam";
       r_applies = (fun p -> not (String.ends_with ~suffix:"server/net_io.ml" p));
       r_needs_tag = false;
       r_patterns =
@@ -104,7 +124,6 @@ let rules =
     {
       r_name = "worker-spawn";
       r_severity = Finding.Error;
-      r_doc = "Worker.spawn only in the one worker pool (trace/pool.ml)";
       r_applies = (fun p -> not (String.ends_with ~suffix:"trace/pool.ml" p));
       r_needs_tag = false;
       r_patterns = [ "Worker.spawn" ];
@@ -115,7 +134,6 @@ let rules =
     {
       r_name = "journal-owner";
       r_severity = Finding.Error;
-      r_doc = "journal create/recover/append only in the session (session/session.ml)";
       r_applies = (fun p -> not (String.ends_with ~suffix:"session/session.ml" p));
       r_needs_tag = false;
       (* Built from parts, so a search of lib/ for the calls finds only their owner. *)
@@ -128,16 +146,15 @@ let rules =
     {
       r_name = "boxed-driver";
       r_severity = Finding.Error;
-      r_doc = "Runner.run (the boxed, per-event driver) only in the VM (lib/vm)";
       r_applies = (fun p -> not (in_dir "vm" p));
       r_needs_tag = false;
       r_patterns = [ "Runner.run\\b" ];
       r_message = "boxed per-event VM driver — feed Batch lanes through Runner.run_batched";
     };
+    orphan_rule;
     {
       r_name = "bare-eprintf";
       r_severity = Finding.Error;
-      r_doc = "no direct stderr writes bypassing the telemetry logger";
       r_applies = (fun _ -> true);
       r_needs_tag = false;
       r_patterns = [ "eprintf"; "prerr_"; "output_string stderr" ];
@@ -147,34 +164,80 @@ let rules =
 
 (* --- comment/string stripping ------------------------------------------ *)
 
-(* State carried across lines: comment nesting depth, inside-a-string,
-   and whether that string started inside a comment. Each line splits
-   into a code view (rules match here — string contents are blanked, so a
-   pattern table never matches itself) and a comment view (waiver markers
-   are comment syntax, so they are recognized only here). Stripped
-   characters become spaces so column positions survive. Char literals
-   containing quote characters ('"', '\'') are skipped by a narrow
-   lookahead — enough for real OCaml source. *)
+(* State carried across lines: comment nesting depth, the delimiter that
+   closes the string being read ("" outside one, a double quote, or the
+   [|id}] of a quoted string [{id|...|id}]), and whether that string
+   started inside a comment. As in the OCaml lexer, strings inside
+   comments are read as strings, so a comment closer in one does not end
+   the comment. Each line splits into a code view (rules match here — string
+   contents are blanked, so a pattern table never matches itself) and a
+   comment view (waiver markers are comment syntax, so they are
+   recognized only here). Stripped characters become spaces so column
+   positions survive. Char literals ('"', '\'') are skipped whole, in
+   comments too, as the lexer reads them there. *)
 type strip_state = {
   mutable depth : int;
-  mutable in_string : bool;
+  mutable closer : string;
   mutable str_in_comment : bool;
 }
+
+let at line i s =
+  i + String.length s <= String.length line && String.sub line i (String.length s) = s
+
+(* A one-character or backslash-escaped char literal at [i]: the index of
+   its closing quote. *)
+let char_literal_end line i =
+  let n = String.length line in
+  if i + 2 < n && line.[i + 2] = '\'' && line.[i + 1] <> '\\' then Some (i + 2)
+  else if i + 3 < n && line.[i + 1] = '\\' && line.[i + 3] = '\'' then Some (i + 3)
+  else None
+
+(* After a [{] at [i]: lowercase letters or underscores, then [|], open
+   a quoted string. Returns the index of that [|] and the string's
+   closer. *)
+let quoted_open line i =
+  let n = String.length line in
+  let j = ref (i + 1) in
+  while !j < n && match line.[!j] with 'a' .. 'z' | '_' -> true | _ -> false do
+    incr j
+  done;
+  if !j < n && line.[!j] = '|' then Some (!j, "|" ^ String.sub line (i + 1) (!j - i - 1) ^ "}")
+  else None
 
 let strip_line st line =
   let n = String.length line in
   let code = Bytes.make n ' ' in
   let com = Bytes.make n ' ' in
   let i = ref 0 in
+  (* A string opens at [!i]: the quoted one [q], or else a double quote. *)
+  let open_string q =
+    let j, closer = Option.value q ~default:(!i, "\"") in
+    if st.depth > 0 then Bytes.blit_string line !i com !i (j - !i + 1);
+    st.closer <- closer;
+    st.str_in_comment <- st.depth > 0;
+    i := j
+  in
   while !i < n do
     let c = line.[!i] in
-    if st.in_string then begin
+    let quoted = if c = '{' && st.closer = "" then quoted_open line !i else None in
+    let literal = if c = '\'' && st.closer = "" then char_literal_end line !i else None in
+    if st.closer = "\"" then begin
       if st.str_in_comment then Bytes.set com !i c;
       if c = '\\' then begin
         if st.str_in_comment && !i + 1 < n then Bytes.set com (!i + 1) line.[!i + 1];
         incr i (* skip the escaped char *)
       end
-      else if c = '"' then st.in_string <- false
+      else if c = '"' then st.closer <- ""
+    end
+    else if st.closer <> "" then begin
+      (* a quoted string has no escapes: only its closer ends it *)
+      if st.str_in_comment then Bytes.set com !i c;
+      if at line !i st.closer then begin
+        let last = !i + String.length st.closer - 1 in
+        if st.str_in_comment then Bytes.blit_string line !i com !i (last - !i + 1);
+        st.closer <- "";
+        i := last
+      end
     end
     else if st.depth > 0 then begin
       Bytes.set com !i c;
@@ -188,30 +251,23 @@ let strip_line st line =
         Bytes.set com (!i + 1) ')';
         incr i
       end
-      else if c = '"' then begin
-        st.in_string <- true;
-        st.str_in_comment <- true
-      end
+      else if c = '"' || quoted <> None then open_string quoted
+      else
+        Option.iter
+          (fun j ->
+            Bytes.blit_string line !i com !i (j - !i + 1);
+            i := j)
+          literal
     end
     else if c = '(' && !i + 1 < n && line.[!i + 1] = '*' then begin
       st.depth <- 1;
       incr i
     end
-    else if c = '"' then begin
-      st.in_string <- true;
-      st.str_in_comment <- false
-    end
-    else if c = '\'' && !i + 2 < n && line.[!i + 2] = '\'' && line.[!i + 1] <> '\\' then begin
-      (* char literal, e.g. '"' *)
+    else if c = '"' || quoted <> None then open_string quoted
+    else begin
       Bytes.set code !i c;
-      i := !i + 2
-    end
-    else if c = '\'' && !i + 3 < n && line.[!i + 1] = '\\' && line.[!i + 3] = '\'' then begin
-      (* escaped char literal, e.g. '\"' *)
-      Bytes.set code !i c;
-      i := !i + 3
-    end
-    else Bytes.set code !i c;
+      Option.iter (fun j -> i := j) literal
+    end;
     incr i
   done;
   (Bytes.to_string code, Bytes.to_string com)
@@ -258,8 +314,8 @@ let read_lines path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let rec go acc =
-        (* lint:allow blocking-io — reads a regular file the walk just
-           listed; no socket or pipe can reach here *)
+        (* reads a regular file the walk just listed; no socket or pipe
+           can reach here — lint:allow blocking-io *)
         match input_line ic with
         | line -> go (line :: acc)
         | exception End_of_file -> List.rev acc
@@ -268,11 +324,88 @@ let read_lines path =
 
 let normalize path = String.concat "/" (String.split_on_char '\\' path)
 
-let scan_file path =
-  let path = normalize path in
+let strip_file path =
   let raw = read_lines path in
-  let st = { depth = 0; in_string = false; str_in_comment = false } in
-  let views = List.map (strip_line st) raw in
+  let st = { depth = 0; closer = ""; str_in_comment = false } in
+  (raw, List.map (strip_line st) raw)
+
+let rec walk path acc =
+  if Sys.is_directory path then
+    Array.fold_left
+      (fun acc entry ->
+        if entry = "" || entry.[0] = '.' || entry = "_build" then acc
+        else walk (Filename.concat path entry) acc)
+      acc
+      (let entries = Sys.readdir path in
+       Array.sort compare entries;
+       entries)
+  else if Filename.check_suffix path ".ml" then path :: acc
+  else acc
+
+(* --- orphan modules ---------------------------------------------------- *)
+
+(* A possible caller: a source under the lib root or its sibling bin/,
+   with its library directory and module when it is one of lib's, and
+   the capitalized identifiers its code names. *)
+type caller = { c_lib : (string * string) option; c_names : (string, unit) Hashtbl.t }
+
+let capitalized_names code =
+  let names = Hashtbl.create 64 in
+  List.iter
+    (fun l ->
+      let n = String.length l in
+      let i = ref 0 in
+      while !i < n do
+        let j = ref !i in
+        while !j < n && ident_char l.[!j] do
+          incr j
+        done;
+        (match l.[!i] with
+        | 'A' .. 'Z' -> Hashtbl.replace names (String.sub l !i (!j - !i)) ()
+        | _ -> ());
+        i := max (!i + 1) !j
+      done)
+    code;
+  names
+
+(* Read once per lib root and shared by every file of one scan. *)
+let callers cache root =
+  match Hashtbl.find_opt cache root with
+  | Some cs -> cs
+  | None ->
+    let bin = Filename.concat (Filename.dirname root) "bin" in
+    let files = walk root (if Sys.file_exists bin then walk bin [] else []) in
+    let cs =
+      List.map
+        (fun p ->
+          {
+            c_lib = Option.map (fun (_, dir, m) -> (dir, m)) (lib_module (normalize p));
+            c_names = capitalized_names (List.map fst (snd (strip_file p)));
+          })
+        files
+    in
+    Hashtbl.replace cache root cs;
+    cs
+
+(* Inside its own library a module is named by [M]; from anywhere else
+   only through its library, [Ormp_<dir>.M] or [M] in a file that names
+   [Ormp_<dir>], so a same-named module elsewhere cannot stand in. *)
+let named callers ~dir ~m =
+  let lib = "Ormp_" ^ dir in
+  List.exists
+    (fun c ->
+      Hashtbl.mem c.c_names m
+      &&
+      match c.c_lib with
+      | Some (d, m') when d = dir -> m' <> m
+      | _ -> Hashtbl.mem c.c_names lib)
+    callers
+
+(* --- scanning ---------------------------------------------------------- *)
+
+let scan_file_in cache path =
+  let path = normalize path in
+  let raw, views = strip_file path in
   let stripped = List.map fst views in
   let comments = Array.of_list (List.map snd views) in
   let raw_arr = Array.of_list raw in
@@ -291,41 +424,37 @@ let scan_file path =
       rules
   in
   let findings = ref [] in
+  let report r i =
+    findings :=
+      {
+        rule = r.r_name;
+        severity = r.r_severity;
+        file = path;
+        line = i + 1;
+        text = (if i < Array.length raw_arr then String.trim raw_arr.(i) else "");
+        message = r.r_message;
+      }
+      :: !findings
+  in
+  (match lib_module path with
+  | Some (root, dir, m) when List.memq orphan_rule active && not (named (callers cache root) ~dir ~m)
+    ->
+    report orphan_rule 0
+  | _ -> ());
   List.iteri
     (fun i line ->
       List.iter
-        (fun r ->
-          if List.exists (has_token line) r.r_patterns && not (line_waived r i) then
-            findings :=
-              {
-                rule = r.r_name;
-                severity = r.r_severity;
-                file = path;
-                line = i + 1;
-                text = String.trim raw_arr.(i);
-                message = r.r_message;
-              }
-              :: !findings)
+        (fun r -> if List.exists (has_token line) r.r_patterns && not (line_waived r i) then report r i)
         active)
     stripped;
   List.rev !findings
 
-let rec walk path acc =
-  if Sys.is_directory path then
-    Array.fold_left
-      (fun acc entry ->
-        if entry = "" || entry.[0] = '.' || entry = "_build" then acc
-        else walk (Filename.concat path entry) acc)
-      acc
-      (let entries = Sys.readdir path in
-       Array.sort compare entries;
-       entries)
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
+let scan_file path = scan_file_in (Hashtbl.create 1) path
 
 let scan roots =
   let files = List.rev (List.fold_left (fun acc root -> walk root acc) [] roots) in
-  let findings = List.concat_map scan_file files in
+  let cache = Hashtbl.create 1 in
+  let findings = List.concat_map (scan_file_in cache) files in
   let findings =
     List.stable_sort
       (fun a b ->

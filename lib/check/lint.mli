@@ -1,7 +1,8 @@
 (** Source-level lint for the repo's concurrency and output conventions.
 
-    Eight rules, enforced over [.ml] files (comments and strings are
-    stripped before matching):
+    Nine rules, enforced over [.ml] files (comments and strings, quoted
+    strings [{id|...|id}] included, are stripped before matching, inside
+    comments too, as the OCaml lexer reads them):
 
     - [atomic] (error) — no raw [Atomic.] use outside the functorized
       transport seam ({!Ormp_trace.Atomics_intf}); everything else must
@@ -31,6 +32,14 @@
     - [bare-eprintf] (error) — no direct stderr writes ([eprintf],
       [prerr_*], [output_string stderr]) bypassing
       {!Ormp_telemetry.Log}.
+    - [orphan-module] (error) — a [lib/<dir>/<m>.ml] that no other [lib]
+      or [bin] source names, reported on its line 1. Inside its own
+      library the name [M] counts; from elsewhere only through its
+      library, [Ormp_<dir>.M] or [M] in a file that names [Ormp_<dir>],
+      so callers of a same-named module in another library do not count.
+      A file's callers are every [.ml] under its lib root and the sibling
+      [bin/]. The one waiver in [lib] is [Experiments], which
+      [bench/main.exe] runs.
 
     Waivers are comments carrying their own justification:
     [lint:allow <rule>] (same or preceding line),
@@ -48,7 +57,8 @@ type finding = {
 type report = { roots : string list; files_scanned : int; findings : finding list }
 
 val scan_file : string -> finding list
-(** Findings for one file, in line order. *)
+(** Findings for one file, in line order. A file under a [lib/<dir>/]
+    is also checked against its lib root's and [bin/]'s callers. *)
 
 val scan : string list -> report
 (** Walk the given roots (skipping [_build] and dot-entries), scan every

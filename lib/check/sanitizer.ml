@@ -253,7 +253,6 @@ let finish ?(leaks = false) ?(site_name = fun i -> Printf.sprintf "site#%d" i)
     frees = t.frees;
   }
 
-let accesses t = t.accesses
 let collected t = t.clock
 
 let run ?config ?slack ?(leaks = false) (p : Ormp_vm.Program.t) =

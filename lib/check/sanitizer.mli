@@ -55,9 +55,6 @@ val finish :
     [is_static_site] (default: label starts with ["static:"], the
     engine's convention) exempts global variables. *)
 
-val accesses : t -> int
-(** Access probes observed. *)
-
 val collected : t -> int
 (** Accesses that resolved to a live object (the sanitizer clock). *)
 

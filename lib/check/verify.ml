@@ -111,6 +111,10 @@ let lmad ?dims (d : L.t) =
          else Ok ())
        d.L.levels)
 
+(* Budget respected, every LMAD well-formed at the stream dimensionality,
+   captured/discarded accounting consistent, summary present iff points
+   were discarded and its box ordered (min <= max) with non-negative
+   granularity. *)
 let compressor (c : C.t) =
   let st = C.state c and lmads = C.lmads c and discarded = C.discarded c in
   let dims = st.C.s_dims and budget = st.C.s_budget and total = st.C.s_total in
@@ -157,6 +161,11 @@ let compressor (c : C.t) =
 
 (* --- LEAP streams and profiles ---------------------------------------- *)
 
+(* Per-stream LEAP invariants: both compressors valid, point stream
+   2-dimensional and offset stream 1-dimensional with equal totals, one
+   time span per LMAD, spans internally ordered (t_first <= t_last) and
+   non-overlapping across creation order, discard span present iff
+   accesses were discarded. *)
 let leap_stream (s : Ormp_leap.Leap.stream) =
   let* () = compressor s.Ormp_leap.Leap.comp in
   let* () = compressor s.Ormp_leap.Leap.off in

@@ -35,21 +35,10 @@ val lmad : ?dims:int -> Ormp_lmad.Lmad.t -> (unit, string) result
     point's dimensionality ([dims], when given), every level iterates at
     least twice. *)
 
-val compressor : Ormp_lmad.Compressor.t -> (unit, string) result
-(** Budget respected, every LMAD well-formed at the stream
-    dimensionality, captured/discarded accounting consistent, summary
-    present iff points were discarded and its box ordered (min <= max)
-    with non-negative granularity. *)
-
-val leap_stream : Ormp_leap.Leap.stream -> (unit, string) result
-(** Per-stream LEAP invariants: both compressors valid, point stream
-    2-dimensional and offset stream 1-dimensional with equal totals, one
-    time span per LMAD, spans internally ordered (t_first <= t_last) and
-    non-overlapping across creation order, discard span present iff
-    accesses were discarded. *)
-
 val leap_profile : Ormp_leap.Leap.profile -> (unit, string) result
-(** Every stream valid, stream totals sum to [collected], every keyed
+(** Every stream valid (each compressor within its budget and
+    well-formed, point and offset streams consistent, time spans ordered
+    and disjoint), stream totals sum to [collected], every keyed
     instruction classified as load or store. *)
 
 val objects :

@@ -150,7 +150,7 @@ val stream_index : profile -> instr:int -> group:int -> stream option
 (** [stream_index p] freezes the profile's streams into sorted lanes once
     and returns a lookup answering (instr, group) probes by binary search
     with no per-probe key allocation — for post-processors that probe many
-    pairs ({!Mdf}, {!Alias}). *)
+    pairs ({!Mdf}). *)
 
 val instr_total : profile -> int -> int
 (** Collected accesses of an instruction (captured + discarded). *)

@@ -12,12 +12,6 @@
 val read_ints : Ormp_util.Sexp.Reader.t -> string -> int array
 (** Reads [(name a b ...)]. *)
 
-val write_lmad : Ormp_util.Sexp.Writer.t -> Ormp_lmad.Lmad.t -> unit
-val read_lmad : Ormp_util.Sexp.Reader.t -> Ormp_lmad.Lmad.t
-
-val write_summary : Ormp_util.Sexp.Writer.t -> Ormp_lmad.Compressor.summary -> unit
-val read_summary : Ormp_util.Sexp.Reader.t -> Ormp_lmad.Compressor.summary
-
 val write_comp : Ormp_util.Sexp.Writer.t -> string -> Ormp_lmad.Compressor.t -> unit
 (** [(name (dims ..) (budget ..) (max-depth ..) (total ..) (discarded ..)
     (lmad ..)* (summary ..)?)], from the compressor's

@@ -1,3 +1,6 @@
+(* lint:allow-file orphan-module — bench/main.exe, the evaluation harness
+   that regenerates every figure and table, is this module's caller. *)
+
 open Ormp_util
 open Ormp_workloads
 module Dt = Ormp_baselines.Dep_types

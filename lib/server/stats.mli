@@ -6,12 +6,12 @@
     streams) are exact, while aggregates that would need a pool drain
     (grammar symbols) are served from caches refreshed at heartbeat
     cadence. Its one encoding is a JSON document ({!to_json}, read back
-    by {!of_json}); the wire frame and the stats file carry the same
+    by {!of_string}); the wire frame and the stats file carry the same
     bytes ({!to_string}). This module knows nothing of the wire or the
     daemon; it is the shared vocabulary between them and the CLI
     renderers. *)
 
-(** The document's [version] member; {!of_json} refuses other versions. *)
+(** The document's [version] member; {!of_string} refuses other versions. *)
 val version : int
 
 (** One attached session. *)
@@ -53,17 +53,9 @@ type t = {
   s_registry : Ormp_telemetry.Metrics.snapshot;
 }
 
-(** Fraction of the grammar budget still free; 1.0 when unlimited. *)
-val headroom : t -> float
-
 val to_json : t -> Ormp_util.Json.t
 (** The registry block is {!Ormp_telemetry.Metrics.to_json}. Floats
     travel as {!Ormp_util.Json} prints them ([%.6g]). *)
-
-val of_json : Ormp_util.Json.t -> (t, string) result
-(** The mirror of {!to_json}: members in its order and no others, and
-    the current {!version}. [to_json] of its result renders the same
-    text again. *)
 
 val to_string : max_bytes:int -> t -> string
 (** The rendered document and a newline, at most [max_bytes] long: when
@@ -71,10 +63,9 @@ val to_string : max_bytes:int -> t -> string
     are kept, in order, and [rows_truncated] is set. *)
 
 val of_string : string -> (t, string) result
-(** {!Ormp_util.Json.of_string}, then {!of_json}. *)
+(** {!Ormp_util.Json.of_string}, then the mirror of {!to_json}: members
+    in its order and no others, and the current {!version}. [to_json] of
+    its result renders the same text again. *)
 
 (** Multi-table human rendering shared by [ormp top] and one-shot dumps. *)
 val render : t -> string
-
-(** Human-scale byte formatting ("3.2MiB"). *)
-val pretty_bytes : int -> string

@@ -16,7 +16,6 @@ module type S = sig
   type 'a t
 
   val create : ?capacity:int -> unit -> 'a t
-  val default_capacity : int
   val try_push : 'a t -> 'a -> bool
   val try_pop : 'a t -> 'a option
   val length : 'a t -> int

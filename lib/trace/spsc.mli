@@ -22,11 +22,9 @@ module type S = sig
   type 'a t
 
   val create : ?capacity:int -> unit -> 'a t
-  (** Ring with room for [capacity] messages (default
-      {!default_capacity}). Capacity 1 is legal — the ring degenerates to
-      a rendezvous slot. Raises [Invalid_argument] on capacity < 1. *)
-
-  val default_capacity : int
+  (** Ring with room for [capacity] messages (default 16). Capacity 1 is
+      legal — the ring degenerates to a rendezvous slot. Raises
+      [Invalid_argument] on capacity < 1. *)
 
   val try_push : 'a t -> 'a -> bool
   (** Producer only. [false] when the ring is full (backpressure: the

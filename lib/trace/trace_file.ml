@@ -89,13 +89,6 @@ let writer oc =
     ~on_chunk:(emit (fun b c -> Batch.iter c (render_access b)))
     ~on_event:(emit render) ()
 
-let save path events =
-  let oc = open_out path in
-  let w = writer oc in
-  Array.iter (Batch.event w) events;
-  Batch.flush w;
-  close_out oc
-
 (* --- parsing ------------------------------------------------------------ *)
 
 (* A line is accepted iff it is exactly what [render] writes for the event
@@ -209,9 +202,3 @@ let replay ?(on_truncated = default_truncation_warning) path sink =
         (Printf.sprintf "%s: dropped a torn final record at byte %d (no newline); keeping %d events"
            path s.sound s.lines);
     Ok s.lines
-
-let load path =
-  let buf = Ormp_util.Vec.create () in
-  match replay path (Ormp_util.Vec.push buf) with
-  | Ok _ -> Ok (Ormp_util.Vec.to_array buf)
-  | Error _ as e -> e

@@ -25,8 +25,8 @@ A <instr> <addr> <size> <0|1>      an executed load (0) or store (1)
     - the header line is exactly [ormp-trace 1], and a blank line is an
       error.
 
-    Every writer (the session journal, {!writer}, {!save} and the serve
-    wire's [Ev] payloads) writes only such lines, so a reader may CRC a
+    Every writer (the session journal, {!writer} and the serve wire's
+    [Ev] payloads) writes only such lines, so a reader may CRC a
     line's bytes as read and get the CRC its writer took.
 
     One scanner ({!scan}) reads every trace: it streams the file and
@@ -77,9 +77,6 @@ val writer : out_channel -> Batch.t
     immediately), a chunk's lines in one [output]. The caller owns the
     channel and flushes the batch before closing it. *)
 
-val save : string -> Event.t array -> unit
-(** Write a recorded event array to a file. *)
-
 (** {1 Reading} *)
 
 type scan = {
@@ -100,6 +97,3 @@ val replay : ?on_truncated:(string -> unit) -> string -> Sink.t -> (int, string)
 (** {!scan} into a sink; returns the event count. A torn final line is
     reported to [on_truncated] (default: a warning on stderr) with its
     byte offset, and the result is [Ok]. *)
-
-val load : string -> (Event.t array, string) result
-(** Materialize a whole trace through {!replay} (tests and small traces). *)

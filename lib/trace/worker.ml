@@ -22,7 +22,6 @@ module type S = sig
 
     val ring : 'a shared -> 'a Ring.t
     val stop_requested : 'a shared -> bool
-    val handle : 'a shared -> ('a -> unit) -> 'a -> unit
 
     val spawn_with :
       ?capacity:int ->
@@ -230,7 +229,6 @@ module Make (Sc : Atomics_intf.SCHED) : S = struct
 
     let ring sh = sh.sh_ring
     let stop_requested sh = A.get sh.sh_stop
-    let handle = handle
 
     let spawn_with ?capacity ~name ~f ~consumer () =
       make_t ?capacity ~name (fun sh -> consumer sh (handle sh f))

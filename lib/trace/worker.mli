@@ -71,10 +71,6 @@ module type S = sig
     val ring : 'a shared -> 'a Ring.t
     val stop_requested : 'a shared -> bool
 
-    val handle : 'a shared -> ('a -> unit) -> 'a -> unit
-    (** The failure-guarded message step: apply [f] (parking any exception
-        for the producer), then advance the processed counter. *)
-
     val spawn_with :
       ?capacity:int ->
       name:string ->
@@ -83,8 +79,10 @@ module type S = sig
       unit ->
       'a t
     (** Spawn a worker whose consumer loop is [consumer shared handle]
-        instead of the production loop. No telemetry is recorded for the
-        consumer's waits. *)
+        instead of the production loop, where [handle] is the
+        failure-guarded message step: apply [f] (parking any exception
+        for the producer), then advance the processed counter. No
+        telemetry is recorded for the consumer's waits. *)
   end
 end
 

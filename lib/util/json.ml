@@ -134,11 +134,11 @@ let of_string s =
         | Some 'f' -> Buffer.add_char buf '\012'
         | Some 'u' ->
           if !pos + 4 >= n then fail "truncated \\u escape";
-          (match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
-          | Some cp ->
-            add_utf8 cp;
-            pos := !pos + 4
-          | None -> fail "bad \\u escape")
+          let hex = String.sub s (!pos + 1) 4 in
+          if not (String.for_all (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false) hex)
+          then fail "bad \\u escape";
+          add_utf8 (int_of_string ("0x" ^ hex));
+          pos := !pos + 4
         | _ -> fail "bad escape");
         advance ();
         go ()
@@ -150,25 +150,34 @@ let of_string s =
     go ();
     Buffer.contents buf
   in
+  (* RFC 8259's grammar: [-]? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)? *)
   let parse_number () =
     let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let digits () =
+      let from = !pos in
+      while match peek () with Some '0' .. '9' -> true | _ -> false do
+        advance ()
+      done;
+      if !pos = from then fail "bad number"
     in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
+    if peek () = Some '-' then advance ();
+    (match peek () with Some '0' -> advance () | _ -> digits ());
+    let frac = peek () = Some '.' in
+    if frac then begin
+      advance ();
+      digits ()
+    end;
+    let exp = match peek () with Some ('e' | 'E') -> true | _ -> false in
+    if exp then begin
+      advance ();
+      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+      digits ()
+    end;
     let lit = String.sub s start (!pos - start) in
     (* [%.6g] prints -0.0 as "-0", which no integer renders to. *)
     if lit = "-0" then Float (-0.0)
-    else if String.exists (function '.' | 'e' | 'E' -> true | _ -> false) lit then
-      match float_of_string_opt lit with Some f -> Float f | None -> fail "bad number"
-    else
-      match int_of_string_opt lit with
-      | Some i -> Int i
-      | None -> (
-        match float_of_string_opt lit with Some f -> Float f | None -> fail "bad number")
+    else if frac || exp then Float (float_of_string lit)
+    else match int_of_string_opt lit with Some i -> Int i | None -> Float (float_of_string lit)
   in
   (* [depth] lists and objects enclose the value being parsed. *)
   let enter depth =

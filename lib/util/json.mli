@@ -19,8 +19,10 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; [Error] carries a message with the
-    byte offset of the failure. A document nested deeper than 64 levels
-    is an [Error] too, so no input can exhaust the stack. *)
+    byte offset of the failure. Numbers follow RFC 8259's grammar (no
+    [+5], [02], [.5] or [5.]) and a [\u] escape takes exactly four hex
+    digits. A document nested deeper than 64 levels is an [Error] too,
+    so no input can exhaust the stack. *)
 
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on missing field or non-object. *)

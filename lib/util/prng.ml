@@ -31,8 +31,6 @@ let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (next t) 1L = 1L
-
 let chance t p = float t 1.0 < p
 
 let shuffle t a =

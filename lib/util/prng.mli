@@ -32,9 +32,6 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val chance : t -> float -> bool
 (** [chance t p] is [true] with probability [p]. *)
 

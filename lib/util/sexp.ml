@@ -194,7 +194,6 @@ let rec write w = function
     Writer.close w
 
 let to_string t = Writer.render write t
-let to_channel oc t = Writer.to_channel oc write t
 
 let save path t = Writer.to_file path write t
 
@@ -346,22 +345,6 @@ module Reader = struct
     List.rev !xs
 
   let optional r name read = if at r name then Some (read r) else None
-
-  let skip r =
-    let depth = ref 0 in
-    let go = ref true in
-    while !go do
-      if next_is r '(' then begin
-        list r;
-        incr depth
-      end
-      else if !depth > 0 && next_is r ')' then begin
-        close r;
-        decr depth
-      end
-      else ignore (atom r);
-      go := !depth > 0
-    done
 
   let skip_rest r = r.pos <- String.length r.s
 

@@ -13,20 +13,17 @@ type t =
 val to_string : t -> string
 (** Compact rendering (single line). *)
 
-val to_channel : out_channel -> t -> unit
-(** Rendering with light indentation, for humane profile files, followed
-    by a newline. A list of atoms stays on one line; any other list puts
-    each element after its head on a line of its own. *)
-
 val save : string -> t -> unit
-(** Write to a file (with indentation). The file is closed even when a
-    write fails; the [Sys_error] is re-raised. *)
+(** Write to a file with light indentation, for humane profile files,
+    then a newline: a list of atoms stays on one line; any other list puts
+    each element after its head on a line of its own. The file is closed
+    even when a write fails; the [Sys_error] is re-raised. *)
 
 (** {2 Streaming writer}
 
     Every persisted format renders through one writer, straight into a
-    file or a buffer, with no tree in between: {!to_string},
-    {!to_channel} and {!save} are walks of a tree over it, so the quoting
+    file or a buffer, with no tree in between: {!to_string} and
+    {!save} are walks of a tree over it, so the quoting
     and layout rules above exist once. An encoder opens each list with
     {!Writer.nested} or {!Writer.flat}, declaring the layout the tree
     renderer would read off the list's contents.
@@ -70,7 +67,7 @@ module Writer : sig
 
   val to_file : string -> (t -> 'a -> unit) -> 'a -> unit
   (** [to_file path write x] renders [write w x] into [path] in the
-      indented layout of {!Sexp.to_channel}, then a newline. The channel
+      indented layout of {!Sexp.save}, then a newline. The channel
       is closed on any exception, which is re-raised.
       @raise Sys_error on I/O failure.
       @raise Invalid_argument if [write] leaves a list open. *)
@@ -131,10 +128,6 @@ module Reader : sig
   val int_field : t -> string -> int
   (** Reads [(name n)]. *)
 
-  val at : t -> string -> bool
-  (** The next element is the list [(name ...)]. Consumes nothing but
-      blanks. *)
-
   val repeated : t -> string -> (t -> 'a) -> 'a list
   (** [repeated r name read] reads with [read] every element in a row
       that is a list [(name ...)] — the mirror of a writer's [List.iter]. *)
@@ -149,9 +142,6 @@ module Reader : sig
 
   val next_is : t -> char -> bool
   (** The next token starts with the byte [c]. *)
-
-  val skip : t -> unit
-  (** Read one element of any shape. *)
 
   val skip_rest : t -> unit
   (** Leave the rest of the input unread: {!run} then requires no end. *)

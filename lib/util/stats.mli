@@ -3,8 +3,6 @@
 val mean : float list -> float
 (** Arithmetic mean; 0 on the empty list. *)
 
-val mean_a : float array -> float
-
 val stddev : float list -> float
 (** Population standard deviation; 0 on lists shorter than 2. *)
 

@@ -4,13 +4,6 @@ type defect = Uaf | Oob | Double_free | Leak | Wild
 
 let all = [ Uaf; Oob; Double_free; Leak; Wild ]
 
-let name = function
-  | Uaf -> "uaf"
-  | Oob -> "oob"
-  | Double_free -> "double-free"
-  | Leak -> "leak"
-  | Wild -> "wild"
-
 (* Probe an address range the simulated program never maps: start well
    above the heap segment and skip over any block that happens to live
    there. *)
@@ -135,8 +128,6 @@ module Io = struct
 
   let create plan = { plan; writes = 0; checkpoints = 0 }
 
-  let writes t = t.writes
-
   let write t oc s =
     t.writes <- t.writes + 1;
     (match t.plan.no_space with
@@ -176,8 +167,6 @@ module Net = struct
   type t = { plan : plan; mutable frames : int; mutable rewound : bool }
 
   let create plan = { plan; frames = 0; rewound = false }
-
-  let frames t = t.frames
 
   (* The frame counter runs across reconnects, and each fault matches one
      exact ordinal, so every planned fault fires at most once even though

@@ -14,13 +14,9 @@ type defect =
   | Leak  (** allocate from a dedicated site and never free *)
   | Wild  (** load from an address no object ever covered *)
 
-val all : defect list
-
-val name : defect -> string
-
 val inject : ?defects:defect list -> Ormp_vm.Program.t -> Ormp_vm.Program.t
 (** [inject p] is a program named [p.name ^ "+faults"] that runs [p] and
-    then plants [defects] (default {!all}). *)
+    then plants [defects] (default: all five). *)
 
 (** {2 Process-level faults}
 
@@ -67,9 +63,6 @@ module Io : sig
 
   val create : plan -> t
 
-  val writes : t -> int
-  (** Write operations attempted so far. *)
-
   val write : t -> out_channel -> string -> unit
   (** Write [s] to the channel, or fire the planned fault for this
       ordinal. *)
@@ -109,9 +102,6 @@ module Net : sig
   type t
 
   val create : plan -> t
-
-  val frames : t -> int
-  (** Data frames the plan has been consulted about so far. *)
 
   val next_frame : t -> action
   (** Count one outgoing data frame and return its fate. *)

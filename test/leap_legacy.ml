@@ -3,7 +3,7 @@
    flat-arena rewrite, the same pattern as sequitur_legacy.ml /
    compressor_legacy.ml. Type equations re-export the
    public profile types from [Ormp_leap.Leap] so oracle profiles flow
-   through the real Leap_io/Equiv pipeline. Telemetry calls are dropped
+   through the real Leap_io pipeline. Telemetry calls are dropped
    (counters do not affect profiles); nothing else is modernized. *)
 
 module C = Ormp_lmad.Compressor

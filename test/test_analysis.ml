@@ -72,58 +72,6 @@ let test_hot_streams_respects_min_length () =
     (Hot_streams.of_grammar ~min_length:4 g)
 
 (* ------------------------------------------------------------------ *)
-(* Affinity / field reordering                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Fields at 0 and 32 are always accessed back-to-back; 16 is touched
-   separately. *)
-let affine_prog =
-  Program.make ~name:"affine" ~description:"hot pair (0,32), lukewarm 16" (fun e ->
-      let site = Engine.instr e ~name:"a.alloc" Instr.Alloc_site in
-      let ld1 = Engine.instr e ~name:"a.ld1" Instr.Load in
-      let ld2 = Engine.instr e ~name:"a.ld2" Instr.Load in
-      let ld3 = Engine.instr e ~name:"a.ld3" Instr.Load in
-      let objs = Array.init 8 (fun _ -> Engine.alloc e ~site 40) in
-      for _ = 1 to 50 do
-        Array.iter
-          (fun o ->
-            Engine.load e ~instr:ld1 o 0;
-            Engine.load e ~instr:ld2 o 32)
-          objs;
-        Array.iter (fun o -> Engine.load e ~instr:ld3 o 16) objs
-      done)
-
-let test_field_affinity () =
-  let c = Collect.run affine_prog in
-  let t = Affinity.analyze c ~group:0 in
-  (match t.Affinity.weights with
-  | ((0, 32), w) :: _ -> check_bool "dominant pair weight" true (w >= 300)
-  | other :: _ ->
-    Alcotest.failf "wrong dominant pair (%d,%d)" (fst (fst other)) (snd (fst other))
-  | [] -> Alcotest.fail "no affinities");
-  let order = Affinity.propose_order t in
-  (match order with
-  | a :: b :: _ ->
-    check_bool "hot pair leads the order" true
-      ((a = 0 && b = 32) || (a = 32 && b = 0))
-  | _ -> Alcotest.fail "short order");
-  check_bool "all fields present" true
-    (List.sort compare order = [ 0; 16; 32 ])
-
-let test_remap_packs_hot_pair () =
-  let mapping =
-    Affinity.remap ~old_order:[ 0; 32; 16 ] ~sizes:[ (0, 8); (16, 8); (32, 8) ]
-  in
-  Alcotest.(check (list (pair int int)))
-    "packed layout"
-    [ (0, 0); (32, 8); (16, 16) ]
-    mapping
-
-let test_remap_appends_missing () =
-  let mapping = Affinity.remap ~old_order:[ 32 ] ~sizes:[ (0, 8); (32, 8) ] in
-  Alcotest.(check (list (pair int int))) "missing fields appended" [ (32, 0); (0, 8) ] mapping
-
-(* ------------------------------------------------------------------ *)
 (* Clustering                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -248,12 +196,6 @@ let test_phase_threshold_sensitivity () =
   check_bool "lax threshold splits at least as much" true
     (List.length lax >= List.length strict)
 
-let test_affinity_unknown_group_is_empty () =
-  let c = Collect.run affine_prog in
-  let t = Affinity.analyze c ~group:99 in
-  check_int "no weights" 0 (List.length t.Affinity.weights);
-  check_int "no order" 0 (List.length (Affinity.propose_order t))
-
 let test_clustering_single_object_group () =
   (* A group with one object can't cluster; the layout must still cover it. *)
   let c = Collect.run (Ormp_workloads.Micro.array_stride ~elems:16 ~sweeps:2 ()) in
@@ -312,13 +254,6 @@ let () =
           tc "heat bounded" test_hot_streams_uses_consistent;
           tc "min length" test_hot_streams_respects_min_length;
           tc "workload offset grammar" test_hot_streams_on_workload_offsets;
-        ] );
-      ( "affinity",
-        [
-          tc "field affinity" test_field_affinity;
-          tc "remap packs hot pair" test_remap_packs_hot_pair;
-          tc "remap appends missing" test_remap_appends_missing;
-          tc "unknown group empty" test_affinity_unknown_group_is_empty;
         ] );
       ( "clustering",
         [

@@ -123,74 +123,6 @@ let test_tuple_pp () =
   let t = { Tuple.instr = 1; group = 2; obj = 3; offset = 4; time = 5; is_store = true } in
   Alcotest.(check string) "render" "(st i1, g2, o3, +4, t5)" (Format.asprintf "%a" Tuple.pp t)
 
-(* ------------------------------------------------------------------ *)
-(* Decompose                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let tuples_fixture =
-  [
-    { Tuple.instr = 1; group = 0; obj = 0; offset = 0; time = 0; is_store = false };
-    { Tuple.instr = 2; group = 0; obj = 0; offset = 8; time = 1; is_store = true };
-    { Tuple.instr = 1; group = 0; obj = 1; offset = 0; time = 2; is_store = false };
-    { Tuple.instr = 1; group = 1; obj = 0; offset = 16; time = 3; is_store = false };
-  ]
-
-let test_horizontal () =
-  let h = Decompose.Horizontal.create () in
-  List.iter (Decompose.Horizontal.push h) tuples_fixture;
-  check_int "length" 4 (Decompose.Horizontal.length h);
-  Alcotest.(check (array int)) "instrs" [| 1; 2; 1; 1 |] (Decompose.Horizontal.instrs h);
-  Alcotest.(check (array int)) "groups" [| 0; 0; 0; 1 |] (Decompose.Horizontal.groups h);
-  Alcotest.(check (array int)) "objects" [| 0; 0; 1; 0 |] (Decompose.Horizontal.objects h);
-  Alcotest.(check (array int)) "offsets" [| 0; 8; 0; 16 |] (Decompose.Horizontal.offsets h);
-  check_int "four dimensions in paper order" 4 (List.length (Decompose.Horizontal.dimensions h));
-  Alcotest.(check (list string)) "dimension names"
-    [ "instr"; "group"; "object"; "offset" ]
-    (List.map fst (Decompose.Horizontal.dimensions h))
-
-let test_vertical () =
-  let v = Decompose.Vertical.create () in
-  List.iter (Decompose.Vertical.push v) tuples_fixture;
-  let keys = Decompose.Vertical.keys v in
-  check_int "three (instr, group) keys" 3 (List.length keys);
-  Alcotest.(check (array (triple int int int)))
-    "stream of (i1,g0)"
-    [| (0, 0, 0); (1, 0, 2) |]
-    (Decompose.Vertical.stream v { Decompose.Vertical.instr = 1; group = 0 });
-  Alcotest.(check (array (triple int int int)))
-    "unknown key empty" [||]
-    (Decompose.Vertical.stream v { Decompose.Vertical.instr = 9; group = 9 })
-
-let test_vertical_reassemble () =
-  let v = Decompose.Vertical.create () in
-  List.iter (Decompose.Vertical.push v) tuples_fixture;
-  let back = Decompose.Vertical.reassemble v in
-  check_int "all entries" 4 (Array.length back);
-  Array.iteri
-    (fun i (_, (_, _, t)) -> check_int "global time order restored" i t)
-    back
-
-let prop_vertical_reassembles_any =
-  QCheck.Test.make ~name:"vertical decomposition is reversible via time stamps" ~count:200
-    QCheck.(small_list (pair (int_range 0 5) (pair (int_range 0 3) (int_range 0 64))))
-    (fun spec ->
-      let tuples =
-        List.mapi
-          (fun time (instr, (group, offset)) ->
-            { Tuple.instr; group; obj = 0; offset; time; is_store = false })
-          spec
-      in
-      let v = Decompose.Vertical.create () in
-      List.iter (Decompose.Vertical.push v) tuples;
-      let back = Decompose.Vertical.reassemble v in
-      Array.length back = List.length tuples
-      && List.for_all2
-           (fun tu (k, (obj, off, t)) ->
-             k.Decompose.Vertical.instr = tu.Tuple.instr
-             && k.Decompose.Vertical.group = tu.Tuple.group
-             && obj = tu.Tuple.obj && off = tu.Tuple.offset && t = tu.Tuple.time)
-           tuples (Array.to_list back))
-
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "ormp_core"
@@ -210,12 +142,5 @@ let () =
           tc "wild routing" test_cdc_wild_routing;
           tc "free routing" test_cdc_free_routing;
           tc "tuple pp" test_tuple_pp;
-        ] );
-      ( "decompose",
-        [
-          tc "horizontal" test_horizontal;
-          tc "vertical" test_vertical;
-          tc "vertical reassemble" test_vertical_reassemble;
-          QCheck_alcotest.to_alcotest prop_vertical_reassembles_any;
         ] );
     ]

@@ -250,59 +250,6 @@ let test_leap_on_churn_uses_serials () =
   check_bool "serials exceed the live-slot count" true (max_serial >= 4)
 
 (* ------------------------------------------------------------------ *)
-(* Alias queries                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let alias_program =
-  Program.make ~name:"alias" ~description:"overlapping and disjoint access sets" (fun e ->
-      let site = Engine.instr e ~name:"al.alloc" Instr.Alloc_site in
-      let ld_all = Engine.instr e ~name:"al.ld_all" Instr.Load in
-      let ld_even = Engine.instr e ~name:"al.ld_even" Instr.Load in
-      let ld_odd = Engine.instr e ~name:"al.ld_odd" Instr.Load in
-      let a = Engine.alloc e ~site 1024 in
-      for i = 0 to 127 do
-        Engine.load e ~instr:ld_all a (i * 8)
-      done;
-      for i = 0 to 63 do
-        Engine.load e ~instr:ld_even a (i * 16);
-        Engine.load e ~instr:ld_odd a ((i * 16) + 8)
-      done)
-
-let test_alias_rates () =
-  let p = Leap.profile alias_program in
-  (* ids: 0 alloc, 1 ld_all, 2 ld_even, 3 ld_odd *)
-  check_bool "even/odd disjoint" false (Alias.may_alias p ~a:2 ~b:3);
-  check_bool "all/even overlap" true (Alias.may_alias p ~a:1 ~b:2);
-  Alcotest.(check (float 0.01)) "even fully inside all" 1.0 (Alias.alias_rate p ~a:1 ~b:2);
-  Alcotest.(check (float 0.01)) "all covered half by even" 0.5 (Alias.alias_rate p ~a:2 ~b:1);
-  Alcotest.(check (float 0.01)) "disjoint rate" 0.0 (Alias.alias_rate p ~a:2 ~b:3)
-
-let test_alias_rates_listing () =
-  let p = Leap.profile alias_program in
-  let rs = Alias.rates p in
-  check_bool "symmetric max reported" true
-    (List.exists (fun (a, b, r) -> a = 1 && b = 2 && r > 0.99) rs);
-  check_bool "disjoint pair absent" true
-    (not (List.exists (fun (a, b, _) -> a = 2 && b = 3) rs))
-
-let test_alias_different_groups_never () =
-  let prog =
-    Program.make ~name:"alias2" ~description:"two groups" (fun e ->
-        let s1 = Engine.instr e ~name:"g1.alloc" Instr.Alloc_site in
-        let s2 = Engine.instr e ~name:"g2.alloc" Instr.Alloc_site in
-        let l1 = Engine.instr e ~name:"g1.ld" Instr.Load in
-        let l2 = Engine.instr e ~name:"g2.ld" Instr.Load in
-        let a = Engine.alloc e ~site:s1 64 in
-        let b = Engine.alloc e ~site:s2 64 in
-        for i = 0 to 7 do
-          Engine.load e ~instr:l1 a (i * 8);
-          Engine.load e ~instr:l2 b (i * 8)
-        done)
-  in
-  let p = Leap.profile prog in
-  check_bool "cross-group never aliases" false (Alias.may_alias p ~a:2 ~b:3)
-
-(* ------------------------------------------------------------------ *)
 (* Flat collector vs. legacy copy                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -380,12 +327,10 @@ let legacy_profile ?budget ?max_streams tuples =
 
 let finish_flat c tuples = Leap.finish c ~collected:(Array.length tuples) ~wild:0 ~elapsed:0.0
 
-(* Post-processors on both profiles: the issue's "strides, MDF pairs,
-   alias sets" equivalence. *)
+(* Post-processors on both profiles: MDF pairs and strides agree. *)
 let post_eq ~ctx pa pb =
   QCheck.assume (pa.Leap.streams <> []);
   if Mdf.compute pa <> Mdf.compute pb then QCheck.Test.fail_reportf "%s: mdf differs" ctx;
-  if Alias.rates pa <> Alias.rates pb then QCheck.Test.fail_reportf "%s: alias differs" ctx;
   List.iter
     (fun i ->
       if Strides.stride_weights pa i <> Strides.stride_weights pb i then
@@ -528,11 +473,5 @@ let () =
           tc "random workload" test_strides_none_on_random;
           tc "threshold monotone" test_strides_threshold;
           tc "weights visible" test_stride_weights_visible;
-        ] );
-      ( "alias",
-        [
-          tc "rates" test_alias_rates;
-          tc "rates listing" test_alias_rates_listing;
-          tc "different groups never alias" test_alias_different_groups_never;
         ] );
     ]

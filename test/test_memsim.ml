@@ -246,45 +246,6 @@ let test_layout_validation () =
        false
      with Invalid_argument _ -> true)
 
-(* ------------------------------------------------------------------ *)
-(* Pool                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_basic () =
-  let heap = Allocator.create Allocator.First_fit in
-  let p = Pool.create heap ~size:256 in
-  let x = Pool.alloc p 24 in
-  let y = Pool.alloc p 24 in
-  check_int "first at base" (Pool.base p) x;
-  check_int "second is 8-aligned after first" (Pool.base p + 24) y;
-  check_bool "pieces inside pool" true (y + 24 <= Pool.base p + Pool.size p);
-  check_int "used" 48 (Pool.used p)
-
-let test_pool_reset () =
-  let heap = Allocator.create Allocator.First_fit in
-  let p = Pool.create heap ~size:128 in
-  let x = Pool.alloc p 64 in
-  Pool.reset p;
-  check_int "reuses from base" x (Pool.alloc p 64);
-  check_int "used after reset+alloc" 64 (Pool.used p)
-
-let test_pool_exhaustion () =
-  let heap = Allocator.create Allocator.First_fit in
-  let p = Pool.create heap ~size:64 in
-  ignore (Pool.alloc p 60);
-  check_bool "overflow raises" true
-    (try
-       ignore (Pool.alloc p 8);
-       false
-     with Out_of_memory -> true)
-
-let test_pool_destroy_returns_block () =
-  let heap = Allocator.create Allocator.First_fit in
-  let p = Pool.create heap ~size:128 in
-  check_int "one live block" 1 (Allocator.live_blocks heap);
-  Pool.destroy p;
-  check_int "returned" 0 (Allocator.live_blocks heap)
-
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "ormp_memsim"
@@ -316,12 +277,5 @@ let () =
           tc "no overlap" test_layout_no_overlap;
           tc "lookup missing" test_layout_lookup_missing;
           tc "validation" test_layout_validation;
-        ] );
-      ( "pool",
-        [
-          tc "basic" test_pool_basic;
-          tc "reset" test_pool_reset;
-          tc "exhaustion" test_pool_exhaustion;
-          tc "destroy" test_pool_destroy_returns_block;
         ] );
     ]

@@ -165,14 +165,38 @@ let test_lint_boxed_driver_fixture () =
      line 15 and the comment and string after it must not count *)
   Alcotest.(check (list int)) "boxed-driver finding lines" [ 4; 7 ] (lines_of "boxed-driver" fs)
 
+(* A quoted string is a string: a double quote inside one, or inside a
+   char literal in a comment, opens nothing, so the calls after them are
+   still seen (bad_quoted.ml), and a call spelled inside one is not code
+   (quoted_label.ml). *)
+let test_lint_quoted_strings () =
+  let fs = Lint.scan_file (fixture "bad_quoted.ml") in
+  check_int "total findings" 2 (List.length fs);
+  Alcotest.(check (list int)) "boxed-driver finding lines" [ 6; 13 ] (lines_of "boxed-driver" fs);
+  check_int "quoted label findings" 0 (List.length (Lint.scan_file (fixture "quoted_label.ml")))
+
+(* Two modules are named by nothing: alpha's Pool, though bin/ names
+   Ormp_beta.Pool, and a Ghost that bin/ spells only in a comment and in
+   strings. A module named inside its own library and a waived one do not
+   count. A single file sees its lib root's callers too. *)
+let test_lint_orphan_fixture () =
+  let r = Lint.scan [ fixture "orphan" ] in
+  Alcotest.(check (list (pair string int)))
+    "orphan-module findings"
+    [ (fixture "orphan/lib/alpha/pool.ml", 1); (fixture "orphan/lib/beta/ghost.ml", 1) ]
+    (List.map (fun f -> (f.Lint.file, f.Lint.line)) r.Lint.findings);
+  check_int "alpha's pool alone" 1
+    (count_rule "orphan-module" (Lint.scan_file (fixture "orphan/lib/alpha/pool.ml")));
+  check_int "beta's pool alone" 0 (List.length (Lint.scan_file (fixture "orphan/lib/beta/pool.ml")))
+
 let test_lint_scan_fixtures () =
   let r = Lint.scan [ fixtures ] in
-  check_int "files" 7 r.Lint.files_scanned;
-  check_int "errors" 14 (Lint.errors r);
+  check_int "files" 17 r.Lint.files_scanned;
+  check_int "errors" 18 (Lint.errors r);
   check_int "warnings" 2 (Lint.warnings r);
   check_int "notes" 0 (Lint.notes r);
   check_bool "not clean" false (Lint.clean r);
-  (* severity-ranked: all 14 errors sort before the 2 warnings *)
+  (* severity-ranked: all 18 errors sort before the 2 warnings *)
   let sevs = List.map (fun f -> f.Lint.severity) r.Lint.findings in
   let rec sorted = function
     | a :: (b :: _ as rest) ->
@@ -221,6 +245,8 @@ let () =
           tc "worker-spawn fixture counts" test_lint_worker_spawn_fixture;
           tc "journal-owner fixture counts" test_lint_journal_owner_fixture;
           tc "boxed-driver fixture counts" test_lint_boxed_driver_fixture;
+          tc "quoted strings are strings" test_lint_quoted_strings;
+          tc "orphan-module fixture" test_lint_orphan_fixture;
           tc "scan totals and ranking" test_lint_scan_fixtures;
           tc "sexp shape" test_lint_sexp_shape;
         ] );

@@ -6,7 +6,6 @@
 module Whomp = Ormp_whomp.Whomp
 module Pipeline = Ormp_session.Pipeline
 module Session = Ormp_session.Session
-module Equiv = Ormp_check.Equiv
 module Client = Ormp_server.Client
 module Pool = Ormp_trace.Pool
 module Micro = Ormp_workloads.Micro
@@ -20,6 +19,41 @@ open Files
 
 (* --- WHOMP on a pool = the separate serial wiring, every micro ---------- *)
 
+(* Compare two WHOMP profiles by their persisted bytes. On a mismatch,
+   report the first differing byte, then narrow to the first differing
+   dimension grammar when the profiles are at least shaped alike. *)
+let whomp_equiv (a : Whomp.profile) (b : Whomp.profile) =
+  let module W = Ormp_util.Sexp.Writer in
+  let render = W.render Ormp_persist.Whomp_io.write in
+  let ra = render a and rb = render b in
+  if String.equal ra rb then Ok ()
+  else
+    let n = min (String.length ra) (String.length rb) in
+    let i = ref 0 in
+    while !i < n && ra.[!i] = rb.[!i] do
+      incr i
+    done;
+    let i = !i in
+    let excerpt s =
+      let lo = max 0 (i - 40) in
+      String.sub s lo (min (String.length s) (i + 40) - lo)
+    in
+    let e =
+      Printf.sprintf "whomp profiles differ at byte %d (%d vs %d bytes): ...%s... vs ...%s..." i
+        (String.length ra) (String.length rb) (excerpt ra) (excerpt rb)
+    in
+    let rec narrow = function
+      | (na, ga) :: ra, (nb, gb) :: rb ->
+        if na <> nb then Error (Printf.sprintf "%s (dimension order: %S vs %S)" e na nb)
+        else if
+          W.render Ormp_persist.Grammar_io.write (na, ga)
+          <> W.render Ormp_persist.Grammar_io.write (nb, gb)
+        then Error (Printf.sprintf "%s (first divergent dimension: %S)" e na)
+        else narrow (ra, rb)
+      | _ -> Error e
+    in
+    narrow (a.Whomp.dims, b.Whomp.dims)
+
 let test_whomp_parallel_equiv () =
   List.iter
     (fun (name, prog) ->
@@ -28,7 +62,7 @@ let test_whomp_parallel_equiv () =
         (fun jobs ->
           (* jobs 2: all five grammars share one worker; jobs 6: one each *)
           let pipe, r = Pipeline.run ~jobs prog in
-          match Equiv.whomp serial (Pipeline.whomp_profile pipe ~elapsed:r.Ormp_vm.Runner.elapsed) with
+          match whomp_equiv serial (Pipeline.whomp_profile pipe ~elapsed:r.Ormp_vm.Runner.elapsed) with
           | Ok () -> ()
           | Error e -> Alcotest.failf "%s (jobs %d): %s" name jobs e)
         [ 2; 6 ])

@@ -419,8 +419,8 @@ let test_stats_corruption_rejected () =
   | Ok None -> ()
   | _ -> Alcotest.fail "truncated stats frame should buffer, not decode");
   (* CRC-valid frames whose JSON is not what [Stats.to_json] writes: a
-     missing, mistyped or unknown member, trailing bytes, a cut
-     document, hostile nesting *)
+     missing, mistyped or unknown member, a number JSON cannot spell,
+     trailing bytes, a cut document, hostile nesting *)
   let text = Wire.stats_json (sample_stats ()) in
   List.iter
     (fun (name, bad) ->
@@ -435,6 +435,8 @@ let test_stats_corruption_rejected () =
       ("unknown member", replace_first text ~sub:{|"sheds":2|} ~by:{|"sheds":2,"extra":1|});
       ("reordered members", replace_first text ~sub:{|"sheds":2,"protocol_errors":1|}
           ~by:{|"protocol_errors":1,"sheds":2|});
+      ("leading zero", replace_first text ~sub:{|"wall_s":12.5|} ~by:{|"wall_s":02.5|});
+      ("bare point", replace_first text ~sub:{|"events_per_sec":125000|} ~by:{|"events_per_sec":.25000|});
       ("trailing bytes", text ^ "x");
       ("cut document", String.sub text 0 (String.length text / 2));
       ("1 MiB of [", String.make ((1 lsl 20) - 1) '[');

@@ -81,17 +81,32 @@ let test_null () =
 let sample_events =
   [| ld; al; st; fr; Event.Alloc { site = 2; addr = 0x400; size = 8; type_name = None } |]
 
+(* A recorded event array to a file through [Trace_file.writer], and a
+   whole file back through [Trace_file.replay]. *)
+let save path events =
+  let oc = open_out path in
+  let w = Trace_file.writer oc in
+  Array.iter (Batch.event w) events;
+  Batch.flush w;
+  close_out oc
+
+let load path =
+  let buf = Ormp_util.Vec.create () in
+  match Trace_file.replay path (Ormp_util.Vec.push buf) with
+  | Ok _ -> Ok (Ormp_util.Vec.to_array buf)
+  | Error _ as e -> e
+
 let test_trace_file_roundtrip () =
   let path = Filename.temp_file "ormp_trace" ".trace" in
-  Trace_file.save path sample_events;
-  (match Trace_file.load path with
+  save path sample_events;
+  (match load path with
   | Ok evs -> check_bool "events identical" true (evs = sample_events)
   | Error msg -> Alcotest.fail msg);
   Sys.remove path
 
 let test_trace_file_replay_streams () =
   let path = Filename.temp_file "ormp_trace" ".trace" in
-  Trace_file.save path sample_events;
+  save path sample_events;
   let seen = Ormp_util.Vec.create () in
   (match Trace_file.replay path (Ormp_util.Vec.push seen) with
   | Ok n -> check_int "count returned" 5 n
@@ -102,8 +117,8 @@ let test_trace_file_replay_streams () =
 let test_trace_file_type_names_with_spaces () =
   let path = Filename.temp_file "ormp_trace" ".trace" in
   let evs = [| Event.Alloc { site = 1; addr = 8; size = 16; type_name = Some "big node" } |] in
-  Trace_file.save path evs;
-  (match Trace_file.load path with
+  save path evs;
+  (match load path with
   | Ok got -> check_bool "type preserved" true (got = evs)
   | Error msg -> Alcotest.fail msg);
   Sys.remove path
@@ -266,7 +281,7 @@ let test_trace_file_profiler_replay_equals_live () =
   let r = Ormp_util.Vec.create () in
   ignore (Ormp_vm.Runner.run program (Ormp_util.Vec.push r));
   let path = Filename.temp_file "ormp_trace" ".trace" in
-  Trace_file.save path (Ormp_util.Vec.to_array r);
+  save path (Ormp_util.Vec.to_array r);
   let live = Ormp_whomp.Whomp.profile program in
   let sink, fin = Ormp_whomp.Whomp.sink ~site_name:(Printf.sprintf "s%d") () in
   (match Trace_file.replay path sink with

@@ -212,7 +212,32 @@ let test_pool_exhaustion () =
     (try
        ignore (Engine.pool_piece e ~pool 16);
        false
+     with Out_of_memory -> true);
+  let fresh = Engine.pool_create e ~site 32 in
+  check_bool "a piece past the pool's size raises" true
+    (try
+       ignore (Engine.pool_piece e ~pool:fresh 40);
+       false
      with Out_of_memory -> true)
+
+(* Destroying a pool hands its one heap block back, in either mode, with
+   pieces still live. *)
+let test_pool_destroy_returns_block () =
+  let e, _ = recording_engine () in
+  let site = Engine.instr e ~name:"t.pool" Instr.Alloc_site in
+  let free_site = Engine.instr e ~name:"t.pool_free" Instr.Free_site in
+  let psite = Engine.instr e ~name:"t.piece" Instr.Alloc_site in
+  let live () = Ormp_memsim.Allocator.live_blocks (Engine.allocator e) in
+  let before = live () in
+  let pool = Engine.pool_create e ~site 128 in
+  let exposed = Engine.pool_create e ~site ~expose_pieces:true ~pieces_site:psite 128 in
+  check_int "one block per pool" (before + 2) (live ());
+  ignore (Engine.pool_piece e ~pool 24);
+  ignore (Engine.pool_piece e ~pool:exposed 24);
+  check_int "pieces take no block" (before + 2) (live ());
+  Engine.pool_destroy e ~site:free_site ~pool;
+  Engine.pool_destroy e ~site:free_site ~pool:exposed;
+  check_int "back to the count before pool_create" before (live ())
 
 (* ------------------------------------------------------------------ *)
 (* Runner + Config                                                     *)
@@ -298,6 +323,7 @@ let () =
           tc "pool exposed validation" test_pool_exposed_validation;
           tc "pool exposed translates per piece" test_pool_exposed_translates_per_piece;
           tc "pool exhaustion" test_pool_exhaustion;
+          tc "pool destroy returns its block" test_pool_destroy_returns_block;
         ] );
       ( "runner",
         [
