@@ -345,28 +345,48 @@ let rec walk path acc =
 (* --- orphan modules ---------------------------------------------------- *)
 
 (* A possible caller: a source under the lib root or its sibling bin/,
-   with its library directory and module when it is one of lib's, and
-   the capitalized identifiers its code names. *)
-type caller = { c_lib : (string * string) option; c_names : (string, unit) Hashtbl.t }
+   with its library directory and module when it is one of lib's, the
+   capitalized identifiers its code names (and each dotted pair [A.B] of
+   them), and the modules it binds itself ([module M], [module rec M],
+   [let module M]). *)
+type caller = {
+  c_lib : (string * string) option;
+  c_names : (string, unit) Hashtbl.t;
+  c_binds : (string, unit) Hashtbl.t;
+}
 
-let capitalized_names code =
-  let names = Hashtbl.create 64 in
+let names_and_binds code =
+  let names = Hashtbl.create 64 and binds = Hashtbl.create 8 in
+  let upper l i = i < String.length l && match l.[i] with 'A' .. 'Z' -> true | _ -> false in
+  let ident_end l i =
+    let j = ref i in
+    while !j < String.length l && ident_char l.[!j] do
+      incr j
+    done;
+    !j
+  in
   List.iter
     (fun l ->
       let n = String.length l in
+      let prev = ref "" in
       let i = ref 0 in
       while !i < n do
-        let j = ref !i in
-        while !j < n && ident_char l.[!j] do
-          incr j
-        done;
-        (match l.[!i] with
-        | 'A' .. 'Z' -> Hashtbl.replace names (String.sub l !i (!j - !i)) ()
-        | _ -> ());
-        i := max (!i + 1) !j
+        let j = ident_end l !i in
+        if j = !i then incr i
+        else begin
+          let id = String.sub l !i (j - !i) in
+          if upper l !i then begin
+            Hashtbl.replace names id ();
+            if !prev = "module" || !prev = "rec" then Hashtbl.replace binds id ();
+            if j < n && l.[j] = '.' && upper l (j + 1) then
+              Hashtbl.replace names (id ^ "." ^ String.sub l (j + 1) (ident_end l (j + 1) - j - 1)) ()
+          end;
+          prev := id;
+          i := j
+        end
       done)
     code;
-  names
+  (names, binds)
 
 (* Read once per lib root and shared by every file of one scan. *)
 let callers cache root =
@@ -378,10 +398,8 @@ let callers cache root =
     let cs =
       List.map
         (fun p ->
-          {
-            c_lib = Option.map (fun (_, dir, m) -> (dir, m)) (lib_module (normalize p));
-            c_names = capitalized_names (List.map fst (snd (strip_file p)));
-          })
+          let c_names, c_binds = names_and_binds (List.map fst (snd (strip_file p))) in
+          { c_lib = Option.map (fun (_, dir, m) -> (dir, m)) (lib_module (normalize p)); c_names; c_binds })
         files
     in
     Hashtbl.replace cache root cs;
@@ -389,16 +407,21 @@ let callers cache root =
 
 (* Inside its own library a module is named by [M]; from anywhere else
    only through its library, [Ormp_<dir>.M] or [M] in a file that names
-   [Ormp_<dir>], so a same-named module elsewhere cannot stand in. *)
+   [Ormp_<dir>], so a same-named module elsewhere cannot stand in. A
+   file that binds its own [M] ([module M = ...]) means that one by the
+   bare name, so there only [Ormp_<dir>.M] counts. *)
 let named callers ~dir ~m =
   let lib = "Ormp_" ^ dir in
   List.exists
     (fun c ->
-      Hashtbl.mem c.c_names m
-      &&
-      match c.c_lib with
-      | Some (d, m') when d = dir -> m' <> m
-      | _ -> Hashtbl.mem c.c_names lib)
+      c.c_lib <> Some (dir, m)
+      && (Hashtbl.mem c.c_names (lib ^ "." ^ m)
+         || Hashtbl.mem c.c_names m
+            && (not (Hashtbl.mem c.c_binds m))
+            &&
+            match c.c_lib with
+            | Some (d, _) when d = dir -> true
+            | _ -> Hashtbl.mem c.c_names lib))
     callers
 
 (* --- scanning ---------------------------------------------------------- *)

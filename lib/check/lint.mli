@@ -37,9 +37,11 @@
       library the name [M] counts; from elsewhere only through its
       library, [Ormp_<dir>.M] or [M] in a file that names [Ormp_<dir>],
       so callers of a same-named module in another library do not count.
-      A file's callers are every [.ml] under its lib root and the sibling
-      [bin/]. The one waiver in [lib] is [Experiments], which
-      [bench/main.exe] runs.
+      A file that binds its own [M] ([module M = ...]) names the
+      library's only as [Ormp_<dir>.M]. A file's callers are every [.ml]
+      under its lib root and the sibling [bin/]. The waivers in [lib]
+      are [Experiments], which [bench/main.exe] runs, and
+      [Ormp_server.Pipeline], which [e2e/wiring.ml] names.
 
     Waivers are comments carrying their own justification:
     [lint:allow <rule>] (same or preceding line),

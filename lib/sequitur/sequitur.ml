@@ -64,6 +64,20 @@
      into the hole (backward shift), so the table holds no tombstones; it
      doubles when its live bindings reach half of it, so probes stay short
      and always terminate.
+   - The push's own match (the check [push_one] makes, not one inside a
+     cascade) is rewritten in place where the general path would allocate
+     symbols and a rule only to free them again. A whole-rule match turns
+     the digram's first slot into the nonterminal and kills only the
+     pushed symbol ([substitute_top]). An extension, [N_R c] against
+     [N_R c'] with R used only there, turns R's slot and guard into the
+     new rule, relabels both [N_R] slots, moves the pushed [c] to the end
+     of R's body and kills only [c'] ([extend]), where the general path
+     allocated five symbol slots and a rule slot and freed six and one.
+     Only the push level qualifies: a cascade frame may still read a slot
+     that the general path kills, so reusing it would change what that
+     frame reads. Both rewrites make the general path's index removals,
+     checks and binds at the same points in the same order, and count the
+     same [sequitur.*] events.
 
    Symbol codes, digram keys, operation order and the digram-index binding
    semantics (single binding per key, replace overwrites, remove deletes)
@@ -260,11 +274,19 @@ let grow_rules t =
   Array.blit t.rul 0 b 0 n;
   t.rul <- b
 
+(* Ids are assigned in ascending order, so a rule given the next id is the
+   largest live one and joins the live ring at its tail, just before the
+   start rule's slot 0. *)
+let ring_append t r =
+  let tail = r_prev t 0 in
+  set_r_next t r 0;
+  set_r_prev t r tail;
+  set_r_next t tail r;
+  set_r_prev t 0 r
+
 (* A rule's guard carries its id in [code] and its slot in the rule field.
-   Ids are assigned in ascending order, so the new rule is the largest
-   live one and joins the live ring at its tail, just before the start
-   rule's slot 0. The start rule itself is made first, into slot 0 of a
-   zeroed store, where the same splice leaves it alone on the ring. *)
+   The start rule itself is made first, into slot 0 of a zeroed store,
+   where [ring_append] leaves it alone on the ring. *)
 let make_rule t id =
   let r =
     match t.rul_free with
@@ -279,11 +301,7 @@ let make_rule t id =
   in
   Array.unsafe_set t.rul r (alloc_sym t (tag_guard lor (r lsl rule_shift)) id);
   set_r_refs t r 0;
-  let tail = r_prev t 0 in
-  set_r_next t r 0;
-  set_r_prev t r tail;
-  set_r_next t tail r;
-  set_r_prev t 0 r;
+  ring_append t r;
   t.live_rule_count <- t.live_rule_count + 1;
   r
 
@@ -583,11 +601,36 @@ let append_copy t r proto =
 let underused t i =
   (not (is_guard t i)) && is_nonterm t i && r_refs t (rule_of t i) = 1
 
-(* [check t s] enforces digram uniqueness for the digram starting at [s].
-   Returns [true] iff a match was found and processed (in which case [s] is
-   dead and the caller must not use it further). Branch order matches the
-   record implementation exactly — grammar equality depends on it. *)
-let rec check t s =
+(* A nonterminal's code and [meta] for rule slot [r] (anchor bit clear):
+   what [alloc_sym] writes into a fresh slot, written into a live one by
+   the in-place rewrites below. *)
+let set_nonterm t s id r =
+  Array.unsafe_set t.sym s id;
+  Array.unsafe_set t.sym (s + 3) (tag_live lor tag_nonterm lor (r lsl rule_shift))
+
+(* Whether the push's own match [s] = [N_R c] against [m] = [N_R c'],
+   which is not a whole rule, takes [extend] instead of the general path.
+   R must be used only at these two places, so that the general path
+   inlines it into the new rule r at once. And the symbols before the two
+   must differ: the general path's check of [q2 N_r] would find
+   [q1 N_r] and cascade, and that cascade could retire r before R is
+   inlined into it. *)
+let extends t s m =
+  is_nonterm t s
+  && r_refs t (rule_of t s) = 2
+  &&
+  let q1 = s_prv t m and q2 = s_prv t s in
+  is_guard t q1 || is_guard t q2 || not (same_sym t q1 q2)
+
+(* [check t top s] enforces digram uniqueness for the digram starting at
+   [s]. Returns [true] iff a match was found and processed (in which case
+   [s] is dead, or rewritten in place, and the caller must not use it
+   further). [top] is set only for the push's own check (from
+   [push_one]): its match may be rewritten in place, as no enclosing
+   frame reads through the slots that rewrite reuses. Branch order
+   matches the record implementation exactly — grammar equality depends
+   on it. *)
+let rec check t top s =
   let sn = s_nxt t s in
   if is_guard t s || is_guard t sn then false
   else begin
@@ -611,7 +654,7 @@ let rec check t s =
         (* Overlapping occurrences (a run like "aaa"): not a usable match. *)
         false
       else begin
-        process_match t s m;
+        process_match t top s m;
         true
       end
     end
@@ -620,36 +663,41 @@ let rec check t s =
 (* A duplicate digram was found: replace both occurrences by a non-terminal,
    creating a rule if the stored occurrence is not already a whole rule.
    Rules are passed around by slot. *)
-and process_match t s m =
+and process_match t top s m =
   if t.tm_on then t.tm_matches <- t.tm_matches + 1;
-  let r =
-    if is_guard t (s_prv t m) && is_guard t (s_nxt t (s_nxt t m)) then begin
-      (* [m] spans the complete right-hand side of an existing rule. *)
-      let r = rule_of t (s_prv t m) in
-      substitute t s r;
-      r
-    end
-    else begin
-      let id = t.next_rule_id in
-      t.next_rule_id <- id + 1;
-      let r = make_rule t id in
-      if t.tm_on then t.tm_created <- t.tm_created + 1;
-      append_copy t r s;
-      append_copy t r (s_nxt t s);
-      substitute t m r;
-      substitute t s r;
-      let f = first t r in
-      dig_replace t (pack (sym_code t f) (sym_code t (s_nxt t f))) f;
-      r
-    end
-  in
-  (* Rule utility: the substitution dropped one use of each component of the
-     matched digram, i.e. of [first r] and [last r] (a matched rule always
-     has a two-symbol right-hand side). Inline any that is now used once. *)
-  let f = first t r in
-  if underused t f then expand_symbol t f;
-  let l = last t r in
-  if underused t l then expand_symbol t l
+  let whole = is_guard t (s_prv t m) && is_guard t (s_nxt t (s_nxt t m)) in
+  if top && (not whole) && extends t s m then extend t s m
+  else begin
+    let r =
+      if whole then begin
+        (* [m] spans the complete right-hand side of an existing rule. *)
+        let r = rule_of t (s_prv t m) in
+        if top then substitute_top t s r else substitute t s r;
+        r
+      end
+      else begin
+        let id = t.next_rule_id in
+        t.next_rule_id <- id + 1;
+        let r = make_rule t id in
+        if t.tm_on then t.tm_created <- t.tm_created + 1;
+        append_copy t r s;
+        append_copy t r (s_nxt t s);
+        substitute t m r;
+        substitute t s r;
+        let f = first t r in
+        dig_replace t (pack (sym_code t f) (sym_code t (s_nxt t f))) f;
+        r
+      end
+    in
+    (* Rule utility: the substitution dropped one use of each component of
+       the matched digram, i.e. of [first r] and [last r] (a matched rule
+       always has a two-symbol right-hand side). Inline any that is now
+       used once. *)
+    let f = first t r in
+    if underused t f then expand_symbol t f;
+    let l = last t r in
+    if underused t l then expand_symbol t l
+  end
 
 (* Replace the digram starting at [s] with a single non-terminal for [r]. *)
 and substitute t s r =
@@ -668,7 +716,93 @@ and substitute t s r =
   set_prv t nq ns;
   set_nxt t q ns;
   set_prv t ns q;
-  if not (check t q) then ignore (check t ns)
+  if not (check t false q) then ignore (check t false ns)
+
+(* [substitute] for the push's own whole-rule match: [s] is the start
+   rule's last symbol but one, [c] after it the pushed terminal. [s]'s
+   slot becomes the nonterminal, so only [c] dies. The index sees what
+   [substitute] does: [c]'s removal probe and [s]'s find nothing (no
+   binding names a fresh slot, and [s]'s digram is the matched key, bound
+   to the other occurrence), then [q]'s binding goes. *)
+and substitute_top t s r =
+  let c = s_nxt t s in
+  let q = s_prv t s in
+  let g = s_nxt t c in
+  if not (is_guard t q) then delete_digram t q;
+  mark_dead t c;
+  if is_nonterm t s then deuse t (rule_of t s);
+  set_nonterm t s (rule_id t r) r;
+  reuse t r;
+  set_nxt t s g;
+  set_prv t g s;
+  if not (check t false q) then ignore (check t false s)
+
+(* The push's own match [s] = [N_R c] against [m] = [N_R c'], which
+   [extends] admits. The general path makes r = [N_R' c''], substitutes
+   both occurrences, finds R used once and inlines it into r. Here R's
+   rule slot and guard become r (the next id, at the tail of the live
+   ring), both N_R slots are relabelled N_r, the pushed [c] moves to the
+   end of R's body, and only [c'] dies. The index sees the general path's
+   operations in its order: the first substitution's three removals and
+   its checks of [q1 N_r] and [N_r ...], the second's removal and its
+   check of [q2 N_r] (its check of [N_r] at the start rule's end finds
+   nothing), and the inlining's binding of [l c]. [q2] is read after the
+   first substitution, as there: when the occurrences are adjacent
+   ([... R c' R c]) it is the first one's N_r. Neither substitution's
+   check can cascade: N_r has one occurrence during the first, and in
+   the second [q2 N_r] could only match [q1 N_r], which [extends] rules
+   out, or be [N_r N_r], which occurs once. The general path also
+   binds r's first digram [N_R' c''] and the inlining removes it again;
+   that pair leaves the key with no binding and, when the bind would
+   have doubled the index, a doubled index, and so does this. *)
+and extend t s m =
+  let rs = rule_of t s in
+  let key = pack (sym_code t s) (sym_code t (s_nxt t s)) in
+  let id = t.next_rule_id in
+  t.next_rule_id <- id + 1;
+  (* substitute m r *)
+  let m1 = s_nxt t m in
+  let m2 = s_nxt t m1 in
+  let q1 = s_prv t m in
+  delete_digram t m1;
+  delete_digram t m;
+  if not (is_guard t q1) then delete_digram t q1;
+  mark_dead t m1;
+  set_nonterm t m id rs;
+  set_nxt t m m2;
+  set_prv t m2 m;
+  if not (check t false q1) then ignore (check t false m);
+  (* substitute s r *)
+  let c = s_nxt t s in
+  let q2 = s_prv t s in
+  let g0 = s_nxt t c in
+  if not (is_guard t q2) then delete_digram t q2;
+  set_nonterm t s id rs;
+  set_nxt t s g0;
+  set_prv t g0 s;
+  ignore (check t false q2);
+  (* r's first digram, bound and removed *)
+  let h = hash key in
+  let p = dig_probe t h key in
+  if p >= 0 then dig_delete_at t p
+  else if 2 * (t.dig_live + 1) >= t.dig_mask + 1 then dig_grow t;
+  (* the inlining: [c] joins R's body, which is r's *)
+  let g = r_guard t rs in
+  let l = s_prv t g in
+  join t l c;
+  set_nxt t c g;
+  set_prv t g c;
+  dig_replace t (pack (sym_code t l) (sym_code t c)) l;
+  Array.unsafe_set t.sym g id;
+  let p = r_prev t rs and n = r_next t rs in
+  set_r_next t p n;
+  set_r_prev t n p;
+  ring_append t rs;
+  if t.tm_on then begin
+    t.tm_created <- t.tm_created + 1;
+    t.tm_inlines <- t.tm_inlines + 1;
+    t.tm_retired <- t.tm_retired + 1
+  end
 
 (* Rule utility repair: [s] is the only use of its rule; splice the rule's
    right-hand side in place of [s] and retire the rule. *)
@@ -692,7 +826,7 @@ let push_one t v =
   let s = alloc_sym t 0 v in
   insert_fresh_after t (last t 0) s;
   t.input_len <- t.input_len + 1;
-  ignore (check t (s_prv t s));
+  ignore (check t true (s_prv t s));
   if t.pend_len > 0 then reclaim_dead t
 
 let push t v =

@@ -3,3 +3,4 @@
 let pool = Ormp_beta.Pool.create ()
 let label = "Ormp_beta.Ghost"
 let quoted = {|Ormp_beta.Ghost|}
+let sent = Ormp_beta.Wire.send ()

@@ -313,6 +313,238 @@ let prop_long_uniform400 =
   QCheck.Test.make ~name:"arena = legacy (64k uniform symbols over 400 values)" ~count:1
     (long_case (gen_uniform_stream 400)) long_equivalent
 
+(* --- in-place rewrites at the push's own match ------------------------- *)
+
+(* The push's own match is rewritten in place when it is a whole rule,
+   and when it is [N_R c] against [N_R c'] with R used only there (the
+   extension); every other match takes the general path. Both must count
+   and bind exactly what the general path does, so each stream below is
+   fed to the arena and the legacy oracle in step, with the invariants
+   checked and the rules compared after every push, and the push that
+   meets the shape is pinned by its [sequitur.*] counts:
+   [matches; rules created; rules retired; utility inlines]. *)
+module Tm = Ormp_telemetry.Telemetry
+
+let counted f =
+  Tm.reset ();
+  Tm.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Tm.disable ();
+      Tm.reset ())
+    (fun () ->
+      f ();
+      let c = (Tm.Metrics.snapshot ()).Tm.Metrics.snap_counters in
+      List.map
+        (fun k -> Option.value ~default:0 (List.assoc_opt k c))
+        [
+          "sequitur.matches";
+          "sequitur.rules_created";
+          "sequitur.rules_retired";
+          "sequitur.utility_inlines";
+        ])
+
+(* Push [a] one symbol at a time into a fresh arena and the oracle; the
+   counts of each push, and the arena. *)
+let in_step name a =
+  let t = Sequitur.create () and legacy = Sequitur_legacy.create () in
+  let counts =
+    Array.mapi
+      (fun i v ->
+        let c = counted (fun () -> Sequitur.push t v) in
+        Sequitur_legacy.push legacy v;
+        (match Sequitur.check_invariants t with
+        | Ok () -> ()
+        | Error msg -> Alcotest.failf "%s: after push %d: %s" name (i + 1) msg);
+        if Sequitur.rules t <> Sequitur_legacy.rules legacy then
+          Alcotest.failf "%s: rules differ from the legacy oracle after push %d" name (i + 1);
+        c)
+      a
+  in
+  (counts, t)
+
+let extension = [ 1; 1; 1; 1 ]
+
+let check_counts name ~push want counts =
+  Alcotest.(check (list int)) (Printf.sprintf "%s: counts of push %d" name push) want counts.(push - 1)
+
+(* A listing with each nonterminal R<k> written -k. *)
+let check_rules name want t =
+  Alcotest.(check (list (pair int (list int))))
+    (name ^ ": rules")
+    want
+    (List.map
+       (fun (id, rhs) -> (id, List.map (function `T v -> v | `N r -> -r) rhs))
+       (Sequitur.rules t))
+
+(* x a b c d e … y a b c d e: once [a b] repeats it is a rule used at
+   those two places, and each later push of the second occurrence meets
+   the extension, which inlines the rule it grows. *)
+let test_extension_grows_rule () =
+  let name = "extension" in
+  let counts, t = in_step name [| 100; 1; 2; 3; 4; 5; 101; 1; 2; 3; 4; 5 |] in
+  check_counts name ~push:9 [ 1; 1; 0; 0 ] counts;
+  List.iter (fun push -> check_counts name ~push extension counts) [ 10; 11; 12 ];
+  check_rules name [ (0, [ 100; -4; 101; -4 ]); (4, [ 1; 2; 3; 4; 5 ]) ] t
+
+(* a b c a b d a b: the last push's [a b] is the whole of rule 1. *)
+let test_whole_rule_match () =
+  let name = "whole rule" in
+  let counts, t = in_step name [| 1; 2; 3; 1; 2; 4; 1; 2 |] in
+  check_counts name ~push:8 [ 1; 0; 0; 0 ] counts;
+  check_rules name [ (0, [ -1; 3; -1; 4; -1 ]); (1, [ 1; 2 ]) ] t
+
+(* Shapes near the extension, each met at the last push. R is rule 1 =
+   [1 2] throughout. The first two are refused (R is used more than
+   twice), the last is inside a cascade, and the rest take the in-place
+   path. The refusal of equal symbols before the two occurrences has no
+   stream here: R used twice with [N_R] last in the start rule was made
+   by the push before, whose check of [q2 N_R] would have matched an
+   equal [q1 N_R]; no stream found (the 35 lanes of [stand-in lanes] at
+   test and bench scale, about five million random and phrase streams,
+   colliding codes included) reaches it. *)
+let test_extension_guards () =
+  List.iter
+    (fun (name, a, want_counts, want_rules) ->
+      let counts, t = in_step name a in
+      check_counts name ~push:(Array.length a) want_counts counts;
+      check_rules name want_rules t)
+    [
+      (* R used three times: R stays, and the new rule uses it. *)
+      ( "R used three times",
+        [| 1; 2; 5; 1; 2; 3; 7; 1; 2; 8; 1; 2; 3 |],
+        [ 1; 1; 0; 0 ],
+        [ (0, [ -1; 5; -2; 7; -1; 8; -2 ]); (1, [ 1; 2 ]); (2, [ -1; 3 ]) ] );
+      (* the digram [N_R N_R]: R is used at both of its symbols and in
+         [N_R 3], three times. *)
+      ( "digram R R",
+        [| 1; 2; 3; 8; 1; 2; 1; 2; 3 |],
+        [ 1; 1; 0; 0 ],
+        [ (0, [ -2; 8; -1; -2 ]); (1, [ 1; 2 ]); (2, [ -1; 3 ]) ] );
+      (* adjacent occurrences [R 3 R 3]: the second substitution starts
+         from the first one's rewritten symbol. *)
+      ("adjacent occurrences", [| 1; 2; 3; 1; 2; 3 |], extension, [ (0, [ -2; -2 ]); (2, [ 1; 2; 3 ]) ]);
+      (* the first occurrence's [3] is followed by another [3], the
+         symbol pushed: the second occurrence ends the start rule, so
+         nothing follows it and the extension holds. *)
+      ( "equal symbols after them",
+        [| 1; 2; 3; 3; 9; 1; 2; 3 |],
+        extension,
+        [ (0, [ -2; 3; 9; -2 ]); (2, [ 1; 2; 3 ]) ] );
+      (* The last push's whole-rule match [2 0] leaves [R2 R1] twice at
+         the start rule's ends; that match, inside the cascade, makes
+         rule 3 = [R2 R1] with R2 used only there, so R2 is inlined — an
+         extension the general path makes. *)
+      ( "extension inside a cascade",
+        [| 0; 1; 2; 0; 2; 0; 0; 1; 2; 0 |],
+        [ 2; 1; 1; 1 ],
+        [ (0, [ -3; -1; -3 ]); (1, [ 2; 0 ]); (3, [ 0; 1; -1 ]) ] );
+    ]
+
+(* The general path binds the new rule's first digram [N_R' c''] and the
+   inlining removes it again, which removes whatever binding the key had.
+   Here the first substitution's check binds [N_2 v] under that key: with
+   R = rule 1 and the new rule 2, [pack (2*2+1) (2v)] equals
+   [pack (2*1+1) (2*3)] for v = 3·2^31 + 3. So that binding goes, and the
+   [N_2 v] the last push makes is not matched. *)
+let test_extension_key_collision () =
+  let name = "colliding key" in
+  let v = (3 lsl 31) lor 3 in
+  let counts, t = in_step name [| 1; 2; 3; v; 9; 1; 2; 3; v |] in
+  check_counts name ~push:8 extension counts;
+  check_counts name ~push:9 [ 0; 0; 0; 0 ] counts;
+  check_rules name [ (0, [ -2; v; 9; -2; v ]); (2, [ 1; 2; 3 ]) ] t
+
+(* Phrases from a small dictionary over 64 values, each phrase sometimes
+   mutated (a symbol replaced, one appended, the first dropped): repeats
+   that keep growing and breaking off. They reach the extension about
+   0.18 times per symbol; the alphabet-of-4 streams above reach it about
+   0.008 times. Pushed in random chunks, invariants after each. *)
+let gen_mutated_phrases =
+  QCheck.Gen.(
+    int_range 2 9 >>= fun nd ->
+    array_repeat nd (array_size (int_range 2 11) (int_bound 63)) >>= fun dict ->
+    list_size (int_range 50 150)
+      (quad (int_bound (nd - 1)) (int_bound 4) (int_bound 10) (int_bound 63))
+    >|= fun picks ->
+    Array.concat
+      (List.map
+         (fun (i, mutation, at, v) ->
+           let p = Array.copy dict.(i) in
+           match mutation with
+           | 0 ->
+             p.(at mod Array.length p) <- v;
+             p
+           | 1 -> Array.append p [| v |]
+           | 2 -> Array.sub p 1 (Array.length p - 1)
+           | _ -> p)
+         picks))
+
+let prop_mutated_phrases =
+  QCheck.Test.make ~name:"arena = legacy (mutated phrases, chunked)" ~count:300
+    (QCheck.make
+       ~print:(fun (a, cuts) ->
+         Printf.sprintf "%s / chunks %s"
+           (QCheck.Print.(array int) a)
+           (String.concat "," (List.map string_of_int cuts)))
+       QCheck.Gen.(pair gen_mutated_phrases (list_size (int_range 1 12) (int_range 1 200))))
+    long_equivalent
+
+(* The seven stand-ins' five lanes at test scale — the CDC's instruction,
+   group, object and offset lanes and the raw addresses RASG takes —
+   pushed in the CDC's own chunks into the arena and as one array into
+   the oracle. 175.vpr-like's object lane also pins the counter totals
+   the general path alone counted before the rewrites. *)
+let stand_in_lanes entry =
+  let lanes = Array.make 5 [] in
+  let keep d a n = lanes.(d) <- Array.sub a 0 n :: lanes.(d) in
+  let cdc =
+    Ormp_core.Cdc.create ~site_name:(Printf.sprintf "site%d") ~on_tuple:(fun _ -> assert false) ()
+  in
+  let tuples =
+    Ormp_core.Cdc.batch_tuples cdc
+      ~on_tuples:(fun tp ->
+        let n = tp.Ormp_core.Cdc.tp_len in
+        keep 0 tp.tp_instr n;
+        keep 1 tp.tp_group n;
+        keep 2 tp.tp_obj n;
+        keep 3 tp.tp_offset n)
+      ()
+  in
+  let raw =
+    Ormp_trace.Batch.create
+      ~on_chunk:(fun c -> keep 4 c.Ormp_trace.Batch.addr c.len)
+      ~on_event:ignore ()
+  in
+  let batch = Ormp_trace.Batch.fanout [ tuples; raw ] in
+  ignore (Ormp_vm.Runner.run_batched (Ormp_workloads.Registry.program entry) batch);
+  Ormp_trace.Batch.flush batch;
+  Array.map List.rev lanes
+
+let test_stand_in_lanes () =
+  let dims = [| "instr"; "group"; "object"; "offset"; "rasg" |] in
+  List.iter
+    (fun (entry : Ormp_workloads.Registry.entry) ->
+      Array.iteri
+        (fun d chunks ->
+          let name = Printf.sprintf "%s %s" entry.name dims.(d) in
+          let t = Sequitur.create () in
+          let counts =
+            counted (fun () ->
+                List.iter (fun c -> Sequitur.push_batch t c ~off:0 ~len:(Array.length c)) chunks)
+          in
+          ok t;
+          let legacy = Sequitur_legacy.create () in
+          List.iter (Sequitur_legacy.push_array legacy) chunks;
+          check_bool (name ^ ": arena = legacy") true
+            (Sequitur.rules t = Sequitur_legacy.rules legacy);
+          if entry.name = "175.vpr-like" && dims.(d) = "object" then begin
+            check_int (name ^ ": symbols") 34_896 (Sequitur.input_length t);
+            Alcotest.(check (list int)) (name ^ ": counts") [ 29_664; 17_400; 16_375; 16_375 ] counts
+          end)
+        (stand_in_lanes entry))
+    Ormp_workloads.Registry.spec
+
 (* --- push_batch -------------------------------------------------------- *)
 
 let test_push_batch_slice () =
@@ -577,6 +809,11 @@ let () =
           tc "push allocates nothing after warm-up" test_push_allocates_nothing;
           tc "restored grammar holds no more heap" test_restore_heap;
           tc "heap is the live grammar" test_heap_is_live_grammar;
+          tc "extension grows a rule" test_extension_grows_rule;
+          tc "whole-rule match" test_whole_rule_match;
+          tc "extension guards" test_extension_guards;
+          tc "extension key collision" test_extension_key_collision;
+          tc "stand-in lanes = legacy" test_stand_in_lanes;
         ] );
       ( "property",
         [
@@ -595,5 +832,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_long_phrases;
           QCheck_alcotest.to_alcotest prop_long_uniform8;
           QCheck_alcotest.to_alcotest prop_long_uniform400;
+          QCheck_alcotest.to_alcotest prop_mutated_phrases;
         ] );
     ]
