@@ -1145,8 +1145,14 @@ let run_verify log ~bench () =
                Error
                  (Printf.sprintf "%d error(s), %d warning(s)" (Ormp_check.Report.errors r)
                     (Ormp_check.Report.warnings r)));
+          (* The live grammars are Sequitur's own output: its internal
+             invariants, then how the profile's parts agree. *)
+          let whomp = Ormp_whomp.Whomp.profile program in
           verdict name "whomp profile"
-            (Ormp_check.Verify.whomp_profile (Ormp_whomp.Whomp.profile program));
+            (List.fold_left
+               (fun acc (_, g) ->
+                 Result.bind acc (fun () -> Ormp_sequitur.Sequitur.check_invariants g))
+               (Ormp_check.Verify.whomp_profile whomp) whomp.Ormp_whomp.Whomp.dims);
           verdict name "leap profile"
             (Ormp_check.Verify.leap_profile (Ormp_leap.Leap.profile program)))
         Ormp_workloads.Registry.spec;

@@ -590,46 +590,46 @@ let check_cmd =
       else Format.printf "%a" Ormp_check.Report.render r;
       Ormp_check.Report.clean r
     in
+    (* One load, by the reader the file's head list names: every reader
+       ends by checking the profile's invariants. *)
     let check_profile path =
-      (* [Error] when [path] does not load as [kind]; otherwise the verdict,
-         printed. *)
-      let try_as kind load verify describe =
-        Result.map
-          (fun p ->
-            match verify p with
-            | Ok () ->
-              Printf.printf "%s: %s profile OK (%s)\n" path kind (describe p);
-              true
-            | Error e ->
-              Printf.eprintf "%s: invalid %s profile: %s\n" path kind e;
-              false)
-          (load path)
+      let module R = Ormp_util.Sexp.Reader in
+      let head r =
+        R.list r;
+        let name = R.atom r in
+        R.skip_rest r;
+        name
       in
-      match
-        try_as "WHOMP" Ormp_persist.Whomp_io.load Ormp_check.Verify.whomp_profile (fun p ->
-            Printf.sprintf "%d accesses, %d objects" p.Ormp_whomp.Whomp.collected
-              (List.length p.Ormp_whomp.Whomp.lifetimes))
-      with
-      | Ok ok -> ok
-      | Error whomp_err -> (
-        match
-          try_as "LEAP" Ormp_persist.Leap_io.load Ormp_check.Verify.leap_profile (fun p ->
+      match In_channel.with_open_bin path In_channel.input_all with
+      | exception Sys_error e ->
+        prerr_endline e;
+        false
+      | text -> (
+        let check kind read describe =
+          match R.run text read with
+          | Ok p ->
+            Printf.printf "%s: %s profile OK (%s)\n" path kind (describe p);
+            true
+          | Error e ->
+            Printf.eprintf "%s: invalid %s profile: %s\n" path kind e;
+            false
+        in
+        match R.run text head with
+        | Ok "ormp-whomp-profile" ->
+          check "WHOMP" Ormp_persist.Whomp_io.read (fun p ->
+              Printf.sprintf "%d accesses, %d objects" p.Ormp_whomp.Whomp.collected
+                (List.length p.Ormp_whomp.Whomp.lifetimes))
+        | Ok "ormp-leap-profile" ->
+          check "LEAP" Ormp_persist.Leap_io.read (fun p ->
               Printf.sprintf "%d accesses, %d streams" p.Ormp_leap.Leap.collected
                 (List.length p.Ormp_leap.Leap.streams))
-        with
-        | Ok ok -> ok
-        | Error leap_err -> (
-          match
-            try_as "RASG" Ormp_persist.Rasg_io.load Ormp_check.Verify.rasg_profile (fun p ->
-                Printf.sprintf "%d accesses, %d symbols" p.Ormp_whomp.Rasg.accesses
-                  (Ormp_whomp.Rasg.size p))
-          with
-          | Ok ok -> ok
-          | Error rasg_err ->
-            Printf.eprintf
-              "%s: not a loadable profile\n  as WHOMP: %s\n  as LEAP: %s\n  as RASG: %s\n" path
-              whomp_err leap_err rasg_err;
-            false))
+        | Ok "ormp-rasg-profile" ->
+          check "RASG" Ormp_persist.Rasg_io.read (fun p ->
+              Printf.sprintf "%d accesses, %d symbols" p.Ormp_whomp.Rasg.accesses
+                (Ormp_whomp.Rasg.size p))
+        | Ok _ | Error _ ->
+          Printf.eprintf "%s: not a profile\n" path;
+          false)
     in
     let ok =
       match (workload, profile, all) with
@@ -659,7 +659,9 @@ let check_cmd =
       value
       & opt (some string) None
       & info [ "profile"; "p" ] ~docv:"FILE"
-          ~doc:"Verify the structural invariants of a saved WHOMP, LEAP or RASG profile.")
+          ~doc:
+            "Load a saved WHOMP, LEAP or RASG profile, by the reader its head list names; \
+             loading checks the profile's invariants.")
   in
   let all =
     Arg.(value & flag & info [ "all" ] ~doc:"Sanitize every registered workload.")

@@ -6,7 +6,10 @@ type t = {
 
 let pair_key a b = if a <= b then (a, b) else (b, a)
 
-let analyze ?(window = 8) (c : Collect.t) ~group =
+(* Accesses closer than this count as affine. *)
+let window = 8
+
+let analyze (c : Collect.t) ~group =
   let aff = Hashtbl.create 256 in
   let bump k = Hashtbl.replace aff k (1 + Option.value ~default:0 (Hashtbl.find_opt aff k)) in
   let tuples = c.Collect.tuples in

@@ -20,9 +20,9 @@ type t = {
   order : int list;  (** proposed placement order (object serials) *)
 }
 
-val analyze : ?window:int -> Collect.t -> group:int -> t
-(** Affinity counts pairs of distinct objects accessed within [window]
-    (default 8) consecutive collected accesses of each other. *)
+val analyze : Collect.t -> group:int -> t
+(** Affinity counts pairs of distinct objects accessed within 8
+    consecutive collected accesses of each other. *)
 
 type layout = (int * int, int) Hashtbl.t
 (** (group, serial) -> base address. *)

@@ -75,10 +75,3 @@ let misses t = t.accesses - t.hits
 
 let miss_rate t =
   if t.accesses = 0 then 0.0 else float_of_int (misses t) /. float_of_int t.accesses
-
-let reset t =
-  Array.iter (fun a -> Array.fill a 0 (Array.length a) (-1)) t.tags;
-  Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) t.lru;
-  t.clock <- 0;
-  t.accesses <- 0;
-  t.hits <- 0

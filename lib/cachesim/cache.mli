@@ -33,6 +33,3 @@ val misses : t -> int
 
 val miss_rate : t -> float
 (** Misses over accesses; 0 when idle. *)
-
-val reset : t -> unit
-(** Clear contents and counters. *)

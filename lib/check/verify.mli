@@ -1,45 +1,14 @@
-(** Profile invariant verifiers.
+(** Profile invariants that no constructor guarantees.
 
-    Each profiler's output obeys structural invariants by construction;
-    these checkers re-establish them from first principles, so a
-    persisted profile (or a profiler bug) that silently violates one is
-    caught instead of corrupting downstream analysis. Every verifier
-    returns the first violation as a human-readable [Error]. *)
-
-type rules = (int * [ `T of int | `N of int ] list) list
-(** The serializable grammar view of {!Ormp_sequitur.Sequitur.rules}. *)
-
-val grammar_rules :
-  ?input_length:int -> ?max_duplicate_digrams:int -> rules -> (unit, string) result
-(** Sequitur's two defining constraints plus structural sanity, checked
-    on the rules view alone (so tests can hand-corrupt a grammar):
-    digram uniqueness (overlapping occurrences inside a run of equal
-    symbols are exempt, as in the classic algorithm), rule utility
-    (every non-start rule referenced at least twice, bodies of length
-    >= 2), no duplicate or dangling or cyclic rules, and — when
-    [input_length] is given — expansion round-trip length.
-
-    [max_duplicate_digrams] (default 0: strict) tolerates that many
-    repeated digrams: our compressor validates digram-index hits lazily,
-    so a stale entry can cost a missed match whose duplicate survives in
-    the final grammar. *)
-
-val grammar : Ormp_sequitur.Sequitur.t -> (unit, string) result
-(** Internal invariants ({!Ormp_sequitur.Sequitur.check_invariants})
-    plus {!grammar_rules} against the compressor's own input length,
-    with a small size-proportional duplicate-digram tolerance for the
-    lazy index (see {!grammar_rules}). *)
-
-val lmad : ?dims:int -> Ormp_lmad.Lmad.t -> (unit, string) result
-(** Well-formedness: every level's stride vector matches the start
-    point's dimensionality ([dims], when given), every level iterates at
-    least twice. *)
-
-val leap_profile : Ormp_leap.Leap.profile -> (unit, string) result
-(** Every stream valid (each compressor within its budget and
-    well-formed, point and offset streams consistent, time spans ordered
-    and disjoint), stream totals sum to [collected], every keyed
-    instruction classified as load or store. *)
+    Each value a profile holds is checked once, where it is built:
+    {!Ormp_sequitur.Sequitur.of_rules} proves a loaded grammar is exactly
+    what Sequitur builds from its expansion, {!Ormp_lmad.Compressor.create}
+    and {!Ormp_lmad.Compressor.of_state} refuse an inconsistent
+    compressor, and {!Ormp_lmad.Lmad.of_levels} a malformed descriptor.
+    What is left is how the parts of a profile agree with each other: the
+    checks below. The profile readers in [Ormp_persist] end by running
+    them, so a profile that loads has passed them. Every verifier returns
+    the first violation as a human-readable [Error]. *)
 
 val objects :
   ?groups:Ormp_core.Omc.group_info list ->
@@ -51,14 +20,19 @@ val objects :
     overlapping in address space (time-sweep re-insertion). With
     [groups], also group-id density and population accounting. *)
 
-val omc : Ormp_core.Omc.t -> (unit, string) result
-(** {!objects} over a live OMC's groups and lifetimes. *)
+val leap_streams :
+  (Ormp_leap.Leap.key * Ormp_leap.Leap.stream) list -> (unit, string) result
+(** One stream per (instruction, group); each stream's point compressor
+    2-dimensional and its offset compressor 1-dimensional with equal
+    totals, at most one time span per LMAD, spans internally ordered and
+    disjoint in creation order, and a discard span present iff accesses
+    were discarded. *)
+
+val leap_profile : Ormp_leap.Leap.profile -> (unit, string) result
+(** {!leap_streams}, stream totals plus dropped accesses equal to
+    [collected], and every stream's instruction classified as a load or
+    a store. *)
 
 val whomp_profile : Ormp_whomp.Whomp.profile -> (unit, string) result
-(** The four dimension grammars present in paper order, each passing
-    {!grammar} with input length equal to [collected], and the
-    lifetime/group tables passing {!objects}. *)
-
-val rasg_profile : Ormp_whomp.Rasg.profile -> (unit, string) result
-(** The raw-address grammar passing {!grammar} with input length equal
-    to [accesses]. *)
+(** The four dimension grammars in paper order, each holding [collected]
+    symbols, and the lifetime/group tables passing {!objects}. *)

@@ -61,8 +61,6 @@ let find t addr =
   let i = find_idx t addr in
   if i < 0 then None else Some (t.bases.(i), t.sizes.(i), t.values.(i))
 
-let mem t addr = find_idx t addr >= 0
-
 let find_nearest_below t addr =
   let i = pred_idx t addr in
   if i < 0 then None else Some (t.bases.(i), t.sizes.(i), t.values.(i))

@@ -39,9 +39,6 @@ val find_nearest_below : 'a t -> int -> (int * int * 'a) option
 val find_nearest_above : 'a t -> int -> (int * int * 'a) option
 (** The range with the least [base > addr], if any. *)
 
-val mem : 'a t -> int -> bool
-(** Whether some live range contains the address. *)
-
 val cardinal : 'a t -> int
 (** Number of live ranges. *)
 

@@ -77,12 +77,8 @@ let add t a b slot =
 
 type pairs = { mutable pdata : int array; mutable pmask : int; mutable pn : int }
 
-let pairs_create ?(capacity = 64) () =
-  let cap = ref 16 in
-  while !cap < capacity do
-    cap := !cap * 2
-  done;
-  { pdata = Array.make (2 * !cap) (-1); pmask = !cap - 1; pn = 0 }
+(* 64 buckets to start. *)
+let pairs_create () = { pdata = Array.make 128 (-1); pmask = 63; pn = 0 }
 
 let pairs_write t k v =
   let mask = t.pmask in

@@ -28,7 +28,7 @@ val add : t -> int -> int -> int -> unit
 type pairs
 (** [k -> v] map stored as interleaved [k; v] pairs. *)
 
-val pairs_create : ?capacity:int -> unit -> pairs
+val pairs_create : unit -> pairs
 val pairs_set : pairs -> int -> int -> unit
 (** Bind [k -> v], replacing any previous binding. *)
 

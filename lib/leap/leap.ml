@@ -262,18 +262,14 @@ let finish c ~collected ~wild ~elapsed =
     elapsed;
   }
 
-let make_cdc ?grouping ?budget ~site_name () =
-  let c = collector ?budget () in
-  let cdc = Ormp_core.Cdc.create ?grouping ~site_name ~on_tuple:(collect c) () in
-  let finalize ~elapsed =
-    Ormp_core.Omc.publish_gauges (Ormp_core.Cdc.omc cdc);
-    finish c ~collected:(Ormp_core.Cdc.collected cdc) ~wild:(Ormp_core.Cdc.wild cdc) ~elapsed
-  in
-  (cdc, c, finalize)
+let make_finalize c cdc ~elapsed =
+  Ormp_core.Omc.publish_gauges (Ormp_core.Cdc.omc cdc);
+  finish c ~collected:(Ormp_core.Cdc.collected cdc) ~wild:(Ormp_core.Cdc.wild cdc) ~elapsed
 
-let sink ?grouping ?budget ~site_name () =
-  let cdc, _, finalize = make_cdc ?grouping ?budget ~site_name () in
-  (Ormp_core.Cdc.sink cdc, finalize)
+let sink ~site_name () =
+  let c = collector () in
+  let cdc = Ormp_core.Cdc.create ~site_name ~on_tuple:(collect c) () in
+  (Ormp_core.Cdc.sink cdc, make_finalize c cdc)
 
 (* The batched sink consumes SoA tuple chunks directly — one callback and
    zero tuple boxing per chunk, instead of one [Tuple.t] per access. *)
@@ -281,11 +277,7 @@ let sink_batched ?grouping ?budget ~site_name () =
   let c = collector ?budget () in
   let cdc = Ormp_core.Cdc.create ?grouping ~site_name ~on_tuple:(collect c) () in
   let batch = Ormp_core.Cdc.batch_tuples cdc ~on_tuples:(collect_tuples c) () in
-  let finalize ~elapsed =
-    Ormp_core.Omc.publish_gauges (Ormp_core.Cdc.omc cdc);
-    finish c ~collected:(Ormp_core.Cdc.collected cdc) ~wild:(Ormp_core.Cdc.wild cdc) ~elapsed
-  in
-  (batch, finalize)
+  (batch, make_finalize c cdc)
 
 let profile ?config ?grouping ?budget program =
   let b, finalize = sink_batched ?grouping ?budget ~site_name:(Printf.sprintf "site%d") () in

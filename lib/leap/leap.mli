@@ -60,12 +60,7 @@ val profile :
   Ormp_vm.Program.t ->
   profile
 
-val sink :
-  ?grouping:Ormp_core.Omc.grouping ->
-  ?budget:int ->
-  site_name:(int -> string) ->
-  unit ->
-  Ormp_trace.Sink.t * (elapsed:float -> profile)
+val sink : site_name:(int -> string) -> unit -> Ormp_trace.Sink.t * (elapsed:float -> profile)
 (** Streaming form. This per-event path is kept as a reference: the
     batched-equivalence tests compare {!sink_batched} against it, and the
     end-to-end benchmark builds its LEAP reference profiles with it. *)

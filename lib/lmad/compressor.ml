@@ -261,19 +261,24 @@ let add_open ~max_depth od p =
     end
     else false
 
-(* Close the descriptor: the complete iterations become the LMAD; the
-   pending partial iteration is returned for replay. *)
+(* The descriptor's complete iterations as an LMAD. When it closes,
+   [leftover], the pending partial iteration, is replayed. *)
 let finalize od =
   match od.o_top_stride with
-  | None -> (Lmad.of_levels ~start:od.o_start ~levels:[], [])
+  | None -> Lmad.of_levels ~start:od.o_start ~levels:[]
   | Some ts ->
     let levels =
       if od.o_top_done >= 2 then od.o_closed @ [ { Lmad.stride = ts; count = od.o_top_done } ]
       else od.o_closed
     in
+    Lmad.of_levels ~start:od.o_start ~levels
+
+let leftover od =
+  match od.o_top_stride with
+  | None -> []
+  | Some _ ->
     let base = consumed od - od.o_partial in
-    let leftover = List.init od.o_partial (fun i -> open_point od (base + i)) in
-    (Lmad.of_levels ~start:od.o_start ~levels, leftover)
+    List.init od.o_partial (fun i -> open_point od (base + i))
 
 (* --- summary of discarded points ------------------------------------ *)
 
@@ -347,7 +352,7 @@ and close_and_retry t p =
   match t.current with
   | None -> assert false
   | Some od ->
-    let lmad, leftover = finalize od in
+    let lmad = finalize od and leftover = leftover od in
     t.closed <- lmad :: t.closed;
     t.n_closed <- t.n_closed + 1;
     t.current <- None;
@@ -477,7 +482,7 @@ let lmads t =
   let closed = List.rev t.closed in
   match t.current with
   | None -> closed
-  | Some od -> closed @ [ fst (finalize od) ]
+  | Some od -> closed @ [ finalize od ]
 
 let total t = t.total
 let discarded t = t.discarded_count
@@ -572,6 +577,11 @@ let of_state s =
     | Some ts when Array.length ts <> s.s_dims ->
       invalid_arg "Compressor.of_state: open stride dims mismatch"
     | _ -> ());
+    (* [advance] counts [s_partial] up to the inner size and never past
+       it: its mixed-radix digits would carry off the end of their array. *)
+    let inner = List.fold_left (fun n (l : Lmad.level) -> n * l.count) 1 os.s_levels in
+    if os.s_top_done < 1 || os.s_partial < 0 || os.s_partial >= inner then
+      invalid_arg "Compressor.of_state: open descriptor position out of range";
     let od =
       {
         o_start = Array.copy os.s_start;
@@ -598,9 +608,32 @@ let of_state s =
       || Array.length sum.max_v <> s.s_dims
       || Array.length sum.granularity <> s.s_dims
     then invalid_arg "Compressor.of_state: summary dims mismatch";
+    for i = 0 to s.s_dims - 1 do
+      if sum.min_v.(i) > sum.max_v.(i) then invalid_arg "Compressor.of_state: summary min > max";
+      if sum.granularity.(i) < 0 then invalid_arg "Compressor.of_state: negative granularity"
+    done;
     t.discarded_count <- sum.discarded;
     t.sum_min <- Array.copy sum.min_v;
     t.sum_max <- Array.copy sum.max_v;
     t.sum_gran <- Array.copy sum.granularity);
   t.last_discarded <- Option.map Array.copy s.s_last_discarded;
+  if t.discarded_count > t.total then
+    Printf.ksprintf invalid_arg "Compressor.of_state: %d points discarded of %d seen"
+      t.discarded_count t.total;
+  (* Each descriptor's size is taken out of what was captured level by
+     level, so no product or sum of counts wraps past [max_int]. *)
+  let over () =
+    Printf.ksprintf invalid_arg
+      "Compressor.of_state: LMADs describe more points than the %d captured" (captured t)
+  in
+  ignore
+    (List.fold_left
+       (fun room d ->
+         let size =
+           List.fold_left
+             (fun n (l : Lmad.level) -> if n > room / l.count then over () else n * l.count)
+             1 d.Lmad.levels
+         in
+         if size > room then over () else room - size)
+       (captured t) (lmads t));
   t

@@ -143,4 +143,11 @@ val of_state : state -> t
 (** Rebuild from {!state}. [add]s on the result behave exactly as they
     would have on the original — extending the open descriptor, deepening
     on the same boundaries, and continuing the summary's granularity
-    chain. @raise Invalid_argument on an inconsistent state. *)
+    chain. Every compressor is valid however it was built.
+    @raise Invalid_argument on an inconsistent state: descriptors of
+    another dimensionality or over the budget, an open descriptor with no
+    outer iteration done or with as many points of the next as its inner
+    pattern holds, a summary that is empty,
+    of another dimensionality, with a min above its max or a negative
+    granularity, more points discarded than seen, or descriptors that
+    describe more points than were captured. *)

@@ -252,17 +252,3 @@ let count_conflicts ~store ~load =
            loads)
     end
     else count_matches ~store ~load
-
-let drop_time (d : Lmad.t) =
-  let n = Lmad.dims d in
-  Lmad.of_levels
-    ~start:(Array.sub d.Lmad.start 0 (n - 1))
-    ~levels:
-      (List.map
-         (fun (l : Lmad.level) -> { l with Lmad.stride = Array.sub l.stride 0 (n - 1) })
-         d.Lmad.levels)
-
-let overlaps ~a ~b =
-  let n = check_dims a b in
-  if n < 2 then invalid_arg "Solver: need at least one location dim plus time";
-  count_matches ~store:(drop_time a) ~load:(drop_time b) > 0

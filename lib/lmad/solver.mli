@@ -30,7 +30,3 @@ val count_conflicts : store:Lmad.t -> load:Lmad.t -> int
     one level; deeper descriptors are enumerated within the work budget
     (falling back to the time-free {!count_matches}).
     @raise Invalid_argument on layout mismatch. *)
-
-val overlaps : a:Lmad.t -> b:Lmad.t -> bool
-(** Ignore the trailing time dimension: do the two descriptors touch any
-    common location at all? *)

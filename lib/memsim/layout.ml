@@ -16,8 +16,6 @@ let assign ?(base = default_base) ?(align = 8) ?(gap = 0) entries =
   in
   List.rev rev
 
-let lookup placements name = List.find (fun p -> p.entry.name = name) placements
-
 let segment_end = function
   | [] -> default_base
   | placements ->

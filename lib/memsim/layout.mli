@@ -17,9 +17,6 @@ val assign : ?base:int -> ?align:int -> ?gap:int -> entry list -> placement list
     and leaving [gap] padding bytes between objects (default 0). Different
     [base]/[gap] values model a relinked binary. *)
 
-val lookup : placement list -> string -> placement
-(** @raise Not_found if no entry has that name. *)
-
 val segment_end : placement list -> int
 (** First address past the laid-out data; [base] when empty — callers
     should place the heap above this. *)

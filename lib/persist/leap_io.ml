@@ -122,14 +122,18 @@ let read r =
   let dropped_accesses = read_counter r "dropped-accesses" in
   let streams = R.repeated r "stream" (read_stream Lmad_io.read_comp) in
   R.close r;
-  {
-    Leap.streams;
-    store_instrs;
-    collected;
-    wild;
-    dropped_streams;
-    dropped_accesses;
-    elapsed = 0.0;
-  }
+  let p =
+    {
+      Leap.streams;
+      store_instrs;
+      collected;
+      wild;
+      dropped_streams;
+      dropped_accesses;
+      elapsed = 0.0;
+    }
+  in
+  Result.iter_error (R.fail r) (Ormp_check.Verify.leap_profile p);
+  p
 
 let load path = R.load path read

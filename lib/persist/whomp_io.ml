@@ -80,6 +80,8 @@ let read r =
   let groups = R.repeated r "group" read_group in
   let lifetimes = R.repeated r "object" read_lifetime in
   R.close r;
-  { Whomp.dims; collected; wild; groups; lifetimes; elapsed = 0.0 }
+  let p = { Whomp.dims; collected; wild; groups; lifetimes; elapsed = 0.0 } in
+  Result.iter_error (R.fail r) (Ormp_check.Verify.whomp_profile p);
+  p
 
 let load path = R.load path read

@@ -15,11 +15,11 @@ type suite = {
 
 let site_name = Printf.sprintf "site%d"
 
-let run_suite ?(bench = false) ?config ?window entry =
+let run_suite ?(bench = false) entry =
   let program = Registry.program ~bench entry in
   let leap_batch, leap_fin = Ormp_leap.Leap.sink_batched ~site_name () in
   let truth = Ormp_baselines.Lossless_dep.create () in
-  let connors = Ormp_baselines.Connors.create ?window () in
+  let connors = Ormp_baselines.Connors.create () in
   let wu = Ormp_baselines.Lossless_stride.create () in
   let lanes =
     Ormp_trace.Batch.fanout
@@ -30,7 +30,7 @@ let run_suite ?(bench = false) ?config ?window entry =
         Ormp_baselines.Lossless_stride.batch wu;
       ]
   in
-  let result = Ormp_vm.Runner.run_batched ?config program lanes in
+  let result = Ormp_vm.Runner.run_batched program lanes in
   { entry; leap = leap_fin ~elapsed:result.Ormp_vm.Runner.elapsed; truth; connors; wu }
 
 let run_suites ?bench ?(parallel = false) () =

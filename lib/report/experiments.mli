@@ -19,8 +19,7 @@ type suite = {
   wu : Ormp_baselines.Lossless_stride.t;
 }
 
-val run_suite :
-  ?bench:bool -> ?config:Ormp_vm.Config.t -> ?window:int -> Registry.entry -> suite
+val run_suite : ?bench:bool -> Registry.entry -> suite
 
 val run_suites : ?bench:bool -> ?parallel:bool -> unit -> suite list
 (** All seven SPEC-like workloads, in Table 1 order. With [~parallel:true]

@@ -149,6 +149,25 @@ let read_cdc r =
   let s_groups = R.repeated r "group" read_group in
   let s_lifetimes = R.repeated r "object" Whomp_io.read_lifetime in
   R.close r;
+  (* What [Omc.of_state] would raise on once the load has succeeded is
+     refused here, so a resealed payload is skipped, not fatal: a group
+     key twice, and the object table against its groups (the label plays
+     no part in [Verify.objects]). *)
+  let keys =
+    List.map
+      (fun (g : Omc.group_state) ->
+        match g.gs_type with Some ty -> `Type ty | None -> `Site g.gs_site)
+      s_groups
+  in
+  if List.length (List.sort_uniq compare keys) <> List.length keys then
+    R.fail r "expected each group key once";
+  let groups =
+    List.mapi
+      (fun gid (g : Omc.group_state) ->
+        { Omc.gid; site = g.gs_site; label = ""; population = g.gs_population })
+      s_groups
+  in
+  Result.iter_error (R.fail r) (Ormp_check.Verify.objects ~groups s_lifetimes);
   { Cdc.s_omc = { Omc.s_grouping; s_groups; s_lifetimes; s_unknown_frees }; s_clock; s_wild }
 
 let read_leap r =
@@ -165,6 +184,7 @@ let read_leap r =
   let lv_dropped_accesses = R.int_field r "dropped-accesses" in
   let lv_streams = R.repeated r "stream" (Leap_io.read_stream Lmad_io.read_state) in
   R.close r;
+  Result.iter_error (R.fail r) (Ormp_check.Verify.leap_streams lv_streams);
   { Leap.lv_streams; lv_stores; lv_dropped = List.rev !dropped; lv_dropped_accesses }
 
 let read_epoch r =

@@ -56,7 +56,10 @@ val write : Ormp_util.Sexp.Writer.t -> t -> unit
 
 val read : Ormp_util.Sexp.Reader.t -> t
 (** The mirror of {!write}; every grammar expands to at most [position]
-    symbols. *)
+    symbols, the object table passes {!Ormp_check.Verify.objects} against
+    the group table (each group key once), and the live streams pass
+    {!Ormp_check.Verify.leap_streams}, so a payload edited and resealed
+    is refused like a bad seal instead of failing the restore. *)
 
 val save : ?io:Ormp_workloads.Faults.Io.t -> string -> t -> unit
 (** Atomic + sealed; may raise the planned injected fault. *)

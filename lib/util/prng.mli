@@ -12,13 +12,6 @@ val create : seed:int -> t
 (** [create ~seed] makes a fresh generator. Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy sharing no state with the original. *)
-
-val split : t -> t
-(** [split t] derives a new generator from [t], advancing [t]. Streams of
-    the parent and child are independent for practical purposes. *)
-
 val next : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -40,8 +33,3 @@ val shuffle : t -> 'a array -> unit
 
 val choose : t -> 'a array -> 'a
 (** Uniformly random element of a non-empty array. *)
-
-val geometric : t -> p:float -> int
-(** [geometric t ~p] samples the number of failures before the first
-    success of a Bernoulli([p]) trial; mean [(1-p)/p]. Requires
-    [0 < p <= 1]. *)

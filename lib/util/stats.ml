@@ -2,14 +2,6 @@ let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-    let m = mean xs in
-    let var = mean (List.map (fun x -> (x -. m) *. (x -. m)) xs) in
-    sqrt var
-
 let sorted xs = List.sort compare xs
 
 let median xs =
@@ -29,12 +21,6 @@ let percentile xs p =
     let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
     let idx = max 0 (min (n - 1) (rank - 1)) in
     a.(idx)
-
-let geomean = function
-  | [] -> 0.0
-  | xs ->
-    let logs = List.map log xs in
-    exp (mean logs)
 
 let rec gcd a b =
   let a = abs a and b = abs b in

@@ -3,18 +3,12 @@
 val mean : float list -> float
 (** Arithmetic mean; 0 on the empty list. *)
 
-val stddev : float list -> float
-(** Population standard deviation; 0 on lists shorter than 2. *)
-
 val median : float list -> float
 (** Median (average of the two middle elements for even lengths); 0 on the
     empty list. *)
 
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [\[0,100\]], nearest-rank method. *)
-
-val geomean : float list -> float
-(** Geometric mean of positive values; 0 on the empty list. *)
 
 val gcd : int -> int -> int
 (** Greatest common divisor on absolute values; [gcd 0 0 = 0]. *)

@@ -92,8 +92,6 @@ let store t ~instr ?(size = 8) o off = access t ~instr ~size ~is_store:true o of
 
 let load_raw t ~instr ?(size = 8) a = emit_access t ~instr ~addr:a ~size ~is_store:false
 
-let store_raw t ~instr ?(size = 8) a = emit_access t ~instr ~addr:a ~size ~is_store:true
-
 let pool_create t ~site ?type_name ?(expose_pieces = false) ?pieces_site size =
   let exposed =
     match (expose_pieces, pieces_site) with

@@ -67,8 +67,6 @@ val load_raw : t -> instr:int -> ?size:int -> int -> unit
 (** Access a raw address with no object bookkeeping (stack-like or wild
     accesses; the paper leaves such accesses unprofiled). *)
 
-val store_raw : t -> instr:int -> ?size:int -> int -> unit
-
 val free_raw : t -> ?site:int -> int -> unit
 (** Emit a destruction probe for a raw address without touching the
     allocator — the double-free analogue of {!load_raw}. The fault

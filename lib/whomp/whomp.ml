@@ -70,14 +70,10 @@ let make_finalize c cdc =
   in
   finalize
 
-let make_cdc ?grouping ~site_name () =
+let sink ~site_name () =
   let c = collector () in
-  let cdc = Ormp_core.Cdc.create ?grouping ~site_name ~on_tuple:(collect c) () in
-  (cdc, make_finalize c cdc)
-
-let sink ?grouping ~site_name () =
-  let cdc, finalize = make_cdc ?grouping ~site_name () in
-  (Ormp_core.Cdc.sink cdc, finalize)
+  let cdc = Ormp_core.Cdc.create ~site_name ~on_tuple:(collect c) () in
+  (Ormp_core.Cdc.sink cdc, make_finalize c cdc)
 
 (* The batched sink skips the per-tuple [collect] entirely: whole SoA chunk
    lanes go straight into each dimension's compressor via [push_batch].

@@ -63,11 +63,7 @@ val publish_dim_gauges : (string * Ormp_sequitur.Sequitur.t) list -> unit
 (** Publish per-grammar telemetry gauges (symbols/rules/input per named
     dimension). No-op with telemetry disabled; called at finalize. *)
 
-val sink :
-  ?grouping:Ormp_core.Omc.grouping ->
-  site_name:(int -> string) ->
-  unit ->
-  Ormp_trace.Sink.t * (elapsed:float -> profile)
+val sink : site_name:(int -> string) -> unit -> Ormp_trace.Sink.t * (elapsed:float -> profile)
 (** Streaming form: a probe sink plus a finalizer, for callers that drive
     the VM themselves. This per-event path (through {!Ormp_core.Cdc.sink})
     is kept as the reference the batched-equivalence tests compare

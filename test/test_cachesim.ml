@@ -49,13 +49,6 @@ let test_associativity_and_lru () =
   check_bool "a still resident" true (Cache.access c ~addr:a ~size:8);
   check_bool "b evicted" false (Cache.access c ~addr:b ~size:8)
 
-let test_reset () =
-  let c = Cache.create tiny in
-  ignore (Cache.access c ~addr:0 ~size:8);
-  Cache.reset c;
-  check_int "counters cleared" 0 (Cache.accesses c);
-  check_bool "contents cleared" false (Cache.access c ~addr:0 ~size:8)
-
 let test_miss_rate () =
   let c = Cache.create tiny in
   Alcotest.(check (float 1e-9)) "idle" 0.0 (Cache.miss_rate c);
@@ -129,7 +122,6 @@ let () =
           tc "cold miss then hit" test_cold_miss_then_hit;
           tc "straddling access" test_straddling_access;
           tc "associativity and LRU" test_associativity_and_lru;
-          tc "reset" test_reset;
           tc "miss rate" test_miss_rate;
           tc "sequential vs scattered" test_sequential_vs_scattered;
           QCheck_alcotest.to_alcotest prop_matches_reference_model;

@@ -399,21 +399,20 @@ let prop_batched_matches_reference =
 let test_grammar_rules_accepts () =
   (* R0 -> R1 R1 t5, R1 -> t1 t2: both constraints hold. *)
   let rules = [ (0, [ `N 1; `N 1; `T 5 ]); (1, [ `T 1; `T 2 ]) ] in
-  (match Verify.grammar_rules ~input_length:5 rules with
-  | Ok () -> ()
+  (match Grammar_oracle.check ~input_length:5 rules with
+  | Ok n -> check_int "no repeated digram" 0 n
   | Error e -> Alcotest.fail e);
   (* Overlapping digram occurrences inside a run of equal symbols are the
      classic algorithm's exemption, not a violation. *)
-  match Verify.grammar_rules ~input_length:3 [ (0, [ `T 7; `T 7; `T 7 ]) ] with
-  | Ok () -> ()
+  match Grammar_oracle.check ~input_length:3 [ (0, [ `T 7; `T 7; `T 7 ]) ] with
+  | Ok n -> check_int "run exempt" 0 n
   | Error e -> Alcotest.fail e
 
 let test_grammar_rules_rejects () =
   let rejects name rules ?input_length () =
-    check_bool name true (is_error (Verify.grammar_rules ?input_length rules))
+    check_bool name true (Grammar_oracle.check ?input_length rules <> Ok 0)
   in
-  (* Hand-corrupted grammar: digram t1 t2 appears twice — strict mode
-     must reject it. *)
+  (* Hand-corrupted grammar: digram t1 t2 appears twice. *)
   rejects "repeated digram" [ (0, [ `T 1; `T 2; `T 3; `T 1; `T 2 ]) ] ();
   rejects "under-used rule" [ (0, [ `N 1; `T 9 ]); (1, [ `T 1; `T 2 ]) ] ();
   rejects "single-symbol rule" [ (0, [ `N 1; `N 1 ]); (1, [ `T 1 ]) ] ();
@@ -423,36 +422,50 @@ let test_grammar_rules_rejects () =
   rejects "missing start rule" [ (1, [ `T 1; `T 2 ]) ] ();
   rejects "expansion length mismatch" [ (0, [ `T 1; `T 2 ]) ] ~input_length:3 ()
 
+(* The oracle counts repeated digrams exactly; Sequitur's overlap rule
+   leaves one in this 9-symbol stream (see [Grammar_oracle]), in the
+   arena and in the legacy compressor alike. *)
 let test_grammar_duplicate_tolerance () =
-  let dup = [ (0, [ `T 1; `T 2; `T 3; `T 1; `T 2 ]) ] in
-  check_bool "strict rejects" true (is_error (Verify.grammar_rules dup));
-  match Verify.grammar_rules ~max_duplicate_digrams:1 dup with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("tolerance of 1 should accept: " ^ e)
+  check_bool "hand-written repeat counted" true
+    (Grammar_oracle.check [ (0, [ `T 1; `T 2; `T 3; `T 1; `T 2 ]) ] = Ok 1);
+  let stream = [| 1; 2; 2; 2; 1; 2; 3; 2; 2 |] in
+  let g = Ormp_sequitur.Sequitur.create () in
+  Ormp_sequitur.Sequitur.push_array g stream;
+  let legacy = Sequitur_legacy.create () in
+  Sequitur_legacy.push_array legacy stream;
+  let rules = [ (0, [ `N 1; `T 2; `T 2; `N 1; `T 3; `T 2; `T 2 ]); (1, [ `T 1; `T 2 ]) ] in
+  check_bool "arena grammar" true (Ormp_sequitur.Sequitur.rules g = rules);
+  check_bool "legacy grammar" true (Sequitur_legacy.rules legacy = rules);
+  check_bool "one repeated digram" true (Grammar_oracle.check ~input_length:9 rules = Ok 1)
 
 let test_grammar_accepts_real_compressor () =
   let g = Ormp_sequitur.Sequitur.create () in
   let input = Array.init 4096 (fun i -> (i * i) mod 17) in
   Ormp_sequitur.Sequitur.push_array g input;
-  (match Verify.grammar g with Ok () -> () | Error e -> Alcotest.fail e);
-  match Verify.grammar_rules ~input_length:4096 (Ormp_sequitur.Sequitur.rules g) with
+  (match Ormp_sequitur.Sequitur.check_invariants g with
   | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  match Grammar_oracle.check ~input_length:4096 (Ormp_sequitur.Sequitur.rules g) with
+  | Ok n -> check_int "repeated digrams" 0 n
   | Error e -> Alcotest.fail ("rules view: " ^ e)
 
 (* ------------------------------------------------------------------ *)
-(* Verifiers: LMADs and object tables                                  *)
+(* LMADs and object tables                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A descriptor is well-formed by construction: [Lmad.of_levels] refuses
+   a level whose stride has another dimensionality than the start. *)
 let test_lmad_verify () =
   let d =
     Lmad.of_levels ~start:[| 0; 0 |]
       ~levels:[ { Lmad.stride = [| 0; 8 |]; count = 16 }; { Lmad.stride = [| 1; 0 |]; count = 4 } ]
   in
-  (match Verify.lmad ~dims:2 d with Ok () -> () | Error e -> Alcotest.fail e);
-  (* Malformed for its stream: a 2-dimensional descriptor where the
-     stream is declared 1-dimensional. *)
-  check_bool "dimension mismatch rejected" true (is_error (Verify.lmad ~dims:1 d));
-  check_bool "single point ok" true (Verify.lmad ~dims:3 (Lmad.make [| 1; 2; 3 |]) = Ok ())
+  check_int "size" 64 (Lmad.size d);
+  check_bool "dimension mismatch rejected" true
+    (match Lmad.of_levels ~start:[| 0 |] ~levels:d.Lmad.levels with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  check_int "single point" 1 (Lmad.size (Lmad.make [| 1; 2; 3 |]))
 
 let lifetime ~group ~serial ~base ~size ~alloc_time ?free_time ?free_site () =
   { Ormp_core.Omc.group; serial; base; size; alloc_time; free_time; free_site }
@@ -531,14 +544,17 @@ let test_real_profiles_verify () =
       (match Verify.leap_profile (Ormp_leap.Leap.profile p) with
       | Ok () -> ()
       | Error e -> Alcotest.fail (p.Ormp_vm.Program.name ^ " leap: " ^ e));
+      (* The RASG reader holds the grammar to the access count on file. *)
       let rasg = Ormp_whomp.Rasg.profile p in
-      (match Verify.rasg_profile rasg with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail (p.Ormp_vm.Program.name ^ " rasg: " ^ e));
-      check_bool "rasg access count checked" true
-        (is_error
-           (Verify.rasg_profile
-              { rasg with Ormp_whomp.Rasg.accesses = rasg.Ormp_whomp.Rasg.accesses + 1 })))
+      let text accesses =
+        Ormp_util.Sexp.Writer.render Ormp_persist.Rasg_io.write
+          { rasg with Ormp_whomp.Rasg.accesses }
+      in
+      let reads accesses =
+        Result.is_ok (Ormp_util.Sexp.Reader.run (text accesses) Ormp_persist.Rasg_io.read)
+      in
+      check_bool "rasg profile loads" true (reads rasg.Ormp_whomp.Rasg.accesses);
+      check_bool "rasg access count checked" false (reads (rasg.Ormp_whomp.Rasg.accesses + 1)))
     [ Micro.churn ~live:12 ~ops:1500 (); Micro.matrix ~n:8 (); Micro.array_stride ~elems:256 ~sweeps:3 () ]
 
 let test_omc_verify () =
@@ -547,7 +563,9 @@ let test_omc_verify () =
   Ormp_core.Omc.on_alloc omc ~time:1 ~site:1 ~addr:2000 ~size:64 ~type_name:None;
   Ormp_core.Omc.on_free omc ~time:2 ~addr:1000;
   Ormp_core.Omc.on_alloc omc ~time:3 ~site:2 ~addr:1000 ~size:32 ~type_name:None;
-  match Verify.omc omc with Ok () -> () | Error e -> Alcotest.fail e
+  match Verify.objects ~groups:(Ormp_core.Omc.groups omc) (Ormp_core.Omc.lifetimes omc) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in

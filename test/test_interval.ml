@@ -25,12 +25,6 @@ let test_single_range () =
   check_bool "at end (exclusive)" true (Range_index.find t 116 = None);
   ok t
 
-let test_mem () =
-  let t = Range_index.create () in
-  Range_index.insert t ~base:10 ~size:5 ();
-  check_bool "mem inside" true (Range_index.mem t 12);
-  check_bool "mem outside" false (Range_index.mem t 15)
-
 let test_adjacent_ranges () =
   let t = Range_index.create () in
   Range_index.insert t ~base:0 ~size:10 "a";
@@ -253,7 +247,6 @@ let () =
         [
           tc "empty" test_empty;
           tc "single range" test_single_range;
-          tc "mem" test_mem;
           tc "adjacent ranges" test_adjacent_ranges;
           tc "overlap rejected" test_overlap_rejected;
           tc "size must be positive" test_size_positive;

@@ -185,6 +185,28 @@ let test_create_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* A snapshot's open descriptor stands mid-way through an outer
+   iteration: at least one iteration done, and fewer points of the next
+   than the inner pattern holds. *)
+let test_of_state_open_position () =
+  let c = Compressor.create ~dims:1 () in
+  (* Three sweeps of a 4-point inner pattern, then 2 points of the next. *)
+  List.iter
+    (fun p -> ignore (Compressor.add c [| p |]))
+    [ 0; 1; 2; 3; 0; 1; 2; 3; 0; 1; 2; 3; 0; 1 ];
+  let st = Compressor.state c in
+  let os = Option.get st.Compressor.s_current in
+  check_int "partial" 2 os.Compressor.s_partial;
+  let refused os =
+    match Compressor.of_state { st with Compressor.s_current = Some os } with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "the state itself restores" false (refused os);
+  check_bool "partial at the inner size" true (refused { os with Compressor.s_partial = 4 });
+  check_bool "negative partial" true (refused { os with Compressor.s_partial = -1 });
+  check_bool "no outer iteration done" true (refused { os with Compressor.s_top_done = 0 })
+
 let prop_roundtrip_when_captured =
   QCheck.Test.make ~name:"reconstruct = input when fully captured" ~count:500
     QCheck.(list_of_size Gen.(int_range 0 80) (int_range (-20) 20))
@@ -457,13 +479,6 @@ let test_solver_layout_validation () =
        false
      with Invalid_argument _ -> true)
 
-let test_overlaps () =
-  let a = mk ~start:[| 0; 0 |] ~stride:[| 8; 1 |] ~count:10 in
-  let b = mk ~start:[| 4; 0 |] ~stride:[| 8; 1 |] ~count:10 in
-  let c = mk ~start:[| 4; 0 |] ~stride:[| 2; 1 |] ~count:10 in
-  check_bool "disjoint" false (Solver.overlaps ~a ~b);
-  check_bool "crossing" true (Solver.overlaps ~a ~b:c)
-
 let gen_ap ~dims =
   QCheck.Gen.(
     let* start = array_size (return dims) (int_range (-12) 12) in
@@ -500,19 +515,6 @@ let prop_matches_vs_brute =
     (fun (store, load) ->
       Solver.count_matches ~store ~load = brute_matches ~store ~load)
 
-let prop_overlaps_vs_brute =
-  QCheck.Test.make ~name:"overlaps agrees with brute force" ~count:1000 (arb_ap_pair 2)
-    (fun ((s1, t1, c1), (s2, t2, c2)) ->
-      let a = mk ~start:s1 ~stride:t1 ~count:c1 in
-      let b = mk ~start:s2 ~stride:t2 ~count:c2 in
-      let loc p = Array.sub p 0 (Array.length p - 1) in
-      let brute =
-        List.exists
-          (fun pa -> List.exists (fun pb -> loc pa = loc pb) (Lmad.points b))
-          (Lmad.points a)
-      in
-      Solver.overlaps ~a ~b = brute)
-
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "ormp_lmad"
@@ -539,6 +541,7 @@ let () =
           tc "multidim stream" test_multidim_stream;
           tc "placement reporting" test_placement_reporting;
           tc "create validation" test_create_validation;
+          tc "of_state refuses an open position out of range" test_of_state_open_position;
           QCheck_alcotest.to_alcotest prop_roundtrip_when_captured;
           QCheck_alcotest.to_alcotest prop_roundtrip_always_prefix_free;
           QCheck_alcotest.to_alcotest prop_accounting;
@@ -559,12 +562,10 @@ let () =
           tc "matches multiplicity" test_matches_multiplicity;
           tc "nested matches exact" test_matches_nested_exact;
           tc "layout validation" test_solver_layout_validation;
-          tc "overlaps" test_overlaps;
           QCheck_alcotest.to_alcotest
             (prop_conflicts_vs_brute 2 "count_conflicts = brute force (2d)");
           QCheck_alcotest.to_alcotest
             (prop_conflicts_vs_brute 3 "count_conflicts = brute force (3d)");
           QCheck_alcotest.to_alcotest prop_matches_vs_brute;
-          QCheck_alcotest.to_alcotest prop_overlaps_vs_brute;
         ] );
     ]

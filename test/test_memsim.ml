@@ -195,7 +195,8 @@ let entries = [ { Layout.name = "a"; size = 10 }; { Layout.name = "b"; size = 24
 
 let test_layout_basic () =
   let ps = Layout.assign ~base:1000 ~align:8 entries in
-  let a = Layout.lookup ps "a" and b = Layout.lookup ps "b" in
+  let lookup name = List.find (fun p -> p.Layout.entry.Layout.name = name) ps in
+  let a = lookup "a" and b = lookup "b" in
   check_int "a at base" 1000 a.Layout.address;
   check_int "b aligned past a" 1016 b.Layout.address;
   check_int "segment end" (1016 + 24) (Layout.segment_end ps)
@@ -203,8 +204,8 @@ let test_layout_basic () =
 let test_layout_gap_shifts () =
   let p0 = Layout.assign ~base:1000 entries in
   let p1 = Layout.assign ~base:1000 ~gap:32 entries in
-  check_bool "gap moves later objects" true
-    ((Layout.lookup p1 "b").Layout.address > (Layout.lookup p0 "b").Layout.address)
+  let b ps = List.find (fun p -> p.Layout.entry.Layout.name = "b") ps in
+  check_bool "gap moves later objects" true ((b p1).Layout.address > (b p0).Layout.address)
 
 let test_layout_base_shifts_everything () =
   let p0 = Layout.assign ~base:1000 entries in
@@ -231,13 +232,6 @@ let test_layout_no_overlap () =
       pairwise rest
   in
   pairwise ps
-
-let test_layout_lookup_missing () =
-  check_bool "raises Not_found" true
-    (try
-       ignore (Layout.lookup (Layout.assign entries) "zzz");
-       false
-     with Not_found -> true)
 
 let test_layout_validation () =
   check_bool "bad size rejected" true
@@ -275,7 +269,6 @@ let () =
           tc "gap shifts" test_layout_gap_shifts;
           tc "base shifts everything" test_layout_base_shifts_everything;
           tc "no overlap" test_layout_no_overlap;
-          tc "lookup missing" test_layout_lookup_missing;
           tc "validation" test_layout_validation;
         ] );
     ]

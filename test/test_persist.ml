@@ -1043,6 +1043,222 @@ let test_read_int_allocation_free () =
   check_bool (Printf.sprintf "minor words: %.0f for 100 ints, %.0f for 100k" small large) true
     (large <= small)
 
+(* ------------------------------------------------------------------ *)
+(* Readers refuse what breaks an invariant                             *)
+(* ------------------------------------------------------------------ *)
+
+(* [edit text ~nth old by]: the [nth] (from 1) occurrence of [old] in
+   [text] replaced by [by]. *)
+let edit ?(nth = 1) text old by =
+  let rec at from k =
+    match find_sub (String.sub text from (String.length text - from)) old with
+    | None -> Alcotest.failf "no %S in the profile" old
+    | Some i when k = 1 -> from + i
+    | Some i -> at (from + i + 1) (k - 1)
+  in
+  let i = at 0 nth in
+  splice text i (i + String.length old) by
+
+(* The bytes of the first [(name ...)] list after [from]. *)
+let list_span text ~from name =
+  match find_sub (String.sub text from (String.length text - from)) ("(" ^ name ^ " ") with
+  | None -> Alcotest.failf "no (%s" name
+  | Some i ->
+    let a = from + i in
+    (a, String.index_from text a ')' + 1)
+
+(* Each case is a profile text that breaks one invariant, and part of the
+   message its reader must fail with. *)
+let refused read cases =
+  List.iter
+    (fun (name, text, expect) ->
+      match R.run text read with
+      | Ok _ -> Alcotest.failf "%s: loaded" name
+      | Error e ->
+        check_bool (Printf.sprintf "%s: %S names %S" name e expect) true
+          (find_sub e expect <> None))
+    cases
+
+let test_leap_invariants_refused () =
+  let module L = Ormp_leap.Leap in
+  let render = W.render Ormp_persist.Leap_io.write in
+  (* [ormp leap linked_list]: three streams of one LMAD each, 2048
+     accesses apiece. *)
+  let regular = L.profile (List.assoc "linked_list" Micro.all) in
+  let text = render regular in
+  (* A stream of [p] rewritten in memory, where no reader intervenes. *)
+  let with_stream p pick f =
+    let k, s = List.find pick p.L.streams in
+    let streams = List.map (fun (k', s') -> if k' = k then (k, f s) else (k', s')) p.L.streams in
+    render { p with L.streams }
+  in
+  let first _ = true in
+  let lossy () = L.profile (Micro.hash_probe ~buckets:512 ~ops:4096 ()) in
+  let discards (_, s) = Ormp_lmad.Compressor.discarded s.L.comp > 0 in
+  let c = Ormp_lmad.Compressor.create in
+  refused Ormp_persist.Leap_io.read
+    [
+      ( "span reversed",
+        edit text "(spans 0 6141)" "(spans 6141 0)",
+        "span 0: t_first 6141 > t_last 0" );
+      ( "two spans for one LMAD",
+        edit text "(spans 0 6141)" "(spans 0 3000 3001 6141)",
+        "2 time spans for 1 LMADs" );
+      ( "collected",
+        edit text "(collected 6144)" "(collected 9999)",
+        "streams hold 6144 accesses (+0 dropped), profile collected 9999" );
+      ( "comp total",
+        edit text "(total 2048)" "(total 100)",
+        "LMADs describe more points than the 100 captured" );
+      ( "off total below",
+        edit ~nth:2 text "(total 2048)" "(total 2047)",
+        "LMADs describe more points than the 2047 captured" );
+      (* 2^61 * 4 wraps to 0 in OCaml's 63-bit ints. *)
+      ( "LMAD size past max_int",
+        edit (edit text "(count 64)" "(count 2305843009213693952)") "(count 32)" "(count 4)",
+        "LMADs describe more points than the 2048 captured" );
+      ( "off total above",
+        edit ~nth:2 text "(total 2048)" "(total 2049)",
+        "point stream saw 2048 accesses, offset stream 2049" );
+      ( "unclassified instruction",
+        edit text "(instrs 2 3 4)" "(instrs 3 4)",
+        "instruction i2 has a stream but no load/store record" );
+      ( "stream twice",
+        render { regular with L.streams = List.hd regular.L.streams :: regular.L.streams },
+        "stream (i2, g0) twice" );
+      ( "point stream dims",
+        with_stream regular first (fun s -> { s with L.comp = c ~dims:3 () }),
+        "point stream dims 3 <> 2" );
+      ( "offset stream dims",
+        with_stream regular first (fun s -> { s with L.off = c ~dims:2 () }),
+        "offset stream dims 2 <> 1" );
+      ( "spans overlap",
+        with_stream (lossy ())
+          (fun (_, s) -> Ormp_util.Vec.length s.L.spans >= 2)
+          (fun s ->
+            let sp = Ormp_util.Vec.get s.L.spans 1 in
+            sp.L.t_first <- (Ormp_util.Vec.get s.L.spans 0).L.t_last - 1;
+            s),
+        "span 1 begins" );
+      ( "discards without a span",
+        with_stream (lossy ()) discards (fun s -> { s with L.dspan = None }),
+        "accesses discarded but no discard span" );
+      ( "discard span without discards",
+        with_stream regular first (fun s ->
+            { s with L.dspan = Some { L.t_first = 0; t_last = 1 } }),
+        "discard span present but nothing was discarded" );
+      ( "discard span reversed",
+        with_stream (lossy ()) discards (fun s ->
+            { s with L.dspan = Some { L.t_first = 9; t_last = 1 } }),
+        "discard span: t_first 9 > t_last 1" );
+    ];
+  (* The compressor that owns the first summary, over its budget of 30
+     LMADs: its fields, and its summary's box and granularity. *)
+  let text = render (lossy ()) in
+  let sum = Option.get (find_sub text "(summary") in
+  let rec last_before name from =
+    match find_sub (String.sub text (from + 1) (sum - from - 1)) ("(" ^ name ^ " ") with
+    | None -> from
+    | Some i -> last_before name (from + 1 + i)
+  in
+  let field name by =
+    let a, e = list_span text ~from:(last_before name 0) name in
+    splice text a e (Printf.sprintf "(%s %s)" name by)
+  in
+  let summary name f =
+    let a, e = list_span text ~from:sum name in
+    let ints = List.tl (String.split_on_char ' ' (String.sub text (a + 1) (e - a - 2))) in
+    splice text a e (Printf.sprintf "(%s %s)" name (String.concat " " (f ints)))
+  in
+  refused Ormp_persist.Leap_io.read
+    [
+      ("no dimensions", field "dims" "0", "dims must be positive");
+      ("no budget", field "budget" "0", "budget must be positive");
+      ("over budget", field "budget" "1", "over budget");
+      ("discarded past total", field "total" "0", "points discarded of 0 seen");
+      ( "one-iteration level",
+        (let a, e = list_span text ~from:0 "count" in
+         splice text a e "(count 1)"),
+        "level count of at least 2" );
+      ("summary dims", summary "min" List.tl, "summary dims mismatch");
+      ("summary min > max", summary "min" (List.map (fun _ -> "1000000000")), "summary min > max");
+      ("negative granularity", summary "granularity" (List.map (fun _ -> "-1")),
+        "negative granularity");
+    ]
+
+let test_whomp_invariants_refused () =
+  let module Wh = Ormp_whomp.Whomp in
+  let p = Wh.profile (Micro.churn ~live:12 ~ops:1500 ()) in
+  let render p = W.render Ormp_persist.Whomp_io.write p in
+  let lts = Array.of_list p.Wh.lifetimes in
+  let with_lifetime i f =
+    render { p with Wh.lifetimes = List.mapi (fun j l -> if j = i then f l else l) p.Wh.lifetimes }
+  in
+  let freed_late =
+    let rec go i =
+      match lts.(i) with
+      | { Omc.free_time = Some _; alloc_time; _ } when alloc_time >= 2 -> i
+      | _ -> go (i + 1)
+    in
+    go 0
+  in
+  (* The last object of group 0 moves to a group no table lists. *)
+  let last0 =
+    snd
+      (Array.fold_left
+         (fun (i, last) (l : Omc.lifetime) -> (i + 1, if l.Omc.group = 0 then i else last))
+         (0, -1) lts)
+  in
+  let groups f = render { p with Wh.groups = List.mapi f p.Wh.groups } in
+  refused Ormp_persist.Whomp_io.read
+    [
+      ( "dimension order",
+        render { p with Wh.dims = List.rev p.Wh.dims },
+        "dimension grammars [offset;object;group;instr]" );
+      ( "collected",
+        edit (render p)
+          (Printf.sprintf "(collected %d)" p.Wh.collected)
+          (Printf.sprintf "(collected %d)" (p.Wh.collected + 1)),
+        "grammar instr: expands to" );
+      ( "serial gap",
+        with_lifetime 0 (fun l -> { l with Omc.serial = 1 }),
+        "serial 1 out of order, expected 0" );
+      ( "allocation order",
+        with_lifetime 1 (fun l -> { l with Omc.alloc_time = lts.(0).Omc.alloc_time - 1 }),
+        "after a later allocation" );
+      ( "freed before allocation",
+        with_lifetime freed_late (fun l -> { l with Omc.free_time = Some (l.Omc.alloc_time - 1) }),
+        "before allocation" );
+      ( "free site, no free time",
+        with_lifetime 0 (fun l -> { l with Omc.free_time = None; free_site = Some 3 }),
+        "has a free site but no free time" );
+      ( "overlap",
+        with_lifetime 1 (fun l -> { l with Omc.base = lts.(0).Omc.base }),
+        "overlaps another live object" );
+      ( "group ids",
+        groups (fun i g -> if i = 0 then { g with Omc.gid = 5 } else g),
+        "group ids not dense" );
+      ( "population",
+        groups (fun i g -> if i = 0 then { g with Omc.population = g.Omc.population + 1 } else g),
+        "population" );
+      ( "unknown group",
+        render
+          {
+            p with
+            Wh.groups =
+              List.mapi
+                (fun i g -> if i = 0 then { g with Omc.population = g.Omc.population - 1 } else g)
+                p.Wh.groups;
+            lifetimes =
+              List.mapi
+                (fun j l ->
+                  if j = last0 then { l with Omc.group = List.length p.Wh.groups; serial = 0 }
+                  else l)
+                p.Wh.lifetimes;
+          },
+        "references unknown group" );
+    ]
+
 let test_manifest_heartbeat_eq_legacy () =
   let workload, config, options = manifest_value in
   Alcotest.(check string) "manifest"
@@ -1103,6 +1319,8 @@ let () =
           tc "a megabyte of ( fails at its first token" test_deep_nesting;
           tc "doubled, unknown, hex and misspelled fields" test_noncanonical_profiles;
           tc "rule bombs fail before expanding" test_rule_bombs;
+          tc "LEAP profiles that break an invariant" test_leap_invariants_refused;
+          tc "WHOMP profiles that break an invariant" test_whomp_invariants_refused;
           tc "reading an integer allocates nothing" test_read_int_allocation_free;
         ] );
     ]

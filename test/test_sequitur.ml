@@ -538,6 +538,17 @@ let test_stand_in_lanes () =
           List.iter (Sequitur_legacy.push_array legacy) chunks;
           check_bool (name ^ ": arena = legacy") true
             (Sequitur.rules t = Sequitur_legacy.rules legacy);
+          (* Sequitur's overlap rule leaves one repeated digram in each of
+             vpr's instr and group grammars and none elsewhere (see
+             [Grammar_oracle]). *)
+          let repeated =
+            match (entry.name, dims.(d)) with
+            | "175.vpr-like", ("instr" | "group") -> 1
+            | _ -> 0
+          in
+          check_bool (name ^ ": repeated digrams") true
+            (Grammar_oracle.check ~input_length:(Sequitur.input_length t) (Sequitur.rules t)
+            = Ok repeated);
           if entry.name = "175.vpr-like" && dims.(d) = "object" then begin
             check_int (name ^ ": symbols") 34_896 (Sequitur.input_length t);
             Alcotest.(check (list int)) (name ^ ": counts") [ 29_664; 17_400; 16_375; 16_375 ] counts
