@@ -460,7 +460,7 @@ let micro_tests () =
              ~groups ~serials ~offsets))
   in
   (* The LMAD rows feed points as LEAP does, as scalars through the
-     packed-code entry points. The over-budget row is LEAP's 2-D
+     index-returning entry points. The over-budget row is LEAP's 2-D
      (object, offset) stream once a stream has used its 30 descriptors:
      scattered objects at word-aligned offsets, so all but its first few
      dozen points go to the discarded-point summary. *)

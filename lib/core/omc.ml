@@ -155,7 +155,10 @@ let ensure_cache t instr =
    previous way-0 entry is demoted.
    [b] is the instruction's lane base; on [true] the way-0 lanes hold the
    answer. The range-index probe goes through [Ri.find_idx] and the flat
-   lanes, so even the fill path allocates nothing. *)
+   lanes, so even the fill path allocates nothing. The demotion is five
+   plain moves: [Array.blit] would be a C call writing through
+   [caml_modify]. Base and size come from the lifetime record, which
+   every [Ri.insert] here stores under its own base and size. *)
 let cache_fill t gen addr b =
   let cache = t.cache in
   let base1 = Array.unsafe_get cache (b + 6) in
@@ -177,11 +180,13 @@ let cache_fill t gen addr b =
     let idx = Ri.find_idx t.index addr in
     if idx >= 0 then begin
       t.translations <- t.translations + 1;
-      Array.blit cache b cache (b + 5) 5;
+      for f = 0 to 4 do
+        Array.unsafe_set cache (b + 5 + f) (Array.unsafe_get cache (b + f))
+      done;
       let lt = Ri.idx_value t.index idx in
       Array.unsafe_set cache b gen;
-      Array.unsafe_set cache (b + 1) (Ri.idx_base t.index idx);
-      Array.unsafe_set cache (b + 2) (Ri.idx_size t.index idx);
+      Array.unsafe_set cache (b + 1) lt.base;
+      Array.unsafe_set cache (b + 2) lt.size;
       Array.unsafe_set cache (b + 3) lt.group;
       Array.unsafe_set cache (b + 4) lt.serial;
       true

@@ -53,8 +53,6 @@ let[@inline] find_idx t addr =
   then i
   else -1
 
-let[@inline] idx_base t i = Array.unsafe_get t.bases i
-let[@inline] idx_size t i = Array.unsafe_get t.sizes i
 let[@inline] idx_value t i = Array.unsafe_get t.values i
 
 let find t addr =

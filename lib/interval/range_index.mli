@@ -65,12 +65,6 @@ val find_idx : 'a t -> int -> int
 val generation : 'a t -> int
 (** Mutation counter: bumped by every {!insert} and {!remove}. *)
 
-val idx_base : 'a t -> int -> int
-(** Base of the range at a lane index. Unsafe: the index must come from
-    {!find_idx} under the current {!generation}. *)
-
-val idx_size : 'a t -> int -> int
-(** Size of the range at a lane index (same contract as {!idx_base}). *)
-
 val idx_value : 'a t -> int -> 'a
-(** Value of the range at a lane index (same contract as {!idx_base}). *)
+(** Value of the range at a lane index. Unsafe: the index must come from
+    {!find_idx} under the current {!generation}. *)

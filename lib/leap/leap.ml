@@ -1,15 +1,19 @@
+(* lint:hot-path *)
+
 module C = Ormp_lmad.Compressor
 module Vec = Ormp_util.Vec
 module Tm = Ormp_telemetry.Telemetry
 
 (* Instrumented only on the rare arms: a stream opening or dropping, an
    LMAD descriptor opening or discarding a point. The Extended arm — the
-   per-access common case — stays untouched. *)
+   per-access common case — stays untouched. The flag is read once per
+   chunk and passed down. *)
 let m_streams_opened = Tm.Metrics.counter "leap.streams_opened"
 let m_streams_dropped = Tm.Metrics.counter "leap.streams_dropped"
 let m_dropped_accesses = Tm.Metrics.counter "leap.dropped_accesses"
 let m_lmad_opened = Tm.Metrics.counter "leap.lmad.opened"
 let m_lmad_discarded = Tm.Metrics.counter "leap.lmad.discarded"
+let m_collect_ns = Tm.Metrics.histogram "leap.collect.ns"
 
 type key = { instr : int; group : int }
 
@@ -38,19 +42,20 @@ let span_at stream idx ~time =
   Vec.get stream.spans idx
 
 (* Feed one (object, offset) point through both compressors using the
-   packed-code entry points: the common arms (extend, over-budget discard)
+   scalar entry points: the common arms (extend, over-budget discard)
    allocate nothing — the only steady-state allocation left in a stream is
-   a span record per descriptor. *)
-let record2 stream ~time ~obj ~offset =
-  let code = C.add2_code stream.comp obj offset in
-  let tag = C.code_tag code in
-  (if tag = C.code_extended then (span_at stream (C.code_index code) ~time).t_last <- time
-   else if tag = C.code_opened then begin
-     if Tm.on () then Tm.Metrics.incr m_lmad_opened;
-     ignore (span_at stream (C.code_index code) ~time)
+   a span record per descriptor. Every descriptor is reported when it
+   opens and indices never decrease, so the point opened its descriptor
+   exactly when the index is past the span table; extending and opening
+   then both stamp the span's end (a new span starts at [time]). *)
+let[@inline] record2 stream ~tm ~time ~obj ~offset =
+  let i = C.add2_code stream.comp obj offset in
+  (if i >= 0 then begin
+     if tm && i >= Vec.length stream.spans then Tm.Metrics.incr m_lmad_opened;
+     (span_at stream i ~time).t_last <- time
    end
    else begin
-     if Tm.on () then Tm.Metrics.incr m_lmad_discarded;
+     if tm then Tm.Metrics.incr m_lmad_discarded;
      match stream.dspan with
      | Some sp -> sp.t_last <- time
      | None -> stream.dspan <- Some { t_first = time; t_last = time }
@@ -64,11 +69,128 @@ type live = {
   lv_dropped_accesses : int;
 }
 
+(* --- key tables ----------------------------------------------------------
+
+   Open-addressing int tables in the Sequitur style: interleaved int
+   columns, linear probing, a -1 sentinel in the payload column marking an
+   empty bucket (so payloads are non-negative), load kept at or below one
+   half, and the same multiplicative finalizer as the Sequitur digram
+   index. Keys are never deleted, so there are no tombstones; keys live in
+   the buckets, so growth re-inserts from the old buckets alone. They live
+   here, beside the tuple loop that probes them, so both per-tuple probes
+   inline. *)
+
+let[@inline] mix k =
+  let h = k * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 32)
+
+(* (a, b) -> slot, as interleaved [a; b; slot] triplets. *)
+type table = { mutable data : int array; mutable mask : int; mutable n : int }
+
+let table_create cap = { data = Array.make (3 * cap) (-1); mask = cap - 1; n = 0 }
+
+(* Slot bound to (a, b), or -1. The slot column is read first: an empty
+   bucket ends the probe without looking at its (garbage) key columns. *)
+let[@inline] table_find t a b =
+  let mask = t.mask in
+  let data = t.data in
+  let i = ref (mix ((a lsl 31) lxor b) land mask) in
+  let r = ref (-2) in
+  while !r = -2 do
+    let base = 3 * !i in
+    let s = Array.unsafe_get data (base + 2) in
+    if s < 0 then r := -1
+    else if Array.unsafe_get data base = a && Array.unsafe_get data (base + 1) = b then r := s
+    else i := (!i + 1) land mask
+  done;
+  !r
+
+let table_write t a b slot =
+  let mask = t.mask in
+  let data = t.data in
+  let i = ref (mix ((a lsl 31) lxor b) land mask) in
+  while Array.unsafe_get data ((3 * !i) + 2) >= 0 do
+    i := (!i + 1) land mask
+  done;
+  let base = 3 * !i in
+  data.(base) <- a;
+  data.(base + 1) <- b;
+  data.(base + 2) <- slot
+
+(* Bind (a, b) -> slot; the key must be absent (slots are immutable once
+   assigned). *)
+let table_add t a b slot =
+  if 2 * (t.n + 1) > t.mask + 1 then begin
+    let old = t.data in
+    let old_cap = t.mask + 1 in
+    t.data <- Array.make (3 * 2 * old_cap) (-1);
+    t.mask <- (2 * old_cap) - 1;
+    for i = 0 to old_cap - 1 do
+      let base = 3 * i in
+      if old.(base + 2) >= 0 then table_write t old.(base) old.(base + 1) old.(base + 2)
+    done
+  end;
+  table_write t a b slot;
+  t.n <- t.n + 1
+
+(* k -> v, as interleaved [k; v] pairs; 64 buckets to start. *)
+type pairs = { mutable pdata : int array; mutable pmask : int; mutable pn : int }
+
+let pairs_create () = { pdata = Array.make 128 (-1); pmask = 63; pn = 0 }
+
+let pairs_write t k v =
+  let mask = t.pmask in
+  let data = t.pdata in
+  let i = ref (mix k land mask) in
+  while Array.unsafe_get data ((2 * !i) + 1) >= 0 do
+    i := (!i + 1) land mask
+  done;
+  let base = 2 * !i in
+  data.(base) <- k;
+  data.(base + 1) <- v
+
+let pairs_grow t =
+  let old = t.pdata in
+  let old_cap = t.pmask + 1 in
+  t.pdata <- Array.make (2 * 2 * old_cap) (-1);
+  t.pmask <- (2 * old_cap) - 1;
+  for i = 0 to old_cap - 1 do
+    let base = 2 * i in
+    if old.(base + 1) >= 0 then pairs_write t old.(base) old.(base + 1)
+  done
+
+(* Bind k -> v, last write wins (Hashtbl.replace semantics). *)
+let[@inline] pairs_set t k v =
+  let mask = t.pmask in
+  let data = t.pdata in
+  let i = ref (mix k land mask) in
+  let go = ref true in
+  while !go do
+    let base = 2 * !i in
+    let cur = Array.unsafe_get data (base + 1) in
+    if cur < 0 then begin
+      go := false;
+      if 2 * (t.pn + 1) > t.pmask + 1 then begin
+        pairs_grow t;
+        pairs_write t k v
+      end
+      else begin
+        data.(base) <- k;
+        data.(base + 1) <- v
+      end;
+      t.pn <- t.pn + 1
+    end
+    else if Array.unsafe_get data base = k then begin
+      Array.unsafe_set data (base + 1) v;
+      go := false
+    end
+    else i := (!i + 1) land mask
+  done
+
 (* --- flat collector ---------------------------------------------------
 
-   PR 10: the per-event tables are open-addressing int arenas
-   ({!Key_table}, the PR 6 Sequitur style — no boxed keys, no polymorphic
-   hashing, no per-event allocation):
+   The per-event tables are the int tables above — no boxed keys, no
+   polymorphic hashing, no per-event allocation:
 
    - [c_idx] maps (instr, group) -> stream slot. Admitted streams live in
      parallel slot lanes in admission order
@@ -82,21 +204,19 @@ type live = {
      order — the rare path keeps its boxed order list. *)
 
 type collector = {
-  c_idx : Key_table.t;  (* (instr, group) -> slot *)
+  c_idx : table;  (* (instr, group) -> slot *)
   mutable c_key_instr : int array;  (* slot lanes, admission order *)
   mutable c_key_group : int array;
   mutable c_strs : stream array;
   mutable c_n : int;
   c_dummy : stream;  (* filler for unused [c_strs] capacity *)
-  c_st : Key_table.pairs;  (* instr -> is_store (0/1) *)
+  c_st : pairs;  (* instr -> is_store (0/1) *)
   c_budget : int option;
   c_max_streams : int;
-  c_d : Key_table.t;  (* refused keys -> first-refusal index *)
+  c_d : table;  (* refused keys -> first-refusal index *)
   c_dropped_order : key Vec.t;
   mutable c_dropped_accesses : int;
 }
-
-let[@inline] find_slot c instr group = Key_table.find c.c_idx instr group
 
 let grow_slots c =
   let cap = Array.length c.c_strs in
@@ -120,22 +240,22 @@ let push_stream c instr group stream =
   c.c_key_group.(s) <- group;
   c.c_strs.(s) <- stream;
   c.c_n <- s + 1;
-  Key_table.add c.c_idx instr group s;
+  table_add c.c_idx instr group s;
   s
 
-(* instr -> is_store, last write wins (exactly [Hashtbl.replace]). *)
-let[@inline] set_store c instr is_store =
-  Key_table.pairs_set c.c_st instr (if is_store then 1 else 0)
-
+(* (instr, is_store) for every instruction seen, ascending. *)
 let stores_list c =
   let acc = ref [] in
-  Key_table.pairs_iter (fun i f -> acc := (i, f = 1) :: !acc) c.c_st;
+  for i = 0 to c.c_st.pmask do
+    let v = c.c_st.pdata.((2 * i) + 1) in
+    if v >= 0 then acc := (c.c_st.pdata.(2 * i), v = 1) :: !acc
+  done;
   List.sort compare !acc
 
 (* First refusal of (instr, group): record it in the membership table and
    the order Vec. *)
 let drop_key c instr group =
-  Key_table.add c.c_d instr group (Vec.length c.c_dropped_order);
+  table_add c.c_d instr group (Vec.length c.c_dropped_order);
   Vec.push c.c_dropped_order { instr; group }
 
 (* --- collection -------------------------------------------------------- *)
@@ -154,16 +274,16 @@ let collector ?budget ?(max_streams = 0) ?restore () =
   in
   let c =
     {
-      c_idx = Key_table.create ();
+      c_idx = table_create 64;
       c_key_instr = Array.make 32 0;
       c_key_group = Array.make 32 0;
       c_strs = Array.make 32 dummy;
       c_n = 0;
       c_dummy = dummy;
-      c_st = Key_table.pairs_create ();
+      c_st = pairs_create ();
       c_budget = budget;
       c_max_streams = max_streams;
-      c_d = Key_table.create ~capacity:16 ();
+      c_d = table_create 16;
       c_dropped_order = Vec.create ();
       c_dropped_accesses = 0;
     }
@@ -173,14 +293,14 @@ let collector ?budget ?(max_streams = 0) ?restore () =
   | Some lv ->
     List.iter
       (fun ((k : key), s) ->
-        if find_slot c k.instr k.group >= 0 then
+        if table_find c.c_idx k.instr k.group >= 0 then
           invalid_arg "Leap.collector: duplicate stream key";
         ignore (push_stream c k.instr k.group s))
       lv.lv_streams;
-    List.iter (fun (i, st) -> set_store c i st) lv.lv_stores;
+    List.iter (fun (i, st) -> pairs_set c.c_st i (if st then 1 else 0)) lv.lv_stores;
     List.iter
       (fun (k : key) ->
-        if not (Key_table.mem c.c_d k.instr k.group) then drop_key c k.instr k.group)
+        if table_find c.c_d k.instr k.group < 0 then drop_key c k.instr k.group)
       lv.lv_dropped;
     c.c_dropped_accesses <- lv.lv_dropped_accesses);
   c
@@ -189,41 +309,48 @@ let collector ?budget ?(max_streams = 0) ?restore () =
    is compressed online as (object, offset) points with per-descriptor
    time spans. When [max_streams] caps the table, accesses of unseen keys
    past the cap are counted but not compressed (graceful degradation under
-   a memory budget); established streams keep collecting. *)
-let[@inline] collect_one c ~instr ~group ~obj ~offset ~is_store ~time =
-  set_store c instr is_store;
-  let slot = find_slot c instr group in
-  if slot >= 0 then record2 (Array.unsafe_get c.c_strs slot) ~time ~obj ~offset
+   a memory budget); established streams keep collecting. [tm] is the
+   telemetry flag, read by the caller. The instruction's is_store flag is
+   set first, last write wins (exactly [Hashtbl.replace]). *)
+let[@inline] collect_one c ~tm ~instr ~group ~obj ~offset ~is_store ~time =
+  pairs_set c.c_st instr (if is_store then 1 else 0);
+  let slot = table_find c.c_idx instr group in
+  if slot >= 0 then record2 (Array.unsafe_get c.c_strs slot) ~tm ~time ~obj ~offset
   else if c.c_max_streams > 0 && c.c_n >= c.c_max_streams then begin
-    if not (Key_table.mem c.c_d instr group) then begin
+    if table_find c.c_d instr group < 0 then begin
       drop_key c instr group;
-      if Tm.on () then Tm.Metrics.incr m_streams_dropped
+      if tm then Tm.Metrics.incr m_streams_dropped
     end;
     c.c_dropped_accesses <- c.c_dropped_accesses + 1;
-    if Tm.on () then Tm.Metrics.incr m_dropped_accesses
+    if tm then Tm.Metrics.incr m_dropped_accesses
   end
   else begin
     let s = push_stream c instr group (fresh_stream c) in
-    if Tm.on () then Tm.Metrics.incr m_streams_opened;
-    record2 (Array.unsafe_get c.c_strs s) ~time ~obj ~offset
+    if tm then Tm.Metrics.incr m_streams_opened;
+    record2 (Array.unsafe_get c.c_strs s) ~tm ~time ~obj ~offset
   end
 
 let collect c (tu : Ormp_core.Tuple.t) =
-  collect_one c ~instr:tu.instr ~group:tu.group ~obj:tu.obj ~offset:tu.offset
+  collect_one c ~tm:(Tm.on ()) ~instr:tu.instr ~group:tu.group ~obj:tu.obj ~offset:tu.offset
     ~is_store:tu.is_store ~time:tu.time
 
 (* SoA lane entry points: one call per chunk, no per-tuple boxing. Stamps
-   are [time0 + i] (CDC chunks carry consecutive stamps). *)
+   are [time0 + i] (CDC chunks carry consecutive stamps). With telemetry
+   on, the chunk's tuple loop is timed into [leap.collect.ns]; off, no
+   clock is read. *)
 let collect_lanes c ~instr ~group ~obj ~offset ~store ~time0 ~len =
+  let tm = Tm.on () in
+  let t0 = if tm then Tm.now_ns () else 0L in
   for i = 0 to len - 1 do
-    collect_one c
+    collect_one c ~tm
       ~instr:(Array.unsafe_get instr i)
       ~group:(Array.unsafe_get group i)
       ~obj:(Array.unsafe_get obj i)
       ~offset:(Array.unsafe_get offset i)
       ~is_store:(Array.unsafe_get store i <> 0)
       ~time:(time0 + i)
-  done
+  done;
+  if tm then Tm.Metrics.observe m_collect_ns (Int64.to_float (Int64.sub (Tm.now_ns ()) t0))
 
 let collect_tuples c (tp : Ormp_core.Cdc.tuples) =
   collect_lanes c ~instr:tp.tp_instr ~group:tp.tp_group ~obj:tp.tp_obj ~offset:tp.tp_offset
@@ -247,7 +374,7 @@ let finish c ~collected ~wild ~elapsed =
   if Tm.on () then begin
     let set name v = Tm.Metrics.set (Tm.Metrics.gauge name) (float_of_int v) in
     set "leap.streams" c.c_n;
-    set "leap.dropped_streams" (Key_table.length c.c_d);
+    set "leap.dropped_streams" c.c_d.n;
     set "leap.dropped_accesses.total" c.c_dropped_accesses
   end;
   let store_instrs = Hashtbl.create 64 in
@@ -257,7 +384,7 @@ let finish c ~collected ~wild ~elapsed =
     store_instrs;
     collected;
     wild;
-    dropped_streams = Key_table.length c.c_d;
+    dropped_streams = c.c_d.n;
     dropped_accesses = c.c_dropped_accesses;
     elapsed;
   }
@@ -280,17 +407,23 @@ let sink_batched ?grouping ?budget ~site_name () =
   (batch, make_finalize c cdc)
 
 let profile ?config ?grouping ?budget program =
+  (* lint:allow hot-path-alloc — the site namer, built once per run *)
   let b, finalize = sink_batched ?grouping ?budget ~site_name:(Printf.sprintf "site%d") () in
   let result = Ormp_vm.Runner.run_batched ?config program b in
   finalize ~elapsed:result.Ormp_vm.Runner.elapsed
 
+(* The queries below read a finished profile, off the tuple path.
+   lint:allow hot-path-alloc — post-processing *)
 let instrs p = List.sort_uniq compare (List.map (fun (k, _) -> k.instr) p.streams)
 
 let is_store p instr = Option.value ~default:false (Hashtbl.find_opt p.store_instrs instr)
 
+(* lint:allow hot-path-alloc — post-processing *)
 let loads p = List.filter (fun i -> not (is_store p i)) (instrs p)
+(* lint:allow hot-path-alloc — post-processing *)
 let stores p = List.filter (is_store p) (instrs p)
 
+(* lint:allow hot-path-alloc — post-processing *)
 let streams_of p instr = List.filter (fun (k, _) -> k.instr = instr) p.streams
 
 (* Sorted-lane lookup for the post-processors: freeze the stream list once
@@ -298,6 +431,7 @@ let streams_of p instr = List.filter (fun (k, _) -> k.instr = instr) p.streams
    allocation (the old [List.assoc_opt { instr; group }] pattern allocated
    a key record per probe and scanned the whole list). *)
 let stream_index p =
+  (* lint:allow hot-path-alloc — once per profile, to freeze the lanes *)
   let arr = Array.of_list p.streams in
   Array.sort
     (fun ((a : key), _) ((b : key), _) ->
@@ -359,6 +493,7 @@ let accesses_captured p =
    the discarded count, not the (usually much larger) box size. *)
 let descriptors (s : stream) =
   let module L = Ormp_lmad.Lmad in
+  (* lint:allow hot-path-alloc — post-processing, once per stream *)
   let lmads = Array.of_list (C.lmads s.comp) in
   (* A descriptor freshly re-opened by the compressor's carry-over may not
      have a span entry yet; anchor it at the latest time the stream saw. *)
@@ -377,6 +512,7 @@ let descriptors (s : stream) =
   | Some sum, Some sp ->
     let dims = Array.length sum.C.min_v in
     let levels =
+      (* lint:allow hot-path-alloc — post-processing, once per stream *)
       List.concat
         (List.init dims (fun d ->
              let extent = sum.C.max_v.(d) - sum.C.min_v.(d) in
@@ -398,6 +534,7 @@ let instructions_captured p =
   if is = [] then 0.0
   else
     let full =
+      (* lint:allow hot-path-alloc — post-processing *)
       List.filter
         (fun i -> List.for_all (fun (_, s) -> C.fully_captured s.off) (streams_of p i))
         is

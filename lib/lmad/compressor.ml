@@ -282,6 +282,15 @@ let leftover od =
 
 (* --- summary of discarded points ------------------------------------ *)
 
+(* [gcd_step g d = Stats.gcd g d], for folding the running granularity [g]
+   over the steps [d] between discarded points. It is most often a power
+   of two that already divides the step, which the mask test returns with
+   no division and no call out of this module. The test also passes
+   [g = 0] (with [d = 0] only) and [g = min_int] (with [d] 0 or [min_int]
+   only), and [gcd] returns [g] for those too. *)
+let[@inline] gcd_step g d =
+  if g land (g - 1) = 0 && d land (g - 1) = 0 then g else Ormp_util.Stats.gcd g d
+
 let discard t p =
   if t.discarded_count = 0 then begin
     t.sum_min <- Array.copy p;
@@ -296,7 +305,7 @@ let discard t p =
     match t.last_discarded with
     | Some prev ->
       for i = 0 to t.dims - 1 do
-        t.sum_gran.(i) <- Ormp_util.Stats.gcd_step t.sum_gran.(i) (p.(i) - prev.(i))
+        t.sum_gran.(i) <- gcd_step t.sum_gran.(i) (p.(i) - prev.(i))
       done
     | None -> ()
   end;
@@ -363,31 +372,17 @@ let add t p =
   t.total <- t.total + 1;
   place t [] p
 
-(* --- packed-code entry points ---------------------------------------
+(* --- scalar entry points ---------------------------------------------
    [add] allocates its [placement] result (and scalar callers would also
    box each point into an array); the LEAP hot path feeds millions of 1-
-   and 2-dimensional points, so these variants return the placement as a
-   packed int — tag in the low 2 bits, descriptor index above — and take
-   the point as scalars. Semantics are identical to [add]: the same
-   machinery runs on every path that changes descriptor structure; only
-   the steady states (extend a matched descriptor, discard over budget)
-   are specialized to avoid allocation. *)
+   and 2-dimensional points, so these variants take the point as scalars
+   and return the descriptor index the point went to, or -1 if it was
+   discarded. Semantics are identical to [add]: the same machinery runs
+   on every path that changes descriptor structure; only the steady
+   states (extend a matched descriptor, discard over budget) are
+   specialized to avoid allocation. *)
 
-let ext_code n = n lsl 2
-let open_code n = (n lsl 2) lor 1
-let discard_code = 2
-
-let code_extended = 0
-let code_opened = 1
-let code_discarded = 2
-
-let[@inline] code_tag c = c land 3
-let[@inline] code_index c = c asr 2
-
-let encode = function
-  | Extended i -> ext_code i
-  | Opened i -> open_code i
-  | Discarded -> discard_code
+let index = function Extended i | Opened i -> i | Discarded -> -1
 
 (* Over-budget steady state, scalar: mutate the summary lanes and the
    last-discarded buffer in place. *)
@@ -404,8 +399,8 @@ let discard2 t a b =
     if b > t.sum_max.(1) then t.sum_max.(1) <- b;
     match t.last_discarded with
     | Some prev ->
-      t.sum_gran.(0) <- Ormp_util.Stats.gcd_step t.sum_gran.(0) (a - prev.(0));
-      t.sum_gran.(1) <- Ormp_util.Stats.gcd_step t.sum_gran.(1) (b - prev.(1))
+      t.sum_gran.(0) <- gcd_step t.sum_gran.(0) (a - prev.(0));
+      t.sum_gran.(1) <- gcd_step t.sum_gran.(1) (b - prev.(1))
     | None -> ()
   end;
   (match t.last_discarded with
@@ -425,7 +420,7 @@ let discard1 t a =
     if a < t.sum_min.(0) then t.sum_min.(0) <- a;
     if a > t.sum_max.(0) then t.sum_max.(0) <- a;
     match t.last_discarded with
-    | Some prev -> t.sum_gran.(0) <- Ormp_util.Stats.gcd_step t.sum_gran.(0) (a - prev.(0))
+    | Some prev -> t.sum_gran.(0) <- gcd_step t.sum_gran.(0) (a - prev.(0))
     | None -> ()
   end;
   (match t.last_discarded with
@@ -433,7 +428,7 @@ let discard1 t a =
   | None -> t.last_discarded <- Some [| a |]);
   t.discarded_count <- t.discarded_count + 1
 
-let[@inline never] add2_slow t a b = encode (place t [] [| a; b |])
+let[@inline never] add2_slow t a b = index (place t [] [| a; b |])
 
 let add2_code t a b =
   if t.dims <> 2 then invalid_arg "Compressor.add2_code: dimension mismatch";
@@ -445,7 +440,7 @@ let add2_code t a b =
       let e = od.o_expected in
       if Array.unsafe_get e 0 = a && Array.unsafe_get e 1 = b then begin
         advance od;
-        ext_code t.n_closed
+        t.n_closed
       end
       else add2_slow t a b
     | None -> add2_slow t a b)
@@ -453,10 +448,10 @@ let add2_code t a b =
     if lmad_count t < t.budget then add2_slow t a b
     else begin
       discard2 t a b;
-      discard_code
+      -1
     end
 
-let[@inline never] add1_slow t a = encode (place t [] [| a |])
+let[@inline never] add1_slow t a = index (place t [] [| a |])
 
 let add1_code t a =
   if t.dims <> 1 then invalid_arg "Compressor.add1_code: dimension mismatch";
@@ -467,7 +462,7 @@ let add1_code t a =
     | Some _ ->
       if Array.unsafe_get od.o_expected 0 = a then begin
         advance od;
-        ext_code t.n_closed
+        t.n_closed
       end
       else add1_slow t a
     | None -> add1_slow t a)
@@ -475,7 +470,7 @@ let add1_code t a =
     if lmad_count t < t.budget then add1_slow t a
     else begin
       discard1 t a;
-      discard_code
+      -1
     end
 
 let lmads t =

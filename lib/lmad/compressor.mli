@@ -42,36 +42,26 @@ val add : t -> int array -> placement
     transparently carried into the fresh one.
     @raise Invalid_argument on dimension mismatch. *)
 
-(** {2 Packed-code entry points}
+(** {2 Scalar entry points}
 
     [add] boxes every point into an array and allocates its [placement]
     result; the LEAP hot path feeds millions of 1- and 2-dimensional
     points per run, so these variants take the point as scalars and
-    return the placement packed into an int: {!code_tag} on the low two
-    bits, {!code_index} (the descriptor creation index, meaningful for
-    extended/opened) above. Semantics are identical to [add] — the two
-    steady states (extend a matching descriptor, discard over budget)
-    are allocation-free, and every structural change routes through the
-    same machinery as [add]. *)
+    return the creation index of the descriptor the point went to
+    (extended or opened), or -1 if it was discarded. Semantics are
+    identical to [add] — the two steady states (extend a matching
+    descriptor, discard over budget) are allocation-free, and every
+    structural change routes through the same machinery as [add]. *)
 
 val add2_code : t -> int -> int -> int
-(** [add2_code t a b] = [add t [|a; b|]] as a packed code.
+(** [add2_code t a b] is [add t [|a; b|]]'s descriptor index, or -1 for
+    [Discarded].
     @raise Invalid_argument unless the compressor has [dims = 2]. *)
 
 val add1_code : t -> int -> int
-(** [add1_code t a] = [add t [|a|]] as a packed code.
+(** [add1_code t a] is [add t [|a|]]'s descriptor index, or -1 for
+    [Discarded].
     @raise Invalid_argument unless the compressor has [dims = 1]. *)
-
-val code_tag : int -> int
-(** Low bits of a packed code: {!code_extended}, {!code_opened} or
-    {!code_discarded}. *)
-
-val code_index : int -> int
-(** Descriptor creation index of a packed code (extended/opened only). *)
-
-val code_extended : int
-val code_opened : int
-val code_discarded : int
 
 val lmads : t -> Lmad.t list
 (** Closed and open descriptors, in creation order. The open descriptor's

@@ -26,12 +26,6 @@ let rec gcd a b =
   let a = abs a and b = abs b in
   if b = 0 then a else gcd b (a mod b)
 
-(* A running gcd is most often a power of two that already divides the
-   next step; [gcd] would spend two divisions to return it unchanged. The
-   mask test also passes [g = 0] (with [d = 0] only) and [g = min_int]
-   (with [d] 0 or [min_int] only), and [gcd] returns [g] for those too. *)
-let[@inline] gcd_step g d = if g land (g - 1) = 0 && d land (g - 1) = 0 then g else gcd g d
-
 let rec egcd a b =
   if b = 0 then
     if a >= 0 then (a, 1, 0) else (-a, -1, 0)

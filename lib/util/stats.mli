@@ -13,11 +13,6 @@ val percentile : float list -> float -> float
 val gcd : int -> int -> int
 (** Greatest common divisor on absolute values; [gcd 0 0 = 0]. *)
 
-val gcd_step : int -> int -> int
-(** [gcd_step g d = gcd g d], for folding a running gcd [g] over steps
-    [d]: a positive power of two [g] that divides [d] is returned after a
-    mask test, with no division. *)
-
 val egcd : int -> int -> int * int * int
 (** [egcd a b = (g, x, y)] with [a*x + b*y = g = gcd a b] (g >= 0). *)
 

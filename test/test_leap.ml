@@ -436,6 +436,68 @@ let test_collect_lanes_alloc_free () =
     (Printf.sprintf "steady-state words/event %.4f <= 0.01" per_event)
     true (per_event <= 0.01)
 
+(* Counted work: with telemetry on, the LEAP counters of a workload at
+   test scale are exact functions of the code, pinned as [held_words] is
+   (a change that moves one records the new figure and says why). The
+   workloads reach every arm: two_site_list never discards a point, the
+   stand-ins and churn discard thousands. Each run also times its tuple
+   chunks into [leap.collect.ns], one sample per CDC chunk that holds
+   tuples (so at most [cdc.chunks]), and writes the same profile bytes
+   as a run with telemetry off. *)
+let leap_work =
+  (* workload, leap.streams_opened, leap.lmad.opened, leap.lmad.discarded *)
+  [
+    ("164.gzip-like", 11, 147, 34326);
+    ("175.vpr-like", 8, 227, 34137);
+    ("181.mcf-like", 12, 302, 55636);
+    ("186.crafty-like", 8, 204, 12560);
+    ("197.parser-like", 9, 85, 1307);
+    ("256.bzip2-like", 10, 180, 61918);
+    ("300.twolf-like", 9, 259, 33856);
+    ("linked_list", 3, 3, 0);
+    ("array_stride", 2, 2, 0);
+    ("matrix", 3, 3, 0);
+    ("binary_tree", 4, 90, 15508);
+    ("hash_probe", 2, 60, 15986);
+    ("random_walk", 2, 60, 16264);
+    ("churn", 2, 60, 8068);
+    ("two_site_list", 6, 6, 0);
+  ]
+
+let test_counted_work () =
+  let module Tm = Ormp_telemetry.Telemetry in
+  let bytes p =
+    let f = Filename.temp_file "leap" ".profile" in
+    Ormp_persist.Leap_io.save f p;
+    let s = In_channel.with_open_bin f In_channel.input_all in
+    Sys.remove f;
+    s
+  in
+  List.iter
+    (fun (name, streams, opened, discarded) ->
+      let program = Result.get_ok (Ormp_session.Session.find_workload name) in
+      let off = bytes (Leap.profile program) in
+      Tm.reset ();
+      Tm.enable ();
+      let on = Fun.protect ~finally:Tm.disable (fun () -> bytes (Leap.profile program)) in
+      let snap = Tm.Metrics.snapshot () in
+      let counter k = Option.value ~default:0 (List.assoc_opt k snap.snap_counters) in
+      check_int (name ^ " leap.streams_opened") streams (counter "leap.streams_opened");
+      check_int (name ^ " leap.lmad.opened") opened (counter "leap.lmad.opened");
+      check_int (name ^ " leap.lmad.discarded") discarded (counter "leap.lmad.discarded");
+      let samples =
+        match List.assoc_opt "leap.collect.ns" snap.snap_hists with
+        | Some h -> h.count
+        | None -> 0
+      in
+      check_bool
+        (Printf.sprintf "%s: 0 < %d leap.collect.ns samples <= %d chunks" name samples
+           (counter "cdc.chunks"))
+        true
+        (samples > 0 && samples <= counter "cdc.chunks");
+      check_bool (name ^ " profile bytes with telemetry on") true (String.equal off on))
+    leap_work
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   let qt = QCheck_alcotest.to_alcotest in
@@ -457,6 +519,7 @@ let () =
           tc "compression ratio" test_compression_ratio;
           tc "spans ordered" test_spans_ordered;
           tc "object-relative invariance" test_object_relative_invariance;
+          tc "counted work on every workload" test_counted_work;
         ] );
       ( "mdf",
         [

@@ -257,8 +257,8 @@ let prop_nested_ramps_fit_one_descriptor =
    vector) so the extend/discard steady states are allocation-free;
    [Compressor_legacy] is the verbatim pre-cache implementation. Every
    observable — placement sequence, descriptors, summary, reconstruction,
-   exact state — must agree on any stream, and the packed-code scalar
-   entry points must agree with [add]. *)
+   exact state — must agree on any stream, and the scalar entry points
+   must agree with [add]. *)
 
 (* Streams with enough structure to exercise extend, deepen, close-and-
    retry (with leftover replay) and over-budget discard: a list of
@@ -297,6 +297,16 @@ let arb_stream ~dims =
 let placements c_add pts =
   List.map c_add pts
 
+let summary_eq c l =
+  match (Compressor.summary c, Compressor_legacy.summary l) with
+  | None, None -> true
+  | Some a, Some b ->
+    a.Compressor.min_v = b.Compressor_legacy.min_v
+    && a.Compressor.max_v = b.Compressor_legacy.max_v
+    && a.Compressor.granularity = b.Compressor_legacy.granularity
+    && a.Compressor.discarded = b.Compressor_legacy.discarded
+  | _ -> false
+
 let legacy_same ~budget ~dims pts =
   let c = Compressor.create ~budget ~dims () in
   let l = Compressor_legacy.create ~budget ~dims () in
@@ -317,14 +327,7 @@ let legacy_same ~budget ~dims pts =
   && Compressor.total c = Compressor_legacy.total l
   && Compressor.discarded c = Compressor_legacy.discarded l
   && Compressor.reconstruct c = Compressor_legacy.reconstruct l
-  && (match (Compressor.summary c, Compressor_legacy.summary l) with
-     | None, None -> true
-     | Some a, Some b ->
-       a.Compressor.min_v = b.Compressor_legacy.min_v
-       && a.Compressor.max_v = b.Compressor_legacy.max_v
-       && a.Compressor.granularity = b.Compressor_legacy.granularity
-       && a.Compressor.discarded = b.Compressor_legacy.discarded
-     | _ -> false)
+  && summary_eq c l
 
 let prop_flat_eq_legacy_1d =
   QCheck.Test.make ~name:"flat = legacy (1d, tight budget)" ~count:400
@@ -336,7 +339,8 @@ let prop_flat_eq_legacy_2d =
     (QCheck.pair (QCheck.int_range 1 8) (arb_stream ~dims:2))
     (fun (budget, pts) -> legacy_same ~budget ~dims:2 pts)
 
-(* The packed-code scalars must report exactly what [add] reports. *)
+(* The scalar entry points must report exactly where [add] put the point:
+   its descriptor's index, or -1 for a discard. *)
 let prop_code_eq_add =
   QCheck.Test.make ~name:"add2_code/add1_code = add" ~count:400
     (QCheck.pair (QCheck.int_range 1 6) (arb_stream ~dims:2))
@@ -347,23 +351,69 @@ let prop_code_eq_add =
       let c1c = Compressor.create ~budget ~dims:1 () in
       List.for_all
         (fun p ->
-          let code_matches placement code =
+          let index_matches placement i =
             match placement with
-            | Compressor.Extended i ->
-              Compressor.code_tag code = Compressor.code_extended
-              && Compressor.code_index code = i
-            | Compressor.Opened i ->
-              Compressor.code_tag code = Compressor.code_opened
-              && Compressor.code_index code = i
-            | Compressor.Discarded -> Compressor.code_tag code = Compressor.code_discarded
+            | Compressor.Extended j | Compressor.Opened j -> i = j
+            | Compressor.Discarded -> i = -1
           in
-          code_matches (Compressor.add ca p) (Compressor.add2_code cc p.(0) p.(1))
-          && code_matches
+          index_matches (Compressor.add ca p) (Compressor.add2_code cc p.(0) p.(1))
+          && index_matches
                (Compressor.add c1a [| p.(0) |])
                (Compressor.add1_code c1c p.(0)))
         pts
       && Compressor.lmads ca = Compressor.lmads cc
       && Compressor.reconstruct c1a = Compressor.reconstruct c1c)
+
+(* The discard arms fold the summary's granularity with a [gcd_step]
+   whose mask test answers, with no division, for a power-of-two running
+   gcd that divides the step; the legacy compressor folds with
+   [Stats.gcd]. Under a budget of one, the stream [0; 1; -5] closes the
+   only descriptor, so every later point is discarded. Its steps are
+   drawn three ways: edge values, where the mask test could go wrong (0,
+   +-1, powers of two and their negations, [min_int], [max_int]); random
+   values; and a power of two followed by multiples of it, the case the
+   mask test answers. [add], [add2_code] and [add1_code] must all keep
+   the legacy summary. *)
+let gcd_edges =
+  [ 0; 1; -1; 3; -6; min_int; min_int + 1; max_int; max_int - 1 ]
+  @ List.concat_map (fun k -> [ 1 lsl k; -(1 lsl k); (1 lsl k) + 1 ]) [ 1; 2; 3; 5; 12; 31; 40; 61 ]
+
+let prop_discard_gcd_eq_legacy =
+  let open QCheck.Gen in
+  let edge = oneofl gcd_edges in
+  let steps step = list_size (int_range 1 12) (pair step step) in
+  let pow2_multiples =
+    int_range 0 61 >>= fun k ->
+    let g = 1 lsl k in
+    steps (oneof [ small_signed_int; int; edge ] >|= fun m -> m * g) >|= List.cons (g, g)
+  in
+  QCheck.Test.make ~name:"discard gcd over edge steps = legacy" ~count:3000
+    (QCheck.make ~print:QCheck.Print.(list (pair int int))
+       (oneof [ steps edge; steps int; steps (oneof [ edge; small_signed_int ]); pow2_multiples ]))
+    (fun steps ->
+      let pts =
+        List.rev
+          (List.fold_left
+             (fun acc (da, db) ->
+               match acc with p :: _ -> [| p.(0) + da; p.(1) + db |] :: acc | [] -> assert false)
+             [ [| -5; -5 |]; [| 1; 1 |]; [| 0; 0 |] ]
+             steps)
+      in
+      let c = Compressor.create ~budget:1 ~dims:2 () in
+      let c2 = Compressor.create ~budget:1 ~dims:2 () in
+      let c1 = Compressor.create ~budget:1 ~dims:1 () in
+      let l = Compressor_legacy.create ~budget:1 ~dims:2 () in
+      let l1 = Compressor_legacy.create ~budget:1 ~dims:1 () in
+      List.iter
+        (fun p ->
+          ignore (Compressor.add c p);
+          ignore (Compressor.add2_code c2 p.(0) p.(1));
+          ignore (Compressor.add1_code c1 p.(0));
+          ignore (Compressor_legacy.add l p);
+          ignore (Compressor_legacy.add l1 [| p.(0) |]))
+        pts;
+      Compressor.discarded c = List.length steps + 1
+      && summary_eq c l && summary_eq c2 l && summary_eq c1 l1)
 
 (* Mid-stream checkpoint/resume must not disturb the caches: restore from
    [state] at an arbitrary split, finish the stream, compare to an
@@ -549,6 +599,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_flat_eq_legacy_1d;
           QCheck_alcotest.to_alcotest prop_flat_eq_legacy_2d;
           QCheck_alcotest.to_alcotest prop_code_eq_add;
+          QCheck_alcotest.to_alcotest prop_discard_gcd_eq_legacy;
           QCheck_alcotest.to_alcotest prop_state_resume_eq;
         ] );
       ( "solver",

@@ -107,26 +107,6 @@ let test_stats_gcd () =
   check_int "gcd both zero" 0 (Stats.gcd 0 0);
   check_int "gcd negatives" 4 (Stats.gcd (-8) 12)
 
-(* [gcd_step] must be [gcd] everywhere. Drawn three ways: random pairs;
-   pairs of edge values, where the mask test could go wrong (0, +-1,
-   powers of two and their negations, [min_int], [max_int]); and a power
-   of two with a multiple of it, the case its mask test answers. *)
-let gcd_edges =
-  [ 0; 1; -1; 3; -6; min_int; min_int + 1; max_int; max_int - 1 ]
-  @ List.concat_map (fun k -> [ 1 lsl k; -(1 lsl k); (1 lsl k) + 1 ]) [ 1; 2; 3; 5; 12; 31; 40; 61 ]
-
-let prop_gcd_step =
-  let open QCheck.Gen in
-  let edge = oneofl gcd_edges in
-  let pow2_multiple =
-    pair (int_range 0 61) (oneof [ small_signed_int; int; edge ]) >|= fun (k, m) ->
-    (1 lsl k, m * (1 lsl k))
-  in
-  QCheck.Test.make ~name:"gcd_step = gcd (random, edge and power-of-two pairs)" ~count:3000
-    (QCheck.make ~print:QCheck.Print.(pair int int)
-       (oneof [ pair int int; pair edge edge; pair edge int; pow2_multiple ]))
-    (fun (g, d) -> Stats.gcd_step g d = Stats.gcd g d)
-
 let test_stats_egcd () =
   let check_egcd a b =
     let g, x, y = Stats.egcd a b in
@@ -522,7 +502,6 @@ let () =
           tc "egcd" test_stats_egcd;
           tc "divisions" test_stats_divisions;
           QCheck_alcotest.to_alcotest prop_fdiv_cdiv;
-          QCheck_alcotest.to_alcotest prop_gcd_step;
         ] );
       ( "histogram",
         [
