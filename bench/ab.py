@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """A/B timing of the end-to-end benchmark: a base commit against this checkout.
 
-    bench/ab.py BASE [--workload W]... [--pairs N] [--seconds S] [--first-seed K]
+    bench/ab.py BASE [--workload W]... [--pairs N] [--seconds S] [--first-seed K] [--trace]
     bench/ab.py --self-test
 
 BASE (any commit git names) is exported with `git archive` into a
@@ -20,7 +20,17 @@ won, whether the change's median is worse than the base's by more than
 the bound, and whether it is better by more than the base's interquartile
 range. Every run's value is printed per pair.
 
-`--self-test` checks the summary on canned result lines: no build, no run.
+`--trace` runs the traced pass instead (`--trace 1`), which gives the
+per-layer metrics. The traced pass drifts between runs more than a
+change to one layer moves it, so it compares pair by pair: per
+`per_layer` metric of BENCHMARK.json it prints the median of the
+per-pair change/base ratios and the pairs the change improved. A pair
+whose base value is missing or not positive has no ratio: the server
+layers read 0 outside serve-churn, and the ledger's shares and
+`trace.ns_per_event` can read below zero on a noisy host.
+
+`--self-test` checks both summaries on canned result lines: no build,
+no run.
 """
 
 import argparse
@@ -101,6 +111,40 @@ def summarize(spec, pairs):
             )
         rows.append(row)
     return rows
+
+
+def summarize_trace(spec, pairs):
+    """One row per per-layer metric that has a ratio in some pair.
+
+    spec: the `per_layer` list of BENCHMARK.json; pairs as for summarize.
+    """
+    rows = []
+    for m in spec:
+        name, lower = m["name"], m["better"] == "lower"
+        ratios, wins = [], 0
+        for _, _, b, c in pairs:
+            bv, cv = value(b, name), value(c, name)
+            if bv is None or cv is None or bv <= 0:
+                continue
+            ratios.append(cv / bv)
+            if (cv < bv) if lower else (cv > bv):
+                wins += 1
+        if ratios:
+            rows.append({"name": name, "better": m["better"], "ratio": statistics.median(ratios),
+                         "wins": wins, "pairs": len(ratios)})
+    return rows
+
+
+def render_trace(workload, spec, pairs):
+    out = [f"== {workload}: {len(pairs)} traced pairs =="]
+    out.append(f"{'metric':<36}{'better':<8}{'median change/base':>19}  {'improved':>9}")
+    for r in summarize_trace(spec, pairs):
+        out.append(f"{r['name']:<36}{r['better']:<8}{r['ratio']:>19.3f}  "
+                   f"{r['wins']:>4}/{r['pairs']:<4}")
+    for side, i in (("base", 2), ("change", 3)):
+        f, n = failure_share([p[i] for p in pairs])
+        out.append(f"{side}: {f} of {n} operations failed")
+    return "\n".join(out)
 
 
 def failure_share(results):
@@ -198,8 +242,8 @@ def build(tree):
         sys.exit(f"ab: build failed in {tree}")
 
 
-def run_one(tree, workload, seconds, seed):
-    cmd = [os.path.join(tree, EXE), "--workload", workload, "--trace", "0",
+def run_one(tree, workload, seconds, seed, trace):
+    cmd = [os.path.join(tree, EXE), "--workload", workload, "--trace", "1" if trace else "0",
            "--seconds", f"{seconds:g}", "--seed", str(seed)]
     r = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     last = (r.stdout.strip().splitlines() or ["(no output)"])[-1]
@@ -214,6 +258,8 @@ def main(argv):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=None, help="default: run_seconds")
     ap.add_argument("--first-seed", type=int, default=1, help="seed of the first pair")
+    ap.add_argument("--trace", action="store_true",
+                    help="traced pairs, summarized per per-layer metric")
     ap.add_argument("--self-test", action="store_true")
     a = ap.parse_args(argv)
     if a.self_test:
@@ -222,14 +268,15 @@ def main(argv):
         ap.error("BASE is required")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    spec = bench["end_to_end"]
+    spec = bench["per_layer" if a.trace else "end_to_end"]
     workloads = a.workload or [w["name"] for w in bench["workloads"]]
     seconds = a.seconds if a.seconds is not None else bench["run_seconds"]
     seeds = list(range(a.first_seed, a.first_seed + a.pairs))
     for line in environment():
         print(line)
     print(f"base {a.base} against the checkout {ROOT}; {a.pairs} pairs of {seconds:g} s "
-          f"untraced runs per workload, seeds {seeds[0]}..{seeds[-1]}")
+          f"{'traced' if a.trace else 'untraced'} runs per workload, "
+          f"seeds {seeds[0]}..{seeds[-1]}")
     print("order: workloads in turn; within one, pair i (from 0) runs base first when i "
           "is even, the change first when odd; warm-up is e2e's own")
     sys.stdout.flush()
@@ -250,9 +297,9 @@ def main(argv):
                 order = [(base_tree, "b"), (ROOT, "c")]
                 res = {}
                 for tree, side in order if base_first else order[::-1]:
-                    res[side] = run_one(tree, w, seconds, seed)
+                    res[side] = run_one(tree, w, seconds, seed, a.trace)
                 pairs.append((seed, base_first, res["b"], res["c"]))
-            print(render(w, spec, pairs), flush=True)
+            print((render_trace if a.trace else render)(w, spec, pairs), flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
@@ -303,12 +350,48 @@ def self_test():
             return len(got) == len(want) and all(map(same, got, want))
         return got == want
 
+    # Traced lines: a lower-is-better stage that fell in two of three
+    # pairs, a higher-is-better rate, a layer the base never measured,
+    # and a share that reads below zero in the base.
+    layer_spec = [
+        {"name": "sequitur.object.ns_per_symbol", "better": "lower"},
+        {"name": "core.mru_hit_rate", "better": "higher"},
+        {"name": "server.session_ms", "better": "lower"},
+        {"name": "leap.ns_per_tuple", "better": "lower"},
+        {"name": "ledger.unexplained_pct", "better": "lower"},
+    ]
+
+    def traced(obj, hit, server=0.0):
+        values = {"sequitur.object.ns_per_symbol": obj, "core.mru_hit_rate": hit,
+                  "server.session_ms": server, "ledger.unexplained_pct": -2.0}
+        return json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": {
+            k: {"value": v, "unit": "-"} for k, v in values.items()}})
+
+    layer_pairs = [
+        (1, True, parse_result(traced(300.0, 0.5)), parse_result(traced(240.0, 0.5))),
+        (2, False, parse_result(traced(250.0, 0.5)), parse_result(traced(200.0, 0.6))),
+        (3, True, parse_result(traced(200.0, 0.5)), parse_result(traced(220.0, 0.4, 3.0))),
+    ]
+    layers = {r["name"]: r for r in summarize_trace(layer_spec, layer_pairs)}
+    o, hit = layers["sequitur.object.ns_per_symbol"], layers["core.mru_hit_rate"]
+    checks += [
+        (o["ratio"], 0.8), (o["wins"], 2), (o["pairs"], 3),
+        (hit["ratio"], 1.0), (hit["wins"], 1), (hit["pairs"], 3),
+        ("server.session_ms" in layers, False), ("leap.ns_per_tuple" in layers, False),
+        ("ledger.unexplained_pct" in layers, False),
+    ]
     bad = [(i, got, want) for i, (got, want) in enumerate(checks) if not same(got, want)]
     text = render("canned", spec, pairs)
     for needle in ("WORSE than base beyond the bound", "better than base by more than its IQR",
                    "seed 9 (change first)", "change: 2 of 17 operations failed"):
         if needle not in text:
             bad.append(("render", needle, "missing"))
+    trace_text = render_trace("canned", layer_spec, layer_pairs)
+    for needle in ("3 traced pairs", "sequitur.object.ns_per_symbol", "2/3",
+                   "change: 0 of 6 operations failed"):
+        if needle not in trace_text:
+            bad.append(("render_trace", needle, "missing"))
+    text += "\n" + trace_text
     if bad:
         print(text)
         for b in bad:

@@ -724,12 +724,13 @@ let run_recovery log ~bench () =
 (* ------------------------------------------------------------------ *)
 
 (* Pushes the same recorded event stream through the batched WHOMP
-   pipeline with telemetry off and on, min-of-N on each, and fails the
-   run if switching the layer on costs more than 10%. The per-stage
-   histogram breakdown from the instrumented repetitions shows where the
-   enabled-path time goes. Min-of-N rather than Bechamel because the
-   figure is a guard ratio, not a reported number: the minimum is the
-   noise-robust estimator for "how fast can this path go". *)
+   pipeline and the batched LEAP profiler, each with telemetry off and
+   on, min-of-N on each, and fails the run if switching the layer on
+   costs either more than 10%. The per-stage histogram breakdown from the
+   instrumented repetitions shows where the enabled-path time goes.
+   Min-of-N rather than Bechamel because the figure is a guard ratio,
+   not a reported number: the minimum is the noise-robust estimator for
+   "how fast can this path go". *)
 let run_telemetry log ~bench () =
   timed log "telemetry" (fun () ->
       let module Tm = Ormp_telemetry.Telemetry in
@@ -743,10 +744,8 @@ let run_telemetry log ~bench () =
             match ev with Ormp_trace.Event.Access _ -> acc + 1 | _ -> acc)
           0 events
       in
-      let run_once () =
-        let b, fin =
-          Ormp_whomp.Whomp.sink_batched ~site_name:(Printf.sprintf "s%d") ()
-        in
+      let run_once sink () =
+        let b, fin = sink ~site_name:(Printf.sprintf "s%d") () in
         let t0 = Ormp_util.Clock.now_ns () in
         Array.iter (Ormp_trace.Batch.event b) events;
         Ormp_trace.Batch.flush b;
@@ -763,24 +762,36 @@ let run_telemetry log ~bench () =
         !best
       in
       let reps = if bench then 5 else 3 in
-      Tm.disable ();
-      ignore (run_once ());
-      (* warm-up *)
-      let off_ns = min_of reps run_once in
-      Tm.enable ();
+      (* ns/event off and on; the registry holds the enabled runs' stages *)
+      let off_on run =
+        Tm.disable ();
+        ignore (run ());
+        (* warm-up *)
+        let off_ns = min_of reps run in
+        Tm.enable ();
+        let on_ns = min_of reps run in
+        Tm.disable ();
+        (off_ns /. float_of_int n, on_ns /. float_of_int n)
+      in
       Tm.reset ();
-      let on_ns = min_of reps run_once in
-      let snap = Tm.Metrics.snapshot () in
-      Tm.disable ();
-      let off_pe = off_ns /. float_of_int n in
-      let on_pe = on_ns /. float_of_int n in
+      let leap_off_pe, leap_on_pe =
+        off_on (run_once (fun ~site_name () -> Ormp_leap.Leap.sink_batched ~site_name ()))
+      in
+      let leap_ratio = leap_on_pe /. leap_off_pe in
+      Tm.reset ();
+      let off_pe, on_pe =
+        off_on (run_once (fun ~site_name () -> Ormp_whomp.Whomp.sink_batched ~site_name ()))
+      in
       let ratio = on_pe /. off_pe in
+      let snap = Tm.Metrics.snapshot () in
       let stages = snap.Ormp_telemetry.Metrics.snap_hists in
       Printf.printf
         "%d accesses per repetition (min of %d)\n\
-         telemetry off: %7.2f ns/event\n\
-         telemetry on : %7.2f ns/event   ratio: %.3f\n\n"
-        n reps off_pe on_pe ratio;
+         WHOMP telemetry off: %7.2f ns/event\n\
+         WHOMP telemetry on : %7.2f ns/event   ratio: %.3f\n\
+         LEAP  telemetry off: %7.2f ns/event\n\
+         LEAP  telemetry on : %7.2f ns/event   ratio: %.3f\n\n"
+        n reps off_pe on_pe ratio leap_off_pe leap_on_pe leap_ratio;
       if stages <> [] then
         print_endline
           (Ormp_util.Ascii.table
@@ -802,6 +813,9 @@ let run_telemetry log ~bench () =
              ("off_ns_per_event", J.Float off_pe);
              ("on_ns_per_event", J.Float on_pe);
              ("ratio", J.Float ratio);
+             ("leap_off_ns_per_event", J.Float leap_off_pe);
+             ("leap_on_ns_per_event", J.Float leap_on_pe);
+             ("leap_ratio", J.Float leap_ratio);
              ( "stages",
                J.List
                  (List.map
@@ -815,11 +829,16 @@ let run_telemetry log ~bench () =
                         ])
                     stages) );
            ]);
-      if ratio > 1.10 then begin
-        Printf.printf "telemetry guard: FAILED — enabling telemetry costs %.1f%% (> 10%%)\n"
-          ((ratio -. 1.0) *. 100.0);
-        exit 1
-      end)
+      let guard name ratio =
+        if ratio > 1.10 then begin
+          Printf.printf "telemetry guard: FAILED — enabling telemetry costs %s %.1f%% (> 10%%)\n"
+            name
+            ((ratio -. 1.0) *. 100.0);
+          exit 1
+        end
+      in
+      guard "WHOMP" ratio;
+      guard "LEAP" leap_ratio)
 
 (* ------------------------------------------------------------------ *)
 (* Modelcheck: transport litmus suite coverage (non-timing)            *)

@@ -7,7 +7,9 @@ module Tm = Ormp_telemetry.Telemetry
 (* Instrumented only on the rare arms: a stream opening or dropping, an
    LMAD descriptor opening or discarding a point. The Extended arm — the
    per-access common case — stays untouched. The flag is read once per
-   chunk and passed down. *)
+   chunk and passed down, and the events are counted in the collector and
+   published once per chunk ([flush_tm]), as Sequitur's are: a discarded
+   point costs a field increment, not a call into the metrics store. *)
 let m_streams_opened = Tm.Metrics.counter "leap.streams_opened"
 let m_streams_dropped = Tm.Metrics.counter "leap.streams_dropped"
 let m_dropped_accesses = Tm.Metrics.counter "leap.dropped_accesses"
@@ -40,27 +42,6 @@ let span_at stream idx ~time =
     Vec.push stream.spans { t_first = time; t_last = time }
   done;
   Vec.get stream.spans idx
-
-(* Feed one (object, offset) point through both compressors using the
-   scalar entry points: the common arms (extend, over-budget discard)
-   allocate nothing — the only steady-state allocation left in a stream is
-   a span record per descriptor. Every descriptor is reported when it
-   opens and indices never decrease, so the point opened its descriptor
-   exactly when the index is past the span table; extending and opening
-   then both stamp the span's end (a new span starts at [time]). *)
-let[@inline] record2 stream ~tm ~time ~obj ~offset =
-  let i = C.add2_code stream.comp obj offset in
-  (if i >= 0 then begin
-     if tm && i >= Vec.length stream.spans then Tm.Metrics.incr m_lmad_opened;
-     (span_at stream i ~time).t_last <- time
-   end
-   else begin
-     if tm then Tm.Metrics.incr m_lmad_discarded;
-     match stream.dspan with
-     | Some sp -> sp.t_last <- time
-     | None -> stream.dspan <- Some { t_first = time; t_last = time }
-   end);
-  ignore (C.add1_code stream.off offset)
 
 type live = {
   lv_streams : (key * stream) list;
@@ -216,6 +197,9 @@ type collector = {
   c_d : table;  (* refused keys -> first-refusal index *)
   c_dropped_order : key Vec.t;
   mutable c_dropped_accesses : int;
+  (* telemetry accumulators, published by [flush_tm] *)
+  mutable c_tm_opened : int;  (* LMAD descriptors opened *)
+  mutable c_tm_discarded : int;  (* points discarded *)
 }
 
 let grow_slots c =
@@ -286,6 +270,8 @@ let collector ?budget ?(max_streams = 0) ?restore () =
       c_d = table_create 16;
       c_dropped_order = Vec.create ();
       c_dropped_accesses = 0;
+      c_tm_opened = 0;
+      c_tm_discarded = 0;
     }
   in
   (match restore with
@@ -305,6 +291,41 @@ let collector ?budget ?(max_streams = 0) ?restore () =
     c.c_dropped_accesses <- lv.lv_dropped_accesses);
   c
 
+(* Feed one (object, offset) point through both compressors using the
+   scalar entry points: the common arms (extend, over-budget discard)
+   allocate nothing — the only steady-state allocation left in a stream is
+   a span record per descriptor. Every descriptor is reported when it
+   opens and indices never decrease, so the point opened its descriptor
+   exactly when the index is past the span table; extending and opening
+   then both stamp the span's end (a new span starts at [time]). *)
+let[@inline] record2 c stream ~tm ~time ~obj ~offset =
+  let i = C.add2_code stream.comp obj offset in
+  (if i >= 0 then begin
+     if tm && i >= Vec.length stream.spans then c.c_tm_opened <- c.c_tm_opened + 1;
+     (span_at stream i ~time).t_last <- time
+   end
+   else begin
+     if tm then c.c_tm_discarded <- c.c_tm_discarded + 1;
+     match stream.dspan with
+     | Some sp -> sp.t_last <- time
+     | None -> stream.dspan <- Some { t_first = time; t_last = time }
+   end);
+  ignore (C.add1_code stream.off offset)
+
+(* Publish what a chunk counted. Streams opened and dropped and accesses
+   dropped are what the chunk added to the collector's own counts, taken
+   before it as [streams], [dropped] and [accesses]; LMAD opens and
+   discards were counted in the accumulators. *)
+let flush_tm c ~streams ~dropped ~accesses =
+  let add m n = if n <> 0 then Tm.Metrics.add m n in
+  add m_streams_opened (c.c_n - streams);
+  add m_streams_dropped (c.c_d.n - dropped);
+  add m_dropped_accesses (c.c_dropped_accesses - accesses);
+  add m_lmad_opened c.c_tm_opened;
+  add m_lmad_discarded c.c_tm_discarded;
+  c.c_tm_opened <- 0;
+  c.c_tm_discarded <- 0
+
 (* SCC: vertical decomposition by instruction then group; each sub-stream
    is compressed online as (object, offset) points with per-descriptor
    time spans. When [max_streams] caps the table, accesses of unseen keys
@@ -315,32 +336,32 @@ let collector ?budget ?(max_streams = 0) ?restore () =
 let[@inline] collect_one c ~tm ~instr ~group ~obj ~offset ~is_store ~time =
   pairs_set c.c_st instr (if is_store then 1 else 0);
   let slot = table_find c.c_idx instr group in
-  if slot >= 0 then record2 (Array.unsafe_get c.c_strs slot) ~tm ~time ~obj ~offset
+  if slot >= 0 then record2 c (Array.unsafe_get c.c_strs slot) ~tm ~time ~obj ~offset
   else if c.c_max_streams > 0 && c.c_n >= c.c_max_streams then begin
-    if table_find c.c_d instr group < 0 then begin
-      drop_key c instr group;
-      if tm then Tm.Metrics.incr m_streams_dropped
-    end;
-    c.c_dropped_accesses <- c.c_dropped_accesses + 1;
-    if tm then Tm.Metrics.incr m_dropped_accesses
+    if table_find c.c_d instr group < 0 then drop_key c instr group;
+    c.c_dropped_accesses <- c.c_dropped_accesses + 1
   end
   else begin
     let s = push_stream c instr group (fresh_stream c) in
-    if tm then Tm.Metrics.incr m_streams_opened;
-    record2 (Array.unsafe_get c.c_strs s) ~tm ~time ~obj ~offset
+    record2 c (Array.unsafe_get c.c_strs s) ~tm ~time ~obj ~offset
   end
 
-let collect c (tu : Ormp_core.Tuple.t) =
-  collect_one c ~tm:(Tm.on ()) ~instr:tu.instr ~group:tu.group ~obj:tu.obj ~offset:tu.offset
+(* Each entry point below runs its tuple code in two copies, [tm]
+   constant in each, so with telemetry off no counting code and no
+   telemetry state is in the loop at all. *)
+let[@inline] collect_tuple c ~tm (tu : Ormp_core.Tuple.t) =
+  collect_one c ~tm ~instr:tu.instr ~group:tu.group ~obj:tu.obj ~offset:tu.offset
     ~is_store:tu.is_store ~time:tu.time
 
-(* SoA lane entry points: one call per chunk, no per-tuple boxing. Stamps
-   are [time0 + i] (CDC chunks carry consecutive stamps). With telemetry
-   on, the chunk's tuple loop is timed into [leap.collect.ns]; off, no
-   clock is read. *)
-let collect_lanes c ~instr ~group ~obj ~offset ~store ~time0 ~len =
-  let tm = Tm.on () in
-  let t0 = if tm then Tm.now_ns () else 0L in
+let collect c tu =
+  if Tm.on () then begin
+    let streams = c.c_n and dropped = c.c_d.n and accesses = c.c_dropped_accesses in
+    collect_tuple c ~tm:true tu;
+    flush_tm c ~streams ~dropped ~accesses
+  end
+  else collect_tuple c ~tm:false tu
+
+let[@inline] collect_loop c ~tm ~instr ~group ~obj ~offset ~store ~time0 ~len =
   for i = 0 to len - 1 do
     collect_one c ~tm
       ~instr:(Array.unsafe_get instr i)
@@ -349,8 +370,21 @@ let collect_lanes c ~instr ~group ~obj ~offset ~store ~time0 ~len =
       ~offset:(Array.unsafe_get offset i)
       ~is_store:(Array.unsafe_get store i <> 0)
       ~time:(time0 + i)
-  done;
-  if tm then Tm.Metrics.observe m_collect_ns (Int64.to_float (Int64.sub (Tm.now_ns ()) t0))
+  done
+
+(* SoA lane entry points: one call per chunk, no per-tuple boxing. Stamps
+   are [time0 + i] (CDC chunks carry consecutive stamps). With telemetry
+   on, the chunk's tuple loop is timed into [leap.collect.ns] and its
+   events published after it; off, no clock is read and nothing counted. *)
+let collect_lanes c ~instr ~group ~obj ~offset ~store ~time0 ~len =
+  if Tm.on () then begin
+    let t0 = Tm.now_ns () in
+    let streams = c.c_n and dropped = c.c_d.n and accesses = c.c_dropped_accesses in
+    collect_loop c ~tm:true ~instr ~group ~obj ~offset ~store ~time0 ~len;
+    Tm.Metrics.observe m_collect_ns (Int64.to_float (Int64.sub (Tm.now_ns ()) t0));
+    flush_tm c ~streams ~dropped ~accesses
+  end
+  else collect_loop c ~tm:false ~instr ~group ~obj ~offset ~store ~time0 ~len
 
 let collect_tuples c (tp : Ormp_core.Cdc.tuples) =
   collect_lanes c ~instr:tp.tp_instr ~group:tp.tp_group ~obj:tp.tp_obj ~offset:tp.tp_offset

@@ -78,6 +78,16 @@
      frame reads. Both rewrites make the general path's index removals,
      checks and binds at the same points in the same order, and count the
      same [sequitur.*] events.
+   - An extension usually starts a chain: while the next value continues
+     the other occurrence, each push extends the same rule again.
+     [push_batch] reads ahead and absorbs such a chain in one loop
+     ([absorb]), one step per value, making only the changes that outlive
+     the step: the relabelling, the other occurrence's next symbol moved
+     into the rule, that symbol's binding removed and the rule's new
+     digram bound. The three bindings keyed by the rule's id, which each
+     [extend] removes and makes again, are removed once when the chain
+     starts and made once, for the last id, when it ends; the index
+     doubles where the general path's would.
 
    Symbol codes, digram keys, operation order and the digram-index binding
    semantics (single binding per key, replace overwrites, remove deletes)
@@ -98,9 +108,9 @@ module Tm = Ormp_telemetry.Telemetry
    cascades bump plain fields on [t] and [flush_tm] publishes them once
    per [push]/[push_batch], so the domain-local store is touched a few
    times per batch instead of once per match. The enable flag is likewise
-   sampled once per push entry ([tm_on]) instead of per structural event —
-   [Tm.on] is a cross-module atomic read the cascade would otherwise pay
-   several times per match. *)
+   sampled once per push entry (into [mode]) instead of per structural
+   event — [Tm.on] is a cross-module atomic read the cascade would
+   otherwise pay several times per match. *)
 let m_matches = Tm.Metrics.counter "sequitur.matches"
 let m_rules_created = Tm.Metrics.counter "sequitur.rules_created"
 let m_rules_retired = Tm.Metrics.counter "sequitur.rules_retired"
@@ -133,13 +143,24 @@ type t = {
   mutable dig_mask : int;
   mutable dig_live : int;  (* live bindings = occupied entries *)
   mutable input_len : int;
+  (* [mode_tm] while telemetry is on, sampled at each push entry, and
+     [mode_wide] once a terminal outside [0, 2^30) has been pushed (set
+     by [push], and by [push_batch] when the span ends); one word for
+     both, so the flag costs the grammar no heap *)
+  mutable mode : int;
   (* telemetry accumulators, published by [flush_tm] *)
-  mutable tm_on : bool;
   mutable tm_matches : int;
   mutable tm_created : int;
   mutable tm_retired : int;
   mutable tm_inlines : int;
 }
+
+let mode_tm = 1
+let mode_wide = 2
+let tm_on t = t.mode land mode_tm <> 0
+
+(* Sample the telemetry flag at a push entry, keeping [mode_wide]. *)
+let sample_tm t = t.mode <- (t.mode land mode_wide) lor if Tm.on () then mode_tm else 0
 
 let flush_tm t =
   if t.tm_matches <> 0 then begin
@@ -324,7 +345,7 @@ let kill_rule t r =
     set_r_next t p n;
     set_r_prev t n p;
     t.live_rule_count <- t.live_rule_count - 1;
-    if t.tm_on then t.tm_retired <- t.tm_retired + 1
+    if tm_on t then t.tm_retired <- t.tm_retired + 1
   end
 
 let deuse t r =
@@ -520,7 +541,7 @@ let create () =
       dig_mask = dig_init - 1;
       dig_live = 0;
       input_len = 0;
-      tm_on = false;
+      mode = 0;
       tm_matches = 0;
       tm_created = 0;
       tm_retired = 0;
@@ -623,16 +644,19 @@ let extends t s m =
   is_guard t q1 || is_guard t q2 || not (same_sym t q1 q2)
 
 (* [check t top s] enforces digram uniqueness for the digram starting at
-   [s]. Returns [true] iff a match was found and processed (in which case
-   [s] is dead, or rewritten in place, and the caller must not use it
-   further). [top] is set only for the push's own check (from
+   [s]. Returns 0 if no match was found. Otherwise the match was
+   processed ([s] is dead, or rewritten in place, and the caller must not
+   use it further) and the result is positive: the slot of the other
+   occurrence if the push's own match took [extend] (a right-hand-side
+   slot, at least 4: slot 0 is the start rule's guard), and 1 for any
+   other match. [top] is set only for the push's own check (from
    [push_one]): its match may be rewritten in place, as no enclosing
    frame reads through the slots that rewrite reuses. Branch order
    matches the record implementation exactly — grammar equality depends
    on it. *)
 let rec check t top s =
   let sn = s_nxt t s in
-  if is_guard t s || is_guard t sn then false
+  if is_guard t s || is_guard t sn then 0
   else begin
     let cs = sym_code t s and csn = sym_code t sn in
     let key = pack cs csn in
@@ -640,23 +664,20 @@ let rec check t top s =
     let p = dig_probe t h key in
     if p < 0 then begin
       dig_bind t p h s;
-      false
+      0
     end
     else begin
       let m = entry_slot (Array.unsafe_get t.dig p) in
-      if m = s then false
+      if m = s then 0
       else if not (same_sym t m s && same_sym t (s_nxt t m) sn) then begin
         (* packed-key collision: key equality is not digram equality *)
         dig_bind t p h s;
-        false
+        0
       end
       else if s_nxt t m = s || sn = m then
         (* Overlapping occurrences (a run like "aaa"): not a usable match. *)
-        false
-      else begin
-        process_match t top s m;
-        true
-      end
+        0
+      else process_match t top s m
     end
   end
 
@@ -664,9 +685,12 @@ let rec check t top s =
    creating a rule if the stored occurrence is not already a whole rule.
    Rules are passed around by slot. *)
 and process_match t top s m =
-  if t.tm_on then t.tm_matches <- t.tm_matches + 1;
+  if tm_on t then t.tm_matches <- t.tm_matches + 1;
   let whole = is_guard t (s_prv t m) && is_guard t (s_nxt t (s_nxt t m)) in
-  if top && (not whole) && extends t s m then extend t s m
+  if top && (not whole) && extends t s m then begin
+    extend t s m;
+    m
+  end
   else begin
     let r =
       if whole then begin
@@ -679,7 +703,7 @@ and process_match t top s m =
         let id = t.next_rule_id in
         t.next_rule_id <- id + 1;
         let r = make_rule t id in
-        if t.tm_on then t.tm_created <- t.tm_created + 1;
+        if tm_on t then t.tm_created <- t.tm_created + 1;
         append_copy t r s;
         append_copy t r (s_nxt t s);
         substitute t m r;
@@ -696,7 +720,8 @@ and process_match t top s m =
     let f = first t r in
     if underused t f then expand_symbol t f;
     let l = last t r in
-    if underused t l then expand_symbol t l
+    if underused t l then expand_symbol t l;
+    1
   end
 
 (* Replace the digram starting at [s] with a single non-terminal for [r]. *)
@@ -716,7 +741,7 @@ and substitute t s r =
   set_prv t nq ns;
   set_nxt t q ns;
   set_prv t ns q;
-  if not (check t false q) then ignore (check t false ns)
+  if check t false q = 0 then ignore (check t false ns : int)
 
 (* [substitute] for the push's own whole-rule match: [s] is the start
    rule's last symbol but one, [c] after it the pushed terminal. [s]'s
@@ -735,7 +760,7 @@ and substitute_top t s r =
   reuse t r;
   set_nxt t s g;
   set_prv t g s;
-  if not (check t false q) then ignore (check t false s)
+  if check t false q = 0 then ignore (check t false s : int)
 
 (* The push's own match [s] = [N_R c] against [m] = [N_R c'], which
    [extends] admits. The general path makes r = [N_R' c''], substitutes
@@ -771,7 +796,7 @@ and extend t s m =
   set_nonterm t m id rs;
   set_nxt t m m2;
   set_prv t m2 m;
-  if not (check t false q1) then ignore (check t false m);
+  if check t false q1 = 0 then ignore (check t false m : int);
   (* substitute s r *)
   let c = s_nxt t s in
   let q2 = s_prv t s in
@@ -780,7 +805,7 @@ and extend t s m =
   set_nonterm t s id rs;
   set_nxt t s g0;
   set_prv t g0 s;
-  ignore (check t false q2);
+  ignore (check t false q2 : int);
   (* r's first digram, bound and removed *)
   let h = hash key in
   let p = dig_probe t h key in
@@ -798,7 +823,7 @@ and extend t s m =
   set_r_next t p n;
   set_r_prev t n p;
   ring_append t rs;
-  if t.tm_on then begin
+  if tm_on t then begin
     t.tm_created <- t.tm_created + 1;
     t.tm_inlines <- t.tm_inlines + 1;
     t.tm_retired <- t.tm_retired + 1
@@ -807,7 +832,7 @@ and extend t s m =
 (* Rule utility repair: [s] is the only use of its rule; splice the rule's
    right-hand side in place of [s] and retire the rule. *)
 and expand_symbol t s =
-  if t.tm_on then t.tm_inlines <- t.tm_inlines + 1;
+  if tm_on t then t.tm_inlines <- t.tm_inlines + 1;
   let r = rule_of t s in
   let left = s_prv t s and right = s_nxt t s in
   let f = first t r and l = last t r in
@@ -822,25 +847,134 @@ and expand_symbol t s =
   if (not (is_guard t left)) && not (is_guard t f) then
     dig_replace t (pack (sym_code t left) (sym_code t f)) left
 
+(* Packed digram keys are injective while every code is below 2^31, so
+   while every terminal and every rule id is below [narrow]. *)
+let narrow = 1 lsl 30
+
+(* [v] lies outside [0, narrow), negative included. *)
+let wide v = v lsr 30 <> 0
+
+(* Push [v]; returns what the push's own [check] returned. The caller
+   keeps [mode_wide]. *)
 let push_one t v =
   let s = alloc_sym t 0 v in
   insert_fresh_after t (last t 0) s;
   t.input_len <- t.input_len + 1;
-  ignore (check t true (s_prv t s));
-  if t.pend_len > 0 then reclaim_dead t
+  let r = check t true (s_prv t s) in
+  if t.pend_len > 0 then reclaim_dead t;
+  r
+
+(* Whether a.(j) continues the chain at [m] (see [absorb]). *)
+let continues t a j stop ~m ~s ~q1g =
+  j < stop
+  && t.next_rule_id < narrow
+  &&
+  let m1 = s_nxt t m in
+  let m3 = s_nxt t m1 in
+  s_meta t m1 land (tag_guard lor tag_nonterm) = 0
+  && s_code t m1 = Array.unsafe_get a j
+  && m3 <> s
+  && not (q1g && is_guard t m3)
+
+(* The push's own match just took [extend] at [m], the other occurrence's
+   N_r, and the start rule ends with the pushed occurrence's N_r at [s].
+   Pushing a.(i) would meet [N_r a.(i)] against [N_r m1] and take
+   [extend] again if [m1] is that terminal, the match is not the whole
+   of a rule and the occurrences are not adjacent ([m3 <> s]): [q1] and
+   [q2] have not moved, so [extends] still holds. Each such value is
+   absorbed here in one step; the result is the index of the first value
+   not absorbed.
+
+   One push per value would, per step, remove [N_r m1], [q1 N_r] and
+   [q2 N_r], probe [N_r c], bind [q1 N_r'], [N_r' m3] and [q2 N_r'], bind
+   and remove the phantom [N_r c], remove [m1 m3] and bind [l c]. Only
+   the last two outlive the step. So the chain removes the three
+   bindings keyed by the rule's id once, when it starts, and binds them
+   for the last id when it ends. Each step removes [m1]'s binding,
+   relabels both N slots and the guard, doubles the index where the
+   phantom bind would (counting the three bindings one push would hold
+   by then) and binds [l m1]. It moves [m1] itself to the end of the
+   rule, where one push moves the fresh [c] and kills [m1]: the same
+   grammar in other slots, with as many slots free. That each of those
+   probes has a known outcome rests on injective keys: a key naming the
+   fresh id names no other digram. The caller has checked every terminal
+   pushed so far; the ids are checked here. *)
+let absorb t m a i stop =
+  let s = last t 0 in
+  let q1 = s_prv t m and q2 = s_prv t s in
+  let q1g = is_guard t q1 in
+  if not (continues t a i stop ~m ~s ~q1g) then i
+  else begin
+    (* the bindings keyed by the current id ([delete_digram] skips a
+       guard) *)
+    delete_digram t q1;
+    delete_digram t m;
+    delete_digram t q2;
+    let g = r_guard t (rule_of t s) in
+    let held = (if q1g then 0 else 1) + if is_guard t q2 then 0 else 1 in
+    let j = ref i in
+    let more = ref true in
+    while !more do
+      let m1 = s_nxt t m in
+      let m3 = s_nxt t m1 in
+      delete_digram t m1;
+      set_nxt t m m3;
+      set_prv t m3 m;
+      let id = t.next_rule_id in
+      t.next_rule_id <- id + 1;
+      Array.unsafe_set t.sym m id;
+      Array.unsafe_set t.sym s id;
+      Array.unsafe_set t.sym g id;
+      let held = if is_guard t m3 then held else held + 1 in
+      if 2 * (t.dig_live + held + 1) >= t.dig_mask + 1 then dig_grow t;
+      let l = s_prv t g in
+      set_nxt t l m1;
+      set_prv t m1 l;
+      set_nxt t m1 g;
+      set_prv t g m1;
+      dig_replace t (pack (sym_code t l) (sym_code t m1)) l;
+      incr j;
+      more := continues t a !j stop ~m ~s ~q1g
+    done;
+    let n = !j - i in
+    t.input_len <- t.input_len + n;
+    if tm_on t then begin
+      t.tm_matches <- t.tm_matches + n;
+      t.tm_created <- t.tm_created + n;
+      t.tm_inlines <- t.tm_inlines + n;
+      t.tm_retired <- t.tm_retired + n
+    end;
+    let m2 = s_nxt t m in
+    if not q1g then dig_replace t (pack (sym_code t q1) (sym_code t m)) q1;
+    if not (is_guard t m2) then dig_replace t (pack (sym_code t m) (sym_code t m2)) m;
+    if not (is_guard t q2) then dig_replace t (pack (sym_code t q2) (sym_code t s)) q2;
+    !j
+  end
 
 let push t v =
-  t.tm_on <- Tm.on ();
-  push_one t v;
+  if wide v then t.mode <- t.mode lor mode_wide;
+  sample_tm t;
+  ignore (push_one t v : int);
   flush_tm t
 
+(* A chain is absorbed only while every terminal pushed so far is narrow:
+   those of earlier calls by [mode_wide], this span's so far by [bits],
+   every value or-ed in (a register, not a field written per push). *)
 let push_batch t a ~off ~len =
   if off < 0 || len < 0 || off > Array.length a - len then
     invalid_arg "Sequitur.push_batch";
-  t.tm_on <- Tm.on ();
-  for i = off to off + len - 1 do
-    push_one t (Array.unsafe_get a i)
+  sample_tm t;
+  let stop = off + len in
+  let i = ref off in
+  let bits = ref 0 in
+  while !i < stop do
+    let v = Array.unsafe_get a !i in
+    bits := !bits lor v;
+    let r = push_one t v in
+    incr i;
+    if r > 1 && (not (wide !bits)) && t.mode land mode_wide = 0 then i := absorb t r a !i stop
   done;
+  if wide !bits then t.mode <- t.mode lor mode_wide;
   flush_tm t
 
 let push_array t a = push_batch t a ~off:0 ~len:(Array.length a)
@@ -969,18 +1103,33 @@ let of_rules ~bound rule_list =
   | Ok _ ->
     let table = Hashtbl.create 64 in
     List.iter (fun (id, rhs) -> Hashtbl.replace table id rhs) rule_list;
-    let rec expand g id =
-      List.iter (function `T v -> push g v | `N r -> expand g r) (Hashtbl.find table id)
-    in
     (* The algorithm is deterministic: re-pushing the expansion of a
        listing a compressor wrote rebuilds exactly that grammar, rule ids
        included, and grows the same tables the original run grew. Any
        other listing of the same expansion (a repeated digram, a rule used
        once, an unused or renumbered rule) is not what the rebuilt
        compressor holds, so loading it would silently replace the grammar
-       on file. *)
+       on file. The expansion goes through [push_batch] in chunks of one
+       reused buffer, so a restore absorbs extension chains as a live run
+       does. *)
     let g = create () in
-    expand g 0;
+    let buf = Array.make 512 0 in
+    let n = ref 0 in
+    let rec expand id =
+      List.iter
+        (function
+          | `T v ->
+            if !n = Array.length buf then begin
+              push_batch g buf ~off:0 ~len:!n;
+              n := 0
+            end;
+            buf.(!n) <- v;
+            incr n
+          | `N r -> expand r)
+        (Hashtbl.find table id)
+    in
+    expand 0;
+    push_batch g buf ~off:0 ~len:!n;
     if rules g = rule_list then Ok g
     else Error "rule listing is not the grammar its expansion rebuilds"
 

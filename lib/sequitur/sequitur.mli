@@ -30,9 +30,14 @@ val push_array : t -> int array -> unit
 
 val push_batch : t -> int array -> off:int -> len:int -> unit
 (** [push_batch t a ~off ~len] pushes [a.(off) .. a.(off + len - 1)] in
-    order — the bulk entry point the WHOMP/RASG/LEAP sinks and the
-    parallel compressor pools feed whole SoA chunk lanes through, avoiding
-    per-symbol call overhead. Equivalent to [len] single {!push}es.
+    order — the bulk entry point the WHOMP/RASG sinks, the pipeline's
+    grammar workers and {!of_rules} feed whole lanes through, avoiding
+    per-symbol call overhead. It reads ahead within the span: when a push
+    extends a rule and the next values continue the rule's other
+    occurrence, it absorbs that run of extensions in one loop. One
+    {!push} per value is the reference it must equal: the same rules and
+    rule ids, [sequitur.*] counts and tables (so the same heap), for any
+    span and any way of cutting the input into spans.
     @raise Invalid_argument if [off]/[len] do not denote a valid span. *)
 
 val input_length : t -> int
@@ -93,7 +98,8 @@ val of_rules : bound:int -> (int * [ `T of int | `N of int ] list) list -> (t, s
 (** Rebuild a live compressor from a {!rules} listing: the listing is
     measured by {!expansion_length} against [bound] (a loader passes the
     count its file records) before anything expands, then the start rule
-    is expanded and its terminal sequence re-pushed. Sequitur is
+    is expanded and its terminal sequence re-pushed through
+    {!push_batch}, 512 values at a time. Sequitur is
     deterministic, so the rebuilt grammar has exactly the saved rules —
     ids included — and further {!push}es continue as if the original
     compressor had never stopped. This is what makes grammar state

@@ -455,6 +455,23 @@ let test_extension_key_collision () =
   check_counts name ~push:9 [ 0; 0; 0; 0 ] counts;
   check_rules name [ (0, [ -2; v; 9; -2; v ]); (2, [ 1; 2; 3 ]) ] t
 
+(* A wide terminal in one span keeps the next span from absorbing a
+   chain, though that span starts narrow: [2^30 + 1] beside a rule's
+   nonterminal packs like [1] beside a terminal, so a chain absorbed in
+   the second span here binds what one push per value does not. *)
+let test_chain_after_wide_span () =
+  let w = (1 lsl 30) + 1 in
+  let a = [| 4; 3; 1; w; 4; 4; 4; 4; 4; 3; 1; w |] in
+  let t = Sequitur.create () in
+  Sequitur.push_batch t a ~off:0 ~len:8;
+  Sequitur.push_batch t a ~off:8 ~len:4;
+  ok t;
+  let one = Sequitur.create () and legacy = Sequitur_legacy.create () in
+  Array.iter (Sequitur.push one) a;
+  Sequitur_legacy.push_array legacy a;
+  check_bool "push_batch = push" true (Sequitur.rules t = Sequitur.rules one);
+  check_bool "push = legacy" true (Sequitur.rules one = Sequitur_legacy.rules legacy)
+
 (* Phrases from a small dictionary over 64 values, each phrase sometimes
    mutated (a symbol replaced, one appended, the first dropped): repeats
    that keep growing and breaking off. They reach the extension about
@@ -489,6 +506,79 @@ let prop_mutated_phrases =
            (String.concat "," (List.map string_of_int cuts)))
        QCheck.Gen.(pair gen_mutated_phrases (list_size (int_range 1 12) (int_range 1 200))))
     long_equivalent
+
+(* Extension chains: phrases that recur between random separators, so
+   each later occurrence extends one rule symbol by symbol, which
+   [push_batch] absorbs in one loop while the next value continues the
+   chain. Chunk cuts fall inside chains, so chains start and end at chunk
+   edges too, and half the cuts are short, so a chunk often starts in a
+   chain with no wide terminal before it. In one case of four the
+   phrases hold wide or negative terminals: [v + k·2^30] packs like [v]
+   beside a nonterminal, and [3·2^31 + 3] is the extension's own
+   colliding key (see [extension key collision]), so a chain absorbed in
+   their presence binds what one push per value does not, and fusion
+   must stay off. After every chunk the invariants hold and the legacy
+   oracle agrees; at the end one push per value gives the same rules,
+   [sequitur.*] totals and heap words, so the tables end the same size. *)
+let words t = Obj.reachable_words (Obj.repr t)
+
+let gen_chains =
+  QCheck.Gen.(
+    int_bound 3 >>= fun wide ->
+    let sym =
+      if wide > 0 then int_bound 39
+      else
+        frequency
+          [
+            (3, int_bound 39);
+            ( 1,
+              oneof
+                [
+                  map (fun (v, k) -> v + (k lsl 30)) (pair (int_bound 39) (int_range 1 6));
+                  map (fun v -> -v - 1) (int_bound 39);
+                  return ((3 lsl 31) lor 3);
+                ] );
+          ]
+    in
+    int_range 1 5 >>= fun nd ->
+    array_repeat nd (array_size (int_range 6 40) sym) >>= fun dict ->
+    array_repeat nd (int_range 2 6) >>= fun recur ->
+    let order = List.concat (List.init nd (fun i -> List.init recur.(i) (fun _ -> i))) in
+    shuffle_l order >>= fun order ->
+    list_repeat (List.length order) (array_size (int_range 1 4) (int_range 40 79)) >>= fun seps ->
+    let a = Array.concat (List.concat (List.map2 (fun i sep -> [ sep; dict.(i) ]) order seps)) in
+    pair (return a) (list_size (int_range 1 40) (oneof [ int_range 1 8; int_range 9 600 ])))
+
+let prop_chains =
+  QCheck.Test.make ~name:"push_batch = push and legacy (extension chains, chunked)" ~count:1000
+    (QCheck.make
+       ~print:(fun (a, cuts) ->
+         Printf.sprintf "%s / chunks %s"
+           (QCheck.Print.(array int) a)
+           (String.concat "," (List.map string_of_int cuts)))
+       gen_chains)
+    (fun (a, cuts) ->
+      let t = Sequitur.create () and legacy = Sequitur_legacy.create () in
+      let off = ref 0 in
+      let chunk len =
+        let len = min len (Array.length a - !off) in
+        Sequitur.push_batch t a ~off:!off ~len;
+        Sequitur_legacy.push_array legacy (Array.sub a !off len);
+        off := !off + len;
+        (match Sequitur.check_invariants t with
+        | Ok () -> ()
+        | Error msg -> QCheck.Test.fail_reportf "after symbol %d: %s" !off msg);
+        if Sequitur.rules t <> Sequitur_legacy.rules legacy then
+          QCheck.Test.fail_reportf "after symbol %d: rules differ from the legacy oracle" !off
+      in
+      let counts =
+        counted (fun () ->
+            List.iter chunk cuts;
+            chunk (Array.length a - !off))
+      in
+      let one = Sequitur.create () in
+      let one_counts = counted (fun () -> Array.iter (Sequitur.push one) a) in
+      Sequitur.rules one = Sequitur.rules t && one_counts = counts && words one = words t)
 
 (* The seven stand-ins' five lanes at test scale — the CDC's instruction,
    group, object and offset lanes and the raw addresses RASG takes —
@@ -538,6 +628,13 @@ let test_stand_in_lanes () =
           List.iter (Sequitur_legacy.push_array legacy) chunks;
           check_bool (name ^ ": arena = legacy") true
             (Sequitur.rules t = Sequitur_legacy.rules legacy);
+          (* One push per value is what [push_batch] must equal: the same
+             grammar, events and heap, so the same index doublings. *)
+          let one = Sequitur.create () in
+          let one_counts = counted (fun () -> List.iter (Array.iter (Sequitur.push one)) chunks) in
+          check_bool (name ^ ": push_batch = push") true (Sequitur.rules t = Sequitur.rules one);
+          Alcotest.(check (list int)) (name ^ ": counts of one push per value") one_counts counts;
+          check_int (name ^ ": words held") (words one) (words t);
           (* Sequitur's overlap rule leaves one repeated digram in each of
              vpr's instr and group grammars and none elsewhere (see
              [Grammar_oracle]). *)
@@ -616,7 +713,6 @@ let test_restore_heap () =
       | Error e -> Alcotest.fail (name ^ ": " ^ e)
       | Ok r ->
         check_bool (name ^ ": same rules") true (Sequitur.rules r = Sequitur.rules t);
-        let words g = Obj.reachable_words (Obj.repr g) in
         check_bool
           (Printf.sprintf "%s: restored %d words <= original %d" name (words r) (words t))
           true
@@ -637,16 +733,15 @@ let test_heap_is_live_grammar () =
   let n = 800_000 and chunk = 10_000 and early = 50_000 in
   let a = Array.init n (fun i -> if i mod 7 = 6 then 100 + ((i / 7) land 1) else i mod 7) in
   let t = Sequitur.create () in
-  let words () = Obj.reachable_words (Obj.repr t) in
   let at_early = ref 0 in
   let off = ref 0 in
   while !off < n do
     Sequitur.push_batch t a ~off:!off ~len:chunk;
     off := !off + chunk;
     ok t;
-    if !off = early then at_early := words ()
+    if !off = early then at_early := words t
   done;
-  let at_end = words () in
+  let at_end = words t in
   check_bool
     (Printf.sprintf "%d words at %d symbols <= 2 x %d at %d" at_end n !at_early early)
     true
@@ -824,6 +919,7 @@ let () =
           tc "whole-rule match" test_whole_rule_match;
           tc "extension guards" test_extension_guards;
           tc "extension key collision" test_extension_key_collision;
+          tc "no chain absorbed after a wide span" test_chain_after_wide_span;
           tc "stand-in lanes = legacy" test_stand_in_lanes;
         ] );
       ( "property",
@@ -844,5 +940,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_long_uniform8;
           QCheck_alcotest.to_alcotest prop_long_uniform400;
           QCheck_alcotest.to_alcotest prop_mutated_phrases;
+          QCheck_alcotest.to_alcotest prop_chains;
         ] );
     ]
